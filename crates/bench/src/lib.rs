@@ -233,8 +233,8 @@
 //! A single big run is one event stream, and the event queue above caps it
 //! at a few million events per second. `--shards <n>` (every
 //! cluster-driving binary; `ClusterConfig::shards`, so sweeps can grid over
-//! it) runs the cluster on `concord_sim::ShardedEventQueue`: the
-//! conservative parallel-discrete-event decomposition of that stream.
+//! it) runs the cluster as the conservative parallel-discrete-event
+//! decomposition of that stream.
 //!
 //! * **Shard map.** Nodes are ordered by `(datacenter, id)` and cut into
 //!   `n` contiguous groups, so datacenters stay shard-contiguous and

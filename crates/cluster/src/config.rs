@@ -430,6 +430,14 @@ impl ClusterConfig {
         if self.vnodes == 0 {
             return Err("vnodes must be at least 1".into());
         }
+        let shards = self.effective_shards();
+        if shards > 256 {
+            // The timestamp-packed parallel version layout reserves 8 bits
+            // for the allocating shard.
+            return Err(format!(
+                "{shards} event-lane shards exceed the engine's 256-shard limit"
+            ));
+        }
         Ok(())
     }
 
@@ -469,6 +477,15 @@ mod tests {
         cfg = ClusterConfig::lan_test(3, 2);
         cfg.vnodes = 0;
         assert!(cfg.validate().is_err());
+        cfg = ClusterConfig::lan_test(300, 3);
+        cfg.shards = 256;
+        assert!(cfg.validate().is_ok());
+        cfg.shards = 257;
+        assert!(cfg.validate().is_err(), "more than 256 shards");
+        // Shard counts clamp to the node count before the cap applies.
+        cfg = ClusterConfig::lan_test(3, 2);
+        cfg.shards = 1_000;
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]

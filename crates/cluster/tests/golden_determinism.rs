@@ -440,6 +440,144 @@ fn golden_repair_run() {
     assert_eq!(m.repair_traffic.total(), GOLDEN_REPAIR.8);
 }
 
+/// Multi-page repair scenario: 10 000 loaded records (three key pages, the
+/// last one partly past the loaded count) on a two-site geo cluster under
+/// [`RepairMode::Full`](concord_cluster::RepairMode), with a crash, a site
+/// partition across it, the recovery and the heal. Weak-level churn strides
+/// over every page — and past the loaded count — so sweeps and recovery
+/// migrations diff pages whose owners differ per record, and survivors
+/// keep records they stop replicating once the node returns.
+/// [`golden_repair_run`] covers 40 keys (one page on a LAN), so it cannot
+/// see a page-boundary or ownership mistake; this one can. (Captured
+/// before the ring-ownership index replaced the scan-and-gate page diff;
+/// the index must reproduce it byte-for-byte.)
+fn paged_repair_run(partitioner: Partitioner, golden: PagedRepairGolden) {
+    const LOADED: u64 = 10_000;
+    const KEY_SPACE: u64 = LOADED + 300;
+    let mut cfg = ClusterConfig::lan_test(8, 3);
+    cfg.topology = Topology::spread(
+        8,
+        &[("site-rennes", RegionId(0)), ("site-sophia", RegionId(0))],
+    );
+    cfg.network = NetworkModel::grid5000_like();
+    cfg.strategy = ReplicationStrategy::NetworkTopology;
+    cfg.partitioner = partitioner;
+    cfg.read_repair = true;
+    cfg.op_timeout = SimDuration::from_millis(80);
+    cfg.retry_on_timeout = 1;
+    cfg.repair = concord_cluster::RepairConfig::with_mode(concord_cluster::RepairMode::Full);
+    let mut c = Cluster::new(cfg, 59);
+    c.load_records((0..LOADED).map(|k| (k, 150)));
+    let mut at = SimTime::ZERO;
+    for i in 0..4_000u64 {
+        at += SimDuration::from_micros(400);
+        // A stride coprime to the key space walks all three pages.
+        let key = (i / 2) * 2_503 % KEY_SPACE;
+        if i % 2 == 0 {
+            c.submit_write_with(key, 150, ConsistencyLevel::One, at);
+        } else {
+            c.submit_read_with(key, ConsistencyLevel::One, at);
+        }
+    }
+    // The churn spans 1.6 s: crash at 100 ms, partition at 300 ms, recover
+    // at 600 ms (still partitioned), heal at 900 ms; then a transient
+    // outage of node 1 (ring untouched, so its writes queue as hints) from
+    // 1.1 s to 1.3 s.
+    c.schedule_tick(SimTime::from_millis(100), 1);
+    c.schedule_tick(SimTime::from_millis(300), 2);
+    c.schedule_tick(SimTime::from_millis(600), 3);
+    c.schedule_tick(SimTime::from_millis(900), 4);
+    c.schedule_tick(SimTime::from_millis(1_100), 5);
+    c.schedule_tick(SimTime::from_millis(1_300), 6);
+    let (a, b) = (concord_sim::DcId(0), concord_sim::DcId(1));
+    let mut d = RunDigest::default();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let fnv = |h: &mut u64, x: u64| {
+        *h ^= x;
+        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    };
+    while let Some(out) = c.advance() {
+        match out {
+            concord_cluster::ClusterOutput::Tick { id: 1, .. } => {
+                c.crash_node(concord_sim::NodeId(2))
+            }
+            concord_cluster::ClusterOutput::Tick { id: 2, .. } => c.partition_dcs(a, b),
+            concord_cluster::ClusterOutput::Tick { id: 3, .. } => {
+                c.recover_node(concord_sim::NodeId(2))
+            }
+            concord_cluster::ClusterOutput::Tick { id: 4, .. } => c.heal_dcs(a, b),
+            concord_cluster::ClusterOutput::Tick { id: 5, .. } => {
+                c.set_node_down(concord_sim::NodeId(1))
+            }
+            concord_cluster::ClusterOutput::Tick { id: 6, .. } => {
+                c.set_node_up(concord_sim::NodeId(1))
+            }
+            concord_cluster::ClusterOutput::Tick { .. } => {}
+            concord_cluster::ClusterOutput::Completed(op) => {
+                d.ops += 1;
+                if op.status == OpStatus::Timeout {
+                    d.timeouts += 1;
+                }
+                if op.stale {
+                    d.stale += 1;
+                }
+                d.latency_sum_us += op.latency().as_micros();
+                fnv(&mut h, op.completed_at.as_micros());
+                fnv(&mut h, op.returned_version.0);
+            }
+        }
+    }
+    d.checksum = h;
+    let name = format!("paged_repair[{partitioner:?}]");
+    maybe_print(&name, &d, &c);
+    let m = c.metrics();
+    if capture_mode() {
+        println!(
+            "{name}: hints=({}, {}, {}) pages={} streamed={} repair_bytes={}",
+            m.hints_queued,
+            m.hints_replayed,
+            m.hints_dropped,
+            m.repair_pages_compared,
+            m.repair_records_streamed,
+            m.repair_traffic.total(),
+        );
+        return;
+    }
+
+    assert_eq!(d.ops, 4_000, "every op completes exactly once");
+    assert_eq!(c.inflight_ops(), 0);
+    assert_eq!(c.inflight_write_payloads(), 0);
+    assert!(m.messages_lost > 0, "the partition drops messages");
+    assert!(m.hints_queued > 0, "the outage must queue hints");
+    assert!(
+        m.repair_records_streamed > 1_000,
+        "the faults must trigger multi-page streams"
+    );
+    assert_eq!(d.timeouts, golden.0);
+    assert_eq!(d.stale, golden.1);
+    assert_eq!(d.latency_sum_us, golden.2);
+    assert_eq!(d.checksum, golden.3);
+    assert_eq!(c.events_processed(), golden.4);
+    assert_eq!(m.messages_lost, golden.5);
+    assert_eq!(
+        (m.hints_queued, m.hints_replayed, m.hints_dropped),
+        golden.6
+    );
+    assert_eq!(m.repair_pages_compared, golden.7);
+    assert_eq!(m.repair_records_streamed, golden.8);
+    assert_eq!(m.repair_traffic.total(), golden.9);
+}
+
+#[test]
+fn golden_paged_repair_hash_run() {
+    paged_repair_run(Partitioner::Hash, GOLDEN_PAGED_REPAIR_HASH);
+}
+
+#[test]
+fn golden_paged_repair_ordered_run() {
+    paged_repair_run(Partitioner::Ordered, GOLDEN_PAGED_REPAIR_ORDERED);
+}
+
 /// Gray-failure scenario with the full resilience layer on: hedged reads
 /// (2 ms), exponential retry backoff and health-aware dynamic replica
 /// selection, against one node serving 10× slow mid-run (a gray failure —
@@ -861,6 +999,36 @@ const GOLDEN_REPAIR: (u64, u64, u64, u64, u64, HintCounters, u64, u64, u64) = (
     64,
     81,
     65_756,
+);
+// Multi-page repair digests (captured on the scan-and-gate page diff, before
+// the ring-ownership index; re-capture with GOLDEN_PRINT=1 after intentional
+// semantic changes): (timeouts, stale, latency_sum_us, checksum, events,
+// messages_lost, (hints_queued, hints_replayed, hints_dropped),
+// repair_pages_compared, repair_records_streamed, repair_traffic_total).
+type PagedRepairGolden = (u64, u64, u64, u64, u64, u64, HintCounters, u64, u64, u64);
+const GOLDEN_PAGED_REPAIR_HASH: PagedRepairGolden = (
+    4,
+    294,
+    6_130_463,
+    2350061513002219932,
+    46_681,
+    1_139,
+    (101, 101, 0),
+    489,
+    8_944,
+    1_977_006,
+);
+const GOLDEN_PAGED_REPAIR_ORDERED: PagedRepairGolden = (
+    18,
+    292,
+    12_094_362,
+    4145618823330816514,
+    72_165,
+    1_112,
+    (200, 200, 0),
+    409,
+    21_654,
+    4_655_672,
 );
 // Resilience-layer digest (captured at the introduction of the resilience
 // layer; re-capture with GOLDEN_PRINT=1 after intentional semantic
