@@ -163,29 +163,34 @@
 //!   three `HashMap<OpId, _>` tables; stale ids from already-completed
 //!   operations (late timeouts, straggler responses) miss on the generation
 //!   compare, exactly as a map lookup of a removed key would.
-//! * **Storage layout — one `PagedTable<T>` under everything**: the
+//! * **Storage layout — one `PagedTable<T>` under the per-key state**: the
 //!   workload generators guarantee (and assert, loudly) the *key-density
 //!   contract*: record ids are dense `u64`s below the configured record
-//!   count, inserts extending the space by one. Every per-event per-key
-//!   table exploits it through the **one generic paged direct-index
+//!   count, inserts extending the space by one. Both per-event per-key
+//!   tables exploit it through the **one generic paged direct-index
 //!   substrate** (`concord_cluster::PagedTable<T>`): fixed 4096-slot pages
 //!   allocated on first write, lookups a shift, a mask and a load, reads of
 //!   never-written pages allocating nothing, and vacancy left to each
 //!   caller's own sentinel. Its users are the replica store
-//!   (`ReplicaStore`: presence = non-zero version, no extra bits), the
-//!   staleness oracle (per-slot binary-searched bounded version history,
-//!   vacancy = zero acked writes), the ring-placement cache
-//!   (`key → [NodeId; RF]` in RF lanes per slot, `u32::MAX` sentinel,
-//!   computed once per key per ring epoch, invalidated wholesale on
-//!   crash/recover reconfiguration), and the ordered partitioner's
-//!   per-slice range index (below). Direct indexing also makes YCSB-E
-//!   faithful: records adjacent in id are adjacent in memory, so a range
-//!   scan is one streaming pass over consecutive slots per contacted
-//!   replica (`ReplicaStore::read_range`) — metered as `scan_len` storage
-//!   reads and byte-weighted response traffic. A differential property test
-//!   drives random op streams through the paged table and the old
-//!   `FxHashMap` reference model, asserting identical results and meters
-//!   (`crates/cluster/tests/store_differential.rs`).
+//!   (`ReplicaStore`: 16-byte slots, presence = non-zero version, no extra
+//!   bits) and the staleness oracle (24-byte slots, vacancy = zero acked
+//!   writes; the binary-searched bounded version history of a key lives in
+//!   a side arena it enters on its first acknowledged write, so bulk load
+//!   allocates nothing per key). Placement is not per-key state: a key's
+//!   replica set depends only on where its ring walk starts, so
+//!   `Ring::excluding` runs each walk once and `Ring::replicas_into` reads
+//!   one row of `RF` node ids from a table of a few KB — per token index
+//!   under `hash`, per `slice % nodes` under `ordered` — that a
+//!   crash/recover reconfiguration replaces together with the ring.
+//!   Direct indexing also makes YCSB-E faithful: records adjacent in id are
+//!   adjacent in memory, so a range scan is one streaming pass over
+//!   consecutive slots per contacted replica (`ReplicaStore::read_range`) —
+//!   metered as `scan_len` storage reads and byte-weighted response
+//!   traffic. Differential property tests keep what each layout replaced
+//!   executable as a reference and assert identical results and meters:
+//!   the `FxHashMap` store (`crates/cluster/tests/store_differential.rs`),
+//!   the history-per-key oracle (`oracle_differential.rs`) and the
+//!   per-lookup ring walk (`ring_table.rs`).
 //! * **Pluggable partitioner — hash or ordered placement**: every cluster
 //!   carries a `Partitioner` (`--partitioner hash|ordered` on every
 //!   cluster-driving binary; part of `ClusterConfig`, so sweeps grid over
@@ -204,9 +209,10 @@
 //!   `crates/cluster/tests/ordered_coverage.rs` and its own golden digest
 //!   (`golden_ordered_scan_run`). All pre-existing goldens are
 //!   byte-identical under the default `hash` mode.
-//! * **Per-operation work**: replica sets are written into reusable scratch
-//!   buffers (the placement cache falls back to `Ring::replicas_into`'s
-//!   flat sorted token walk on a cold key); read-replica selection ranks
+//! * **Per-operation work**: replica sets are copied from the ring's
+//!   placement table into reusable scratch buffers (`Ring::replicas_into`:
+//!   hash, binary search over the sorted tokens, `RF`-element copy);
+//!   read-replica selection ranks
 //!   candidates via a precomputed coordinator→node mean-latency table; link
 //!   classes come from a precomputed `n × n` table; message and storage
 //!   delays are drawn through `CompiledDelay` samplers (validation and

@@ -96,7 +96,7 @@ use crate::config::ClusterConfig;
 use crate::consistency::ConsistencyLevel;
 use crate::metrics::ClusterMetrics;
 use crate::oracle::{OracleStats, StalenessOracle};
-use crate::paged::{PagedTable, PAGE_BITS, PAGE_SLOTS};
+use crate::paged::{PAGE_BITS, PAGE_SLOTS};
 use crate::ring::{Partitioner, Ring, ORDERED_SLICE_BITS};
 use crate::slab::OpSlab;
 use crate::storage::ReplicaStore;
@@ -517,73 +517,6 @@ struct NodeRuntime {
     queue: VecDeque<ReplicaTask>,
 }
 
-/// Paged direct-indexed cache of ring placements: `key → [NodeId; rf]`,
-/// stored in the shared [`PagedTable`] with `rf` lanes per key and
-/// `u32::MAX` in an entry's first lane marking "not yet computed".
-///
-/// Record ids are dense and the ring is immutable between crash/recover
-/// reconfigurations, so the placement walk (token walk for the hash
-/// partitioner, slice walk for the ordered one) runs **once per key per
-/// ring epoch** instead of once per operation — the steady-state lookup is
-/// a shift, a mask and an `rf`-element copy. Pages are allocated on first
-/// touch; entries are invalidated wholesale by [`ReplicaCache::reset`] when
-/// the ring changes. Each shard owns one (placement walks are pure, so
-/// duplicating the cache costs memory, never determinism).
-#[derive(Debug)]
-struct ReplicaCache {
-    /// `key → rf` node-id lanes; first lane `u32::MAX` = not yet computed.
-    table: PagedTable<u32>,
-    /// Replication factor of the current ring epoch (lane count).
-    rf: usize,
-}
-
-impl ReplicaCache {
-    fn new(rf: usize) -> Self {
-        ReplicaCache {
-            table: PagedTable::with_lanes(u32::MAX, rf.max(1)),
-            rf,
-        }
-    }
-
-    /// Drop every cached placement (the ring was rebuilt) and adopt the new
-    /// ring's effective replication factor.
-    fn reset(&mut self, rf: usize) {
-        self.table.reset(rf.max(1));
-        self.rf = rf;
-    }
-
-    /// Write the replicas of `key` into `out` (primary first), computing and
-    /// caching the placement on first touch.
-    #[inline]
-    fn replicas_into(&mut self, ring: &Ring, key: Key, out: &mut Vec<NodeId>) {
-        if self.rf == 0 {
-            // Fully crashed cluster: the ring maps every key to no replicas.
-            out.clear();
-            return;
-        }
-        // Ordered placement is constant across each ownership slice, so the
-        // cache is keyed per slice there — one entry instead of 4096
-        // identical per-key copies. Hash placement stays per-key.
-        let slot = match ring.partitioner() {
-            Partitioner::Hash => key.0,
-            Partitioner::Ordered => key.0 >> ORDERED_SLICE_BITS,
-        };
-        let entry = self.table.entry_mut(slot);
-        if entry[0] != u32::MAX {
-            out.clear();
-            out.extend(entry.iter().map(|&n| NodeId(n)));
-            return;
-        }
-        ring.replicas_into(key, out);
-        debug_assert_eq!(out.len(), self.rf, "the ring yields exactly RF replicas");
-        if out.len() == self.rf {
-            for (slot, node) in entry.iter_mut().zip(out.iter()) {
-                *slot = node.0;
-            }
-        }
-    }
-}
-
 /// One key page of the repair plane's ring-derived ownership index: the
 /// ascending in-page slot offsets each node replicates under the current
 /// ring, in CSR form. A page diff `from → to` visits only `to`'s list —
@@ -603,17 +536,11 @@ struct OwnedPage {
 impl OwnedPage {
     /// Index key page `page`: one pass over its placements to count each
     /// node's slots, one to fill them in ascending order.
-    fn build(
-        page: usize,
-        ring: &Ring,
-        cache: &mut ReplicaCache,
-        nodes: usize,
-        members: &mut Vec<NodeId>,
-    ) -> Self {
+    fn build(page: usize, ring: &Ring, nodes: usize, members: &mut Vec<NodeId>) -> Self {
         let base = (page as u64) << PAGE_BITS;
         let mut starts = vec![0u32; nodes + 1];
         for off in 0..PAGE_SLOTS as u64 {
-            cache.replicas_into(ring, Key(base + off), members);
+            ring.replicas_into(Key(base + off), members);
             for node in members.iter() {
                 starts[node.0 as usize + 1] += 1;
             }
@@ -624,7 +551,7 @@ impl OwnedPage {
         let mut slots = vec![0u16; starts[nodes] as usize];
         let mut fill = starts.clone();
         for off in 0..PAGE_SLOTS as u64 {
-            cache.replicas_into(ring, Key(base + off), members);
+            ring.replicas_into(Key(base + off), members);
             for node in members.iter() {
                 let at = &mut fill[node.0 as usize];
                 slots[*at as usize] = off as u16;
@@ -877,8 +804,6 @@ struct ShardState {
     write_payloads: Vec<PayloadSlot>,
     payload_free: Vec<PayloadId>,
     payload_live: usize,
-    /// Dense per-key cache of ring placements (reset on ring rebuilds).
-    replica_cache: ReplicaCache,
     /// Scratch buffer for replica lists; reused across operations.
     replica_scratch: Vec<NodeId>,
     /// Scratch buffer for the up-node list when nodes are down.
@@ -953,14 +878,11 @@ struct ControlState {
     /// after one fully idle round and is resumed by fault transitions.
     sweep_idle_rounds: u32,
     /// The ownership index, by key page: bounds an anti-entropy diff to the
-    /// slots the receiver replicates. A page is built from `replica_cache`
-    /// on its first diff; every page is dropped when the ring is rebuilt.
+    /// slots the receiver replicates. A page is built from the ring on its
+    /// first diff; every page is dropped when the ring is rebuilt.
     owned: Vec<Option<OwnedPage>>,
-    /// Scratch for the placement walks that build [`ControlState::owned`].
+    /// Scratch for the placement lookups that build [`ControlState::owned`].
     repair_member_scratch: Vec<NodeId>,
-    /// Placement cache for control-plane ring walks (ownership index,
-    /// bulk-load placement).
-    replica_cache: ReplicaCache,
     /// The ground-truth staleness oracle. One central instance: its version
     /// histories are read-only during parallel windows (every shard probes
     /// the same barrier snapshot) and mutated only at serial points — acks
@@ -1001,7 +923,7 @@ pub struct Cluster {
     clock: SimTime,
     outputs: VecDeque<ClusterOutput>,
     propagation_samples: Vec<SimDuration>,
-    /// Scratch for bulk-load placement walks and up-node coordinator draws
+    /// Scratch for bulk-load placement lookups and up-node coordinator draws
     /// at serial points (submission, resubmission folds).
     home_scratch: Vec<NodeId>,
     /// Synchronization counters of the sharded engine (all zero with one
@@ -1222,7 +1144,7 @@ impl ShardState {
     /// count at 256.
     fn alloc_version_at(&mut self, now: SimTime) -> Version {
         let us = now.as_micros() + 1;
-        debug_assert!(us < 1 << 40, "simulated time overflows the version layout");
+        assert!(us < 1 << 40, "simulated time overflows the version layout");
         if us != self.version_last_us {
             self.version_last_us = us;
             self.version_seq = 0;
@@ -1385,7 +1307,6 @@ impl Cluster {
                 write_payloads: Vec::new(),
                 payload_free: Vec::new(),
                 payload_live: 0,
-                replica_cache: ReplicaCache::new(effective_rf),
                 replica_scratch: Vec::with_capacity(config.replication_factor as usize),
                 up_scratch: Vec::with_capacity(n),
                 outputs: Vec::new(),
@@ -1412,7 +1333,6 @@ impl Cluster {
             sweep_idle_rounds: 0,
             owned: Vec::new(),
             repair_member_scratch: Vec::new(),
-            replica_cache: ReplicaCache::new(effective_rf),
             oracle: StalenessOracle::new(),
         };
         Cluster {
@@ -1872,13 +1792,7 @@ impl Cluster {
             |n| crashed[n.0 as usize],
         );
         self.shared.crashed = crashed;
-        // Ownership moved: every cached placement is stale. (The home-shard
-        // cache is NOT reset — op routing is sticky by design.)
-        let rf = self.shared.ring.replication_factor() as usize;
-        for s in &mut self.shard_states {
-            s.replica_cache.reset(rf);
-        }
-        self.ctrl.replica_cache.reset(rf);
+        // Ownership moved: the index built from the old ring is stale.
         self.ctrl.owned.clear();
     }
 
@@ -2002,6 +1916,7 @@ impl Cluster {
     /// version.
     pub fn load_records(&mut self, records: impl Iterator<Item = (u64, u32)>) {
         let serial = self.serial();
+        let mut replicas = std::mem::take(&mut self.home_scratch);
         for (key, size) in records {
             let key = Key(key);
             // Serial: the pre-sharding global version counter. Parallel:
@@ -2014,17 +1929,14 @@ impl Cluster {
             } else {
                 Version(1)
             };
-            let mut replicas = std::mem::take(&mut self.home_scratch);
-            self.ctrl
-                .replica_cache
-                .replicas_into(&self.shared.ring, key, &mut replicas);
+            self.shared.ring.replicas_into(key, &mut replicas);
             for &node in &replicas {
                 let dest = self.shared.shard_of(node);
                 self.shard_states[dest].stores[node.0 as usize].preload(key, version, size);
             }
-            self.home_scratch = replicas;
             self.ctrl.oracle.preload(key, version);
         }
+        self.home_scratch = replicas;
     }
 
     /// Submit a read arriving at time `at` using the default read level.
@@ -2919,7 +2831,6 @@ impl Cluster {
             ctrl.owned[page] = Some(OwnedPage::build(
                 page,
                 &self.shared.ring,
-                &mut ctrl.replica_cache,
                 self.shared.node_count,
                 &mut ctrl.repair_member_scratch,
             ));
@@ -3246,9 +3157,7 @@ impl ShardCtx<'_> {
             self.s.alloc_version_at(now)
         };
         let mut replicas = std::mem::take(&mut self.s.replica_scratch);
-        self.s
-            .replica_cache
-            .replicas_into(&self.shared.ring, sub.key, &mut replicas);
+        self.shared.ring.replicas_into(sub.key, &mut replicas);
         let mut targeted = 0u32;
 
         // One interned payload serves the whole local fan-out: the scheduled
@@ -3384,9 +3293,9 @@ impl ShardCtx<'_> {
                 scan_len
             };
             let segment = u16::try_from(segments).expect("a scan spans at most 2^16 segments");
-            self.s
-                .replica_cache
-                .replicas_into(&self.shared.ring, Key(seg_start), &mut replicas);
+            self.shared
+                .ring
+                .replicas_into(Key(seg_start), &mut replicas);
             self.select_read_replicas(now, coordinator, &mut replicas, required as usize);
             for (i, &replica) in replicas.iter().enumerate() {
                 let delay = self.account_message(
@@ -3490,9 +3399,7 @@ impl ShardCtx<'_> {
             _ => return,
         };
         let mut replicas = std::mem::take(&mut self.s.replica_scratch);
-        self.s
-            .replica_cache
-            .replicas_into(&self.shared.ring, key, &mut replicas);
+        self.shared.ring.replicas_into(key, &mut replicas);
         let dynamic = self.shared.selection == ReplicaSelection::Dynamic;
         let row = &self.shared.mean_lat[coordinator.0 as usize * self.shared.node_count..]
             [..self.shared.node_count];
@@ -4464,6 +4371,26 @@ mod tests {
         let done = drain(&mut c);
         assert!(done[0].returned_version.exists());
         assert!(!done[0].stale);
+    }
+
+    #[test]
+    fn bulk_load_spills_no_oracle_history() {
+        let mut c = cluster(4, 3);
+        c.load_records((0..10_000u64).map(|k| (k, 100)));
+        assert_eq!(c.ctrl.oracle.key_count(), 10_000);
+        assert_eq!(c.ctrl.oracle.spilled_histories(), 0, "load is slot-only");
+        c.submit_read_at(55, SimTime::ZERO);
+        c.submit_read_at(56, SimTime::ZERO);
+        drain(&mut c);
+        assert_eq!(c.ctrl.oracle.spilled_histories(), 0, "reads spill nothing");
+        c.submit_write_at(55, 100, SimTime::from_millis(50));
+        c.submit_write_at(55, 100, SimTime::from_millis(60));
+        drain(&mut c);
+        assert_eq!(
+            c.ctrl.oracle.spilled_histories(),
+            1,
+            "one history per acknowledged-to key, not per write"
+        );
     }
 
     #[test]

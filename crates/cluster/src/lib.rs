@@ -10,9 +10,8 @@
 //!   ownership (ordered partitioner, coverage-faithful range scans) — with
 //!   `SimpleStrategy` / `NetworkTopologyStrategy` replica placement
 //!   ([`Ring`]),
-//! * one generic paged direct-index table ([`PagedTable`]) backing every
-//!   dense-key structure (replica stores, staleness oracle, placement
-//!   caches, the ordered partitioner's range index),
+//! * one generic paged direct-index table ([`PagedTable`]) backing the
+//!   dense per-key state (replica stores, staleness oracle),
 //! * per-operation tunable consistency levels ONE / TWO / THREE / QUORUM /
 //!   LOCAL_QUORUM / EACH_QUORUM / ALL / EXACT(n) ([`ConsistencyLevel`]),
 //! * coordinator-based write and read paths with asynchronous propagation to

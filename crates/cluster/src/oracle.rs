@@ -9,18 +9,30 @@
 //! Harmony model use, so measured and estimated rates are directly
 //! comparable (as they are in the paper's Harmony evaluation).
 //!
+//! ## Layout: a 24-byte slot per key, histories in a side arena
+//!
 //! Like [`ReplicaStore`](crate::ReplicaStore), the per-key state lives in
 //! the shared [`PagedTable`] over the dense record-id space instead of a
 //! hash map: `expected_version` / `record_ack` / `classify_read` run once
 //! per simulated operation, and with direct indexing each is a shift, a
-//! mask and a load. Each slot keeps the binary-searched bounded version
-//! history that staleness *depth* is computed from; vacancy is this table's
-//! own convention (`acked_writes == 0`), per the [`PagedTable`] contract.
+//! mask and a load. Vacancy is this table's own convention
+//! (`acked_writes == 0`), per the [`PagedTable`] contract.
+//!
+//! A slot holds only what every operation reads: the latest acknowledged
+//! version, the ack count and an index. The bounded, binary-searched version
+//! history that staleness *depth* and retroactive queries are computed from
+//! lives in a side arena, and a key enters it on its first acknowledged
+//! write (or a second preload). Until then a preloaded key's history is its
+//! one baseline entry `(latest_acked, 1, SimTime::ZERO)`, which the slot
+//! already spells out — so bulk-loading millions of records allocates
+//! nothing per key, and only keys that are actually written pay for a
+//! history.
 
 use crate::paged::PagedTable;
 use crate::types::{Key, Version};
 use concord_sim::SimTime;
 use std::collections::VecDeque;
+use std::num::NonZeroU32;
 
 /// How many recent acknowledged versions are kept per key for computing the
 /// staleness *depth*. Older history is dropped (the depth saturates), which
@@ -29,12 +41,24 @@ const DEPTH_HISTORY: usize = 64;
 
 /// Per-key acknowledged-write bookkeeping. A slot with `acked_writes == 0`
 /// is vacant (the key was never preloaded nor acknowledged).
-#[derive(Debug, Clone, Default)]
-struct KeyHistory {
+#[derive(Debug, Clone, Copy, Default)]
+struct KeySlot {
     /// Latest acknowledged version.
     latest_acked: Version,
     /// Number of acknowledged writes so far (used for staleness depth).
     acked_writes: u64,
+    /// One-based index of this key's [`History`] in the arena. `None` on an
+    /// occupied slot means the key was preloaded once and nothing else: its
+    /// history is the single entry `(latest_acked, 1, SimTime::ZERO)`.
+    history: Option<NonZeroU32>,
+}
+
+// Bulk load fills a page of these per 4096 records; see `paged`.
+const _: () = assert!(std::mem::size_of::<KeySlot>() <= 24);
+
+/// The version history of one key that has been written (or re-preloaded).
+#[derive(Debug, Clone, Default)]
+struct History {
     /// Recent (version, ack index, ack time) triples, newest at the back;
     /// bounded to [`DEPTH_HISTORY`] entries. The ack time lets
     /// [`StalenessOracle::expected_version_at`] answer "what was the newest
@@ -51,7 +75,7 @@ struct KeyHistory {
     unsorted: bool,
 }
 
-impl KeyHistory {
+impl History {
     fn push_version(&mut self, version: Version, index: u64, at: SimTime) {
         if let Some(&(back, _, _)) = self.version_order.back() {
             if back > version {
@@ -86,9 +110,12 @@ impl KeyHistory {
 /// The staleness oracle.
 #[derive(Debug, Clone)]
 pub struct StalenessOracle {
-    /// Per-key history in the shared paged table (pages allocated on the
+    /// Per-key slots in the shared paged table (pages allocated on the
     /// first preload/ack that touches them; lookups never allocate).
-    table: PagedTable<KeyHistory>,
+    table: PagedTable<KeySlot>,
+    /// The history arena, addressed by [`KeySlot::history`]. Entries are
+    /// never removed: a key that entered stays for the run.
+    histories: Vec<History>,
     /// Number of keys ever touched (slots with `acked_writes > 0`).
     keys: usize,
     stale_reads: u64,
@@ -100,7 +127,8 @@ pub struct StalenessOracle {
 impl Default for StalenessOracle {
     fn default() -> Self {
         StalenessOracle {
-            table: PagedTable::new(KeyHistory::default()),
+            table: PagedTable::new(KeySlot::default()),
+            histories: Vec::new(),
             keys: 0,
             stale_reads: 0,
             fresh_reads: 0,
@@ -125,33 +153,37 @@ impl StalenessOracle {
         Self::default()
     }
 
-    /// The history slot for `key`, if its page exists (never allocates).
+    /// The slot for `key`, if occupied (never allocates).
     #[inline]
-    fn slot(&self, key: Key) -> Option<&KeyHistory> {
-        let h = self.table.get(key.0)?;
-        (h.acked_writes > 0).then_some(h)
+    fn slot(&self, key: Key) -> Option<&KeySlot> {
+        let slot = self.table.get(key.0)?;
+        (slot.acked_writes > 0).then_some(slot)
     }
 
-    /// The history slot for `key`, allocating its page on first touch and
-    /// counting the key when it is new.
+    /// The arena history of an occupied slot; `None` for a key that has
+    /// only its implicit preload entry.
     #[inline]
-    fn slot_mut(&mut self, key: Key) -> &mut KeyHistory {
-        let h = self.table.get_mut(key.0);
-        if h.acked_writes == 0 {
-            self.keys += 1;
-        }
-        h
+    fn history(&self, slot: &KeySlot) -> Option<&History> {
+        slot.history.map(|i| &self.histories[i.get() as usize - 1])
     }
 
     /// Record that `version` of `key` was just preloaded (bulk load before
     /// the measured run): it becomes the acknowledged baseline, timestamped
-    /// at time zero so every retroactive query sees it.
+    /// at time zero so every retroactive query sees it. The first preload
+    /// of a key touches only its slot; a later one counts like an ack at
+    /// time zero.
     pub fn preload(&mut self, key: Key, version: Version) {
-        let h = self.slot_mut(key);
-        h.latest_acked = h.latest_acked.max(version);
-        h.acked_writes += 1;
-        let idx = h.acked_writes;
-        h.push_version(version, idx, SimTime::ZERO);
+        let slot = self.table.get_mut(key.0);
+        if slot.acked_writes == 0 {
+            *slot = KeySlot {
+                latest_acked: version,
+                acked_writes: 1,
+                history: None,
+            };
+            self.keys += 1;
+        } else {
+            self.record_ack(key, version, SimTime::ZERO);
+        }
     }
 
     /// Record that a write of `version` to `key` satisfied its consistency
@@ -161,14 +193,38 @@ impl StalenessOracle {
     /// fixed shard order carrying their true ack times (within one fold the
     /// times may interleave across shards, which is why retroactive queries
     /// go by the stored time, not the record order).
+    ///
+    /// Allocates the key's page on first touch, counts the key when it is
+    /// new, and enters it into the history arena (spelling out an implicit
+    /// preload entry) on first need.
     pub fn record_ack(&mut self, key: Key, version: Version, at: SimTime) {
-        let h = self.slot_mut(key);
-        h.acked_writes += 1;
-        let idx = h.acked_writes;
-        h.push_version(version, idx, at);
-        if version > h.latest_acked {
-            h.latest_acked = version;
-        }
+        let slot = self.table.get_mut(key.0);
+        let index = match slot.history {
+            Some(i) => i.get() as usize - 1,
+            None => {
+                let mut history = History::default();
+                if slot.acked_writes == 0 {
+                    self.keys += 1;
+                } else {
+                    history.push_version(slot.latest_acked, 1, SimTime::ZERO);
+                }
+                self.histories.push(history);
+                // One-based, so the new length is the new entry's index.
+                let entered = u32::try_from(self.histories.len())
+                    .expect("more than 2^32 - 1 keys with an acknowledged write");
+                slot.history = NonZeroU32::new(entered);
+                self.histories.len() - 1
+            }
+        };
+        slot.acked_writes += 1;
+        slot.latest_acked = slot.latest_acked.max(version);
+        self.histories[index].push_version(version, slot.acked_writes, at);
+    }
+
+    /// Number of keys whose history lives in the arena (keys written or
+    /// re-preloaded at least once). Bulk load alone leaves it at zero.
+    pub fn spilled_histories(&self) -> usize {
+        self.histories.len()
     }
 
     /// The latest acknowledged version of `key` right now. A read captures
@@ -194,8 +250,16 @@ impl StalenessOracle {
     /// oldest retained version stands in for it — erring toward counting
     /// the read stale, like the depth saturation.
     pub fn expected_version_at(&self, key: Key, at: SimTime) -> Version {
-        let Some(h) = self.slot(key) else {
+        let Some(slot) = self.slot(key) else {
             return Version::NONE;
+        };
+        let Some(h) = self.history(slot) else {
+            // The implicit preload entry, acknowledged at time zero.
+            return if SimTime::ZERO < at {
+                slot.latest_acked
+            } else {
+                Version::NONE
+            };
         };
         let mut best = Version::NONE;
         let mut any_before = false;
@@ -209,7 +273,7 @@ impl StalenessOracle {
         }
         if any_before {
             best
-        } else if h.acked_writes as usize > h.version_order.len() {
+        } else if slot.acked_writes as usize > h.version_order.len() {
             // Truncated history with no retained ack before `at`.
             h.version_order
                 .front()
@@ -230,9 +294,14 @@ impl StalenessOracle {
         } else {
             match self.slot(key) {
                 None => 1,
-                Some(h) => {
-                    let expected_idx = h.index_of(expected).unwrap_or(0);
-                    let returned_idx = h.index_of(returned).unwrap_or(0);
+                Some(slot) => {
+                    let index_of = |version| match self.history(slot) {
+                        Some(h) => h.index_of(version),
+                        // The implicit preload entry has ack index 1.
+                        None => (version == slot.latest_acked).then_some(1),
+                    };
+                    let expected_idx = index_of(expected).unwrap_or(0);
+                    let returned_idx = index_of(returned).unwrap_or(0);
                     expected_idx.saturating_sub(returned_idx).max(1) as u32
                 }
             }

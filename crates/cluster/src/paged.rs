@@ -1,30 +1,25 @@
-//! The one paged direct-index table all dense-key state is built on.
+//! The paged direct-index table the per-key state is built on.
 //!
 //! The workload generators guarantee (and assert) the *key-density
 //! contract*: record ids are dense `u64`s below the configured record count.
-//! Every per-event per-key table exploits it with paged direct indexing
-//! instead of hashing — fixed 4096-slot pages allocated on first write, so a
-//! lookup is a shift, a mask and a load, and reads of never-written pages
-//! allocate nothing.
-//!
-//! PR 4 introduced that layout three times over ([`ReplicaStore`]
-//! (crate::ReplicaStore), the staleness oracle's per-key history, the
-//! ring-placement cache), each with a deliberately different vacancy
-//! convention (version-0, acked-0, `u32::MAX`). [`PagedTable`] is the single
-//! generic substrate those copies now share — and the ordered partitioner's
-//! per-slice range index is its fourth user:
+//! The two per-event per-key tables — the replica store's slots
+//! ([`ReplicaStore`](crate::ReplicaStore)) and the staleness oracle's
+//! per-key slots ([`StalenessOracle`](crate::StalenessOracle)) — exploit it
+//! with paged direct indexing instead of hashing: fixed 4096-slot pages
+//! allocated on first write, so a lookup is a shift, a mask and a load, and
+//! reads of never-written pages allocate nothing.
 //!
 //! * **paging + first-touch allocation** live here, once;
 //! * **vacancy stays with the caller**: a fresh page is filled with the
 //!   caller-supplied `vacant` value, and the table never interprets it —
 //!   the replica store keeps "version 0 = absent", the oracle keeps
-//!   "`acked_writes == 0` = absent", the placement caches keep the
-//!   `u32::MAX` sentinel;
-//! * **multi-lane entries**: a slot can hold `lanes` consecutive values
-//!   (the placement caches store `RF` node ids per key/slice), with pages
-//!   sized `PAGE_SLOTS × lanes` so entries never straddle a page boundary.
+//!   "`acked_writes == 0` = absent".
+//!
+//! Filling fresh pages is the bulk of a cluster's set-up (every replica of
+//! every loaded record touches a slot), so slot size is the lever: both
+//! users pin theirs with a `const` assertion.
 
-/// Slots per page (2^12). A page of 24-byte slots is ~96 KiB: large enough
+/// Slots per page (2^12). A page of 16-byte slots is 64 KiB: large enough
 /// that paper-scale record counts touch a handful of pages, small enough
 /// that a sparse tail (workload-D/E insert growth) does not balloon memory.
 pub const PAGE_BITS: u32 = 12;
@@ -42,90 +37,39 @@ pub struct PagedTable<T> {
     /// The value fresh pages are filled with. The table never interprets
     /// it — vacancy semantics belong to the caller.
     vacant: T,
-    /// Consecutive values per slot (1 for plain tables, `RF` for the
-    /// placement caches).
-    lanes: usize,
 }
 
 impl<T: Clone> PagedTable<T> {
-    /// An empty single-lane table whose fresh slots read as `vacant`.
+    /// An empty table whose fresh slots read as `vacant`.
     pub fn new(vacant: T) -> Self {
-        Self::with_lanes(vacant, 1)
-    }
-
-    /// An empty table with `lanes` consecutive values per slot.
-    ///
-    /// # Panics
-    /// Panics if `lanes` is zero.
-    pub fn with_lanes(vacant: T, lanes: usize) -> Self {
-        assert!(lanes >= 1, "a slot holds at least one value");
         PagedTable {
             pages: Vec::new(),
             vacant,
-            lanes,
         }
     }
 
-    /// Values per slot.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Drop every page (all slots read as vacant again), keeping the lane
-    /// count.
-    pub fn clear(&mut self) {
-        self.pages.clear();
-    }
-
-    /// Drop every page and adopt a new lane count — the epoch-invalidation
-    /// path of the placement caches (the ring was rebuilt, possibly with a
-    /// different effective replication factor).
-    ///
-    /// # Panics
-    /// Panics if `lanes` is zero.
-    pub fn reset(&mut self, lanes: usize) {
-        assert!(lanes >= 1, "a slot holds at least one value");
-        self.pages.clear();
-        self.lanes = lanes;
-    }
-
-    /// The entry (all `lanes` values) of `slot`, if its page was ever
-    /// written. Never allocates: probing an untouched page returns `None`.
+    /// The value of `slot`, if its page was ever written. Never allocates:
+    /// probing an untouched page returns `None`.
     #[inline]
-    pub fn entry(&self, slot: u64) -> Option<&[T]> {
+    pub fn get(&self, slot: u64) -> Option<&T> {
         let page = self.pages.get((slot >> PAGE_BITS) as usize)?.as_deref()?;
-        let at = (slot & PAGE_MASK) as usize * self.lanes;
-        Some(&page[at..at + self.lanes])
+        Some(&page[(slot & PAGE_MASK) as usize])
     }
 
-    /// The mutable entry of `slot`, allocating its page on first touch
+    /// The mutable value of `slot`, allocating its page on first touch
     /// (filled with the `vacant` value).
     #[inline]
-    pub fn entry_mut(&mut self, slot: u64) -> &mut [T] {
+    pub fn get_mut(&mut self, slot: u64) -> &mut T {
         let page_idx = (slot >> PAGE_BITS) as usize;
         if page_idx >= self.pages.len() {
             self.pages.resize(page_idx + 1, None);
         }
         let page = self.pages[page_idx]
-            .get_or_insert_with(|| vec![self.vacant.clone(); PAGE_SLOTS * self.lanes].into());
-        let at = (slot & PAGE_MASK) as usize * self.lanes;
-        &mut page[at..at + self.lanes]
+            .get_or_insert_with(|| vec![self.vacant.clone(); PAGE_SLOTS].into());
+        &mut page[(slot & PAGE_MASK) as usize]
     }
 
-    /// Single-lane convenience: the value of `slot`, if its page exists.
-    #[inline]
-    pub fn get(&self, slot: u64) -> Option<&T> {
-        self.entry(slot).map(|e| &e[0])
-    }
-
-    /// Single-lane convenience: the mutable value of `slot`, allocating its
-    /// page on first touch.
-    #[inline]
-    pub fn get_mut(&mut self, slot: u64) -> &mut T {
-        &mut self.entry_mut(slot)[0]
-    }
-
-    /// The raw storage of page `page_idx` (`PAGE_SLOTS × lanes` values), if
+    /// The raw storage of page `page_idx` (`PAGE_SLOTS` values), if
     /// allocated — the streaming-scan path: a range read walks whole pages
     /// instead of probing slot by slot.
     #[inline]
@@ -193,44 +137,5 @@ mod tests {
         let mut hists: PagedTable<Hist> = PagedTable::new(Hist { acked: 0 });
         hists.get_mut(3).acked = 5;
         assert_eq!(hists.get(4).unwrap().acked, 0, "acked 0 = absent");
-        // u32::MAX sentinel (placement caches).
-        let mut cache: PagedTable<u32> = PagedTable::with_lanes(u32::MAX, 3);
-        assert_eq!(cache.entry(17), None);
-        let entry = cache.entry_mut(17);
-        assert_eq!(entry, &[u32::MAX; 3], "fresh entry reads as the sentinel");
-        entry.copy_from_slice(&[4, 5, 6]);
-        assert_eq!(cache.entry(17), Some(&[4u32, 5, 6][..]));
-        assert_eq!(cache.entry(18), Some(&[u32::MAX; 3][..]));
-    }
-
-    #[test]
-    fn lanes_share_a_page_and_never_straddle_boundaries() {
-        let mut t: PagedTable<u32> = PagedTable::with_lanes(u32::MAX, 5);
-        let last = PAGE_MASK; // last slot of page 0
-        t.entry_mut(last).copy_from_slice(&[1, 2, 3, 4, 5]);
-        assert_eq!(t.allocated_pages(), 1);
-        assert_eq!(t.page(0).unwrap().len(), PAGE_SLOTS * 5);
-        assert_eq!(t.entry(last), Some(&[1u32, 2, 3, 4, 5][..]));
-        assert_eq!(t.entry(last + 1), None, "next slot lives on page 1");
-    }
-
-    #[test]
-    fn reset_drops_pages_and_adopts_the_new_lane_count() {
-        let mut t: PagedTable<u32> = PagedTable::with_lanes(u32::MAX, 3);
-        t.entry_mut(7).copy_from_slice(&[1, 2, 3]);
-        t.reset(5);
-        assert_eq!(t.lanes(), 5);
-        assert_eq!(t.allocated_pages(), 0, "every entry invalidated");
-        assert_eq!(t.entry(7), None);
-        assert_eq!(t.entry_mut(7), &[u32::MAX; 5]);
-        t.clear();
-        assert_eq!(t.lanes(), 5, "clear keeps the lane count");
-        assert_eq!(t.allocated_pages(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one value")]
-    fn zero_lanes_rejected() {
-        let _: PagedTable<u32> = PagedTable::with_lanes(0, 0);
     }
 }

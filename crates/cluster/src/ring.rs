@@ -15,10 +15,7 @@
 //!   a node owns contiguous key ranges (Cassandra's ordered partitioner).
 //!   Range scans are coverage-faithful: the owners of a slice hold *every*
 //!   record in it, and a scan that straddles a slice boundary gathers the
-//!   remainder from the next slice's owners. Computed placements are
-//!   memoized per slice in a [`PagedTable`] range index (the fourth user of
-//!   the shared paged substrate), invalidated wholesale when the ring is
-//!   rebuilt.
+//!   remainder from the next slice's owners.
 //!
 //! On top of either partitioner, two placement strategies are provided:
 //!
@@ -28,13 +25,22 @@
 //!   datacenters as evenly as possible (Cassandra's
 //!   `NetworkTopologyStrategy`), which is how the paper deploys Cassandra
 //!   over two availability zones / two Grid'5000 sites.
+//!
+//! ## Layout: one placement row per walk start
+//!
+//! A key's replica set depends only on where its walk starts: the index of
+//! the first token at or after the key's token (hash), or `slice % nodes`
+//! (ordered). [`Ring::excluding`] therefore runs every walk once, when the
+//! ring is built, and keeps the results as one flat table of `RF` node ids
+//! per start — 336 rows for the paper's 21-node × 16-vnode platform, a few
+//! KB that stay in L1. A lookup is hash + binary search + copy (or modulo +
+//! copy); nothing is memoized per key, per shard or behind a lock, and a
+//! reconfiguration replaces the table together with the ring.
 
-use crate::paged::PagedTable;
 use crate::types::Key;
 use concord_sim::{DcId, InlineVec, NodeId, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// How keys are mapped to owning nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -86,13 +92,6 @@ pub const ORDERED_SLICE_BITS: u32 = 12;
 /// Number of consecutive keys in one ordered-partitioner slice.
 pub const ORDERED_SLICE_KEYS: u64 = 1 << ORDERED_SLICE_BITS;
 
-/// Slices the ordered partitioner's range index memoizes (2^22 slices =
-/// 2^34 keys, far beyond any dense-contract record count). Probing a slice
-/// past this bound — arbitrary keys from tests or tools — computes the
-/// placement without caching, so the direct-indexed memo can never be blown
-/// up by one stray sparse key.
-const MEMOIZED_SLICES: u64 = 1 << 22;
-
 /// 64-bit mixer used as the ring hash (SplitMix64 finalizer — well-spread,
 /// deterministic, dependency-free).
 #[inline]
@@ -103,51 +102,18 @@ fn ring_hash(value: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The ordered partitioner's state: which nodes are in the ring, plus the
-/// per-slice range index memoizing computed placements.
-#[derive(Debug)]
-struct OrderedIndex {
-    /// `alive[node_id]` — false for nodes withdrawn from the ring. Slices of
-    /// a withdrawn node fall to the next alive node in id order, so
-    /// survivors keep their ranges across reconfigurations (mirroring the
-    /// token ring's stable-token property).
-    alive: Vec<bool>,
-    /// The per-slice range index: `slice → [node; RF]` with `u32::MAX` as
-    /// the not-yet-computed sentinel, RF lanes per slot. A [`PagedTable`]
-    /// like every other dense-key table; rebuilt rings start a fresh index.
-    /// Interior-mutable because placement lookups go through `&Ring`; a
-    /// `Mutex` (not `RefCell`) because the ring is shared read-only across
-    /// shard handlers inside a parallel window, and a first-touch lookup
-    /// fills the memo. The memoized entry is a pure function of the ring,
-    /// so fill order across threads never changes a lookup's result — the
-    /// lock only serializes the memo write, and steady-state lookups hit
-    /// the per-shard [`ReplicaCache`](crate::cluster) first anyway.
-    range_index: Mutex<PagedTable<u32>>,
-}
-
-impl Clone for OrderedIndex {
-    fn clone(&self) -> Self {
-        OrderedIndex {
-            alive: self.alive.clone(),
-            range_index: Mutex::new(self.range_index.lock().expect("range index lock").clone()),
-        }
-    }
-}
-
-/// The partitioner state plus placement configuration.
-///
-/// For the hash partitioner, tokens are kept in a flat sorted array: a
-/// replica lookup is one binary search plus a clockwise walk over contiguous
-/// memory, instead of a B-tree range traversal — this lookup runs once per
-/// simulated write *and* read, so it is squarely on the hot path. The
-/// ordered partitioner keeps no tokens; its lookup is a shift plus a memo
-/// probe of the range index.
+/// The partitioner state plus placement configuration. See the module docs
+/// for the layout.
 #[derive(Debug, Clone)]
 pub struct Ring {
-    /// `(token, owning node)`, sorted by token (hash partitioner only).
-    tokens: Vec<(u64, NodeId)>,
-    /// Ordered-partitioner state; `None` under [`Partitioner::Hash`].
-    ordered: Option<OrderedIndex>,
+    /// The vnode tokens, sorted (hash partitioner only; empty under
+    /// [`Partitioner::Ordered`]). Their owners are needed only while the
+    /// placement table is built.
+    tokens: Vec<u64>,
+    /// The placement table: row `r` is
+    /// `placements[r * RF..(r + 1) * RF]`, primary first. One row per token
+    /// index (hash) or per `slice % nodes` (ordered).
+    placements: Vec<NodeId>,
     partitioner: Partitioner,
     replication_factor: u32,
     strategy: ReplicationStrategy,
@@ -203,46 +169,63 @@ impl Ring {
         excluded: impl Fn(NodeId) -> bool,
     ) -> Self {
         assert!(vnodes >= 1);
-        // Build through a BTreeMap to keep the original "last writer wins on
-        // token collision" semantics, then flatten to a sorted array.
-        let mut token_map = BTreeMap::new();
-        let mut alive_flags = vec![false; topology.node_count()];
-        let mut alive = 0u32;
-        for node in topology.nodes() {
-            if excluded(node) {
-                continue;
-            }
-            alive += 1;
-            alive_flags[node.0 as usize] = true;
-            for v in 0..vnodes {
-                // Derive deterministic, well-spread tokens per (node, vnode).
-                // Tokens depend only on (node, vnode), so the surviving
-                // nodes keep their positions across reconfigurations.
-                let token = ring_hash(((node.0 as u64) << 32) ^ (v as u64) ^ 0xA5A5_5A5A);
-                token_map.insert(token, node);
-            }
-        }
-        let node_dc = topology.nodes().map(|n| topology.dc_of(n)).collect();
-        let replication_factor = replication_factor.min(alive);
-        let ordered = match partitioner {
-            Partitioner::Hash => None,
-            Partitioner::Ordered => Some(OrderedIndex {
-                alive: alive_flags,
-                range_index: Mutex::new(PagedTable::with_lanes(
-                    u32::MAX,
-                    (replication_factor as usize).max(1),
-                )),
-            }),
-        };
-        Ring {
-            tokens: token_map.into_iter().collect(),
-            ordered,
+        let total = topology.node_count();
+        let alive: Vec<bool> = topology.nodes().map(|n| !excluded(n)).collect();
+        let survivors = alive.iter().filter(|&&a| a).count() as u32;
+        let mut ring = Ring {
+            tokens: Vec::new(),
+            placements: Vec::new(),
             partitioner,
-            replication_factor,
+            replication_factor: replication_factor.min(survivors),
             strategy,
-            node_dc,
+            node_dc: topology.nodes().map(|n| topology.dc_of(n)).collect(),
             dc_count: topology.dc_count(),
+        };
+        match partitioner {
+            Partitioner::Hash => {
+                // Build through a BTreeMap to keep the original "last writer
+                // wins on token collision" semantics. Tokens depend only on
+                // (node, vnode), so the surviving nodes keep their positions
+                // across reconfigurations.
+                let mut token_map = BTreeMap::new();
+                for node in topology.nodes().filter(|n| alive[n.0 as usize]) {
+                    for v in 0..vnodes {
+                        let token = ring_hash(((node.0 as u64) << 32) ^ (v as u64) ^ 0xA5A5_5A5A);
+                        token_map.insert(token, node);
+                    }
+                }
+                let owners: Vec<NodeId> = token_map.values().copied().collect();
+                // Row `start`: the clockwise walk from token `start`,
+                // wrapping.
+                for start in 0..owners.len() {
+                    let walk = owners[start..].iter().chain(&owners[..start]).copied();
+                    ring.push_row(walk);
+                }
+                ring.tokens = token_map.into_keys().collect();
+            }
+            Partitioner::Ordered => {
+                // Row `start`: the id-order walk from node `start` over the
+                // alive nodes, so a withdrawn node's slices fall to the next
+                // survivor and survivors keep their ranges (mirroring the
+                // token ring's stable-token property).
+                for start in 0..total {
+                    let walk = (start..start + total)
+                        .map(|i| NodeId((i % total) as u32))
+                        .filter(|n| alive[n.0 as usize]);
+                    ring.push_row(walk);
+                }
+            }
         }
+        ring
+    }
+
+    /// Append the placement of one walk to the table.
+    fn push_row(&mut self, walk: impl Iterator<Item = NodeId>) {
+        let rf = self.replication_factor as usize;
+        let mut row = Vec::with_capacity(rf);
+        self.fill_replicas(walk, rf, &mut row);
+        assert_eq!(row.len(), rf, "a placement walk yields exactly RF nodes");
+        self.placements.extend(row);
     }
 
     /// The replication factor.
@@ -283,73 +266,30 @@ impl Ring {
     /// Fill `replicas` with the ordered replica nodes for `key` (primary
     /// first) without allocating: the hot-path variant of
     /// [`Ring::replicas`] — callers keep a scratch buffer alive across
-    /// operations.
+    /// operations. A row lookup in the placement table: hash keys start
+    /// their walk at the first token at or after their own (wrapping past
+    /// the last), ordered keys at `slice % nodes`.
+    #[inline]
     pub fn replicas_into(&self, key: Key, replicas: &mut Vec<NodeId>) {
-        match self.partitioner {
-            Partitioner::Hash => self.hash_replicas_into(key, replicas),
-            Partitioner::Ordered => self.ordered_replicas_into(Self::slice_of(key), replicas),
-        }
-    }
-
-    /// Hash-partitioner placement: binary-search the key's token, walk the
-    /// ring clockwise.
-    fn hash_replicas_into(&self, key: Key, replicas: &mut Vec<NodeId>) {
-        replicas.clear();
-        let token = self.token_of(key);
-        let rf = self.replication_factor as usize;
-
-        // Walk the ring clockwise starting at the key's token, wrapping.
-        let start = self.tokens.partition_point(|&(t, _)| t < token);
-        let walk = self.tokens[start..]
-            .iter()
-            .chain(self.tokens[..start].iter())
-            .map(|&(_, node)| node);
-        self.fill_replicas(walk, rf, replicas);
-    }
-
-    /// Ordered-partitioner placement: every key of a slice maps to the same
-    /// replica set — primary = the first alive node at or after
-    /// `slice % node_count` in id order, the rest following in walk order
-    /// (with the same DC balancing as the hash walk). Memoized per slice in
-    /// the range index.
-    fn ordered_replicas_into(&self, slice: u64, replicas: &mut Vec<NodeId>) {
-        replicas.clear();
-        let rf = self.replication_factor as usize;
-        if rf == 0 {
-            return; // fully crashed cluster
-        }
-        let index = self
-            .ordered
-            .as_ref()
-            .expect("ordered partitioner state exists");
-        // The range index is direct-indexed by slice, so it only memoizes
-        // the dense-contract key space; a probe far outside it (arbitrary
-        // keys in tests/tools) is computed without caching instead of
-        // materializing page pointers up to that slice.
-        let memoize = slice < MEMOIZED_SLICES;
-        if memoize {
-            let memo = index.range_index.lock().expect("range index lock");
-            if let Some(entry) = memo.entry(slice) {
-                if entry[0] != u32::MAX {
-                    replicas.extend(entry.iter().map(|&n| NodeId(n)));
-                    return;
+        let row = match self.partitioner {
+            Partitioner::Hash => {
+                let token = self.token_of(key);
+                let start = self.tokens.partition_point(|&t| t < token);
+                if start == self.tokens.len() {
+                    0
+                } else {
+                    start
                 }
             }
-        }
-        let total = index.alive.len();
-        let start = (slice % total as u64) as usize;
-        let walk = (start..start + total)
-            .map(|i| NodeId((i % total) as u32))
-            .filter(|n| index.alive[n.0 as usize]);
-        self.fill_replicas(walk, rf, replicas);
-        debug_assert_eq!(replicas.len(), rf, "placement yields exactly RF nodes");
-        if memoize && replicas.len() == rf {
-            let mut memo = index.range_index.lock().expect("range index lock");
-            let entry = memo.entry_mut(slice);
-            for (slot, node) in entry.iter_mut().zip(replicas.iter()) {
-                *slot = node.0;
+            Partitioner::Ordered => {
+                (Self::slice_of(key) % self.node_dc.len().max(1) as u64) as usize
             }
-        }
+        };
+        // A fully crashed (or node-less) cluster has RF 0 and an empty
+        // table: every row is the empty slice.
+        let rf = self.replication_factor as usize;
+        replicas.clear();
+        replicas.extend_from_slice(&self.placements[row * rf..(row + 1) * rf]);
     }
 
     /// Take the first `rf` distinct replicas from a node walk, applying the

@@ -18,6 +18,13 @@
 //! ([`Version::NONE`] never names a real write, which the write paths
 //! assert), so presence costs no extra bit.
 //!
+//! A slot is a 16-byte [`StoredValue`] — version and payload size, the two
+//! fields reads, reconciliation, range scans and repair diffs consume.
+//! Under hash placement every node replicates some key of every page, so a
+//! cluster allocates about `nodes × records` slots and bulk load fills each
+//! page on first touch: slot size is most of a run's memory and set-up
+//! time, and a `const` assertion next to the type pins it.
+//!
 //! Sequential record ids are contiguous in memory, which is what makes the
 //! YCSB-E range-read path ([`ReplicaStore::read_range`]) a streaming load
 //! over `scan_len` adjacent slots rather than `scan_len` independent hash
@@ -56,7 +63,6 @@ use concord_sim::SimTime;
 const EMPTY_SLOT: StoredValue = StoredValue {
     version: Version::NONE,
     size: 0,
-    applied_at: SimTime::ZERO,
 };
 
 /// Aggregate result of one range read (see [`ReplicaStore::read_range`]).
@@ -162,8 +168,9 @@ impl ReplicaStore {
     }
 
     /// Apply a write. Returns `true` if the value was installed, `false` if a
-    /// newer version was already present (last-write-wins).
-    pub fn apply_write(&mut self, key: Key, version: Version, size: u32, at: SimTime) -> bool {
+    /// newer version was already present (last-write-wins). The apply time
+    /// `_at` is not stored — nothing reads it back from a slot.
+    pub fn apply_write(&mut self, key: Key, version: Version, size: u32, _at: SimTime) -> bool {
         debug_assert!(version.exists(), "writes carry a real (non-zero) version");
         self.write_ops += 1;
         let slot = self.table.get_mut(key.0);
@@ -181,11 +188,7 @@ impl ReplicaStore {
             self.keys += 1;
             self.bytes_stored += size as u64;
         }
-        *slot = StoredValue {
-            version,
-            size,
-            applied_at: at,
-        };
+        *slot = StoredValue { version, size };
         if self.summaries_enabled {
             let mut digest_delta = mix_record(key, version);
             if old_version.exists() {
@@ -210,11 +213,7 @@ impl ReplicaStore {
             self.keys += 1;
             self.bytes_stored += size as u64;
         }
-        *slot = StoredValue {
-            version,
-            size,
-            applied_at: SimTime::ZERO,
-        };
+        *slot = StoredValue { version, size };
         if self.summaries_enabled {
             let mut digest_delta = mix_record(key, version);
             if old_version.exists() {

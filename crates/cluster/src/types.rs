@@ -55,9 +55,10 @@ pub struct StoredValue {
     pub version: Version,
     /// Payload size in bytes.
     pub size: u32,
-    /// Simulated time at which the write was applied here.
-    pub applied_at: SimTime,
 }
+
+// Every replica of every loaded record fills one of these; see `paged`.
+const _: () = assert!(std::mem::size_of::<StoredValue>() == 16);
 
 /// Outcome status of a completed client operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

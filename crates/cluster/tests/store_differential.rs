@@ -23,7 +23,7 @@ struct ReferenceStore {
 }
 
 impl ReferenceStore {
-    fn apply_write(&mut self, key: Key, version: Version, size: u32, at: SimTime) -> bool {
+    fn apply_write(&mut self, key: Key, version: Version, size: u32, _at: SimTime) -> bool {
         self.write_ops += 1;
         match self.data.get_mut(&key) {
             Some(existing) if existing.version >= version => {
@@ -32,23 +32,12 @@ impl ReferenceStore {
             }
             Some(existing) => {
                 self.bytes_stored = self.bytes_stored - existing.size as u64 + size as u64;
-                *existing = StoredValue {
-                    version,
-                    size,
-                    applied_at: at,
-                };
+                *existing = StoredValue { version, size };
                 true
             }
             None => {
                 self.bytes_stored += size as u64;
-                self.data.insert(
-                    key,
-                    StoredValue {
-                        version,
-                        size,
-                        applied_at: at,
-                    },
-                );
+                self.data.insert(key, StoredValue { version, size });
                 true
             }
         }
@@ -62,14 +51,7 @@ impl ReferenceStore {
             self.bytes_stored -= old.size as u64;
         }
         self.bytes_stored += size as u64;
-        self.data.insert(
-            key,
-            StoredValue {
-                version,
-                size,
-                applied_at: SimTime::ZERO,
-            },
-        );
+        self.data.insert(key, StoredValue { version, size });
     }
 
     fn read(&mut self, key: Key) -> Option<StoredValue> {

@@ -21,8 +21,8 @@
 //!
 //! Record ids are **dense**: every key generator yields ids strictly below
 //! its configured item count, and inserts allocate the next contiguous id
-//! (growing the count). The cluster's per-key state — the replica store, the
-//! staleness oracle, the placement cache — is direct-indexed on that
+//! (growing the count). The cluster's per-key state — the replica store and
+//! the staleness oracle — is direct-indexed on that
 //! contract (paged tables instead of hash maps), so a generator silently
 //! escaping its range would quietly grow sparse tables instead of being a
 //! distribution bug you can see. Every generator therefore **asserts** the
@@ -63,7 +63,7 @@ pub(crate) fn assert_dense(generator: &str, id: u64, item_count: u64) -> u64 {
         id < item_count,
         "{generator} violated the key-density contract: record id {id} is outside \
          [0, {item_count}) — dense record ids are what the direct-indexed replica \
-         store, staleness oracle and placement cache rely on"
+         store and staleness oracle rely on"
     );
     id
 }
