@@ -12,12 +12,10 @@
 //! | `exp_bismar` | EXP-B2b — Bismar vs static levels |
 //! | `exp_behavior` | EXP-C — application behavior modeling |
 //! | `exp_faults` | EXP-F — adaptive policies under a scripted outage (open-loop load, crash/partition/degradation) |
-//! | `exp_throughput` | hot-path wall-clock throughput (engine, storage, cluster, bulk lane) |
-//! | `exp_sweep` | parallel multi-seed sweep wall-clock + determinism check |
 //!
-//! Criterion micro-benchmarks (`cargo bench -p concord-bench`) cover the
-//! substrates (ring lookup, zipfian sampling, event queue, estimator) and
-//! small end-to-end runs of the A/B experiments.
+//! These binaries reproduce results; they time nothing. Performance — wall
+//! clock end to end and nanoseconds per layer, with its methodology — is
+//! measured by the one harness in `benchmark/` (see `benchmark/README.md`).
 //!
 //! Every binary runs through the shared harness in [`sweep`] and accepts
 //! `--scale <f64>` (default 0.002 for the workload and ~0.2 for the cluster)
@@ -119,11 +117,7 @@
 //! pure performance knob**. Per-seed `RunReport`s are byte-identical at 1, 2
 //! and N threads, because every point derives all randomness from its own
 //! seed and the pool collects results by input index, never by completion
-//! order. `BENCH_parallel.json` at the workspace root records the sweep
-//! wall-clock baseline (sequential vs pooled) produced by `exp_sweep`;
-//! re-measure with `exp_sweep --scale 0.05 --seeds 8 --out <file>` on a
-//! multi-core machine and append dated entries rather than overwriting
-//! history.
+//! order.
 //!
 //! ## Bulk-loaded open-loop arrivals
 //!
@@ -135,11 +129,10 @@
 //! PR 1's timeout lane plays, on a third lane so arrival front-running
 //! cannot evict timeouts from theirs. Sortedness is *asserted*, never
 //! silently repaired; delivery is byte-identical to per-op submission (both
-//! lanes share one sequence counter). `exp_throughput`'s `cluster_bulk`
-//! substrate measures the path end to end; `Cluster::run_until` lets
-//! windowed drivers drain without the clock passing the next window.
+//! lanes share one sequence counter). `Cluster::run_until` lets windowed
+//! drivers drain without the clock passing the next window.
 //!
-//! ## Hot-path architecture and benchmark methodology
+//! ## Hot-path architecture
 //!
 //! Paper-sized runs replay millions of timed operations through the cluster
 //! simulator, so the per-event cost of the substrate bounds every experiment
@@ -149,15 +142,12 @@
 //! * **Event queue** (`concord_sim::EventQueue`): a binary heap of
 //!   `(packed time‖seq key, event)` entries with the payload **inline** —
 //!   simulator events are 32 bytes, so moving them during sifts costs less
-//!   than the former side-slab's two extra random-access writes and
-//!   free-list traffic per event. The timeout lane (`schedule_timeout`) has
-//!   two structures behind one interface: timeouts arriving in sorted key
-//!   order — the single constant `op_timeout` configuration produces
-//!   exactly that — append to a plain FIFO in O(1) with no further
-//!   bookkeeping, and heterogeneous/out-of-order timeouts take the
-//!   O(1)-amortized hierarchical timer wheel. All lanes share one sequence
-//!   counter and every pop takes the globally smallest key, so lane routing
-//!   can never reorder delivery.
+//!   than a side slab's two extra random-access writes and free-list
+//!   traffic per event. Timers (`schedule_timeout`) whose keys arrive in
+//!   sorted order — the single constant `op_timeout` produces exactly that
+//!   — append to a plain FIFO in O(1); an out-of-order timer is an ordinary
+//!   heap event. All lanes share one sequence counter and every pop takes
+//!   the globally smallest key, so lane routing can never reorder delivery.
 //! * **Operation state** (`concord_cluster::OpSlab`): a generation-checked
 //!   slab addressed directly by `OpId = generation << 32 | slot` replaces
 //!   three `HashMap<OpId, _>` tables; stale ids from already-completed
@@ -188,7 +178,7 @@
 //!   metered as `scan_len` storage reads and byte-weighted response
 //!   traffic. Differential property tests keep what each layout replaced
 //!   executable as a reference and assert identical results and meters:
-//!   the `FxHashMap` store (`crates/cluster/tests/store_differential.rs`),
+//!   the hash-map store (`crates/cluster/tests/store_differential.rs`),
 //!   the history-per-key oracle (`oracle_differential.rs`) and the
 //!   per-lookup ring walk (`ring_table.rs`).
 //! * **Pluggable partitioner — hash or ordered placement**: every cluster
@@ -221,15 +211,7 @@
 //!   Latency metrics stream into log-bucketed histograms — bounded memory,
 //!   no sort per quantile.
 //!
-//! The `exp_throughput` binary measures this substrate end to end (wall-clock
-//! events/sec and ns/op, best-of-N runs because shared machines are noisy)
-//! and `BENCH_hotpath.json` at the workspace root records the before/after
-//! baseline of the hot-path overhaul (hand-assembled from two
-//! `exp_throughput` runs; the binary itself emits one measurement object
-//! per run). Future performance PRs should re-run `exp_throughput --scale
-//! 0.25 --repeat 5` under the same release profile, compare against the
-//! recorded `after` block, and append a new dated entry rather than
-//! overwriting history. Fixed-seed behaviour is pinned by
+//! Fixed-seed behaviour is pinned by
 //! `crates/cluster/tests/golden_determinism.rs`: any hot-path change must
 //! keep those digests byte-identical (or consciously re-capture them with
 //! `GOLDEN_PRINT=1` and explain why the simulation's outputs changed).
@@ -317,20 +299,9 @@
 //! `crates/cluster/tests/sharded_determinism.rs` asserts byte-identical
 //! fingerprints at 1/2/4/8 worker threads for shards ∈ {1, 2, 4},
 //! including a node crashing mid-window, a partition severing two shards
-//! and ordered scans straddling a shard boundary (see `concord_sim::shard`
-//! for the full design notes). `exp_throughput --shards <n> --threads <m>`
-//! measures the engine cost and prints greppable `SHARDED_DATAPOINT`
-//! lines for the nightly CI shards × threads matrix; a *plain*
-//! `exp_throughput` invocation additionally runs the `sharded` substrate —
-//! the open-loop bulk workload at shards 1, 2 and 4 in one invocation —
-//! printing one `BARRIER_DATAPOINT` line per shard count with the
-//! window/fold/elision/fast-forward counters next to the throughput, so
-//! nightly CI charts how much synchronization each run actually paid for.
-//! One honesty note on the numbers: the PR containers are single-core, so
-//! every recorded shards > 1 figure measures pure engine *overhead*
-//! (windowing + barrier bookkeeping on one core), not parallel speedup —
-//! the nightly matrix on a multi-core runner is where the speedup curve
-//! comes from.
+//! and ordered scans straddling a shard boundary (the module docs of
+//! `concord_cluster::cluster` list every place the one-shard engine
+//! differs).
 //!
 //! ## The resilience layer: `--hedge <ms>`, `--selection dynamic`, `--backoff`
 //!
@@ -358,20 +329,20 @@
 //!   billable traffic totals — the bill prices the tail insurance.
 //! * **Backoff retries** (`--backoff`): `retry_on_timeout` re-issues wait
 //!   an exponentially growing, deterministically jittered delay
-//!   (`backoff_base·2^attempt` capped at `backoff_cap`, jitter drawn from
-//!   the owning shard's RNG stream — one draw per backed-off retry) instead
-//!   of re-issuing inline. The delays are heterogeneous by construction, so
-//!   they route through the event queue's timer wheel, which cannot reorder
-//!   delivery (property-tested in `concord-sim` with exactly this shape).
-//!   Counted in `backoff_retries` alongside the existing `retries`.
+//!   (1 ms · 2^attempt capped at 100 ms, one jitter draw per backed-off
+//!   retry) instead of re-issuing inline. The delays are heterogeneous by
+//!   construction, so they mostly take the event queue's heap rather than
+//!   its sorted timeout FIFO, which cannot reorder delivery
+//!   (property-tested in `concord-sim` with exactly this shape). Counted in
+//!   `backoff_retries` alongside the existing `retries`.
 //! * **Health-aware replica selection** (`--selection dynamic`, also
 //!   `closest|random`): the coordinator side keeps a per-node EWMA of the
 //!   observed response latency *excess* over the expected round trip
 //!   (distance-normalized, so a far coordinator's 26 ms observation does
 //!   not poison a node for its neighbors) plus a circuit breaker —
-//!   **closed** → `breaker_failures` consecutive read-timeout strikes open
-//!   it → **open** demotes the node behind every healthy candidate for
-//!   `breaker_cooldown` → **half-open** admits one probe, which either
+//!   **closed** → 3 consecutive read-timeout strikes open it → **open**
+//!   demotes the node behind every healthy candidate for 50 ms →
+//!   **half-open** admits one probe, which either
 //!   closes it (any response resets the strike count) or re-opens it.
 //!   Breaker flips are counted in `breaker_opens`. Writes never strike: a
 //!   write timeout implicates the consistency level, not one replica.
@@ -397,8 +368,8 @@
 pub mod sweep;
 
 pub use sweep::{
-    parse_arrival, render_summary_table, run_grid, run_timed_grid, Harness, PolicySummary,
-    SeedStat, Sweep, SweepResults,
+    parse_arrival, render_summary_table, run_grid, Harness, PolicySummary, SeedStat, Sweep,
+    SweepResults,
 };
 
 use concord_workload::WorkloadConfig;

@@ -19,9 +19,8 @@
 //!   seeds: mean / sample standard deviation / 95% confidence half-width per
 //!   policy, folded in seed order so output is bit-identical for any thread
 //!   count.
-//! * [`run_grid`] / [`run_timed_grid`] — the same parallel-ordered execution
-//!   for experiment grids that are not policy sweeps (the FIG1 estimator
-//!   grid, wall-clock measurement grids).
+//! * [`run_grid`] — the same parallel-ordered execution for experiment
+//!   grids that are not policy sweeps (the FIG1 estimator grid).
 //!
 //! ## Determinism contract
 //!
@@ -661,23 +660,6 @@ where
     points.into_par_iter().map(f).collect()
 }
 
-/// Run a grid of **wall-clock measurements** strictly sequentially: timing
-/// points must not compete *with each other* for cores, so points execute
-/// one at a time in input order. Parallelism *inside* a point is
-/// deliberately left alive — the sharded engine's window dispatch runs on
-/// the pool the process configured (`--threads`), and with `--shards N`
-/// that dispatch is part of what the point measures. (This used to install
-/// a one-thread pool around the grid, which would silently serialize the
-/// multi-core engine under measurement.)
-pub fn run_timed_grid<T, R, F>(points: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    points.into_iter().map(f).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -995,7 +977,5 @@ mod tests {
     fn grids_preserve_input_order() {
         let out = run_grid((0..64u64).collect(), |x| x * 3);
         assert_eq!(out, (0..64u64).map(|x| x * 3).collect::<Vec<_>>());
-        let timed = run_timed_grid(vec![1u32, 2, 3], |x| x + 1);
-        assert_eq!(timed, vec![2, 3, 4]);
     }
 }

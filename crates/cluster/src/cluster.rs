@@ -24,8 +24,8 @@
 //!
 //! ## Repair plane
 //! Off by default (`RepairMode::Off` adds zero events and zero RNG draws).
-//! Hinted handoff queues the writes a down replica missed and replays them
-//! through the timer wheel when it returns. Anti-entropy walks node pairs
+//! Hinted handoff queues the writes a down replica missed and replays them,
+//! paced by a timer, when it returns. Anti-entropy walks node pairs
 //! on a sweep cycle, and a recovery migration pulls a rejoined node's
 //! ranges from every up peer; both compare the stores' per-page digests
 //! (metered per page and direction) and diff each page whose digests
@@ -83,16 +83,35 @@
 //! ack always folds no later than the completion of any read it could
 //! affect, and same-fold acks with later times are filtered by timestamp.
 //!
-//! Determinism contract:
-//! * `shards == 1` executes the exact serial path — byte-identical to the
-//!   pre-sharding engine for every seed;
-//! * for each `shards > 1`, output is byte-identical across 1, 2, 4, 8, …
-//!   worker threads (fingerprints depend only on the shard count);
-//! * handlers running inside a window touch nothing but the read-only
-//!   [`ClusterShared`] snapshot and their own [`ShardState`] — enforced by
-//!   the borrow checker, not by convention.
+//! ## Two determinism universes
+//! Output is a pure function of `(seed, shard count)`: byte-identical across
+//! 1, 2, 4, 8, … worker threads for every shard count, because handlers
+//! running inside a window touch nothing but the read-only [`ClusterShared`]
+//! snapshot and their own [`ShardState`] — enforced by the borrow checker,
+//! not by convention. Across shard counts it differs, and one shard differs
+//! in kind: it is the engine every golden digest older than sharding was
+//! captured on, one lane and one RNG stream with every event a serial point,
+//! and it stays byte-identical to them. Everything else — message
+//! accounting, fan-out, service, acks and responses, completion, the repair
+//! and resilience planes — is written once and runs in both. The table is
+//! the complete list of where the code tests for one shard
+//! (`ShardCtx::ctrl` is `Some` exactly then) and what differs there:
+//!
+//! | where | one shard | more than one |
+//! |---|---|---|
+//! | `Cluster::advance_inner` (event loop) | pops the one lane; control events interleave with client traffic in `time‖seq` order | lookahead windows; control events run between windows and win instant ties |
+//! | `Cluster::admit` (submission routing) | every op homes on shard 0; the coordinator is drawn at arrival from the one stream | the coordinator is drawn at admission from the control stream and the op homes on its shard |
+//! | `Cluster::load_records` (preload version) | the global counter of the version-allocation row | the shared floor `Version(1)` |
+//! | `Cluster::ctrl_sink` (control sink) | control timers ride shard 0's lane and repair delays draw from its stream | the control plane's own lane and stream |
+//! | `ShardCtx::queue_hint` (hint queueing) | queued inline | staged to the fold |
+//! | `ShardCtx::start_write` (version allocation) | global counter `1, 2, 3, …` | timestamp-packed `µs‖seq‖shard` |
+//! | `ShardCtx::start_read` (read expectation) | captured from the oracle at attempt start | resolved at the fold, as of the attempt's start |
+//! | `ShardCtx::on_replica_done` / `on_write_ack` (propagation sample) | taken when the last replica applies | taken when the last ack arrives, from the acks' apply times |
+//! | `ShardCtx::on_write_ack` (oracle ack) | recorded inline | staged to the fold with its ack time |
+//! | `ShardCtx::on_read_response` (read classification) | classified inline | classified at the fold |
+//! | `ShardCtx::on_timeout` (timeout re-issue) | re-arrives on the one lane (after the backoff, drawn from the one stream) | re-routed through the fold (coordinator and backoff drawn from the control stream) |
 
-use crate::config::ClusterConfig;
+use crate::config::{ClusterConfig, RepairConfig, ResilienceConfig};
 use crate::consistency::ConsistencyLevel;
 use crate::metrics::ClusterMetrics;
 use crate::oracle::{OracleStats, StalenessOracle};
@@ -261,11 +280,9 @@ enum Event {
     CoordinatorWriteAck {
         op_id: OpId,
         from: NodeId,
-        /// When the acking replica applied the write. The parallel engine
-        /// derives the full-propagation sample from the max applied time
-        /// over all acks (replica-side op state is unreadable across
-        /// shards); the serial path ignores it and samples at apply time
-        /// exactly as the pre-sharding engine did.
+        /// When the acking replica applied the write: with more than one
+        /// shard the full-propagation sample is the max applied time over
+        /// all acks (replica-side op state is unreadable across shards).
         applied_at: SimTime,
     },
     CoordinatorReadResponse {
@@ -295,7 +312,7 @@ enum Event {
         id: u64,
     },
     /// Replay the next queued hint to a node that came back up (hinted
-    /// handoff; paced through the timer-wheel lane).
+    /// handoff; paced by a timer).
     HintReplay {
         node: NodeId,
     },
@@ -404,7 +421,6 @@ impl BatchOp {
 struct WriteState {
     key: Key,
     version: Version,
-    coordinator: NodeId,
     issued_at: SimTime,
     required_acks: u32,
     acks: u32,
@@ -422,9 +438,8 @@ struct WriteState {
     /// generation check), but the completion is always reported under this
     /// one, keeping client-side correlation intact.
     client_id: OpId,
-    /// Latest apply time reported by an ack (parallel engine only; see
-    /// [`Event::CoordinatorWriteAck::applied_at`]). Unused — and untouched —
-    /// on the serial path.
+    /// Latest apply time reported by an ack (more than one shard only; see
+    /// [`Event::CoordinatorWriteAck::applied_at`]).
     max_applied_at: SimTime,
 }
 
@@ -447,10 +462,10 @@ struct ReadState {
     best_version: Version,
     best_size: u32,
     min_version: Version,
-    /// The freshness requirement captured at attempt start — serial engine
-    /// only. The parallel engine resolves it retroactively at the
-    /// completion fold ([`StalenessOracle::expected_version_at`] as of
-    /// `attempt_at`) and leaves this [`Version::NONE`].
+    /// The freshness requirement captured at attempt start — one shard
+    /// only. Otherwise the completion fold resolves it retroactively
+    /// ([`StalenessOracle::expected_version_at`] as of `attempt_at`) and
+    /// this stays [`Version::NONE`].
     expected_version: Version,
     /// When this attempt was issued (the retroactive-classification
     /// instant; `issued_at` spans attempts, this one does not).
@@ -471,6 +486,55 @@ struct ReadState {
     hedge: Option<NodeId>,
 }
 
+impl WriteState {
+    /// The client-visible outcome of this write ending at `now` with
+    /// `status`: an acknowledged write reports its version, a timed-out one
+    /// none.
+    fn completion(&self, now: SimTime, status: OpStatus) -> CompletedOp {
+        CompletedOp {
+            id: self.client_id,
+            kind: OpKind::Write,
+            key: self.key,
+            issued_at: self.issued_at,
+            completed_at: now,
+            status,
+            replicas_involved: self.level_used,
+            returned_version: match status {
+                OpStatus::Ok => self.version,
+                _ => Version::NONE,
+            },
+            stale: false,
+            staleness_depth: 0,
+            records_returned: 0,
+        }
+    }
+}
+
+impl ReadState {
+    /// The client-visible outcome of this read ending at `now` with
+    /// `status`, not yet classified: a completed read reports the newest
+    /// version it reconciled, a timed-out one none (and the records it had
+    /// gathered by then).
+    fn completion(&self, now: SimTime, status: OpStatus) -> CompletedOp {
+        CompletedOp {
+            id: self.client_id,
+            kind: OpKind::Read,
+            key: self.key,
+            issued_at: self.issued_at,
+            completed_at: now,
+            status,
+            replicas_involved: self.required,
+            returned_version: match status {
+                OpStatus::Ok => self.best_version,
+                _ => Version::NONE,
+            },
+            stale: false,
+            staleness_depth: 0,
+            records_returned: self.records,
+        }
+    }
+}
+
 /// Retry context carried across attempts: the client-visible submission
 /// time, the remaining retry budget and the id `submit_*` handed out (a
 /// retried attempt runs under a fresh slab id but reports under this one).
@@ -485,14 +549,9 @@ struct RetryCtx {
 #[derive(Debug, Clone, Copy)]
 struct PendingOp {
     sub: Submission,
-    /// The coordinator this attempt was routed to. The parallel engine
-    /// draws it at submission (or resubmission-fold) time from the control
-    /// stream and homes the op on the coordinator's shard, so every message
-    /// the attempt sends or receives travels a real coordinator↔replica
-    /// link — cross-shard exactly when it crosses the shard cut, never
-    /// faster than the lookahead bound. The serial engine keeps `None` and
-    /// draws at arrival from the single stream, exactly as the pre-sharding
-    /// engine did.
+    /// The coordinator this attempt was routed to at admission or at a
+    /// resubmission fold; `None` with one shard, where it is drawn at
+    /// arrival (see [`Cluster::admit`]).
     coordinator: Option<NodeId>,
     /// `None` for first attempts (issued at arrival, under their own id,
     /// with the configured budget).
@@ -703,15 +762,9 @@ enum CtrlStaged {
     /// An ack owned by another shard can never arrive (dead replica /
     /// partition-dropped task): decrement its targeted count at the fold.
     Abandon { op_id: OpId },
-    /// Queue a hinted-handoff mutation (hint queues are control-plane
-    /// state).
-    Hint {
-        from: NodeId,
-        to: NodeId,
-        key: Key,
-        version: Version,
-        size: u32,
-    },
+    /// Queue a hinted-handoff mutation for `to` (hint queues are
+    /// control-plane state).
+    Hint { to: NodeId, hint: Hint },
     /// Re-route an attempt whose coordinator is unreachable (timeout retry,
     /// or the pre-routed coordinator went down before the arrival fired):
     /// the fold draws a fresh coordinator from the control stream, homes
@@ -735,7 +788,7 @@ enum CtrlStaged {
 enum Breaker {
     /// Healthy: the replica is ranked by its latency EWMA.
     Closed,
-    /// Tripped after `breaker_failures` consecutive timeout strikes: the
+    /// Tripped after `BREAKER_FAILURES` consecutive timeout strikes: the
     /// replica is ranked last until the cooldown expires.
     Open { until: SimTime },
     /// Cooldown expired: one probe read is allowed through; a response
@@ -763,11 +816,26 @@ struct NodeHealth {
 }
 
 impl NodeHealth {
-    fn new(alpha: f64) -> Self {
+    fn new() -> Self {
         NodeHealth {
-            ewma: Ewma::new(alpha),
+            ewma: Ewma::new(ResilienceConfig::HEALTH_ALPHA),
             failures: 0,
             breaker: Breaker::Closed,
+        }
+    }
+
+    /// The [`ReplicaSelection::Dynamic`] rank key (lower is better) of this
+    /// replica for a coordinator `mean_lat_ms` away: the distance prior
+    /// (expected round trip, ms → µs) plus the observed excess, so an
+    /// unmeasured node ranks purely by distance, exactly like `Closest`. An
+    /// open breaker ranks behind every healthy candidate but stays
+    /// eligible as the choice of last resort.
+    fn score(&self, mean_lat_ms: f64) -> f64 {
+        let base = 2.0 * mean_lat_ms * 1_000.0 + self.ewma.value_or(0.0);
+        if matches!(self.breaker, Breaker::Open { .. }) {
+            base + 1e12
+        } else {
+            base
         }
     }
 }
@@ -846,24 +914,17 @@ struct ShardState {
     health: Vec<NodeHealth>,
 }
 
-/// Control-plane state: the repair plane (hint queues, sweep cursor), the
-/// control event lane (ticks and repair events in parallel mode) and the
-/// dedicated RNG/metric sink that fold-time completions draw from. Runs
-/// only at serial points — barrier edges and between-window calls — never
-/// inside a parallel window.
+/// Control-plane state: the repair plane (hint queues, sweep cursor), its
+/// meters and the staleness oracle. Touched only at serial points — barrier
+/// edges, between-window calls and the one-shard engine's inline handlers —
+/// never inside a parallel window.
 struct ControlState {
-    /// Control event lane (parallel mode only; with one shard, control
-    /// events ride the single shard lane to stay byte-identical to the
-    /// pre-sharding engine).
-    lane: EventQueue<Event>,
-    /// Control-plane RNG: stream index `nshards` of the master seed, so it
-    /// never collides with a shard stream.
-    rng: SimRng,
-    /// Control-plane meters (fold-time message accounting, repair traffic
-    /// in parallel mode); merged into reports after the shard sinks.
+    /// Control-plane meters (hint and repair counters, repair traffic);
+    /// merged into reports after the shard sinks. Counters only, so the
+    /// merged report does not depend on which sink a count went to.
     metrics: ClusterMetrics,
     /// Per-destination hinted-handoff queues, bounded by
-    /// `repair.hint_capacity_per_node`.
+    /// [`RepairConfig::HINT_CAPACITY_PER_NODE`].
     hints: Vec<VecDeque<Hint>>,
     /// Whether a `HintReplay` chain is currently scheduled per node (avoids
     /// double-scheduling when a node flaps up/down).
@@ -883,13 +944,21 @@ struct ControlState {
     owned: Vec<Option<OwnedPage>>,
     /// Scratch for the placement lookups that build [`ControlState::owned`].
     repair_member_scratch: Vec<NodeId>,
-    /// The ground-truth staleness oracle. One central instance: its version
-    /// histories are read-only during parallel windows (every shard probes
-    /// the same barrier snapshot) and mutated only at serial points — acks
-    /// staged to the fold, preloads before the run, and the serial engine's
-    /// inline calls, which make it byte-identical to the pre-sharding
-    /// single oracle.
+    /// The ground-truth staleness oracle. One central instance, mutated
+    /// only at serial points: preloads before the run, acks and read
+    /// classifications inline on the one-shard engine and at the fold
+    /// otherwise.
     oracle: StalenessOracle,
+}
+
+/// The control plane as a serial-point action borrows it (see
+/// [`Cluster::ctrl_sink`]): its state, plus the lane its events ride and the
+/// RNG stream its messages draw their delays from.
+struct CtrlSink<'a> {
+    shared: &'a ClusterShared,
+    ctrl: &'a mut ControlState,
+    lane: &'a mut EventQueue<Event>,
+    rng: &'a mut SimRng,
 }
 
 /// The cluster simulator. See the module docs for the simulated protocol
@@ -898,6 +967,12 @@ pub struct Cluster {
     shared: ClusterShared,
     shard_states: Vec<ShardState>,
     ctrl: ControlState,
+    /// The control plane's own event lane (ticks and repair events) and RNG
+    /// stream (index `nshards` of the master seed, so it never collides
+    /// with a shard stream). Idle with one shard, where the control plane
+    /// shares shard 0's (see [`Cluster::ctrl_sink`]).
+    control_lane: EventQueue<Event>,
+    control_rng: SimRng,
     /// Current conservative lookahead window bound: the global minimum of
     /// `shard_lookahead` (kept for reporting and the window-size floor).
     lookahead: SimDuration,
@@ -992,19 +1067,14 @@ fn slow_response(shared: &ClusterShared, node: NodeId, delay: SimDuration) -> Si
     delay
 }
 
-/// Meter repair bytes `from → to` that never become a scheduled event
-/// (page-summary exchanges): added to both the billable traffic meter
-/// and the repair breakdown, no delay sampled, so summary comparisons
-/// cost network bytes but not RNG draws.
-fn account_repair_bytes(
-    shared: &ClusterShared,
-    metrics: &mut ClusterMetrics,
-    from: NodeId,
-    to: NodeId,
-    bytes: u32,
-) {
+/// Meter one page-summary message `from → to`. It never becomes a
+/// scheduled event: its bytes go to both the billable traffic meter and
+/// the repair breakdown but no delay is sampled, so summary comparisons
+/// cost network bytes and no RNG draws.
+fn account_summary(shared: &ClusterShared, metrics: &mut ClusterMetrics, from: NodeId, to: NodeId) {
     let class = shared.link_class[from.0 as usize * shared.node_count + to.0 as usize];
-    let total = bytes as u64 + shared.config.message_overhead_bytes as u64;
+    let total =
+        RepairConfig::SUMMARY_BYTES_PER_PAGE as u64 + shared.config.message_overhead_bytes as u64;
     metrics.traffic.add(class, total);
     metrics.repair_traffic.add(class, total);
     metrics.messages += 1;
@@ -1051,18 +1121,13 @@ fn account_hedge_message(
 
 /// Exponential retry backoff with deterministic RNG-drawn jitter: the
 /// nominal delay doubles per consumed retry (`base`, `2·base`, `4·base`, …)
-/// up to the configured cap, then a full-jitter-style multiplier in
-/// `[0.5, 1.5)` is drawn from the given stream (a shard's inside the serial
-/// path, the control plane's at a resubmission fold). The draw happens on
-/// every backoff retry and only then — backoff off means zero extra draws.
-fn backoff_delay(
-    res: &crate::config::ResilienceConfig,
-    retry_budget: u32,
-    retries_left: u32,
-    rng: &mut SimRng,
-) -> SimDuration {
-    let base = res.effective_backoff_base().as_micros();
-    let cap = res.effective_backoff_cap().as_micros();
+/// up to the cap, then a full-jitter-style multiplier in `[0.5, 1.5)` is
+/// drawn from the given stream (the shard's on the one-shard engine, the
+/// control plane's at a resubmission fold). The draw happens on every
+/// backoff retry and only then — backoff off means zero extra draws.
+fn backoff_delay(retry_budget: u32, retries_left: u32, rng: &mut SimRng) -> SimDuration {
+    let base = ResilienceConfig::BACKOFF_BASE.as_micros();
+    let cap = ResilienceConfig::BACKOFF_CAP.as_micros();
     // First re-issue has consumed 1 retry → exponent 0 → nominal = base.
     let consumed = retry_budget.saturating_sub(retries_left).max(1);
     let exp = (consumed - 1).min(20);
@@ -1084,14 +1149,16 @@ fn abandon_in(s: &mut ShardState, op_id: OpId) {
     }
 }
 
-/// (Re)start the anti-entropy sweep cycle at simulated time `now`. The
-/// `AntiEntropy` chain rides the single shard lane when one is given
-/// (serial mode: byte-identical timer-wheel placement to the pre-sharding
-/// engine) and the control lane otherwise.
+/// (Re)start the anti-entropy sweep cycle at simulated time `now`, its
+/// `AntiEntropy` chain riding the control plane's `lane`. The cycle parks
+/// itself after a full round of node pairs that streamed nothing (so a
+/// drained queue terminates `run_to_completion`); fault transitions and
+/// dropped hints wake it up again. No-op unless the mode enables
+/// anti-entropy.
 fn resume_sweeps_parts(
     shared: &ClusterShared,
     ctrl: &mut ControlState,
-    serial_lane: Option<&mut EventQueue<Event>>,
+    lane: &mut EventQueue<Event>,
     now: SimTime,
 ) {
     if !shared.config.repair.mode.anti_entropy_enabled() || shared.node_count < 2 {
@@ -1100,11 +1167,57 @@ fn resume_sweeps_parts(
     ctrl.sweep_idle_rounds = 0;
     if !ctrl.sweep_active {
         ctrl.sweep_active = true;
-        let at = now + shared.config.repair.sweep_interval();
-        match serial_lane {
-            Some(lane) => lane.schedule_timeout(at, Event::AntiEntropy),
-            None => ctrl.lane.schedule_timeout(at, Event::AntiEntropy),
-        }
+        lane.schedule_timeout(
+            now + RepairConfig::ANTI_ENTROPY_INTERVAL,
+            Event::AntiEntropy,
+        );
+    }
+}
+
+/// Queue a hinted-handoff mutation for the down replica `to`. The queue is
+/// bounded: an overflowing hint is dropped, metered, and left to
+/// anti-entropy (resumed here on `lane`; a no-op unless the mode enables
+/// sweeps).
+fn enqueue_hint(
+    shared: &ClusterShared,
+    ctrl: &mut ControlState,
+    lane: &mut EventQueue<Event>,
+    now: SimTime,
+    to: NodeId,
+    hint: Hint,
+) {
+    let queue = &mut ctrl.hints[to.0 as usize];
+    if queue.len() >= RepairConfig::HINT_CAPACITY_PER_NODE {
+        ctrl.metrics.hints_dropped += 1;
+        resume_sweeps_parts(shared, ctrl, lane, now);
+    } else {
+        queue.push_back(hint);
+        ctrl.metrics.hints_queued += 1;
+    }
+}
+
+/// Draw a coordinator uniformly over the currently-up nodes: clients
+/// connect to a random live node (YCSB spreads connections round-robin;
+/// with many clients the effect is uniform). `up` is scratch for the
+/// up-node list.
+fn draw_coordinator(shared: &ClusterShared, rng: &mut SimRng, up: &mut Vec<NodeId>) -> NodeId {
+    if shared.down_count == 0 {
+        // Fast path: every node is up, so the up-node list is the
+        // identity — draw the index directly (same RNG consumption).
+        return NodeId(rng.index(shared.node_count) as u32);
+    }
+    up.clear();
+    up.extend(
+        shared
+            .config
+            .topology
+            .nodes()
+            .filter(|n| !shared.down[n.0 as usize]),
+    );
+    if up.is_empty() {
+        NodeId(0)
+    } else {
+        up[rng.index(up.len())]
     }
 }
 
@@ -1136,12 +1249,16 @@ impl ShardState {
     /// follows simulated time no matter which shard coordinates each
     /// write — a per-shard counter would let a busy shard's old write
     /// shadow a quieter shard's newer one. `seq` restarts every
-    /// microsecond and breaks same-instant ties deterministically
-    /// (saturating at 2^16−1 allocations per µs per shard, far past any
-    /// real event density); the `µs+1` bias keeps every runtime version
-    /// above the preload floor (see [`Cluster::load_records`]). `shard`
-    /// fits its 8 bits because [`ClusterConfig::validate`] caps the shard
-    /// count at 256.
+    /// microsecond and breaks same-instant ties deterministically (its 16
+    /// bits hold 2^16−1 allocations per µs per shard, far past any real
+    /// event density); the `µs+1` bias keeps every runtime version above
+    /// the preload floor (see [`Cluster::load_records`]). `shard` fits its
+    /// 8 bits because [`ClusterConfig::validate`] caps the shard count at
+    /// 256.
+    ///
+    /// # Panics
+    /// Panics when the time or the tie-break sequence outgrows its bits:
+    /// either would hand out a version twice.
     fn alloc_version_at(&mut self, now: SimTime) -> Version {
         let us = now.as_micros() + 1;
         assert!(us < 1 << 40, "simulated time overflows the version layout");
@@ -1149,9 +1266,12 @@ impl ShardState {
             self.version_last_us = us;
             self.version_seq = 0;
         }
-        if self.version_seq < u16::MAX as u32 {
-            self.version_seq += 1;
-        }
+        self.version_seq += 1;
+        assert!(
+            self.version_seq <= u16::MAX as u32,
+            "shard {} allocated more than 65535 write versions in one microsecond",
+            self.shard
+        );
         Version((us << 24) | ((self.version_seq as u64) << 8) | self.shard as u64)
     }
 
@@ -1199,6 +1319,22 @@ impl ShardState {
             self.payload_free.push(id);
             self.payload_live -= 1;
         }
+    }
+
+    /// Put one write task for `node`, arriving at `at`, on this shard's
+    /// lane, with `payload` interned for it alone: how a write that did not
+    /// originate on this shard (a staged cross-shard task, a hint replay, a
+    /// streamed repair record) enters it at a serial point.
+    fn deliver_write(&mut self, at: SimTime, node: NodeId, payload: WritePayload) {
+        let payload = self.intern_payload(payload);
+        self.retain_payload(payload);
+        self.lane.schedule_at(
+            at,
+            Event::ReplicaArrive {
+                node,
+                task: ReplicaTask::Write { payload },
+            },
+        );
     }
 }
 
@@ -1318,12 +1454,10 @@ impl Cluster {
                 window_staged: 0,
                 window_violations: 0,
                 window_popped: 0,
-                health: vec![NodeHealth::new(config.resilience.effective_alpha()); n],
+                health: vec![NodeHealth::new(); n],
             })
             .collect();
         let ctrl = ControlState {
-            lane: EventQueue::new(),
-            rng: SimRng::shard_stream(seed, shards as u64),
             metrics: fresh_metrics(&config),
             hints: (0..n).map(|_| VecDeque::new()).collect(),
             hint_replay_active: vec![false; n],
@@ -1362,6 +1496,8 @@ impl Cluster {
             },
             shard_states,
             ctrl,
+            control_lane: EventQueue::new(),
+            control_rng: SimRng::shard_stream(seed, shards as u64),
             lookahead,
             lookahead_matrix,
             shard_lookahead,
@@ -1479,63 +1615,31 @@ impl Cluster {
         self.lookahead = global;
     }
 
-    /// Whether this cluster runs the exact serial path (one shard).
+    /// Whether this cluster runs the one-shard engine (see the module docs'
+    /// table of what that changes).
     #[inline]
     fn serial(&self) -> bool {
         self.shard_states.len() == 1
     }
 
-    /// The lane control events ride: the single shard lane when serial
-    /// (byte-identical placement to the pre-sharding engine), the dedicated
-    /// control lane otherwise.
-    fn ctrl_lane(&mut self) -> &mut EventQueue<Event> {
-        if self.shard_states.len() == 1 {
-            &mut self.shard_states[0].lane
-        } else {
-            &mut self.ctrl.lane
-        }
-    }
-
-    /// The metric sink control-plane accounting goes to: shard 0's when
-    /// serial (byte-identical to the pre-sharding engine), the control
-    /// plane's otherwise.
-    fn ctrl_metrics(&mut self) -> &mut ClusterMetrics {
-        if self.shard_states.len() == 1 {
-            &mut self.shard_states[0].metrics
-        } else {
-            &mut self.ctrl.metrics
-        }
-    }
-
-    /// Draw the coordinator for a parallel-engine attempt from the control
-    /// stream: uniform over the currently-up nodes, the same distribution
-    /// [`ShardCtx::pick_coordinator`] draws at arrival on the serial path.
-    /// Runs only at serial points (submission, resubmission folds), so the
-    /// draw order is a pure function of the driver's call sequence. The
-    /// attempt is then homed on the coordinator's shard — every message it
-    /// exchanges travels a real coordinator↔replica link, so a cross-shard
-    /// delivery is exactly a delivery across the shard cut and can never
-    /// undershoot the lookahead bound.
-    fn draw_coordinator_ctrl(&mut self) -> NodeId {
-        if self.shared.down_count == 0 {
-            return NodeId(self.ctrl.rng.index(self.shared.node_count) as u32);
-        }
-        let mut up = std::mem::take(&mut self.home_scratch);
-        up.clear();
-        up.extend(
-            self.shared
-                .config
-                .topology
-                .nodes()
-                .filter(|n| !self.shared.down[n.0 as usize]),
-        );
-        let pick = if up.is_empty() {
-            NodeId(0)
-        } else {
-            up[self.ctrl.rng.index(up.len())]
+    /// Borrow the control plane together with the lane its events ride and
+    /// the RNG stream its repair messages draw from: shard 0's with one
+    /// shard — control events interleave with client traffic on the one
+    /// lane and share the one stream, as they did before sharding existed —
+    /// and the control plane's own otherwise. Every control-plane handler
+    /// and every fault transition goes through here, so this is the one
+    /// place that choice is made.
+    fn ctrl_sink(&mut self) -> CtrlSink<'_> {
+        let (lane, rng) = match &mut self.shard_states[..] {
+            [only] => (&mut only.lane, &mut only.rng),
+            _ => (&mut self.control_lane, &mut self.control_rng),
         };
-        self.home_scratch = up;
-        pick
+        CtrlSink {
+            shared: &self.shared,
+            ctrl: &mut self.ctrl,
+            lane,
+            rng,
+        }
     }
 
     /// Number of event-lane shards this cluster runs with.
@@ -1574,7 +1678,7 @@ impl Cluster {
             .iter()
             .map(|s| s.lane.processed())
             .sum::<u64>()
-            + self.ctrl.lane.processed()
+            + self.control_lane.processed()
     }
 
     /// Number of operations whose state is still held in the op slabs
@@ -1622,10 +1726,10 @@ impl Cluster {
     }
 
     /// Aggregate metrics of the run so far: the per-shard sinks merged in
-    /// shard order, then the control-plane sink. With one shard the merge
-    /// chain is a clone of the only populated sink (merging all-zero sinks
-    /// is exact), so serial reports are byte-identical to the pre-sharding
-    /// engine's.
+    /// shard order, then the control-plane sink. Latency samples live in the
+    /// shard sinks only; the control plane's sink holds integer counters,
+    /// which add exactly, so with one shard the merged report is the one a
+    /// single sink would have produced.
     pub fn metrics(&self) -> ClusterMetrics {
         let mut merged = self.shard_states[0].metrics.clone();
         merged.merge_many(
@@ -1698,9 +1802,9 @@ impl Cluster {
 
     /// Bring a node back up. Without the repair plane it simply missed the
     /// writes that happened while down (repaired lazily by read repair if
-    /// enabled); with hinted handoff its queued hints start replaying
-    /// through the timer wheel, and with anti-entropy the sweep cycle
-    /// resumes to catch anything the hints missed.
+    /// enabled); with hinted handoff its queued hints start replaying, and
+    /// with anti-entropy the sweep cycle resumes to catch anything the
+    /// hints missed.
     pub fn set_node_up(&mut self, node: NodeId) {
         let idx = node.0 as usize;
         if self.shared.down[idx] {
@@ -1744,7 +1848,7 @@ impl Cluster {
                     if !self.shared.down[peer] {
                         // Fault-driven control broadcast: runs at a barrier
                         // edge, not as a cross-shard message.
-                        self.ctrl_lane().schedule_at(
+                        self.ctrl_sink().lane.schedule_at(
                             now,
                             Event::RepairSync {
                                 node: NodeId(peer as u32),
@@ -1770,7 +1874,8 @@ impl Cluster {
             self.rebuild_ring();
             if self.shared.config.repair.mode.anti_entropy_enabled() {
                 let now = self.clock;
-                self.ctrl_lane()
+                self.ctrl_sink()
+                    .lane
                     .schedule_at(now, Event::RepairSync { node });
             }
         }
@@ -2035,8 +2140,33 @@ impl Cluster {
         level: Option<ConsistencyLevel>,
         at: SimTime,
     ) -> OpId {
+        let (lane, op_id) = self.admit(kind, key, size, scan_len, level);
+        lane.schedule_at(at, Event::ClientArrive { op_id });
+        op_id
+    }
+
+    /// Admit one submission: check it, route it to its home shard and park
+    /// it there as a pending op; the caller schedules the arrival on the
+    /// returned home lane. With one shard the coordinator is drawn at
+    /// arrival, from the one stream. Otherwise it is drawn here from the
+    /// control stream — admission is a serial point, so the draw order is a
+    /// pure function of the driver's call sequence — and the attempt homes
+    /// on the coordinator's shard: every message it exchanges then travels
+    /// a real coordinator↔replica link, so a cross-shard delivery is exactly
+    /// a delivery across the shard cut and can never undershoot the
+    /// lookahead bound.
+    fn admit(
+        &mut self,
+        kind: OpKind,
+        key: u64,
+        size: u32,
+        scan_len: u32,
+        level: Option<ConsistencyLevel>,
+    ) -> (&mut EventQueue<Event>, OpId) {
         self.assert_scan_segmentable(scan_len);
-        let (home, coordinator) = self.route_submission();
+        let coordinator = (!self.serial())
+            .then(|| draw_coordinator(&self.shared, &mut self.control_rng, &mut self.home_scratch));
+        let home = coordinator.map_or(0, |c| self.shared.shard_of(c));
         let s = &mut self.shard_states[home];
         let op_id = s.ops.insert(OpState::Pending(PendingOp {
             sub: Submission {
@@ -2049,23 +2179,7 @@ impl Cluster {
             coordinator,
             retry: None,
         }));
-        s.lane.schedule_at(at, Event::ClientArrive { op_id });
-        op_id
-    }
-
-    /// Route one submission to its home shard. Serial: shard 0, coordinator
-    /// drawn at arrival (the pre-sharding behaviour, byte-identical).
-    /// Parallel: the coordinator is drawn here from the control stream and
-    /// the attempt homes on its shard (see
-    /// [`Cluster::draw_coordinator_ctrl`]).
-    #[inline]
-    fn route_submission(&mut self) -> (usize, Option<NodeId>) {
-        if self.serial() {
-            (0, None)
-        } else {
-            let coordinator = self.draw_coordinator_ctrl();
-            (self.shared.shard_of(coordinator), Some(coordinator))
-        }
+        (&mut s.lane, op_id)
     }
 
     /// Bulk-submit a pre-sorted open-loop arrival stream.
@@ -2093,7 +2207,6 @@ impl Cluster {
     pub fn submit_batch(&mut self, ops: impl IntoIterator<Item = BatchOp>) -> usize {
         let mut submitted = 0usize;
         for op in ops {
-            self.assert_scan_segmentable(op.scan_len);
             assert!(
                 op.at >= self.bulk_tail,
                 "arrival at {}us precedes the batch tail ({}us); \
@@ -2102,21 +2215,8 @@ impl Cluster {
                 self.bulk_tail.as_micros()
             );
             self.bulk_tail = op.at;
-            let (home, coordinator) = self.route_submission();
-            let s = &mut self.shard_states[home];
-            let op_id = s.ops.insert(OpState::Pending(PendingOp {
-                sub: Submission {
-                    kind: op.kind,
-                    key: Key(op.key),
-                    size: op.size,
-                    scan_len: op.scan_len.max(1),
-                    level: op.level,
-                },
-                coordinator,
-                retry: None,
-            }));
-            s.lane
-                .bulk_push_sorted(op.at, Event::ClientArrive { op_id });
+            let (lane, op_id) = self.admit(op.kind, op.key, op.size, op.scan_len.max(1), op.level);
+            lane.bulk_push_sorted(op.at, Event::ClientArrive { op_id });
             submitted += 1;
         }
         submitted
@@ -2126,8 +2226,8 @@ impl Cluster {
     /// [`ClusterOutput::Tick`] when the simulation reaches `at`.
     pub fn schedule_tick(&mut self, at: SimTime, id: u64) {
         // Ticks are external control events with no home node; they ride
-        // the control lane and run at barrier edges.
-        self.ctrl_lane().schedule_at(at, Event::Tick { id });
+        // the control plane's lane.
+        self.ctrl_sink().lane.schedule_at(at, Event::Tick { id });
     }
 
     /// Process events until something reportable happens (an operation
@@ -2146,55 +2246,59 @@ impl Cluster {
     }
 
     fn advance_inner(&mut self, deadline: Option<SimTime>) -> Option<ClusterOutput> {
-        if self.serial() {
-            return self.advance_serial(deadline);
-        }
         loop {
             if let Some(out) = self.outputs.pop_front() {
                 return Some(out);
             }
-            if !self.step_window(deadline) {
+            let stepped = if self.serial() {
+                self.step_serial(deadline)
+            } else {
+                self.step_window(deadline)
+            };
+            if !stepped {
                 return None;
             }
         }
     }
 
-    /// The exact pre-sharding event loop: one lane, one RNG, every handler
-    /// inline. Byte-identical to the engine before parallel execution.
-    fn advance_serial(&mut self, deadline: Option<SimTime>) -> Option<ClusterOutput> {
-        loop {
-            if let Some(out) = self.outputs.pop_front() {
-                return Some(out);
-            }
-            let (now, event) = match deadline {
-                Some(d) => self.shard_states[0].lane.pop_before(d)?,
-                None => self.shard_states[0].lane.pop()?,
+    /// Advance the one-shard engine by one event: one lane, one RNG stream,
+    /// every handler inline and every event a serial point — no windows,
+    /// nothing staged. Returns `false` when nothing is left at or before
+    /// `deadline`.
+    fn step_serial(&mut self, deadline: Option<SimTime>) -> bool {
+        let lane = &mut self.shard_states[0].lane;
+        let Some((now, event)) = lane.pop_before(deadline.unwrap_or(SimTime::MAX)) else {
+            return false;
+        };
+        self.clock = now;
+        if !self.dispatch_ctrl(now, &event) {
+            let mut ctx = ShardCtx {
+                shared: &self.shared,
+                s: &mut self.shard_states[0],
+                ctrl: Some(&mut self.ctrl),
+                // Nothing is staged, so there is no boundary to clamp to.
+                boundary: SimTime::ZERO,
             };
-            self.clock = now;
-            self.dispatch_serial(now, event);
+            ctx.handle(now, event);
+            // Completions enter the output queue the moment their event
+            // produced them.
+            self.outputs.extend(self.shard_states[0].outputs.drain(..));
         }
+        true
     }
 
-    fn dispatch_serial(&mut self, now: SimTime, event: Event) {
-        match event {
+    /// Run `event` if it belongs to the control plane; returns whether it
+    /// did (a client or replica event is left to its shard's handlers).
+    #[inline]
+    fn dispatch_ctrl(&mut self, now: SimTime, event: &Event) -> bool {
+        match *event {
             Event::Tick { id } => self.outputs.push_back(ClusterOutput::Tick { id, at: now }),
             Event::HintReplay { node } => self.on_hint_replay(now, node),
             Event::AntiEntropy => self.on_anti_entropy(now),
             Event::RepairSync { node } => self.on_repair_sync(now, node),
-            other => {
-                let mut ctx = ShardCtx {
-                    shared: &self.shared,
-                    s: &mut self.shard_states[0],
-                    ctrl: Some(&mut self.ctrl),
-                    // The serial path never stages, so it has no boundary.
-                    boundary: SimTime::ZERO,
-                };
-                ctx.handle(now, other);
-                // Preserve the pre-sharding output order: completions enter
-                // the global queue the moment their event produced them.
-                self.outputs.extend(self.shard_states[0].outputs.drain(..));
-            }
+            _ => return false,
         }
+        true
     }
 
     /// Drain every event up to `deadline` (inclusive), returning the
@@ -2241,7 +2345,7 @@ impl Cluster {
             .iter()
             .filter_map(|s| s.lane.peek_key_packed())
             .min();
-        let ctrl_min = self.ctrl.lane.peek_key_packed();
+        let ctrl_min = self.control_lane.peek_key_packed();
         let next_key = match (shard_min, ctrl_min) {
             // Out of events: publish whatever elided folds deferred (the
             // second pass through here finds nothing pending and stops).
@@ -2273,11 +2377,17 @@ impl Cluster {
             // follow every completion that happened before it, and control
             // handlers must observe up-to-date control-plane state.
             self.flush_pending();
-            let (now, event) = self.ctrl.lane.pop().expect("control lane was just peeked");
+            let (now, event) = self
+                .control_lane
+                .pop()
+                .expect("control lane was just peeked");
             if now > self.clock {
                 self.clock = now;
             }
-            self.dispatch_ctrl(now, event);
+            assert!(
+                self.dispatch_ctrl(now, &event),
+                "client/replica events never enter the control lane"
+            );
             return true;
         }
         // One lookahead window: [floor, end) in packed-key space. The end
@@ -2331,16 +2441,6 @@ impl Cluster {
         });
         self.close_window(boundary);
         true
-    }
-
-    fn dispatch_ctrl(&mut self, now: SimTime, event: Event) {
-        match event {
-            Event::Tick { id } => self.outputs.push_back(ClusterOutput::Tick { id, at: now }),
-            Event::HintReplay { node } => self.on_hint_replay(now, node),
-            Event::AntiEntropy => self.on_anti_entropy(now),
-            Event::RepairSync { node } => self.on_repair_sync(now, node),
-            _ => unreachable!("client/replica events never enter the control lane"),
-        }
     }
 
     /// The serial barrier at the end of every window: advance the clock,
@@ -2404,16 +2504,7 @@ impl Cluster {
                             self.shard_states[dest].lane.schedule_at(at, ev);
                         }
                         OutMsg::WriteTask { at, node, payload } => {
-                            let d = &mut self.shard_states[dest];
-                            let id = d.intern_payload(payload);
-                            d.retain_payload(id);
-                            d.lane.schedule_at(
-                                at,
-                                Event::ReplicaArrive {
-                                    node,
-                                    task: ReplicaTask::Write { payload: id },
-                                },
-                            );
+                            self.shard_states[dest].deliver_write(at, node, payload);
                         }
                     }
                 }
@@ -2522,29 +2613,10 @@ impl Cluster {
                 let home = (op_id.0 as u32 % self.shared.nshards) as usize;
                 abandon_in(&mut self.shard_states[home], op_id);
             }
-            CtrlStaged::Hint {
-                from,
-                to,
-                key,
-                version,
-                size,
-            } => {
-                let capacity = self.shared.config.repair.hint_capacity() as usize;
-                if self.ctrl.hints[to.0 as usize].len() >= capacity {
-                    self.ctrl.metrics.hints_dropped += 1;
-                    // Dropped hints fall through to anti-entropy (no-op
-                    // unless the mode enables sweeps).
-                    let now = self.clock;
-                    resume_sweeps_parts(&self.shared, &mut self.ctrl, None, now);
-                } else {
-                    self.ctrl.hints[to.0 as usize].push_back(Hint {
-                        from,
-                        key,
-                        version,
-                        size,
-                    });
-                    self.ctrl.metrics.hints_queued += 1;
-                }
+            CtrlStaged::Hint { to, hint } => {
+                let now = self.clock;
+                let k = self.ctrl_sink();
+                enqueue_hint(k.shared, k.ctrl, k.lane, now, to, hint);
             }
             CtrlStaged::Resubmit {
                 sub,
@@ -2561,32 +2633,25 @@ impl Cluster {
                 // time, floored at the boundary; the jitter draw comes from
                 // the control stream, the same stream the coordinator draw
                 // uses, so the fold stays a pure function of (seed, shards).
-                let coordinator = self.draw_coordinator_ctrl();
-                let home = self.shared.shard_of(coordinator);
-                if backoff {
+                let coordinator =
+                    draw_coordinator(&self.shared, &mut self.control_rng, &mut self.home_scratch);
+                let when = if backoff {
                     let delay = backoff_delay(
-                        &self.shared.config.resilience,
                         self.shared.config.retry_on_timeout,
                         retry.retries_left,
-                        &mut self.ctrl.rng,
+                        &mut self.control_rng,
                     );
-                    let when = (at + delay).max(boundary);
-                    let s = &mut self.shard_states[home];
-                    let op_id = s.ops.insert(OpState::Pending(PendingOp {
-                        sub,
-                        coordinator: Some(coordinator),
-                        retry: Some(retry),
-                    }));
-                    s.lane.schedule_timeout(when, Event::ClientArrive { op_id });
+                    (at + delay).max(boundary)
                 } else {
-                    let s = &mut self.shard_states[home];
-                    let op_id = s.ops.insert(OpState::Pending(PendingOp {
-                        sub,
-                        coordinator: Some(coordinator),
-                        retry: Some(retry),
-                    }));
-                    s.lane.schedule_at(boundary, Event::ClientArrive { op_id });
-                }
+                    boundary
+                };
+                let s = &mut self.shard_states[self.shared.shard_of(coordinator)];
+                let op_id = s.ops.insert(OpState::Pending(PendingOp {
+                    sub,
+                    coordinator: Some(coordinator),
+                    retry: Some(retry),
+                }));
+                s.lane.schedule_timeout(when, Event::ClientArrive { op_id });
             }
         }
     }
@@ -2594,47 +2659,52 @@ impl Cluster {
     // ------------------------------------------------------------------
     // Control-plane handlers (hint replay, anti-entropy, recovery sync)
     //
-    // These run serially — on the single lane in serial mode, at barrier
-    // edges in parallel mode — because they touch cluster-wide state
-    // (hint queues, sweep cursor, every node's store). Their metering and
-    // delay sampling route through `repair_message_delay`/`repair_bytes`:
-    // shard 0's RNG and metrics in serial mode (byte-identical to the
-    // pre-parallel engine), the control stream otherwise.
+    // These run at serial points only, because they touch cluster-wide
+    // state (hint queues, sweep cursor, every node's store). Their meters
+    // go to the control plane's sink; their timers and delay draws go
+    // through `ctrl_sink`.
     // ------------------------------------------------------------------
 
-    fn repair_message_delay(&mut self, from: NodeId, to: NodeId, bytes: u32) -> SimDuration {
-        if self.serial() {
-            let s = &mut self.shard_states[0];
-            account_repair_message(&self.shared, &mut s.rng, &mut s.metrics, from, to, bytes)
-        } else {
-            account_repair_message(
-                &self.shared,
-                &mut self.ctrl.rng,
-                &mut self.ctrl.metrics,
-                from,
-                to,
-                bytes,
-            )
+    /// Send one background repair write `from → to` (a hint replay or a
+    /// streamed record): metered as repair traffic with a sampled link
+    /// delay, then scheduled straight into the destination shard's lane —
+    /// this is a serial point, so nothing needs staging. Sweeps and syncs
+    /// only pair nodes whose link is up, so the write that a partition can
+    /// eat here is a hint replay.
+    fn send_repair_write(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        to: NodeId,
+        key: Key,
+        version: Version,
+        size: u32,
+    ) {
+        let k = self.ctrl_sink();
+        let delay = account_repair_message(k.shared, k.rng, &mut k.ctrl.metrics, from, to, size);
+        if !self.shared.link_up(from, to) {
+            // Lost in a partition like any other message; anti-entropy (if
+            // enabled) reconciles the residue after the heal.
+            self.ctrl.metrics.messages_lost += 1;
+            return;
         }
+        self.shard_states[self.shared.shard_of(to)].deliver_write(
+            now + delay,
+            to,
+            WritePayload {
+                op_id: REPAIR_OP_ID,
+                key,
+                version,
+                size,
+                repair: true,
+                coordinator: pack_node(from),
+            },
+        );
     }
 
-    fn repair_bytes(&mut self, from: NodeId, to: NodeId, bytes: u32) {
-        if self.serial() {
-            account_repair_bytes(
-                &self.shared,
-                &mut self.shard_states[0].metrics,
-                from,
-                to,
-                bytes,
-            );
-        } else {
-            account_repair_bytes(&self.shared, &mut self.ctrl.metrics, from, to, bytes);
-        }
-    }
-
-    /// Start (or restart) the timer-wheel-paced hint replay chain to `node`
-    /// after it came back up. No-op when hints are disabled, the queue is
-    /// empty, or a chain is already scheduled.
+    /// Start (or restart) the paced hint replay chain to `node` after it
+    /// came back up. No-op when hints are disabled, the queue is empty, or
+    /// a chain is already scheduled.
     fn start_hint_replay(&mut self, node: NodeId) {
         let idx = node.0 as usize;
         if !self.shared.config.repair.mode.hints_enabled()
@@ -2644,13 +2714,14 @@ impl Cluster {
             return;
         }
         self.ctrl.hint_replay_active[idx] = true;
-        let at = self.clock + self.shared.config.repair.replay_interval();
-        self.ctrl_lane()
+        let at = self.clock + RepairConfig::HINT_REPLAY_INTERVAL;
+        self.ctrl_sink()
+            .lane
             .schedule_timeout(at, Event::HintReplay { node });
     }
 
     /// Replay one queued hint to `node` as a background repair write and
-    /// chain the next replay through the timer wheel.
+    /// chain the next replay one interval later.
     fn on_hint_replay(&mut self, now: SimTime, node: NodeId) {
         let idx = node.0 as usize;
         if self.shared.down[idx] {
@@ -2663,59 +2734,23 @@ impl Cluster {
             self.ctrl.hint_replay_active[idx] = false;
             return;
         };
-        self.ctrl_metrics().hints_replayed += 1;
-        let delay = self.repair_message_delay(hint.from, node, hint.size);
-        if self.shared.link_up(hint.from, node) {
-            // Control events run between windows: the repair write can be
-            // scheduled straight into the destination shard's lane.
-            let dest = self.shared.shard_of(node);
-            let s = &mut self.shard_states[dest];
-            let payload = s.intern_payload(WritePayload {
-                op_id: REPAIR_OP_ID,
-                key: hint.key,
-                version: hint.version,
-                size: hint.size,
-                repair: true,
-                coordinator: pack_node(hint.from),
-            });
-            s.retain_payload(payload);
-            s.lane.schedule_at(
-                now + delay,
-                Event::ReplicaArrive {
-                    node,
-                    task: ReplicaTask::Write { payload },
-                },
-            );
-        } else {
-            // Lost in a partition like any other message; anti-entropy (if
-            // enabled) reconciles the residue after the heal.
-            self.ctrl_metrics().messages_lost += 1;
-        }
+        self.ctrl.metrics.hints_replayed += 1;
+        self.send_repair_write(now, hint.from, node, hint.key, hint.version, hint.size);
         if self.ctrl.hints[idx].is_empty() {
             self.ctrl.hint_replay_active[idx] = false;
         } else {
-            let at = now + self.shared.config.repair.replay_interval();
-            self.ctrl_lane()
-                .schedule_timeout(at, Event::HintReplay { node });
+            self.ctrl_sink().lane.schedule_timeout(
+                now + RepairConfig::HINT_REPLAY_INTERVAL,
+                Event::HintReplay { node },
+            );
         }
     }
 
-    /// (Re)start the anti-entropy sweep cycle. The cycle parks itself after
-    /// a full round of node pairs that streamed nothing (so a drained queue
-    /// terminates `run_to_completion`); fault transitions call this to wake
-    /// it up again. No-op unless the mode enables anti-entropy.
+    /// (Re)start the anti-entropy sweep cycle (see [`resume_sweeps_parts`]).
     fn resume_sweeps(&mut self) {
         let now = self.clock;
-        if self.serial() {
-            resume_sweeps_parts(
-                &self.shared,
-                &mut self.ctrl,
-                Some(&mut self.shard_states[0].lane),
-                now,
-            );
-        } else {
-            resume_sweeps_parts(&self.shared, &mut self.ctrl, None, now);
-        }
+        let k = self.ctrl_sink();
+        resume_sweeps_parts(k.shared, k.ctrl, k.lane, now);
     }
 
     /// One anti-entropy step: compare the next node pair's page summaries,
@@ -2757,8 +2792,10 @@ impl Cluster {
             self.ctrl.sweep_active = false;
             return;
         }
-        let at = now + self.shared.config.repair.sweep_interval();
-        self.ctrl_lane().schedule_timeout(at, Event::AntiEntropy);
+        self.ctrl_sink().lane.schedule_timeout(
+            now + RepairConfig::ANTI_ENTROPY_INTERVAL,
+            Event::AntiEntropy,
+        );
     }
 
     /// Compare every page summary of a node pair (metered as network bytes
@@ -2769,13 +2806,12 @@ impl Cluster {
             .store(a)
             .summary_pages()
             .max(self.store(b).summary_pages());
-        let summary_bytes = self.shared.config.repair.summary_bytes();
         let mut streamed = 0u64;
         for page in 0..pages {
-            self.ctrl_metrics().repair_pages_compared += 1;
+            self.ctrl.metrics.repair_pages_compared += 1;
             // One summary message each way per compared page.
-            self.repair_bytes(a, b, summary_bytes);
-            self.repair_bytes(b, a, summary_bytes);
+            account_summary(&self.shared, &mut self.ctrl.metrics, a, b);
+            account_summary(&self.shared, &mut self.ctrl.metrics, b, a);
             if self.store(a).page_digest(page) != self.store(b).page_digest(page) {
                 streamed += self.stream_page_diff(now, a, b, page);
                 streamed += self.stream_page_diff(now, b, a, page);
@@ -2796,28 +2832,10 @@ impl Cluster {
         let mut streamed = 0u64;
         while let Some((next, key, version, size)) = self.next_divergent(from, to, page, cursor) {
             cursor = next;
-            let delay = self.repair_message_delay(from, to, size);
-            let dest = self.shared.shard_of(to);
-            let s = &mut self.shard_states[dest];
-            let payload = s.intern_payload(WritePayload {
-                op_id: REPAIR_OP_ID,
-                key,
-                version,
-                size,
-                repair: true,
-                coordinator: pack_node(from),
-            });
-            s.retain_payload(payload);
-            s.lane.schedule_at(
-                now + delay,
-                Event::ReplicaArrive {
-                    node: to,
-                    task: ReplicaTask::Write { payload },
-                },
-            );
+            self.send_repair_write(now, from, to, key, version, size);
             streamed += 1;
         }
-        self.ctrl_metrics().repair_records_streamed += streamed;
+        self.ctrl.metrics.repair_records_streamed += streamed;
         streamed
     }
 
@@ -2907,10 +2925,9 @@ impl Cluster {
                 .store(peer_id)
                 .summary_pages()
                 .max(self.store(node).summary_pages());
-            let summary_bytes = self.shared.config.repair.summary_bytes();
             for page in 0..pages {
-                self.ctrl_metrics().repair_pages_compared += 1;
-                self.repair_bytes(peer_id, node, summary_bytes);
+                self.ctrl.metrics.repair_pages_compared += 1;
+                account_summary(&self.shared, &mut self.ctrl.metrics, peer_id, node);
                 if self.store(peer_id).page_digest(page) != self.store(node).page_digest(page) {
                     streamed += self.stream_page_diff(now, peer_id, node, page);
                 }
@@ -2923,16 +2940,16 @@ impl Cluster {
 }
 
 /// One shard's view of the cluster during event execution: the immutable
-/// shared plane, the shard's own mutable state, and — in serial mode only —
+/// shared plane, the shard's own mutable state, and — with one shard only —
 /// the control plane. Handlers can touch nothing else, which is what makes
 /// the parallel windows data-race-free *and* schedule-independent: the
 /// borrow checker proves a handler's writes stay inside its own
 /// [`ShardState`], and everything cross-shard goes through the outbox.
 ///
-/// `ctrl` doubles as the mode switch: `Some` on the single-shard engine
-/// (hint queues reachable inline, acks sampled at apply time — byte-for-byte
-/// the pre-sharding behaviour), `None` inside a parallel window (cross-shard
-/// effects staged for the fold).
+/// `ctrl` doubles as the universe switch: `Some` on the one-shard engine,
+/// where every event is a serial point and control-plane state is reachable
+/// inline, `None` inside a window, where its effects are staged for the
+/// fold. The module docs' table lists the seven handlers that look at it.
 struct ShardCtx<'a> {
     shared: &'a ClusterShared,
     s: &'a mut ShardState,
@@ -2940,7 +2957,7 @@ struct ShardCtx<'a> {
     /// End of the window being executed: staged cross-shard times are
     /// clamped here *at staging time* (a clamp means the lookahead bound
     /// was optimistic for the traffic observed — counted as a violation).
-    /// Unused in serial mode (the serial path never stages).
+    /// Unused with one shard (nothing is ever staged).
     boundary: SimTime,
 }
 
@@ -3034,69 +3051,41 @@ impl ShardCtx<'_> {
         }
     }
 
-    fn pick_coordinator(&mut self) -> NodeId {
-        // Clients connect to a random live node (YCSB spreads connections
-        // round-robin; with many clients the effect is uniform).
-        if self.shared.down_count == 0 {
-            // Fast path: every node is up, so the up-node list is the
-            // identity — draw the index directly (same RNG consumption).
-            return NodeId(self.s.rng.index(self.shared.node_count) as u32);
-        }
-        let mut up = std::mem::take(&mut self.s.up_scratch);
-        up.clear();
-        up.extend(
-            self.shared
-                .config
-                .topology
-                .nodes()
-                .filter(|n| !self.shared.down[n.0 as usize]),
-        );
-        let pick = if up.is_empty() {
-            NodeId(0)
+    /// Send the interned write `payload` to `replica`, arriving at `at`: one
+    /// more reference to the handle on this shard's lane, or the payload by
+    /// value through the outbox (handles never cross shards).
+    fn send_write(&mut self, at: SimTime, replica: NodeId, payload: PayloadId) {
+        let dest = self.shared.shard_of(replica);
+        if dest as u32 == self.s.shard {
+            self.s.retain_payload(payload);
+            self.s.lane.schedule_at(
+                at,
+                Event::ReplicaArrive {
+                    node: replica,
+                    task: ReplicaTask::Write { payload },
+                },
+            );
         } else {
-            up[self.s.rng.index(up.len())]
-        };
-        self.s.up_scratch = up;
-        pick
+            let at = self.stage_time(at);
+            self.s.outbox_dest[dest].push(OutMsg::WriteTask {
+                at,
+                node: replica,
+                payload: self.s.write_payloads[payload as usize].payload,
+            });
+        }
     }
 
-    /// Queue a hinted-handoff mutation for a down replica. Hint queues are
-    /// control-plane state: reachable inline in serial mode, staged to the
-    /// fold from a parallel window.
-    fn queue_hint(
-        &mut self,
-        now: SimTime,
-        from: NodeId,
-        to: NodeId,
-        key: Key,
-        version: Version,
-        size: u32,
-    ) {
-        let Some(ctrl) = self.ctrl.as_deref_mut() else {
-            self.s.window_staged += 1;
-            self.s.outbox_ctrl.push(CtrlStaged::Hint {
-                from,
-                to,
-                key,
-                version,
-                size,
-            });
-            return;
-        };
-        if ctrl.hints[to.0 as usize].len() >= self.shared.config.repair.hint_capacity() as usize {
-            self.s.metrics.hints_dropped += 1;
-            // Dropped hints fall through to anti-entropy (no-op unless the
-            // mode enables sweeps).
-            resume_sweeps_parts(self.shared, ctrl, Some(&mut self.s.lane), now);
-            return;
+    /// Queue a hinted-handoff mutation for the down replica `to`. Hint
+    /// queues are control-plane state: reachable inline on the one-shard
+    /// engine, staged to the fold from a window.
+    fn queue_hint(&mut self, now: SimTime, to: NodeId, hint: Hint) {
+        match self.ctrl.as_deref_mut() {
+            Some(ctrl) => enqueue_hint(self.shared, ctrl, &mut self.s.lane, now, to, hint),
+            None => {
+                self.s.window_staged += 1;
+                self.s.outbox_ctrl.push(CtrlStaged::Hint { to, hint });
+            }
         }
-        ctrl.hints[to.0 as usize].push_back(Hint {
-            from,
-            key,
-            version,
-            size,
-        });
-        self.s.metrics.hints_queued += 1;
     }
 
     fn on_client_arrive(&mut self, now: SimTime, op_id: OpId) {
@@ -3109,8 +3098,8 @@ impl ShardCtx<'_> {
             retries_left: self.shared.config.retry_on_timeout,
             client_id: op_id,
         });
-        if let Some(c) = p.coordinator {
-            if self.shared.down[c.0 as usize] {
+        let coordinator = match p.coordinator {
+            Some(c) if self.shared.down[c.0 as usize] => {
                 // The pre-routed coordinator went down between routing and
                 // arrival: re-route through the fold (fresh draw among the
                 // up nodes). No retry budget is consumed — the client never
@@ -3126,29 +3115,28 @@ impl ShardCtx<'_> {
                 });
                 return;
             }
-        }
+            Some(c) => c,
+            // One shard: nothing was routed at admission; draw now.
+            None => draw_coordinator(self.shared, &mut self.s.rng, &mut self.s.up_scratch),
+        };
         match p.sub.kind {
-            OpKind::Write => self.start_write(now, op_id, p.sub, p.coordinator, retry),
-            OpKind::Read => self.start_read(now, op_id, p.sub, p.coordinator, retry),
+            OpKind::Write => self.start_write(now, op_id, p.sub, coordinator, retry),
+            OpKind::Read => self.start_read(now, op_id, p.sub, coordinator, retry),
         }
     }
 
-    /// Issue a write attempt. `coordinator` is the pre-routed coordinator
-    /// (parallel engine) or `None` to draw one now from this shard's stream
-    /// (serial engine — the pre-sharding behaviour). `retry` carries the
-    /// client-visible submission time, the remaining budget and the id
-    /// `submit_*` handed out, which differ from `now`/`op_id` for retried
-    /// attempts so latency spans every attempt and completions keep the
-    /// submitted id.
+    /// Issue a write attempt. `retry` carries the client-visible submission
+    /// time, the remaining budget and the id `submit_*` handed out, which
+    /// differ from `now`/`op_id` for retried attempts so latency spans every
+    /// attempt and completions keep the submitted id.
     fn start_write(
         &mut self,
         now: SimTime,
         op_id: OpId,
         sub: Submission,
-        coordinator: Option<NodeId>,
+        coordinator: NodeId,
         retry: RetryCtx,
     ) {
-        let coordinator = coordinator.unwrap_or_else(|| self.pick_coordinator());
         let level = sub.level.unwrap_or(self.shared.write_level);
         let required_acks = self.shared.config.required_acks(level);
         let version = if self.ctrl.is_some() {
@@ -3162,17 +3150,14 @@ impl ShardCtx<'_> {
 
         // One interned payload serves the whole local fan-out: the scheduled
         // events each carry a 4-byte handle instead of a full mutation copy.
-        // Replicas on other shards receive the payload by value at the fold
-        // (handles never cross shards).
-        let pl = WritePayload {
+        let payload = self.s.intern_payload(WritePayload {
             op_id,
             key: sub.key,
             version,
             size: sub.size,
             repair: false,
             coordinator: pack_node(coordinator),
-        };
-        let payload = self.s.intern_payload(pl);
+        });
         for &replica in &replicas {
             let delay = self.account_message(coordinator, replica, sub.size);
             if self.shared.down[replica.0 as usize] {
@@ -3180,7 +3165,13 @@ impl ShardCtx<'_> {
                 // handoff the coordinator queues a bounded hint to replay
                 // once the node is back up.
                 if self.shared.config.repair.mode.hints_enabled() {
-                    self.queue_hint(now, coordinator, replica, sub.key, version, sub.size);
+                    let hint = Hint {
+                        from: coordinator,
+                        key: sub.key,
+                        version,
+                        size: sub.size,
+                    };
+                    self.queue_hint(now, replica, hint);
                 }
                 continue;
             }
@@ -3190,24 +3181,7 @@ impl ShardCtx<'_> {
                 continue;
             }
             targeted += 1;
-            let dest = self.shared.shard_of(replica);
-            if dest as u32 == self.s.shard {
-                self.s.retain_payload(payload);
-                self.s.lane.schedule_at(
-                    now + delay,
-                    Event::ReplicaArrive {
-                        node: replica,
-                        task: ReplicaTask::Write { payload },
-                    },
-                );
-            } else {
-                let at = self.stage_time(now + delay);
-                self.s.outbox_dest[dest].push(OutMsg::WriteTask {
-                    at,
-                    node: replica,
-                    payload: pl,
-                });
-            }
+            self.send_write(now + delay, replica, payload);
         }
         self.s.discard_unreferenced_payload(payload);
         self.s.replica_scratch = replicas;
@@ -3217,7 +3191,6 @@ impl ShardCtx<'_> {
             *state = OpState::Write(WriteState {
                 key: sub.key,
                 version,
-                coordinator,
                 issued_at: retry.issued_at,
                 required_acks,
                 acks: 0,
@@ -3233,9 +3206,8 @@ impl ShardCtx<'_> {
             });
         }
         // One pending timer per in-flight op would dominate the heap; the
-        // queue's timer-wheel lane keeps them out of it at O(1) regardless
-        // of the timeout pattern. The timer lives on the op's home lane —
-        // where the state it fires against lives.
+        // queue's sorted timeout lane keeps them out of it. The timer lives
+        // on the op's home lane — where the state it fires against lives.
         self.s.lane.schedule_timeout(
             now + self.shared.config.op_timeout,
             Event::OpTimeout { op_id },
@@ -3258,16 +3230,15 @@ impl ShardCtx<'_> {
         now: SimTime,
         op_id: OpId,
         sub: Submission,
-        coordinator: Option<NodeId>,
+        coordinator: NodeId,
         retry: RetryCtx,
     ) {
-        let coordinator = coordinator.unwrap_or_else(|| self.pick_coordinator());
         let level = sub.level.unwrap_or(self.shared.read_level);
         let required = self.shared.config.required_acks(level);
-        // Serial: capture the freshness expectation inline, exactly as the
-        // pre-sharding engine did. Parallel: the oracle is untouchable
-        // inside a window; the completion fold resolves the expectation
-        // retroactively as of `now` (stored in `attempt_at` below).
+        // One shard: capture the freshness expectation inline. Otherwise
+        // the oracle is untouchable inside a window; the completion fold
+        // resolves the expectation retroactively as of `now` (stored in
+        // `attempt_at` below).
         let expected_version = match self.ctrl.as_deref() {
             Some(ctrl) => ctrl.oracle.expected_version(sub.key),
             None => Version::NONE,
@@ -3411,24 +3382,11 @@ impl ShardCtx<'_> {
             {
                 continue;
             }
-            let mut score = if dynamic {
-                // Same ranking as `select_read_replicas`: distance prior
-                // plus observed excess.
-                let h = &self.s.health[replica.0 as usize];
-                2.0 * row[replica.0 as usize] * 1_000.0 + h.ewma.value_or(0.0)
+            let score = if dynamic {
+                self.s.health[replica.0 as usize].score(row[replica.0 as usize])
             } else {
                 row[replica.0 as usize]
             };
-            if dynamic
-                && matches!(
-                    self.s.health[replica.0 as usize].breaker,
-                    Breaker::Open { .. }
-                )
-            {
-                // An open breaker ranks behind every healthy candidate but
-                // can still serve as the hedge of last resort.
-                score += 1e12;
-            }
             let better = match best {
                 None => true,
                 Some((bs, bn)) => score < bs || (score == bs && replica.0 < bn.0),
@@ -3526,19 +3484,7 @@ impl ShardCtx<'_> {
                 }
                 let row = &self.shared.mean_lat[coordinator.0 as usize * self.shared.node_count..]
                     [..self.shared.node_count];
-                let health = &s.health[..];
-                let score = |n: NodeId| -> f64 {
-                    let h = &health[n.0 as usize];
-                    // Distance prior (expected round trip, ms → µs) plus
-                    // the observed excess; unmeasured nodes rank purely by
-                    // distance, i.e. exactly like `Closest`.
-                    let base = 2.0 * row[n.0 as usize] * 1_000.0 + h.ewma.value_or(0.0);
-                    if matches!(h.breaker, Breaker::Open { .. }) {
-                        base + 1e12
-                    } else {
-                        base
-                    }
-                };
+                let score = |n: NodeId| s.health[n.0 as usize].score(row[n.0 as usize]);
                 candidates.sort_by(|a, b| {
                     score(*a)
                         .partial_cmp(&score(*b))
@@ -3615,141 +3561,24 @@ impl ShardCtx<'_> {
             return;
         }
 
-        match task {
+        // Serve the task. What goes back to the coordinator is a write ack
+        // or a read response; the task carries the coordinator.
+        let (op_id, coordinator, bytes, response) = match task {
             ReplicaTask::Write { payload } => {
                 // Final consumption of this task's payload reference.
-                let WritePayload {
-                    op_id,
-                    key,
-                    version,
-                    size,
-                    repair,
-                    coordinator: coordinator_packed,
-                } = self.s.release_payload(payload);
-                self.s.stores[idx].apply_write(key, version, size, now);
+                let p = self.s.release_payload(payload);
+                self.s.stores[idx].apply_write(p.key, p.version, p.size, now);
                 self.s.metrics.storage_write_ops += 1;
-                if repair {
+                if p.repair {
                     return; // background repair: no coordinator ack
                 }
-                if self.ctrl.is_some() {
-                    // Serial engine: the op state is at hand, so track
-                    // propagation at apply time — byte-identical to the
-                    // pre-sharding behaviour.
-                    let info = match self.s.ops.get_mut(op_id) {
-                        Some(OpState::Write(w)) => {
-                            w.applied += 1;
-                            Some((w.coordinator, w.applied, w.targeted, w.issued_at))
-                        }
-                        _ => None,
-                    };
-                    let Some((coordinator, applied, targeted, issued_at)) = info else {
-                        return;
-                    };
-                    // The ring always yields exactly RF distinct replicas,
-                    // so the full-propagation check needs no ring walk.
-                    let rf = self.shared.ring.replication_factor();
-                    if applied == targeted && targeted == rf {
-                        let d = now - issued_at;
-                        self.s.metrics.propagation.record(d);
-                        self.s.propagation.push(d);
-                    }
-                    // Send the ack back to the coordinator.
-                    let delay = slow_response(
-                        self.shared,
-                        node,
-                        self.account_message(
-                            node,
-                            coordinator,
-                            self.shared.config.small_message_bytes,
-                        ),
-                    );
-                    if !self.shared.link_up(node, coordinator) {
-                        // The ack is lost in the partition: the coordinator
-                        // will never hear from this replica, so stop
-                        // expecting it — otherwise the op's state could
-                        // never be reclaimed.
-                        self.s.metrics.messages_lost += 1;
-                        abandon_in(self.s, op_id);
-                        return;
-                    }
-                    self.s.lane.schedule_at(
-                        now + delay,
-                        Event::CoordinatorWriteAck {
-                            op_id,
-                            from: node,
-                            applied_at: now,
-                        },
-                    );
-                } else if self.op_home(op_id) == self.s.shard {
-                    // Parallel engine, home-local apply: the op state is
-                    // readable, but propagation is tracked ack-side (from
-                    // `applied_at` maxima) so local and remote replicas
-                    // contribute identically.
-                    let coordinator = match self.s.ops.get(op_id) {
-                        Some(OpState::Write(w)) => w.coordinator,
-                        _ => return,
-                    };
-                    let delay = slow_response(
-                        self.shared,
-                        node,
-                        self.account_message(
-                            node,
-                            coordinator,
-                            self.shared.config.small_message_bytes,
-                        ),
-                    );
-                    if !self.shared.link_up(node, coordinator) {
-                        self.s.metrics.messages_lost += 1;
-                        abandon_in(self.s, op_id);
-                        return;
-                    }
-                    self.s.lane.schedule_at(
-                        now + delay,
-                        Event::CoordinatorWriteAck {
-                            op_id,
-                            from: node,
-                            applied_at: now,
-                        },
-                    );
-                } else {
-                    let coordinator = NodeId(coordinator_packed as u32);
-                    // Foreign op: the home shard's op state is unreadable
-                    // from here, but the payload carries the coordinator,
-                    // so the ack's delay is sampled and its traffic metered
-                    // on *this* shard's stream at apply time — sender-side
-                    // draws leave the barrier fold with no RNG demand,
-                    // which is what lets quiet windows elide it. The op may
-                    // already be dead (a timeout retry freed the slot); the
-                    // generation-checked id makes the ack a no-op at the
-                    // coordinator, so drawing unconditionally is both safe
-                    // and deterministic.
-                    let delay = slow_response(
-                        self.shared,
-                        node,
-                        self.account_message(
-                            node,
-                            coordinator,
-                            self.shared.config.small_message_bytes,
-                        ),
-                    );
-                    if !self.shared.link_up(node, coordinator) {
-                        // The ack is lost in the partition: tell the home
-                        // shard to stop expecting it.
-                        self.s.metrics.messages_lost += 1;
-                        self.abandon(op_id);
-                        return;
-                    }
-                    let home = self.op_home(op_id) as usize;
-                    self.send_event(
-                        home,
-                        now + delay,
-                        Event::CoordinatorWriteAck {
-                            op_id,
-                            from: node,
-                            applied_at: now,
-                        },
-                    );
-                }
+                let ack = Event::CoordinatorWriteAck {
+                    op_id: p.op_id,
+                    from: node,
+                    applied_at: now,
+                };
+                let bytes = self.shared.config.small_message_bytes;
+                (p.op_id, p.coordinator, bytes, ack)
             }
             ReplicaTask::Read {
                 op_id,
@@ -3757,7 +3586,7 @@ impl ShardCtx<'_> {
                 data,
                 len,
                 segment,
-                coordinator: coordinator_packed,
+                coordinator,
             } => {
                 let len = len as u32;
                 // Point reads probe one slot; range scans stream `len`
@@ -3788,82 +3617,78 @@ impl ShardCtx<'_> {
                         range.records,
                     )
                 };
-                if self.ctrl.is_some() || self.op_home(op_id) == self.s.shard {
-                    let coordinator = match self.s.ops.get(op_id) {
-                        Some(OpState::Read(r)) => r.coordinator,
-                        _ => return,
-                    };
-                    let payload = if data {
-                        size
-                    } else {
-                        self.shared.config.small_message_bytes
-                    };
-                    let delay = slow_response(
-                        self.shared,
-                        node,
-                        self.account_message(node, coordinator, payload),
-                    );
-                    if !self.shared.link_up(node, coordinator) {
-                        // Response lost in the partition; the read completes
-                        // via other replicas or times out.
-                        self.s.metrics.messages_lost += 1;
-                        return;
-                    }
-                    self.s.lane.schedule_at(
-                        now + delay,
-                        Event::CoordinatorReadResponse {
-                            op_id,
-                            from: node,
-                            version,
-                            size,
-                            // Digests answer with a checksum, not records:
-                            // only the data response contributes coverage.
-                            records: if data { records } else { 0 },
-                            segment,
-                        },
-                    );
+                let response = Event::CoordinatorReadResponse {
+                    op_id,
+                    from: node,
+                    version,
+                    size,
+                    // Digests answer with a checksum, not records: only the
+                    // data response contributes coverage.
+                    records: if data { records } else { 0 },
+                    segment,
+                };
+                let bytes = if data {
+                    size
                 } else {
-                    let coordinator = NodeId(coordinator_packed as u32);
-                    // Foreign op: sender-side draw, same rationale as the
-                    // write-ack branch above — the task carries the
-                    // coordinator, so delay sampling, metering and the
-                    // data/digest payload gating all happen on this shard's
-                    // stream, and a dead op's response dies at the
-                    // coordinator's generation check.
-                    let payload = if data {
-                        size
-                    } else {
-                        self.shared.config.small_message_bytes
-                    };
-                    let delay = slow_response(
-                        self.shared,
-                        node,
-                        self.account_message(node, coordinator, payload),
-                    );
-                    if !self.shared.link_up(node, coordinator) {
-                        // Response lost in the partition; the read completes
-                        // via other replicas or times out.
-                        self.s.metrics.messages_lost += 1;
-                        return;
+                    self.shared.config.small_message_bytes
+                };
+                (op_id, coordinator, bytes, response)
+            }
+        };
+        // An op lives on its coordinator's shard (see `Cluster::admit`). One
+        // homed here is looked up first: if it is already freed (it
+        // completed, or a timeout retry released the slot) the replica
+        // sends nothing and draws nothing. A foreign op's state is
+        // unreadable from here, so its response is sent regardless and dies
+        // at the coordinator's generation check if the op is gone — drawing
+        // unconditionally is both safe and deterministic.
+        let is_ack = matches!(task, ReplicaTask::Write { .. });
+        let coordinator = NodeId(coordinator as u32);
+        let home = self.shared.shard_of(coordinator);
+        debug_assert_eq!(home as u32, self.op_home(op_id));
+        if home as u32 == self.s.shard {
+            let s = &mut *self.s;
+            match s.ops.get_mut(op_id) {
+                Some(OpState::Write(w)) if is_ack => {
+                    if self.ctrl.is_some() {
+                        // One shard: every replica's apply is visible here,
+                        // so the full-propagation sample is taken at apply
+                        // time (at ack time otherwise, see `on_write_ack`).
+                        // The ring always yields exactly RF distinct
+                        // replicas, so the check needs no ring walk.
+                        w.applied += 1;
+                        let rf = self.shared.ring.replication_factor();
+                        if w.applied == w.targeted && w.targeted == rf {
+                            let d = now - w.issued_at;
+                            s.metrics.propagation.record(d);
+                            s.propagation.push(d);
+                        }
                     }
-                    let home = self.op_home(op_id) as usize;
-                    self.send_event(
-                        home,
-                        now + delay,
-                        Event::CoordinatorReadResponse {
-                            op_id,
-                            from: node,
-                            version,
-                            size,
-                            // Digests answer with a checksum, not records:
-                            // only the data response contributes coverage.
-                            records: if data { records } else { 0 },
-                            segment,
-                        },
-                    );
                 }
+                Some(OpState::Read(_)) if !is_ack => {}
+                _ => return,
             }
         }
+        // The delay is sampled and the message metered on *this* shard's
+        // stream at service time, wherever the op lives, so the barrier
+        // fold needs no RNG for response traffic — which is what lets quiet
+        // windows elide it.
+        let delay = slow_response(
+            self.shared,
+            node,
+            self.account_message(node, coordinator, bytes),
+        );
+        if !self.shared.link_up(node, coordinator) {
+            // Lost in the partition. A read completes via other replicas or
+            // times out; a write must stop expecting this ack, or its state
+            // could never be reclaimed.
+            self.s.metrics.messages_lost += 1;
+            if is_ack {
+                self.abandon(op_id);
+            }
+            return;
+        }
+        self.send_event(home, now + delay, response);
     }
 
     fn on_write_ack(&mut self, now: SimTime, op_id: OpId, _from: NodeId, applied_at: SimTime) {
@@ -3875,9 +3700,9 @@ impl ShardCtx<'_> {
         };
         w.acks += 1;
         if !serial {
-            // Parallel engine: the propagation sample is derived from the
-            // acks themselves — the latest reported apply time once every
-            // targeted replica (the full RF) has answered. Serial mode
+            // More than one shard: the propagation sample is derived from
+            // the acks themselves — the latest reported apply time once
+            // every targeted replica (the full RF) has answered. One shard
             // samples at apply time instead (see on_replica_done) and never
             // touches `max_applied_at`.
             if applied_at > w.max_applied_at {
@@ -3891,24 +3716,11 @@ impl ShardCtx<'_> {
         }
         if !w.completed && w.acks >= w.required_acks {
             w.completed = true;
-            let completed = CompletedOp {
-                id: w.client_id,
-                kind: OpKind::Write,
-                key: w.key,
-                issued_at: w.issued_at,
-                completed_at: now,
-                status: OpStatus::Ok,
-                replicas_involved: w.level_used,
-                returned_version: w.version,
-                stale: false,
-                staleness_depth: 0,
-                records_returned: 0,
-            };
-            // The ack becomes ground truth for later reads: inline on the
-            // serial engine (same call order as the pre-sharding code),
-            // staged to the fold from a parallel window (the central
-            // oracle is frozen while windows run) with its true ack time,
-            // which retroactive classification queries filter by.
+            let completed = w.completion(now, OpStatus::Ok);
+            // The ack becomes ground truth for later reads: inline with one
+            // shard, staged to the fold from a window (the central oracle
+            // is frozen while windows run) with its true ack time, which
+            // retroactive classification queries filter by.
             match self.ctrl.as_deref_mut() {
                 Some(ctrl) => ctrl.oracle.record_ack(w.key, w.version, now),
                 None => {
@@ -4003,15 +3815,7 @@ impl ShardCtx<'_> {
                 unreachable!("state was just borrowed");
             };
             let key = r.key;
-            let expected = r.expected_version;
             let best = r.best_version;
-            let issued_at = r.issued_at;
-            let attempt_at = r.attempt_at;
-            let required = r.required;
-            let contacted = r.contacted;
-            let coordinator = r.coordinator;
-            let best_size = r.best_size;
-            let records_returned = r.records;
             // The hedge "won" when the speculative duplicate's response is
             // the one that completes the read — the tail-latency save.
             if r.hedge == Some(from) {
@@ -4024,28 +3828,15 @@ impl ShardCtx<'_> {
             let needs_repair =
                 self.shared.config.read_repair && r.min_version < best && r.scan_len == 1;
 
-            let mut completed = CompletedOp {
-                id: r.client_id,
-                kind: OpKind::Read,
-                key,
-                issued_at,
-                completed_at: now,
-                status: OpStatus::Ok,
-                replicas_involved: required,
-                returned_version: best,
-                stale: false,
-                staleness_depth: 0,
-                records_returned,
-            };
-            // Serial: classify against (and count in) the central oracle
-            // inline, byte-identical to the pre-sharding call. Parallel:
-            // the classification needs the serialized ack history, so the
-            // completion (classification, metric, client output) finishes
-            // at this window's fold — read repair below is
+            let mut completed = r.completion(now, OpStatus::Ok);
+            // One shard: classify against (and count in) the central oracle
+            // inline. Otherwise the classification needs the serialized ack
+            // history, so the completion (classification, metric, client
+            // output) finishes at a fold — read repair below is
             // oracle-independent and stays in-window.
             match self.ctrl.as_deref_mut() {
                 Some(ctrl) => {
-                    let class = ctrl.oracle.classify_read(key, expected, best);
+                    let class = ctrl.oracle.classify_read(key, r.expected_version, best);
                     completed.stale = class.stale;
                     completed.staleness_depth = class.depth;
                     self.s.metrics.record_completion(
@@ -4057,51 +3848,32 @@ impl ShardCtx<'_> {
                 }
                 None => {
                     self.s.window_staged += 1;
-                    self.s.outbox_dones.push((completed, attempt_at));
+                    self.s.outbox_dones.push((completed, r.attempt_at));
                 }
             }
 
             if needs_repair {
                 // Push the freshest version back to the contacted replicas
-                // (one interned payload for the whole local repair fan-out;
-                // foreign replicas get it by value at the fold).
-                let pl = WritePayload {
+                // (one interned payload for the whole repair fan-out).
+                let payload = self.s.intern_payload(WritePayload {
                     op_id,
                     key,
                     version: best,
-                    size: best_size,
+                    size: r.best_size,
                     repair: true,
                     // Repair writes ack nobody; carried for layout only.
-                    coordinator: pack_node(coordinator),
-                };
-                let payload = self.s.intern_payload(pl);
-                for &replica in contacted.iter() {
-                    let delay = self.account_message(coordinator, replica, best_size);
+                    coordinator: pack_node(r.coordinator),
+                });
+                for &replica in r.contacted.iter() {
+                    let delay = self.account_message(r.coordinator, replica, r.best_size);
                     if self.shared.down[replica.0 as usize] {
                         continue;
                     }
-                    if !self.shared.link_up(coordinator, replica) {
+                    if !self.shared.link_up(r.coordinator, replica) {
                         self.s.metrics.messages_lost += 1;
                         continue;
                     }
-                    let dest = self.shared.shard_of(replica);
-                    if dest as u32 == self.s.shard {
-                        self.s.retain_payload(payload);
-                        self.s.lane.schedule_at(
-                            now + delay,
-                            Event::ReplicaArrive {
-                                node: replica,
-                                task: ReplicaTask::Write { payload },
-                            },
-                        );
-                    } else {
-                        let at = self.stage_time(now + delay);
-                        self.s.outbox_dest[dest].push(OutMsg::WriteTask {
-                            at,
-                            node: replica,
-                            payload: pl,
-                        });
-                    }
+                    self.send_write(now + delay, replica, payload);
                 }
                 self.s.discard_unreferenced_payload(payload);
             }
@@ -4111,26 +3883,24 @@ impl ShardCtx<'_> {
     fn on_timeout(&mut self, now: SimTime, op_id: OpId) {
         // Breaker strikes (Dynamic selection only): a read attempt timing
         // out is a failure strike against every replica it contacted —
-        // `threshold` consecutive strikes open a node's breaker for
-        // `cooldown`, steering subsequent reads away until the half-open
-        // probe succeeds. A node that does answer has its strike count
-        // reset on every response, so only persistently silent replicas
-        // accumulate to the threshold. Writes are excluded: a write timeout
-        // implicates the consistency level, not a single replica.
+        // `BREAKER_FAILURES` consecutive strikes open a node's breaker for
+        // `BREAKER_COOLDOWN`, steering subsequent reads away until the
+        // half-open probe succeeds. A node that does answer has its strike
+        // count reset on every response, so only persistently silent
+        // replicas accumulate to the threshold. Writes are excluded: a
+        // write timeout implicates the consistency level, not a single
+        // replica.
         if self.shared.selection == ReplicaSelection::Dynamic {
-            let res = &self.shared.config.resilience;
-            let threshold = res.breaker_threshold();
-            let cooldown = res.cooldown();
             let s = &mut *self.s;
             if let Some(OpState::Read(r)) = s.ops.get(op_id) {
                 for &n in r.contacted.iter() {
                     let h = &mut s.health[n.0 as usize];
                     h.failures += 1;
-                    if h.failures >= threshold
+                    if h.failures >= ResilienceConfig::BREAKER_FAILURES
                         && matches!(h.breaker, Breaker::Closed | Breaker::HalfOpen)
                     {
                         h.breaker = Breaker::Open {
-                            until: now + cooldown,
+                            until: now + ResilienceConfig::BREAKER_COOLDOWN,
                         };
                         s.metrics.breaker_opens += 1;
                     }
@@ -4151,9 +3921,11 @@ impl ShardCtx<'_> {
                     scan_len: 1,
                     level: w.level,
                 },
-                w.issued_at,
-                w.retries_left - 1,
-                w.client_id,
+                RetryCtx {
+                    issued_at: w.issued_at,
+                    retries_left: w.retries_left - 1,
+                    client_id: w.client_id,
+                },
             )),
             Some(OpState::Read(r)) if r.retries_left > 0 => Some((
                 Submission {
@@ -4163,71 +3935,31 @@ impl ShardCtx<'_> {
                     scan_len: r.scan_len,
                     level: r.level,
                 },
-                r.issued_at,
-                r.retries_left - 1,
-                r.client_id,
+                RetryCtx {
+                    issued_at: r.issued_at,
+                    retries_left: r.retries_left - 1,
+                    client_id: r.client_id,
+                },
             )),
             _ => None,
         };
-        if let Some((sub, issued_at, retries_left, client_id)) = retry {
+        if let Some((sub, retry)) = retry {
             // Orphan the timed-out attempt: its slab slot is freed, so
             // straggler acks and responses miss on the generation check. The
             // retry runs under a fresh internal id but keeps reporting under
             // the id `submit_*` handed out.
             self.s.ops.remove(op_id);
             self.s.metrics.retries += 1;
-            let retry = RetryCtx {
-                issued_at,
-                retries_left,
-                client_id,
-            };
             let backoff = self.shared.config.resilience.backoff;
-            if self.ctrl.is_some() {
-                if backoff {
-                    // Backoff on: park the attempt as a Pending op and
-                    // re-arrive it after an exponentially growing, jittered
-                    // delay (drawn from this shard's stream — one draw per
-                    // backed-off retry, zero when the feature is off). The
-                    // delays are heterogeneous by construction, so they
-                    // route through the timer wheel, not the sorted FIFO.
-                    self.s.metrics.backoff_retries += 1;
-                    let delay = backoff_delay(
-                        &self.shared.config.resilience,
-                        self.shared.config.retry_on_timeout,
-                        retries_left,
-                        &mut self.s.rng,
-                    );
-                    let new_id = self.s.ops.insert(OpState::Pending(PendingOp {
-                        sub,
-                        coordinator: None,
-                        retry: Some(retry),
-                    }));
-                    self.s
-                        .lane
-                        .schedule_timeout(now + delay, Event::ClientArrive { op_id: new_id });
-                } else {
-                    // Serial engine: re-issue inline with a fresh coordinator
-                    // drawn at this instant — the pre-sharding behaviour.
-                    let new_id = self.s.ops.insert(OpState::Pending(PendingOp {
-                        sub,
-                        coordinator: None,
-                        retry: None,
-                    }));
-                    match sub.kind {
-                        OpKind::Write => self.start_write(now, new_id, sub, None, retry),
-                        OpKind::Read => self.start_read(now, new_id, sub, None, retry),
-                    }
-                }
-            } else {
-                // Parallel engine: the fresh coordinator may live on any
-                // shard, so the attempt re-routes through the fold — drawn
-                // from the control stream and re-homed on the coordinator's
-                // shard, like a brand-new submission. With backoff on, the
-                // fold delays the re-arrival past the window boundary by the
-                // jittered amount (control-stream draw).
-                if backoff {
-                    self.s.metrics.backoff_retries += 1;
-                }
+            if backoff {
+                self.s.metrics.backoff_retries += 1;
+            }
+            if self.ctrl.is_none() {
+                // More than one shard: the fresh coordinator may live on
+                // any of them, so the attempt re-routes through the fold —
+                // drawn from the control stream and re-homed on the
+                // coordinator's shard, like a brand-new submission, after
+                // the backoff if there is one.
                 self.s.window_staged += 1;
                 self.s.outbox_ctrl.push(CtrlStaged::Resubmit {
                     sub,
@@ -4235,6 +3967,28 @@ impl ShardCtx<'_> {
                     at: now,
                     backoff,
                 });
+                return;
+            }
+            // One shard: the attempt re-arrives here, and draws its fresh
+            // coordinator when it does — now, or after an exponentially
+            // growing, jittered delay drawn from the one stream (one draw
+            // per backed-off retry, zero when the feature is off).
+            let new_id = self.s.ops.insert(OpState::Pending(PendingOp {
+                sub,
+                coordinator: None,
+                retry: Some(retry),
+            }));
+            if backoff {
+                let delay = backoff_delay(
+                    self.shared.config.retry_on_timeout,
+                    retry.retries_left,
+                    &mut self.s.rng,
+                );
+                self.s
+                    .lane
+                    .schedule_timeout(now + delay, Event::ClientArrive { op_id: new_id });
+            } else {
+                self.on_client_arrive(now, new_id);
             }
             return;
         }
@@ -4243,19 +3997,7 @@ impl ShardCtx<'_> {
                 if !w.completed {
                     w.completed = true;
                     self.s.metrics.timeouts += 1;
-                    let completed = CompletedOp {
-                        id: w.client_id,
-                        kind: OpKind::Write,
-                        key: w.key,
-                        issued_at: w.issued_at,
-                        completed_at: now,
-                        status: OpStatus::Timeout,
-                        replicas_involved: w.level_used,
-                        returned_version: Version::NONE,
-                        stale: false,
-                        staleness_depth: 0,
-                        records_returned: 0,
-                    };
+                    let completed = w.completion(now, OpStatus::Timeout);
                     self.s
                         .metrics
                         .record_completion(OpKind::Write, completed.latency(), false);
@@ -4275,19 +4017,7 @@ impl ShardCtx<'_> {
             }
             Some(OpState::Read(r)) => {
                 self.s.metrics.timeouts += 1;
-                let completed = CompletedOp {
-                    id: r.client_id,
-                    kind: OpKind::Read,
-                    key: r.key,
-                    issued_at: r.issued_at,
-                    completed_at: now,
-                    status: OpStatus::Timeout,
-                    replicas_involved: r.required,
-                    returned_version: Version::NONE,
-                    stale: false,
-                    staleness_depth: 0,
-                    records_returned: r.records,
-                };
+                let completed = r.completion(now, OpStatus::Timeout);
                 self.s
                     .metrics
                     .record_completion(OpKind::Read, completed.latency(), false);
@@ -4697,6 +4427,85 @@ mod tests {
             0,
             "mid-flight failure must not leak the write's slab slot"
         );
+    }
+
+    #[test]
+    fn a_replica_answers_a_freed_op_only_across_the_shard_cut() {
+        // The one ack/response branch of `on_replica_done`: a replica on the
+        // op's home shard looks the op up and, finding it freed, sends
+        // nothing and draws nothing; a replica on another shard cannot look,
+        // so it meters and sends its response, which dies at the
+        // coordinator's generation check.
+        for shards in [1u32, 2] {
+            let mut cfg = ClusterConfig::lan_test(4, 3);
+            cfg.shards = shards;
+            let mut c = Cluster::new(cfg, 9);
+            c.load_records((0..10u64).map(|k| (k, 100)));
+            // An op homed on shard 0 and already freed.
+            let ops = &mut c.shard_states[0].ops;
+            let freed = ops.insert(OpState::Pending(PendingOp {
+                sub: Submission {
+                    kind: OpKind::Read,
+                    key: Key(3),
+                    size: 0,
+                    scan_len: 1,
+                    level: None,
+                },
+                coordinator: None,
+                retry: None,
+            }));
+            ops.remove(freed);
+            let task = ReplicaTask::Read {
+                op_id: freed,
+                key: Key(3),
+                data: true,
+                len: 1,
+                segment: 0,
+                coordinator: 0,
+            };
+            for node in 0..4u32 {
+                let home = c.shared.shard_of(NodeId(node));
+                let messages = c.metrics().messages;
+                let mut undrawn = c.shard_states[home].rng.clone();
+                ShardCtx {
+                    shared: &c.shared,
+                    s: &mut c.shard_states[home],
+                    ctrl: (shards == 1).then_some(&mut c.ctrl),
+                    boundary: SimTime::ZERO,
+                }
+                .on_replica_done(SimTime::ZERO, NodeId(node), task);
+                let sent = c.metrics().messages - messages;
+                let drew =
+                    c.shard_states[home].rng.next_bounded(1 << 60) != undrawn.next_bounded(1 << 60);
+                if home == 0 {
+                    assert_eq!((sent, drew), (0, false), "{shards} shards, node {node}");
+                } else {
+                    assert_eq!((sent, drew), (1, true), "{shards} shards, node {node}");
+                }
+            }
+            let foreign = (0..4)
+                .filter(|&n| c.shared.shard_of(NodeId(n)) != 0)
+                .count();
+            assert_eq!(foreign, if shards == 1 { 0 } else { 2 });
+            assert_eq!(c.shard_states.last().unwrap().outbox_dest[0].len(), foreign);
+            // A live read drives the engine: the staged responses are
+            // delivered at the first window close, miss on the generation
+            // check and leave nothing behind.
+            let events = c.events_processed();
+            c.submit_read_with(3, ConsistencyLevel::One, SimTime::ZERO);
+            assert_eq!(drain(&mut c).len(), 1);
+            assert_eq!(c.events_processed() - events, 5 + foreign as u64);
+            assert_eq!(c.inflight_ops(), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 65535 write versions in one microsecond")]
+    fn version_tie_break_overflow_is_rejected() {
+        let mut c = cluster(2, 1);
+        for _ in 0..=u16::MAX {
+            c.shard_states[0].alloc_version_at(SimTime::from_micros(7));
+        }
     }
 
     #[test]
@@ -5263,7 +5072,6 @@ mod tests {
             cfg.op_timeout = SimDuration::from_millis(50);
             cfg.retry_on_timeout = 2;
             cfg.resilience.backoff = backoff;
-            cfg.resilience.backoff_base = SimDuration::from_millis(20);
             let mut c = Cluster::new(cfg, 5);
             c.load_records((0..10u64).map(|k| (k, 100)));
             c.set_node_down(NodeId(1));
@@ -5288,9 +5096,14 @@ mod tests {
             backoff_on, retries_on,
             "with backoff on, every re-issue is a backed-off re-issue"
         );
+        // An exhausted op waited out two backoffs, nominally `base` and
+        // `2·base`, each jittered by a factor in [0.5, 1.5).
+        let base = ResilienceConfig::BACKOFF_BASE.as_micros();
+        let stretch = (latency_on - latency_off).as_micros();
         assert!(
-            latency_on > latency_off,
-            "backoff must stretch the retry schedule ({latency_off:?} -> {latency_on:?})"
+            (3 * base / 2..9 * base / 2 + 2).contains(&stretch),
+            "backoff must stretch the retry schedule by 1.5-4.5x its base \
+             ({latency_off:?} -> {latency_on:?})"
         );
     }
 
@@ -5496,7 +5309,7 @@ mod tests {
 
     fn repair_cluster(nodes: usize, rf: u32, mode: RepairMode, seed: u64) -> Cluster {
         let mut cfg = ClusterConfig::lan_test(nodes, rf);
-        cfg.repair = crate::config::RepairConfig::with_mode(mode);
+        cfg.repair = RepairConfig::with_mode(mode);
         Cluster::new(cfg, seed)
     }
 
@@ -5585,19 +5398,17 @@ mod tests {
 
     #[test]
     fn hint_queues_are_bounded_and_overflow_is_metered() {
-        let mut cfg = ClusterConfig::lan_test(5, 3);
-        cfg.repair = crate::config::RepairConfig::with_mode(RepairMode::Hints);
-        cfg.repair.hint_capacity_per_node = 3;
-        let mut c = Cluster::new(cfg, 31);
+        let capacity = RepairConfig::HINT_CAPACITY_PER_NODE;
+        let mut c = repair_cluster(5, 3, RepairMode::Hints, 31);
         c.load_records((0..10u64).map(|k| (k, 100)));
         let victim = c.replicas_of(3)[1];
         c.set_node_down(victim);
-        for i in 0..10u64 {
+        for i in 0..capacity as u64 + 7 {
             c.submit_write_with(3, 100, ConsistencyLevel::One, SimTime::from_millis(i));
         }
         drain(&mut c);
-        assert_eq!(c.pending_hints(victim), 3, "the queue is bounded");
-        assert_eq!(c.metrics().hints_queued, 3);
+        assert_eq!(c.pending_hints(victim), capacity, "the queue is bounded");
+        assert_eq!(c.metrics().hints_queued, capacity as u64);
         assert_eq!(c.metrics().hints_dropped, 7);
     }
 

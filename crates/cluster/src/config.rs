@@ -63,107 +63,52 @@ impl RepairMode {
 
 /// Configuration of the background repair plane (hinted handoff +
 /// anti-entropy sweeps + recovery migration). See [`RepairMode`] for what
-/// each mode activates; the defaults model Cassandra's repair path at the
-/// simulator's time scale.
-///
-/// Every knob treats **0 as "use the built-in default"** (a zero hint
-/// capacity or sweep interval is never meaningful), which is what keeps
-/// partially specified JSON blocks — e.g. `{"mode":"Full"}` — loading with
-/// sensible values: absent fields deserialize to 0 via `serde(default)` and
-/// the accessors ([`RepairConfig::hint_capacity`] etc.) substitute the
-/// defaults at use time.
+/// each mode activates. The plane's pacing and sizing are constants that
+/// model Cassandra's repair path at the simulator's time scale; JSON written
+/// when they were fields still loads (unknown fields are ignored).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RepairConfig {
     /// Which repair subsystems are active. Defaults to [`RepairMode::Off`].
     #[serde(default)]
     pub mode: RepairMode,
-    /// Maximum hints queued per destination node; further hints are dropped
-    /// (metered as `hints_dropped`) and left for anti-entropy to catch.
-    /// 0 = default (1024).
-    #[serde(default)]
-    pub hint_capacity_per_node: u32,
-    /// Gap between successive hint replays to one recovered node (the
-    /// replay is paced through the timer wheel rather than delivered as a
-    /// burst). 0 = default (200 µs).
-    #[serde(default)]
-    pub hint_replay_interval: SimDuration,
-    /// Gap between successive node-pair comparison events while a sweep
-    /// cycle is active. 0 = default (20 ms).
-    #[serde(default)]
-    pub anti_entropy_interval: SimDuration,
-    /// Byte weight of one per-page version summary exchanged during a
-    /// comparison (the Merkle-ish digest message). 0 = default (32 B).
-    #[serde(default)]
-    pub summary_bytes_per_page: u32,
 }
 
 impl RepairConfig {
+    /// Maximum hints queued per destination node; further hints are dropped
+    /// (metered as `hints_dropped`) and left for anti-entropy to catch.
+    pub(crate) const HINT_CAPACITY_PER_NODE: usize = 1024;
+    /// Gap between successive hint replays to one recovered node (the
+    /// replay is paced rather than delivered as a burst).
+    pub(crate) const HINT_REPLAY_INTERVAL: SimDuration = SimDuration::from_micros(200);
+    /// Gap between successive node-pair comparison events while a sweep
+    /// cycle is active.
+    pub(crate) const ANTI_ENTROPY_INTERVAL: SimDuration = SimDuration::from_millis(20);
+    /// Byte weight of one per-page version summary exchanged during a
+    /// comparison (the Merkle-ish digest message).
+    pub(crate) const SUMMARY_BYTES_PER_PAGE: u32 = 32;
+
     /// A disabled repair plane (the default).
     pub fn off() -> Self {
         Self::default()
     }
 
-    /// The default knobs with the given mode.
+    /// The repair plane with the given mode.
     pub fn with_mode(mode: RepairMode) -> Self {
-        RepairConfig {
-            mode,
-            ..Self::default()
-        }
-    }
-
-    /// Effective hint-queue bound per destination node.
-    pub fn hint_capacity(&self) -> u32 {
-        if self.hint_capacity_per_node == 0 {
-            1024
-        } else {
-            self.hint_capacity_per_node
-        }
-    }
-
-    /// Effective pacing between hint replays to one node.
-    pub fn replay_interval(&self) -> SimDuration {
-        if self.hint_replay_interval == SimDuration::ZERO {
-            SimDuration::from_micros(200)
-        } else {
-            self.hint_replay_interval
-        }
-    }
-
-    /// Effective gap between node-pair comparison events.
-    pub fn sweep_interval(&self) -> SimDuration {
-        if self.anti_entropy_interval == SimDuration::ZERO {
-            SimDuration::from_millis(20)
-        } else {
-            self.anti_entropy_interval
-        }
-    }
-
-    /// Effective byte weight of one page-summary message.
-    pub fn summary_bytes(&self) -> u32 {
-        if self.summary_bytes_per_page == 0 {
-            32
-        } else {
-            self.summary_bytes_per_page
-        }
+        RepairConfig { mode }
     }
 }
 
-/// Configuration of the tail-tolerant resilience layer: hedged reads,
-/// exponential retry backoff and the health bookkeeping behind
-/// [`ReplicaSelection::Dynamic`].
+/// Configuration of the tail-tolerant resilience layer: hedged reads and
+/// exponential retry backoff. The health bookkeeping behind
+/// [`ReplicaSelection::Dynamic`] is switched by the cluster's read selection
+/// and tuned by constants, as is the backoff schedule; JSON written when
+/// they were fields still loads (unknown fields are ignored).
 ///
 /// Everything here is **off by default**: with a zero `hedge_delay` no hedge
-/// timers are scheduled, with `backoff` false timed-out retries re-issue
-/// immediately as before, and the breaker/EWMA knobs only matter once the
-/// cluster's read selection is switched to `Dynamic`. A default
-/// `ResilienceConfig` therefore adds zero events and zero RNG draws, keeping
-/// every pre-resilience golden digest byte-identical.
-///
-/// Like [`RepairConfig`], every tuning knob treats **0 as "use the built-in
-/// default"** (a zero backoff base or breaker threshold is never
-/// meaningful), so partially specified JSON blocks load with sensible
-/// values: absent fields deserialize to 0 via `serde(default)` and the
-/// accessors substitute the defaults at use time.
+/// timers are scheduled and with `backoff` false timed-out retries re-issue
+/// immediately. A default `ResilienceConfig` therefore adds zero events and
+/// zero RNG draws, keeping every pre-resilience golden digest
+/// byte-identical.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ResilienceConfig {
     /// How long a point read's coordinator waits before issuing one
@@ -176,30 +121,25 @@ pub struct ResilienceConfig {
     /// the cluster immediately.
     #[serde(default)]
     pub backoff: bool,
-    /// Backoff delay before the first re-issue; doubles per consumed retry
-    /// up to [`ResilienceConfig::backoff_cap`]. 0 = default (1 ms).
-    #[serde(default)]
-    pub backoff_base: SimDuration,
-    /// Upper bound on the nominal (pre-jitter) backoff delay.
-    /// 0 = default (100 ms).
-    #[serde(default)]
-    pub backoff_cap: SimDuration,
-    /// Smoothing factor of the coordinator-side latency-excess EWMA
-    /// (observed response latency minus the expected round trip) used by
-    /// [`ReplicaSelection::Dynamic`]. 0.0 = default (0.2).
-    #[serde(default)]
-    pub health_alpha: f64,
-    /// Consecutive read-timeout strikes against a replica before its
-    /// circuit breaker opens. 0 = default (3).
-    #[serde(default)]
-    pub breaker_failures: u32,
-    /// How long an open breaker holds before transitioning to half-open
-    /// (one probe allowed). 0 = default (50 ms).
-    #[serde(default)]
-    pub breaker_cooldown: SimDuration,
 }
 
 impl ResilienceConfig {
+    /// Backoff delay before the first re-issue; doubles per consumed retry
+    /// up to [`ResilienceConfig::BACKOFF_CAP`].
+    pub(crate) const BACKOFF_BASE: SimDuration = SimDuration::from_millis(1);
+    /// Upper bound on the nominal (pre-jitter) backoff delay.
+    pub(crate) const BACKOFF_CAP: SimDuration = SimDuration::from_millis(100);
+    /// Smoothing factor of the coordinator-side latency-excess EWMA
+    /// (observed response latency minus the expected round trip) used by
+    /// [`ReplicaSelection::Dynamic`].
+    pub(crate) const HEALTH_ALPHA: f64 = 0.2;
+    /// Consecutive read-timeout strikes against a replica before its
+    /// circuit breaker opens.
+    pub(crate) const BREAKER_FAILURES: u32 = 3;
+    /// How long an open breaker holds before transitioning to half-open
+    /// (one probe allowed).
+    pub(crate) const BREAKER_COOLDOWN: SimDuration = SimDuration::from_millis(50);
+
     /// A fully disabled resilience layer (the default).
     pub fn off() -> Self {
         Self::default()
@@ -208,51 +148,6 @@ impl ResilienceConfig {
     /// Whether hedged reads are active.
     pub fn hedging_enabled(&self) -> bool {
         self.hedge_delay > SimDuration::ZERO
-    }
-
-    /// Effective backoff delay before the first re-issue.
-    pub fn effective_backoff_base(&self) -> SimDuration {
-        if self.backoff_base == SimDuration::ZERO {
-            SimDuration::from_millis(1)
-        } else {
-            self.backoff_base
-        }
-    }
-
-    /// Effective upper bound on the nominal backoff delay.
-    pub fn effective_backoff_cap(&self) -> SimDuration {
-        if self.backoff_cap == SimDuration::ZERO {
-            SimDuration::from_millis(100)
-        } else {
-            self.backoff_cap
-        }
-    }
-
-    /// Effective EWMA smoothing factor for dynamic replica selection.
-    pub fn effective_alpha(&self) -> f64 {
-        if self.health_alpha == 0.0 {
-            0.2
-        } else {
-            self.health_alpha
-        }
-    }
-
-    /// Effective consecutive-failure threshold that opens a breaker.
-    pub fn breaker_threshold(&self) -> u32 {
-        if self.breaker_failures == 0 {
-            3
-        } else {
-            self.breaker_failures
-        }
-    }
-
-    /// Effective open-breaker cooldown before the half-open probe.
-    pub fn cooldown(&self) -> SimDuration {
-        if self.breaker_cooldown == SimDuration::ZERO {
-            SimDuration::from_millis(50)
-        } else {
-            self.breaker_cooldown
-        }
     }
 }
 
@@ -534,22 +429,14 @@ mod tests {
         let back: ClusterConfig = serde_json::from_str(&stripped).unwrap();
         assert_eq!(back.repair, RepairConfig::off());
         assert_eq!(back.repair.mode, RepairMode::Off);
-        // Partial repair blocks (just a mode) pick up the remaining knobs:
-        // absent fields deserialize to 0 and the accessors substitute the
-        // built-in defaults.
-        let partial: RepairConfig = serde_json::from_str("{\"mode\":\"Full\"}").unwrap();
-        assert_eq!(partial.mode, RepairMode::Full);
-        assert_eq!(partial.hint_capacity_per_node, 0);
-        assert_eq!(partial.hint_capacity(), RepairConfig::off().hint_capacity());
-        assert_eq!(
-            partial.replay_interval(),
-            RepairConfig::off().replay_interval()
-        );
-        assert_eq!(
-            partial.sweep_interval(),
-            RepairConfig::off().sweep_interval()
-        );
-        assert_eq!(partial.summary_bytes(), RepairConfig::off().summary_bytes());
+        // A repair block as written while the plane's four tuning values
+        // were fields (present, "0 = built-in default") still loads.
+        let old: RepairConfig = serde_json::from_str(
+            "{\"mode\":\"Full\",\"hint_capacity_per_node\":0,\"hint_replay_interval\":0,\
+             \"anti_entropy_interval\":0,\"summary_bytes_per_page\":0}",
+        )
+        .unwrap();
+        assert_eq!(old, RepairConfig::with_mode(RepairMode::Full));
     }
 
     #[test]
@@ -569,24 +456,16 @@ mod tests {
         assert!(!back.resilience.hedging_enabled());
         assert!(!back.resilience.backoff);
         assert_eq!(back.read_selection, ReplicaSelection::Closest);
-        // Partial resilience blocks pick up the remaining knobs: absent
-        // fields deserialize to 0 and the accessors substitute defaults.
-        let partial: ResilienceConfig =
-            serde_json::from_str("{\"hedge_delay\":500,\"backoff\":true}").unwrap();
-        assert!(partial.hedging_enabled());
-        assert_eq!(partial.hedge_delay, SimDuration::from_micros(500));
-        assert!(partial.backoff);
-        assert_eq!(
-            partial.effective_backoff_base(),
-            SimDuration::from_millis(1)
-        );
-        assert_eq!(
-            partial.effective_backoff_cap(),
-            SimDuration::from_millis(100)
-        );
-        assert!((partial.effective_alpha() - 0.2).abs() < 1e-12);
-        assert_eq!(partial.breaker_threshold(), 3);
-        assert_eq!(partial.cooldown(), SimDuration::from_millis(50));
+        // A resilience block as written while the five tuning values were
+        // fields (present, "0 = built-in default") still loads.
+        let old: ResilienceConfig = serde_json::from_str(
+            "{\"hedge_delay\":500,\"backoff\":true,\"backoff_base\":0,\"backoff_cap\":0,\
+             \"health_alpha\":0,\"breaker_failures\":0,\"breaker_cooldown\":0}",
+        )
+        .unwrap();
+        assert!(old.hedging_enabled());
+        assert_eq!(old.hedge_delay, SimDuration::from_micros(500));
+        assert!(old.backoff);
     }
 
     #[test]

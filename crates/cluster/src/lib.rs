@@ -57,7 +57,7 @@ pub mod types;
 pub use cluster::{BatchOp, Cluster, ClusterOutput, ReplicaSelection};
 pub use config::{ClusterConfig, RepairConfig, RepairMode, ResilienceConfig};
 pub use consistency::ConsistencyLevel;
-pub use metrics::{ClusterMetrics, LatencyReservoir, LatencyStats, TrafficBytes};
+pub use metrics::{ClusterMetrics, LatencyStats, TrafficBytes};
 pub use oracle::{OracleStats, StalenessOracle};
 pub use paged::PagedTable;
 pub use ring::{Partitioner, ReplicationStrategy, Ring, ORDERED_SLICE_KEYS};

@@ -30,9 +30,6 @@ pub struct LatencyStats {
     exact: Option<Vec<u64>>,
 }
 
-/// Former name of [`LatencyStats`], kept for downstream compatibility.
-pub type LatencyReservoir = LatencyStats;
-
 impl LatencyStats {
     /// Empty statistics.
     pub fn new() -> Self {
@@ -211,11 +208,11 @@ pub struct ClusterMetrics {
     /// Ground-truth stale reads (mirrors the oracle's counter).
     pub stale_reads: u64,
     /// Read latencies.
-    pub read_latency: LatencyReservoir,
+    pub read_latency: LatencyStats,
     /// Write latencies.
-    pub write_latency: LatencyReservoir,
+    pub write_latency: LatencyStats,
     /// Time for writes to reach *all* replicas.
-    pub propagation: LatencyReservoir,
+    pub propagation: LatencyStats,
     /// Network traffic per link class.
     pub traffic: TrafficBytes,
     /// Replica-level storage read operations.
@@ -388,7 +385,7 @@ mod tests {
 
     #[test]
     fn reservoir_mean_and_quantiles() {
-        let mut r = LatencyReservoir::new();
+        let mut r = LatencyStats::new();
         for i in 1..=1000u64 {
             r.record(SimDuration::from_millis(i));
         }
@@ -401,7 +398,7 @@ mod tests {
 
     #[test]
     fn reservoir_handles_more_than_capacity() {
-        let mut r = LatencyReservoir::new();
+        let mut r = LatencyStats::new();
         for i in 0..200_000u64 {
             r.record(SimDuration::from_micros(i % 1000));
         }

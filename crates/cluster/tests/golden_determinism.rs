@@ -92,9 +92,8 @@ fn geo_cluster(seed: u64) -> Cluster {
     geo_cluster_sharded(seed, 1)
 }
 
-/// The same geo cluster on a sharded event engine: the digests must hold
-/// byte-for-byte at **any** shard count (the conservative-PDES engine's
-/// merge-exact contract — see `concord_sim::shard`).
+/// The same geo cluster on `shards` event lanes: each shard count is its own
+/// deterministic universe with its own golden digest.
 fn geo_cluster_sharded(seed: u64, shards: u32) -> Cluster {
     let mut cfg = ClusterConfig::lan_test(6, 5);
     cfg.topology = Topology::spread(

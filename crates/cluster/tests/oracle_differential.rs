@@ -13,9 +13,9 @@
 
 use concord_cluster::oracle::ReadClassification;
 use concord_cluster::{Key, StalenessOracle, Version};
-use concord_sim::{FxHashMap, SimRng, SimTime};
+use concord_sim::{SimRng, SimTime};
 use proptest::prelude::*;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// Retained history entries per key (the oracle's `DEPTH_HISTORY`).
 const DEPTH_HISTORY: usize = 64;
@@ -63,7 +63,7 @@ impl KeyHistory {
 /// The pre-refactor oracle, preserved as the reference model.
 #[derive(Default)]
 struct ReferenceOracle {
-    keys: FxHashMap<Key, KeyHistory>,
+    keys: HashMap<Key, KeyHistory>,
     stale_reads: u64,
     fresh_reads: u64,
     stale_depth_sum: u64,
@@ -175,7 +175,7 @@ fn run_differential(seed: u64, ops: usize) {
     let key_space = 2 * 4096 + rng.next_bounded(4096);
     // Versions handed out so far per key (what a read might return), and
     // writes in flight: allocated in order, acknowledged in any order.
-    let mut written: FxHashMap<Key, Vec<Version>> = FxHashMap::default();
+    let mut written: HashMap<Key, Vec<Version>> = HashMap::new();
     let mut in_flight: Vec<(Key, Version)> = Vec::new();
     let mut next_version = 0u64;
     let mut now_us = 0u64;

@@ -285,10 +285,10 @@ fn ordered_scan_straddling_a_shard_boundary_is_thread_invariant() {
 /// The full resilience layer under a gray failure: one node serves 10×
 /// slow mid-run (hedged reads rescue the ONE-reads stuck behind it) while
 /// another goes down hard (ALL-reads that must contact it ride the
-/// timeout → backoff → breaker path — the jittered backoff delays route
-/// through the timer wheel, and the health EWMA/breaker state feeds every
+/// timeout → backoff → breaker path — the jittered backoff delays are
+/// out-of-order timers, and the health EWMA/breaker state feeds every
 /// subsequent selection). All of it — hedge fires crossing shards, the
-/// backoff wheel, breaker flips — must be byte-identical at any worker
+/// backoff timers, breaker flips — must be byte-identical at any worker
 /// thread count, and the resilience counters themselves are part of the
 /// fingerprint.
 #[test]

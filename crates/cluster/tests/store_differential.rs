@@ -1,6 +1,6 @@
 //! Differential property test for the paged direct-index [`ReplicaStore`].
 //!
-//! The dense store replaced an `FxHashMap`-backed implementation; this test
+//! The dense store replaced a hash-map-backed implementation; this test
 //! keeps those semantics executable as a reference model (modulo one
 //! deliberate fix, re-preload byte accounting — see `preload`) and drives random
 //! operation streams (preloads, versioned writes, point reads, range reads)
@@ -9,13 +9,14 @@
 //! direct-index layout changed behaviour, not just speed.
 
 use concord_cluster::{Key, ReplicaStore, StoredValue, Version};
-use concord_sim::{FxHashMap, SimRng, SimTime};
+use concord_sim::{SimRng, SimTime};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// The pre-refactor hash-map store, preserved as the reference model.
 #[derive(Default)]
 struct ReferenceStore {
-    data: FxHashMap<Key, StoredValue>,
+    data: HashMap<Key, StoredValue>,
     bytes_stored: u64,
     write_ops: u64,
     read_ops: u64,

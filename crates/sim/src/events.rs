@@ -4,239 +4,33 @@
 //! events carry a firing time, the queue pops them in time order (FIFO within
 //! the same instant thanks to a monotonically increasing sequence number) and
 //! the clock jumps to each event's timestamp.
+//!
+//! ## Lanes
+//!
+//! Every scheduled event gets a packed `time‖seq` key ([`pack`]) from the
+//! queue's one sequence counter and waits in one of three lanes:
+//!
+//! * **heap** (binary heap): [`EventQueue::schedule_at`],
+//!   [`EventQueue::schedule_in`], and an [`EventQueue::schedule_timeout`]
+//!   whose key precedes the timeout FIFO's tail. Holds the reactive events
+//!   (messages, acks, service completions) and the few out-of-order timers
+//!   (hedge, backoff and repair timers shorter than a pending timeout).
+//! * **timeout FIFO** (sorted `VecDeque`): every other
+//!   [`EventQueue::schedule_timeout`]. Holds the one-per-operation timeouts:
+//!   one constant `op_timeout` makes their keys arrive in non-decreasing
+//!   order.
+//! * **bulk** (sorted `VecDeque`): [`EventQueue::bulk_push_sorted`] and
+//!   [`EventQueue::bulk_load_sorted`]. Holds pre-sorted open-loop arrival
+//!   streams loaded up front.
+//!
+//! A pop takes the smallest key over the three lane fronts. Keys are unique
+//! and totally ordered across lanes, so which lane an event waits in can
+//! never change when it is delivered — the two FIFOs only spare the heap a
+//! sift for streams that are already sorted.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-
-/// Bits per timer-wheel level: each level resolves one 6-bit digit of the
-/// firing time in microseconds, so a level holds 64 slots.
-const WHEEL_GROUP_BITS: u32 = 6;
-/// Slots per timer-wheel level (`2^WHEEL_GROUP_BITS`).
-const WHEEL_SLOTS: usize = 1 << WHEEL_GROUP_BITS;
-/// Levels needed to cover the full 64-bit microsecond range (`ceil(64/6)`).
-const WHEEL_LEVELS: usize = 11;
-
-/// One level of the [`TimerWheel`]: 64 slots plus an occupancy bitmap so the
-/// earliest non-empty slot is a single `trailing_zeros`.
-#[derive(Debug, Clone)]
-struct WheelLevel<E> {
-    occupied: u64,
-    slots: [VecDeque<(u128, E)>; WHEEL_SLOTS],
-    /// Cached minimum key per slot (`u128::MAX` when empty), maintained in
-    /// O(1): inserts take a `min`, and the only removals are wholesale
-    /// cascades and front pops of level-0 slots (which are key-sorted, see
-    /// [`TimerWheel::pop_min`]).
-    slot_min: [u128; WHEEL_SLOTS],
-}
-
-impl<E> WheelLevel<E> {
-    fn new() -> Self {
-        WheelLevel {
-            occupied: 0,
-            slots: std::array::from_fn(|_| VecDeque::new()),
-            slot_min: [u128::MAX; WHEEL_SLOTS],
-        }
-    }
-}
-
-/// A hierarchical timer wheel over packed `time‖seq` keys.
-///
-/// This is the timeout lane of the [`EventQueue`]. Its predecessor was a
-/// plain FIFO that required firing times to be non-decreasing in scheduling
-/// order — true for one constant `op_timeout`, false the moment timeouts
-/// become heterogeneous (per-operation timeouts, fault-recovery timers,
-/// retry backoff). The wheel keeps O(1) amortized scheduling for *arbitrary*
-/// timeout patterns:
-///
-/// * level `l` buckets entries by the `l`-th 6-bit digit of their firing
-///   time (µs), so an entry lands `O(1)` at the level of its highest digit
-///   differing from the wheel's base time;
-/// * the wheel's base advances with the queue clock; entries cascade at most
-///   one level per 64-fold horizon crossing (amortized `O(levels)` per
-///   entry over its lifetime);
-/// * the minimum pending key is cached, so the queue's fused peek/pop reads
-///   it in `O(1)` exactly like the old FIFO front.
-///
-/// **Ordering is identical to the heap lane by construction**: the queue
-/// always pops the globally smallest packed `time‖seq` key across all lanes,
-/// and the wheel's invariants guarantee its cached minimum is exact —
-/// * all entries at level `l` agree with `base` on every digit above `l`
-///   (established at insert, re-established by cascading), hence entries at
-///   a lower level always fire before entries at a higher level;
-/// * within a level, slot index equals the level digit of the firing time,
-///   so the lowest occupied slot holds the earliest entries;
-/// * within a level-0 slot all firing times are equal and the insertion
-///   sequence number breaks ties, exactly like the heap.
-#[derive(Debug, Clone)]
-struct TimerWheel<E> {
-    levels: Vec<WheelLevel<E>>,
-    /// Wheel reference time in µs; all pending entries fire at or after it.
-    base: u64,
-    len: usize,
-    /// Cached smallest pending key (`None` when empty).
-    min_key: Option<u128>,
-}
-
-impl<E> TimerWheel<E> {
-    fn new() -> Self {
-        TimerWheel {
-            levels: (0..WHEEL_LEVELS).map(|_| WheelLevel::new()).collect(),
-            base: 0,
-            len: 0,
-            min_key: None,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    #[inline]
-    fn slot_of(level: usize, time: u64) -> usize {
-        ((time >> (WHEEL_GROUP_BITS as usize * level)) & (WHEEL_SLOTS as u64 - 1)) as usize
-    }
-
-    /// The level an entry firing at `time` belongs to, relative to the
-    /// current base: the position of the highest 6-bit digit in which `time`
-    /// and `base` differ (0 when they are equal).
-    #[inline]
-    fn level_of(&self, time: u64) -> usize {
-        let diff = time ^ self.base;
-        if diff == 0 {
-            0
-        } else {
-            ((63 - diff.leading_zeros()) / WHEEL_GROUP_BITS) as usize
-        }
-    }
-
-    fn insert(&mut self, key: u128, event: E) {
-        let time = (key >> 64) as u64;
-        debug_assert!(time >= self.base, "timer scheduled before the wheel base");
-        let l = self.level_of(time);
-        let s = Self::slot_of(l, time);
-        let level = &mut self.levels[l];
-        level.slots[s].push_back((key, event));
-        level.occupied |= 1u64 << s;
-        level.slot_min[s] = level.slot_min[s].min(key);
-        self.len += 1;
-        // Membership only grows here, so the cached minimum can only drop.
-        self.min_key = Some(self.min_key.map_or(key, |m| m.min(key)));
-    }
-
-    #[inline]
-    fn peek_min(&self) -> Option<u128> {
-        self.min_key
-    }
-
-    /// Advance the wheel base to `now` (µs), cascading entries whose level
-    /// digit has been reached down to finer levels. The queue calls this on
-    /// every clock advance; `now` never precedes a pending entry (it is the
-    /// globally earliest event time), which is what guarantees that every
-    /// level below the highest changed digit is already empty.
-    fn advance(&mut self, now: u64) {
-        if now <= self.base {
-            return;
-        }
-        if self.len == 0 {
-            self.base = now;
-            return;
-        }
-        // Highest digit in which the base changes; levels below it hold no
-        // entries (they would have to fire before `now`).
-        let h = self.level_of(now);
-        self.base = now;
-        for l in (1..=h).rev() {
-            let s = Self::slot_of(l, now);
-            if self.levels[l].occupied & (1u64 << s) != 0 {
-                let entries = std::mem::take(&mut self.levels[l].slots[s]);
-                self.levels[l].occupied &= !(1u64 << s);
-                self.levels[l].slot_min[s] = u128::MAX;
-                self.len -= entries.len();
-                // Re-inserting relative to the new base sends each entry to
-                // a finer level; the cached minimum is unchanged because
-                // membership is unchanged.
-                for (key, event) in entries {
-                    self.insert(key, event);
-                }
-            }
-        }
-    }
-
-    fn recompute_min(&mut self) {
-        // The lowest occupied level holds the globally earliest entries, and
-        // within it the lowest occupied slot (slot index == level digit of
-        // the firing time; digits above agree with the base for every entry
-        // in the level). The per-slot minimum is cached, so this is a few
-        // bitmap reads, never a slot scan.
-        self.min_key = None;
-        for level in &self.levels {
-            if level.occupied != 0 {
-                let s = level.occupied.trailing_zeros() as usize;
-                self.min_key = Some(level.slot_min[s]);
-                return;
-            }
-        }
-    }
-
-    /// Remove and return the earliest entry. The caller (the queue's pop)
-    /// advances the wheel to the entry's firing time first, so the minimum
-    /// always sits in a **level-0 slot** — and level-0 slots are key-sorted
-    /// by construction: all entries of a level-0 slot fire in the same
-    /// microsecond, direct inserts append with a monotonically growing
-    /// sequence number, and a cascade (which happens at most once per slot,
-    /// when the base first enters the slot's 64 µs window) preserves the
-    /// seq-sorted order of its source slot. The front pop is therefore O(1);
-    /// a scan remains as a defensive fallback.
-    fn pop_min(&mut self) -> Option<(u128, E)> {
-        let key = self.min_key?;
-        let time = (key >> 64) as u64;
-        let l = self.level_of(time);
-        let s = Self::slot_of(l, time);
-        let level = &mut self.levels[l];
-        let slot = &mut level.slots[s];
-        debug_assert_eq!(l, 0, "the wheel minimum fires at the (advanced) base");
-        let popped_front = slot.front().is_some_and(|&(k, _)| k == key);
-        let entry = if popped_front {
-            slot.pop_front().expect("front exists")
-        } else {
-            // Defensive: never expected for level-0 slots (see above).
-            let idx = slot
-                .iter()
-                .position(|&(k, _)| k == key)
-                .expect("cached minimum key addresses a live entry");
-            slot.remove(idx).expect("index is in bounds")
-        };
-        if slot.is_empty() {
-            level.occupied &= !(1u64 << s);
-            level.slot_min[s] = u128::MAX;
-        } else if popped_front {
-            level.slot_min[s] = slot.front().expect("slot is non-empty").0;
-        } else {
-            level.slot_min[s] = slot
-                .iter()
-                .map(|&(k, _)| k)
-                .min()
-                .expect("slot is non-empty");
-        }
-        self.len -= 1;
-        self.recompute_min();
-        Some(entry)
-    }
-
-    fn clear(&mut self) {
-        for level in &mut self.levels {
-            while level.occupied != 0 {
-                let s = level.occupied.trailing_zeros() as usize;
-                level.slots[s].clear();
-                level.slot_min[s] = u128::MAX;
-                level.occupied &= level.occupied - 1;
-            }
-        }
-        self.len = 0;
-        self.min_key = None;
-    }
-}
 
 /// A heap entry: the scheduling key plus the event payload, inline.
 ///
@@ -245,9 +39,8 @@ impl<E> TimerWheel<E> {
 /// single integer compare instead of a two-field lexicographic chain — this
 /// is the hottest comparison in the whole simulator. The payload lives
 /// inline in the entry: simulator events are small (32 bytes), so moving
-/// them during sifts costs less than the former side-slab's two extra
-/// random-access writes (slot alloc + take) and free-list traffic per
-/// event.
+/// them during sifts costs less than a side slab's two extra random-access
+/// writes (slot alloc + take) and free-list traffic per event.
 #[derive(Debug, Clone)]
 struct Scheduled<E> {
     key: u128,
@@ -259,7 +52,6 @@ struct Scheduled<E> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Lane {
     Heap,
-    Timer,
     TimeoutFifo,
     Bulk,
 }
@@ -311,27 +103,11 @@ impl<E> Ord for Scheduled<E> {
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
-    /// The timeout lane's wheel: a hierarchical [`TimerWheel`] holding
-    /// *heterogeneous* per-operation and fault/retry timers — O(1) amortized
-    /// scheduling and popping for arbitrary (out-of-order) timeout patterns,
-    /// kept out of the heap entirely. (Until the wheel, this lane was a
-    /// plain FIFO that only handled one constant timeout delay.)
-    timers: TimerWheel<E>,
-    /// The timeout lane's sorted fast path: one constant `op_timeout` (by
-    /// far the common configuration) makes `schedule_timeout` calls arrive
-    /// in non-decreasing key order, and a sorted stream deserves a plain
-    /// FIFO — appends and front pops are O(1) with none of the wheel's
-    /// cascade bookkeeping. A timeout that *does* precede this lane's tail
-    /// (heterogeneous per-op timeouts, retry backoff) falls back to the
-    /// wheel; ordering across the lanes is exact either way (global-min
-    /// pop over the shared sequence counter).
+    /// Timeouts whose keys arrived in non-decreasing order (see the module
+    /// docs' lane table); kept sorted by [`EventQueue::schedule_timeout`].
     timeout_fifo: VecDeque<(u128, E)>,
-    /// The bulk lane: a sorted FIFO for pre-sorted open-loop arrival
-    /// streams loaded up front ([`EventQueue::bulk_push_sorted`]). A
-    /// separate lane because a pre-sorted stream deserves a plain queue:
-    /// popping its front is one `VecDeque` read, with none of the wheel's
-    /// level bookkeeping, and bulk loads front-running the whole simulated
-    /// timeline never interact with the short-horizon timers.
+    /// Pre-sorted arrival streams; kept sorted by the assertions of
+    /// [`EventQueue::bulk_push_sorted`].
     bulk: VecDeque<(u128, E)>,
     now: SimTime,
     next_seq: u64,
@@ -349,7 +125,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            timers: TimerWheel::new(),
             timeout_fifo: VecDeque::new(),
             bulk: VecDeque::new(),
             now: SimTime::ZERO,
@@ -365,15 +140,12 @@ impl<E> EventQueue<E> {
 
     /// Number of events waiting in the queue.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.timers.len() + self.timeout_fifo.len() + self.bulk.len()
+        self.heap.len() + self.timeout_fifo.len() + self.bulk.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-            && self.timers.len() == 0
-            && self.timeout_fifo.is_empty()
-            && self.bulk.is_empty()
+        self.heap.is_empty() && self.timeout_fifo.is_empty() && self.bulk.is_empty()
     }
 
     /// Total number of events popped so far.
@@ -381,17 +153,20 @@ impl<E> EventQueue<E> {
         self.processed
     }
 
-    /// Schedule `event` to fire at absolute time `at`. Times in the past are
-    /// clamped to the current clock.
-    ///
-    pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        let time = at.max(self.now);
+    /// The key of an event firing at `at` (clamped to the current clock),
+    /// drawn from the sequence counter every lane shares.
+    #[inline]
+    fn next_key(&mut self, at: SimTime) -> u128 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled {
-            key: pack(time, seq),
-            event,
-        });
+        pack(at.max(self.now), seq)
+    }
+
+    /// Schedule `event` to fire at absolute time `at`. Times in the past are
+    /// clamped to the current clock.
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        let key = self.next_key(at);
+        self.heap.push(Scheduled { key, event });
     }
 
     /// Schedule `event` to fire `delay` after the current clock.
@@ -399,23 +174,15 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now + delay, event);
     }
 
-    /// Schedule `event` at `at` on the **timeout lane**. The classic
-    /// producers are per-operation timeouts, fault-recovery timers and retry
-    /// deadlines: high-volume, and fired long after scheduling. The lane has
-    /// two data structures behind one interface: timeouts arriving in
-    /// non-decreasing key order (a single constant `op_timeout` — the common
-    /// configuration — produces exactly that) append to a sorted FIFO in
-    /// O(1) with no further bookkeeping, and out-of-order timeouts
-    /// (heterogeneous per-op deadlines, staggered retries) take the
-    /// hierarchical timer wheel, which is O(1) amortized for arbitrary
-    /// patterns. Either way one-pending-timer-per-operation stays out of the
-    /// heap, and ordering relative to every other lane is exact FIFO per
-    /// instant, since all lanes share the sequence counter.
+    /// Schedule the timer `event` at `at` (past times clamp to the clock).
+    /// Timers are high-volume and fire long after they are scheduled — one
+    /// pending timeout per in-flight operation would dominate the heap — and
+    /// one constant timeout makes their keys arrive already sorted, so a
+    /// timer whose key does not precede the timeout FIFO's tail appends
+    /// there in O(1). One that does (a hedge, backoff or repair timer
+    /// shorter than a pending timeout) is an ordinary heap event.
     pub fn schedule_timeout(&mut self, at: SimTime, event: E) {
-        let time = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let key = pack(time, seq);
+        let key = self.next_key(at);
         if self
             .timeout_fifo
             .back()
@@ -423,14 +190,8 @@ impl<E> EventQueue<E> {
         {
             self.timeout_fifo.push_back((key, event));
         } else {
-            self.timers.insert(key, event);
+            self.heap.push(Scheduled { key, event });
         }
-    }
-
-    /// Schedule `event` to fire immediately (at the current clock, after any
-    /// events already scheduled for this instant).
-    pub fn schedule_now(&mut self, event: E) {
-        self.schedule_at(self.now, event);
     }
 
     /// Append `event` at `at` to the **bulk lane**: the O(1) path for
@@ -440,8 +201,7 @@ impl<E> EventQueue<E> {
     /// pushes; producers derive their schedule from a sorted arrival-time
     /// iterator, so a violation is a logic error upstream, not an input to
     /// tolerate — the method **panics** rather than silently degrading to
-    /// the heap. Delivery order relative to the other lanes is exact global
-    /// FIFO per instant, since all three lanes share one sequence counter.
+    /// the heap.
     ///
     /// # Panics
     /// Panics if `at` precedes the current clock or the previously pushed
@@ -462,9 +222,8 @@ impl<E> EventQueue<E> {
                 unpack_time(back).as_micros()
             );
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.bulk.push_back((pack(at, seq), event));
+        let key = self.next_key(at);
+        self.bulk.push_back((key, event));
     }
 
     /// Bulk-load a pre-sorted stream of `(time, event)` pairs through the
@@ -483,25 +242,18 @@ impl<E> EventQueue<E> {
 
     /// The packed `time‖seq` key of the next pending event, if any. This is
     /// the sharded engine's window-anchor primitive: the minimum over the
-    /// per-shard lane minima anchors the next lookahead window, each an O(1)
-    /// cached key read.
+    /// per-shard lane minima anchors the next lookahead window.
     #[inline]
     pub fn peek_key_packed(&self) -> Option<u128> {
-        self.peek_key()
+        self.min_lane().map(|(k, _)| k)
     }
 
     /// The lane holding the next pending event and its packed key, if any
-    /// (argmin over the heap, timer-wheel, timeout-FIFO and bulk lanes —
-    /// one pass, so pops decide "which lane" and "which key" in a single
-    /// peek).
+    /// (argmin over the three lane fronts — one pass, so pops decide "which
+    /// lane" and "which key" in a single peek).
     #[inline]
     fn min_lane(&self) -> Option<(u128, Lane)> {
         let mut best: Option<(u128, Lane)> = self.heap.peek().map(|s| (s.key, Lane::Heap));
-        if let Some(k) = self.timers.peek_min() {
-            if best.is_none_or(|(b, _)| k < b) {
-                best = Some((k, Lane::Timer));
-            }
-        }
         if let Some(&(k, _)) = self.timeout_fifo.front() {
             if best.is_none_or(|(b, _)| k < b) {
                 best = Some((k, Lane::TimeoutFifo));
@@ -515,40 +267,20 @@ impl<E> EventQueue<E> {
         best
     }
 
-    /// The packed key of the next pending event, if any.
-    #[inline]
-    fn peek_key(&self) -> Option<u128> {
-        self.min_lane().map(|(k, _)| k)
-    }
-
-    /// Time of the next pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.peek_key().map(unpack_time)
-    }
-
     /// Extract the event with packed key `key` from `lane`, advancing the
     /// clock. `(key, lane)` must come from [`EventQueue::min_lane`].
     fn pop_lane(&mut self, key: u128, lane: Lane) -> (SimTime, E) {
-        // Keep the wheel's base on the clock before extracting: `key` is
-        // the globally earliest pending instant, which is exactly the
-        // precondition the wheel's cascade relies on — and when the wheel
-        // itself holds the minimum, advancing first cascades that entry down
-        // to a level-0 slot, so the extraction scan only ever touches
-        // same-microsecond entries.
-        let time = unpack_time(key);
-        self.timers.advance(time.as_micros());
-        let (_key, event) = match lane {
-            Lane::Timer => self.timers.pop_min().expect("wheel minimum exists"),
-            Lane::TimeoutFifo => self
-                .timeout_fifo
-                .pop_front()
-                .expect("timeout-FIFO front exists"),
-            Lane::Bulk => self.bulk.pop_front().expect("bulk front exists"),
-            Lane::Heap => {
-                let s = self.heap.pop().expect("heap top exists");
-                (s.key, s.event)
+        let event = match lane {
+            Lane::Heap => self.heap.pop().expect("heap top exists").event,
+            Lane::TimeoutFifo => {
+                self.timeout_fifo
+                    .pop_front()
+                    .expect("timeout-FIFO front exists")
+                    .1
             }
+            Lane::Bulk => self.bulk.pop_front().expect("bulk front exists").1,
         };
+        let time = unpack_time(key);
         debug_assert!(time >= self.now, "time must be monotonic");
         self.now = time;
         self.processed += 1;
@@ -557,8 +289,6 @@ impl<E> EventQueue<E> {
 
     /// Pop the next event, advancing the clock to its firing time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // Pick the earliest of the lanes; the shared sequence counter makes
-        // the packed keys totally ordered (and unique) across all.
         let (key, lane) = self.min_lane()?;
         Some(self.pop_lane(key, lane))
     }
@@ -582,85 +312,6 @@ impl<E> EventQueue<E> {
         match self.min_lane() {
             Some((key, lane)) if key < end_key => Some(self.pop_lane(key, lane)),
             _ => None,
-        }
-    }
-
-    /// Advance the clock to `at` without processing events. Panics in debug
-    /// builds if events earlier than `at` are still pending (that would break
-    /// causality).
-    pub fn advance_to(&mut self, at: SimTime) {
-        debug_assert!(
-            self.peek_time().is_none_or(|t| t >= at),
-            "cannot skip over pending events"
-        );
-        if at > self.now {
-            self.now = at;
-            self.timers.advance(at.as_micros());
-        }
-    }
-
-    /// Drop all pending events (the clock is left untouched).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.timers.clear();
-        self.timeout_fifo.clear();
-        self.bulk.clear();
-    }
-}
-
-/// Outcome of driving a queue with [`run`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The queue drained completely.
-    Drained,
-    /// The time limit was reached with events still pending.
-    DeadlineReached,
-    /// The event-count limit was reached with events still pending.
-    EventLimitReached,
-    /// The handler requested an early stop.
-    Stopped,
-}
-
-/// Control value returned by an event handler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Control {
-    /// Keep processing events.
-    #[default]
-    Continue,
-    /// Stop the run after this event.
-    Stop,
-}
-
-/// Drive `queue` by repeatedly popping events and passing them to `handler`
-/// until the queue drains, `deadline` is passed, `max_events` are processed,
-/// or the handler returns [`Control::Stop`].
-///
-/// The handler receives the queue itself so it can schedule follow-up events.
-pub fn run<E, F>(
-    queue: &mut EventQueue<E>,
-    deadline: SimTime,
-    max_events: u64,
-    mut handler: F,
-) -> RunOutcome
-where
-    F: FnMut(&mut EventQueue<E>, SimTime, E) -> Control,
-{
-    let mut count = 0u64;
-    loop {
-        if count >= max_events {
-            return RunOutcome::EventLimitReached;
-        }
-        // Fused peek/pop: one heap access decides drain-vs-deadline-vs-fire.
-        let Some((t, ev)) = queue.pop_before(deadline) else {
-            return if queue.is_empty() {
-                RunOutcome::Drained
-            } else {
-                RunOutcome::DeadlineReached
-            };
-        };
-        count += 1;
-        if handler(queue, t, ev) == Control::Stop {
-            return RunOutcome::Stopped;
         }
     }
 }
@@ -730,70 +381,19 @@ mod tests {
     }
 
     #[test]
-    fn run_until_drained() {
-        let mut q = EventQueue::new();
-        for i in 0..5u32 {
-            q.schedule_at(SimTime::from_secs(i as u64), i);
-        }
-        let mut seen = vec![];
-        let outcome = run(&mut q, SimTime::MAX, u64::MAX, |_, _, e| {
-            seen.push(e);
-            Control::Continue
-        });
-        assert_eq!(outcome, RunOutcome::Drained);
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn run_respects_deadline_and_limit() {
-        let mut q = EventQueue::new();
-        for i in 0..10u64 {
-            q.schedule_at(SimTime::from_secs(i), i);
-        }
-        let outcome = run(&mut q, SimTime::from_secs(4), u64::MAX, |_, _, _| {
-            Control::Continue
-        });
-        assert_eq!(outcome, RunOutcome::DeadlineReached);
-        assert_eq!(q.len(), 5);
-
-        let mut q2: EventQueue<u64> = EventQueue::new();
-        for i in 0..10u64 {
-            q2.schedule_at(SimTime::from_secs(i), i);
-        }
-        let outcome = run(&mut q2, SimTime::MAX, 3, |_, _, _| Control::Continue);
-        assert_eq!(outcome, RunOutcome::EventLimitReached);
-        assert_eq!(q2.len(), 7);
-    }
-
-    #[test]
-    fn handler_can_schedule_followups_and_stop() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_secs(1), 0u32);
-        let mut count = 0;
-        let outcome = run(&mut q, SimTime::MAX, u64::MAX, |q, t, e| {
-            count += 1;
-            if e < 4 {
-                q.schedule_at(t + SimDuration::from_secs(1), e + 1);
-                Control::Continue
-            } else {
-                Control::Stop
-            }
-        });
-        assert_eq!(outcome, RunOutcome::Stopped);
-        assert_eq!(count, 5);
-    }
-
-    #[test]
     fn timeout_lane_interleaves_with_heap_in_seq_order() {
         let mut q = EventQueue::new();
-        // Heap event then wheel event at the same instant: FIFO-by-seq.
+        // Heap event then timer at the same instant: FIFO-by-seq.
         q.schedule_at(SimTime::from_millis(10), "heap-1");
         q.schedule_timeout(SimTime::from_millis(10), "timer-1");
         q.schedule_at(SimTime::from_millis(5), "heap-0");
         q.schedule_timeout(SimTime::from_millis(20), "timer-2");
         q.schedule_at(SimTime::from_millis(15), "heap-2");
         assert_eq!(q.len(), 5);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(5)));
+        assert_eq!(
+            q.peek_key_packed().map(unpack_time),
+            Some(SimTime::from_millis(5))
+        );
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(
             order,
@@ -803,21 +403,17 @@ mod tests {
     }
 
     #[test]
-    fn timeout_lane_respects_deadlines_and_clear() {
+    fn timeout_lane_respects_deadlines() {
         let mut q = EventQueue::new();
         q.schedule_timeout(SimTime::from_secs(1), 1);
         q.schedule_timeout(SimTime::from_secs(5), 2);
         assert_eq!(q.pop_before(SimTime::from_secs(2)).unwrap().1, 1);
         assert!(q.pop_before(SimTime::from_secs(2)).is_none());
-        q.clear();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
-    fn out_of_order_timeouts_are_native_to_the_wheel() {
-        // The old FIFO lane had to bounce these to the heap; the wheel takes
-        // arbitrary orders directly.
+    fn out_of_order_timeouts_fire_in_time_order() {
         let mut q = EventQueue::new();
         q.schedule_timeout(SimTime::from_secs(5), "late");
         q.schedule_timeout(SimTime::from_secs(1), "early");
@@ -838,20 +434,20 @@ mod tests {
     }
 
     #[test]
-    fn wheel_matches_heap_scheduling_exactly() {
-        // The same randomized schedule through the heap lane and through the
-        // timer wheel must deliver identically: the queue always pops the
-        // globally smallest packed time‖seq key, so the wheel is a pure
-        // data-structure change. Interleave pops with inserts so cascading
-        // across level horizons is exercised.
+    fn timeout_lane_matches_heap_scheduling_exactly() {
+        // The same randomized schedule through `schedule_at` and through
+        // `schedule_timeout` must deliver identically: the queue always pops
+        // the globally smallest packed time‖seq key, so the sorted FIFO is a
+        // pure data-structure choice. Pops interleave with inserts so timers
+        // land on both sides of the FIFO's tail.
         let mut rng = crate::rng::SimRng::new(77);
         let mut heap_q = EventQueue::new();
-        let mut wheel_q = EventQueue::new();
+        let mut timer_q = EventQueue::new();
         let mut heap_out = Vec::new();
-        let mut wheel_out = Vec::new();
+        let mut timer_out = Vec::new();
         for round in 0..50u64 {
             for i in 0..200u64 {
-                // Mix short, long and far-future delays across all levels.
+                // Mix short, long and far-future delays.
                 let delay = match i % 4 {
                     0 => rng.next_bounded(64),
                     1 => rng.next_bounded(10_000),
@@ -860,22 +456,22 @@ mod tests {
                 };
                 let at = SimTime::from_micros(heap_q.now().as_micros() + delay);
                 heap_q.schedule_at(at, (round, i));
-                wheel_q.schedule_timeout(at, (round, i));
+                timer_q.schedule_timeout(at, (round, i));
             }
             for _ in 0..150 {
                 heap_out.push(heap_q.pop().unwrap());
-                wheel_out.push(wheel_q.pop().unwrap());
+                timer_out.push(timer_q.pop().unwrap());
             }
-            assert_eq!(heap_q.now(), wheel_q.now());
+            assert_eq!(heap_q.now(), timer_q.now());
         }
         heap_out.extend(std::iter::from_fn(|| heap_q.pop()));
-        wheel_out.extend(std::iter::from_fn(|| wheel_q.pop()));
-        assert_eq!(heap_out, wheel_out);
+        timer_out.extend(std::iter::from_fn(|| timer_q.pop()));
+        assert_eq!(heap_out, timer_out);
         assert_eq!(heap_out.len(), 10_000);
     }
 
     #[test]
-    fn wheel_handles_same_instant_bursts_fifo() {
+    fn same_instant_timeouts_are_fifo() {
         let mut q = EventQueue::new();
         let t = SimTime::from_micros(123_456);
         for i in 0..100 {
@@ -886,22 +482,7 @@ mod tests {
     }
 
     #[test]
-    fn wheel_cascades_across_far_horizons() {
-        let mut q = EventQueue::new();
-        // One timer per wheel level, from 1 µs out to decades.
-        let mut expected = Vec::new();
-        for l in 0..10u32 {
-            let at = SimTime::from_micros(1 + (1u64 << (6 * l)));
-            q.schedule_timeout(at, l);
-            expected.push((at, l));
-        }
-        expected.sort_by_key(|&(t, _)| t);
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(order, expected);
-    }
-
-    #[test]
-    fn wheel_interleaves_with_bulk_and_heap_lanes() {
+    fn timeouts_interleave_with_bulk_and_heap_lanes() {
         let mut q = EventQueue::new();
         q.bulk_load_sorted([
             (SimTime::from_millis(2), "bulk"),
@@ -927,7 +508,10 @@ mod tests {
         q.schedule_at(SimTime::from_millis(5), "heap");
         q.schedule_timeout(SimTime::from_millis(10), "timeout");
         assert_eq!(q.len(), 6);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(1)));
+        assert_eq!(
+            q.peek_key_packed().map(unpack_time),
+            Some(SimTime::from_millis(1))
+        );
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         // Same-instant ties break by scheduling order (bulk pushes first).
         assert_eq!(
@@ -978,20 +562,18 @@ mod tests {
     }
 
     #[test]
-    fn bulk_lane_respects_deadlines_and_clear() {
+    fn bulk_lane_respects_deadlines() {
         let mut q = EventQueue::new();
         q.bulk_load_sorted([(SimTime::from_secs(1), 1), (SimTime::from_secs(5), 2)]);
         assert_eq!(q.pop_before(SimTime::from_secs(2)).unwrap().1, 1);
         assert!(q.pop_before(SimTime::from_secs(2)).is_none());
-        q.clear();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn lane_routing_never_reorders_delivery() {
         // Interleave sorted runs, regressions, timeouts (which split between
-        // the sorted timeout FIFO and the wheel) and pops; delivery must be
+        // the sorted timeout FIFO and the heap) and pops; delivery must be
         // exactly the (time, scheduling order) sort of the whole stream —
         // lane routing is invisible.
         let mut rng = crate::rng::SimRng::new(41);
@@ -1021,14 +603,24 @@ mod tests {
             q.schedule_timeout(SimTime::from_micros(t), seq);
             expected.push((t, seq));
             seq += 1;
-            // …and a burst of backoff-style retries: exponentially spread
-            // nominal delays (spanning several wheel levels) with random
-            // jitter on top, exactly the heterogeneous key pattern the
-            // resilience layer's `backoff_delay` feeds the wheel. These
-            // must interleave with everything above in pure time order.
+            // …a burst of backoff-style retries: exponentially spread
+            // nominal delays with random jitter on top, exactly the
+            // heterogeneous key pattern the resilience layer's
+            // `backoff_delay` produces. These must interleave with
+            // everything above in pure time order…
             for _ in 0..3 {
                 let backoff = (100u64 << rng.next_bounded(10)) + rng.next_bounded(1_000);
                 let t = base + backoff;
+                q.schedule_timeout(SimTime::from_micros(t), seq);
+                expected.push((t, seq));
+                seq += 1;
+            }
+            // …and, in the last ten rounds, one far-horizon deadline each,
+            // 64-fold apart from 2 µs out to centuries: the first one parks
+            // at the timeout FIFO's tail, so every later timer of the test
+            // precedes it and takes the heap.
+            if let Some(l) = round.checked_sub(190) {
+                let t = base + 1 + (1u64 << (6 * l));
                 q.schedule_timeout(SimTime::from_micros(t), seq);
                 expected.push((t, seq));
                 seq += 1;
@@ -1038,16 +630,13 @@ mod tests {
                     out.push((t.as_micros(), v));
                 }
             }
-            let _ = round;
         }
         out.extend(std::iter::from_fn(|| q.pop()).map(|(t, v)| (t.as_micros(), v)));
-        expected.sort_by_key(|&(t, s)| (t, s));
-        // Popped times are clamped to the clock, never reordered: compare
-        // the value (scheduling-order) sequence, which pins exact order.
-        let expected_vals: Vec<u64> = expected.iter().map(|&(_, s)| s).collect();
-        let out_vals: Vec<u64> = out.iter().map(|&(_, s)| s).collect();
-        assert_eq!(out_vals, expected_vals);
-        assert_eq!(out.len(), 200 * 19);
+        // No deadline above precedes the clock, so nothing is clamped and
+        // the popped (time, value) stream is exactly the sorted schedule.
+        expected.sort();
+        assert_eq!(out, expected);
+        assert_eq!(out.len(), 200 * 19 + 10);
     }
 
     #[test]

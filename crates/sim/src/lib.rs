@@ -6,8 +6,8 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a virtual clock with microsecond
 //!   resolution;
-//! * [`EventQueue`] — a deterministic calendar queue (priority queue +
-//!   monotonic sequence numbers for FIFO tie-breaking);
+//! * [`EventQueue`] — a deterministic calendar queue (a heap and two sorted
+//!   FIFO lanes under one monotonic sequence counter for FIFO tie-breaking);
 //! * [`ShardMetrics`] — synchronization counters of the conservative-PDES
 //!   sharded engine (`concord-cluster`): per-shard lanes advance in
 //!   lookahead windows bounded by the minimum cross-shard link delay,
@@ -52,7 +52,6 @@
 
 pub mod distributions;
 pub mod events;
-pub mod hash;
 pub mod inline;
 pub mod rng;
 pub mod shard;
@@ -61,8 +60,7 @@ pub mod time;
 pub mod topology;
 
 pub use distributions::{CompiledDelay, DelayDistribution};
-pub use events::{run, Control, EventQueue, RunOutcome};
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use events::EventQueue;
 pub use inline::InlineVec;
 pub use rng::SimRng;
 pub use shard::ShardMetrics;

@@ -1,32 +1,25 @@
 //! Synchronization metrics of the conservative-PDES sharded engine.
 //!
-//! Until PR 8 this module also held `ShardedEventQueue`, a serial facade
-//! that *simulated* sharded execution: per-shard lanes, mailboxes and
-//! lookahead windows, but with every handler running on the caller's
-//! thread and delivery merged back into exact global `time‖seq` order. The
-//! parallel engine in `concord-cluster` replaced it — each shard now owns
-//! a plain [`EventQueue`](crate::EventQueue) lane, and a lookahead
-//! window's shard batches execute concurrently on the work-stealing pool,
-//! with cross-shard effects staged per shard and folded at the serial
-//! window barrier in fixed shard order. Since PR 10 the fold itself is
-//! *elidable*: cross-shard deliveries still happen at every window close,
-//! but the serial control-plane fold (oracle updates, deferred read
-//! classification, output publication) only runs when staged control
-//! effects or the deferred-completion buffer demand it. What remains here
-//! is the counter block the engine reports, because it is substrate-level
-//! vocabulary: windows, staging, violations, (PR 8) how parallel the
-//! window dispatch actually was, and (PR 10) how much synchronization the
-//! run actually paid for.
+//! The engine lives in `concord-cluster`: each shard owns a plain
+//! [`EventQueue`](crate::EventQueue) lane, a lookahead window's shard
+//! batches execute concurrently on the work-stealing pool, and cross-shard
+//! effects are staged per shard and delivered at the window barrier in
+//! fixed shard order. The barrier's serial fold (oracle updates, deferred
+//! read classification, output publication) is *elidable*: it only runs
+//! when staged control effects or the deferred-completion buffer demand it.
+//! What lives here is the counter block the engine reports, because it is
+//! substrate-level vocabulary: windows, staging, violations, how parallel
+//! the window dispatch actually was, and how much synchronization the run
+//! actually paid for.
 //!
 //! ## Determinism contract
 //!
 //! * `shards = 1` bypasses window bookkeeping entirely — the single lane
-//!   is popped directly, so the serial engine's counters stay zero and its
-//!   output is byte-identical to the pre-sharding engine.
+//!   is popped directly, so the one-shard engine's counters stay zero.
 //! * For a fixed shard count `> 1`, every counter (and the simulation
 //!   output it summarizes) is a pure function of the seed: handler batches
 //!   touch only shard-owned state, and barrier folds run serially in shard
-//!   order, so the worker-thread count never changes a value. Outputs may
+//!   order, so the worker-thread count never changes a value. Outputs
 //!   differ *between* shard counts (per-shard RNG streams, window
 //!   clamping), which is why golden digests are captured per shard count.
 
@@ -51,8 +44,7 @@ pub struct ShardMetrics {
     /// windows where the parallel dispatch had actual concurrency to
     /// exploit. Depends only on the shard count, never the thread count.
     pub parallel_batches: u64,
-    /// Serial barrier folds executed. Until PR 10 every window folded
-    /// exactly once; with barrier elision a fold only runs when deferred
+    /// Serial barrier folds executed. A fold only runs when deferred
     /// control-plane work demands it (staged control effects, or the
     /// deferred completion buffer reaching its flush threshold), so
     /// `barrier_folds + elided_barriers >= windows` is the invariant —
