@@ -65,10 +65,7 @@
 //! `crates/cluster/tests/golden_determinism.rs` and the 1/2/4/8-thread
 //! invariance tests in `crates/bench/tests/parallel_sweep.rs`). Timeouts
 //! can be retried (`ClusterConfig::retry_on_timeout`), with every re-issue
-//! accounted in the report's `retries` column; fault-scenario tail
-//! latencies can be validated against the histogram's ≤3% error bound via
-//! the opt-in exact recorder (`ClusterConfig::exact_latency_percentiles`,
-//! `LatencyStats::exact_quantile_ms`).
+//! accounted in the report's `retries` column.
 //!
 //! ## The repair plane: `--repair off|hints|anti-entropy|full`
 //!
@@ -233,19 +230,17 @@
 //!   coordinator's shard, so with DC-aligned cuts every cross-shard
 //!   message is a real inter-DC link crossing whose delay clears the
 //!   lookahead bound.
-//! * **Lookahead windows.** Shards advance in windows bounded by the
-//!   *lookahead* — but per shard, not globally. The engine keeps an
-//!   `n × n` **lookahead matrix**: entry `(i, j)` is the minimum delay any
-//!   link class crossing from shard `i` to shard `j` can produce (infimum
-//!   of the delay distribution × the current degradation factor,
-//!   recomputed when a fault script degrades or restores a link class).
-//!   Each shard's bound is its row minimum over the *other* shards, so a
-//!   shard whose only cross-shard neighbours sit behind a WAN link earns a
-//!   WAN-sized window even when some other shard pair is LAN-close. With
-//!   no cross-shard link class at all, the bound falls back to the
-//!   configured `op_timeout` rather than a hard-coded constant. No message
-//!   sent inside a window can demand execution before the window ends,
-//!   which is the classic conservative-PDES safety argument.
+//! * **Lookahead windows.** Shards advance in windows that run from the
+//!   earliest shard event to one *lookahead* past it. The lookahead is one
+//!   bound: the minimum delay any link class crossing a shard cut can
+//!   produce (infimum of the delay distribution × the current degradation
+//!   factor, recomputed when a fault script degrades or restores a link
+//!   class). With no cross-shard link class at all, the bound falls back
+//!   to the configured `op_timeout` rather than a hard-coded constant. No
+//!   message sent inside a window can demand execution before the window
+//!   ends, which is the classic conservative-PDES safety argument. Quiet
+//!   simulated time is crossed by a single cursor **fast-forward**: the
+//!   next window starts at the next event.
 //! * **Parallel window execution.** Within a window, each shard's event
 //!   batch runs as a task on the vendored rayon work-stealing pool
 //!   (`--threads <n>` sizes it), with handler state partitioned per shard:
@@ -254,34 +249,22 @@
 //!   and streams metrics into its own sink. Versions are timestamp-packed
 //!   (`(µs+1)‖seq‖shard`) so last-write-wins follows simulated time, not
 //!   shard interleaving.
-//! * **Barrier fold — elided when unused.** Closing a window has two
-//!   tiers. The cheap tier runs at *every* close: staged cross-shard
-//!   data-plane messages move from per-shard outbox arenas to their
-//!   destination lanes (the next window's floor depends on them). The
-//!   expensive serial tier — the **fold**: write acks landing in the
-//!   central staleness oracle's time-indexed history, completed reads
-//!   classified against that history *as of their own issue instant*,
-//!   control effects (abandons, hints, resubmits) applied, outputs
-//!   published — only runs when something demands it: a window that staged
-//!   control effects folds at its own barrier, and the deferred
-//!   ack/completion buffer flushes when it crosses a size threshold or the
-//!   run drains. Every other barrier is **elided**, and runs of windows
-//!   with nothing to deliver at all are crossed by a single cursor
-//!   **fast-forward** instead of barrier-by-barrier marching. Elision is
-//!   exact, not approximate: deferred work is order-preserving (per-window
-//!   output time ranges are disjoint and increasing), acks are always
-//!   applied before the reads they could affect are classified, and
-//!   anything that could perturb a later window forces a fold at its own
-//!   window — so a fold may be *deferred*, never *changed*
-//!   (`crates/cluster/tests/barrier_elision.rs` pins on/off
-//!   byte-identity under randomized fault scripts;
-//!   `ClusterConfig::eager_folds` turns elision off for debugging).
+//! * **The window close.** Every window closes the same way, serially
+//!   and in fixed shard order: staged cross-shard data-plane messages move
+//!   from per-shard outbox arenas to their destination lanes, the window's
+//!   write acks land in the central staleness oracle's time-indexed
+//!   history, control effects (abandons, hints, resubmits) are applied,
+//!   completed reads are classified against that history *as of their own
+//!   issue instant*, and the window's outputs are published sorted by
+//!   time. A driver therefore sees completions at window boundaries: a
+//!   closed loop reacts to a completion up to one lookahead after it
+//!   happened (`crates/cluster/tests/window_close.rs` checks every read's
+//!   stale flag against the output stream).
 //!   Sampled delays that undercut the lookahead bound are clamped to the
 //!   window edge and metered (`lookahead_violations` in the `RunReport`,
 //!   alongside `shards`, `shard_windows`, `cross_shard_staged`,
-//!   `parallel_batches`, `barrier_folds`, `elided_barriers`,
-//!   `fast_forwards` and `max_batch_len`; coordinator-homed routing keeps
-//!   violations at zero in practice).
+//!   `parallel_batches`, `fast_forwards` and `max_batch_len`;
+//!   coordinator-homed routing keeps violations at zero in practice).
 //!
 //! **The determinism contract.** `--shards 1` runs the sequential engine
 //! and stays byte-identical to every pre-existing golden digest. Each
@@ -292,8 +275,8 @@
 //! in family. What is pinned instead is that within a shard count the
 //! output is a pure function of the seed: **thread count is a pure
 //! performance knob**, because batches produce into per-shard sinks and
-//! the barrier folds them in fixed shard order regardless of which worker
-//! ran what. `crates/cluster/tests/golden_determinism.rs` captures one
+//! the window close drains them in fixed shard order regardless of which
+//! worker ran what. `crates/cluster/tests/golden_determinism.rs` captures one
 //! golden digest per shard count (re-capture with `GOLDEN_PRINT=1` when
 //! the simulation's outputs legitimately change) and
 //! `crates/cluster/tests/sharded_determinism.rs` asserts byte-identical

@@ -46,42 +46,37 @@
 //! drawn from the control stream and the op homes on the coordinator's
 //! shard, so every message it exchanges travels a real coordinator↔replica
 //! link — cross-shard exactly when it crosses the shard cut. The simulation
-//! advances in lookahead windows bounded per shard by that shard's row of
-//! an S×S **lookahead matrix** of pairwise link-delay infima (with
-//! datacenter-aligned cuts, each pair's bound is the delay floor between
-//! *those* DCs, so wide-area pairs no longer drag every window down to the
-//! tightest LAN link): within a window each shard drains its lane
-//! independently — the batches execute in parallel on the work-stealing
-//! pool — while cross-shard effects are staged per destination shard.
+//! advances in lookahead windows: each runs from the earliest shard event
+//! to one lookahead past it, the lookahead being the delay infimum over the
+//! link classes that cross a shard cut. Within a window each shard drains
+//! its lane independently — the batches execute in parallel on the
+//! work-stealing pool — while cross-shard effects are staged per shard.
+//! Quiet simulated time costs nothing: the next window starts at the next
+//! event, wherever that is.
 //!
-//! Closing a window has two tiers. **Delivery** happens at every close:
-//! staged data-plane messages (events, write tasks) are drained from
-//! per-destination arenas into the target lanes in fixed sender order —
-//! this cannot be deferred, because the next window's floor depends on
-//! them. The serial **fold** (oracle ack recording, deferred read
-//! classification, control-plane effects, output publication) is *elided*
-//! when nothing demands it: no staged control effects and the deferred
-//! completion buffer below its flush threshold. Folds that do run execute
-//! in fixed shard order (0, 1, …), drawing any fold-time randomness from a
-//! dedicated control-plane RNG stream, so the run's output is a pure
-//! function of `(seed, shard count)` at **any** worker-thread count —
-//! elision included, because deferred work is order-preserving (window
-//! output time ranges are disjoint) and control effects always force the
-//! fold at their own window. Runs of entirely quiet windows are
-//! fast-forwarded: the cursor jumps to the global next-event floor instead
-//! of marching barrier-by-barrier through empty simulated time.
+//! Every window closes the same way, serially and in fixed shard order
+//! (0, 1, …): staged data-plane messages (events, write tasks) enter the
+//! destination lanes, the window's write acks are recorded in the oracle,
+//! its staged control-plane effects are applied (drawing any randomness
+//! from a dedicated control-plane RNG stream), its completed reads are
+//! classified and its outputs are published sorted by time. The run's
+//! output is therefore a pure function of `(seed, shard count)` at **any**
+//! worker-thread count. A driver sees completions at window boundaries: a
+//! closed loop can react to one only after the window that produced it has
+//! closed, up to one lookahead after it happened.
 //!
 //! Two pieces of cross-op state are centralized rather than sharded. Write
 //! versions are timestamp-packed (`µs << 24 | seq << 8 | shard`) so
 //! last-writer-wins order follows simulated time no matter which shard
 //! coordinates a key's writes. The staleness oracle lives on the control
 //! plane and is touched only at serial points: windows stage write acks
-//! (with their ack times) and completed reads to the fold, where each read
+//! (with their ack times) and completed reads to the close, where each read
 //! is classified against the ack history *as of its own issue instant*
 //! ([`StalenessOracle::expected_version_at`]). The classification is exact
 //! — identical to a serial execution of the same event trace — because an
-//! ack always folds no later than the completion of any read it could
-//! affect, and same-fold acks with later times are filtered by timestamp.
+//! ack is recorded at the close of its own window, no later than the close
+//! that classifies any read issued after it, and acks of the same window
+//! with later times are filtered by timestamp.
 //!
 //! ## Two determinism universes
 //! Output is a pure function of `(seed, shard count)`: byte-identical across
@@ -103,13 +98,13 @@
 //! | `Cluster::admit` (submission routing) | every op homes on shard 0; the coordinator is drawn at arrival from the one stream | the coordinator is drawn at admission from the control stream and the op homes on its shard |
 //! | `Cluster::load_records` (preload version) | the global counter of the version-allocation row | the shared floor `Version(1)` |
 //! | `Cluster::ctrl_sink` (control sink) | control timers ride shard 0's lane and repair delays draw from its stream | the control plane's own lane and stream |
-//! | `ShardCtx::queue_hint` (hint queueing) | queued inline | staged to the fold |
+//! | `ShardCtx::queue_hint` (hint queueing) | queued inline | staged to the window close |
 //! | `ShardCtx::start_write` (version allocation) | global counter `1, 2, 3, …` | timestamp-packed `µs‖seq‖shard` |
-//! | `ShardCtx::start_read` (read expectation) | captured from the oracle at attempt start | resolved at the fold, as of the attempt's start |
+//! | `ShardCtx::start_read` (read expectation) | captured from the oracle at attempt start | resolved at the window close, as of the attempt's start |
 //! | `ShardCtx::on_replica_done` / `on_write_ack` (propagation sample) | taken when the last replica applies | taken when the last ack arrives, from the acks' apply times |
-//! | `ShardCtx::on_write_ack` (oracle ack) | recorded inline | staged to the fold with its ack time |
-//! | `ShardCtx::on_read_response` (read classification) | classified inline | classified at the fold |
-//! | `ShardCtx::on_timeout` (timeout re-issue) | re-arrives on the one lane (after the backoff, drawn from the one stream) | re-routed through the fold (coordinator and backoff drawn from the control stream) |
+//! | `ShardCtx::on_write_ack` (oracle ack) | recorded inline | staged to the window close with its ack time |
+//! | `ShardCtx::on_read_response` (read classification) | classified inline | classified at the window close |
+//! | `ShardCtx::on_timeout` (timeout re-issue) | re-arrives on the one lane (after the backoff, drawn from the one stream) | re-routed through the window close (coordinator and backoff drawn from the control stream) |
 
 use crate::config::{ClusterConfig, RepairConfig, ResilienceConfig};
 use crate::consistency::ConsistencyLevel;
@@ -218,8 +213,7 @@ enum ReplicaTask {
         /// index (see [`pack_node`]). Carried on the task so a replica on a
         /// foreign shard can sample the response delay and meter the
         /// message on *its own* stream at service time instead of deferring
-        /// the draw to the barrier fold (the fold then needs no RNG for
-        /// response traffic, which is what lets quiet windows elide it).
+        /// the draw to the window close.
         coordinator: u16,
     },
 }
@@ -463,7 +457,7 @@ struct ReadState {
     best_size: u32,
     min_version: Version,
     /// The freshness requirement captured at attempt start — one shard
-    /// only. Otherwise the completion fold resolves it retroactively
+    /// only. Otherwise the window close resolves it retroactively
     /// ([`StalenessOracle::expected_version_at`] as of `attempt_at`) and
     /// this stays [`Version::NONE`].
     expected_version: Version,
@@ -550,7 +544,7 @@ struct RetryCtx {
 struct PendingOp {
     sub: Submission,
     /// The coordinator this attempt was routed to at admission or at a
-    /// resubmission fold; `None` with one shard, where it is drawn at
+    /// resubmission; `None` with one shard, where it is drawn at
     /// arrival (see [`Cluster::admit`]).
     coordinator: Option<NodeId>,
     /// `None` for first attempts (issued at arrival, under their own id,
@@ -727,12 +721,10 @@ impl ClusterShared {
 /// A cross-shard *data-plane* message staged during a window into the
 /// sender's per-destination outbox arena and delivered — in sender-shard
 /// order, then per-destination staging order — when the window closes.
-/// Delivery is pure lane insertion (plus payload interning), needs no
-/// control-plane state, and therefore happens at **every** window close,
-/// fold or no fold: deferring it would change destination lanes' next-event
-/// floors and with them every subsequent window bound. Everything is
-/// carried by value — staged entries reference no slab of the shard that
-/// produced them.
+/// Delivery is pure lane insertion (plus payload interning): the next
+/// window's bound is computed from the destination lanes' next-event
+/// floors. Everything is carried by value — staged entries reference no
+/// slab of the shard that produced them.
 enum OutMsg {
     /// Deliver an event to the destination shard's lane verbatim.
     Event { at: SimTime, ev: Event },
@@ -745,29 +737,20 @@ enum OutMsg {
     },
 }
 
-/// How many deferred fold items (pending oracle acks + deferred read
-/// completions + gathered outputs) a window close tolerates before it
-/// forces a fold anyway. Bounds the memory deferred publication can hold
-/// and keeps the final flush from ballooning; the value is a latency/
-/// amortization trade-off, not a correctness knob — elision is exact at
-/// any threshold (see [`Cluster::fold`]).
-const FOLD_FLUSH_THRESHOLD: usize = 4096;
-
 /// A cross-shard *control-plane* effect staged during a window. Unlike
 /// [`OutMsg`] these need serialized access to [`ControlState`] (hint
-/// queues, the control RNG, coordinator re-draws), so any window that
-/// stages one **forces a barrier fold** — elision only ever skips folds
-/// with no control work pending, which is what keeps it non-perturbing.
+/// queues, the control RNG, coordinator re-draws); the close of the window
+/// that staged them applies them, in shard order then staging order.
 enum CtrlStaged {
     /// An ack owned by another shard can never arrive (dead replica /
-    /// partition-dropped task): decrement its targeted count at the fold.
+    /// partition-dropped task): decrement its targeted count at the close.
     Abandon { op_id: OpId },
     /// Queue a hinted-handoff mutation for `to` (hint queues are
     /// control-plane state).
     Hint { to: NodeId, hint: Hint },
     /// Re-route an attempt whose coordinator is unreachable (timeout retry,
     /// or the pre-routed coordinator went down before the arrival fired):
-    /// the fold draws a fresh coordinator from the control stream, homes
+    /// the close draws a fresh coordinator from the control stream, homes
     /// the attempt on that shard and restarts it at the window boundary —
     /// or, with `backoff` set, after an exponential backoff (jitter drawn
     /// from the control stream) measured from the staging time `at`,
@@ -885,21 +868,18 @@ struct ShardState {
     /// their allocations reused) at every window close.
     outbox_dest: Vec<Vec<OutMsg>>,
     /// Oracle acks produced this window `(key, version, ack_time)`: writes
-    /// that satisfied their consistency level. Gathered at the close,
-    /// recorded into the central oracle at the next fold — exact, because
-    /// classification filters acks by timestamp and every ack with time
-    /// before a read's issue time is gathered no later than that read's
-    /// window (see [`Cluster::fold`]).
+    /// that satisfied their consistency level. The close records them in
+    /// the central oracle before it classifies any read.
     outbox_acks: Vec<(Key, Version, SimTime)>,
-    /// Reads completed this window whose stale/fresh classification needs
-    /// the oracle's serialized ack history `(op, issue_at)`; classified at
-    /// the next fold.
+    /// Reads completed this window `(op, issue_at)`. Their stale/fresh
+    /// classification needs the oracle's serialized ack history, so the
+    /// close classifies, counts and publishes them.
     outbox_dones: Vec<(CompletedOp, SimTime)>,
-    /// Control-plane effects recorded this window. Any entry forces the
-    /// window to fold (see [`CtrlStaged`]).
+    /// Control-plane effects recorded this window, applied at the close
+    /// (see [`CtrlStaged`]).
     outbox_ctrl: Vec<CtrlStaged>,
-    /// Cross-shard messages staged this window (fold-independent counter
-    /// feed for [`ShardMetrics::staged`]); reset at the close.
+    /// Cross-shard messages staged this window (counter feed for
+    /// [`ShardMetrics::staged`]); reset at the close.
     window_staged: u64,
     /// Staged messages whose timestamp undercut the window boundary and
     /// were clamped to it ([`ShardMetrics::violations`]); reset at the
@@ -946,8 +926,8 @@ struct ControlState {
     repair_member_scratch: Vec<NodeId>,
     /// The ground-truth staleness oracle. One central instance, mutated
     /// only at serial points: preloads before the run, acks and read
-    /// classifications inline on the one-shard engine and at the fold
-    /// otherwise.
+    /// classifications inline on the one-shard engine and at window
+    /// closes otherwise.
     oracle: StalenessOracle,
 }
 
@@ -973,52 +953,27 @@ pub struct Cluster {
     /// shares shard 0's (see [`Cluster::ctrl_sink`]).
     control_lane: EventQueue<Event>,
     control_rng: SimRng,
-    /// Current conservative lookahead window bound: the global minimum of
-    /// `shard_lookahead` (kept for reporting and the window-size floor).
+    /// The conservative lookahead bound: the link-delay infimum over
+    /// `cross_classes` under the current degradation factors. A window runs
+    /// from the earliest shard event to that instant plus this bound.
     lookahead: SimDuration,
-    /// Per-shard-pair lookahead matrix, row-major `S×S`:
-    /// `lookahead_matrix[i * S + j]` is the infimum link delay between any
-    /// node of shard `i` and any node of shard `j` under the current
-    /// degradation factors. Diagonal entries are unused.
-    lookahead_matrix: Vec<SimDuration>,
-    /// Per-shard outgoing bound: `shard_lookahead[i] = min over j != i` of
-    /// the matrix row — the earliest a message *sent* by shard `i` at its
-    /// next-event floor can take effect on any other shard. The window end
-    /// is `min_i (floor_i + shard_lookahead[i])` over shards with pending
-    /// events, which is never smaller than the old global bound
-    /// (`global floor + global min`) and strictly wider whenever the shard
-    /// holding the global floor has only wide-area peers.
-    shard_lookahead: Vec<SimDuration>,
-    /// Which link classes connect each shard pair (row-major `S×S`, indexed
-    /// by [`LinkClass`]); the basis `refresh_lookahead` recomputes the
-    /// matrix from when degradation factors change.
-    pair_classes: Vec<[bool; 4]>,
+    /// Which link classes (indexed by [`class_index`]) connect nodes of
+    /// different shards; `refresh_lookahead` recomputes the bound from them
+    /// when a degradation factor changes.
+    cross_classes: [bool; 4],
     /// Time of the last processed event (serial) / high-water mark over the
     /// shard lanes (parallel).
     clock: SimTime,
     outputs: VecDeque<ClusterOutput>,
     propagation_samples: Vec<SimDuration>,
     /// Scratch for bulk-load placement lookups and up-node coordinator draws
-    /// at serial points (submission, resubmission folds).
+    /// at serial points (submission, resubmission).
     home_scratch: Vec<NodeId>,
     /// Synchronization counters of the sharded engine (all zero with one
     /// shard: the serial path never crosses a window barrier).
     sync: ShardMetrics,
-    /// Client outputs gathered at window closes, published (time-sorted) at
-    /// the next fold. Per-window output time ranges are disjoint and
-    /// increasing, so one deferred stable sort equals the concatenation of
-    /// per-window sorts — deferral reorders nothing.
-    fold_outputs: Vec<ClusterOutput>,
-    /// Oracle acks gathered at window closes (`(key, version, ack_time)`,
-    /// in shard order per window), recorded into the oracle at the next
-    /// fold before any classification.
-    pending_acks: Vec<(Key, Version, SimTime)>,
-    /// Reads whose completion deferred to the next fold, classified after
-    /// every pending ack has been recorded. `(op, issue_at, owning shard)`
-    /// — the shard index routes the metrics to the right sink.
-    pending_dones: Vec<(CompletedOp, SimTime, u16)>,
-    /// Boundary of the most recently closed window — the fold time used
-    /// when a flush is forced between windows.
+    /// Boundary of the most recently closed window: a next window that
+    /// starts past it fast-forwarded over quiet simulated time.
     last_boundary: SimTime,
     /// High-water mark of `submit_batch` arrival times across all shards
     /// (the per-lane FIFO asserts only per-lane order; the sorted-stream
@@ -1028,7 +983,7 @@ pub struct Cluster {
 
 /// Account a message of `bytes` payload travelling `from → to` against the
 /// given RNG/metric sink (a shard's inside a window, the control plane's at
-/// a fold) and return its sampled link delay.
+/// a serial point) and return its sampled link delay.
 fn account_message(
     shared: &ClusterShared,
     rng: &mut SimRng,
@@ -1123,7 +1078,7 @@ fn account_hedge_message(
 /// nominal delay doubles per consumed retry (`base`, `2·base`, `4·base`, …)
 /// up to the cap, then a full-jitter-style multiplier in `[0.5, 1.5)` is
 /// drawn from the given stream (the shard's on the one-shard engine, the
-/// control plane's at a resubmission fold). The draw happens on every
+/// control plane's at a resubmission). The draw happens on every
 /// backoff retry and only then — backoff off means zero extra draws.
 fn backoff_delay(retry_budget: u32, retries_left: u32, rng: &mut SimRng) -> SimDuration {
     let base = ResilienceConfig::BACKOFF_BASE.as_micros();
@@ -1378,32 +1333,20 @@ impl Cluster {
         let storage_write_sampler = config.storage_write_latency.compiled();
         let shards = config.effective_shards();
         let node_shard = Self::build_shard_map(&config.topology, shards);
-        let mut pair_classes = vec![[false; 4]; shards * shards];
+        let mut cross_classes = [false; 4];
         for from in 0..n {
             for to in 0..n {
-                let (sf, st) = (node_shard[from] as usize, node_shard[to] as usize);
-                if sf != st {
-                    let c = class_index(link_class[from * n + to]);
-                    pair_classes[sf * shards + st][c] = true;
+                if node_shard[from] != node_shard[to] {
+                    cross_classes[class_index(link_class[from * n + to])] = true;
                 }
             }
         }
-        let lookahead_fallback = config.op_timeout;
-        let (lookahead_matrix, shard_lookahead, lookahead) = Self::lookahead_tables(
+        let lookahead = Self::lookahead_bound(
             &config.network,
-            &pair_classes,
-            shards,
+            &cross_classes,
             &[1.0; 4],
-            lookahead_fallback,
+            config.op_timeout,
         );
-        let fresh_metrics = |config: &ClusterConfig| {
-            let mut metrics = ClusterMetrics::new();
-            if config.exact_latency_percentiles {
-                metrics.read_latency.enable_exact();
-                metrics.write_latency.enable_exact();
-            }
-            metrics
-        };
         let effective_rf = ring.replication_factor() as usize;
         let node_dc: Vec<DcId> = config
             .topology
@@ -1423,7 +1366,7 @@ impl Cluster {
                     SimRng::shard_stream(seed, k as u64)
                 },
                 ops: OpSlab::with_stride(shards as u32, k as u32),
-                metrics: fresh_metrics(&config),
+                metrics: ClusterMetrics::new(),
                 next_version: 0,
                 version_last_us: 0,
                 version_seq: 0,
@@ -1458,7 +1401,7 @@ impl Cluster {
             })
             .collect();
         let ctrl = ControlState {
-            metrics: fresh_metrics(&config),
+            metrics: ClusterMetrics::new(),
             hints: (0..n).map(|_| VecDeque::new()).collect(),
             hint_replay_active: vec![false; n],
             sweep_cursor: 0,
@@ -1499,17 +1442,12 @@ impl Cluster {
             control_lane: EventQueue::new(),
             control_rng: SimRng::shard_stream(seed, shards as u64),
             lookahead,
-            lookahead_matrix,
-            shard_lookahead,
-            pair_classes,
+            cross_classes,
             clock: SimTime::ZERO,
             outputs: VecDeque::new(),
             propagation_samples: Vec::new(),
             home_scratch: Vec::with_capacity(effective_rf.max(1)),
             sync: ShardMetrics::default(),
-            fold_outputs: Vec::new(),
-            pending_acks: Vec::new(),
-            pending_dones: Vec::new(),
             last_boundary: SimTime::ZERO,
             bulk_tail: SimTime::ZERO,
         }
@@ -1566,53 +1504,15 @@ impl Cluster {
         SimDuration::from_micros((min_ms * 1_000.0).floor() as u64)
     }
 
-    /// Build the per-pair lookahead matrix, the per-shard outgoing bounds
-    /// and the global minimum from the pair link-class basis. Row `i` of
-    /// the matrix bounds how early a message sent by shard `i` can take
-    /// effect on shard `j`; `shard_lookahead[i]` is the row minimum over
-    /// `j != i`. With a uniform matrix this degenerates to exactly the old
-    /// single global bound.
-    fn lookahead_tables(
-        network: &NetworkModel,
-        pair_classes: &[[bool; 4]],
-        shards: usize,
-        degradation: &[f64; 4],
-        fallback: SimDuration,
-    ) -> (Vec<SimDuration>, Vec<SimDuration>, SimDuration) {
-        let mut matrix = vec![fallback; shards * shards];
-        let mut per_shard = vec![fallback; shards];
-        for i in 0..shards {
-            for j in 0..shards {
-                if i == j {
-                    continue;
-                }
-                let bound = Self::lookahead_bound(
-                    network,
-                    &pair_classes[i * shards + j],
-                    degradation,
-                    fallback,
-                );
-                matrix[i * shards + j] = bound;
-                per_shard[i] = per_shard[i].min(bound);
-            }
-        }
-        let global = per_shard.iter().copied().min().unwrap_or(fallback);
-        (matrix, per_shard, global)
-    }
-
-    /// Re-derive the lookahead matrix and bounds from the current
-    /// degradation factors (takes effect at the next window).
+    /// Re-derive the lookahead bound from the current degradation factors
+    /// (takes effect at the next window).
     fn refresh_lookahead(&mut self) {
-        let (matrix, per_shard, global) = Self::lookahead_tables(
+        self.lookahead = Self::lookahead_bound(
             &self.shared.config.network,
-            &self.pair_classes,
-            self.shard_states.len(),
+            &self.cross_classes,
             &self.shared.link_degradation,
             self.shared.config.op_timeout,
         );
-        self.lookahead_matrix = matrix;
-        self.shard_lookahead = per_shard;
-        self.lookahead = global;
     }
 
     /// Whether this cluster runs the one-shard engine (see the module docs'
@@ -1648,15 +1548,14 @@ impl Cluster {
     }
 
     /// Synchronization counters of the sharded engine (lookahead windows
-    /// crossed, parallel handler batches, cross-shard events staged, barrier
-    /// folds, bound violations). All zero with one shard.
+    /// crossed, parallel handler batches, cross-shard events staged, bound
+    /// violations). All zero with one shard.
     pub fn shard_metrics(&self) -> ShardMetrics {
         self.sync
     }
 
-    /// The current conservative lookahead window bound: the global minimum
-    /// over the per-pair lookahead matrix. Individual windows are bounded
-    /// per shard by the (possibly wider) per-shard row minima.
+    /// The current conservative lookahead bound: every window runs from the
+    /// earliest shard event to that instant plus this bound.
     pub fn lookahead(&self) -> SimDuration {
         self.lookahead
     }
@@ -1717,10 +1616,9 @@ impl Cluster {
     }
 
     /// Ground-truth staleness totals. One central oracle serves both
-    /// engines: the serial engine classifies inline, the parallel engine at
-    /// barrier folds (deferred read completions in `pending_dones`), so its
-    /// counters are the whole view once a run has drained (mid-run, elided
-    /// barriers may defer classification until the next fold).
+    /// engines: the serial engine classifies a read inline, the parallel
+    /// engine at the close of the window that completed it — so the
+    /// counters always cover exactly the reads already published.
     pub fn oracle(&self) -> OracleStats {
         self.ctrl.oracle.stats()
     }
@@ -1732,12 +1630,10 @@ impl Cluster {
     /// single sink would have produced.
     pub fn metrics(&self) -> ClusterMetrics {
         let mut merged = self.shard_states[0].metrics.clone();
-        merged.merge_many(
-            self.shard_states[1..]
-                .iter()
-                .map(|s| &s.metrics)
-                .chain(std::iter::once(&self.ctrl.metrics)),
-        );
+        for s in &self.shard_states[1..] {
+            merged.merge(&s.metrics);
+        }
+        merged.merge(&self.ctrl.metrics);
         merged
     }
 
@@ -2335,10 +2231,8 @@ impl Cluster {
 
     /// Advance the parallel engine by one step: either run one due control
     /// event at a barrier edge, or execute one lookahead window (parallel
-    /// shard batches + window close, folding only when control-plane work
-    /// demands it). Returns `false` when nothing is left (or the next event
-    /// lies beyond `deadline`) *and* no deferred fold work remained to
-    /// flush.
+    /// shard batches, then the serial close). Returns `false` when nothing
+    /// is left or the next event lies beyond `deadline`.
     fn step_window(&mut self, deadline: Option<SimTime>) -> bool {
         let shard_min = self
             .shard_states
@@ -2346,37 +2240,22 @@ impl Cluster {
             .filter_map(|s| s.lane.peek_key_packed())
             .min();
         let ctrl_min = self.control_lane.peek_key_packed();
-        let next_key = match (shard_min, ctrl_min) {
-            // Out of events: publish whatever elided folds deferred (the
-            // second pass through here finds nothing pending and stops).
-            (None, None) => return self.flush_pending(),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (Some(a), Some(b)) => a.min(b),
+        let Some(next_key) = shard_min.into_iter().chain(ctrl_min).min() else {
+            return false;
         };
-        let next_time = unpack_time(next_key);
-        if let Some(d) = deadline {
-            if next_time > d {
-                // Beyond the caller's horizon: flush so completions that
-                // already happened are observable at the deadline.
-                return self.flush_pending();
-            }
+        let floor = unpack_time(next_key);
+        if deadline.is_some_and(|d| floor > d) {
+            return false;
         }
         // Control events run at barrier edges, serially, and win instant
         // ties against shard events: no shard event at the control event's
         // instant may execute first (its handlers could observe state the
-        // control event is about to change).
-        let ctrl_due = match (ctrl_min, shard_min) {
-            (Some(c), Some(s)) => unpack_time(c) <= unpack_time(s),
-            (Some(_), None) => true,
-            _ => false,
-        };
+        // control event is about to change). Every completion before that
+        // instant was published by the close of its own window, so a tick
+        // follows all of them.
+        let ctrl_due =
+            ctrl_min.is_some_and(|c| shard_min.is_none_or(|s| unpack_time(c) <= unpack_time(s)));
         if ctrl_due {
-            // Deferred completions all precede the control event's instant
-            // (windows never cross it), so flush first: a tick output must
-            // follow every completion that happened before it, and control
-            // handlers must observe up-to-date control-plane state.
-            self.flush_pending();
             let (now, event) = self
                 .control_lane
                 .pop()
@@ -2390,33 +2269,21 @@ impl Cluster {
             );
             return true;
         }
-        // One lookahead window: [floor, end) in packed-key space. The end
-        // is the min over shards with pending events of `shard floor +
-        // per-shard lookahead` — a message sent by shard `i` is sent at or
-        // after `i`'s own next-event floor and takes at least
-        // `shard_lookahead[i]` to take effect elsewhere, so no shard can
-        // affect another inside the window. With a uniform lookahead matrix
-        // this equals the old `global floor + global bound`; with a mixed
-        // topology, shards whose outgoing links are all wide-area stop
-        // dragging the window down to the tightest LAN bound. The window
-        // never reaches the next control event's instant and never crosses
-        // the caller's deadline; a zero bound (cross-shard link with a zero
-        // delay infimum) degrades to a minimal 1 µs window.
-        let floor = next_time;
+        // One lookahead window: [floor, end) in packed-key space, where
+        // `floor` is now the earliest shard event and `end` lies one
+        // lookahead past it — a message is sent at or after that event and
+        // takes at least the bound to cross a shard cut, so no shard can
+        // affect another inside the window. The window never reaches the
+        // next control event's instant and never crosses the caller's
+        // deadline; a zero bound (cross-shard link with a zero delay
+        // infimum) degrades to a minimal 1 µs window.
         if self.sync.windows > 0 && floor > self.last_boundary {
             // The global floor jumped past quiet simulated time instead of
             // marching barrier-by-barrier through it.
             self.sync.fast_forwards += 1;
         }
         let min_window = SimDuration::from_micros(1);
-        let mut end_key = u128::MAX;
-        for (i, s) in self.shard_states.iter().enumerate() {
-            if let Some(k) = s.lane.peek_key_packed() {
-                let bound = unpack_time(k) + self.shard_lookahead[i].max(min_window);
-                end_key = end_key.min(pack(bound, 0));
-            }
-        }
-        debug_assert!(end_key != u128::MAX, "some shard lane has events here");
+        let mut end_key = pack(floor + self.lookahead.max(min_window), 0);
         if let Some(c) = ctrl_min {
             end_key = end_key.min(pack(unpack_time(c), 0));
         }
@@ -2443,19 +2310,15 @@ impl Cluster {
         true
     }
 
-    /// The serial barrier at the end of every window: advance the clock,
-    /// update the synchronization counters, deliver every shard's
-    /// data-plane outbox arenas in fixed sender order (cross-shard events
-    /// and write tasks go straight into destination lanes — this cannot be
-    /// deferred, because the next window's bound is computed from those
-    /// lanes' floors), and gather outputs, oracle acks, deferred read
-    /// completions and propagation samples — also in shard order — into the
-    /// cluster-level pending buffers. Then decide whether to *fold*:
-    /// windows that staged control-plane effects must fold (they need the
-    /// serialized [`ControlState`]), as must windows that pushed the
-    /// pending buffers past the flush threshold; everything else elides the
-    /// fold entirely, which is what makes a barrier cost two lane peeks
-    /// instead of a serial walk over every shard.
+    /// The serial barrier at the end of every window, in fixed shard order
+    /// throughout: advance the clock and the synchronization counters,
+    /// deliver every shard's data-plane outbox arenas into the destination
+    /// lanes (the next window's bound is computed from those lanes'
+    /// floors), record the window's acks in the oracle, apply its staged
+    /// control-plane effects, classify its completed reads — against an ack
+    /// history that is complete up to the boundary, because every ack
+    /// before a read's issue instant closed in this window or an earlier
+    /// one — and publish its outputs sorted by time.
     fn close_window(&mut self, boundary: SimTime) {
         for s in &self.shard_states {
             let t = s.lane.now();
@@ -2482,7 +2345,6 @@ impl Cluster {
             self.sync.max_batch_len = longest;
         }
         let nshards = self.shard_states.len();
-        let mut ctrl_work = false;
         for i in 0..nshards {
             self.sync.staged += self.shard_states[i].window_staged;
             self.sync.violations += self.shard_states[i].window_violations;
@@ -2511,102 +2373,49 @@ impl Cluster {
                 self.shard_states[i].outbox_dest[dest] = msgs;
             }
         }
-        for k in 0..nshards {
-            let s = &mut self.shard_states[k];
-            ctrl_work |= !s.outbox_ctrl.is_empty();
-            self.pending_acks.append(&mut s.outbox_acks);
-            let shard = k as u16;
-            self.pending_dones
-                .extend(s.outbox_dones.drain(..).map(|(op, t)| (op, t, shard)));
-            self.fold_outputs.append(&mut s.outputs);
-            self.propagation_samples.append(&mut s.propagation);
-        }
         self.last_boundary = boundary;
-        let pending = self.pending_acks.len() + self.pending_dones.len() + self.fold_outputs.len();
-        if self.shared.config.eager_folds || ctrl_work || pending >= FOLD_FLUSH_THRESHOLD {
-            self.fold(boundary);
-        } else {
-            self.sync.elided_barriers += 1;
-        }
-    }
-
-    /// The serial fold: record pending oracle acks, apply staged
-    /// control-plane effects in fixed shard order, classify deferred read
-    /// completions against the now-complete ack history, and publish the
-    /// gathered outputs time-sorted. Deferring this across elided windows
-    /// is exact: per-window output time ranges are disjoint and increasing
-    /// (a window's outputs all precede its boundary, and the next window's
-    /// floor is at or past it), so one stable sort of the accumulated
-    /// buffer equals the concatenation of per-window sorts; ack-before-read
-    /// classification stays exact because an ack timestamped before a
-    /// read's issue instant is gathered no later than that read's window
-    /// and therefore recorded by the fold that classifies it, while acks
-    /// recorded early are filtered out by their timestamps
-    /// ([`StalenessOracle::classify_read_at`]).
-    fn fold(&mut self, boundary: SimTime) {
-        self.sync.barrier_folds += 1;
-        // Acks first: control-plane arms never consult the oracle, but
-        // deferred read classification below needs every gathered ack.
-        for (key, version, at) in self.pending_acks.drain(..) {
-            self.ctrl.oracle.record_ack(key, version, at);
-        }
-        for i in 0..self.shard_states.len() {
-            let mut staged = std::mem::take(&mut self.shard_states[i].outbox_ctrl);
+        // Every ack goes in before any read is classified: a read may have
+        // been issued after an ack another shard produced in this window.
+        // Control-plane effects never consult the oracle.
+        let published = self.outputs.len();
+        for i in 0..nshards {
+            let s = &mut self.shard_states[i];
+            for (key, version, at) in s.outbox_acks.drain(..) {
+                self.ctrl.oracle.record_ack(key, version, at);
+            }
+            self.outputs.extend(s.outputs.drain(..));
+            self.propagation_samples.append(&mut s.propagation);
+            let mut staged = std::mem::take(&mut s.outbox_ctrl);
             for entry in staged.drain(..) {
                 self.apply_ctrl_staged(entry, boundary);
             }
             // Hand the (empty) allocation back for the next window.
             self.shard_states[i].outbox_ctrl = staged;
         }
-        // Finish deferred read completions now that every gathered ack is
-        // in the oracle: classify each read against the ack set as of its
-        // own issue instant, count it in its shard's metric sink and emit
-        // the client output in time for this fold's publish below.
-        let mut dones = std::mem::take(&mut self.pending_dones);
-        for (mut op, issue_at, shard) in dones.drain(..) {
-            let class = self
-                .ctrl
-                .oracle
-                .classify_read_at(op.key, issue_at, op.returned_version);
-            op.stale = class.stale;
-            op.staleness_depth = class.depth;
-            let s = &mut self.shard_states[shard as usize];
-            s.metrics
-                .record_completion(OpKind::Read, op.latency(), class.stale);
-            self.fold_outputs.push(ClusterOutput::Completed(op));
+        for s in &mut self.shard_states {
+            for (mut op, issue_at) in s.outbox_dones.drain(..) {
+                let class =
+                    self.ctrl
+                        .oracle
+                        .classify_read_at(op.key, issue_at, op.returned_version);
+                op.stale = class.stale;
+                op.staleness_depth = class.depth;
+                s.metrics
+                    .record_completion(OpKind::Read, op.latency(), class.stale);
+                self.outputs.push_back(ClusterOutput::Completed(op));
+            }
         }
-        self.pending_dones = dones;
-        let mut gathered = std::mem::take(&mut self.fold_outputs);
-        // Stable by-time sort over the (window, shard)-ordered
-        // concatenation: outputs interleave across shards by simulated
-        // time, with gathering order breaking ties deterministically.
-        gathered.sort_by_key(|out| match out {
+        // Stable by-time sort over the shard-ordered concatenation: outputs
+        // interleave across shards by simulated time, with gathering order
+        // breaking ties deterministically.
+        self.outputs.make_contiguous()[published..].sort_by_key(|out| match out {
             ClusterOutput::Completed(op) => op.completed_at,
             ClusterOutput::Tick { at, .. } => *at,
         });
-        self.outputs.extend(gathered.drain(..));
-        self.fold_outputs = gathered;
     }
 
-    /// Force a fold between windows if elided barriers left anything
-    /// pending; returns whether one ran. Called before control events (a
-    /// tick must observe and follow every completion that precedes it), at
-    /// the caller's deadline and when the queues drain. Control-plane
-    /// outboxes are always empty here — a window that stages control work
-    /// folds at its own close — so the fold boundary can only matter to
-    /// nothing and the last window's boundary is passed for form.
-    fn flush_pending(&mut self) -> bool {
-        if self.pending_acks.is_empty()
-            && self.pending_dones.is_empty()
-            && self.fold_outputs.is_empty()
-        {
-            return false;
-        }
-        self.fold(self.last_boundary);
-        true
-    }
-
-    /// Apply one staged control-plane effect at a fold (see [`CtrlStaged`]).
+    /// Apply one staged control-plane effect at the close of the window
+    /// ending at `boundary` (see [`CtrlStaged`]).
     fn apply_ctrl_staged(&mut self, staged: CtrlStaged, boundary: SimTime) {
         match staged {
             CtrlStaged::Abandon { op_id } => {
@@ -2632,7 +2441,7 @@ impl Cluster {
                 // waits out the exponential delay measured from the staging
                 // time, floored at the boundary; the jitter draw comes from
                 // the control stream, the same stream the coordinator draw
-                // uses, so the fold stays a pure function of (seed, shards).
+                // uses, so the close stays a pure function of (seed, shards).
                 let coordinator =
                     draw_coordinator(&self.shared, &mut self.control_rng, &mut self.home_scratch);
                 let when = if backoff {
@@ -2949,7 +2758,7 @@ impl Cluster {
 /// `ctrl` doubles as the universe switch: `Some` on the one-shard engine,
 /// where every event is a serial point and control-plane state is reachable
 /// inline, `None` inside a window, where its effects are staged for the
-/// fold. The module docs' table lists the seven handlers that look at it.
+/// close. The module docs' table lists the seven handlers that look at it.
 struct ShardCtx<'a> {
     shared: &'a ClusterShared,
     s: &'a mut ShardState,
@@ -2983,7 +2792,7 @@ impl ShardCtx<'_> {
             Event::OpTimeout { op_id } => self.on_timeout(now, op_id),
             Event::HedgeFire { op_id } => self.on_hedge_fire(now, op_id),
             // Ticks normally ride the control lane; tolerate one here for
-            // totality (it folds into the output stream like a completion).
+            // totality (it joins the output stream like a completion).
             Event::Tick { id } => self.s.outputs.push(ClusterOutput::Tick { id, at: now }),
             Event::HintReplay { .. } | Event::AntiEntropy | Event::RepairSync { .. } => {
                 unreachable!("repair-plane events run on the control lane")
@@ -3077,7 +2886,7 @@ impl ShardCtx<'_> {
 
     /// Queue a hinted-handoff mutation for the down replica `to`. Hint
     /// queues are control-plane state: reachable inline on the one-shard
-    /// engine, staged to the fold from a window.
+    /// engine, staged to the close from a window.
     fn queue_hint(&mut self, now: SimTime, to: NodeId, hint: Hint) {
         match self.ctrl.as_deref_mut() {
             Some(ctrl) => enqueue_hint(self.shared, ctrl, &mut self.s.lane, now, to, hint),
@@ -3101,7 +2910,7 @@ impl ShardCtx<'_> {
         let coordinator = match p.coordinator {
             Some(c) if self.shared.down[c.0 as usize] => {
                 // The pre-routed coordinator went down between routing and
-                // arrival: re-route through the fold (fresh draw among the
+                // arrival: re-route through the close (fresh draw among the
                 // up nodes). No retry budget is consumed — the client never
                 // reached a coordinator — and no backoff applies (this is
                 // re-routing, not a timed-out attempt).
@@ -3236,7 +3045,7 @@ impl ShardCtx<'_> {
         let level = sub.level.unwrap_or(self.shared.read_level);
         let required = self.shared.config.required_acks(level);
         // One shard: capture the freshness expectation inline. Otherwise
-        // the oracle is untouchable inside a window; the completion fold
+        // the oracle is untouchable inside a window; the window close
         // resolves the expectation retroactively as of `now` (stored in
         // `attempt_at` below).
         let expected_version = match self.ctrl.as_deref() {
@@ -3670,9 +3479,8 @@ impl ShardCtx<'_> {
             }
         }
         // The delay is sampled and the message metered on *this* shard's
-        // stream at service time, wherever the op lives, so the barrier
-        // fold needs no RNG for response traffic — which is what lets quiet
-        // windows elide it.
+        // stream at service time, wherever the op lives, so the window
+        // close needs no RNG for response traffic.
         let delay = slow_response(
             self.shared,
             node,
@@ -3718,7 +3526,7 @@ impl ShardCtx<'_> {
             w.completed = true;
             let completed = w.completion(now, OpStatus::Ok);
             // The ack becomes ground truth for later reads: inline with one
-            // shard, staged to the fold from a window (the central oracle
+            // shard, staged to the close from a window (the central oracle
             // is frozen while windows run) with its true ack time, which
             // retroactive classification queries filter by.
             match self.ctrl.as_deref_mut() {
@@ -3832,7 +3640,7 @@ impl ShardCtx<'_> {
             // One shard: classify against (and count in) the central oracle
             // inline. Otherwise the classification needs the serialized ack
             // history, so the completion (classification, metric, client
-            // output) finishes at a fold — read repair below is
+            // output) finishes at the close — read repair below is
             // oracle-independent and stays in-window.
             match self.ctrl.as_deref_mut() {
                 Some(ctrl) => {
@@ -3956,7 +3764,7 @@ impl ShardCtx<'_> {
             }
             if self.ctrl.is_none() {
                 // More than one shard: the fresh coordinator may live on
-                // any of them, so the attempt re-routes through the fold —
+                // any of them, so the attempt re-routes through the close —
                 // drawn from the control stream and re-homed on the
                 // coordinator's shard, like a brand-new submission, after
                 // the backoff if there is one.
@@ -5247,7 +5055,6 @@ mod tests {
     fn exact_percentiles_validate_the_histogram_bound() {
         let mut cfg = ClusterConfig::lan_test(6, 5);
         cfg.network = concord_sim::NetworkModel::ec2_like();
-        cfg.exact_latency_percentiles = true;
         let mut c = Cluster::new(cfg, 23);
         c.load_records((0..20u64).map(|k| (k, 100)));
         for i in 0..500u64 {
@@ -5262,14 +5069,25 @@ mod tests {
                 c.submit_read_with(i % 20, ConsistencyLevel::Quorum, SimTime::from_millis(i));
             }
         }
-        drain(&mut c);
-        let qs = [0.5, 0.95, 0.99];
+        let done = drain(&mut c);
         let m = c.metrics();
-        for stats in [&m.read_latency, &m.write_latency] {
-            assert!(stats.exact_enabled());
-            // One sort serves all three quantiles.
-            let exacts = stats.exact_quantiles_ms(&qs).expect("exact recorder is on");
-            for (&q, &exact) in qs.iter().zip(&exacts) {
+        for (kind, stats) in [
+            (OpKind::Read, &m.read_latency),
+            (OpKind::Write, &m.write_latency),
+        ] {
+            // True order statistics (linear interpolation between closest
+            // ranks) of the latencies the run reported.
+            let mut sorted: Vec<f64> = done
+                .iter()
+                .filter(|op| op.kind == kind)
+                .map(|op| op.latency().as_micros() as f64 / 1e3)
+                .collect();
+            sorted.sort_by(f64::total_cmp);
+            assert_eq!(sorted.len() as u64, stats.count());
+            for q in [0.5, 0.95, 0.99] {
+                let rank = q * (sorted.len() - 1) as f64;
+                let (lo, hi) = (sorted[rank.floor() as usize], sorted[rank.ceil() as usize]);
+                let exact = lo + (hi - lo) * rank.fract();
                 let approx = stats.quantile_ms(q).expect("histogram has samples");
                 assert!(
                     (approx - exact).abs() <= exact * 0.03 + 1e-3,
@@ -5277,10 +5095,6 @@ mod tests {
                 );
             }
         }
-        // Default config keeps the recorder off.
-        let plain = cluster(4, 3);
-        assert!(!plain.metrics().read_latency.exact_enabled());
-        assert_eq!(plain.metrics().read_latency.exact_quantile_ms(0.5), None);
     }
 
     #[test]

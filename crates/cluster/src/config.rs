@@ -220,18 +220,14 @@ pub struct ClusterConfig {
     /// completes with [`OpStatus::Timeout`](crate::OpStatus::Timeout).
     /// 0 (the default) keeps the historical fail-fast behaviour.
     pub retry_on_timeout: u32,
-    /// When true, latency metrics additionally keep every raw sample so
-    /// exact order-statistic percentiles can be computed next to the
-    /// histogram's ≤3%-error quantiles (validation of fault-scenario tails;
-    /// costs 8 bytes per completed operation).
-    pub exact_latency_percentiles: bool,
     /// Number of event-queue shards the engine partitions the cluster into
     /// (conservative-PDES sharding: nodes are grouped datacenter-contiguously
     /// into `shards` groups, each with its own event lanes and its own RNG
     /// stream, advancing in lookahead windows bounded by the minimum
     /// cross-shard link delay; window batches execute in parallel on the
-    /// worker pool and cross-shard traffic folds at window barriers in fixed
-    /// shard order). **Each shard count is its own deterministic universe,
+    /// worker pool, and every window closes serially in fixed shard order:
+    /// cross-shard traffic is delivered, reads are classified and outputs
+    /// are published). **Each shard count is its own deterministic universe,
     /// byte-identical at any worker-thread count** — the golden-digest tests
     /// pin one digest per shard count and the thread-matrix tests assert
     /// thread invariance. 1 (and, for backward compatibility of serialized
@@ -240,16 +236,6 @@ pub struct ClusterConfig {
     /// node count are clamped to it.
     #[serde(default)]
     pub shards: u32,
-    /// Force a serial barrier fold at *every* lookahead window instead of
-    /// letting the sharded engine elide folds that have no control-plane
-    /// work (PR 10 barrier elision). Elision is provably non-perturbing —
-    /// the `barrier_elision` property tests pin byte-identical output with
-    /// the knob on and off — so this exists for A/B measurement of fold
-    /// overhead and as a bisection aid, not as a correctness escape hatch.
-    /// Defaults to `false` (elision on); absent in pre-PR-10 serialized
-    /// configs via `serde(default)`. Ignored by the serial engine.
-    #[serde(default)]
-    pub eager_folds: bool,
 }
 
 impl ClusterConfig {
@@ -282,9 +268,7 @@ impl ClusterConfig {
             message_overhead_bytes: 60,
             small_message_bytes: 40,
             retry_on_timeout: 0,
-            exact_latency_percentiles: false,
             shards: 1,
-            eager_folds: false,
         }
     }
 
@@ -507,15 +491,19 @@ mod tests {
     }
 
     #[test]
-    fn configs_without_an_eager_folds_field_default_to_elision() {
-        // Pre-PR-10 configs serialized before barrier elision existed must
-        // keep deserializing, with the absent field meaning "elide".
+    fn configs_carrying_the_retired_fields_still_load() {
+        // Configs serialized while `eager_folds` (barrier elision) and
+        // `exact_latency_percentiles` were options must keep deserializing:
+        // unknown fields are ignored.
         let cfg = ClusterConfig::lan_test(4, 3);
         let json = serde_json::to_string(&cfg).unwrap();
-        let stripped = json.replace(",\"eager_folds\":false", "");
-        assert_ne!(json, stripped, "the field must have been present");
-        let back: ClusterConfig = serde_json::from_str(&stripped).unwrap();
-        assert!(!back.eager_folds);
+        let old = json.replace(
+            ",\"shards\":1",
+            ",\"exact_latency_percentiles\":true,\"shards\":1,\"eager_folds\":false",
+        );
+        assert_ne!(json, old, "the retired fields must have been inserted");
+        let back: ClusterConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
         assert!(back.validate().is_ok());
     }
 

@@ -18,16 +18,9 @@ use serde::{Deserialize, Serialize};
 /// draw, the mean is exact (integer microsecond sum), and quantiles read the
 /// bucket counts directly instead of sorting a sample vector on every call
 /// (≈3% bounded relative error, same as the monitor's reporting path).
-/// When validating the streaming histogram's error bound matters more than
-/// memory (fault-scenario tail latencies), the stats can additionally keep
-/// every raw sample behind an opt-in flag ([`LatencyStats::with_exact`]):
-/// [`LatencyStats::exact_quantile_ms`] then computes true order statistics
-/// to compare against [`LatencyStats::quantile_ms`].
 #[derive(Debug, Clone, Default)]
 pub struct LatencyStats {
     histogram: LatencyHistogram,
-    /// Raw microsecond samples, kept only when exact recording is enabled.
-    exact: Option<Vec<u64>>,
 }
 
 impl LatencyStats {
@@ -36,37 +29,9 @@ impl LatencyStats {
         Self::default()
     }
 
-    /// Empty statistics with the exact-sample recorder enabled: every
-    /// recorded latency is additionally kept verbatim, so
-    /// [`LatencyStats::exact_quantile_ms`] can compute true order
-    /// statistics. Off by default — it costs 8 bytes per sample, which the
-    /// streaming histogram exists to avoid.
-    pub fn with_exact() -> Self {
-        LatencyStats {
-            histogram: LatencyHistogram::new(),
-            exact: Some(Vec::new()),
-        }
-    }
-
-    /// Enable the exact-sample recorder (samples recorded before the call
-    /// are not recoverable; enable before the run starts).
-    pub fn enable_exact(&mut self) {
-        if self.exact.is_none() {
-            self.exact = Some(Vec::new());
-        }
-    }
-
-    /// Whether the exact-sample recorder is enabled.
-    pub fn exact_enabled(&self) -> bool {
-        self.exact.is_some()
-    }
-
     /// Record a latency.
     pub fn record(&mut self, latency: SimDuration) {
         self.histogram.record(latency.as_micros());
-        if let Some(samples) = &mut self.exact {
-            samples.push(latency.as_micros());
-        }
     }
 
     /// Number of recorded latencies.
@@ -89,67 +54,14 @@ impl LatencyStats {
         self.histogram.max().unwrap_or(0) as f64 / 1e3
     }
 
-    /// Exact `q`-quantile in milliseconds from the raw samples (linear
-    /// interpolation between closest ranks). Returns `None` if the
-    /// exact-sample recorder is disabled or no samples were recorded —
-    /// callers validating the histogram bound should treat `None` as a
-    /// configuration error, not as "no difference". Sorts the samples on
-    /// every call; query several quantiles through
-    /// [`LatencyStats::exact_quantiles_ms`] to sort once.
-    pub fn exact_quantile_ms(&self, q: f64) -> Option<f64> {
-        self.exact_quantiles_ms(&[q]).map(|v| v[0])
-    }
-
-    /// Exact quantiles in milliseconds for every `q` in `qs`, sharing one
-    /// sort of the raw samples (see [`LatencyStats::exact_quantile_ms`]).
-    pub fn exact_quantiles_ms(&self, qs: &[f64]) -> Option<Vec<f64>> {
-        let samples = self.exact.as_ref()?;
-        if samples.is_empty() {
-            return None;
-        }
-        let mut sorted: Vec<f64> = samples.iter().map(|&us| us as f64).collect();
-        sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN in micros"));
-        Some(
-            qs.iter()
-                .map(|&q| concord_sim::percentile_sorted(&sorted, q) / 1e3)
-                .collect(),
-        )
-    }
-
     /// The underlying microsecond histogram.
     pub fn histogram(&self) -> &LatencyHistogram {
         &self.histogram
     }
 
-    /// Fold `other`'s samples into `self` — the parallel sharded engine's
-    /// barrier aggregation (per-shard stats folded in fixed shard order).
-    /// Histograms add bucket-wise; exact sample vectors concatenate in fold
-    /// order, so the merged order statistics are a pure function of the
-    /// shard count.
+    /// Add `other`'s samples into `self` (histograms add bucket-wise).
     pub fn merge(&mut self, other: &LatencyStats) {
         self.histogram.merge(&other.histogram);
-        if let Some(theirs) = &other.exact {
-            self.exact
-                .get_or_insert_with(Vec::new)
-                .extend_from_slice(theirs);
-        }
-    }
-
-    /// Number of raw samples held by the exact recorder (0 when disabled).
-    pub fn exact_len(&self) -> usize {
-        self.exact.as_ref().map_or(0, Vec::len)
-    }
-
-    /// Reserve room for `additional` raw samples ahead of a chain of
-    /// [`LatencyStats::merge`] calls, so a multi-source fold grows the
-    /// exact vector once instead of reallocating per source. A no-op when
-    /// `additional` is zero (in particular it never materializes the
-    /// recorder for all-histogram merges).
-    pub fn reserve_exact_samples(&mut self, additional: usize) {
-        if additional == 0 {
-            return;
-        }
-        self.exact.get_or_insert_with(Vec::new).reserve(additional);
     }
 }
 
@@ -355,28 +267,6 @@ impl ClusterMetrics {
         self.breaker_opens += other.breaker_opens;
         self.hedge_traffic.merge(&other.hedge_traffic);
     }
-
-    /// Merge a fixed-order chain of sinks with pre-sized sample buffers:
-    /// each exact-sample vector reserves the total incoming length up
-    /// front, so an S-shard fold does at most one allocation per latency
-    /// sink instead of one per `(sink, source)` pair. The merge order —
-    /// and therefore the merged order statistics — is exactly the order
-    /// of `others`, identical to calling [`ClusterMetrics::merge`] in a
-    /// loop.
-    pub fn merge_many<'a>(&mut self, others: impl Iterator<Item = &'a ClusterMetrics> + Clone) {
-        let (mut reads, mut writes, mut props) = (0usize, 0usize, 0usize);
-        for o in others.clone() {
-            reads += o.read_latency.exact_len();
-            writes += o.write_latency.exact_len();
-            props += o.propagation.exact_len();
-        }
-        self.read_latency.reserve_exact_samples(reads);
-        self.write_latency.reserve_exact_samples(writes);
-        self.propagation.reserve_exact_samples(props);
-        for o in others {
-            self.merge(o);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -405,100 +295,6 @@ mod tests {
         assert_eq!(r.count(), 200_000);
         let p50 = r.quantile_ms(0.5).unwrap();
         assert!((p50 - 0.5).abs() < 0.05, "p50={p50}");
-    }
-
-    #[test]
-    fn exact_recorder_is_opt_in_and_matches_order_statistics() {
-        let mut plain = LatencyStats::new();
-        plain.record(SimDuration::from_millis(5));
-        assert!(!plain.exact_enabled());
-        assert_eq!(plain.exact_quantile_ms(0.5), None);
-
-        let mut exact = LatencyStats::with_exact();
-        for i in 1..=1000u64 {
-            exact.record(SimDuration::from_millis(i));
-        }
-        assert!(exact.exact_enabled());
-        let p50 = exact.exact_quantile_ms(0.5).unwrap();
-        assert!((p50 - 500.5).abs() < 1e-9, "true median, got {p50}");
-        let p99 = exact.exact_quantile_ms(0.99).unwrap();
-        assert!((p99 - 990.01).abs() < 1e-6, "true p99, got {p99}");
-        // The histogram stays within its documented bound of the exact value.
-        for q in [0.5, 0.9, 0.95, 0.99] {
-            let approx = exact.quantile_ms(q).unwrap();
-            let truth = exact.exact_quantile_ms(q).unwrap();
-            assert!(
-                (approx - truth).abs() <= truth * 0.03 + 1e-3,
-                "q={q}: {approx} vs {truth}"
-            );
-        }
-        // The batch form shares one sort and matches the single queries.
-        let batch = exact.exact_quantiles_ms(&[0.5, 0.99]).unwrap();
-        assert_eq!(batch[0], exact.exact_quantile_ms(0.5).unwrap());
-        assert_eq!(batch[1], exact.exact_quantile_ms(0.99).unwrap());
-        // Enabling later starts from the enable point.
-        let mut late = LatencyStats::new();
-        late.record(SimDuration::from_millis(1));
-        late.enable_exact();
-        late.record(SimDuration::from_millis(3));
-        assert_eq!(late.exact_quantile_ms(1.0), Some(3.0));
-        assert_eq!(late.count(), 2);
-    }
-
-    #[test]
-    fn merge_many_matches_sequential_merges() {
-        let sink = |seed: u64| {
-            let mut m = ClusterMetrics::new();
-            m.read_latency.enable_exact();
-            for i in 0..50u64 {
-                let stale = (seed + i).is_multiple_of(7);
-                m.record_completion(
-                    OpKind::Read,
-                    SimDuration::from_micros(seed * 100 + i),
-                    stale,
-                );
-                m.record_completion(
-                    OpKind::Write,
-                    SimDuration::from_micros(seed * 50 + i),
-                    false,
-                );
-            }
-            m.traffic.add(LinkClass::InterDc, seed * 10);
-            m
-        };
-        let shards = [sink(1), sink(2), sink(3), sink(4)];
-
-        let mut looped = shards[0].clone();
-        for s in &shards[1..] {
-            looped.merge(s);
-        }
-        let mut presized = shards[0].clone();
-        presized.merge_many(shards[1..].iter());
-
-        assert_eq!(presized.reads_completed, looped.reads_completed);
-        assert_eq!(presized.stale_reads, looped.stale_reads);
-        assert_eq!(presized.traffic, looped.traffic);
-        assert_eq!(
-            presized.read_latency.exact_len(),
-            looped.read_latency.exact_len()
-        );
-        // Same merge order ⇒ identical order statistics, exact and binned.
-        for q in [0.1, 0.5, 0.99, 1.0] {
-            assert_eq!(
-                presized.read_latency.exact_quantile_ms(q),
-                looped.read_latency.exact_quantile_ms(q),
-                "q={q}"
-            );
-            assert_eq!(
-                presized.write_latency.quantile_ms(q),
-                looped.write_latency.quantile_ms(q),
-                "q={q}"
-            );
-        }
-        // Reserving zero samples must not materialize a disabled recorder.
-        let mut plain = LatencyStats::new();
-        plain.reserve_exact_samples(0);
-        assert!(!plain.exact_enabled());
     }
 
     #[test]

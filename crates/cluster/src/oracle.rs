@@ -63,9 +63,9 @@ struct History {
     /// bounded to [`DEPTH_HISTORY`] entries. The ack time lets
     /// [`StalenessOracle::expected_version_at`] answer "what was the newest
     /// acknowledged version at instant `t`" retroactively — the parallel
-    /// sharded engine records acks at window folds and classifies each read
-    /// against its own issue instant, so classification does not depend on
-    /// which fold recorded which ack.
+    /// sharded engine records acks at window closes and classifies each
+    /// read against its own issue instant, so classification does not
+    /// depend on the order acks of one window were recorded in.
     version_order: VecDeque<(Version, u64, SimTime)>,
     /// Whether `version_order` is sorted by version. Acks almost always
     /// arrive in version order (the global version counter is assigned at
@@ -189,10 +189,10 @@ impl StalenessOracle {
     /// Record that a write of `version` to `key` satisfied its consistency
     /// level (i.e. was acknowledged to the client) at `at`. The serial
     /// engine calls this inline, in simulation-time order; the parallel
-    /// engine calls it at window folds, where acks from one window land in
-    /// fixed shard order carrying their true ack times (within one fold the
-    /// times may interleave across shards, which is why retroactive queries
-    /// go by the stored time, not the record order).
+    /// engine calls it at window closes, where acks from one window land in
+    /// fixed shard order carrying their true ack times (within one close
+    /// the times may interleave across shards, which is why retroactive
+    /// queries go by the stored time, not the record order).
     ///
     /// Allocates the key's page on first touch, counts the key when it is
     /// new, and enters it into the history arena (spelling out an implicit
@@ -238,11 +238,12 @@ impl StalenessOracle {
     /// The newest version of `key` acknowledged strictly before instant
     /// `at` — [`StalenessOracle::expected_version`] evaluated retroactively
     /// from the bounded history. The parallel engine records acks at window
-    /// folds, so by the fold that completes a read, every ack that precedes
-    /// the read's issue instant is in the history (an ack lands at the fold
-    /// of the window containing its ack time, and the issue instant is
-    /// never later than the completing window's end); acks recorded after
-    /// the issue instant are filtered out here by their stored times.
+    /// closes, so by the close that completes a read, every ack that
+    /// precedes the read's issue instant is in the history (an ack lands at
+    /// the close of the window containing its ack time, and the issue
+    /// instant is never later than the completing window's end); acks
+    /// recorded after the issue instant are filtered out here by their
+    /// stored times.
     ///
     /// Saturation: if every *retained* entry is newer than `at` but older
     /// entries were dropped ([`DEPTH_HISTORY`] acks on one key while a read
@@ -330,8 +331,9 @@ impl StalenessOracle {
     /// Classify a read issued at `issued_at` that returned `returned`,
     /// resolving the freshness expectation retroactively via
     /// [`StalenessOracle::expected_version_at`]. The parallel engine's
-    /// fold-time completion path: it yields the same stale/fresh decision a
-    /// serial execution of the same event trace would make at issue time.
+    /// completion path at a window close: it yields the same stale/fresh
+    /// decision a serial execution of the same event trace would make at
+    /// issue time.
     pub fn classify_read_at(
         &mut self,
         key: Key,
@@ -377,8 +379,8 @@ impl StalenessOracle {
     }
 
     /// Snapshot this oracle's aggregate counters. Both engines keep one
-    /// central oracle (the parallel engine mutates it only at barrier
-    /// folds), so this snapshot is the whole cross-shard view.
+    /// central oracle (the parallel engine mutates it only at window
+    /// closes), so this snapshot is the whole cross-shard view.
     pub fn stats(&self) -> OracleStats {
         OracleStats {
             stale_reads: self.stale_reads,

@@ -215,7 +215,7 @@ fn run_differential(seed: u64, ops: usize) {
             }
             6..=8 => {
                 // Acknowledge a random in-flight write (so acks of one key
-                // land out of version order), now or — like a fold
+                // land out of version order), now or — like a window close
                 // interleaving shards — slightly in the past.
                 if !in_flight.is_empty() {
                     let pick = rng.next_bounded(in_flight.len() as u64) as usize;

@@ -152,21 +152,19 @@ pub struct RunReport {
     /// engine; deserialized as 0).
     #[serde(default)]
     pub parallel_batches: u64,
-    /// Serial barrier folds performed. Before barrier elision (PR 10) this
-    /// equalled `shard_windows` — every window folded exactly once. With
-    /// elision a fold runs only when deferred control-plane work demands
-    /// it, so the invariant is `barrier_folds + elided_barriers >=
-    /// shard_windows` (folds forced between windows count here too).
+    /// Retired: always equal to `shard_windows`, since every window closes
+    /// exactly once (classification and publication included). Kept only
+    /// because `benchmark/` reads the field; goes with the next
+    /// `benchmark` PR.
     #[serde(default)]
     pub barrier_folds: u64,
     /// Largest number of events any single shard ran within one window (an
     /// upper bound on per-window work imbalance).
     #[serde(default)]
     pub max_batch_len: u64,
-    /// Lookahead windows closed without a serial fold (barrier elision):
-    /// cross-shard deliveries still applied, but completion classification
-    /// and oracle updates were deferred. Always 0 for `shards = 1` and for
-    /// reports from before PR 10 (deserialized as 0).
+    /// Retired: always 0, since no window close is skipped any more. Kept
+    /// only because `benchmark/` reads the field; goes with the next
+    /// `benchmark` PR.
     #[serde(default)]
     pub elided_barriers: u64,
     /// Windows whose start cursor jumped over quiet simulated time instead
@@ -393,10 +391,8 @@ mod tests {
 
     #[test]
     fn reports_from_before_barrier_elision_still_deserialize() {
-        // Reports serialized before PR 10 lack the elision counters; they
-        // must load with both zeroed (the pre-elision engine folded at
-        // every window, so zero elisions is also the semantically correct
-        // reading of such a report).
+        // Reports serialized before PR 10 lack `elided_barriers` and
+        // `fast_forwards`; they must load with both zeroed.
         let r = report("quorum", 0.0, 2.0);
         let mut json = r.to_json();
         for field in ["elided_barriers", "fast_forwards"] {

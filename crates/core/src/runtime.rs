@@ -217,6 +217,7 @@ impl AdaptiveRuntime {
         cluster.schedule_tick(start + self.config.adaptation_interval, tick_id);
 
         let mut completed = 0u64;
+        let mut last_completion = start;
         let mut outputs = 0u64;
         while completed < submitted.max(1) && outputs < self.config.max_outputs {
             let Some(output) = cluster.advance() else {
@@ -226,6 +227,7 @@ impl AdaptiveRuntime {
             match output {
                 ClusterOutput::Completed(op) => {
                     completed += 1;
+                    last_completion = last_completion.max(op.completed_at);
                     // Completions arrive in time order of `completed_at`; use
                     // that timestamp for the rate windows (at steady state the
                     // completion rate equals the arrival rate).
@@ -284,7 +286,10 @@ impl AdaptiveRuntime {
             }
         }
 
-        let makespan = cluster.now() - start;
+        // The run ends with its last completion. On more than one shard the
+        // engine clock has already run to the end of the window that
+        // produced it.
+        let makespan = last_completion - start;
         let shard_metrics = cluster.shard_metrics();
         let metrics = cluster.metrics();
         let usage = ResourceUsage::from_cluster(cluster, makespan);
@@ -325,9 +330,9 @@ impl AdaptiveRuntime {
             cross_shard_staged: shard_metrics.staged,
             lookahead_violations: shard_metrics.violations,
             parallel_batches: shard_metrics.parallel_batches,
-            barrier_folds: shard_metrics.barrier_folds,
+            barrier_folds: shard_metrics.windows,
             max_batch_len: shard_metrics.max_batch_len,
-            elided_barriers: shard_metrics.elided_barriers,
+            elided_barriers: 0,
             fast_forwards: shard_metrics.fast_forwards,
             level_timeline,
             usage,
@@ -348,10 +353,16 @@ mod tests {
 
     /// A small two-site cluster and a scaled-down heavy read-update workload.
     fn setup(seed: u64) -> (Cluster, CoreWorkload) {
+        setup_sharded(seed, 1)
+    }
+
+    /// [`setup`] on `shards` event lanes (one per site at 2).
+    fn setup_sharded(seed: u64, shards: u32) -> (Cluster, CoreWorkload) {
         let mut cfg = ClusterConfig::lan_test(8, 5);
         cfg.topology = Topology::spread(8, &[("site-a", RegionId(0)), ("site-b", RegionId(0))]);
         cfg.network = NetworkModel::grid5000_like();
         cfg.strategy = ReplicationStrategy::NetworkTopology;
+        cfg.shards = shards;
         let mut cluster = Cluster::new(cfg, seed);
 
         let mut wl_cfg = presets::paper_heavy_read_update(2_000, 6_000);
@@ -530,6 +541,58 @@ mod tests {
         // Staleness still separates the levels under identical offered load.
         assert!(eventual.stale_read_rate > strong.stale_read_rate);
         assert_eq!(strong.stale_reads, 0);
+    }
+
+    #[test]
+    fn sharded_makespan_ends_at_the_last_completion() {
+        // The arrival schedule comes from the driver's stream, so it is the
+        // same on any shard count: the run ends a tail latency after the
+        // last arrival, not at the adaptation tick that follows it.
+        let run_open = |shards: u32| {
+            let (mut cluster, mut workload) = setup_sharded(25, shards);
+            let mut policy = StaticPolicy::eventual();
+            let scenario = Scenario::open_uniform(10_000.0);
+            quick_runtime(25).run_scenario(&mut cluster, &mut workload, &mut policy, &scenario)
+        };
+        let (serial, sharded) = (run_open(1), run_open(2));
+        assert_eq!(sharded.total_ops, 6_000);
+        let gap_us = sharded
+            .makespan
+            .as_micros()
+            .abs_diff(serial.makespan.as_micros());
+        assert!(
+            gap_us < 20_000,
+            "2 shards end at {}, 1 shard at {}",
+            sharded.makespan,
+            serial.makespan
+        );
+        let interval_us = quick_runtime(25).config().adaptation_interval.as_micros();
+        assert_ne!(
+            sharded.makespan.as_micros() % interval_us,
+            0,
+            "the makespan is the last completion, not the tick after it"
+        );
+    }
+
+    #[test]
+    fn sharded_closed_loops_react_faster_than_the_adaptation_tick() {
+        // Completions are published at every window close, so a closed-loop
+        // client issues its next request a lookahead later at most — not at
+        // the next adaptation tick, which would cap the run at exactly
+        // `clients / adaptation_interval` operations per second.
+        let (mut cluster, mut workload) = setup_sharded(25, 2);
+        let mut policy = StaticPolicy::eventual();
+        let mut runtime = quick_runtime(25);
+        let clients = 16;
+        let per_tick = clients as f64 / runtime.config().adaptation_interval.as_secs_f64();
+        let scenario = Scenario::closed(clients);
+        let report = runtime.run_scenario(&mut cluster, &mut workload, &mut policy, &scenario);
+        assert_eq!(report.total_ops, 6_000);
+        assert!(
+            report.throughput_ops_per_sec > 3.0 * per_tick,
+            "{} ops/s against {per_tick} ops/s per tick",
+            report.throughput_ops_per_sec
+        );
     }
 
     #[test]

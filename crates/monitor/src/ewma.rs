@@ -51,49 +51,6 @@ impl Ewma {
     }
 }
 
-/// An EWMA whose effective α adapts to irregular sampling intervals:
-/// `α_eff = 1 − exp(−Δt / τ)` where τ is the configured time constant.
-/// This gives time-constant smoothing regardless of how often samples arrive.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TimeDecayEwma {
-    /// Time constant in seconds.
-    tau_s: f64,
-    value: Option<f64>,
-    last_t_s: f64,
-}
-
-impl TimeDecayEwma {
-    /// Create a time-decaying EWMA with time constant `tau_s` seconds.
-    pub fn new(tau_s: f64) -> Self {
-        assert!(tau_s > 0.0);
-        TimeDecayEwma {
-            tau_s,
-            value: None,
-            last_t_s: 0.0,
-        }
-    }
-
-    /// Feed one observation taken at time `t_s` (seconds).
-    pub fn observe_at(&mut self, t_s: f64, sample: f64) {
-        match self.value {
-            None => {
-                self.value = Some(sample);
-            }
-            Some(v) => {
-                let dt = (t_s - self.last_t_s).max(0.0);
-                let alpha = 1.0 - (-dt / self.tau_s).exp();
-                self.value = Some(alpha * sample + (1.0 - alpha) * v);
-            }
-        }
-        self.last_t_s = t_s;
-    }
-
-    /// The current smoothed value.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,19 +110,5 @@ mod tests {
     #[should_panic(expected = "alpha")]
     fn invalid_alpha_rejected() {
         Ewma::new(0.0);
-    }
-
-    #[test]
-    fn time_decay_depends_on_gap() {
-        let mut e = TimeDecayEwma::new(10.0);
-        e.observe_at(0.0, 0.0);
-        // A sample after a very short gap barely moves the value…
-        let mut quick = e;
-        quick.observe_at(0.1, 100.0);
-        // …while the same sample after a long gap almost replaces it.
-        let mut slow = e;
-        slow.observe_at(100.0, 100.0);
-        assert!(quick.value().unwrap() < 5.0);
-        assert!(slow.value().unwrap() > 95.0);
     }
 }

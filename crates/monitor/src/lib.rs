@@ -7,8 +7,7 @@
 //! monitoring half:
 //!
 //! * [`SlidingWindowRate`] — read/write arrival-rate estimation (λr, λw);
-//! * [`Ewma`] / [`TimeDecayEwma`] — smoothing of propagation delays and
-//!   latencies;
+//! * [`Ewma`] — smoothing of propagation delays and latencies;
 //! * [`LatencyHistogram`] — log-bucketed latency percentiles;
 //! * [`AccessMonitor`] / [`MonitorSnapshot`] — the aggregate monitor fed by
 //!   the cluster and consumed by the adaptive policies in `concord-core`.
@@ -20,7 +19,7 @@ pub mod histogram;
 pub mod registry;
 pub mod window;
 
-pub use ewma::{Ewma, TimeDecayEwma};
+pub use ewma::Ewma;
 pub use histogram::LatencyHistogram;
 pub use registry::{AccessMonitor, MonitorConfig, MonitorSnapshot};
 pub use window::SlidingWindowRate;

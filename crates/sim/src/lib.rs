@@ -12,17 +12,16 @@
 //!   sharded engine (`concord-cluster`): per-shard lanes advance in
 //!   lookahead windows bounded by the minimum cross-shard link delay,
 //!   handler batches execute in parallel on the work-stealing pool, and
-//!   cross-shard events are staged per shard and folded at window barriers
-//!   in fixed shard order, so output is a pure function of `(seed, shards)`
-//!   at any worker-thread count;
+//!   cross-shard events are staged per shard and delivered when the window
+//!   closes, in fixed shard order, so output is a pure function of
+//!   `(seed, shards)` at any worker-thread count;
 //! * [`SimRng`] — a fast, splittable, seedable PRNG so every experiment is
 //!   exactly reproducible;
 //! * [`DelayDistribution`] — serializable latency models (constant, uniform,
 //!   exponential, shifted-exponential WAN, normal, log-normal, empirical);
 //! * [`Topology`] / [`NetworkModel`] — node placement into datacenters and
 //!   regions plus per-link-class latency distributions (EC2-like and
-//!   Grid'5000-like presets);
-//! * [`RunningStats`] / [`percentile`] — one-pass statistics helpers.
+//!   Grid'5000-like presets).
 //!
 //! The paper's experiments ran on Amazon EC2 and Grid'5000; this crate is the
 //! substitute testbed: a virtual-time cluster whose WAN behaviour is
@@ -55,7 +54,6 @@ pub mod events;
 pub mod inline;
 pub mod rng;
 pub mod shard;
-pub mod stats;
 pub mod time;
 pub mod topology;
 
@@ -64,6 +62,5 @@ pub use events::EventQueue;
 pub use inline::InlineVec;
 pub use rng::SimRng;
 pub use shard::ShardMetrics;
-pub use stats::{mean, percentile, percentile_sorted, RunningStats};
 pub use time::{SimDuration, SimTime};
 pub use topology::{Datacenter, DcId, LinkClass, NetworkModel, NodeId, RegionId, Topology};

@@ -3,14 +3,11 @@
 //! The engine lives in `concord-cluster`: each shard owns a plain
 //! [`EventQueue`](crate::EventQueue) lane, a lookahead window's shard
 //! batches execute concurrently on the work-stealing pool, and cross-shard
-//! effects are staged per shard and delivered at the window barrier in
-//! fixed shard order. The barrier's serial fold (oracle updates, deferred
-//! read classification, output publication) is *elidable*: it only runs
-//! when staged control effects or the deferred-completion buffer demand it.
-//! What lives here is the counter block the engine reports, because it is
-//! substrate-level vocabulary: windows, staging, violations, how parallel
-//! the window dispatch actually was, and how much synchronization the run
-//! actually paid for.
+//! effects are staged per shard and applied when the window closes, in
+//! fixed shard order — every close also classifies the window's reads and
+//! publishes its outputs. What lives here is the counter block the engine
+//! reports, because it is substrate-level vocabulary: windows, staging,
+//! violations and how parallel the window dispatch actually was.
 //!
 //! ## Determinism contract
 //!
@@ -18,7 +15,7 @@
 //!   is popped directly, so the one-shard engine's counters stay zero.
 //! * For a fixed shard count `> 1`, every counter (and the simulation
 //!   output it summarizes) is a pure function of the seed: handler batches
-//!   touch only shard-owned state, and barrier folds run serially in shard
+//!   touch only shard-owned state, and window closes run serially in shard
 //!   order, so the worker-thread count never changes a value. Outputs
 //!   differ *between* shard counts (per-shard RNG streams, window
 //!   clamping), which is why golden digests are captured per shard count.
@@ -27,8 +24,9 @@
 /// was. All zeros for a serial (`shards = 1`) run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardMetrics {
-    /// Lookahead windows executed (barrier crossings). Each window anchors
-    /// at the earliest pending key and extends by the lookahead bound.
+    /// Lookahead windows executed — the one close counter: every window
+    /// closes exactly once. Each window anchors at the earliest pending key
+    /// and extends by the lookahead bound.
     pub windows: u64,
     /// Cross-shard events staged in a per-shard outbox and delivered at a
     /// window barrier.
@@ -44,21 +42,10 @@ pub struct ShardMetrics {
     /// windows where the parallel dispatch had actual concurrency to
     /// exploit. Depends only on the shard count, never the thread count.
     pub parallel_batches: u64,
-    /// Serial barrier folds executed. A fold only runs when deferred
-    /// control-plane work demands it (staged control effects, or the
-    /// deferred completion buffer reaching its flush threshold), so
-    /// `barrier_folds + elided_barriers >= windows` is the invariant —
-    /// flushes forced between windows (before a control event, at a
-    /// deadline, or when the queues drain) count here too.
-    pub barrier_folds: u64,
     /// Largest number of events any single shard handled inside one
     /// window — the granularity knob for judging dispatch overhead against
     /// useful work per batch.
     pub max_batch_len: u64,
-    /// Windows closed *without* a serial fold: cross-shard deliveries were
-    /// applied, but completion classification / oracle updates were
-    /// deferred because nothing in the window demanded fold-time work.
-    pub elided_barriers: u64,
     /// Windows whose start cursor jumped past quiet simulated time: the
     /// global next-event floor was beyond the previous window's boundary,
     /// so the engine fast-forwarded instead of marching barrier-by-barrier
@@ -79,13 +66,8 @@ mod tests {
             "serial runs must report untouched sync metrics"
         );
         assert_eq!(
-            (m.parallel_batches, m.barrier_folds, m.max_batch_len),
+            (m.parallel_batches, m.max_batch_len, m.fast_forwards),
             (0, 0, 0)
-        );
-        assert_eq!(
-            (m.elided_barriers, m.fast_forwards),
-            (0, 0),
-            "barrier-elision counters must stay zero for serial runs"
         );
     }
 }

@@ -78,10 +78,10 @@ impl ArrivalProcess {
     }
 
     /// Advance `at` by one drawn inter-arrival gap and return the new
-    /// arrival time. This is the single accumulation step behind every
-    /// sorted open-loop schedule ([`ArrivalProcess::schedule`],
-    /// `CoreWorkload::timed_ops`): gaps are non-negative, so the returned
-    /// times are non-decreasing by construction.
+    /// arrival time. This is the accumulation step behind the sorted
+    /// open-loop schedule (`CoreWorkload::timed_ops`): gaps are
+    /// non-negative, so the returned times are non-decreasing by
+    /// construction.
     ///
     /// # Panics
     /// Panics for closed-loop processes (their arrivals are
@@ -93,65 +93,7 @@ impl ArrivalProcess {
         *at += gap;
         *at
     }
-
-    /// A **sorted** arrival-time iterator for `count` open-loop operations
-    /// starting after `start`: each yielded `SimTime` is the cumulative sum
-    /// of drawn inter-arrival gaps, so the stream is non-decreasing by
-    /// construction — exactly the contract bulk-load consumers
-    /// (`Cluster::submit_batch`, the event queue's bulk lane) *assert*
-    /// instead of silently falling back to per-event heap pushes.
-    ///
-    /// # Panics
-    /// Panics for closed-loop processes, whose arrivals are
-    /// completion-driven and have no a-priori schedule.
-    pub fn schedule<'a>(
-        &self,
-        start: SimTime,
-        count: u64,
-        rng: &'a mut SimRng,
-    ) -> ArrivalSchedule<'a> {
-        assert!(
-            !matches!(self, ArrivalProcess::ClosedLoop { .. }),
-            "closed-loop arrivals are completion-driven; only open-loop \
-             processes have an a-priori sorted schedule"
-        );
-        ArrivalSchedule {
-            process: *self,
-            rng,
-            at: start,
-            remaining: count,
-        }
-    }
 }
-
-/// Iterator over the sorted arrival times of an open-loop process
-/// (see [`ArrivalProcess::schedule`]).
-#[derive(Debug)]
-pub struct ArrivalSchedule<'a> {
-    process: ArrivalProcess,
-    rng: &'a mut SimRng,
-    at: SimTime,
-    remaining: u64,
-}
-
-impl Iterator for ArrivalSchedule<'_> {
-    type Item = SimTime;
-
-    fn next(&mut self) -> Option<SimTime> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        Some(self.process.next_arrival(&mut self.at, self.rng))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = usize::try_from(self.remaining).unwrap_or(usize::MAX);
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for ArrivalSchedule<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -195,49 +137,6 @@ mod tests {
                 SimDuration::from_millis(10)
             );
         }
-    }
-
-    #[test]
-    fn schedule_is_sorted_and_exact_sized() {
-        for process in [
-            ArrivalProcess::OpenLoopPoisson { ops_per_sec: 500.0 },
-            ArrivalProcess::OpenLoopUniform { ops_per_sec: 500.0 },
-        ] {
-            let mut rng = SimRng::new(7);
-            let start = SimTime::from_millis(3);
-            let schedule = process.schedule(start, 5_000, &mut rng);
-            assert_eq!(schedule.len(), 5_000);
-            let times: Vec<SimTime> = schedule.collect();
-            assert_eq!(times.len(), 5_000);
-            assert!(times[0] >= start);
-            assert!(
-                times.windows(2).all(|w| w[0] <= w[1]),
-                "arrival schedule must be non-decreasing"
-            );
-        }
-    }
-
-    #[test]
-    fn schedule_matches_manual_interarrival_accumulation() {
-        let process = ArrivalProcess::OpenLoopPoisson { ops_per_sec: 100.0 };
-        let mut rng_a = SimRng::new(11);
-        let scheduled: Vec<SimTime> = process.schedule(SimTime::ZERO, 200, &mut rng_a).collect();
-        let mut rng_b = SimRng::new(11);
-        let mut at = SimTime::ZERO;
-        let manual: Vec<SimTime> = (0..200)
-            .map(|_| {
-                at += process.next_interarrival(&mut rng_b).unwrap();
-                at
-            })
-            .collect();
-        assert_eq!(scheduled, manual, "same RNG draws, same times");
-    }
-
-    #[test]
-    #[should_panic(expected = "completion-driven")]
-    fn closed_loops_have_no_schedule() {
-        let mut rng = SimRng::new(1);
-        ArrivalProcess::closed(8).schedule(SimTime::ZERO, 10, &mut rng);
     }
 
     #[test]

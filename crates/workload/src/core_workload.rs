@@ -316,8 +316,8 @@ impl CoreWorkload {
     /// op), so a fixed seed reproduces the identical timed stream.
     ///
     /// # Panics
-    /// Panics if `process` is a closed loop (see
-    /// [`ArrivalProcess::schedule`](crate::ArrivalProcess::schedule)).
+    /// Panics if `process` is a closed loop: its arrivals are
+    /// completion-driven and have no a-priori schedule.
     pub fn timed_ops<'a>(
         &'a mut self,
         process: crate::ArrivalProcess,
@@ -611,25 +611,31 @@ mod tests {
 
     #[test]
     fn timed_ops_yield_sorted_times_until_exhaustion() {
-        let mut w = CoreWorkload::new(WorkloadConfig {
-            record_count: 1_000,
-            operation_count: 2_500,
-            read_proportion: 0.5,
-            update_proportion: 0.5,
-            ..WorkloadConfig::default()
-        });
-        let mut rng = SimRng::new(12);
-        let process = crate::ArrivalProcess::OpenLoopPoisson { ops_per_sec: 800.0 };
-        let start = concord_sim::SimTime::from_millis(5);
-        let timed: Vec<_> = w.timed_ops(process, start, &mut rng).collect();
-        assert_eq!(timed.len(), 2_500);
-        assert!(w.is_exhausted());
-        assert!(timed[0].0 >= start);
-        assert!(
-            timed.windows(2).all(|p| p[0].0 <= p[1].0),
-            "timed op stream must be sorted by arrival time"
-        );
-        assert!(timed.iter().all(|(_, op)| op.key < 1_000));
+        for process in [
+            crate::ArrivalProcess::OpenLoopPoisson { ops_per_sec: 800.0 },
+            crate::ArrivalProcess::OpenLoopUniform { ops_per_sec: 800.0 },
+        ] {
+            let mut w = CoreWorkload::new(WorkloadConfig {
+                record_count: 1_000,
+                operation_count: 2_500,
+                read_proportion: 0.5,
+                update_proportion: 0.5,
+                ..WorkloadConfig::default()
+            });
+            let mut rng = SimRng::new(12);
+            let start = concord_sim::SimTime::from_millis(5);
+            let stream = w.timed_ops(process, start, &mut rng);
+            assert_eq!(stream.len(), 2_500, "the stream is exact-sized");
+            let timed: Vec<_> = stream.collect();
+            assert_eq!(timed.len(), 2_500);
+            assert!(w.is_exhausted());
+            assert!(timed[0].0 >= start);
+            assert!(
+                timed.windows(2).all(|p| p[0].0 <= p[1].0),
+                "timed op stream must be sorted by arrival time"
+            );
+            assert!(timed.iter().all(|(_, op)| op.key < 1_000));
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod hashing;
 pub mod presets;
 pub mod trace;
 
-pub use arrival::{ArrivalProcess, ArrivalSchedule};
+pub use arrival::ArrivalProcess;
 pub use core_workload::{CoreWorkload, OperationType, TimedOps, WorkloadConfig, WorkloadOp};
 pub use generators::{ItemGenerator, RequestDistribution};
 pub use trace::{SyntheticTraceBuilder, Trace, TraceOp, TracePhase, TraceRecorder};

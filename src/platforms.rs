@@ -60,12 +60,10 @@ fn base_config(topology: Topology, network: NetworkModel, rf: u32) -> ClusterCon
         message_overhead_bytes: 60,
         small_message_bytes: 40,
         retry_on_timeout: 0,
-        exact_latency_percentiles: false,
         repair: RepairConfig::off(),
         resilience: ResilienceConfig::off(),
         read_selection: ReplicaSelection::Closest,
         shards: 1,
-        eager_folds: false,
     }
 }
 
