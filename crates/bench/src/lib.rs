@@ -158,7 +158,13 @@
 //!   substrate** (`concord_cluster::PagedTable<T>`): fixed 4096-slot pages
 //!   allocated on first write, lookups a shift, a mask and a load, reads of
 //!   never-written pages allocating nothing, and vacancy left to each
-//!   caller's own sentinel. Its users are the replica store
+//!   caller's own sentinel. Over a paper-sized data set that load is a
+//!   cache and TLB miss (~150 ns in situ, a quarter of the closed-loop
+//!   benchmark run before it was hidden), so the handler that schedules
+//!   the event that will touch a slot issues a cache prefetch for it
+//!   (`PagedTable::prefetch`, the workspace's one `unsafe` block; the
+//!   sites are listed under "Memory latency" in `concord_cluster::cluster`).
+//!   Its users are the replica store
 //!   (`ReplicaStore`: 16-byte slots, presence = non-zero version, no extra
 //!   bits) and the staleness oracle (24-byte slots, vacancy = zero acked
 //!   writes; the binary-searched bounded version history of a key lives in
@@ -347,6 +353,8 @@
 //! Serde backcompat: pre-resilience `RunReport` JSON and fault scripts
 //! parse unchanged (`#[serde(default)]` on every new field; pinned by the
 //! backcompat tests in `concord-core`).
+
+#![deny(unsafe_code)]
 
 pub mod sweep;
 

@@ -99,12 +99,44 @@
 //! | `Cluster::load_records` (preload version) | the global counter of the version-allocation row | the shared floor `Version(1)` |
 //! | `Cluster::ctrl_sink` (control sink) | control timers ride shard 0's lane and repair delays draw from its stream | the control plane's own lane and stream |
 //! | `ShardCtx::queue_hint` (hint queueing) | queued inline | staged to the window close |
-//! | `ShardCtx::start_write` (version allocation) | global counter `1, 2, 3, …` | timestamp-packed `µs‖seq‖shard` |
+//! | `ShardCtx::start_write` (version allocation) | global counter `1, 2, 3, …`; prefetches the key's oracle slot for the inline ack | timestamp-packed `µs‖seq‖shard` |
 //! | `ShardCtx::start_read` (read expectation) | captured from the oracle at attempt start | resolved at the window close, as of the attempt's start |
 //! | `ShardCtx::on_replica_done` / `on_write_ack` (propagation sample) | taken when the last replica applies | taken when the last ack arrives, from the acks' apply times |
 //! | `ShardCtx::on_write_ack` (oracle ack) | recorded inline | staged to the window close with its ack time |
 //! | `ShardCtx::on_read_response` (read classification) | classified inline | classified at the window close |
 //! | `ShardCtx::on_timeout` (timeout re-issue) | re-arrives on the one lane (after the backoff, drawn from the one stream) | re-routed through the window close (coordinator and backoff drawn from the control stream) |
+//!
+//! ## Memory latency
+//! Per-key state is direct-indexed, so an access is one load — and over a
+//! data set far larger than the cache (21 nodes × 750 000 slots × 16 B of
+//! store slots on the benchmark's headline run, probed at scrambled keys)
+//! that load is a cache miss behind a TLB miss, ~150 ns where every other
+//! step of an event is a few. Two tables are touched per key. A replica's
+//! **store slot** is read or written by `on_replica_done`; the **oracle
+//! slot** is read by `start_read` (the expectation, one shard), written by
+//! `on_write_ack` (one shard) and otherwise read and written at the window
+//! close. In each case the key is known at least one event earlier, so the
+//! rule is: *the handler that schedules the touching event prefetches the
+//! slot* — a cache hint, never an early load, which would stall that
+//! handler just the same — and the miss overlaps the events in between.
+//! Five sites:
+//!
+//! * `ShardCtx::start_service` hints the task's key in the serving node's
+//!   store (a write's key comes from its interned payload): the slot is
+//!   needed one service time later, and tasks that waited in a node's
+//!   queue start service through the same function.
+//! * `Cluster::submit` hints the oracle slot for the `ClientArrive` it
+//!   schedules, and one-shard `ShardCtx::start_write` hints it for the
+//!   satisfying ack, at least three events later.
+//! * `Cluster::close_window` makes one pass of hints over a shard's staged
+//!   acks before recording them and one over its completed reads before
+//!   classifying them, so the misses of one batch overlap each other.
+//!
+//! `submit_batch` has none: its arrivals lie a whole schedule ahead, and a
+//! line hinted that early is evicted before use. Neither does a cross-shard
+//! send: the message lands a window later, and start of service on the
+//! destination shard covers it. A hint changes no state the simulation can
+//! observe — no event, draw, meter or allocation.
 
 use crate::config::{ClusterConfig, RepairConfig, ResilienceConfig};
 use crate::consistency::ConsistencyLevel;
@@ -2036,6 +2068,8 @@ impl Cluster {
         level: Option<ConsistencyLevel>,
         at: SimTime,
     ) -> OpId {
+        // The arrival scheduled here reads the key's oracle slot.
+        self.ctrl.oracle.prefetch(Key(key));
         let (lane, op_id) = self.admit(kind, key, size, scan_len, level);
         lane.schedule_at(at, Event::ClientArrive { op_id });
         op_id
@@ -2380,6 +2414,9 @@ impl Cluster {
         let published = self.outputs.len();
         for i in 0..nshards {
             let s = &mut self.shard_states[i];
+            for &(key, ..) in &s.outbox_acks {
+                self.ctrl.oracle.prefetch(key);
+            }
             for (key, version, at) in s.outbox_acks.drain(..) {
                 self.ctrl.oracle.record_ack(key, version, at);
             }
@@ -2393,6 +2430,9 @@ impl Cluster {
             self.shard_states[i].outbox_ctrl = staged;
         }
         for s in &mut self.shard_states {
+            for (op, _) in &s.outbox_dones {
+                self.ctrl.oracle.prefetch(op.key);
+            }
             for (mut op, issue_at) in s.outbox_dones.drain(..) {
                 let class =
                     self.ctrl
@@ -2948,10 +2988,13 @@ impl ShardCtx<'_> {
     ) {
         let level = sub.level.unwrap_or(self.shared.write_level);
         let required_acks = self.shared.config.required_acks(level);
-        let version = if self.ctrl.is_some() {
-            self.s.alloc_version_serial()
-        } else {
-            self.s.alloc_version_at(now)
+        let version = match self.ctrl.as_deref() {
+            Some(ctrl) => {
+                // The satisfying ack records into this slot inline.
+                ctrl.oracle.prefetch(sub.key);
+                self.s.alloc_version_serial()
+            }
+            None => self.s.alloc_version_at(now),
         };
         let mut replicas = std::mem::take(&mut self.s.replica_scratch);
         self.shared.ring.replicas_into(sub.key, &mut replicas);
@@ -3113,10 +3156,11 @@ impl ShardCtx<'_> {
             contacted.extend_from_slice(&replicas);
             seg_responses.push(0);
             segments += 1;
-            seg_start += seg_len as u64;
             if !split {
                 break;
             }
+            // Cannot overflow: a split segment ends at or before `end`.
+            seg_start += seg_len as u64;
         }
 
         self.s.replica_scratch = replicas;
@@ -3337,10 +3381,17 @@ impl ShardCtx<'_> {
     }
 
     fn start_service(&mut self, now: SimTime, node: NodeId, task: ReplicaTask) {
-        let mut service = match task {
-            ReplicaTask::Write { .. } => self.shared.storage_write_sampler.sample(&mut self.s.rng),
-            ReplicaTask::Read { .. } => self.shared.storage_read_sampler.sample(&mut self.s.rng),
+        // `on_replica_done` touches the key's store slot one service time
+        // from now: start the miss here (the module docs' "Memory latency").
+        let (key, sampler) = match task {
+            ReplicaTask::Write { payload } => (
+                self.s.write_payloads[payload as usize].payload.key,
+                &self.shared.storage_write_sampler,
+            ),
+            ReplicaTask::Read { key, .. } => (key, &self.shared.storage_read_sampler),
         };
+        self.s.stores[node.0 as usize].prefetch(key);
+        let mut service = sampler.sample(&mut self.s.rng);
         // Gray failure: a slowed node serves every task `factor`× slower.
         // Applied post-sampling so the RNG stream is untouched — restoring
         // the node replays the exact healthy timeline (same contract as
@@ -3909,6 +3960,35 @@ mod tests {
         let done = drain(&mut c);
         assert!(done[0].returned_version.exists());
         assert!(!done[0].stale);
+    }
+
+    #[test]
+    fn a_write_past_the_key_space_panics_and_a_read_there_touches_nothing() {
+        // A read of the farthest key probes and prefetches without
+        // allocating: it completes, absent, at every replica.
+        let mut c = cluster(4, 3);
+        c.load_records((0..100u64).map(|k| (k, 100)));
+        c.submit_read_with(u64::MAX, ConsistencyLevel::All, SimTime::ZERO);
+        let done = drain(&mut c);
+        assert_eq!(done[0].status, OpStatus::Ok);
+        assert!(!done[0].returned_version.exists());
+        assert_eq!(c.ctrl.oracle.key_count(), 100);
+        assert_eq!(c.total_bytes_stored(), 100 * 100 * 3);
+        // A write there used to size the page-pointer vector by the key and
+        // abort the process on the failed allocation; now it unwinds.
+        let far_write = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.submit_write_at(1 << 60, 10, SimTime::ZERO);
+            c.run_to_completion(1_000)
+        }));
+        let message = *far_write
+            .expect_err("a write to key 2^60 must panic")
+            .downcast::<String>()
+            .expect("assert! with arguments panics with a String");
+        assert!(
+            message.contains(&format!("slot {}", 1u64 << 60))
+                && message.contains("key-density contract"),
+            "{message}"
+        );
     }
 
     #[test]

@@ -15,8 +15,12 @@
 //! the shared [`PagedTable`] over the dense record-id space instead of a
 //! hash map: `expected_version` / `record_ack` / `classify_read` run once
 //! per simulated operation, and with direct indexing each is a shift, a
-//! mask and a load. Vacancy is this table's own convention
-//! (`acked_writes == 0`), per the [`PagedTable`] contract.
+//! mask and a load. Over a data set larger than the cache that load is a
+//! cache and TLB miss (7.5 % of the benchmark's headline run sat on the
+//! slot and its history), so the cluster hints the slot through
+//! [`StalenessOracle::prefetch`] from the handler that schedules the event
+//! that will need it — see [`paged`](crate::paged). Vacancy is this table's
+//! own convention (`acked_writes == 0`), per the [`PagedTable`] contract.
 //!
 //! A slot holds only what every operation reads: the latest acknowledged
 //! version, the ack count and an index. The bounded, binary-searched version
@@ -158,6 +162,14 @@ impl StalenessOracle {
     fn slot(&self, key: Key) -> Option<&KeySlot> {
         let slot = self.table.get(key.0)?;
         (slot.acked_writes > 0).then_some(slot)
+    }
+
+    /// Hint `key`'s slot into cache ahead of an `expected_version`,
+    /// `record_ack` or `classify_read_at` a few events later (see the
+    /// module docs). Counts nothing and allocates nothing.
+    #[inline]
+    pub(crate) fn prefetch(&self, key: Key) {
+        self.table.prefetch(key.0);
     }
 
     /// The arena history of an occupied slot; `None` for a key that has
@@ -508,6 +520,23 @@ mod tests {
         let c = o.classify_read(Key(99), Version::NONE, Version::NONE);
         assert!(!c.stale);
         assert_eq!(o.fresh_reads(), 1);
+    }
+
+    #[test]
+    fn prefetch_counts_nothing_and_enters_no_key() {
+        let mut o = StalenessOracle::new();
+        o.preload(Key(1), Version(1));
+        // Preloaded, never seen on a live page, on an untouched page, out
+        // of range.
+        for key in [1, 2, 7 * PAGE_SLOTS as u64, u64::MAX] {
+            o.prefetch(Key(key));
+        }
+        assert_eq!(o.key_count(), 1);
+        assert_eq!(o.spilled_histories(), 0);
+        assert_eq!((o.stale_reads(), o.fresh_reads()), (0, 0));
+        assert_eq!(o.table.allocated_pages(), 1);
+        assert_eq!(o.expected_version(Key(1)), Version(1));
+        assert_eq!(o.expected_version(Key(2)), Version::NONE);
     }
 
     #[test]

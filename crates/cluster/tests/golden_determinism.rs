@@ -617,7 +617,7 @@ fn golden_resilience_run() {
         }
         // Node 1 serves 10x slow from 300 ms to 1.5 s (the churn spans 2 s);
         // node 4 goes down hard from 450 ms to 1.65 s so timed-out scans
-        // exercise the backoff wheel and trip its breaker.
+        // retry after a backoff and trip its breaker.
         c.schedule_tick(SimTime::from_millis(300), 1);
         c.schedule_tick(SimTime::from_millis(1_500), 2);
         c.schedule_tick(SimTime::from_millis(450), 3);

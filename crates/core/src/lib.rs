@@ -44,6 +44,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod behavior;
 pub mod bismar;

@@ -21,6 +21,7 @@
 //! monetary bill.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod bill;
 pub mod efficiency;

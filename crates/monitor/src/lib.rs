@@ -13,6 +13,7 @@
 //!   the cluster and consumed by the adaptive policies in `concord-core`.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod ewma;
 pub mod histogram;

@@ -48,6 +48,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod distributions;
 pub mod events;

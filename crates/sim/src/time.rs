@@ -98,7 +98,7 @@ impl SimDuration {
 
     /// Construct from fractional milliseconds (saturating at zero for negatives).
     pub fn from_millis_f64(ms: f64) -> Self {
-        SimDuration((ms.max(0.0) * 1e3).round() as u64)
+        SimDuration(round_to_u64(ms.max(0.0) * 1e3))
     }
 
     /// Construct from fractional seconds (saturating at zero for negatives).
@@ -135,6 +135,18 @@ impl SimDuration {
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         SimDuration((self.0 as f64 * factor.max(0.0)).round() as u64)
     }
+}
+
+/// `x.round() as u64` — half away from zero, saturating, NaN and negatives
+/// to 0 — in integer arithmetic. Every delay sample converts through
+/// [`SimDuration::from_millis_f64`], and baseline x86-64 has no rounding
+/// instruction, so `f64::round` there is an out-of-line library call. Exact:
+/// below 2^52 the fraction `x - trunc(x)` is computed without error, and from
+/// 2^52 up every `f64` is an integer.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add((x - t as f64 >= 0.5) as u64)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -231,6 +243,89 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn integer_rounding_matches_round_at_the_edges() {
+        let below_half = 0.5f64.next_down();
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            below_half,
+            0.5,
+            0.5f64.next_up(),
+            1.0,
+            1.5,
+            2.5,
+            -0.4,
+            -0.5,
+            -1.5,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            u64::MAX as f64,
+            (u64::MAX as f64).next_down(),
+            (u64::MAX as f64).next_up(),
+        ];
+        // The last halves (2^52 - 0.5 is the largest), and the powers of two
+        // from where every f64 is an integer up to where `as u64` saturates.
+        for exp in 51..=64 {
+            let p = 2f64.powi(exp);
+            edges.extend([p - 1.0, p - 0.5, p.next_down(), p, p.next_up(), p + 0.5]);
+        }
+        for x in edges {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
+        assert_eq!(round_to_u64(below_half), 0);
+        assert_eq!(round_to_u64(0.5), 1);
+        assert_eq!(round_to_u64(2.5), 3, "half away from zero, not to even");
+        assert_eq!(round_to_u64(f64::INFINITY), u64::MAX);
+        assert_eq!(SimDuration::from_millis_f64(f64::NAN), SimDuration::ZERO);
+        assert_eq!(SimDuration::from_millis_f64(-3.0), SimDuration::ZERO);
+        assert_eq!(SimDuration::from_millis_f64(1.2345), SimDuration(1_235));
+    }
+
+    proptest! {
+        /// Differential against `f64::round`: arbitrary bit patterns (NaNs,
+        /// infinities, negatives, subnormals), the 0–100 ms delays the
+        /// samplers produce, exact halves with both neighbours, and the
+        /// integer-only range 2^52…2^64.
+        #[test]
+        fn integer_rounding_matches_round(
+            bits in any::<u64>(),
+            delay_ms in 0.0..100.0f64,
+            whole in 0u64..(1 << 52),
+            exp in 52u32..64,
+            mantissa in 0u64..(1 << 52),
+        ) {
+            // Halves at every magnitude, not only next to 2^52.
+            let half = (whole >> (bits % 52)) as f64 + 0.5;
+            // 2^exp ≤ big < 2^(exp+1), every mantissa bit in play.
+            let big = f64::from_bits(((1023 + exp as u64) << 52) | mantissa);
+            for x in [
+                f64::from_bits(bits),
+                delay_ms * 1e3,
+                half.next_down(),
+                half,
+                half.next_up(),
+                big,
+            ] {
+                prop_assert_eq!(round_to_u64(x), x.round() as u64, "x = {:e}", x);
+            }
+            // The constructor is that rounding of the clamped, scaled input.
+            for ms in [f64::from_bits(bits), delay_ms] {
+                prop_assert_eq!(
+                    SimDuration::from_millis_f64(ms).0,
+                    (ms.max(0.0) * 1e3).round() as u64,
+                    "ms = {:e}",
+                    ms
+                );
+            }
+        }
+    }
 
     #[test]
     fn construction_round_trips() {

@@ -31,6 +31,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod analytic;
 pub mod montecarlo;

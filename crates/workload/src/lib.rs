@@ -23,6 +23,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod arrival;
 pub mod core_workload;

@@ -45,6 +45,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod experiment;
 pub mod platforms;
