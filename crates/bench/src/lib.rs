@@ -163,7 +163,8 @@
 //!   benchmark run before it was hidden), so the handler that schedules
 //!   the event that will touch a slot issues a cache prefetch for it
 //!   (`PagedTable::prefetch`, the workspace's one `unsafe` block; the
-//!   sites are listed under "Memory latency" in `concord_cluster::cluster`).
+//!   sites are listed under "Memory latency" in
+//!   `crates/cluster/src/cluster/engine.rs`).
 //!   Its users are the replica store
 //!   (`ReplicaStore`: 16-byte slots, presence = non-zero version, no extra
 //!   bits) and the staleness oracle (24-byte slots, vacancy = zero acked
@@ -288,9 +289,12 @@
 //! `crates/cluster/tests/sharded_determinism.rs` asserts byte-identical
 //! fingerprints at 1/2/4/8 worker threads for shards ∈ {1, 2, 4},
 //! including a node crashing mid-window, a partition severing two shards
-//! and ordered scans straddling a shard boundary (the module docs of
-//! `concord_cluster::cluster` list every place the one-shard engine
-//! differs).
+//! and ordered scans straddling a shard boundary. Which engine runs is
+//! known to one module, `crates/cluster/src/cluster/engine.rs`: every place
+//! the one-shard engine differs is a method of its two impl blocks headed
+//! *Where the engines differ*, whose docs give both arms; the protocol,
+//! fault, repair and resilience modules beside it call them
+//! unconditionally.
 //!
 //! ## The resilience layer: `--hedge <ms>`, `--selection dynamic`, `--backoff`
 //!

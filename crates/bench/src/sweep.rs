@@ -243,16 +243,6 @@ impl Harness {
         );
     }
 
-    /// Reject `--repair` for binaries that never build a cluster
-    /// (estimator-only grids): failing loudly beats silently labelling the
-    /// output with a mode that was never in effect.
-    pub fn forbid_repair_override(&self, why: &str) {
-        assert!(
-            self.repair.is_none(),
-            "--repair is not supported by this experiment: {why}"
-        );
-    }
-
     /// Apply the `--partitioner` override (if given) to a platform the
     /// binary constructed itself. [`Harness::cost_platform`] and
     /// [`Harness::harmony_platform`] already apply it.
@@ -304,17 +294,6 @@ impl Harness {
             platform.cluster.resilience.backoff = true;
         }
         platform
-    }
-
-    /// Reject `--hedge` / `--selection` / `--backoff` for binaries that
-    /// never build a cluster (estimator-only grids): failing loudly beats
-    /// silently labelling the output with a resilience setup that was never
-    /// in effect.
-    pub fn forbid_resilience_override(&self, why: &str) {
-        assert!(
-            self.hedge.is_none() && self.selection.is_none() && !self.backoff,
-            "--hedge/--selection/--backoff are not supported by this experiment: {why}"
-        );
     }
 
     /// Apply the `--workload` override (if given) to the binary's default
@@ -709,7 +688,6 @@ mod tests {
         h.forbid_workload_override("n/a");
         h.forbid_arrival_override("n/a");
         h.forbid_partitioner_override("n/a");
-        h.forbid_repair_override("n/a");
     }
 
     #[test]
@@ -831,7 +809,6 @@ mod tests {
         assert!(!cost.cluster.resilience.hedging_enabled());
         assert!(!cost.cluster.resilience.backoff);
         assert_eq!(cost.cluster.read_selection, ReplicaSelection::Closest);
-        plain.forbid_resilience_override("n/a");
     }
 
     #[test]
@@ -844,13 +821,6 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn non_positive_hedge_delay_fails_loudly() {
         Harness::from_args(vec!["exp".into(), "--hedge".into(), "0".into()]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not supported")]
-    fn forbid_rejects_present_resilience_overrides() {
-        let h = Harness::from_args(vec!["exp".into(), "--backoff".into()]);
-        h.forbid_resilience_override("this experiment never builds a cluster");
     }
 
     #[test]

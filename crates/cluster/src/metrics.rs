@@ -89,11 +89,6 @@ impl TrafficBytes {
         }
     }
 
-    /// Total bytes that crossed a datacenter boundary (inter-DC + inter-region).
-    pub fn cross_dc_total(&self) -> u64 {
-        self.inter_dc + self.inter_region
-    }
-
     /// Total bytes over all link classes.
     pub fn total(&self) -> u64 {
         self.local + self.intra_dc + self.inter_dc + self.inter_region
@@ -305,7 +300,6 @@ mod tests {
         t.add(LinkClass::InterRegion, 25);
         t.add(LinkClass::Local, 10);
         assert_eq!(t.total(), 185);
-        assert_eq!(t.cross_dc_total(), 75);
         assert_eq!(t.intra_dc, 100);
     }
 

@@ -18,7 +18,7 @@
 //! mask and a load. Over a data set larger than the cache that load is a
 //! cache and TLB miss (7.5 % of the benchmark's headline run sat on the
 //! slot and its history), so the cluster hints the slot through
-//! [`StalenessOracle::prefetch`] from the handler that schedules the event
+//! `StalenessOracle::prefetch` from the handler that schedules the event
 //! that will need it — see [`paged`](crate::paged). Vacancy is this table's
 //! own convention (`acked_writes == 0`), per the [`PagedTable`] contract.
 //!
@@ -258,7 +258,7 @@ impl StalenessOracle {
     /// stored times.
     ///
     /// Saturation: if every *retained* entry is newer than `at` but older
-    /// entries were dropped ([`DEPTH_HISTORY`] acks on one key while a read
+    /// entries were dropped (`DEPTH_HISTORY` acks on one key while a read
     /// was in flight), the true answer lies in the dropped prefix and the
     /// oldest retained version stands in for it — erring toward counting
     /// the read stale, like the depth saturation.

@@ -15,7 +15,7 @@
 //! behind a TLB miss, ~150 ns in situ against the 2–5 ns a loop over a hot
 //! table measures, and a sampling profile put 20 % of that run on the
 //! store's first load and 7.5 % on the oracle's. The address is known one
-//! event before the slot is needed, so [`PagedTable::prefetch`] lets the
+//! event before the slot is needed, so `PagedTable::prefetch` lets the
 //! scheduling handler hint it into cache (see the cluster module's "Memory
 //! latency" section); what remains is the page walk, which a hint cannot
 //! hide.

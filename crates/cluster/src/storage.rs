@@ -16,7 +16,7 @@
 //! tombstones. Under hash placement that load is a cache and TLB miss
 //! (~150 ns in situ; the two lines that first touch a slot held 20 % of the
 //! benchmark's headline run), so the cluster hints the slot one event early
-//! through [`ReplicaStore::prefetch`] — see [`paged`](crate::paged). Vacancy
+//! through `ReplicaStore::prefetch` — see [`paged`](crate::paged). Vacancy
 //! is this store's own convention, per the table's
 //! contract: a slot is occupied iff its version is non-zero
 //! ([`Version::NONE`] never names a real write, which the write paths

@@ -84,6 +84,7 @@ fn digest(cluster: &mut Cluster) -> RunDigest {
         fnv(&mut h, op.staleness_depth as u64);
         fnv(&mut h, op.replicas_involved as u64);
     }
+    assert_eq!(cluster.check_drained(), Ok(()));
     d.checksum = h;
     d
 }
@@ -320,6 +321,7 @@ fn golden_crash_recover_run() {
     assert!(!c.is_node_crashed(concord_sim::NodeId(2)));
     assert_eq!(c.inflight_ops(), 0);
     assert_eq!(c.inflight_write_payloads(), 0);
+    assert_eq!(c.check_drained(), Ok(()));
     assert_eq!(d.timeouts, GOLDEN_CRASH.0);
     assert_eq!(c.metrics().retries, GOLDEN_CRASH.1);
     assert_eq!(d.latency_sum_us, GOLDEN_CRASH.2);
@@ -407,6 +409,7 @@ fn golden_repair_run() {
     assert_eq!(d.ops, 2_000, "every op completes exactly once");
     assert_eq!(c.inflight_ops(), 0);
     assert_eq!(c.inflight_write_payloads(), 0);
+    assert_eq!(c.check_drained(), Ok(()));
     let m = c.metrics();
     assert!(m.hints_queued > 0, "the outage must queue hints");
     assert!(
@@ -534,6 +537,7 @@ fn paged_repair_run(partitioner: Partitioner, golden: PagedRepairGolden) {
     assert_eq!(d.ops, 4_000, "every op completes exactly once");
     assert_eq!(c.inflight_ops(), 0);
     assert_eq!(c.inflight_write_payloads(), 0);
+    assert_eq!(c.check_drained(), Ok(()));
     assert!(m.messages_lost > 0, "the partition drops messages");
     assert!(m.hints_queued > 0, "the outage must queue hints");
     assert!(
@@ -681,6 +685,7 @@ fn golden_resilience_run() {
         assert_eq!(d.ops, 4_000, "every op completes exactly once");
         assert_eq!(c.inflight_ops(), 0, "hedged ops must not leak slab entries");
         assert_eq!(c.inflight_write_payloads(), 0);
+        assert_eq!(c.check_drained(), Ok(()));
         assert!(m.hedged_requests > 0, "the slow window must trigger hedges");
         assert!(m.hedge_wins > 0 && m.hedge_wins <= m.hedged_requests);
         assert!(m.backoff_retries > 0, "the outage must exercise backoff");
@@ -755,6 +760,7 @@ fn golden_partition_heal_run() {
     assert!(!c.dcs_partitioned(a, b));
     assert_eq!(c.inflight_ops(), 0);
     assert_eq!(c.inflight_write_payloads(), 0);
+    assert_eq!(c.check_drained(), Ok(()));
     assert_eq!(d.timeouts, GOLDEN_PARTITION.0);
     assert_eq!(c.metrics().messages_lost, GOLDEN_PARTITION.1);
     assert_eq!(d.latency_sum_us, GOLDEN_PARTITION.2);
@@ -889,6 +895,7 @@ fn golden_ordered_scan_run() {
         fnv(&mut h, op.returned_version.0);
         fnv(&mut h, op.records_returned as u64);
     }
+    assert_eq!(c.check_drained(), Ok(()));
     d.checksum = h;
     maybe_print("ordered_scan", &d, &c);
     if std::env::var("GOLDEN_PRINT").is_ok() {

@@ -70,6 +70,7 @@ fn windowed_stale_rates(mode: RepairMode) -> (f64, f64) {
             ClusterOutput::Completed(op) => done.push(op),
         }
     }
+    assert_eq!(c.check_drained(), Ok(()));
 
     let rate = |from: SimTime, to: SimTime| {
         let reads = done
@@ -190,6 +191,7 @@ fn write_burst(c: &mut Cluster, rng: &mut SimRng, count: u64, key_space: u64, ta
         c.submit_write_with(key, 77, ConsistencyLevel::One, at);
     }
     c.run_to_completion(u64::MAX);
+    assert_eq!(c.check_drained(), Ok(()));
 }
 
 /// One differential case: a random cluster, random write histories, and a

@@ -86,6 +86,7 @@ fn drain(c: &mut Cluster, mut on_tick: impl FnMut(&mut Cluster, u64)) -> Fingerp
             }
         }
     }
+    assert_eq!(c.check_drained(), Ok(()));
     let m = c.shard_metrics();
     Fingerprint {
         ops,

@@ -63,6 +63,7 @@ fn weak_churn(c: &mut Cluster, ops: u64, keys: u64, gap: SimDuration) {
 /// returns less.
 fn check_stale_flags(c: &mut Cluster) -> (u64, u64) {
     let done = c.run_to_completion(u64::MAX);
+    assert_eq!(c.check_drained(), Ok(()));
     let mut acked: HashMap<Key, Vec<(SimTime, Version)>> = HashMap::new();
     for op in done.iter().filter(|op| op.kind == OpKind::Write) {
         assert_eq!(op.status, OpStatus::Ok, "a healthy run times nothing out");
@@ -165,6 +166,7 @@ fn quiet_periods_fast_forward() {
     // Two bursts, 5 simulated seconds of silence in between.
     c.submit_batch(burst(0).chain(burst(5_000_000)).collect::<Vec<_>>());
     assert_eq!(c.run_to_completion(u64::MAX).len(), 800);
+    assert_eq!(c.check_drained(), Ok(()));
     let m = c.shard_metrics();
     assert!(m.windows > 0);
     assert!(
@@ -190,6 +192,7 @@ fn serial_runs_report_zero_window_counters() {
         }
     }
     assert_eq!(c.run_to_completion(u64::MAX).len(), 500);
+    assert_eq!(c.check_drained(), Ok(()));
     assert_eq!(
         c.shard_metrics(),
         concord_sim::ShardMetrics::default(),

@@ -15,7 +15,7 @@
 //! ```
 //!
 //! See [`BehaviorModelBuilder`] for the offline side and
-//! [`BehaviorDrivenPolicy`](crate::behavior::driven::BehaviorDrivenPolicy)
+//! [`BehaviorDrivenPolicy`]
 //! for the runtime side.
 
 pub mod driven;

@@ -86,7 +86,6 @@ pub struct BismarPolicy {
     config: BismarConfig,
     estimator: AnalyticEstimator,
     last_decision: Option<BismarDecision>,
-    decisions: u64,
 }
 
 impl BismarPolicy {
@@ -96,7 +95,6 @@ impl BismarPolicy {
             config,
             estimator: AnalyticEstimator::new(),
             last_decision: None,
-            decisions: 0,
         }
     }
 
@@ -113,11 +111,6 @@ impl BismarPolicy {
     /// The most recent decision.
     pub fn last_decision(&self) -> Option<&BismarDecision> {
         self.last_decision.as_ref()
-    }
-
-    /// Number of decisions made.
-    pub fn decision_count(&self) -> u64 {
-        self.decisions
     }
 
     /// Expected client-observed latency of an operation whose coordinator
@@ -189,23 +182,16 @@ impl BismarPolicy {
         instance_cost + network_cost + storage_cost
     }
 
+    /// The staleness-model parameters of reading `level` replicas (see
+    /// [`PolicyContext::staleness_params`]), under deterministic propagation.
     fn staleness_params(&self, ctx: &PolicyContext, level: u32) -> StalenessParams {
-        let prop_ms = ctx
-            .snapshot
-            .propagation_time_ms
-            .max(self.config.min_propagation_ms);
-        StalenessParams {
-            n_replicas: ctx.profile.replication_factor,
-            read_level: level,
-            write_level: self
-                .config
-                .write_level
-                .required_acks(ctx.profile.replication_factor, ctx.profile.dc_count),
-            read_rate: ctx.snapshot.read_rate,
-            write_rate: ctx.snapshot.write_rate,
-            first_write_ms: ctx.snapshot.first_write_time_ms.max(0.0).min(prop_ms),
-            propagation: PropagationModel::Deterministic { total_ms: prop_ms },
-        }
+        let config = &self.config;
+        ctx.staleness_params(
+            level,
+            config.write_level,
+            config.min_propagation_ms,
+            |total_ms| PropagationModel::Deterministic { total_ms },
+        )
     }
 
     /// Evaluate every candidate level under the current conditions.
@@ -253,7 +239,6 @@ impl ConsistencyPolicy for BismarPolicy {
         let best_idx = most_efficient(&samples).unwrap_or(0);
         let read_replicas = eligible[best_idx].read_replicas;
 
-        self.decisions += 1;
         self.last_decision = Some(BismarDecision {
             read_replicas,
             evaluations: evaluations.clone(),
@@ -364,7 +349,6 @@ mod tests {
         assert!(b.last_decision().is_none());
         b.decide(&test_context(1_000.0, 100.0, 10.0));
         b.decide(&test_context(1_000.0, 100.0, 10.0));
-        assert_eq!(b.decision_count(), 2);
         assert_eq!(b.last_decision().unwrap().evaluations.len(), 5);
         assert!(b.name().contains("bismar"));
         assert!(b.config().stale_rate_cap > 0.0);

@@ -20,7 +20,6 @@
 
 use crate::policy::{ConsistencyPolicy, LevelDecision, PolicyContext};
 use concord_cluster::ConsistencyLevel;
-use concord_monitor::MonitorSnapshot;
 use concord_staleness::{LevelSolver, PropagationModel, StalenessParams};
 use serde::{Deserialize, Serialize};
 
@@ -118,36 +117,17 @@ impl HarmonyPolicy {
         &self.decisions
     }
 
-    /// Build the staleness-model parameters from a monitor snapshot.
+    /// Build the staleness-model parameters from a monitor snapshot (the
+    /// builder the controllers share, on `PolicyContext`): one replica read, this
+    /// controller's write level, propagation floor and propagation model.
     pub fn staleness_params(&self, ctx: &PolicyContext) -> StalenessParams {
-        let snapshot: &MonitorSnapshot = &ctx.snapshot;
-        let prop_ms = snapshot
-            .propagation_time_ms
-            .max(self.config.min_propagation_ms);
-        let first_ms = snapshot.first_write_time_ms.max(0.0).min(prop_ms);
-        let propagation = if self.config.deterministic_propagation {
-            PropagationModel::Deterministic { total_ms: prop_ms }
+        let model: fn(f64) -> PropagationModel = if self.config.deterministic_propagation {
+            |total_ms| PropagationModel::Deterministic { total_ms }
         } else {
-            PropagationModel::Exponential { mean_ms: prop_ms }
+            |mean_ms| PropagationModel::Exponential { mean_ms }
         };
-        StalenessParams {
-            n_replicas: ctx.profile.replication_factor,
-            read_level: 1,
-            write_level: ctx
-                .profile
-                .replication_factor
-                .min(self.required_write_acks(ctx)),
-            read_rate: snapshot.read_rate,
-            write_rate: snapshot.write_rate,
-            first_write_ms: first_ms,
-            propagation,
-        }
-    }
-
-    fn required_write_acks(&self, ctx: &PolicyContext) -> u32 {
-        self.config
-            .write_level
-            .required_acks(ctx.profile.replication_factor, ctx.profile.dc_count)
+        let config = &self.config;
+        ctx.staleness_params(1, config.write_level, config.min_propagation_ms, model)
     }
 }
 

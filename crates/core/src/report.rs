@@ -30,12 +30,6 @@ impl LatencySummary {
             max: stats.max_ms(),
         }
     }
-
-    /// Former name of [`LatencySummary::from_stats`].
-    #[deprecated(note = "renamed to from_stats when the reservoir became a streaming histogram")]
-    pub fn from_reservoir(stats: &concord_cluster::LatencyStats) -> Self {
-        Self::from_stats(stats)
-    }
 }
 
 /// One consistency-level change applied by the adaptive runtime.
@@ -191,18 +185,6 @@ impl RunReport {
         1.0 - self.stale_read_rate
     }
 
-    /// A compact single-line summary (used by the experiment binaries).
-    pub fn one_line(&self) -> String {
-        format!(
-            "{:<28} thr={:>9.1} ops/s  read p95={:>7.2} ms  stale={:>6.2}%  cost=${:.4}",
-            self.policy,
-            self.throughput_ops_per_sec,
-            self.read_latency_ms.p95,
-            self.stale_read_rate * 100.0,
-            self.total_cost_usd()
-        )
-    }
-
     /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report serialization cannot fail")
@@ -328,9 +310,6 @@ mod tests {
             report("static-eventual(ONE)", 0.3, 0.5),
             report("harmony", 0.05, 0.6),
         ];
-        let line = reports[0].one_line();
-        assert!(line.contains("static-eventual"));
-        assert!(line.contains("30.00%"));
         let table = render_table("EXP-A1", &reports);
         assert!(table.contains("EXP-A1"));
         assert!(table.contains("harmony"));

@@ -158,6 +158,9 @@ impl AdaptiveRuntime {
         policy: &mut dyn ConsistencyPolicy,
         scenario: &Scenario,
     ) -> RunReport {
+        scenario
+            .validate(cluster.config())
+            .unwrap_or_else(|e| panic!("invalid scenario: {e}"));
         let profile = ClusterProfile::from_cluster(cluster, workload.config().record_size());
         let mut monitor = AccessMonitor::new(self.config.monitor);
         let start = cluster.now();
@@ -865,6 +868,22 @@ mod tests {
             "hedge traffic must show up in the bill ({} vs {})",
             on_bill.network_usd,
             off_bill.network_usd
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid scenario: fault 0, crash(node99): no node 99 among 8")]
+    fn a_bad_fault_script_is_rejected_before_anything_runs() {
+        let (mut cluster, mut workload) = setup(3);
+        let scenario = Scenario::closed(4).with_faults(vec![FaultEvent::at_secs(
+            3_600.0,
+            FaultAction::CrashNode(99),
+        )]);
+        quick_runtime(3).run_scenario(
+            &mut cluster,
+            &mut workload,
+            &mut StaticPolicy::eventual(),
+            &scenario,
         );
     }
 

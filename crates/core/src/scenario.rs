@@ -40,7 +40,7 @@
 //! assert_eq!(scenario, back);
 //! ```
 
-use concord_cluster::Cluster;
+use concord_cluster::{Cluster, ClusterConfig};
 use concord_sim::{DcId, LinkClass, NodeId, SimDuration};
 use concord_workload::ArrivalProcess;
 use serde::{Deserialize, Serialize};
@@ -103,6 +103,53 @@ impl FaultAction {
             FaultAction::RestoreNode(n) => cluster.restore_node(NodeId(n)),
             FaultAction::DcDown(dc) => cluster.dc_down(DcId(dc)),
             FaultAction::DcUp(dc) => cluster.dc_up(DcId(dc)),
+        }
+    }
+
+    /// Whether this action can be applied to a platform of `nodes` nodes in
+    /// `dcs` datacenters: node ids and datacenter ids must exist, a
+    /// partition needs two distinct datacenters, a degrade factor must be
+    /// finite and positive and a slow factor finite and at least 1.
+    fn check(&self, nodes: usize, dcs: usize) -> Result<(), String> {
+        fn ensure(ok: bool, why: impl FnOnce() -> String) -> Result<(), String> {
+            ok.then_some(()).ok_or_else(why)
+        }
+        let node = |n: u32| {
+            ensure((n as usize) < nodes, || {
+                format!("no node {n} among {nodes}")
+            })
+        };
+        let dc = |d: u16| {
+            ensure((d as usize) < dcs, || {
+                format!("no datacenter {d} among {dcs}")
+            })
+        };
+        match *self {
+            FaultAction::CrashNode(n)
+            | FaultAction::RecoverNode(n)
+            | FaultAction::NodeDown(n)
+            | FaultAction::NodeUp(n)
+            | FaultAction::RestoreNode(n) => node(n),
+            FaultAction::SlowNode(n, f) => node(n).and_then(|()| {
+                let sound = f.is_finite() && f >= 1.0;
+                ensure(sound, || {
+                    format!("slow factor {f} is not finite and at least 1")
+                })
+            }),
+            FaultAction::PartitionDcs(a, b) | FaultAction::HealDcs(a, b) => {
+                let distinct = || format!("datacenter {a} is not partitioned from itself");
+                dc(a)
+                    .and_then(|()| dc(b))
+                    .and_then(|()| ensure(a != b, distinct))
+            }
+            FaultAction::DegradeLink(_, f) => {
+                let sound = f.is_finite() && f > 0.0;
+                ensure(sound, || {
+                    format!("degrade factor {f} is not finite and positive")
+                })
+            }
+            FaultAction::RestoreLink(_) => Ok(()),
+            FaultAction::DcDown(d) | FaultAction::DcUp(d) => dc(d),
         }
     }
 
@@ -201,6 +248,25 @@ impl Scenario {
         self
     }
 
+    /// Check the fault script against the platform it is about to run on.
+    /// Scripts are outside input (this type is `Deserialize`), and a bad
+    /// one would otherwise fail — or silently do nothing — only when its
+    /// offset comes up, possibly minutes into a run: every node id and
+    /// datacenter id must exist under `config`, a partition needs two
+    /// distinct datacenters, a degrade factor must be finite and positive
+    /// and a slow factor finite and at least 1. The error names the first
+    /// offending fault.
+    pub fn validate(&self, config: &ClusterConfig) -> Result<(), String> {
+        let nodes = config.topology.node_count();
+        let dcs = config.topology.dc_count();
+        self.faults.iter().enumerate().try_for_each(|(i, fault)| {
+            let action = &fault.action;
+            action
+                .check(nodes, dcs)
+                .map_err(|e| format!("fault {i}, {}: {e}", action.label()))
+        })
+    }
+
     /// True when the arrival mode is a closed loop.
     pub fn is_closed_loop(&self) -> bool {
         self.arrival.concurrency().is_some()
@@ -289,6 +355,68 @@ mod tests {
         assert!(cluster.is_node_down(NodeId(0)));
         FaultAction::DcUp(0).apply(&mut cluster);
         assert!(!cluster.is_node_down(NodeId(0)));
+    }
+
+    /// The validation error of a one-fault script on a 4-node, one-datacenter
+    /// platform.
+    fn rejection(action: FaultAction) -> String {
+        Scenario::closed(1)
+            .with_faults(vec![FaultEvent::at_secs(1.0, action)])
+            .validate(&ClusterConfig::lan_test(4, 3))
+            .expect_err("the script must be rejected")
+    }
+
+    #[test]
+    fn a_script_naming_a_missing_node_is_rejected() {
+        let why = rejection(FaultAction::CrashNode(99));
+        assert!(why.contains("crash(node99)") && why.contains("no node 99 among 4"));
+        assert!(rejection(FaultAction::NodeUp(4)).contains("no node 4"));
+        assert!(rejection(FaultAction::SlowNode(7, 2.0)).contains("no node 7"));
+    }
+
+    #[test]
+    fn a_script_naming_a_missing_datacenter_is_rejected() {
+        // `PartitionDcs(0, 9)` used to be a silent no-op.
+        assert!(rejection(FaultAction::PartitionDcs(0, 9)).contains("no datacenter 9 among 1"));
+        assert!(rejection(FaultAction::DcDown(1)).contains("no datacenter 1"));
+    }
+
+    #[test]
+    fn a_partition_of_a_datacenter_from_itself_is_rejected() {
+        assert!(rejection(FaultAction::PartitionDcs(0, 0)).contains("from itself"));
+        assert!(rejection(FaultAction::HealDcs(0, 0)).contains("from itself"));
+    }
+
+    #[test]
+    fn a_degrade_factor_that_is_not_finite_and_positive_is_rejected() {
+        for f in [0.0, -2.0, f64::NAN, f64::INFINITY] {
+            let why = rejection(FaultAction::DegradeLink(LinkClass::InterDc, f));
+            assert!(why.contains("degrade factor"), "{f}: {why}");
+        }
+    }
+
+    #[test]
+    fn a_slow_factor_below_one_is_rejected() {
+        for f in [0.5, 0.0, f64::NAN] {
+            let why = rejection(FaultAction::SlowNode(3, f));
+            assert!(why.contains("slow factor"), "{f}: {why}");
+        }
+    }
+
+    #[test]
+    fn a_sound_script_validates_and_the_error_names_the_first_bad_fault() {
+        let config = ClusterConfig::lan_test(4, 3);
+        let mut script = Scenario::open_poisson(100.0).with_faults(vec![
+            FaultEvent::at_secs(1.0, FaultAction::CrashNode(3)),
+            FaultEvent::at_secs(2.0, FaultAction::SlowNode(0, 1.0)),
+            FaultEvent::at_secs(3.0, FaultAction::DegradeLink(LinkClass::IntraDc, 0.5)),
+            FaultEvent::at_secs(4.0, FaultAction::DcUp(0)),
+        ]);
+        assert_eq!(script.validate(&config), Ok(()));
+        script.faults[2].action = FaultAction::RecoverNode(4);
+        script.faults[3].action = FaultAction::DcUp(5);
+        let why = script.validate(&config).unwrap_err();
+        assert!(why.starts_with("fault 2, recover(node4)"), "{why}");
     }
 
     #[test]

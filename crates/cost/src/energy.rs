@@ -80,11 +80,6 @@ pub struct EnergyReport {
 }
 
 impl EnergyReport {
-    /// Total energy in kilowatt-hours.
-    pub fn total_energy_kwh(&self) -> f64 {
-        self.total_energy_wh / 1_000.0
-    }
-
     /// Energy per completed operation, in joules (`None` if `ops` is zero).
     pub fn joules_per_op(&self, ops: u64) -> Option<f64> {
         if ops == 0 {
@@ -143,7 +138,6 @@ mod tests {
         // 10 nodes × 95 W × 1 h × PUE 1.6.
         assert!((report.it_energy_wh - 950.0).abs() < 1e-9);
         assert!((report.total_energy_wh - 950.0 * 1.6).abs() < 1e-9);
-        assert!((report.total_energy_kwh() - 1.52).abs() < 1e-9);
     }
 
     #[test]

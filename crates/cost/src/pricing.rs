@@ -51,19 +51,6 @@ impl PricingModel {
         Self::ec2_2013()
     }
 
-    /// A pricing model where only instances cost money — useful to isolate
-    /// the runtime component in ablation experiments.
-    pub fn instances_only(instance_hour_usd: f64) -> Self {
-        PricingModel {
-            instance_hour_usd,
-            storage_gb_month_usd: 0.0,
-            storage_io_million_usd: 0.0,
-            transfer_inter_dc_gb_usd: 0.0,
-            transfer_inter_region_gb_usd: 0.0,
-            transfer_intra_dc_gb_usd: 0.0,
-        }
-    }
-
     /// Scale every price by a factor (e.g. model reserved-instance discounts).
     pub fn scaled(&self, factor: f64) -> Self {
         PricingModel {
@@ -108,7 +95,6 @@ mod tests {
     fn presets_are_valid() {
         assert!(PricingModel::ec2_2013().validate().is_ok());
         assert!(PricingModel::grid5000_accounting().validate().is_ok());
-        assert!(PricingModel::instances_only(0.5).validate().is_ok());
         assert_eq!(PricingModel::default(), PricingModel::ec2_2013());
     }
 

@@ -63,18 +63,6 @@ pub struct MonitorSnapshot {
     pub total_writes: u64,
 }
 
-impl MonitorSnapshot {
-    /// Ratio of reads to writes in the observed window (∞-safe: returns
-    /// `f64::INFINITY` when no writes were observed).
-    pub fn read_write_ratio(&self) -> f64 {
-        if self.write_rate <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.read_rate / self.write_rate
-        }
-    }
-}
-
 /// Collects data-access metrics from the running storage system.
 #[derive(Debug, Clone)]
 pub struct AccessMonitor {
@@ -146,16 +134,6 @@ impl AccessMonitor {
         self.writes.total()
     }
 
-    /// Access to the full read-latency histogram.
-    pub fn read_latency_histogram(&self) -> &LatencyHistogram {
-        &self.read_latencies
-    }
-
-    /// Access to the full write-latency histogram.
-    pub fn write_latency_histogram(&self) -> &LatencyHistogram {
-        &self.write_latencies
-    }
-
     /// Produce a snapshot of the current state, evaluated at time `now`.
     pub fn snapshot(&mut self, now: SimTime) -> MonitorSnapshot {
         let to_ms = |us: Option<u64>| us.map(|v| v as f64 / 1e3).unwrap_or(0.0);
@@ -211,7 +189,6 @@ mod tests {
             "write rate {}",
             snap.write_rate
         );
-        assert!((snap.read_write_ratio() - 5.0).abs() < 1.0);
         assert_eq!(snap.total_reads, 3000);
         assert_eq!(snap.total_writes, 600);
     }
@@ -242,8 +219,6 @@ mod tests {
             snap.read_latency_p50_ms
         );
         assert!(snap.read_latency_p99_ms > 9.0);
-        assert!(m.read_latency_histogram().count() == 1000);
-        assert!(m.write_latency_histogram().is_empty());
     }
 
     #[test]
@@ -253,7 +228,6 @@ mod tests {
         assert_eq!(snap.read_rate, 0.0);
         assert_eq!(snap.write_rate, 0.0);
         assert_eq!(snap.propagation_time_ms, 0.0);
-        assert_eq!(snap.read_write_ratio(), f64::INFINITY);
     }
 
     #[test]

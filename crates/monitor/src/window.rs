@@ -79,11 +79,6 @@ impl SlidingWindowRate {
         self.evict(now);
         self.events.len() as f64 / self.window.as_secs_f64()
     }
-
-    /// Clear all recorded events (the total counter is preserved).
-    pub fn reset_window(&mut self) {
-        self.events.clear();
-    }
 }
 
 #[cfg(test)]
@@ -126,15 +121,6 @@ mod tests {
     fn rate_before_any_events_is_zero() {
         let mut w = SlidingWindowRate::new(SimDuration::from_secs(5));
         assert_eq!(w.rate_at(SimTime::from_secs(100)), 0.0);
-    }
-
-    #[test]
-    fn reset_clears_window_only() {
-        let mut w = SlidingWindowRate::new(SimDuration::from_secs(5));
-        w.record(SimTime::from_secs(1));
-        w.reset_window();
-        assert_eq!(w.count_in_window(), 0);
-        assert_eq!(w.total(), 1);
     }
 
     #[test]

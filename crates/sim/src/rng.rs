@@ -130,13 +130,6 @@ impl SimRng {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in the inclusive range `[lo, hi]`.
-    #[inline]
-    pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        lo + self.next_bounded(hi - lo + 1)
-    }
-
     /// Bernoulli draw with probability `p` of returning `true`.
     #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {

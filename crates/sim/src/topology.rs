@@ -10,7 +10,6 @@ use crate::distributions::DelayDistribution;
 use crate::rng::SimRng;
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a simulated storage node.
@@ -172,25 +171,6 @@ impl Topology {
             .expect("datacenter exists by construction")
     }
 
-    /// All nodes located in `dc`.
-    pub fn nodes_in_dc(&self, dc: DcId) -> Vec<NodeId> {
-        self.node_dc
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| **d == dc)
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
-    }
-
-    /// Number of nodes per datacenter.
-    pub fn dc_sizes(&self) -> BTreeMap<DcId, usize> {
-        let mut m = BTreeMap::new();
-        for dc in &self.node_dc {
-            *m.entry(*dc).or_insert(0) += 1;
-        }
-        m
-    }
-
     /// Classify the network path between two nodes.
     pub fn link_class(&self, a: NodeId, b: NodeId) -> LinkClass {
         if a == b {
@@ -318,9 +298,6 @@ mod tests {
     fn spread_round_robins_nodes() {
         let t = Topology::spread(10, &[("az-a", RegionId(0)), ("az-b", RegionId(0))]);
         assert_eq!(t.dc_count(), 2);
-        let sizes = t.dc_sizes();
-        assert_eq!(sizes[&DcId(0)], 5);
-        assert_eq!(sizes[&DcId(1)], 5);
         assert_eq!(t.dc_of(NodeId(0)), DcId(0));
         assert_eq!(t.dc_of(NodeId(1)), DcId(1));
         assert_eq!(t.link_class(NodeId(0), NodeId(2)), LinkClass::IntraDc);
@@ -336,15 +313,6 @@ mod tests {
         assert_eq!(t.link_class(NodeId(0), NodeId(1)), LinkClass::InterRegion);
         assert_eq!(t.region_of(NodeId(0)), RegionId(0));
         assert_eq!(t.region_of(NodeId(1)), RegionId(1));
-    }
-
-    #[test]
-    fn nodes_in_dc_lists_members() {
-        let t = Topology::spread(
-            6,
-            &[("a", RegionId(0)), ("b", RegionId(0)), ("c", RegionId(0))],
-        );
-        assert_eq!(t.nodes_in_dc(DcId(1)), vec![NodeId(1), NodeId(4)]);
     }
 
     #[test]

@@ -125,16 +125,6 @@ impl WorkloadConfig {
         self.record_count * self.record_size() as u64
     }
 
-    /// Fraction of operations that issue a storage write.
-    pub fn write_fraction(&self) -> f64 {
-        self.update_proportion + self.insert_proportion + self.read_modify_write_proportion
-    }
-
-    /// Fraction of operations that issue a storage read.
-    pub fn read_fraction(&self) -> f64 {
-        self.read_proportion + self.scan_proportion + self.read_modify_write_proportion
-    }
-
     /// Validate that the proportions form a sensible mix.
     pub fn validate(&self) -> Result<(), String> {
         let sum = self.read_proportion
@@ -594,8 +584,6 @@ mod tests {
         let cfg = heavy_read_update();
         assert_eq!(cfg.record_size(), 1_000);
         assert_eq!(cfg.dataset_bytes(), 10_000_000);
-        assert!((cfg.write_fraction() - 0.5).abs() < 1e-12);
-        assert!((cfg.read_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -32,11 +32,6 @@ impl HotspotGenerator {
         }
     }
 
-    /// Number of items in the hot set.
-    pub fn hot_item_count(&self) -> u64 {
-        self.hot_items
-    }
-
     /// Total number of items.
     pub fn item_count(&self) -> u64 {
         self.items
@@ -87,7 +82,6 @@ mod tests {
     #[test]
     fn hot_set_receives_configured_share() {
         let mut g = HotspotGenerator::new(1000, 0.2, 0.8);
-        assert_eq!(g.hot_item_count(), 200);
         let mut rng = SimRng::new(2);
         let n = 200_000;
         let hot_hits = (0..n).filter(|_| g.next(&mut rng) < 200).count();
@@ -102,11 +96,5 @@ mod tests {
         for _ in 0..1000 {
             assert!(g.next(&mut rng) < 10);
         }
-    }
-
-    #[test]
-    fn tiny_hot_fraction_keeps_at_least_one_item() {
-        let g = HotspotGenerator::new(10, 0.0, 0.9);
-        assert_eq!(g.hot_item_count(), 1);
     }
 }

@@ -24,17 +24,6 @@ pub fn fnv1a_64(value: u64) -> u64 {
     hash
 }
 
-/// Hash an arbitrary byte string with FNV-1a 64.
-#[inline]
-pub fn fnv1a_64_bytes(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET_BASIS_64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME_64);
-    }
-    hash
-}
-
 /// A 64-bit finalizer (from MurmurHash3) used when we only need good bit
 /// mixing rather than the YCSB-compatible FNV construction.
 #[inline]
@@ -56,13 +45,6 @@ mod tests {
     fn fnv_is_deterministic() {
         assert_eq!(fnv1a_64(12345), fnv1a_64(12345));
         assert_ne!(fnv1a_64(12345), fnv1a_64(12346));
-    }
-
-    #[test]
-    fn fnv_bytes_matches_known_vector() {
-        // FNV-1a("a") = 0xaf63dc4c8601ec8c (well-known test vector).
-        assert_eq!(fnv1a_64_bytes(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64_bytes(b""), FNV_OFFSET_BASIS_64);
     }
 
     #[test]
