@@ -1,7 +1,8 @@
 //! # concord-bench — benchmark harness and experiment binaries
 //!
 //! This crate regenerates every result of the paper's evaluation section
-//! (see `DESIGN.md` and `EXPERIMENTS.md` at the workspace root):
+//! (§IV; each binary's module docs name the figure or claim it reproduces
+//! and print the paper's number beside the measured one):
 //!
 //! | Binary | Experiment |
 //! |---|---|
@@ -18,9 +19,11 @@
 //! measured by the one harness in `benchmark/` (see `benchmark/README.md`).
 //!
 //! Every binary runs through the shared harness in [`sweep`] and accepts
-//! `--scale <f64>` (default 0.002 for the workload and ~0.2 for the cluster)
-//! so the full-size paper setups can also be simulated when time allows:
-//! `--scale 1.0` reproduces the paper's operation counts. The cluster
+//! `--scale <f64>` (in [1e-5, 1], default 0.002; `--cluster-scale`, in
+//! [0.01, 1], default 0.25) so the full-size paper setups can also be
+//! simulated when time allows: `--scale 1.0` reproduces the paper's
+//! operation counts. A flag whose value is missing, unparsable or out of
+//! range stops the binary with `--flag <v>: expected …`. The cluster
 //! experiments additionally take `--seeds <n>` (multi-seed sweeps with 95%
 //! confidence intervals), `--threads <n>` (pool size), `--arrival
 //! closed:<clients>|poisson:<ops/s>|uniform:<ops/s>` (arrival-mode override),
@@ -387,42 +390,6 @@ impl Default for Scale {
     }
 }
 
-/// Parse `--scale <f>` and `--cluster-scale <f>` from raw process arguments;
-/// everything else is left to the individual binary.
-pub fn parse_scale(args: &[String]) -> Scale {
-    let mut scale = Scale::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scale" => {
-                if let Some(v) = it.next().and_then(|s| s.parse::<f64>().ok()) {
-                    scale.workload = v.clamp(1e-5, 1.0);
-                }
-            }
-            "--cluster-scale" => {
-                if let Some(v) = it.next().and_then(|s| s.parse::<f64>().ok()) {
-                    scale.cluster = v.clamp(0.01, 1.0);
-                }
-            }
-            _ => {}
-        }
-    }
-    scale
-}
-
-/// Parse a `--platform <name>` argument (defaults to `g5k`).
-pub fn parse_platform(args: &[String]) -> String {
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--platform" {
-            if let Some(v) = it.next() {
-                return v.clone();
-            }
-        }
-    }
-    "g5k".to_string()
-}
-
 /// Make a paper workload lighter-weight for simulation: single 1 KB field
 /// (the record size YCSB uses by default) instead of ten 100 B fields.
 pub fn slim(mut cfg: WorkloadConfig) -> WorkloadConfig {
@@ -440,29 +407,28 @@ pub fn compare_line(label: &str, paper: &str, measured: String) {
 mod tests {
     use super::*;
 
+    fn harness(args: &[&str]) -> Harness {
+        Harness::from_args(args.iter().map(|s| s.to_string()).collect())
+    }
+
     #[test]
     fn scale_parsing_defaults_and_overrides() {
-        assert_eq!(parse_scale(&[]), Scale::default());
-        let args: Vec<String> = ["--scale", "0.01", "--cluster-scale", "0.5"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let s = parse_scale(&args);
+        assert_eq!(harness(&["exp"]).scale, Scale::default());
+        let s = harness(&["exp", "--scale", "0.01", "--cluster-scale", "0.5"]).scale;
         assert!((s.workload - 0.01).abs() < 1e-12);
         assert!((s.cluster - 0.5).abs() < 1e-12);
-        // Bad values fall back to defaults / clamp.
-        let args: Vec<String> = ["--scale", "oops"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(parse_scale(&args).workload, Scale::default().workload);
+    }
+
+    #[test]
+    #[should_panic(expected = "--scale oops: expected a fraction")]
+    fn unparsable_scale_fails_loudly() {
+        harness(&["exp", "--scale", "oops"]);
     }
 
     #[test]
     fn platform_parsing() {
-        assert_eq!(parse_platform(&[]), "g5k");
-        let args: Vec<String> = ["--platform", "ec2"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(parse_platform(&args), "ec2");
+        assert_eq!(harness(&["exp"]).platform, "g5k");
+        assert_eq!(harness(&["exp", "--platform", "ec2"]).platform, "ec2");
     }
 
     #[test]

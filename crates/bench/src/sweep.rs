@@ -110,92 +110,81 @@ impl Harness {
         Self::from_args(std::env::args().collect())
     }
 
-    /// Parse an explicit argument vector (tests).
+    /// Parse an explicit argument vector (tests). Every flag but the bare
+    /// `--backoff` takes a value, and a missing, unparsable or out-of-range
+    /// value panics with `--flag <v>: expected …`.
     pub fn from_args(args: Vec<String>) -> Self {
-        let scale = crate::parse_scale(&args);
-        let platform = crate::parse_platform(&args);
-        let flag = |name: &str| -> Option<u64> {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse::<u64>().ok())
+        let defaults = Scale::default();
+        let scale = Scale {
+            workload: flag_value(
+                &args,
+                "--scale",
+                "a fraction in [1e-5, 1]",
+                within(1e-5, 1.0),
+            )
+            .unwrap_or(defaults.workload),
+            cluster: flag_value(
+                &args,
+                "--cluster-scale",
+                "a fraction in [0.01, 1]",
+                within(0.01, 1.0),
+            )
+            .unwrap_or(defaults.cluster),
         };
-        let seed_count = flag("--seeds").unwrap_or(1).max(1);
-        let seed_base = flag("--seed-base");
-        if let Some(threads) = flag("--threads") {
-            if threads >= 1 {
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads as usize)
-                    .build_global()
-                    .expect("configuring the global pool cannot fail");
-            }
+        let platform = flag_value(&args, "--platform", "g5k|ec2", |v| {
+            ["g5k", "ec2"].contains(&v).then(|| v.to_string())
+        })
+        .unwrap_or_else(|| "g5k".into());
+        let seed_count =
+            flag_value(&args, "--seeds", "a seed count >= 1", within(1, u64::MAX)).unwrap_or(1);
+        let seed_base = flag_value(&args, "--seed-base", "a seed (u64)", |v| v.parse().ok());
+        let threads = flag_value(
+            &args,
+            "--threads",
+            "a thread count (0 = the machine default)",
+            |v| v.parse::<usize>().ok(),
+        );
+        if let Some(threads) = threads.filter(|&n| n >= 1) {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build_global()
+                .expect("configuring the global pool cannot fail");
         }
-        // Both override flags fail loudly on a missing value: silently
-        // running the default under the requested name is exactly the
-        // misattribution these flags' validation exists to prevent.
-        let arrival = args.iter().position(|a| a == "--arrival").map(|i| {
-            let spec = args.get(i + 1).expect(
-                "--arrival needs a value (closed:<clients>|poisson:<ops/s>|uniform:<ops/s>)",
-            );
-            parse_arrival(spec).unwrap_or_else(|e| panic!("--arrival {spec}: {e}"))
+        let arrival = flag_value(
+            &args,
+            "--arrival",
+            "closed:<clients>|poisson:<ops/s>|uniform:<ops/s>",
+            |v| parse_arrival(v).ok(),
+        );
+        let workload = flag_value(&args, "--workload", "a preset a-f", |v| {
+            presets::by_name(v).map(|_| v.to_string())
         });
-        let workload = args.iter().position(|a| a == "--workload").map(|i| {
-            let name = args
-                .get(i + 1)
-                .expect("--workload needs a value (a-f)")
-                .clone();
-            assert!(
-                presets::by_name(&name).is_some(),
-                "--workload {name}: unknown preset (a-f)"
-            );
-            name
+        let partitioner = flag_value(
+            &args,
+            "--partitioner",
+            "hash|ordered",
+            Partitioner::from_name,
+        );
+        let repair = flag_value(
+            &args,
+            "--repair",
+            "off|hints|anti-entropy|full",
+            RepairMode::from_name,
+        );
+        let shards = flag_value(&args, "--shards", "a shard count >= 1", within(1, u32::MAX));
+        let hedge = flag_value(&args, "--hedge", "a positive delay in ms", |v| {
+            let ms = v
+                .parse::<f64>()
+                .ok()
+                .filter(|ms| ms.is_finite() && *ms > 0.0)?;
+            Some(SimDuration::from_micros((ms * 1_000.0).round() as u64))
         });
-        let partitioner = args.iter().position(|a| a == "--partitioner").map(|i| {
-            let name = args
-                .get(i + 1)
-                .expect("--partitioner needs a value (hash|ordered)");
-            Partitioner::from_name(name)
-                .unwrap_or_else(|| panic!("--partitioner {name}: unknown mode (hash|ordered)"))
-        });
-        let repair = args.iter().position(|a| a == "--repair").map(|i| {
-            let name = args
-                .get(i + 1)
-                .expect("--repair needs a value (off|hints|anti-entropy|full)");
-            RepairMode::from_name(name).unwrap_or_else(|| {
-                panic!("--repair {name}: unknown mode (off|hints|anti-entropy|full)")
-            })
-        });
-        let shards = args.iter().position(|a| a == "--shards").map(|i| {
-            let value = args
-                .get(i + 1)
-                .expect("--shards needs a value (a shard count >= 1)");
-            let n: u32 = value
-                .parse()
-                .unwrap_or_else(|_| panic!("--shards {value}: not a shard count"));
-            assert!(n >= 1, "--shards {n}: a run needs at least one shard");
-            n
-        });
-        let hedge = args.iter().position(|a| a == "--hedge").map(|i| {
-            let value = args
-                .get(i + 1)
-                .expect("--hedge needs a value (a delay in ms)");
-            let ms: f64 = value
-                .parse()
-                .unwrap_or_else(|_| panic!("--hedge {value}: not a delay in ms"));
-            assert!(
-                ms.is_finite() && ms > 0.0,
-                "--hedge {value}: the hedge delay must be positive"
-            );
-            SimDuration::from_micros((ms * 1_000.0).round() as u64)
-        });
-        let selection = args.iter().position(|a| a == "--selection").map(|i| {
-            let name = args
-                .get(i + 1)
-                .expect("--selection needs a value (closest|random|dynamic)");
-            ReplicaSelection::from_name(name).unwrap_or_else(|| {
-                panic!("--selection {name}: unknown policy (closest|random|dynamic)")
-            })
-        });
+        let selection = flag_value(
+            &args,
+            "--selection",
+            "closest|random|dynamic",
+            ReplicaSelection::from_name,
+        );
         let backoff = args.iter().any(|a| a == "--backoff");
         Harness {
             args,
@@ -337,7 +326,7 @@ impl Harness {
     /// (`--hedge` / `--selection` / `--backoff`) overrides applied.
     pub fn cost_platform(&self) -> Platform {
         self.apply_resilience(self.apply_shards(self.apply_repair(self.apply_partitioner(
-            if self.platform.starts_with("ec2") {
+            if self.platform == "ec2" {
                 concord::platforms::ec2_cost(self.scale.cluster)
             } else {
                 concord::platforms::grid5000_cost(self.scale.cluster)
@@ -350,7 +339,7 @@ impl Harness {
     /// (`--hedge` / `--selection` / `--backoff`) overrides applied.
     pub fn harmony_platform(&self) -> Platform {
         self.apply_resilience(self.apply_shards(self.apply_repair(self.apply_partitioner(
-            if self.platform.starts_with("ec2") {
+            if self.platform == "ec2" {
                 concord::platforms::ec2_harmony(self.scale.cluster)
             } else {
                 concord::platforms::grid5000_harmony(self.scale.cluster)
@@ -376,6 +365,32 @@ impl Harness {
             }
         );
     }
+}
+
+/// The value after flag `name`, parsed by `parse`; `None` when the flag is
+/// absent. A missing value, or one `parse` rejects, panics with
+/// `<name> <value>: expected <what>`: running a default under the name the
+/// caller asked for would misattribute the output.
+fn flag_value<T>(
+    args: &[String],
+    name: &str,
+    what: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Option<T> {
+    let i = args.iter().position(|a| a == name)?;
+    let value = args.get(i + 1).map(String::as_str);
+    let parsed = value.and_then(parse);
+    Some(parsed.unwrap_or_else(|| {
+        panic!(
+            "{name} {}: expected {what}",
+            value.unwrap_or("needs a value")
+        )
+    }))
+}
+
+/// A [`flag_value`] parser accepting a number in `[lo, hi]`.
+fn within<T: std::str::FromStr + PartialOrd>(lo: T, hi: T) -> impl FnOnce(&str) -> Option<T> {
+    move |v| v.parse().ok().filter(|x| lo <= *x && *x <= hi)
 }
 
 /// Parse an `--arrival` specification: `closed:<clients>`,
@@ -712,7 +727,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown mode")]
+    #[should_panic(expected = "--partitioner range: expected hash|ordered")]
     fn unknown_partitioner_fails_loudly() {
         Harness::from_args(vec!["exp".into(), "--partitioner".into(), "range".into()]);
     }
@@ -739,7 +754,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown mode")]
+    #[should_panic(expected = "--repair merkle: expected off|hints")]
     fn unknown_repair_mode_fails_loudly() {
         Harness::from_args(vec!["exp".into(), "--repair".into(), "merkle".into()]);
     }
@@ -763,7 +778,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not a shard count")]
+    #[should_panic(expected = "--shards many: expected a shard count")]
     fn non_numeric_shard_count_fails_loudly() {
         Harness::from_args(vec!["exp".into(), "--shards".into(), "many".into()]);
     }
@@ -812,13 +827,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown policy")]
+    #[should_panic(expected = "--selection psychic: expected closest|random|dynamic")]
     fn unknown_selection_policy_fails_loudly() {
         Harness::from_args(vec!["exp".into(), "--selection".into(), "psychic".into()]);
     }
 
     #[test]
-    #[should_panic(expected = "must be positive")]
+    #[should_panic(expected = "--hedge 0: expected a positive delay")]
     fn non_positive_hedge_delay_fails_loudly() {
         Harness::from_args(vec!["exp".into(), "--hedge".into(), "0".into()]);
     }
@@ -871,7 +886,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown preset")]
+    #[should_panic(expected = "--workload z: expected a preset")]
     fn unknown_workload_preset_fails_loudly() {
         Harness::from_args(vec!["exp".into(), "--workload".into(), "z".into()]);
     }
@@ -880,6 +895,46 @@ mod tests {
     #[should_panic(expected = "--arrival needs a value")]
     fn dangling_arrival_flag_fails_loudly() {
         Harness::from_args(vec!["exp".into(), "--arrival".into()]);
+    }
+
+    fn harness(args: &[&str]) -> Harness {
+        Harness::from_args(args.iter().map(|s| s.to_string()).collect())
+    }
+
+    #[test]
+    #[should_panic(expected = "--scale 7: expected a fraction in [1e-5, 1]")]
+    fn out_of_range_scale_fails_loudly() {
+        harness(&["exp", "--scale", "7"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--cluster-scale 0: expected a fraction in [0.01, 1]")]
+    fn out_of_range_cluster_scale_fails_loudly() {
+        harness(&["exp", "--cluster-scale", "0"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--platform foo: expected g5k|ec2")]
+    fn unknown_platform_fails_loudly() {
+        harness(&["exp", "--platform", "foo"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--seeds 0: expected a seed count >= 1")]
+    fn zero_seeds_fail_loudly() {
+        harness(&["exp", "--seeds", "0"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--seed-base x: expected a seed")]
+    fn non_numeric_seed_base_fails_loudly() {
+        harness(&["exp", "--seed-base", "x"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--threads x: expected a thread count")]
+    fn non_numeric_thread_count_fails_loudly() {
+        harness(&["exp", "--threads", "x"]);
     }
 
     #[test]

@@ -309,6 +309,17 @@ impl ClusterConfig {
         if self.vnodes == 0 {
             return Err("vnodes must be at least 1".into());
         }
+        let net = &self.network;
+        for (field, delay) in [
+            ("network.local", &net.local),
+            ("network.intra_dc", &net.intra_dc),
+            ("network.inter_dc", &net.inter_dc),
+            ("network.inter_region", &net.inter_region),
+            ("storage_read_latency", &self.storage_read_latency),
+            ("storage_write_latency", &self.storage_write_latency),
+        ] {
+            delay.validate().map_err(|e| format!("{field}: {e}"))?;
+        }
         let shards = self.effective_shards();
         if shards > 256 {
             // The timestamp-packed parallel version layout reserves 8 bits
@@ -365,6 +376,24 @@ mod tests {
         cfg = ClusterConfig::lan_test(3, 2);
         cfg.shards = 1_000;
         assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_names_the_bad_delay_field() {
+        let mut cfg = ClusterConfig::lan_test(3, 2);
+        cfg.network.inter_dc = DelayDistribution::Uniform {
+            lo_ms: 5.0,
+            hi_ms: 1.0,
+        };
+        let err = cfg.validate().unwrap_err();
+        assert!(err.starts_with("network.inter_dc: "), "{err}");
+        let mut cfg = ClusterConfig::lan_test(3, 2);
+        cfg.storage_write_latency = DelayDistribution::LogNormal {
+            median_ms: f64::NAN,
+            sigma: 0.4,
+        };
+        let err = cfg.validate().unwrap_err();
+        assert!(err.starts_with("storage_write_latency: "), "{err}");
     }
 
     #[test]

@@ -72,13 +72,6 @@ impl ConsistencyLevel {
         }
     }
 
-    /// True if a read at `self` combined with a write at `write_level` forms
-    /// a strict quorum (`R + W > RF`), guaranteeing that reads observe the
-    /// latest acknowledged write.
-    pub fn is_strong_with(self, write_level: ConsistencyLevel, rf: u32, dc_count: u32) -> bool {
-        self.required_acks(rf, dc_count) + write_level.required_acks(rf, dc_count) > rf
-    }
-
     /// The canonical sweep of named levels used by the cost experiments
     /// (ONE → TWO → THREE → QUORUM → ALL).
     pub fn sweep(rf: u32) -> Vec<ConsistencyLevel> {
@@ -164,16 +157,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn strong_combination_detection() {
-        let rf = 5;
-        assert!(ConsistencyLevel::Quorum.is_strong_with(ConsistencyLevel::Quorum, rf, 2));
-        assert!(ConsistencyLevel::All.is_strong_with(ConsistencyLevel::One, rf, 2));
-        assert!(!ConsistencyLevel::One.is_strong_with(ConsistencyLevel::One, rf, 2));
-        assert!(!ConsistencyLevel::Two.is_strong_with(ConsistencyLevel::Three, rf, 2));
-        assert!(ConsistencyLevel::Three.is_strong_with(ConsistencyLevel::Three, rf, 2));
     }
 
     #[test]

@@ -44,9 +44,6 @@ impl PeriodFeatures {
             self.hot_key_concentration,
         ]
     }
-
-    /// Number of clustering dimensions.
-    pub const DIMENSIONS: usize = 4;
 }
 
 /// Compute the features of one window of trace operations.
@@ -235,6 +232,6 @@ mod tests {
     #[test]
     fn feature_vector_has_documented_dimension() {
         let f = period_features(0, &[], SimDuration::from_secs(1));
-        assert_eq!(f.vector().len(), PeriodFeatures::DIMENSIONS);
+        assert_eq!(f.vector().len(), 4);
     }
 }

@@ -27,7 +27,7 @@
 use crate::policy::{ClusterProfile, ConsistencyPolicy, LevelDecision, PolicyContext};
 use concord_cluster::ConsistencyLevel;
 use concord_cost::{consistency_cost_efficiency, most_efficient, EfficiencySample, PricingModel};
-use concord_staleness::{AnalyticEstimator, PropagationModel, StaleReadEstimator, StalenessParams};
+use concord_staleness::{AnalyticEstimator, StaleReadEstimator, StalenessParams};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the Bismar controller.
@@ -183,15 +183,10 @@ impl BismarPolicy {
     }
 
     /// The staleness-model parameters of reading `level` replicas (see
-    /// [`PolicyContext::staleness_params`]), under deterministic propagation.
+    /// [`PolicyContext::staleness_params`]).
     fn staleness_params(&self, ctx: &PolicyContext, level: u32) -> StalenessParams {
         let config = &self.config;
-        ctx.staleness_params(
-            level,
-            config.write_level,
-            config.min_propagation_ms,
-            |total_ms| PropagationModel::Deterministic { total_ms },
-        )
+        ctx.staleness_params(level, config.write_level, config.min_propagation_ms)
     }
 
     /// Evaluate every candidate level under the current conditions.

@@ -20,7 +20,7 @@
 
 use crate::policy::{ConsistencyPolicy, LevelDecision, PolicyContext};
 use concord_cluster::ConsistencyLevel;
-use concord_staleness::{LevelSolver, PropagationModel, StalenessParams};
+use concord_staleness::{LevelSolver, StalenessParams};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the Harmony controller.
@@ -35,10 +35,6 @@ pub struct HarmonyConfig {
     /// Floor applied to the propagation-time estimate, in ms, so that a cold
     /// monitor (no samples yet) does not make Harmony overly optimistic.
     pub min_propagation_ms: f64,
-    /// When `true`, Harmony falls back to the deterministic propagation model
-    /// of the paper's Figure 1; when `false` it uses the exponential model
-    /// (heavier tail, slightly more conservative levels).
-    pub deterministic_propagation: bool,
 }
 
 impl Default for HarmonyConfig {
@@ -47,7 +43,6 @@ impl Default for HarmonyConfig {
             tolerated_stale_rate: 0.05,
             write_level: ConsistencyLevel::One,
             min_propagation_ms: 0.1,
-            deterministic_propagation: true,
         }
     }
 }
@@ -118,16 +113,12 @@ impl HarmonyPolicy {
     }
 
     /// Build the staleness-model parameters from a monitor snapshot (the
-    /// builder the controllers share, on `PolicyContext`): one replica read, this
-    /// controller's write level, propagation floor and propagation model.
+    /// builder the controllers share, on `PolicyContext`): one replica read,
+    /// this controller's write level, and the monitored propagation time
+    /// above its floor as the paper's single constant `Tp` (Figure 1).
     pub fn staleness_params(&self, ctx: &PolicyContext) -> StalenessParams {
-        let model: fn(f64) -> PropagationModel = if self.config.deterministic_propagation {
-            |total_ms| PropagationModel::Deterministic { total_ms }
-        } else {
-            |mean_ms| PropagationModel::Exponential { mean_ms }
-        };
         let config = &self.config;
-        ctx.staleness_params(1, config.write_level, config.min_propagation_ms, model)
+        ctx.staleness_params(1, config.write_level, config.min_propagation_ms)
     }
 }
 
@@ -280,24 +271,31 @@ mod tests {
     }
 
     #[test]
-    fn both_propagation_models_scale_up_under_pressure() {
-        let ctx = test_context(2_000.0, 300.0, 25.0);
-        let mut det = HarmonyPolicy::new(HarmonyConfig {
-            tolerated_stale_rate: 0.10,
-            deterministic_propagation: true,
-            ..Default::default()
-        });
-        let mut exp = HarmonyPolicy::new(HarmonyConfig {
-            tolerated_stale_rate: 0.10,
-            deterministic_propagation: false,
-            ..Default::default()
-        });
-        det.decide(&ctx);
-        exp.decide(&ctx);
-        let det_level = det.last_decision().unwrap().read_replicas;
-        let exp_level = exp.last_decision().unwrap().read_replicas;
-        assert!(det_level > 1, "deterministic model: {det_level}");
-        assert!(exp_level > 1, "exponential model: {exp_level}");
-        assert!((1..=5).contains(&det_level) && (1..=5).contains(&exp_level));
+    fn retired_config_fields_still_load() {
+        // Configs written before a knob was deleted keep loading: the
+        // retired field is ignored and everything else reads back as written.
+        fn with_retired<T: Serialize>(config: &T, fields: &str) -> String {
+            let json = serde_json::to_string(config).unwrap();
+            format!("{{{fields},{}", &json[1..])
+        }
+        let harmony = HarmonyConfig::with_tolerance(0.3);
+        let json = with_retired(&harmony, r#""deterministic_propagation":false"#);
+        assert_eq!(
+            serde_json::from_str::<HarmonyConfig>(&json).unwrap(),
+            harmony
+        );
+
+        let workload = concord_workload::presets::ycsb_a();
+        let json = with_retired(
+            &workload,
+            r#""zipfian_constant":0.5,"hotspot_data_fraction":0.1,"hotspot_opn_fraction":0.9"#,
+        );
+        let loaded: concord_workload::WorkloadConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(loaded, workload);
+
+        let monitor = concord_monitor::MonitorConfig::default();
+        let json = with_retired(&monitor, r#""latency_alpha":0.5"#);
+        let loaded: concord_monitor::MonitorConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(loaded, monitor);
     }
 }

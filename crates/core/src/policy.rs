@@ -10,8 +10,8 @@
 
 use concord_cluster::{Cluster, ConsistencyLevel};
 use concord_monitor::MonitorSnapshot;
-use concord_sim::SimTime;
-use concord_staleness::{PropagationModel, StalenessParams};
+use concord_sim::{DelayDistribution, SimTime};
+use concord_staleness::StalenessParams;
 use serde::{Deserialize, Serialize};
 
 /// Static facts about the deployed cluster that policies may use.
@@ -85,14 +85,13 @@ impl PolicyContext {
     /// The staleness-model inputs Harmony and Bismar estimate from: the
     /// snapshot's read and write rates, the replication factor, `read_level`
     /// replicas read, the acks `write_level` waits for, and the monitored
-    /// propagation time — floored at `min_propagation_ms`, capping the
-    /// first-write time — in the shape `model` gives it.
+    /// propagation time as a constant delay — floored at
+    /// `min_propagation_ms`, and capping the first-write time.
     pub(crate) fn staleness_params(
         &self,
         read_level: u32,
         write_level: ConsistencyLevel,
         min_propagation_ms: f64,
-        model: fn(f64) -> PropagationModel,
     ) -> StalenessParams {
         let profile = &self.profile;
         let prop_ms = self.snapshot.propagation_time_ms.max(min_propagation_ms);
@@ -103,7 +102,7 @@ impl PolicyContext {
             read_rate: self.snapshot.read_rate,
             write_rate: self.snapshot.write_rate,
             first_write_ms: self.snapshot.first_write_time_ms.max(0.0).min(prop_ms),
-            propagation: model(prop_ms),
+            propagation: DelayDistribution::Constant { ms: prop_ms },
         }
     }
 }

@@ -7,8 +7,10 @@
 //! monitoring half:
 //!
 //! * [`SlidingWindowRate`] — read/write arrival-rate estimation (λr, λw);
-//! * [`Ewma`] — smoothing of propagation delays and latencies;
-//! * [`LatencyHistogram`] — log-bucketed latency percentiles;
+//! * [`Ewma`] — smoothing of the propagation and first-write delays (and of
+//!   the cluster's per-replica health latencies);
+//! * [`LatencyHistogram`] — log-bucketed latency percentiles (the cluster's
+//!   run metrics);
 //! * [`AccessMonitor`] / [`MonitorSnapshot`] — the aggregate monitor fed by
 //!   the cluster and consumed by the adaptive policies in `concord-core`.
 

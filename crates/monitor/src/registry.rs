@@ -4,12 +4,12 @@
 //! metrics about data access in the storage system: read rates and write
 //! rates, as well as network latencies"*, and feeds them to the adaptive
 //! consistency module. [`AccessMonitor`] is that component: the cluster (or
-//! any client layer) reports every read, write, completed-operation latency
-//! and measured replica-propagation delay; the adaptive controllers consume
-//! periodic [`MonitorSnapshot`]s.
+//! any client layer) reports every completed read and write (a write with
+//! its acknowledgement latency, the paper's `T`) and every measured
+//! replica-propagation delay; the adaptive controllers consume periodic
+//! [`MonitorSnapshot`]s, which carry exactly the model's inputs.
 
 use crate::ewma::Ewma;
-use crate::histogram::LatencyHistogram;
 use crate::window::SlidingWindowRate;
 use concord_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -21,8 +21,6 @@ pub struct MonitorConfig {
     pub rate_window: SimDuration,
     /// EWMA smoothing factor for propagation-delay measurements.
     pub propagation_alpha: f64,
-    /// EWMA smoothing factor for operation latency.
-    pub latency_alpha: f64,
 }
 
 impl Default for MonitorConfig {
@@ -30,7 +28,6 @@ impl Default for MonitorConfig {
         MonitorConfig {
             rate_window: SimDuration::from_secs(10),
             propagation_alpha: 0.2,
-            latency_alpha: 0.2,
         }
     }
 }
@@ -51,12 +48,6 @@ pub struct MonitorSnapshot {
     /// Smoothed time to apply a write on the first replica, in ms
     /// (the paper's `T`).
     pub first_write_time_ms: f64,
-    /// Smoothed client-observed operation latency, in ms.
-    pub smoothed_latency_ms: f64,
-    /// Median read latency over the whole run so far, in ms.
-    pub read_latency_p50_ms: f64,
-    /// 99th-percentile read latency over the whole run so far, in ms.
-    pub read_latency_p99_ms: f64,
     /// Total reads observed since the monitor started.
     pub total_reads: u64,
     /// Total writes observed since the monitor started.
@@ -71,9 +62,6 @@ pub struct AccessMonitor {
     writes: SlidingWindowRate,
     propagation: Ewma,
     first_write: Ewma,
-    latency: Ewma,
-    read_latencies: LatencyHistogram,
-    write_latencies: LatencyHistogram,
 }
 
 impl Default for AccessMonitor {
@@ -91,9 +79,6 @@ impl AccessMonitor {
             writes: SlidingWindowRate::new(config.rate_window),
             propagation: Ewma::new(config.propagation_alpha),
             first_write: Ewma::new(config.propagation_alpha),
-            latency: Ewma::new(config.latency_alpha),
-            read_latencies: LatencyHistogram::new(),
-            write_latencies: LatencyHistogram::new(),
         }
     }
 
@@ -102,19 +87,18 @@ impl AccessMonitor {
         self.config
     }
 
-    /// Record a read issued at `at` that completed after `latency`.
-    pub fn record_read(&mut self, at: SimTime, latency: SimDuration) {
+    /// Record a read that completed at `at`: one arrival towards λr. No
+    /// statistic reads the latency (the run's percentiles live in the
+    /// cluster's metrics); the argument keeps the shape of
+    /// [`record_write`](Self::record_write).
+    pub fn record_read(&mut self, at: SimTime, _latency: SimDuration) {
         self.reads.record(at);
-        self.read_latencies.record(latency.as_micros());
-        self.latency.observe(latency.as_millis_f64());
     }
 
     /// Record a write issued at `at` that was acknowledged after `latency`
     /// (time to satisfy the write consistency level — the paper's `T`).
     pub fn record_write(&mut self, at: SimTime, latency: SimDuration) {
         self.writes.record(at);
-        self.write_latencies.record(latency.as_micros());
-        self.latency.observe(latency.as_millis_f64());
         self.first_write.observe(latency.as_millis_f64());
     }
 
@@ -136,16 +120,12 @@ impl AccessMonitor {
 
     /// Produce a snapshot of the current state, evaluated at time `now`.
     pub fn snapshot(&mut self, now: SimTime) -> MonitorSnapshot {
-        let to_ms = |us: Option<u64>| us.map(|v| v as f64 / 1e3).unwrap_or(0.0);
         MonitorSnapshot {
             at: now,
             read_rate: self.reads.rate_at(now),
             write_rate: self.writes.rate_at(now),
             propagation_time_ms: self.propagation.value_or(0.0),
             first_write_time_ms: self.first_write.value_or(0.0),
-            smoothed_latency_ms: self.latency.value_or(0.0),
-            read_latency_p50_ms: to_ms(self.read_latencies.quantile(0.5)),
-            read_latency_p99_ms: to_ms(self.read_latencies.quantile(0.99)),
             total_reads: self.reads.total(),
             total_writes: self.writes.total(),
         }
@@ -203,22 +183,6 @@ mod tests {
         let snap = m.snapshot(SimTime::from_secs(1));
         assert!(snap.propagation_time_ms > 49.0);
         assert!(snap.propagation_time_ms < 200.0, "outlier must be damped");
-    }
-
-    #[test]
-    fn latency_percentiles_reported_in_ms() {
-        let mut m = AccessMonitor::default();
-        for i in 1..=1000u64 {
-            m.record_read(SimTime::from_millis(i), SimDuration::from_micros(i * 10));
-        }
-        let snap = m.snapshot(SimTime::from_secs(1));
-        // p50 of 10µs..10ms uniform = ~5ms, p99 ≈ 9.9ms.
-        assert!(
-            (snap.read_latency_p50_ms - 5.0).abs() < 0.5,
-            "{}",
-            snap.read_latency_p50_ms
-        );
-        assert!(snap.read_latency_p99_ms > 9.0);
     }
 
     #[test]

@@ -62,12 +62,6 @@ impl SlidingWindowRate {
         }
     }
 
-    /// Number of events currently inside the window (as of the last event or
-    /// explicit [`rate_at`](Self::rate_at) call).
-    pub fn count_in_window(&self) -> usize {
-        self.events.len()
-    }
-
     /// Total number of events ever recorded.
     pub fn total(&self) -> u64 {
         self.total
@@ -99,7 +93,6 @@ mod tests {
         // 20 seconds later with no events the rate drops to zero.
         let r = w.rate_at(SimTime::from_secs(30));
         assert_eq!(r, 0.0);
-        assert_eq!(w.count_in_window(), 0);
         assert_eq!(w.total(), 100, "total is preserved");
     }
 
@@ -112,7 +105,7 @@ mod tests {
             }
         }
         // Only the last second's worth of events remains.
-        assert!(w.count_in_window() <= 11);
+        assert!(w.rate_at(SimTime::from_millis(4_900)) <= 11.0);
         let r = w.rate_at(SimTime::from_secs(5));
         assert!((r - 10.0).abs() <= 1.0, "rate={r}");
     }

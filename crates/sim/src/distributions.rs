@@ -2,8 +2,13 @@
 //!
 //! Network links, disk accesses and replica propagation delays are all
 //! described by a [`DelayDistribution`], a serializable, deterministic
-//! description of a positive random variable. Sampling draws from a
-//! [`SimRng`], so a fixed seed reproduces the exact same delays.
+//! description of a positive random variable. It is sampled through one
+//! sampler, the [`CompiledDelay`] that [`DelayDistribution::compiled`]
+//! builds: the cluster's links and storage and the Monte-Carlo staleness
+//! estimator all draw through it from a [`SimRng`], so a fixed seed
+//! reproduces the exact same delays. This file's tests keep an interpreted
+//! per-draw sampler as the reference the compiled draws are checked against
+//! bit for bit.
 
 use crate::rng::SimRng;
 use crate::time::SimDuration;
@@ -49,66 +54,6 @@ impl DelayDistribution {
             base_ms,
             tail_mean_ms,
         }
-    }
-
-    /// Draw one delay.
-    pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
-        SimDuration::from_millis_f64(self.sample_ms(rng))
-    }
-
-    /// Draw one delay as fractional milliseconds.
-    pub fn sample_ms(&self, rng: &mut SimRng) -> f64 {
-        let v = match self {
-            DelayDistribution::Constant { ms } => *ms,
-            DelayDistribution::Uniform { lo_ms, hi_ms } => {
-                debug_assert!(hi_ms >= lo_ms);
-                lo_ms + rng.next_f64() * (hi_ms - lo_ms)
-            }
-            DelayDistribution::Exponential { mean_ms } => {
-                if *mean_ms <= 0.0 {
-                    0.0
-                } else {
-                    rng.exponential(1.0 / mean_ms)
-                }
-            }
-            DelayDistribution::ShiftedExponential {
-                base_ms,
-                tail_mean_ms,
-            } => {
-                let tail = if *tail_mean_ms <= 0.0 {
-                    0.0
-                } else {
-                    rng.exponential(1.0 / tail_mean_ms)
-                };
-                base_ms + tail
-            }
-            DelayDistribution::Normal { mean_ms, std_ms } => {
-                if *std_ms <= 0.0 {
-                    *mean_ms
-                } else {
-                    let n = Normal::new(*mean_ms, *std_ms).expect("valid normal params");
-                    n.sample(rng)
-                }
-            }
-            DelayDistribution::LogNormal { median_ms, sigma } => {
-                if *median_ms <= 0.0 {
-                    0.0
-                } else if *sigma <= 0.0 {
-                    *median_ms
-                } else {
-                    let ln = LogNormal::new(median_ms.ln(), *sigma).expect("valid lognormal");
-                    ln.sample(rng)
-                }
-            }
-            DelayDistribution::Empirical { samples_ms } => {
-                if samples_ms.is_empty() {
-                    0.0
-                } else {
-                    samples_ms[rng.index(samples_ms.len())]
-                }
-            }
-        };
-        v.max(0.0)
     }
 
     /// The analytical mean of the distribution, in milliseconds.
@@ -184,13 +129,112 @@ impl DelayDistribution {
         }
     }
 
-    /// Compile the distribution into its hot-path sampler: parameter
-    /// validation, derived constants (`ln(median)` for the log-normal) and
-    /// the zero/degenerate-parameter branches are resolved once instead of
-    /// on every draw. The compiled sampler consumes the RNG stream
-    /// identically to [`DelayDistribution::sample`] — same draws, same
-    /// floating-point operations, bit-identical delays.
+    /// Check the parameters: every one finite, a uniform's `lo_ms` not above
+    /// its `hi_ms`, every empirical sample finite. Anything else would reach
+    /// the sampler as a panic at the first draw or as delays below
+    /// [`min_ms`](Self::min_ms), the sharded engine's lookahead bound.
+    pub fn validate(&self) -> Result<(), String> {
+        let finite = match self {
+            DelayDistribution::Constant { ms } => ms.is_finite(),
+            DelayDistribution::Uniform { lo_ms, hi_ms } => {
+                if lo_ms > hi_ms {
+                    return Err(format!("uniform lo_ms {lo_ms} is above hi_ms {hi_ms}"));
+                }
+                lo_ms.is_finite() && hi_ms.is_finite()
+            }
+            DelayDistribution::Exponential { mean_ms } => mean_ms.is_finite(),
+            DelayDistribution::ShiftedExponential {
+                base_ms,
+                tail_mean_ms,
+            } => base_ms.is_finite() && tail_mean_ms.is_finite(),
+            DelayDistribution::Normal { mean_ms, std_ms } => {
+                mean_ms.is_finite() && std_ms.is_finite()
+            }
+            DelayDistribution::LogNormal { median_ms, sigma } => {
+                median_ms.is_finite() && sigma.is_finite()
+            }
+            DelayDistribution::Empirical { samples_ms } => samples_ms.iter().all(|s| s.is_finite()),
+        };
+        if finite {
+            Ok(())
+        } else {
+            Err(format!("{self:?} has a parameter that is not finite"))
+        }
+    }
+
+    /// Survival function `P(delay > t_ms)`. Exact for constant, uniform,
+    /// exponential, shifted-exponential and empirical delays; the normal and
+    /// log-normal take the exponential of the same mean, which keeps the
+    /// staleness estimate monotone and errs on the stale side for short
+    /// windows.
+    pub fn survival(&self, t_ms: f64) -> f64 {
+        if t_ms < 0.0 {
+            return 1.0;
+        }
+        let exponential = |mean_ms: f64| {
+            if mean_ms <= 0.0 {
+                0.0
+            } else {
+                (-t_ms / mean_ms).exp()
+            }
+        };
+        match self {
+            DelayDistribution::Constant { ms } => {
+                if t_ms < *ms {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            DelayDistribution::Uniform { lo_ms, hi_ms } => {
+                if t_ms < *lo_ms {
+                    1.0
+                } else if t_ms >= *hi_ms {
+                    0.0
+                } else {
+                    (hi_ms - t_ms) / (hi_ms - lo_ms)
+                }
+            }
+            DelayDistribution::Exponential { mean_ms } => exponential(*mean_ms),
+            DelayDistribution::ShiftedExponential {
+                base_ms,
+                tail_mean_ms,
+            } => {
+                if t_ms < *base_ms {
+                    1.0
+                } else if *tail_mean_ms <= 0.0 {
+                    0.0
+                } else {
+                    (-(t_ms - base_ms) / tail_mean_ms).exp()
+                }
+            }
+            DelayDistribution::Empirical { samples_ms } => {
+                if samples_ms.is_empty() {
+                    0.0
+                } else {
+                    samples_ms.iter().filter(|&&s| s > t_ms).count() as f64
+                        / samples_ms.len() as f64
+                }
+            }
+            DelayDistribution::Normal { .. } | DelayDistribution::LogNormal { .. } => {
+                exponential(self.mean_ms())
+            }
+        }
+    }
+
+    /// Compile the distribution into its sampler: parameter validation,
+    /// derived constants (`ln(median)` for the log-normal) and the
+    /// zero/degenerate-parameter branches are resolved once instead of on
+    /// every draw. The draws are bit-identical to the interpreted per-draw
+    /// walk this file's tests keep as the reference — same RNG draws, same
+    /// floating-point operations.
+    ///
+    /// # Panics
+    /// Panics if the parameters fail [`validate`](Self::validate).
     pub fn compiled(&self) -> CompiledDelay {
+        if let Err(e) = self.validate() {
+            panic!("invalid delay distribution: {e}");
+        }
         match self {
             DelayDistribution::Constant { ms } => CompiledDelay::Constant { ms: ms.max(0.0) },
             DelayDistribution::Uniform { lo_ms, hi_ms } => CompiledDelay::Uniform {
@@ -288,10 +332,9 @@ impl DelayDistribution {
     }
 }
 
-/// A [`DelayDistribution`] compiled for hot-path sampling: degenerate cases
-/// folded to constants, derived parameters precomputed. Produced by
-/// [`DelayDistribution::compiled`]; draws are bit-identical to the source
-/// distribution's [`DelayDistribution::sample`].
+/// A [`DelayDistribution`] compiled for sampling — the only delay sampler:
+/// parameters validated, degenerate cases folded to constants, derived
+/// parameters precomputed. Produced by [`DelayDistribution::compiled`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompiledDelay {
     /// Always exactly `ms` (also the folding of degenerate parameters).
@@ -341,9 +384,8 @@ pub enum CompiledDelay {
 
 impl CompiledDelay {
     /// Draw one delay as fractional milliseconds. Normal/log-normal draws go
-    /// through the same `rand_distr` sampler as the uncompiled path (only the
-    /// parameter validation and `ln(median)` are hoisted into `compiled()`),
-    /// so the two paths cannot drift apart.
+    /// through the `rand_distr` samplers, whose parameters `compiled()`
+    /// validated (finite, and a positive spread).
     #[inline]
     pub fn sample_ms(&self, rng: &mut SimRng) -> f64 {
         let v = match self {
@@ -382,6 +424,63 @@ impl CompiledDelay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NetworkModel;
+
+    /// The interpreted reference sampler: every parameter branch resolved on
+    /// every draw. [`CompiledDelay`] must match it bit for bit
+    /// (`compiled_sampler_is_bit_identical`).
+    impl DelayDistribution {
+        fn sample_ms(&self, rng: &mut SimRng) -> f64 {
+            let v = match self {
+                DelayDistribution::Constant { ms } => *ms,
+                DelayDistribution::Uniform { lo_ms, hi_ms } => {
+                    lo_ms + rng.next_f64() * (hi_ms - lo_ms)
+                }
+                DelayDistribution::Exponential { mean_ms } => {
+                    if *mean_ms <= 0.0 {
+                        0.0
+                    } else {
+                        rng.exponential(1.0 / mean_ms)
+                    }
+                }
+                DelayDistribution::ShiftedExponential {
+                    base_ms,
+                    tail_mean_ms,
+                } => {
+                    let tail = if *tail_mean_ms <= 0.0 {
+                        0.0
+                    } else {
+                        rng.exponential(1.0 / tail_mean_ms)
+                    };
+                    base_ms + tail
+                }
+                DelayDistribution::Normal { mean_ms, std_ms } => {
+                    if *std_ms <= 0.0 {
+                        *mean_ms
+                    } else {
+                        Normal::new(*mean_ms, *std_ms).unwrap().sample(rng)
+                    }
+                }
+                DelayDistribution::LogNormal { median_ms, sigma } => {
+                    if *median_ms <= 0.0 {
+                        0.0
+                    } else if *sigma <= 0.0 {
+                        *median_ms
+                    } else {
+                        LogNormal::new(median_ms.ln(), *sigma).unwrap().sample(rng)
+                    }
+                }
+                DelayDistribution::Empirical { samples_ms } => {
+                    if samples_ms.is_empty() {
+                        0.0
+                    } else {
+                        samples_ms[rng.index(samples_ms.len())]
+                    }
+                }
+            };
+            v.max(0.0)
+        }
+    }
 
     fn empirical_mean(d: &DelayDistribution, n: usize, seed: u64) -> f64 {
         let mut rng = SimRng::new(seed);
@@ -595,8 +694,77 @@ mod tests {
 
     #[test]
     fn samples_convert_to_duration() {
-        let d = DelayDistribution::constant(1.5);
+        let d = DelayDistribution::constant(1.5).compiled();
         let mut rng = SimRng::new(10);
         assert_eq!(d.sample(&mut rng), SimDuration::from_micros(1_500));
+    }
+
+    #[test]
+    fn non_finite_parameters_are_rejected() {
+        for d in [
+            DelayDistribution::constant(f64::NAN),
+            DelayDistribution::Exponential {
+                mean_ms: f64::INFINITY,
+            },
+            DelayDistribution::wan(1.0, f64::NAN),
+            DelayDistribution::Normal {
+                mean_ms: 1.0,
+                std_ms: f64::INFINITY,
+            },
+            DelayDistribution::LogNormal {
+                median_ms: f64::NAN,
+                sigma: 0.4,
+            },
+        ] {
+            let err = d.validate().unwrap_err();
+            assert!(err.contains("not finite"), "{d:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn inverted_uniform_is_rejected() {
+        let d = DelayDistribution::Uniform {
+            lo_ms: 5.0,
+            hi_ms: 1.0,
+        };
+        assert!(d.validate().unwrap_err().contains("above hi_ms"));
+        let nan = DelayDistribution::Uniform {
+            lo_ms: 0.0,
+            hi_ms: f64::NAN,
+        };
+        assert!(nan.validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_empirical_sample_is_rejected() {
+        let d = DelayDistribution::Empirical {
+            samples_ms: vec![1.0, f64::NEG_INFINITY],
+        };
+        assert!(d.validate().unwrap_err().contains("not finite"));
+        let empty = DelayDistribution::Empirical { samples_ms: vec![] };
+        assert!(empty.validate().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid delay distribution")]
+    fn compiling_an_invalid_distribution_panics() {
+        DelayDistribution::LogNormal {
+            median_ms: f64::NAN,
+            sigma: 0.4,
+        }
+        .compiled();
+    }
+
+    #[test]
+    fn every_network_model_preset_validates() {
+        for net in [
+            NetworkModel::lan(),
+            NetworkModel::ec2_like(),
+            NetworkModel::grid5000_like(),
+        ] {
+            for d in [&net.local, &net.intra_dc, &net.inter_dc, &net.inter_region] {
+                d.validate().unwrap_or_else(|e| panic!("{e}"));
+            }
+        }
     }
 }

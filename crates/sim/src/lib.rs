@@ -18,7 +18,8 @@
 //! * [`SimRng`] — a fast, splittable, seedable PRNG so every experiment is
 //!   exactly reproducible;
 //! * [`DelayDistribution`] — serializable latency models (constant, uniform,
-//!   exponential, shifted-exponential WAN, normal, log-normal, empirical);
+//!   exponential, shifted-exponential WAN, normal, log-normal, empirical),
+//!   each sampled through the [`CompiledDelay`] it compiles to;
 //! * [`Topology`] / [`NetworkModel`] — node placement into datacenters and
 //!   regions plus per-link-class latency distributions (EC2-like and
 //!   Grid'5000-like presets).
@@ -40,7 +41,8 @@
 //!
 //! // Schedule a message between two replicas and run the event loop.
 //! let mut queue: EventQueue<&str> = EventQueue::new();
-//! let delay = net.sample(&topo, NodeId(0), NodeId(1), &mut rng);
+//! let link = net.for_class(topo.link_class(NodeId(0), NodeId(1))).compiled();
+//! let delay = link.sample(&mut rng);
 //! queue.schedule_in(delay, "replica-update");
 //! let (arrival, event) = queue.pop().unwrap();
 //! assert_eq!(event, "replica-update");

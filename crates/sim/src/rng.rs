@@ -7,7 +7,10 @@
 //! run, so experiments and property tests are exactly reproducible.
 //!
 //! `SimRng` implements [`rand::RngCore`] so it can be plugged into any
-//! distribution from `rand`/`rand_distr`.
+//! distribution from `rand`/`rand_distr`. Delays are drawn through one
+//! sampler, [`CompiledDelay`](crate::CompiledDelay): uniform and exponential
+//! draws come from [`SimRng::next_f64`] / [`SimRng::exponential`] directly,
+//! normal and log-normal draws from `rand_distr` on top of this generator.
 
 use rand::{Error, RngCore, SeedableRng};
 
@@ -76,19 +79,6 @@ impl SimRng {
         let base = splitmix64(&mut sm);
         let mut mix = base ^ shard.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         SimRng::new(splitmix64(&mut mix))
-    }
-
-    /// Derive a child generator for a named component. The same
-    /// `(seed, label)` pair always yields the same stream regardless of how
-    /// many other splits were performed — useful to keep component streams
-    /// stable as the simulator evolves.
-    pub fn fork_labeled(&self, label: &str) -> SimRng {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a 64 offset basis
-        for b in label.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        SimRng::new(self.s[0] ^ h.rotate_left(17))
     }
 
     #[inline]
@@ -247,16 +237,6 @@ mod tests {
         let mut c = p.clone().split();
         let same = (0..100).filter(|_| p.next_u64() == c.next_u64()).count();
         assert!(same < 5);
-    }
-
-    #[test]
-    fn labeled_fork_is_stable() {
-        let root = SimRng::new(99);
-        let mut a = root.fork_labeled("workload");
-        let mut b = root.fork_labeled("workload");
-        let mut c = root.fork_labeled("network");
-        assert_eq!(a.next_u64(), b.next_u64());
-        assert_ne!(a.next_u64(), c.next_u64());
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! same region, or different regions).
 
 use crate::distributions::DelayDistribution;
-use crate::rng::SimRng;
-use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -253,17 +251,6 @@ impl NetworkModel {
         }
     }
 
-    /// Sample the one-way delay between two nodes of `topology`.
-    pub fn sample(
-        &self,
-        topology: &Topology,
-        from: NodeId,
-        to: NodeId,
-        rng: &mut SimRng,
-    ) -> SimDuration {
-        self.for_class(topology.link_class(from, to)).sample(rng)
-    }
-
     /// Mean one-way delay between two nodes, in milliseconds.
     pub fn mean_ms(&self, topology: &Topology, from: NodeId, to: NodeId) -> f64 {
         self.for_class(topology.link_class(from, to)).mean_ms()
@@ -284,6 +271,7 @@ impl NetworkModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SimDuration, SimRng};
 
     #[test]
     fn single_dc_links_are_intra() {
@@ -339,7 +327,8 @@ mod tests {
         let inter_region = net.mean_ms(&t, NodeId(0), NodeId(1));
         assert!(intra < inter_region);
         let mut rng = SimRng::new(1);
-        let d = net.sample(&t, NodeId(0), NodeId(1), &mut rng);
+        let class = t.link_class(NodeId(0), NodeId(1));
+        let d = net.for_class(class).compiled().sample(&mut rng);
         assert!(d >= SimDuration::from_millis(50));
     }
 

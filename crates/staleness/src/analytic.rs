@@ -6,8 +6,8 @@
 //! becomes visible on the coordinator's replica after `T` (the paper's *time
 //! to write the first replica*) — at which point, with a write consistency
 //! level of ONE, it is acknowledged to the client — and reaches each of the
-//! other `N−1` replicas after a propagation delay described by a
-//! [`PropagationModel`] (the paper's total propagation time `Tp`). Reads pick
+//! other `N−1` replicas after a propagation delay drawn from a
+//! [`DelayDistribution`] (the paper's total propagation time `Tp`). Reads pick
 //! `R` distinct replicas uniformly at random and return the freshest version
 //! among them.
 //!
@@ -30,11 +30,11 @@
 //! P(stale) = C(N−W,R)/C(N,R) · ∫₀^∞ λw e^(−λw·e) · q(T + e)^R de
 //! ```
 //!
-//! which has closed forms for the deterministic and exponential propagation
-//! models and is evaluated by Simpson quadrature otherwise.
+//! which has closed forms for constant and exponential propagation delays
+//! and is evaluated by Simpson quadrature otherwise.
 //!
 //! Two deliberate approximations, both inherited from Harmony's runtime
-//! model and documented in DESIGN.md:
+//! model:
 //!
 //! * the write rate is the *aggregate* rate reported by the monitor (the
 //!   paper's model does the same); per-key staleness therefore deviates for
@@ -46,7 +46,8 @@
 //! When `R + W > N` (a strict quorum) the read set always intersects the
 //! acknowledged write set and the estimate is exactly 0.
 
-use crate::params::{PropagationModel, StalenessParams};
+use crate::params::StalenessParams;
+use concord_sim::DelayDistribution;
 
 /// A stale-read estimate produced by any of the estimators.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -66,7 +67,7 @@ pub trait StaleReadEstimator {
 /// The analytic estimator used by Harmony and Bismar at runtime.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalyticEstimator {
-    /// Number of quadrature intervals for the general propagation model.
+    /// Number of quadrature intervals for delays without a closed form.
     pub quadrature_steps: usize,
 }
 
@@ -115,14 +116,14 @@ impl AnalyticEstimator {
         if avoid <= 0.0 {
             return 0.0;
         }
-        match &params.propagation {
-            PropagationModel::Deterministic { total_ms } => {
-                closed_form_deterministic(params, lambda_w_per_ms, *total_ms, avoid)
+        match params.propagation {
+            DelayDistribution::Constant { ms } => {
+                closed_form_deterministic(params, lambda_w_per_ms, ms, avoid)
             }
-            PropagationModel::Exponential { mean_ms } => {
-                closed_form_exponential(params, lambda_w_per_ms, *mean_ms, avoid)
+            DelayDistribution::Exponential { mean_ms } => {
+                closed_form_exponential(params, lambda_w_per_ms, mean_ms, avoid)
             }
-            PropagationModel::General { .. } => self.quadrature(params, lambda_w_per_ms, avoid),
+            _ => self.quadrature(params, lambda_w_per_ms, avoid),
         }
     }
 
@@ -156,7 +157,7 @@ fn horizon_ms(params: &StalenessParams, lambda_w_per_ms: f64) -> f64 {
     (8.0 * interarrival).max(10.0 * prop).max(1.0)
 }
 
-/// Closed form for the deterministic propagation model: the newest
+/// Closed form for a constant propagation delay `Tp`: the newest
 /// acknowledged write is still propagating iff its age `T + E` is below `Tp`,
 /// i.e. with probability `1 − e^{−λw (Tp − T)}`:
 ///
@@ -206,7 +207,6 @@ impl StaleReadEstimator for AnalyticEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use concord_sim::DelayDistribution;
 
     fn base(read_level: u32) -> StalenessParams {
         StalenessParams::basic(5, read_level, 1, 1000.0, 50.0, 0.5, 40.0)
@@ -324,38 +324,30 @@ mod tests {
         assert_eq!(c, 0.0);
     }
 
+    /// Both sides of a closed form: `integrate`'s dispatch, and the
+    /// quadrature every delay without one takes.
+    fn closed_and_quadrature(params: &StalenessParams) -> (f64, f64) {
+        let est = AnalyticEstimator::new();
+        let lambda_w_per_ms = params.write_rate / 1_000.0;
+        let avoid = avoid_probability(params.n_replicas, params.write_level, params.read_level);
+        (
+            est.estimate(params).stale_read_probability,
+            est.quadrature(params, lambda_w_per_ms, avoid),
+        )
+    }
+
     #[test]
     fn exponential_closed_form_matches_quadrature() {
-        // The exponential model has both a closed form and a general-path
-        // (quadrature) representation; they must agree.
-        let closed = StalenessParams {
-            propagation: PropagationModel::Exponential { mean_ms: 30.0 },
+        let (a, b) = closed_and_quadrature(&StalenessParams {
+            propagation: DelayDistribution::Exponential { mean_ms: 30.0 },
             ..base(2)
-        };
-        let general = StalenessParams {
-            propagation: PropagationModel::General {
-                delay: DelayDistribution::Exponential { mean_ms: 30.0 },
-            },
-            ..base(2)
-        };
-        let est = AnalyticEstimator::new();
-        let a = est.estimate(&closed).stale_read_probability;
-        let b = est.estimate(&general).stale_read_probability;
+        });
         assert!((a - b).abs() < 5e-3, "closed={a} quadrature={b}");
     }
 
     #[test]
     fn quadrature_handles_constant_delay_like_closed_form() {
-        let closed = base(1);
-        let general = StalenessParams {
-            propagation: PropagationModel::General {
-                delay: DelayDistribution::constant(40.0),
-            },
-            ..base(1)
-        };
-        let est = AnalyticEstimator::new();
-        let a = est.estimate(&closed).stale_read_probability;
-        let b = est.estimate(&general).stale_read_probability;
+        let (a, b) = closed_and_quadrature(&base(1));
         assert!((a - b).abs() < 5e-3, "closed={a} quadrature={b}");
     }
 

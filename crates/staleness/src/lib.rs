@@ -6,13 +6,18 @@
 //! Figure 1 — a read may be stale if it starts while the last write is still
 //! propagating to the other replicas.
 //!
-//! Three estimators share the [`StaleReadEstimator`] interface:
+//! The propagation delay `Tp` to each replica is a
+//! `concord_sim::DelayDistribution` — the same description the cluster
+//! simulator draws its link and storage delays from. Two estimators share the
+//! [`StaleReadEstimator`] interface, and a solver inverts them:
 //!
-//! * [`AnalyticEstimator`] — closed forms for deterministic and exponential
-//!   propagation models, adaptive quadrature for arbitrary delay
-//!   distributions. This is what the Harmony controller evaluates at runtime.
+//! * [`AnalyticEstimator`] — closed forms for constant and exponential
+//!   delays, Simpson quadrature over the delay's survival function for every
+//!   other distribution. This is what Harmony and Bismar evaluate at runtime,
+//!   with a constant `Tp`.
 //! * [`MonteCarloEstimator`] — a direct simulation of the Figure-1 situation,
-//!   used to validate the analytic model (and parallelized with rayon).
+//!   drawing each replica's delay through the delay's compiled sampler; used
+//!   to validate the analytic model (and parallelized with rayon).
 //! * [`LevelSolver`] — the inverse problem: the minimal number of replicas a
 //!   read must involve to keep the estimated stale-read rate under the
 //!   application's tolerance.
@@ -40,5 +45,5 @@ pub mod solver;
 
 pub use analytic::{AnalyticEstimator, StaleReadEstimator, StalenessEstimate};
 pub use montecarlo::MonteCarloEstimator;
-pub use params::{PropagationModel, StalenessParams};
+pub use params::StalenessParams;
 pub use solver::{LevelSolution, LevelSolver};

@@ -2,7 +2,9 @@
 //!
 //! A direct simulation of the Figure-1 situation: writes arrive as a Poisson
 //! process, every replica receives each write after its sampled propagation
-//! delay, reads arrive as an independent Poisson process and contact `R`
+//! delay (drawn through `concord_sim::CompiledDelay`, the sampler the
+//! cluster's links and storage use), reads arrive as an independent Poisson
+//! process and contact `R`
 //! random replicas. The estimator counts how many reads return a value older
 //! than the last write *acknowledged* before the read started (the same
 //! ground-truth definition the cluster oracle uses).
@@ -12,7 +14,7 @@
 //! benchmark uses to reproduce the paper's Figure 1 situation.
 
 use crate::analytic::{StaleReadEstimator, StalenessEstimate};
-use crate::params::{PropagationModel, StalenessParams};
+use crate::params::StalenessParams;
 use concord_sim::SimRng;
 use rayon::prelude::*;
 
@@ -57,23 +59,10 @@ impl MonteCarloEstimator {
         self
     }
 
-    fn sample_propagation_ms(model: &PropagationModel, rng: &mut SimRng) -> f64 {
-        match model {
-            PropagationModel::Deterministic { total_ms } => *total_ms,
-            PropagationModel::Exponential { mean_ms } => {
-                if *mean_ms <= 0.0 {
-                    0.0
-                } else {
-                    rng.exponential(1.0 / mean_ms)
-                }
-            }
-            PropagationModel::General { delay } => delay.sample_ms(rng),
-        }
-    }
-
     /// Simulate one chunk of reads and return (stale, total).
     fn run_chunk(&self, params: &StalenessParams, chunk_reads: usize, seed: u64) -> (u64, u64) {
         let mut rng = SimRng::new(seed);
+        let propagation = params.propagation.compiled();
         let n = params.n_replicas as usize;
         let r = params.read_level as usize;
         let w = params.write_level as usize;
@@ -116,8 +105,7 @@ impl MonteCarloEstimator {
                 let mut visible: Vec<f64> = Vec::with_capacity(n);
                 visible.push(now_ms + params.first_write_ms);
                 for _ in 1..n {
-                    let d = Self::sample_propagation_ms(&params.propagation, &mut rng)
-                        .max(params.first_write_ms);
+                    let d = propagation.sample_ms(&mut rng).max(params.first_write_ms);
                     visible.push(now_ms + d);
                 }
                 // Acknowledged when `w` replicas have applied it.
@@ -263,7 +251,7 @@ mod tests {
     #[test]
     fn exponential_model_matches_analytic() {
         let params = StalenessParams {
-            propagation: PropagationModel::Exponential { mean_ms: 30.0 },
+            propagation: DelayDistribution::Exponential { mean_ms: 30.0 },
             ..StalenessParams::basic(5, 1, 1, 2000.0, 40.0, 0.0, 0.0)
         };
         let analytic = AnalyticEstimator::new()
@@ -279,9 +267,7 @@ mod tests {
     #[test]
     fn general_distribution_is_supported() {
         let params = StalenessParams {
-            propagation: PropagationModel::General {
-                delay: DelayDistribution::wan(20.0, 10.0),
-            },
+            propagation: DelayDistribution::wan(20.0, 10.0),
             ..StalenessParams::basic(5, 2, 1, 2000.0, 40.0, 0.5, 0.0)
         };
         let est = mc().estimate(&params);

@@ -13,132 +13,11 @@
 //! * the read consistency level `R` (replicas contacted per read) and write
 //!   consistency level `W` (replica acks awaited per write),
 //! * the time to apply the write on the first replica `T`, and
-//! * the propagation behaviour of the remaining replicas (`Tp`).
+//! * the propagation delay to each remaining replica (`Tp`), a
+//!   [`DelayDistribution`].
 
 use concord_sim::DelayDistribution;
 use serde::{Deserialize, Serialize};
-
-/// How long a write takes to reach each of the non-coordinator replicas.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum PropagationModel {
-    /// Every remaining replica receives the write exactly `total_ms` after it
-    /// started (the paper's single `Tp` value). This yields the simplest
-    /// closed form and is what Harmony's runtime estimator uses.
-    Deterministic {
-        /// Total propagation time `Tp` in milliseconds.
-        total_ms: f64,
-    },
-    /// Each remaining replica receives the write after an independent
-    /// exponential delay with the given mean — a better fit when replicas
-    /// are spread over heterogeneous WAN links.
-    Exponential {
-        /// Mean per-replica propagation delay in milliseconds.
-        mean_ms: f64,
-    },
-    /// Each remaining replica receives the write after an independent delay
-    /// drawn from an arbitrary distribution; evaluated by quadrature or
-    /// Monte-Carlo.
-    General {
-        /// Per-replica propagation-delay distribution.
-        delay: DelayDistribution,
-    },
-}
-
-impl PropagationModel {
-    /// Mean per-replica propagation delay, in milliseconds.
-    pub fn mean_ms(&self) -> f64 {
-        match self {
-            PropagationModel::Deterministic { total_ms } => *total_ms,
-            PropagationModel::Exponential { mean_ms } => *mean_ms,
-            PropagationModel::General { delay } => delay.mean_ms(),
-        }
-    }
-
-    /// Survival function `P(delay > t_ms)` of the per-replica delay.
-    pub fn survival(&self, t_ms: f64) -> f64 {
-        if t_ms < 0.0 {
-            return 1.0;
-        }
-        match self {
-            PropagationModel::Deterministic { total_ms } => {
-                if t_ms < *total_ms {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            PropagationModel::Exponential { mean_ms } => {
-                if *mean_ms <= 0.0 {
-                    0.0
-                } else {
-                    (-t_ms / mean_ms).exp()
-                }
-            }
-            PropagationModel::General { delay } => general_survival(delay, t_ms),
-        }
-    }
-}
-
-/// Survival function for the general case. Analytic where possible, otherwise
-/// a conservative exponential approximation matched to the mean (the
-/// Monte-Carlo estimator does not use this path — it samples directly).
-fn general_survival(delay: &DelayDistribution, t_ms: f64) -> f64 {
-    match delay {
-        DelayDistribution::Constant { ms } => {
-            if t_ms < *ms {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        DelayDistribution::Uniform { lo_ms, hi_ms } => {
-            if t_ms < *lo_ms {
-                1.0
-            } else if t_ms >= *hi_ms {
-                0.0
-            } else {
-                (hi_ms - t_ms) / (hi_ms - lo_ms)
-            }
-        }
-        DelayDistribution::Exponential { mean_ms } => {
-            if *mean_ms <= 0.0 {
-                0.0
-            } else {
-                (-t_ms / mean_ms).exp()
-            }
-        }
-        DelayDistribution::ShiftedExponential {
-            base_ms,
-            tail_mean_ms,
-        } => {
-            if t_ms < *base_ms {
-                1.0
-            } else if *tail_mean_ms <= 0.0 {
-                0.0
-            } else {
-                (-(t_ms - base_ms) / tail_mean_ms).exp()
-            }
-        }
-        DelayDistribution::Empirical { samples_ms } => {
-            if samples_ms.is_empty() {
-                0.0
-            } else {
-                samples_ms.iter().filter(|&&s| s > t_ms).count() as f64 / samples_ms.len() as f64
-            }
-        }
-        // Normal / log-normal: exponential approximation on the mean keeps
-        // the estimator monotone and errs on the pessimistic (stale) side for
-        // short windows.
-        other => {
-            let mean = other.mean_ms();
-            if mean <= 0.0 {
-                0.0
-            } else {
-                (-t_ms / mean).exp()
-            }
-        }
-    }
-}
 
 /// Full parameter set for a stale-read estimation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -155,12 +34,14 @@ pub struct StalenessParams {
     pub write_rate: f64,
     /// Time to apply a write on the first replica, `T`, in milliseconds.
     pub first_write_ms: f64,
-    /// Propagation behaviour towards the remaining replicas (`Tp`).
-    pub propagation: PropagationModel,
+    /// How long a write takes to reach each remaining replica (`Tp`): every
+    /// replica draws its own delay. A constant is the paper's single `Tp`,
+    /// what Harmony and Bismar estimate with.
+    pub propagation: DelayDistribution,
 }
 
 impl StalenessParams {
-    /// Convenience constructor with the deterministic propagation model.
+    /// Convenience constructor with a constant propagation delay.
     pub fn basic(
         n_replicas: u32,
         read_level: u32,
@@ -177,9 +58,7 @@ impl StalenessParams {
             read_rate,
             write_rate,
             first_write_ms,
-            propagation: PropagationModel::Deterministic {
-                total_ms: propagation_ms,
-            },
+            propagation: DelayDistribution::Constant { ms: propagation_ms },
         }
     }
 
@@ -206,7 +85,9 @@ impl StalenessParams {
         if self.first_write_ms < 0.0 {
             return Err("first-write time must be non-negative".into());
         }
-        Ok(())
+        self.propagation
+            .validate()
+            .map_err(|e| format!("propagation delay: {e}"))
     }
 
     /// True if the levels form a strict quorum (R + W > N), in which case
@@ -258,6 +139,17 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_a_bad_propagation_delay() {
+        let mut p = params();
+        p.propagation = DelayDistribution::LogNormal {
+            median_ms: f64::NAN,
+            sigma: 0.5,
+        };
+        let err = p.validate().unwrap_err();
+        assert!(err.starts_with("propagation delay:"), "{err}");
+    }
+
+    #[test]
     fn quorum_detection() {
         let mut p = params();
         assert!(!p.is_strict_quorum());
@@ -270,7 +162,7 @@ mod tests {
 
     #[test]
     fn deterministic_survival_is_a_step() {
-        let m = PropagationModel::Deterministic { total_ms: 30.0 };
+        let m = DelayDistribution::constant(30.0);
         assert_eq!(m.survival(0.0), 1.0);
         assert_eq!(m.survival(29.9), 1.0);
         assert_eq!(m.survival(30.0), 0.0);
@@ -280,7 +172,7 @@ mod tests {
 
     #[test]
     fn exponential_survival_decays() {
-        let m = PropagationModel::Exponential { mean_ms: 10.0 };
+        let m = DelayDistribution::Exponential { mean_ms: 10.0 };
         assert!((m.survival(0.0) - 1.0).abs() < 1e-12);
         assert!((m.survival(10.0) - (-1.0f64).exp()).abs() < 1e-12);
         assert!(m.survival(100.0) < 1e-4);
@@ -288,26 +180,20 @@ mod tests {
 
     #[test]
     fn general_survival_variants() {
-        let uniform = PropagationModel::General {
-            delay: DelayDistribution::Uniform {
-                lo_ms: 10.0,
-                hi_ms: 20.0,
-            },
+        let uniform = DelayDistribution::Uniform {
+            lo_ms: 10.0,
+            hi_ms: 20.0,
         };
         assert_eq!(uniform.survival(5.0), 1.0);
         assert!((uniform.survival(15.0) - 0.5).abs() < 1e-12);
         assert_eq!(uniform.survival(25.0), 0.0);
 
-        let shifted = PropagationModel::General {
-            delay: DelayDistribution::wan(50.0, 10.0),
-        };
+        let shifted = DelayDistribution::wan(50.0, 10.0);
         assert_eq!(shifted.survival(10.0), 1.0);
         assert!((shifted.survival(60.0) - (-1.0f64).exp()).abs() < 1e-12);
 
-        let empirical = PropagationModel::General {
-            delay: DelayDistribution::Empirical {
-                samples_ms: vec![1.0, 2.0, 3.0, 4.0],
-            },
+        let empirical = DelayDistribution::Empirical {
+            samples_ms: vec![1.0, 2.0, 3.0, 4.0],
         };
         assert!((empirical.survival(2.5) - 0.5).abs() < 1e-12);
     }

@@ -2,9 +2,8 @@
 //! scans and read-modify-writes over a synthetic record space.
 
 use crate::generators::{
-    CounterGenerator, DiscreteGenerator, ExponentialGenerator, HotspotGenerator, ItemGenerator,
-    LatestGenerator, RequestDistribution, ScrambledZipfianGenerator, SequentialGenerator,
-    UniformGenerator, ZipfianGenerator,
+    CounterGenerator, DiscreteGenerator, LatestGenerator, RequestDistribution,
+    ScrambledZipfianGenerator, UniformGenerator,
 };
 use concord_sim::SimRng;
 use serde::{Deserialize, Serialize};
@@ -30,14 +29,6 @@ impl OperationType {
         matches!(
             self,
             OperationType::Update | OperationType::Insert | OperationType::ReadModifyWrite
-        )
-    }
-
-    /// Does this operation perform a read at the storage layer?
-    pub fn is_read(self) -> bool {
-        matches!(
-            self,
-            OperationType::Read | OperationType::Scan | OperationType::ReadModifyWrite
         )
     }
 }
@@ -73,14 +64,8 @@ pub struct WorkloadConfig {
     pub scan_proportion: f64,
     /// Proportion of read-modify-writes.
     pub read_modify_write_proportion: f64,
-    /// Distribution of record popularity.
+    /// Distribution of record popularity (`Zipfian` is YCSB's θ = 0.99).
     pub request_distribution: RequestDistribution,
-    /// Zipfian constant used when `request_distribution` is `Zipfian`.
-    pub zipfian_constant: f64,
-    /// Fraction of the key space forming the hot set (hotspot distribution).
-    pub hotspot_data_fraction: f64,
-    /// Fraction of operations hitting the hot set (hotspot distribution).
-    pub hotspot_opn_fraction: f64,
     /// Number of fields per record.
     pub field_count: u32,
     /// Bytes per field.
@@ -103,9 +88,6 @@ impl Default for WorkloadConfig {
             scan_proportion: 0.0,
             read_modify_write_proportion: 0.0,
             request_distribution: RequestDistribution::Zipfian,
-            zipfian_constant: 0.99,
-            hotspot_data_fraction: 0.2,
-            hotspot_opn_fraction: 0.8,
             field_count: 10,
             field_length: 100,
             max_scan_length: 100,
@@ -141,33 +123,36 @@ impl WorkloadConfig {
         if self.field_count == 0 || self.field_length == 0 {
             return Err("record fields must be non-empty".into());
         }
-        if !(0.0..1.0).contains(&self.zipfian_constant) {
-            return Err("zipfian constant must be in (0,1)".into());
-        }
         Ok(())
     }
 }
 
+/// The one dispatch over [`RequestDistribution`]: which generator draws the
+/// key of a read, update, scan or read-modify-write.
 enum KeyChooser {
     Uniform(UniformGenerator),
     Zipfian(ScrambledZipfianGenerator),
-    RawZipfian(ZipfianGenerator),
     Latest(LatestGenerator),
-    Hotspot(HotspotGenerator),
-    Exponential(ExponentialGenerator),
-    Sequential(SequentialGenerator),
 }
 
 impl KeyChooser {
+    fn new(distribution: RequestDistribution, record_count: u64) -> Self {
+        match distribution {
+            RequestDistribution::Uniform => {
+                KeyChooser::Uniform(UniformGenerator::new(record_count))
+            }
+            RequestDistribution::Zipfian => {
+                KeyChooser::Zipfian(ScrambledZipfianGenerator::new(record_count))
+            }
+            RequestDistribution::Latest => KeyChooser::Latest(LatestGenerator::new(record_count)),
+        }
+    }
+
     fn next(&mut self, rng: &mut SimRng) -> u64 {
         match self {
             KeyChooser::Uniform(g) => g.next(rng),
             KeyChooser::Zipfian(g) => g.next(rng),
-            KeyChooser::RawZipfian(g) => g.next(rng),
             KeyChooser::Latest(g) => g.next(rng),
-            KeyChooser::Hotspot(g) => g.next(rng),
-            KeyChooser::Exponential(g) => g.next(rng),
-            KeyChooser::Sequential(g) => g.next(rng),
         }
     }
 
@@ -175,12 +160,7 @@ impl KeyChooser {
         match self {
             KeyChooser::Uniform(g) => g.set_item_count(new_count),
             KeyChooser::Zipfian(g) => g.set_item_count(new_count),
-            KeyChooser::RawZipfian(g) => g.set_item_count(new_count),
             KeyChooser::Latest(g) => g.record_insert(new_count - 1),
-            // Hotspot / exponential / sequential keep their original range —
-            // same behaviour as YCSB, where insert growth only affects the
-            // uniform/zipfian/latest choosers.
-            KeyChooser::Hotspot(_) | KeyChooser::Exponential(_) | KeyChooser::Sequential(_) => {}
         }
     }
 }
@@ -222,36 +202,7 @@ impl CoreWorkload {
                 config.read_modify_write_proportion,
             );
 
-        let key_chooser = match config.request_distribution {
-            RequestDistribution::Uniform => {
-                KeyChooser::Uniform(UniformGenerator::new(config.record_count))
-            }
-            RequestDistribution::Zipfian => {
-                if (config.zipfian_constant - 0.99).abs() < 1e-9 {
-                    KeyChooser::Zipfian(ScrambledZipfianGenerator::new(config.record_count))
-                } else {
-                    KeyChooser::RawZipfian(ZipfianGenerator::with_constant(
-                        config.record_count,
-                        config.zipfian_constant,
-                    ))
-                }
-            }
-            RequestDistribution::Latest => {
-                KeyChooser::Latest(LatestGenerator::new(config.record_count))
-            }
-            RequestDistribution::Hotspot => KeyChooser::Hotspot(HotspotGenerator::new(
-                config.record_count,
-                config.hotspot_data_fraction,
-                config.hotspot_opn_fraction,
-            )),
-            RequestDistribution::Exponential => KeyChooser::Exponential(
-                ExponentialGenerator::percentile(config.record_count, 0.95, 0.8571),
-            ),
-            RequestDistribution::Sequential => {
-                KeyChooser::Sequential(SequentialGenerator::new(config.record_count))
-            }
-        };
-
+        let key_chooser = KeyChooser::new(config.request_distribution, config.record_count);
         let scan_len_chooser = UniformGenerator::new(config.max_scan_length.max(1) as u64);
         let insert_keys = CounterGenerator::new(config.record_count);
         let record_count = config.record_count;
@@ -284,18 +235,6 @@ impl CoreWorkload {
     /// True once `operation_count` operations have been generated.
     pub fn is_exhausted(&self) -> bool {
         self.generated >= self.config.operation_count
-    }
-
-    /// The sequence of operations needed to load the initial data set
-    /// (one insert per record, sequential keys, full record payloads).
-    pub fn load_ops(&self) -> impl Iterator<Item = WorkloadOp> + '_ {
-        let size = self.config.record_size();
-        (0..self.config.record_count).map(move |key| WorkloadOp {
-            op: OperationType::Insert,
-            key,
-            scan_length: 1,
-            value_size: size,
-        })
     }
 
     /// Pair the run phase's remaining operations with a **sorted** open-loop
@@ -333,7 +272,7 @@ impl CoreWorkload {
         let op = self.op_chooser.next(rng);
         match op {
             OperationType::Insert => {
-                let key = self.insert_keys.next(rng);
+                let key = self.insert_keys.allocate();
                 self.record_count = key + 1;
                 self.key_chooser.grow(self.record_count);
                 WorkloadOp {
@@ -504,19 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn load_ops_cover_every_record_once() {
-        let w = CoreWorkload::new(WorkloadConfig {
-            record_count: 500,
-            ..WorkloadConfig::default()
-        });
-        let keys: Vec<u64> = w.load_ops().map(|o| o.key).collect();
-        assert_eq!(keys.len(), 500);
-        assert_eq!(keys, (0..500).collect::<Vec<_>>());
-        assert!(w.load_ops().all(|o| o.op == OperationType::Insert));
-        assert!(w.load_ops().all(|o| o.value_size == 1000));
-    }
-
-    #[test]
     fn scan_lengths_respect_bound() {
         let cfg = WorkloadConfig {
             record_count: 1_000,
@@ -570,12 +496,6 @@ mod tests {
         };
         assert!(bad.validate().is_err());
 
-        let bad = WorkloadConfig {
-            zipfian_constant: 1.5,
-            ..WorkloadConfig::default()
-        };
-        assert!(bad.validate().is_err());
-
         assert!(WorkloadConfig::default().validate().is_ok());
     }
 
@@ -591,10 +511,8 @@ mod tests {
         assert!(OperationType::Update.is_write());
         assert!(OperationType::Insert.is_write());
         assert!(!OperationType::Read.is_write());
-        assert!(OperationType::Read.is_read());
-        assert!(OperationType::ReadModifyWrite.is_read());
         assert!(OperationType::ReadModifyWrite.is_write());
-        assert!(OperationType::Scan.is_read());
+        assert!(!OperationType::Scan.is_write());
     }
 
     #[test]
@@ -639,8 +557,12 @@ mod tests {
     }
 
     #[test]
-    fn uniform_and_hotspot_distributions_work_end_to_end() {
-        for dist in [RequestDistribution::Uniform, RequestDistribution::Hotspot] {
+    fn every_request_distribution_works_end_to_end() {
+        for dist in [
+            RequestDistribution::Uniform,
+            RequestDistribution::Zipfian,
+            RequestDistribution::Latest,
+        ] {
             let cfg = WorkloadConfig {
                 request_distribution: dist,
                 record_count: 1_000,

@@ -10,7 +10,6 @@ use concord_sim::SimRng;
 pub struct DiscreteGenerator<T: Clone> {
     values: Vec<(T, f64)>,
     total: f64,
-    last: Option<T>,
 }
 
 impl<T: Clone> Default for DiscreteGenerator<T> {
@@ -25,7 +24,6 @@ impl<T: Clone> DiscreteGenerator<T> {
         DiscreteGenerator {
             values: Vec::new(),
             total: 0.0,
-            last: None,
         }
     }
 
@@ -60,26 +58,17 @@ impl<T: Clone> DiscreteGenerator<T> {
         let mut x = rng.next_f64() * self.total;
         for (value, weight) in &self.values {
             if x < *weight {
-                self.last = Some(value.clone());
                 return value.clone();
             }
             x -= weight;
         }
         // Floating-point edge: fall back to the last positively weighted entry.
-        let value = self
-            .values
+        self.values
             .iter()
             .rev()
             .find(|(_, w)| *w > 0.0)
             .map(|(v, _)| v.clone())
-            .expect("at least one positive weight");
-        self.last = Some(value.clone());
-        value
-    }
-
-    /// The most recently drawn value.
-    pub fn last(&self) -> Option<&T> {
-        self.last.as_ref()
+            .expect("at least one positive weight")
     }
 }
 
@@ -116,18 +105,6 @@ mod tests {
         let n = 100_000;
         let ones = (0..n).filter(|_| g.next(&mut rng) == 1).count();
         assert!((ones as f64 / n as f64 - 0.75).abs() < 0.01);
-    }
-
-    #[test]
-    fn last_is_tracked() {
-        let mut g = DiscreteGenerator::new();
-        g.add("x", 1.0);
-        assert!(g.last().is_none());
-        let mut rng = SimRng::new(4);
-        g.next(&mut rng);
-        assert_eq!(g.last(), Some(&"x"));
-        assert_eq!(g.len(), 1);
-        assert!(!g.is_empty());
     }
 
     #[test]

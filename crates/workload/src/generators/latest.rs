@@ -2,7 +2,6 @@
 //! popular (YCSB's `SkewedLatestGenerator`, used by workload D).
 
 use super::zipfian::ZipfianGenerator;
-use super::ItemGenerator;
 use concord_sim::SimRng;
 
 /// Draws a zipfian rank and subtracts it from the newest item id, so item
@@ -11,7 +10,6 @@ use concord_sim::SimRng;
 pub struct LatestGenerator {
     newest: u64,
     zipf: ZipfianGenerator,
-    last: Option<u64>,
 }
 
 impl LatestGenerator {
@@ -21,7 +19,6 @@ impl LatestGenerator {
         LatestGenerator {
             newest: item_count - 1,
             zipf: ZipfianGenerator::new(item_count),
-            last: None,
         }
     }
 
@@ -36,19 +33,12 @@ impl LatestGenerator {
     pub fn newest(&self) -> u64 {
         self.newest
     }
-}
 
-impl ItemGenerator for LatestGenerator {
-    fn next(&mut self, rng: &mut SimRng) -> u64 {
+    /// Draw the next item index.
+    pub fn next(&mut self, rng: &mut SimRng) -> u64 {
         let count = self.newest + 1;
         let rank = self.zipf.next_with_count(rng, count);
-        let v = super::assert_dense("LatestGenerator", self.newest - rank, count);
-        self.last = Some(v);
-        v
-    }
-
-    fn last(&self) -> Option<u64> {
-        self.last
+        super::assert_dense("LatestGenerator", self.newest - rank, count)
     }
 }
 

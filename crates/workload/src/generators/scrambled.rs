@@ -3,7 +3,6 @@
 //! distribution for workloads A and B).
 
 use super::zipfian::ZipfianGenerator;
-use super::ItemGenerator;
 use crate::hashing::fnv1a_64;
 use concord_sim::SimRng;
 
@@ -14,7 +13,6 @@ use concord_sim::SimRng;
 pub struct ScrambledZipfianGenerator {
     items: u64,
     inner: ZipfianGenerator,
-    last: Option<u64>,
 }
 
 /// YCSB uses a fixed large internal item space so that the zeta constant can
@@ -30,7 +28,6 @@ impl ScrambledZipfianGenerator {
         ScrambledZipfianGenerator {
             items: item_count,
             inner: ZipfianGenerator::new(INTERNAL_ITEM_COUNT.max(item_count)),
-            last: None,
         }
     }
 
@@ -47,22 +44,15 @@ impl ScrambledZipfianGenerator {
             self.inner.set_item_count(item_count);
         }
     }
-}
 
-impl ItemGenerator for ScrambledZipfianGenerator {
-    fn next(&mut self, rng: &mut SimRng) -> u64 {
+    /// Draw the next item index.
+    pub fn next(&mut self, rng: &mut SimRng) -> u64 {
         let rank = self.inner.next(rng);
-        let v = super::assert_dense(
+        super::assert_dense(
             "ScrambledZipfianGenerator",
             fnv1a_64(rank) % self.items,
             self.items,
-        );
-        self.last = Some(v);
-        v
-    }
-
-    fn last(&self) -> Option<u64> {
-        self.last
+        )
     }
 }
 

@@ -1,23 +1,18 @@
 //! Uniform item selection.
 
-use super::ItemGenerator;
 use concord_sim::SimRng;
 
 /// Selects every item in `[0, item_count)` with equal probability.
 #[derive(Debug, Clone)]
 pub struct UniformGenerator {
     item_count: u64,
-    last: Option<u64>,
 }
 
 impl UniformGenerator {
     /// Create a generator over `item_count` items (must be non-zero).
     pub fn new(item_count: u64) -> Self {
         assert!(item_count > 0, "item_count must be positive");
-        UniformGenerator {
-            item_count,
-            last: None,
-        }
+        UniformGenerator { item_count }
     }
 
     /// Grow the item space (new items become selectable immediately).
@@ -25,21 +20,14 @@ impl UniformGenerator {
         assert!(item_count > 0);
         self.item_count = item_count;
     }
-}
 
-impl ItemGenerator for UniformGenerator {
-    fn next(&mut self, rng: &mut SimRng) -> u64 {
-        let v = super::assert_dense(
+    /// Draw the next item index.
+    pub fn next(&mut self, rng: &mut SimRng) -> u64 {
+        super::assert_dense(
             "UniformGenerator",
             rng.next_bounded(self.item_count),
             self.item_count,
-        );
-        self.last = Some(v);
-        v
-    }
-
-    fn last(&self) -> Option<u64> {
-        self.last
+        )
     }
 }
 
@@ -68,15 +56,6 @@ mod tests {
         for &c in &counts {
             assert!((c as f64 - 10_000.0).abs() < 1_000.0);
         }
-    }
-
-    #[test]
-    fn last_tracks_previous_value() {
-        let mut g = UniformGenerator::new(5);
-        let mut rng = SimRng::new(3);
-        assert_eq!(g.last(), None);
-        let v = g.next(&mut rng);
-        assert_eq!(g.last(), Some(v));
     }
 
     #[test]

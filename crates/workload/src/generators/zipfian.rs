@@ -5,7 +5,6 @@
 //! rank 1 the second most popular, and so on. The skew is controlled by the
 //! zipfian constant θ (YCSB default 0.99).
 
-use super::ItemGenerator;
 use concord_sim::SimRng;
 
 /// The zipfian constant YCSB uses by default.
@@ -22,7 +21,6 @@ pub struct ZipfianGenerator {
     eta: f64,
     /// Number of items `zetan` was computed for (to support growth).
     count_for_zeta: u64,
-    last: Option<u64>,
 }
 
 impl ZipfianGenerator {
@@ -31,8 +29,9 @@ impl ZipfianGenerator {
         Self::with_constant(item_count, DEFAULT_ZIPFIAN_CONSTANT)
     }
 
-    /// Create a generator with an explicit zipfian constant θ ∈ (0, 1).
-    pub fn with_constant(item_count: u64, theta: f64) -> Self {
+    /// Create a generator with an explicit zipfian constant θ ∈ (0, 1)
+    /// (every workload runs 0.99; the tests vary it).
+    fn with_constant(item_count: u64, theta: f64) -> Self {
         assert!(item_count > 0, "item_count must be positive");
         assert!(
             theta > 0.0 && theta < 1.0,
@@ -50,7 +49,6 @@ impl ZipfianGenerator {
             zeta2theta,
             eta,
             count_for_zeta: item_count,
-            last: None,
         }
     }
 
@@ -125,20 +123,13 @@ impl ZipfianGenerator {
         } else {
             (item_count as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64
         };
-        let v = super::assert_dense("ZipfianGenerator", v.min(item_count - 1), item_count);
-        self.last = Some(v);
-        v
+        super::assert_dense("ZipfianGenerator", v.min(item_count - 1), item_count)
     }
-}
 
-impl ItemGenerator for ZipfianGenerator {
-    fn next(&mut self, rng: &mut SimRng) -> u64 {
+    /// Draw the next rank.
+    pub fn next(&mut self, rng: &mut SimRng) -> u64 {
         let items = self.items;
         self.next_with_count(rng, items)
-    }
-
-    fn last(&self) -> Option<u64> {
-        self.last
     }
 }
 

@@ -24,18 +24,6 @@ pub fn fnv1a_64(value: u64) -> u64 {
     hash
 }
 
-/// A 64-bit finalizer (from MurmurHash3) used when we only need good bit
-/// mixing rather than the YCSB-compatible FNV construction.
-#[inline]
-pub fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    x ^= x >> 33;
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,14 +39,5 @@ mod tests {
     fn fnv_spreads_small_integers() {
         let hashes: HashSet<u64> = (0..10_000u64).map(fnv1a_64).collect();
         assert_eq!(hashes.len(), 10_000, "no collisions on small dense input");
-    }
-
-    #[test]
-    fn mix64_is_a_bijection_on_samples() {
-        let hashes: HashSet<u64> = (0..10_000u64).map(mix64).collect();
-        assert_eq!(hashes.len(), 10_000);
-        // Small consecutive inputs should spread across the 64-bit space.
-        let high_bit_set = (1..1_000u64).filter(|&i| mix64(i) >> 63 == 1).count();
-        assert!((300..700).contains(&high_bit_set));
     }
 }

@@ -1,12 +1,12 @@
 //! # concord-workload — YCSB-like workload generation
 //!
 //! The paper drives Apache Cassandra with the Yahoo! Cloud Serving Benchmark
-//! (YCSB). This crate is the from-scratch substitute: it reproduces YCSB's
-//! key-selection generators (uniform, zipfian, scrambled zipfian, latest,
-//! hotspot, exponential, sequential), its core-workload operation mix
-//! machinery, the standard workloads A–F, and the paper's heavy read-update
-//! workloads, plus access-trace capture / synthesis for the behavior-modeling
-//! contribution.
+//! (YCSB). This crate is the from-scratch substitute: it reproduces the
+//! YCSB key-selection generators its workloads use (uniform, scrambled
+//! zipfian and latest requests over a zipfian rank draw, a counter for
+//! inserts), its core-workload operation mix machinery, the standard
+//! workloads A–F, and the paper's heavy read-update workloads, plus
+//! access-trace synthesis for the behavior-modeling contribution.
 //!
 //! ## Quick example
 //!
@@ -34,5 +34,5 @@ pub mod trace;
 
 pub use arrival::ArrivalProcess;
 pub use core_workload::{CoreWorkload, OperationType, TimedOps, WorkloadConfig, WorkloadOp};
-pub use generators::{ItemGenerator, RequestDistribution};
-pub use trace::{SyntheticTraceBuilder, Trace, TraceOp, TracePhase, TraceRecorder};
+pub use generators::RequestDistribution;
+pub use trace::{SyntheticTraceBuilder, Trace, TraceOp, TracePhase};

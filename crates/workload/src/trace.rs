@@ -5,7 +5,6 @@
 //! from which per-period metrics are extracted offline. This module provides:
 //!
 //! * [`TraceOp`] / [`Trace`] — a serializable access trace;
-//! * [`TraceRecorder`] — capture a trace while a workload runs;
 //! * [`SyntheticTraceBuilder`] — generate multi-phase application traces
 //!   (e.g. a webshop alternating browse / checkout / flash-sale phases) used
 //!   to exercise the behavior modeling pipeline.
@@ -101,46 +100,6 @@ impl Trace {
     }
 }
 
-/// Records operations into a [`Trace`] as they are issued.
-#[derive(Debug, Default)]
-pub struct TraceRecorder {
-    trace: Trace,
-}
-
-impl TraceRecorder {
-    /// Create an empty recorder.
-    pub fn new() -> Self {
-        TraceRecorder {
-            trace: Trace::new(),
-        }
-    }
-
-    /// Record one operation.
-    pub fn record(&mut self, at: SimTime, op: OperationType, key: u64, value_size: u32) {
-        self.trace.push(TraceOp {
-            at,
-            op,
-            key,
-            value_size,
-        });
-    }
-
-    /// Number of recorded operations.
-    pub fn len(&self) -> usize {
-        self.trace.len()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.trace.is_empty()
-    }
-
-    /// Finish recording and return the trace.
-    pub fn finish(self) -> Trace {
-        self.trace
-    }
-}
-
 /// A phase of a synthetic application trace: a workload mix applied at a
 /// given request rate for a given duration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -155,8 +114,9 @@ pub struct TracePhase {
     pub workload: WorkloadConfig,
 }
 
-/// Builds synthetic multi-phase traces, e.g. the webshop timeline used by the
-/// behavior-modeling evaluation (EXP-C in DESIGN.md).
+/// Builds synthetic multi-phase traces, e.g. the webshop timeline the
+/// behavior-modeling evaluation (EXP-C, the `exp_behavior` binary) learns
+/// its application states from.
 #[derive(Debug, Clone, Default)]
 pub struct SyntheticTraceBuilder {
     phases: Vec<TracePhase>,
@@ -238,18 +198,6 @@ impl SyntheticTraceBuilder {
 mod tests {
     use super::*;
     use crate::presets;
-
-    #[test]
-    fn recorder_builds_ordered_trace() {
-        let mut rec = TraceRecorder::new();
-        assert!(rec.is_empty());
-        rec.record(SimTime::from_secs(1), OperationType::Read, 5, 100);
-        rec.record(SimTime::from_secs(2), OperationType::Update, 7, 100);
-        assert_eq!(rec.len(), 2);
-        let trace = rec.finish();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace.duration(), SimDuration::from_secs(1));
-    }
 
     #[test]
     fn windows_partition_the_trace() {
