@@ -8,18 +8,33 @@
 //! the generic rules, and finally compares a behavior-driven run against
 //! one-size-fits-all baselines.
 //!
+//! The trace, the fitted model and the live run's platform (EC2-like at 0.4
+//! scale) and workload are fixed, and the comparison is one seed, so the
+//! binary takes only `--threads`, `--arrival` and the cluster flags
+//! (`--partitioner`, `--repair`, `--hedge`, `--selection`, `--backoff`).
+//!
 //! ```text
 //! cargo run --release -p concord-bench --bin exp_behavior
 //! ```
 
 use concord::prelude::*;
 use concord::PolicySpec;
-use concord_bench::{Harness, Sweep};
+use concord_bench::Harness;
 use concord_workload::SyntheticTraceBuilder;
 
 fn main() {
     let harness = Harness::from_env(); // applies --threads to the pool
-    harness.forbid_workload_override("behavior modeling derives its phases from the trace");
+    harness.reject(
+        &[
+            "--workload",
+            "--scale",
+            "--cluster-scale",
+            "--platform",
+            "--seeds",
+            "--seed-base",
+        ],
+        "behavior modeling fixes its trace, platform, workload and seed",
+    );
     let mut rng = SimRng::new(31);
 
     // Ground truth: browse (read-mostly, quiet) vs checkout (write-heavy,
@@ -100,11 +115,10 @@ fn main() {
         accuracy * 100.0
     );
 
-    // Runtime comparison: static baselines through the shared sweep harness
+    // Runtime comparison: static baselines through `Experiment::compare`
     // (the behavior-driven policy carries a fitted model, which a declarative
     // `PolicySpec` cannot express, so it runs as a single extra point).
-    let platform =
-        harness.apply_shards(harness.apply_partitioner(concord::platforms::ec2_harmony(0.4)));
+    let platform = harness.apply_cluster_flags(concord::platforms::ec2_harmony(0.4));
     let mut workload = presets::paper_heavy_read_update(4_000, 20_000);
     workload.field_count = 1;
     workload.field_length = 1_000;
@@ -113,14 +127,8 @@ fn main() {
         .with_adaptation_interval(SimDuration::from_millis(100))
         .with_seed(31);
     let experiment = harness.apply_arrival(experiment);
-    let behavior_report = experiment.run_behavior_policy(BehaviorDrivenPolicy::new(model));
-    // Single-seed on purpose: the behavior-driven run above is one seed, so
-    // a multi-seed baseline grid would cost simulations whose reports this
-    // comparison table could not show.
-    let mut reports = Sweep::new(experiment)
-        .with_policies(&[PolicySpec::Eventual, PolicySpec::Strong])
-        .run()
-        .primary();
+    let behavior_report = experiment.run_policy(&mut BehaviorDrivenPolicy::new(model));
+    let mut reports = experiment.compare(&[PolicySpec::Eventual, PolicySpec::Strong]);
     reports.push(behavior_report);
     println!(
         "{}",

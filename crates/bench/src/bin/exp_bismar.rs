@@ -1,7 +1,7 @@
 //! EXP-B2b — Bismar evaluation (§IV-B, second experiment).
 //!
 //! Compares Bismar against the static consistency levels on the cost platform
-//! (RF 5, two datacenters) through the shared [`Sweep`] harness. The paper's
+//! (RF 5, two datacenters) through the shared [`run_sweep`] harness. The paper's
 //! findings to reproduce in shape: only level ONE costs less than Bismar, but
 //! it tolerates up to 61% stale reads; Bismar cuts the bill by up to 31%
 //! compared to the static QUORUM level while keeping stale reads around 3.5%.
@@ -13,11 +13,11 @@
 
 use concord::prelude::*;
 use concord::PolicySpec;
-use concord_bench::{compare_line, render_summary_table, slim, Harness, Sweep};
+use concord_bench::{compare_line, render_summary_table, run_sweep, slim, Harness};
 
 fn main() {
     let harness = Harness::from_env();
-    let platform = harness.cost_platform();
+    let platform = harness.preset(platforms::grid5000_cost, platforms::ec2_cost);
     let workload = harness.apply_workload(slim(presets::cost_workload(harness.scale.workload)));
     harness.banner("EXP-B2b", &platform, &workload);
 
@@ -27,15 +27,16 @@ fn main() {
         .with_seed(2013);
     let experiment = harness.apply_arrival(experiment);
 
-    let results = Sweep::new(experiment)
-        .with_policies(&[
+    let results = run_sweep(
+        &experiment,
+        &[
             PolicySpec::FixedReadReplicas(1),
             PolicySpec::Quorum,
             PolicySpec::Strong,
             PolicySpec::Bismar,
-        ])
-        .with_seeds(&harness.seeds(2013))
-        .run();
+        ],
+        &harness.seeds(2013),
+    );
     let reports = results.primary();
     println!(
         "{}",

@@ -2,7 +2,7 @@
 //!
 //! Sweeps the static consistency levels ONE → ALL on the cost platform
 //! (RF 5, two availability zones / two Grid'5000 sites) running the paper's
-//! heavy read-update workload through the shared [`Sweep`] harness, and
+//! heavy read-update workload through the shared [`run_sweep`] harness, and
 //! prints the three-part bill decomposition (instances / storage / network),
 //! the cost reduction of each level relative to the strongest one, and the
 //! fraction of up-to-date reads.
@@ -14,11 +14,11 @@
 
 use concord::prelude::*;
 use concord::PolicySpec;
-use concord_bench::{compare_line, render_summary_table, slim, Harness, Sweep};
+use concord_bench::{compare_line, render_summary_table, run_sweep, slim, Harness};
 
 fn main() {
     let harness = Harness::from_env();
-    let platform = harness.cost_platform();
+    let platform = harness.preset(platforms::grid5000_cost, platforms::ec2_cost);
     let workload = harness.apply_workload(slim(presets::cost_workload(harness.scale.workload)));
     harness.banner("EXP-B1", &platform, &workload);
 
@@ -32,10 +32,7 @@ fn main() {
     // The paper sweeps Cassandra's consistency level for both reads and
     // writes (ONE … ALL), so the symmetric variant is used here.
     let specs: Vec<PolicySpec> = (1..=rf).map(PolicySpec::SymmetricLevel).collect();
-    let results = Sweep::new(experiment)
-        .with_policies(&specs)
-        .with_seeds(&harness.seeds(2013))
-        .run();
+    let results = run_sweep(&experiment, &specs, &harness.seeds(2013));
     let reports = results.primary();
     println!("{}", render_table("EXP-B1: per-level sweep", &reports));
     if results.seeds.len() > 1 {

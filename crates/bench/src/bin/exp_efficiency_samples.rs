@@ -4,10 +4,11 @@
 //! with different access patterns and different consistency levels"* and
 //! observes that *"the most efficient consistency levels are the ones that
 //! provide a staleness rate smaller than 20%"*. This binary reproduces that
-//! sampling through the shared [`Sweep`] harness: three access patterns
+//! sampling through the shared [`run_sweep`] harness: three access patterns
 //! (read-heavy, balanced heavy read-update, write-heavy) × every consistency
 //! level, each sample reporting its measured staleness, its bill and its
-//! efficiency relative to the strongest level.
+//! efficiency relative to the strongest level. The access patterns are the
+//! experiment, so `--workload` is refused; every other flag applies.
 //!
 //! ```text
 //! cargo run --release -p concord-bench --bin exp_efficiency_samples
@@ -15,15 +16,14 @@
 
 use concord::prelude::*;
 use concord::PolicySpec;
-use concord_bench::{render_summary_table, slim, Harness, Sweep};
+use concord_bench::{render_summary_table, run_sweep, slim, Harness};
 use concord_cost::consistency_cost_efficiency;
 use concord_workload::RequestDistribution;
 
 fn main() {
     let harness = Harness::from_env();
-    let platform = harness.apply_shards(
-        harness.apply_partitioner(concord::platforms::grid5000_cost(harness.scale.cluster)),
-    );
+    harness.reject(&["--workload"], "the access patterns are the experiment");
+    let platform = harness.preset(platforms::grid5000_cost, platforms::ec2_cost);
     println!("EXP-B2a: platform = {}\n", platform.name);
 
     let base = slim(presets::cost_workload(harness.scale.workload));
@@ -62,7 +62,6 @@ fn main() {
     );
 
     let specs: Vec<PolicySpec> = (1..=rf).map(PolicySpec::FixedReadReplicas).collect();
-    harness.forbid_workload_override("this experiment compares its own fixed access patterns");
     let seeds = harness.seeds(17);
     let mut efficient_samples = 0usize;
     let mut efficient_below_20 = 0usize;
@@ -72,10 +71,7 @@ fn main() {
             .with_adaptation_interval(SimDuration::from_millis(250))
             .with_seed(seeds[0]);
         let experiment = harness.apply_arrival(experiment);
-        let results = Sweep::new(experiment)
-            .with_policies(&specs)
-            .with_seeds(&seeds)
-            .run();
+        let results = run_sweep(&experiment, &specs, &seeds);
         let reports = results.primary();
         let reference = reports.last().unwrap().total_cost_usd();
 

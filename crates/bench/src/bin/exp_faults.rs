@@ -16,10 +16,12 @@
 //! Timed-out operations get one retry (`retry_on_timeout = 1`), so the
 //! report's `retries` column shows the extra work the faults induce.
 //!
-//! The run is a standard `Sweep` grid — policies × seeds, every point its
-//! own cluster — executed once on one thread and once on the full pool, and
-//! the per-seed reports are asserted **byte-identical**: fault scripts are
-//! part of the deterministic scenario, not a source of nondeterminism.
+//! The run is a standard [`run_sweep`] grid — policies × seeds, every point
+//! its own cluster — executed once on one thread and once on the full pool,
+//! and the per-seed reports are asserted **byte-identical**: fault scripts
+//! are part of the deterministic scenario, not a source of nondeterminism.
+//! The fault script is timed against the binary's own open-loop schedule,
+//! so `--arrival` is refused; every other flag applies.
 //!
 //! `--repair hints|anti-entropy|full` turns on the repair plane for every
 //! point: the crash/recover leg then exercises hinted handoff and recovery
@@ -41,27 +43,25 @@
 //! ```text
 //! cargo run --release -p concord-bench --bin exp_faults -- --seeds 2            # PR smoke
 //! cargo run --release -p concord-bench --bin exp_faults -- --repair full --seeds 2
-//! cargo run --release -p concord-bench --bin exp_faults -- --hedge 20 --selection dynamic --shards 2 --seeds 2
+//! cargo run --release -p concord-bench --bin exp_faults -- --hedge 20 --selection dynamic --backoff --seeds 2
 //! cargo run --release -p concord-bench --bin exp_faults -- --scale 1.0 --seeds 8  # nightly
 //! ```
 
 use concord::prelude::*;
 use concord::PolicySpec;
-use concord_bench::{render_summary_table, slim, Harness, Sweep};
+use concord_bench::{render_summary_table, run_sweep, slim, Harness};
 use concord_sim::LinkClass;
 
 fn main() {
     let harness = Harness::from_env();
     // The fault script's offsets are derived from this binary's own 20 s
     // open-loop span; an arrival override would desynchronize them.
-    harness.forbid_arrival_override(
-        "exp_faults derives its open-loop schedule from the fault-script span",
-    );
+    harness.reject(&["--arrival"], "the fault script is timed to its own load");
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
 
-    let mut platform = harness.harmony_platform();
+    let mut platform = harness.preset(platforms::grid5000_harmony, platforms::ec2_harmony);
     // Fault runs need timeouts that fire inside the outage windows, plus one
     // retry so the report separates "slow" from "failed".
     platform.cluster.op_timeout = SimDuration::from_secs(1);
@@ -100,21 +100,20 @@ fn main() {
         .with_seed(2013)
         .with_scenario(scenario);
 
-    let sweep = Sweep::new(experiment)
-        .with_policies(&[
-            PolicySpec::Eventual,
-            PolicySpec::Quorum,
-            PolicySpec::Harmony { tolerance: 0.20 },
-            PolicySpec::Harmony { tolerance: 0.40 },
-        ])
-        .with_seeds(&harness.seeds(2013));
+    let policies = [
+        PolicySpec::Eventual,
+        PolicySpec::Quorum,
+        PolicySpec::Harmony { tolerance: 0.20 },
+        PolicySpec::Harmony { tolerance: 0.40 },
+    ];
+    let seeds = harness.seeds(2013);
 
     let timed_run = |threads: usize| {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .expect("pool construction cannot fail");
-        pool.install(|| sweep.run())
+        pool.install(|| run_sweep(&experiment, &policies, &seeds))
     };
 
     let sequential = timed_run(1);
@@ -207,7 +206,7 @@ fn main() {
     }
     println!(
         "fault sweep: {} points, per-seed reports byte-identical across thread counts: {identical}",
-        sweep.len()
+        parallel.reports.len()
     );
 
     // Gray-failure leg: one node serves 10x slow for the middle 40% of the
@@ -220,7 +219,7 @@ fn main() {
         FaultEvent::at_secs(at(0.30), FaultAction::SlowNode(3, 10.0)),
         FaultEvent::at_secs(at(0.70), FaultAction::RestoreNode(3)),
     ]);
-    let first_seed = harness.seeds(2013)[0];
+    let first_seed = seeds[0];
     let gray_run = |hedge: bool, dynamic: bool| {
         let mut p = platform.clone();
         p.cluster.resilience = ResilienceConfig::off();

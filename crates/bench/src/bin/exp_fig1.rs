@@ -5,26 +5,40 @@
 //! reproduces the model quantitatively: for a sweep of write rates and read
 //! consistency levels it prints the stale-read probability predicted by the
 //! analytic model and cross-validates it against the Monte-Carlo simulator
-//! of the same situation. The 25-point grid runs through the shared
-//! [`run_grid`] harness — every point is an independent estimator pair, so
-//! the grid parallelizes across the pool while the printed table stays in
-//! grid order.
+//! of the same situation. Every point of the 25-point grid is an independent
+//! estimator pair, so the grid maps over the rayon pool while the printed
+//! table stays in grid order. The estimator grid builds no cluster and runs
+//! no workload, so `--threads` is its only flag.
 //!
 //! ```text
 //! cargo run --release -p concord-bench --bin exp_fig1
 //! cargo run --release -p concord-bench --bin exp_fig1 -- --threads 4
 //! ```
 
-use concord_bench::{run_grid, Harness};
+use concord_bench::Harness;
 use concord_staleness::{
     AnalyticEstimator, MonteCarloEstimator, StaleReadEstimator, StalenessParams,
 };
+use rayon::prelude::*;
 
 fn main() {
-    let _harness = Harness::from_env(); // applies --threads to the pool
-    _harness.forbid_workload_override("the estimator grid has no YCSB workload");
-    _harness.forbid_arrival_override("the estimator grid has no client arrivals");
-    _harness.forbid_partitioner_override("the estimator grid builds no cluster");
+    Harness::from_env().reject(
+        &[
+            "--scale",
+            "--cluster-scale",
+            "--platform",
+            "--seeds",
+            "--seed-base",
+            "--arrival",
+            "--workload",
+            "--partitioner",
+            "--repair",
+            "--hedge",
+            "--selection",
+            "--backoff",
+        ],
+        "the estimator grid builds no cluster and runs no workload",
+    );
     let analytic = AnalyticEstimator::new();
     let montecarlo = MonteCarloEstimator::new(150_000, 42);
 
@@ -40,12 +54,15 @@ fn main() {
         .iter()
         .flat_map(|&w| (1..=5u32).map(move |r| (w, r)))
         .collect();
-    let estimates = run_grid(points.clone(), |(write_rate, read_level)| {
-        let params = StalenessParams::basic(5, read_level, 1, 1_000.0, write_rate, 1.0, 40.0);
-        let a = analytic.estimate(&params).stale_read_probability;
-        let m = montecarlo.estimate(&params).stale_read_probability;
-        (a, m)
-    });
+    let estimates: Vec<(f64, f64)> = points
+        .par_iter()
+        .map(|&(write_rate, read_level)| {
+            let params = StalenessParams::basic(5, read_level, 1, 1_000.0, write_rate, 1.0, 40.0);
+            let a = analytic.estimate(&params).stale_read_probability;
+            let m = montecarlo.estimate(&params).stale_read_probability;
+            (a, m)
+        })
+        .collect();
 
     let mut worst_gap = 0.0f64;
     for ((write_rate, read_level), (a, m)) in points.iter().zip(&estimates) {

@@ -3,7 +3,7 @@
 //! Reproduces the paper's comparison of Harmony (two tolerated stale-read
 //! rates per platform) against static eventual and strong consistency on the
 //! Grid'5000 deployment (84 nodes, 2 clusters, 3 M ops — EXP-A1) and the EC2
-//! deployment (20 VMs, 5 M ops — EXP-A2), through the shared [`Sweep`]
+//! deployment (20 VMs, 5 M ops — EXP-A2), through the shared [`run_sweep`]
 //! harness: pass `--seeds 8` for a multi-seed sweep with confidence
 //! intervals, `--threads N` to size the pool.
 //!
@@ -15,23 +15,22 @@
 
 use concord::prelude::*;
 use concord::PolicySpec;
-use concord_bench::{compare_line, render_summary_table, slim, Harness, Sweep};
+use concord_bench::{compare_line, render_summary_table, run_sweep, slim, Harness};
 
 fn main() {
     let harness = Harness::from_env();
 
     // Platform + workload + tolerances per the paper: Grid'5000 uses 20% and
     // 40%, EC2 uses 40% and 60%.
-    let (platform, workload, tolerances, exp_id) = if harness.platform.starts_with("ec2") {
+    let platform = harness.preset(platforms::grid5000_harmony, platforms::ec2_harmony);
+    let (workload, tolerances, exp_id) = if harness.platform == "ec2" {
         (
-            harness.harmony_platform(),
             slim(presets::harmony_ec2_workload(harness.scale.workload)),
             (0.40, 0.60),
             "EXP-A2 (EC2)",
         )
     } else {
         (
-            harness.harmony_platform(),
             slim(presets::harmony_grid5000_workload(harness.scale.workload)),
             (0.20, 0.40),
             "EXP-A1 (Grid'5000)",
@@ -48,8 +47,9 @@ fn main() {
         .with_seed(2013);
     let experiment = harness.apply_arrival(experiment);
 
-    let results = Sweep::new(experiment)
-        .with_policies(&[
+    let results = run_sweep(
+        &experiment,
+        &[
             PolicySpec::Eventual,
             PolicySpec::Strong,
             PolicySpec::Harmony {
@@ -58,9 +58,9 @@ fn main() {
             PolicySpec::Harmony {
                 tolerance: tolerances.1,
             },
-        ])
-        .with_seeds(&harness.seeds(2013))
-        .run();
+        ],
+        &harness.seeds(2013),
+    );
     let reports = results.primary();
     println!("{}", render_table(exp_id, &reports));
     if results.seeds.len() > 1 {

@@ -1,26 +1,24 @@
-//! The sweep engine: one declarative harness for every `exp_*` binary.
+//! The shared harness of every `exp_*` binary: one path from the command
+//! line to the printed report.
 //!
-//! The paper's evaluation is a grid — workload mixes × consistency policies ×
-//! platforms × seeds — and before this module existed each experiment binary
-//! hand-rolled its own slice of that grid (argument parsing, platform
-//! construction, run loop, table rendering). The shared pieces now live here:
-//!
-//! * [`Harness`] — common CLI surface (`--scale`, `--cluster-scale`,
-//!   `--platform`, `--seeds`, `--seed-base`, `--threads`, plus the
-//!   `--arrival` / `--workload` / `--partitioner` / `--repair` /
-//!   `--shards` / `--hedge` / `--selection` / `--backoff` overrides)
-//!   and platform lookup; `--threads` configures the global rayon pool for
-//!   the process.
-//! * [`Sweep`] — a declarative `(policy × seed)` grid over one
-//!   [`Experiment`]. [`Sweep::run`] executes every point **in parallel**
-//!   (each point owns its `Cluster`/`AdaptiveRuntime`, so points are
-//!   embarrassingly parallel) and returns [`SweepResults`] in grid order.
+//! * [`Harness`] — the command-line surface (`--scale`, `--cluster-scale`,
+//!   `--platform`, `--seeds`, `--seed-base`, `--threads`, `--arrival`,
+//!   `--workload` and the cluster flags `--partitioner`, `--repair`,
+//!   `--hedge`, `--selection`, `--backoff`). [`Harness::from_args`] refuses
+//!   any argument that is neither one of these flags nor the value of one,
+//!   and a binary refuses the flags it does not honour with
+//!   [`Harness::reject`], so no flag is silently dropped.
+//!   [`Harness::preset`] builds the `--platform` preset at
+//!   `--cluster-scale`; [`Harness::apply_cluster_flags`] writes the cluster
+//!   flags into it or into any other platform. `--threads` configures the
+//!   global rayon pool for the process.
+//! * [`run_sweep`] — a `(policy × seed)` grid over one [`Experiment`],
+//!   executed by [`Experiment::sweep`] (every point in parallel, reports in
+//!   grid order) and kept as [`SweepResults`].
 //! * [`SweepResults::summaries`] — deterministic ordered reduction across
-//!   seeds: mean / sample standard deviation / 95% confidence half-width per
-//!   policy, folded in seed order so output is bit-identical for any thread
-//!   count.
-//! * [`run_grid`] — the same parallel-ordered execution for experiment
-//!   grids that are not policy sweeps (the FIG1 estimator grid).
+//!   seeds: mean / sample standard deviation / Student-t 95% confidence
+//!   half-width per policy, folded in seed order so output is bit-identical
+//!   for any thread count.
 //!
 //! ## Determinism contract
 //!
@@ -33,15 +31,12 @@
 use concord::prelude::*;
 use concord::PolicySpec;
 use concord_core::RunReport;
-use rayon::prelude::*;
 
 use crate::Scale;
 
 /// Parsed common command-line surface of the experiment binaries.
 #[derive(Debug, Clone)]
 pub struct Harness {
-    /// Raw process arguments (for binary-specific flags).
-    pub args: Vec<String>,
     /// Workload/cluster scale (`--scale`, `--cluster-scale`).
     pub scale: Scale,
     /// Platform name (`--platform`, default `g5k`).
@@ -62,45 +57,32 @@ pub struct Harness {
     /// Partitioner override (`--partitioner hash|ordered`): how keys map to
     /// owning nodes — the consistent-hash token ring (default) or
     /// contiguous key-range ownership, under which range scans are
-    /// coverage-faithful. Applied to every platform the harness constructs
-    /// ([`Harness::cost_platform`], [`Harness::harmony_platform`],
-    /// [`Harness::apply_partitioner`]), so `(partitioner × policy × seed)`
-    /// grids run through the same `Sweep` machinery. `None` keeps the
-    /// platform's default (hash).
+    /// coverage-faithful. `None` keeps the platform's default (hash).
     pub partitioner: Option<Partitioner>,
     /// Repair-plane override (`--repair off|hints|anti-entropy|full`):
     /// which background repair subsystems the cluster runs — hinted
     /// handoff, anti-entropy sweeps over page summaries, or both (which
     /// also enables recovery migration after crash/recover faults).
-    /// Applied to every platform the harness constructs, like
-    /// `--partitioner`. `None` keeps the platform's default (off).
+    /// `None` keeps the platform's default (off).
     pub repair: Option<RepairMode>,
-    /// Event-queue shard count override (`--shards N`): runs every cluster
-    /// on the multi-core conservative-PDES engine with `N` per-node-group
-    /// lanes, window batches dispatched on the worker pool. Each shard
-    /// count samples its own deterministic universe, byte-identical at any
-    /// thread count — within a shard count this is a pure performance axis.
-    /// Applied to every platform the harness constructs, like
-    /// `--partitioner`. `None` keeps the platform's default (unsharded).
-    pub shards: Option<u32>,
     /// Hedged-read override (`--hedge <ms>`): after this delay a point
     /// read's coordinator issues one speculative duplicate to the best
     /// unused replica; first response wins. Fractional milliseconds are
-    /// accepted (`--hedge 0.5` = 500 µs). Applied to every platform the
-    /// harness constructs, like `--partitioner`. `None` keeps the
-    /// platform's default (hedging off).
+    /// accepted (`--hedge 0.5` = 500 µs). `None` keeps the platform's
+    /// default (hedging off).
     pub hedge: Option<SimDuration>,
     /// Read replica-selection override (`--selection
     /// closest|random|dynamic`): how read coordinators rank candidate
     /// replicas — `dynamic` is the health-aware EWMA + circuit-breaker
-    /// policy of the resilience layer. Applied to every platform the
-    /// harness constructs. `None` keeps the platform's default (closest).
+    /// policy of the resilience layer. `None` keeps the platform's default
+    /// (closest).
     pub selection: Option<ReplicaSelection>,
     /// Retry-backoff override (`--backoff`, a bare flag): timed-out
     /// operations wait out an exponential backoff with deterministic jitter
-    /// before re-issuing, instead of retrying immediately. Applied to every
-    /// platform the harness constructs. Off unless given.
+    /// before re-issuing, instead of retrying immediately. Off unless given.
     pub backoff: bool,
+    /// The flags given, for [`Harness::reject`].
+    given: Vec<&'static str>,
 }
 
 impl Harness {
@@ -110,36 +92,40 @@ impl Harness {
         Self::from_args(std::env::args().collect())
     }
 
-    /// Parse an explicit argument vector (tests). Every flag but the bare
-    /// `--backoff` takes a value, and a missing, unparsable or out-of-range
-    /// value panics with `--flag <v>: expected …`.
+    /// Parse an explicit argument vector (tests). An argument that is
+    /// neither a flag of the harness nor the value of one panics with
+    /// `<arg>: not a flag of this experiment`, and a flag given twice
+    /// panics too. Every flag but the bare `--backoff` takes a value, and a
+    /// missing, unparsable or out-of-range value panics with
+    /// `--flag <v>: expected …`.
     pub fn from_args(args: Vec<String>) -> Self {
+        let mut args = Args {
+            rest: args.into_iter().skip(1).collect(),
+            given: Vec::new(),
+        };
         let defaults = Scale::default();
         let scale = Scale {
-            workload: flag_value(
-                &args,
-                "--scale",
-                "a fraction in [1e-5, 1]",
-                within(1e-5, 1.0),
-            )
-            .unwrap_or(defaults.workload),
-            cluster: flag_value(
-                &args,
-                "--cluster-scale",
-                "a fraction in [0.01, 1]",
-                within(0.01, 1.0),
-            )
-            .unwrap_or(defaults.cluster),
+            workload: args
+                .value("--scale", "a fraction in [1e-5, 1]", within(1e-5, 1.0))
+                .unwrap_or(defaults.workload),
+            cluster: args
+                .value(
+                    "--cluster-scale",
+                    "a fraction in [0.01, 1]",
+                    within(0.01, 1.0),
+                )
+                .unwrap_or(defaults.cluster),
         };
-        let platform = flag_value(&args, "--platform", "g5k|ec2", |v| {
-            ["g5k", "ec2"].contains(&v).then(|| v.to_string())
-        })
-        .unwrap_or_else(|| "g5k".into());
-        let seed_count =
-            flag_value(&args, "--seeds", "a seed count >= 1", within(1, u64::MAX)).unwrap_or(1);
-        let seed_base = flag_value(&args, "--seed-base", "a seed (u64)", |v| v.parse().ok());
-        let threads = flag_value(
-            &args,
+        let platform = args
+            .value("--platform", "g5k|ec2", |v| {
+                ["g5k", "ec2"].contains(&v).then(|| v.to_string())
+            })
+            .unwrap_or_else(|| "g5k".into());
+        let seed_count = args
+            .value("--seeds", "a seed count >= 1", within(1, u64::MAX))
+            .unwrap_or(1);
+        let seed_base = args.value("--seed-base", "a seed (u64)", |v| v.parse().ok());
+        let threads = args.value(
             "--threads",
             "a thread count (0 = the machine default)",
             |v| v.parse::<usize>().ok(),
@@ -150,44 +136,40 @@ impl Harness {
                 .build_global()
                 .expect("configuring the global pool cannot fail");
         }
-        let arrival = flag_value(
-            &args,
+        let arrival = args.value(
             "--arrival",
             "closed:<clients>|poisson:<ops/s>|uniform:<ops/s>",
             |v| parse_arrival(v).ok(),
         );
-        let workload = flag_value(&args, "--workload", "a preset a-f", |v| {
+        let workload = args.value("--workload", "a preset a-f", |v| {
             presets::by_name(v).map(|_| v.to_string())
         });
-        let partitioner = flag_value(
-            &args,
-            "--partitioner",
-            "hash|ordered",
-            Partitioner::from_name,
-        );
-        let repair = flag_value(
-            &args,
+        let partitioner = args.value("--partitioner", "hash|ordered", Partitioner::from_name);
+        let repair = args.value(
             "--repair",
             "off|hints|anti-entropy|full",
             RepairMode::from_name,
         );
-        let shards = flag_value(&args, "--shards", "a shard count >= 1", within(1, u32::MAX));
-        let hedge = flag_value(&args, "--hedge", "a positive delay in ms", |v| {
+        let hedge = args.value("--hedge", "a positive delay in ms", |v| {
             let ms = v
                 .parse::<f64>()
                 .ok()
                 .filter(|ms| ms.is_finite() && *ms > 0.0)?;
-            Some(SimDuration::from_micros((ms * 1_000.0).round() as u64))
+            Some(SimDuration::from_millis_f64(ms))
         });
-        let selection = flag_value(
-            &args,
+        let selection = args.value(
             "--selection",
             "closest|random|dynamic",
             ReplicaSelection::from_name,
         );
-        let backoff = args.iter().any(|a| a == "--backoff");
+        let backoff = args
+            .find("--backoff")
+            .map(|i| args.rest.remove(i))
+            .is_some();
+        if let Some(arg) = args.rest.first() {
+            panic!("{arg}: not a flag of this experiment");
+        }
         Harness {
-            args,
             scale,
             platform,
             seed_count,
@@ -196,93 +178,51 @@ impl Harness {
             workload,
             partitioner,
             repair,
-            shards,
             hedge,
             selection,
             backoff,
+            given: args.given,
         }
     }
 
-    /// Reject `--workload` for binaries whose workload is intrinsic (fixed
-    /// access-pattern grids, microbenches): failing loudly beats silently
-    /// running the default mix under the requested name.
-    pub fn forbid_workload_override(&self, why: &str) {
-        assert!(
-            self.workload.is_none(),
-            "--workload is not supported by this experiment: {why}"
-        );
+    /// Refuse whichever of `flags` was given: this binary does not honour
+    /// them, and running without them under their name would misattribute
+    /// the output. `why` says what the binary does instead. Call it before
+    /// anything runs.
+    pub fn reject(&self, flags: &[&str], why: &str) {
+        if let Some(flag) = flags.iter().find(|f| self.given.iter().any(|g| g == *f)) {
+            panic!("{flag}: not a flag of this experiment ({why})");
+        }
     }
 
-    /// Reject `--arrival` for binaries whose arrival schedule is intrinsic
-    /// (e.g. a fault script timed against a derived open-loop span).
-    pub fn forbid_arrival_override(&self, why: &str) {
-        assert!(
-            self.arrival.is_none(),
-            "--arrival is not supported by this experiment: {why}"
-        );
-    }
-
-    /// Reject `--partitioner` for binaries that never build a cluster
-    /// (estimator-only grids): failing loudly beats silently labelling the
-    /// output with a mode that was never in effect.
-    pub fn forbid_partitioner_override(&self, why: &str) {
-        assert!(
-            self.partitioner.is_none(),
-            "--partitioner is not supported by this experiment: {why}"
-        );
-    }
-
-    /// Apply the `--partitioner` override (if given) to a platform the
-    /// binary constructed itself. [`Harness::cost_platform`] and
-    /// [`Harness::harmony_platform`] already apply it.
-    pub fn apply_partitioner(&self, mut platform: Platform) -> Platform {
+    /// Write the cluster flags that were given into `platform`:
+    /// `--partitioner`, `--repair` (the mode at built-in pacing), `--hedge`,
+    /// `--selection` and `--backoff`. A flag not given leaves the
+    /// platform's own setting.
+    pub fn apply_cluster_flags(&self, mut platform: Platform) -> Platform {
+        let cluster = &mut platform.cluster;
         if let Some(partitioner) = self.partitioner {
-            platform.cluster.partitioner = partitioner;
+            cluster.partitioner = partitioner;
         }
-        platform
-    }
-
-    /// Apply the `--repair` override (if given) to a platform the binary
-    /// constructed itself, replacing the platform's repair configuration
-    /// with the requested mode at built-in pacing defaults.
-    /// [`Harness::cost_platform`] and [`Harness::harmony_platform`]
-    /// already apply it.
-    pub fn apply_repair(&self, mut platform: Platform) -> Platform {
         if let Some(mode) = self.repair {
-            platform.cluster.repair = RepairConfig::with_mode(mode);
+            cluster.repair = RepairConfig::with_mode(mode);
         }
-        platform
-    }
-
-    /// Apply the `--shards` override (if given) to a platform the binary
-    /// constructed itself: the cluster runs on the sharded event engine
-    /// with the requested lane count (clamped to the node count by the
-    /// cluster). [`Harness::cost_platform`] and
-    /// [`Harness::harmony_platform`] already apply it.
-    pub fn apply_shards(&self, mut platform: Platform) -> Platform {
-        if let Some(shards) = self.shards {
-            platform.cluster.shards = shards;
-        }
-        platform
-    }
-
-    /// Apply the `--hedge` / `--selection` / `--backoff` overrides (if
-    /// given) to a platform the binary constructed itself, leaving the
-    /// platform's other resilience knobs (backoff pacing, EWMA smoothing,
-    /// breaker thresholds) at their configured values.
-    /// [`Harness::cost_platform`] and [`Harness::harmony_platform`]
-    /// already apply them.
-    pub fn apply_resilience(&self, mut platform: Platform) -> Platform {
         if let Some(delay) = self.hedge {
-            platform.cluster.resilience.hedge_delay = delay;
+            cluster.resilience.hedge_delay = delay;
         }
         if let Some(selection) = self.selection {
-            platform.cluster.read_selection = selection;
+            cluster.read_selection = selection;
         }
-        if self.backoff {
-            platform.cluster.resilience.backoff = true;
-        }
+        cluster.resilience.backoff |= self.backoff;
         platform
+    }
+
+    /// The `--platform` preset of one family — `g5k` or `ec2`, e.g.
+    /// `concord::platforms::grid5000_cost` or `ec2_cost` — at
+    /// `--cluster-scale`, with the cluster flags applied.
+    pub fn preset(&self, g5k: fn(f64) -> Platform, ec2: fn(f64) -> Platform) -> Platform {
+        let preset = if self.platform == "ec2" { ec2 } else { g5k };
+        self.apply_cluster_flags(preset(self.scale.cluster))
     }
 
     /// Apply the `--workload` override (if given) to the binary's default
@@ -321,32 +261,6 @@ impl Harness {
         (0..self.seed_count).map(|i| base + i).collect()
     }
 
-    /// The cost-experiment platform for `--platform` at `--cluster-scale`,
-    /// with the `--partitioner`, `--repair`, `--shards` and resilience
-    /// (`--hedge` / `--selection` / `--backoff`) overrides applied.
-    pub fn cost_platform(&self) -> Platform {
-        self.apply_resilience(self.apply_shards(self.apply_repair(self.apply_partitioner(
-            if self.platform == "ec2" {
-                concord::platforms::ec2_cost(self.scale.cluster)
-            } else {
-                concord::platforms::grid5000_cost(self.scale.cluster)
-            },
-        ))))
-    }
-
-    /// The Harmony-experiment platform for `--platform` at `--cluster-scale`,
-    /// with the `--partitioner`, `--repair`, `--shards` and resilience
-    /// (`--hedge` / `--selection` / `--backoff`) overrides applied.
-    pub fn harmony_platform(&self) -> Platform {
-        self.apply_resilience(self.apply_shards(self.apply_repair(self.apply_partitioner(
-            if self.platform == "ec2" {
-                concord::platforms::ec2_harmony(self.scale.cluster)
-            } else {
-                concord::platforms::grid5000_harmony(self.scale.cluster)
-            },
-        ))))
-    }
-
     /// Print the standard experiment banner.
     pub fn banner(&self, exp_id: &str, platform: &Platform, workload: &WorkloadConfig) {
         println!(
@@ -367,28 +281,48 @@ impl Harness {
     }
 }
 
-/// The value after flag `name`, parsed by `parse`; `None` when the flag is
-/// absent. A missing value, or one `parse` rejects, panics with
-/// `<name> <value>: expected <what>`: running a default under the name the
-/// caller asked for would misattribute the output.
-fn flag_value<T>(
-    args: &[String],
-    name: &str,
-    what: &str,
-    parse: impl FnOnce(&str) -> Option<T>,
-) -> Option<T> {
-    let i = args.iter().position(|a| a == name)?;
-    let value = args.get(i + 1).map(String::as_str);
-    let parsed = value.and_then(parse);
-    Some(parsed.unwrap_or_else(|| {
-        panic!(
-            "{name} {}: expected {what}",
-            value.unwrap_or("needs a value")
-        )
-    }))
+/// The arguments [`Harness::from_args`] has not parsed yet, and the flags
+/// it has.
+struct Args {
+    rest: Vec<String>,
+    given: Vec<&'static str>,
 }
 
-/// A [`flag_value`] parser accepting a number in `[lo, hi]`.
+impl Args {
+    /// Where flag `name` is, recorded as given; `None` when it is absent. A
+    /// flag given twice panics.
+    fn find(&mut self, name: &'static str) -> Option<usize> {
+        let i = self.rest.iter().position(|a| a == name)?;
+        let count = self.rest.iter().filter(|a| *a == name).count();
+        assert!(count == 1, "{name}: given more than once");
+        self.given.push(name);
+        Some(i)
+    }
+
+    /// Take flag `name` and its value, parsed by `parse`; `None` when the
+    /// flag is absent. A missing value, or one `parse` rejects, panics with
+    /// `<name> <value>: expected <what>`: running a default under the name
+    /// the caller asked for would misattribute the output.
+    fn value<T>(
+        &mut self,
+        name: &'static str,
+        what: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Option<T> {
+        let i = self.find(name)?;
+        let value = self.rest.get(i + 1).map(String::as_str);
+        let parsed = value.and_then(parse).unwrap_or_else(|| {
+            panic!(
+                "{name} {}: expected {what}",
+                value.unwrap_or("needs a value")
+            )
+        });
+        self.rest.drain(i..i + 2);
+        Some(parsed)
+    }
+}
+
+/// An [`Args::value`] parser accepting a number in `[lo, hi]`.
 fn within<T: std::str::FromStr + PartialOrd>(lo: T, hi: T) -> impl FnOnce(&str) -> Option<T> {
     move |v| v.parse().ok().filter(|x| lo <= *x && *x <= hi)
 }
@@ -426,74 +360,18 @@ pub fn parse_arrival(spec: &str) -> Result<ArrivalProcess, String> {
     }
 }
 
-/// A declarative `(policy × seed)` grid over one [`Experiment`].
-#[derive(Debug, Clone)]
-pub struct Sweep {
-    experiment: Experiment,
-    policies: Vec<PolicySpec>,
-    seeds: Vec<u64>,
-}
-
-impl Sweep {
-    /// A sweep over `experiment`'s platform/workload, initially with the
-    /// experiment's own seed as the only seed.
-    pub fn new(experiment: Experiment) -> Self {
-        let seed = experiment.seed;
-        Sweep {
-            experiment,
-            policies: Vec::new(),
-            seeds: vec![seed],
-        }
-    }
-
-    /// Set the policies (grid rows).
-    pub fn with_policies(mut self, specs: &[PolicySpec]) -> Self {
-        self.policies = specs.to_vec();
-        self
-    }
-
-    /// Set the seeds (grid columns; empty = keep the experiment's seed).
-    pub fn with_seeds(mut self, seeds: &[u64]) -> Self {
-        if !seeds.is_empty() {
-            self.seeds = seeds.to_vec();
-        }
-        self
-    }
-
-    /// Number of grid points.
-    pub fn len(&self) -> usize {
-        self.policies.len() * self.seeds.len()
-    }
-
-    /// True when the grid is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Run every `(policy, seed)` point — in parallel on the rayon pool,
-    /// each point owning its cluster and runtime — and return the reports in
-    /// grid order (policy-major, seed-minor), independent of scheduling.
-    pub fn run(&self) -> SweepResults {
-        let points: Vec<(usize, usize)> = (0..self.policies.len())
-            .flat_map(|p| (0..self.seeds.len()).map(move |s| (p, s)))
-            .collect();
-        let reports: Vec<RunReport> = points
-            .into_par_iter()
-            .map(|(p, s)| {
-                let mut experiment = self.experiment.clone();
-                experiment.seed = self.seeds[s];
-                experiment.run_spec(&self.policies[p])
-            })
-            .collect();
-        SweepResults {
-            policies: self.policies.clone(),
-            seeds: self.seeds.clone(),
-            reports,
-        }
+/// Run `experiment` at every `(policy, seed)` point through
+/// [`Experiment::sweep`], keeping the grid's shape for the reductions of
+/// [`SweepResults`].
+pub fn run_sweep(experiment: &Experiment, policies: &[PolicySpec], seeds: &[u64]) -> SweepResults {
+    SweepResults {
+        reports: experiment.sweep(policies, seeds),
+        policies: policies.to_vec(),
+        seeds: seeds.to_vec(),
     }
 }
 
-/// The ordered outcome of [`Sweep::run`].
+/// The ordered outcome of [`run_sweep`].
 #[derive(Debug, Clone)]
 pub struct SweepResults {
     /// Grid rows, in declaration order.
@@ -546,6 +424,15 @@ impl SweepResults {
     }
 }
 
+/// t(0.975, df) for df = 1…30, the two-sided 95% Student-t quantile. Above
+/// 30 degrees of freedom the normal quantile 1.96 is used; it is at most
+/// 4.1% smaller.
+const T_975: [f64; 30] = [
+    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
+    2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
+    2.052, 2.048, 2.045, 2.042,
+];
+
 /// Mean and spread of one metric across the seeds of a sweep row.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeedStat {
@@ -553,7 +440,9 @@ pub struct SeedStat {
     pub mean: f64,
     /// Sample standard deviation (0 for a single seed).
     pub std_dev: f64,
-    /// Half-width of the normal-approximation 95% confidence interval.
+    /// Half-width of the 95% confidence interval of the mean: t(0.975,
+    /// n − 1) · s / √n, with Student's t because the seed counts run here
+    /// (2–8) are far too few for the normal quantile.
     pub ci95: f64,
     /// Number of seeds.
     pub n: usize,
@@ -578,10 +467,11 @@ impl SeedStat {
             0.0
         };
         let std_dev = var.sqrt();
+        let t = T_975.get(n.saturating_sub(2)).copied().unwrap_or(1.96);
         SeedStat {
             mean,
             std_dev,
-            ci95: 1.96 * std_dev / (n as f64).sqrt(),
+            ci95: t * std_dev / (n as f64).sqrt(),
             n,
         }
     }
@@ -642,18 +532,6 @@ pub fn render_summary_table(title: &str, summaries: &[PolicySummary]) -> String 
     out
 }
 
-/// Run an arbitrary experiment grid in parallel and return the results in
-/// input order (the generic form of [`Sweep::run`] for grids that are not
-/// policy sweeps — estimator grids, scenario matrices).
-pub fn run_grid<T, R, F>(points: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    points.into_par_iter().map(f).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -669,9 +547,13 @@ mod tests {
             .with_seed(seed)
     }
 
+    fn harness(args: &[&str]) -> Harness {
+        Harness::from_args(args.iter().map(|s| s.to_string()).collect())
+    }
+
     #[test]
     fn harness_parses_the_shared_flags() {
-        let args: Vec<String> = [
+        let h = harness(&[
             "exp",
             "--scale",
             "0.01",
@@ -681,170 +563,132 @@ mod tests {
             "4",
             "--seed-base",
             "100",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let h = Harness::from_args(args);
+        ]);
         assert!((h.scale.workload - 0.01).abs() < 1e-12);
         assert_eq!(h.platform, "ec2");
         assert_eq!(h.seeds(1), vec![100, 101, 102, 103]);
-        assert!(h.cost_platform().name.contains("ec2"));
+        let cost = h.preset(platforms::grid5000_cost, platforms::ec2_cost);
+        assert!(cost.name.contains("ec2"));
+        // Flags that were not given pass `reject`.
+        h.reject(&["--workload", "--arrival", "--backoff"], "n/a");
 
-        let h = Harness::from_args(vec!["exp".into()]);
+        let h = harness(&["exp"]);
         assert_eq!(h.seeds(7), vec![7]);
-        assert!(h.harmony_platform().name.contains("grid5000"));
+        let g5k = h.preset(platforms::grid5000_harmony, platforms::ec2_harmony);
+        assert!(g5k.name.contains("grid5000"));
+        assert_eq!(
+            g5k.cluster.topology.node_count(),
+            21,
+            "--cluster-scale 0.25"
+        );
         assert!(h.arrival.is_none());
         assert!(h.workload.is_none());
         assert!(h.partitioner.is_none());
         assert!(h.repair.is_none());
-        assert!(h.shards.is_none());
-        // Absent overrides are no-ops and pass the forbid checks.
-        h.forbid_workload_override("n/a");
-        h.forbid_arrival_override("n/a");
-        h.forbid_partitioner_override("n/a");
     }
 
     #[test]
     fn harness_parses_the_partitioner_override() {
-        let args: Vec<String> = ["exp", "--partitioner", "ordered"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let h = Harness::from_args(args);
+        let h = harness(&["exp", "--partitioner", "ordered"]);
         assert_eq!(h.partitioner, Some(Partitioner::Ordered));
-        // Every harness-constructed platform runs under the override.
-        assert_eq!(h.cost_platform().cluster.partitioner, Partitioner::Ordered);
-        assert_eq!(
-            h.harmony_platform().cluster.partitioner,
-            Partitioner::Ordered
-        );
-        let custom = h.apply_partitioner(concord::platforms::laptop());
+        // Both platform methods write it into the cluster config.
+        let preset = h.preset(platforms::grid5000_cost, platforms::ec2_cost);
+        assert_eq!(preset.cluster.partitioner, Partitioner::Ordered);
+        let custom = h.apply_cluster_flags(concord::platforms::laptop());
         assert_eq!(custom.cluster.partitioner, Partitioner::Ordered);
-        // No override leaves the platform default untouched.
-        let plain = Harness::from_args(vec!["exp".into()]);
-        assert_eq!(plain.cost_platform().cluster.partitioner, Partitioner::Hash);
+        // No flag leaves the platform default untouched.
+        let plain = harness(&["exp"]).apply_cluster_flags(concord::platforms::laptop());
+        assert_eq!(plain.cluster.partitioner, Partitioner::Hash);
     }
 
     #[test]
     #[should_panic(expected = "--partitioner range: expected hash|ordered")]
     fn unknown_partitioner_fails_loudly() {
-        Harness::from_args(vec!["exp".into(), "--partitioner".into(), "range".into()]);
+        harness(&["exp", "--partitioner", "range"]);
     }
 
     #[test]
     fn harness_parses_the_repair_override() {
-        let args: Vec<String> = ["exp", "--repair", "full"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let h = Harness::from_args(args);
+        let h = harness(&["exp", "--repair", "full"]);
         assert_eq!(h.repair, Some(RepairMode::Full));
-        // Every harness-constructed platform runs under the override.
-        assert_eq!(h.cost_platform().cluster.repair.mode, RepairMode::Full);
-        assert_eq!(h.harmony_platform().cluster.repair.mode, RepairMode::Full);
-        let custom = h.apply_repair(concord::platforms::laptop());
+        // Both platform methods write it into the cluster config.
+        let preset = h.preset(platforms::grid5000_harmony, platforms::ec2_harmony);
+        assert_eq!(
+            preset.cluster.repair,
+            RepairConfig::with_mode(RepairMode::Full)
+        );
+        let custom = h.apply_cluster_flags(concord::platforms::laptop());
         assert_eq!(custom.cluster.repair.mode, RepairMode::Full);
-        // No override leaves the platform default (repair off) untouched.
-        let plain = Harness::from_args(vec!["exp".into()]);
-        assert_eq!(plain.cost_platform().cluster.repair.mode, RepairMode::Off);
+        // No flag leaves the platform default (repair off) untouched.
+        let plain = harness(&["exp"]).apply_cluster_flags(concord::platforms::laptop());
+        assert_eq!(plain.cluster.repair.mode, RepairMode::Off);
         // The hyphenated spelling parses too.
-        let h = Harness::from_args(vec!["exp".into(), "--repair".into(), "anti-entropy".into()]);
+        let h = harness(&["exp", "--repair", "anti-entropy"]);
         assert_eq!(h.repair, Some(RepairMode::AntiEntropy));
     }
 
     #[test]
     #[should_panic(expected = "--repair merkle: expected off|hints")]
     fn unknown_repair_mode_fails_loudly() {
-        Harness::from_args(vec!["exp".into(), "--repair".into(), "merkle".into()]);
-    }
-
-    #[test]
-    fn harness_parses_the_shards_override() {
-        let args: Vec<String> = ["exp", "--shards", "4"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let h = Harness::from_args(args);
-        assert_eq!(h.shards, Some(4));
-        // Every harness-constructed platform runs under the override.
-        assert_eq!(h.cost_platform().cluster.shards, 4);
-        assert_eq!(h.harmony_platform().cluster.shards, 4);
-        let custom = h.apply_shards(concord::platforms::laptop());
-        assert_eq!(custom.cluster.shards, 4);
-        // No override leaves the platform default (unsharded) untouched.
-        let plain = Harness::from_args(vec!["exp".into()]);
-        assert!(plain.cost_platform().cluster.shards <= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "--shards many: expected a shard count")]
-    fn non_numeric_shard_count_fails_loudly() {
-        Harness::from_args(vec!["exp".into(), "--shards".into(), "many".into()]);
+        harness(&["exp", "--repair", "merkle"]);
     }
 
     #[test]
     fn harness_parses_the_resilience_overrides() {
-        let args: Vec<String> = [
+        let h = harness(&[
             "exp",
             "--hedge",
             "0.5",
             "--selection",
             "dynamic",
             "--backoff",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let h = Harness::from_args(args);
+        ]);
         assert_eq!(h.hedge, Some(SimDuration::from_micros(500)));
         assert_eq!(h.selection, Some(ReplicaSelection::Dynamic));
         assert!(h.backoff);
-        // Every harness-constructed platform runs under the overrides.
-        let cost = h.cost_platform();
-        assert_eq!(
-            cost.cluster.resilience.hedge_delay,
-            SimDuration::from_micros(500)
-        );
-        assert!(cost.cluster.resilience.hedging_enabled());
-        assert!(cost.cluster.resilience.backoff);
-        assert_eq!(cost.cluster.read_selection, ReplicaSelection::Dynamic);
-        let harmony = h.harmony_platform();
-        assert_eq!(harmony.cluster.read_selection, ReplicaSelection::Dynamic);
-        let custom = h.apply_resilience(concord::platforms::laptop());
-        assert!(custom.cluster.resilience.hedging_enabled());
+        // Both platform methods write all three into the cluster config.
+        let preset = h.preset(platforms::grid5000_cost, platforms::ec2_cost);
+        for cluster in [
+            &preset.cluster,
+            &h.apply_cluster_flags(concord::platforms::laptop()).cluster,
+        ] {
+            assert_eq!(
+                cluster.resilience.hedge_delay,
+                SimDuration::from_micros(500)
+            );
+            assert!(cluster.resilience.backoff);
+            assert_eq!(cluster.read_selection, ReplicaSelection::Dynamic);
+        }
         // Integral milliseconds parse too (the CI smoke spelling).
-        let h = Harness::from_args(vec!["exp".into(), "--hedge".into(), "20".into()]);
+        let h = harness(&["exp", "--hedge", "20"]);
         assert_eq!(h.hedge, Some(SimDuration::from_millis(20)));
         assert!(!h.backoff, "--backoff is a bare flag, off unless given");
-        // No override leaves the platform default (resilience off) intact.
-        let plain = Harness::from_args(vec!["exp".into()]);
+        // No flag leaves the platform default (resilience off) intact.
+        let plain = harness(&["exp"]);
         assert!(plain.hedge.is_none() && plain.selection.is_none() && !plain.backoff);
-        let cost = plain.cost_platform();
-        assert!(!cost.cluster.resilience.hedging_enabled());
-        assert!(!cost.cluster.resilience.backoff);
-        assert_eq!(cost.cluster.read_selection, ReplicaSelection::Closest);
+        let cluster = plain
+            .apply_cluster_flags(concord::platforms::laptop())
+            .cluster;
+        assert!(!cluster.resilience.hedging_enabled());
+        assert!(!cluster.resilience.backoff);
+        assert_eq!(cluster.read_selection, ReplicaSelection::Closest);
     }
 
     #[test]
     #[should_panic(expected = "--selection psychic: expected closest|random|dynamic")]
     fn unknown_selection_policy_fails_loudly() {
-        Harness::from_args(vec!["exp".into(), "--selection".into(), "psychic".into()]);
+        harness(&["exp", "--selection", "psychic"]);
     }
 
     #[test]
     #[should_panic(expected = "--hedge 0: expected a positive delay")]
     fn non_positive_hedge_delay_fails_loudly() {
-        Harness::from_args(vec!["exp".into(), "--hedge".into(), "0".into()]);
+        harness(&["exp", "--hedge", "0"]);
     }
 
     #[test]
     fn harness_parses_arrival_and_workload_overrides() {
-        let args: Vec<String> = ["exp", "--arrival", "poisson:2500", "--workload", "e"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let h = Harness::from_args(args);
+        let h = harness(&["exp", "--arrival", "poisson:2500", "--workload", "e"]);
         assert_eq!(
             h.arrival,
             Some(ArrivalProcess::OpenLoopPoisson {
@@ -882,23 +726,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "--workload needs a value")]
     fn dangling_workload_flag_fails_loudly() {
-        Harness::from_args(vec!["exp".into(), "--workload".into()]);
+        harness(&["exp", "--workload"]);
     }
 
     #[test]
     #[should_panic(expected = "--workload z: expected a preset")]
     fn unknown_workload_preset_fails_loudly() {
-        Harness::from_args(vec!["exp".into(), "--workload".into(), "z".into()]);
+        harness(&["exp", "--workload", "z"]);
     }
 
     #[test]
     #[should_panic(expected = "--arrival needs a value")]
     fn dangling_arrival_flag_fails_loudly() {
-        Harness::from_args(vec!["exp".into(), "--arrival".into()]);
-    }
-
-    fn harness(args: &[&str]) -> Harness {
-        Harness::from_args(args.iter().map(|s| s.to_string()).collect())
+        harness(&["exp", "--arrival"]);
     }
 
     #[test]
@@ -938,19 +778,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not supported")]
-    fn forbid_rejects_present_overrides() {
-        let h = Harness::from_args(vec!["exp".into(), "--workload".into(), "d".into()]);
-        h.forbid_workload_override("this experiment fixes its own mixes");
+    #[should_panic(expected = "--clients: not a flag of this experiment")]
+    fn unknown_flags_fail_loudly() {
+        harness(&["exp", "--seed-base", "7", "--clients", "8"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "full: not a flag of this experiment")]
+    fn a_stray_value_fails_loudly() {
+        harness(&["exp", "--backoff", "full"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--seeds: given more than once")]
+    fn a_repeated_flag_fails_loudly() {
+        harness(&["exp", "--seeds", "2", "--seeds", "3"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--workload: not a flag of this experiment (fixed mixes)")]
+    fn reject_refuses_given_flags() {
+        harness(&["exp", "--workload", "d"]).reject(&["--arrival", "--workload"], "fixed mixes");
     }
 
     #[test]
     fn sweep_runs_the_full_grid_in_order() {
-        let sweep = Sweep::new(tiny_experiment(3))
-            .with_policies(&[PolicySpec::Eventual, PolicySpec::Quorum])
-            .with_seeds(&[3, 4, 5]);
-        assert_eq!(sweep.len(), 6);
-        let results = sweep.run();
+        let results = run_sweep(
+            &tiny_experiment(3),
+            &[PolicySpec::Eventual, PolicySpec::Quorum],
+            &[3, 4, 5],
+        );
         assert_eq!(results.reports.len(), 6);
         assert_eq!(results.per_seed(0).len(), 3);
         assert_eq!(results.report(1, 2).policy, "quorum");
@@ -964,20 +821,16 @@ mod tests {
     #[test]
     fn sweep_matches_sequential_experiment_runs() {
         let exp = tiny_experiment(9);
-        let sweep_report = Sweep::new(exp.clone())
-            .with_policies(&[PolicySpec::Quorum])
-            .run();
+        let sweep_report = run_sweep(&exp, &[PolicySpec::Quorum], &[9]);
         let direct = exp.run_spec(&PolicySpec::Quorum);
         assert_eq!(sweep_report.reports[0], direct);
     }
 
     #[test]
     fn summaries_reduce_across_seeds_deterministically() {
-        let sweep = Sweep::new(tiny_experiment(1))
-            .with_policies(&[PolicySpec::Eventual])
-            .with_seeds(&[1, 2, 3, 4]);
-        let a = sweep.run().summaries();
-        let b = sweep.run().summaries();
+        let sweep = || run_sweep(&tiny_experiment(1), &[PolicySpec::Eventual], &[1, 2, 3, 4]);
+        let a = sweep().summaries();
+        let b = sweep().summaries();
         assert_eq!(a[0].throughput, b[0].throughput);
         assert_eq!(a[0].throughput.n, 4);
         assert!(a[0].throughput.mean > 0.0);
@@ -999,8 +852,17 @@ mod tests {
     }
 
     #[test]
-    fn grids_preserve_input_order() {
-        let out = run_grid((0..64u64).collect(), |x| x * 3);
-        assert_eq!(out, (0..64u64).map(|x| x * 3).collect::<Vec<_>>());
+    fn ci95_uses_the_student_t_quantile() {
+        // Two seeds: s = √2, s/√n = 1, so the half-width is t(0.975, 1).
+        let two = SeedStat::from_samples(&[2.0, 4.0]);
+        assert!((two.ci95 - 12.706).abs() < 1e-9, "{}", two.ci95);
+        // 31 seeds (30 degrees of freedom) take the table's last entry, 32
+        // the normal quantile.
+        let xs: Vec<f64> = (0..32).map(f64::from).collect();
+        for (n, t) in [(31, 2.042), (32, 1.96)] {
+            let s = SeedStat::from_samples(&xs[..n]);
+            let want = t * s.std_dev / (n as f64).sqrt();
+            assert!((s.ci95 - want).abs() < 1e-12, "n = {n}");
+        }
     }
 }

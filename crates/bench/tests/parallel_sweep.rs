@@ -1,15 +1,15 @@
 //! Golden parallel-vs-sequential equivalence tests.
 //!
-//! The sweep engine's contract is that thread count is a pure performance
-//! knob: a multi-seed sweep must produce **byte-identical** per-seed
-//! [`RunReport`]s at 1, 2 and N threads. These tests pin that contract by
-//! comparing the serialized reports (every field participates) across pool
-//! sizes, for both the `Sweep` grid and the underlying
-//! `Experiment::compare` / `run_seeds` entry points.
+//! The sweep's contract is that thread count is a pure performance knob: a
+//! multi-seed sweep must produce **byte-identical** per-seed [`RunReport`]s
+//! at 1, 2 and N threads. These tests pin that contract by comparing the
+//! serialized reports (every field participates) across pool sizes, for
+//! `Experiment::sweep`, `Experiment::compare` and the across-seed summaries
+//! of `concord_bench::run_sweep`.
 
 use concord::prelude::*;
 use concord::PolicySpec;
-use concord_bench::Sweep;
+use concord_bench::run_sweep;
 
 fn small_experiment() -> Experiment {
     let platform = concord::platforms::grid5000_cost(0.15);
@@ -29,37 +29,45 @@ fn pool(threads: usize) -> rayon::ThreadPool {
         .expect("pool construction cannot fail")
 }
 
-#[test]
-fn multi_seed_sweep_reports_are_byte_identical_across_thread_counts() {
-    let seeds: Vec<u64> = (2013..2013 + 8).collect();
-    let sweep = Sweep::new(small_experiment())
-        .with_policies(&[
-            PolicySpec::Eventual,
-            PolicySpec::Quorum,
-            PolicySpec::Harmony { tolerance: 0.2 },
-        ])
-        .with_seeds(&seeds);
-
-    let baseline: Vec<String> = pool(1)
-        .install(|| sweep.run())
-        .reports
-        .iter()
-        .map(|r| r.to_json())
-        .collect();
-    assert_eq!(baseline.len(), 24, "3 policies × 8 seeds");
-
-    for threads in [2, 4, 8] {
-        let run: Vec<String> = pool(threads)
-            .install(|| sweep.run())
-            .reports
+/// Run `experiment`'s `(policy × seed)` grid on a 1-thread pool and on 2, 4
+/// and 8 threads, assert the serialized reports are identical, and return
+/// the 1-thread ones.
+fn thread_count_invariant_reports(
+    experiment: &Experiment,
+    specs: &[PolicySpec],
+    seeds: &[u64],
+) -> Vec<String> {
+    let run = |threads| -> Vec<String> {
+        pool(threads)
+            .install(|| experiment.sweep(specs, seeds))
             .iter()
-            .map(|r| r.to_json())
-            .collect();
+            .map(RunReport::to_json)
+            .collect()
+    };
+    let baseline = run(1);
+    assert_eq!(baseline.len(), specs.len() * seeds.len());
+    for threads in [2, 4, 8] {
         assert_eq!(
-            run, baseline,
+            run(threads),
+            baseline,
             "per-seed reports diverged at {threads} threads"
         );
     }
+    baseline
+}
+
+#[test]
+fn multi_seed_sweep_reports_are_byte_identical_across_thread_counts() {
+    let seeds: Vec<u64> = (2013..2013 + 8).collect();
+    thread_count_invariant_reports(
+        &small_experiment(),
+        &[
+            PolicySpec::Eventual,
+            PolicySpec::Quorum,
+            PolicySpec::Harmony { tolerance: 0.2 },
+        ],
+        &seeds,
+    );
 }
 
 #[test]
@@ -73,15 +81,12 @@ fn experiment_compare_matches_sequential_run_spec() {
 }
 
 #[test]
-fn run_seeds_is_thread_count_invariant() {
-    let exp = small_experiment();
+fn one_policy_over_many_seeds_is_thread_count_invariant() {
     let seeds: Vec<u64> = (1..=8).collect();
-    let one = pool(1).install(|| exp.run_seeds(&PolicySpec::Quorum, &seeds));
-    let many = pool(5).install(|| exp.run_seeds(&PolicySpec::Quorum, &seeds));
-    assert_eq!(one, many);
-    // One report per seed, in seed order (seeds shuffle the workload, so
-    // reports differ from each other).
-    assert_eq!(one.len(), 8);
+    let reports =
+        thread_count_invariant_reports(&small_experiment(), &[PolicySpec::Quorum], &seeds);
+    // Seeds shuffle the workload, so the reports differ from each other.
+    assert_ne!(reports[0], reports[1]);
 }
 
 /// The fault scenario of the acceptance criteria: an open-loop offered load
@@ -113,37 +118,18 @@ fn fault_experiment() -> Experiment {
 #[test]
 fn fault_scenario_reports_are_byte_identical_across_thread_counts() {
     let seeds: Vec<u64> = (4099..4099 + 6).collect();
-    let sweep = Sweep::new(fault_experiment())
-        .with_policies(&[
+    let reports = thread_count_invariant_reports(
+        &fault_experiment(),
+        &[
             PolicySpec::Eventual,
             PolicySpec::Quorum,
             PolicySpec::Harmony { tolerance: 0.2 },
-        ])
-        .with_seeds(&seeds);
-
-    let baseline: Vec<String> = pool(1)
-        .install(|| sweep.run())
-        .reports
-        .iter()
-        .map(|r| r.to_json())
-        .collect();
-    assert_eq!(baseline.len(), 18, "3 policies × 6 seeds");
+        ],
+        &seeds,
+    );
     // The faults actually fired in every report.
-    for json in &baseline {
+    for json in &reports {
         assert!(json.contains("\"faults_injected\": 5"), "script must fire");
-    }
-
-    for threads in [2, 4, 8] {
-        let run: Vec<String> = pool(threads)
-            .install(|| sweep.run())
-            .reports
-            .iter()
-            .map(|r| r.to_json())
-            .collect();
-        assert_eq!(
-            run, baseline,
-            "fault-scenario reports diverged at {threads} threads"
-        );
     }
 }
 
@@ -164,37 +150,18 @@ fn repair_enabled_fault_reports_are_byte_identical_across_thread_counts() {
     ]);
     let experiment = experiment.with_scenario(scenario);
     let seeds: Vec<u64> = (4099..4099 + 4).collect();
-    let sweep = Sweep::new(experiment)
-        .with_policies(&[PolicySpec::Eventual, PolicySpec::Quorum])
-        .with_seeds(&seeds);
-
-    let baseline: Vec<String> = pool(1)
-        .install(|| sweep.run())
-        .reports
-        .iter()
-        .map(|r| r.to_json())
-        .collect();
-    assert_eq!(baseline.len(), 8, "2 policies × 4 seeds");
+    let reports = thread_count_invariant_reports(
+        &experiment,
+        &[PolicySpec::Eventual, PolicySpec::Quorum],
+        &seeds,
+    );
     // The repair plane actually did work in every report: the down window
     // queued hints and the crash/recover legs streamed records.
-    for json in &baseline {
+    for json in &reports {
         assert!(!json.contains("\"hints_queued\": 0"), "hints must queue");
         assert!(
             !json.contains("\"repair_records_streamed\": 0"),
             "recovery must stream records"
-        );
-    }
-
-    for threads in [2, 4, 8] {
-        let run: Vec<String> = pool(threads)
-            .install(|| sweep.run())
-            .reports
-            .iter()
-            .map(|r| r.to_json())
-            .collect();
-        assert_eq!(
-            run, baseline,
-            "repair-enabled reports diverged at {threads} threads"
         );
     }
 }
@@ -205,38 +172,24 @@ fn open_loop_adaptive_reports_are_byte_identical_across_thread_counts() {
         ops_per_sec: 15_000.0,
     });
     let seeds: Vec<u64> = (2013..2013 + 8).collect();
-    let sweep = Sweep::new(experiment)
-        .with_policies(&[PolicySpec::Eventual, PolicySpec::Harmony { tolerance: 0.2 }])
-        .with_seeds(&seeds);
-
-    let baseline: Vec<String> = pool(1)
-        .install(|| sweep.run())
-        .reports
-        .iter()
-        .map(|r| r.to_json())
-        .collect();
-    assert_eq!(baseline.len(), 16, "2 policies × 8 seeds");
-    for threads in [2, 4, 8] {
-        let run: Vec<String> = pool(threads)
-            .install(|| sweep.run())
-            .reports
-            .iter()
-            .map(|r| r.to_json())
-            .collect();
-        assert_eq!(
-            run, baseline,
-            "open-loop reports diverged at {threads} threads"
-        );
-    }
+    thread_count_invariant_reports(
+        &experiment,
+        &[PolicySpec::Eventual, PolicySpec::Harmony { tolerance: 0.2 }],
+        &seeds,
+    );
 }
 
 #[test]
 fn sweep_summaries_are_thread_count_invariant() {
-    let sweep = Sweep::new(small_experiment())
-        .with_policies(&[PolicySpec::Eventual])
-        .with_seeds(&[1, 2, 3, 4, 5, 6]);
-    let a = pool(1).install(|| sweep.run()).summaries();
-    let b = pool(6).install(|| sweep.run()).summaries();
+    let sweep = || {
+        run_sweep(
+            &small_experiment(),
+            &[PolicySpec::Eventual],
+            &[1, 2, 3, 4, 5, 6],
+        )
+    };
+    let a = pool(1).install(sweep).summaries();
+    let b = pool(6).install(sweep).summaries();
     // Mean and CI come from an ordered fold: bit-identical, not just close.
     assert_eq!(a[0].throughput, b[0].throughput);
     assert_eq!(a[0].stale_rate, b[0].stale_rate);

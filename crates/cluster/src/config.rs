@@ -113,7 +113,8 @@ impl RepairConfig {
 pub struct ResilienceConfig {
     /// How long a point read's coordinator waits before issuing one
     /// speculative duplicate (digest) request to the best unused replica.
-    /// [`SimDuration::ZERO`] (the default) disables hedging entirely.
+    /// [`SimDuration::ZERO`] (the default) disables hedging entirely;
+    /// otherwise it must be below [`ClusterConfig::op_timeout`].
     #[serde(default)]
     pub hedge_delay: SimDuration,
     /// When true, `retry_on_timeout` re-issues wait out an exponential
@@ -182,7 +183,8 @@ pub struct ClusterConfig {
     /// additional requests queue FIFO (this is what creates saturation and
     /// the throughput differences between consistency levels).
     pub node_concurrency: u32,
-    /// Coordinator-side timeout for gathering the required replica responses.
+    /// Coordinator-side timeout for gathering the required replica
+    /// responses; must be positive.
     pub op_timeout: SimDuration,
     /// Whether coordinators send the full data request to every replica and
     /// repair stale replicas in the background (Cassandra's read repair).
@@ -309,6 +311,16 @@ impl ClusterConfig {
         if self.vnodes == 0 {
             return Err("vnodes must be at least 1".into());
         }
+        if self.op_timeout.is_zero() {
+            return Err("op_timeout must be positive".into());
+        }
+        if self.resilience.hedge_delay >= self.op_timeout {
+            // Such a hedge could never fire before its attempt times out.
+            return Err(format!(
+                "resilience.hedge_delay {} must be below op_timeout {}",
+                self.resilience.hedge_delay, self.op_timeout
+            ));
+        }
         let net = &self.network;
         for (field, delay) in [
             ("network.local", &net.local),
@@ -394,6 +406,24 @@ mod tests {
         };
         let err = cfg.validate().unwrap_err();
         assert!(err.starts_with("storage_write_latency: "), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_timeouts_a_run_cannot_keep() {
+        let mut cfg = ClusterConfig::lan_test(3, 2);
+        cfg.op_timeout = SimDuration::ZERO;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.starts_with("op_timeout "), "{err}");
+        // A hedge must fire before its attempt times out; hedging off passes.
+        let mut cfg = ClusterConfig::lan_test(3, 2);
+        cfg.op_timeout = SimDuration::from_millis(50);
+        cfg.resilience.hedge_delay = SimDuration::from_millis(50);
+        let err = cfg.validate().unwrap_err();
+        assert!(err.starts_with("resilience.hedge_delay "), "{err}");
+        cfg.resilience.hedge_delay = SimDuration::MAX;
+        assert!(cfg.validate().is_err(), "a saturated hedge delay");
+        cfg.resilience.hedge_delay = SimDuration::from_micros(49_999);
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]

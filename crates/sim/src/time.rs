@@ -149,16 +149,23 @@ fn round_to_u64(x: f64) -> u64 {
     t.saturating_add((x - t as f64 >= 0.5) as u64)
 }
 
+/// `a + b` in µs, panicking on overflow in release builds too: a wrapped
+/// instant would land in the past, where the event queue runs it "now".
+#[inline]
+fn add_us(a: u64, b: u64) -> u64 {
+    a.checked_add(b).expect("simulated time overflow")
+}
+
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(add_us(self.0, rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        self.0 = add_us(self.0, rhs.0);
     }
 }
 
@@ -179,13 +186,13 @@ impl Sub<SimTime> for SimTime {
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(add_us(self.0, rhs.0))
     }
 }
 
 impl AddAssign for SimDuration {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        self.0 = add_us(self.0, rhs.0);
     }
 }
 
@@ -343,6 +350,19 @@ mod tests {
         assert_eq!((t + d) - t, d);
         assert_eq!(t.since(t + d), SimDuration::ZERO, "saturates at zero");
         assert_eq!((t + d).since(t), d);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated time overflow")]
+    fn time_overflow_panics_in_every_build() {
+        let _ = SimTime::MAX + SimDuration::from_micros(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated time overflow")]
+    fn duration_overflow_panics_in_every_build() {
+        let mut d = SimDuration::MAX;
+        d += SimDuration::from_micros(1);
     }
 
     #[test]

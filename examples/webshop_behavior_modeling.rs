@@ -89,7 +89,7 @@ fn main() {
         .with_adaptation_interval(SimDuration::from_millis(500))
         .with_seed(7);
 
-    let behavior_report = experiment.run_behavior_policy(BehaviorDrivenPolicy::new(model.clone()));
+    let behavior_report = experiment.run_policy(&mut BehaviorDrivenPolicy::new(model.clone()));
     let mut baseline_reports = experiment.compare(&[PolicySpec::Eventual, PolicySpec::Strong]);
     baseline_reports.push(behavior_report);
 

@@ -1,23 +1,22 @@
 //! High-level experiment API: configure a platform, a workload and one or
-//! more consistency policies, run them (in parallel across policies with
-//! rayon — a real thread pool since PR 2) and collect comparable
-//! [`RunReport`]s.
+//! more consistency policies, run them (in parallel on the rayon pool) and
+//! collect comparable [`RunReport`]s.
 //!
-//! Every run owns its cluster and runtime and derives all randomness from
-//! its seed, and the pool recombines results in input order, so
-//! [`Experiment::compare`] and [`Experiment::run_seeds`] return
-//! byte-identical reports for any thread count (`RAYON_NUM_THREADS`, a
-//! `ThreadPool::install` scope, or the machine default).
+//! [`Experiment::sweep`] is the one parallel loop over experiment points: a
+//! `(policy × seed)` grid whose every point owns its cluster and runtime and
+//! derives all randomness from its seed. The pool recombines results in
+//! input order, so a sweep returns byte-identical reports for any thread
+//! count (`RAYON_NUM_THREADS`, a `ThreadPool::install` scope, or the machine
+//! default). [`Experiment::compare`] is the one-seed grid.
 //!
-//! This is the entry point the examples, the integration tests and the
-//! benchmark harness all use; `concord-bench`'s `Sweep` builds the full
-//! (policy × seed) grid machinery on top of it.
+//! This is the entry point the examples, the integration tests, the
+//! `concord-bench` experiment binaries and the benchmark harness all use.
 
 use crate::platforms::Platform;
 use concord_cluster::Cluster;
 use concord_core::{
-    AdaptiveRuntime, BehaviorDrivenPolicy, BismarConfig, BismarPolicy, ConsistencyPolicy,
-    HarmonyPolicy, RunReport, RuntimeConfig, Scenario, StaticPolicy,
+    AdaptiveRuntime, BismarConfig, BismarPolicy, ConsistencyPolicy, HarmonyPolicy, RunReport,
+    RuntimeConfig, Scenario, StaticPolicy,
 };
 use concord_monitor::MonitorConfig;
 use concord_sim::SimDuration;
@@ -209,12 +208,6 @@ impl Experiment {
         runtime.run_scenario(&mut cluster, &mut workload, policy, &self.scenario())
     }
 
-    /// Run a behavior-model-driven policy (kept separate because the model is
-    /// not expressible as a [`PolicySpec`]).
-    pub fn run_behavior_policy(&self, mut policy: BehaviorDrivenPolicy) -> RunReport {
-        self.run_policy(&mut policy)
-    }
-
     /// Run one policy specification.
     pub fn run_spec(&self, spec: &PolicySpec) -> RunReport {
         let mut policy = spec.instantiate(&self.platform);
@@ -223,25 +216,31 @@ impl Experiment {
         report
     }
 
-    /// Run a set of policy specifications **in parallel** (one pool task per
-    /// policy; each run owns its cluster, so there is no shared mutable
-    /// state) and return the reports in the same order — byte-identical for
-    /// any thread count.
-    pub fn compare(&self, specs: &[PolicySpec]) -> Vec<RunReport> {
-        specs.par_iter().map(|spec| self.run_spec(spec)).collect()
-    }
-
-    /// Run the same specification with several seeds in parallel and return
-    /// one report per seed (used for variance / confidence analysis).
-    pub fn run_seeds(&self, spec: &PolicySpec, seeds: &[u64]) -> Vec<RunReport> {
-        seeds
-            .par_iter()
-            .map(|&seed| {
-                let mut exp = self.clone();
-                exp.seed = seed;
-                exp.run_spec(spec)
+    /// Run every `(spec, seed)` point **in parallel** (one pool task per
+    /// point; each run owns its cluster, so there is no shared mutable
+    /// state) and return the reports policy-major, seed-minor — byte-identical
+    /// for any thread count.
+    pub fn sweep(&self, specs: &[PolicySpec], seeds: &[u64]) -> Vec<RunReport> {
+        let points: Vec<(&PolicySpec, u64)> = specs
+            .iter()
+            .flat_map(|spec| seeds.iter().map(move |&seed| (spec, seed)))
+            .collect();
+        points
+            .into_par_iter()
+            .map(|(spec, seed)| {
+                Experiment {
+                    seed,
+                    ..self.clone()
+                }
+                .run_spec(spec)
             })
             .collect()
+    }
+
+    /// Run a set of policy specifications at the experiment's seed, in
+    /// parallel, and return the reports in the same order.
+    pub fn compare(&self, specs: &[PolicySpec]) -> Vec<RunReport> {
+        self.sweep(specs, &[self.seed])
     }
 }
 
@@ -312,13 +311,21 @@ mod tests {
     }
 
     #[test]
-    fn run_seeds_produces_one_report_per_seed() {
+    fn sweep_runs_every_point_policy_major_then_seed_minor() {
         let exp = small_experiment();
-        let reports = exp.run_seeds(&PolicySpec::Eventual, &[1, 2, 3]);
-        assert_eq!(reports.len(), 3);
-        // Different seeds shuffle the workload, so throughputs differ a bit
-        // but not wildly.
-        let thr: Vec<f64> = reports.iter().map(|r| r.throughput_ops_per_sec).collect();
-        assert!(thr.iter().all(|t| *t > 0.0));
+        let specs = [PolicySpec::Eventual, PolicySpec::Quorum];
+        let reports = exp.sweep(&specs, &[1, 2, 3]);
+        assert_eq!(reports.len(), 6);
+        for (i, r) in reports.iter().enumerate() {
+            assert_eq!(r.policy, specs[i / 3].label());
+            assert_eq!(r.total_ops, 4_000);
+        }
+        // Point (quorum, seed 2) is the run of that policy at that seed.
+        assert_eq!(
+            reports[4],
+            exp.clone().with_seed(2).run_spec(&PolicySpec::Quorum)
+        );
+        // Different seeds shuffle the workload.
+        assert_ne!(reports[0], reports[1]);
     }
 }

@@ -82,7 +82,7 @@ fn behavior_driven_runs_complete_and_track_states() {
         .with_adaptation_interval(SimDuration::from_millis(100))
         .with_seed(77);
 
-    let behavior_report = experiment.run_behavior_policy(BehaviorDrivenPolicy::new(model));
+    let behavior_report = experiment.run_policy(&mut BehaviorDrivenPolicy::new(model));
     assert_eq!(behavior_report.total_ops, 8_000);
     assert!(behavior_report.throughput_ops_per_sec > 0.0);
     assert!(behavior_report.adaptation_steps > 2);
