@@ -75,23 +75,25 @@
 //!
 //! ## Memory latency
 //! Per-key state is direct-indexed, so an access is one load — and over a
-//! data set far larger than the cache (21 nodes × 750 000 slots × 16 B of
-//! store slots on the benchmark's headline run, probed at scrambled keys)
+//! data set far larger than the cache (750 000 keys × 3 replicas × 16 B of
+//! store rows on the benchmark's headline run, probed at scrambled keys)
 //! that load is a cache miss behind a TLB miss, ~150 ns where every other
-//! step of an event is a few. Two tables are touched per key. A replica's
-//! **store slot** is read or written by `on_replica_done`; the **oracle
-//! slot** is read by `start_read` (the expectation, one shard), written by
-//! `on_write_ack` (one shard) and otherwise read and written at the window
-//! close. In each case the key is known at least one event earlier, so the
-//! rule is: *the handler that schedules the touching event prefetches the
-//! slot* — a cache hint, never an early load, which would stall that
-//! handler just the same — and the miss overlaps the events in between.
-//! Five sites:
+//! step of an event is a few. Two tables are touched per key. A key's
+//! **store row** (one slot per replica, so a replica's copy sits in the
+//! row's one or two cache lines) is read or written by `on_replica_done`;
+//! the **oracle slot** is read by `start_read` (the expectation, one
+//! shard), written by `on_write_ack` (one shard) and otherwise read and
+//! written at the window close. In each case the key is known at least one
+//! event earlier, so the rule is: *the handler that schedules the touching
+//! event prefetches the slot* — a cache hint, never an early load, which
+//! would stall that handler just the same — and the miss overlaps the
+//! events in between. Five sites:
 //!
-//! * `ShardCtx::start_service` hints the task's key in the serving node's
-//!   store (a write's key comes from its interned payload): the slot is
-//!   needed one service time later, and tasks that waited in a node's
-//!   queue start service through the same function.
+//! * `ShardCtx::start_service` hints the task's key's row in the serving
+//!   node's shard store — both lines when the row straddles one (a write's
+//!   key comes from its interned payload): the row is needed one service
+//!   time later, and tasks that waited in a node's queue start service
+//!   through the same function.
 //! * `Cluster::submit` hints the oracle slot for the `ClientArrive` it
 //!   schedules, and one-shard [`ShardCtx::alloc_version`] hints it for the
 //!   satisfying ack, at least three events after `start_write`.

@@ -67,7 +67,7 @@ use crate::oracle::{OracleStats, StalenessOracle};
 use crate::ring::{Partitioner, Ring, ORDERED_SLICE_BITS};
 use crate::slab::OpSlab;
 use crate::storage::ReplicaStore;
-use crate::types::{CompletedOp, Key, OpId, OpKind, Version};
+use crate::types::{CompletedOp, Key, OpId, OpKind, StoredValue, Version};
 use concord_sim::{
     CompiledDelay, EventQueue, LinkClass, NodeId, ShardMetrics, SimDuration, SimRng, SimTime,
 };
@@ -382,9 +382,9 @@ impl ClusterShared {
 }
 
 /// Everything one shard owns exclusively: its event lane, RNG stream, op
-/// slab, metric sinks, payload slab and the node runtimes / replica stores
-/// of the nodes mapped to it. `Send`; handed to the work-stealing pool by
-/// `&mut` during a window.
+/// slab, metric sinks, payload slab, and the node runtimes and replica
+/// store of the nodes mapped to it. `Send`; handed to the work-stealing
+/// pool by `&mut` during a window.
 struct ShardState {
     shard: u32,
     lane: EventQueue<Event>,
@@ -396,9 +396,9 @@ struct ShardState {
     metrics: ClusterMetrics,
     /// Write-version allocation (`engine.rs`: the two engines' schemes).
     versions: VersionClock,
-    /// Full-length per-node tables; only the slots of nodes mapped to this
-    /// shard are ever populated (foreign slots stay empty and meter zero).
-    stores: Vec<ReplicaStore>,
+    /// The copies held by the nodes mapped to this shard: one row of
+    /// replication-factor slots per key, tagged by holder (`storage.rs`).
+    store: ReplicaStore,
     nodes: Vec<NodeRuntime>,
     /// Interned write-fan-out payloads (`ops.rs`).
     payloads: PayloadSlab,
@@ -579,15 +579,10 @@ impl Cluster {
                 // Page summaries cost two mixes per installed write; only
                 // maintain them when an anti-entropy sweep could ever
                 // compare them.
-                stores: (0..n)
-                    .map(|_| {
-                        if config.repair.mode.anti_entropy_enabled() {
-                            ReplicaStore::with_summaries()
-                        } else {
-                            ReplicaStore::new()
-                        }
-                    })
-                    .collect(),
+                store: ReplicaStore::with_rows(
+                    effective_rf.max(1),
+                    config.repair.mode.anti_entropy_enabled(),
+                ),
                 nodes: (0..n).map(|_| NodeRuntime::default()).collect(),
                 payloads: PayloadSlab::default(),
                 replica_scratch: Vec::with_capacity(config.replication_factor as usize),
@@ -738,22 +733,28 @@ impl Cluster {
         self.stores().map(|s| s.bytes_stored()).sum()
     }
 
-    /// Per-node storage read/write operation counts (for the cost model).
+    /// Storage read/write operation counts over every node (for the cost
+    /// model).
     pub fn storage_op_totals(&self) -> (u64, u64) {
         let reads = self.stores().map(|s| s.read_ops()).sum();
         let writes = self.stores().map(|s| s.write_ops()).sum();
         (reads, writes)
     }
 
-    /// Every shard's per-node store table, one after the other.
+    /// Every shard's store, in shard order.
     fn stores(&self) -> impl Iterator<Item = &ReplicaStore> {
-        self.shard_states.iter().flat_map(|s| &s.stores)
+        self.shard_states.iter().map(|s| &s.store)
     }
 
-    /// Access a node's local store (read-only, for tests and tools). Routes
-    /// to the owning shard's table; foreign slots exist but stay empty.
-    pub fn store(&self, node: NodeId) -> &ReplicaStore {
-        &self.shard_states[self.shared.shard_of(node)].stores[node.0 as usize]
+    /// The store holding `node`'s copies: its shard's.
+    fn store_of(&self, node: NodeId) -> &ReplicaStore {
+        &self.shard_states[self.shared.shard_of(node)].store
+    }
+
+    /// `node`'s copy of record `key`, if it holds one (read-only, no I/O
+    /// accounting; for tests and tools).
+    pub fn stored(&self, node: NodeId, key: u64) -> Option<StoredValue> {
+        self.store_of(node).peek_on(node, Key(key))
     }
 
     /// The replica nodes responsible for a key (primary first).
@@ -782,7 +783,9 @@ impl Cluster {
             self.shared.ring.replicas_into(key, &mut replicas);
             for &node in &replicas {
                 let dest = self.shared.shard_of(node);
-                self.shard_states[dest].stores[node.0 as usize].preload(key, version, size);
+                self.shard_states[dest]
+                    .store
+                    .preload_on(node, key, version, size);
             }
             self.ctrl.oracle.preload(key, version);
         }
@@ -1094,6 +1097,8 @@ mod fixtures {
 mod tests {
     use super::fixtures::*;
     use super::*;
+    use crate::config::RepairMode;
+    use crate::paged::PAGE_SLOTS;
     use crate::types::OpStatus;
 
     #[test]
@@ -1106,6 +1111,55 @@ mod tests {
         let done = drain(&mut c);
         assert!(done[0].returned_version.exists());
         assert!(!done[0].stale);
+    }
+
+    #[test]
+    fn the_store_is_one_row_of_rf_slots_per_key() {
+        // The benchmark platform's shape: 21 nodes at RF 3. The loaded keys
+        // fill ceil(N / 4096) pages of 4096 rows × 3 slots — a table per
+        // node over every key would be 21 × as many pages of 4096 slots.
+        let mut c = cluster(21, 3);
+        let records = 10_000u64;
+        c.load_records((0..records).map(|k| (k, 100)));
+        let pages = records.div_ceil(PAGE_SLOTS as u64) as usize;
+        let store = &c.shard_states[0].store;
+        assert_eq!(store.allocation(), (pages, PAGE_SLOTS * 3));
+        assert_eq!(store.key_count() as u64, records * 3);
+        assert_eq!(store.side_copies(), 0, "every replica has a row entry");
+        for key in [0, 4_095, 4_096, records - 1] {
+            for node in c.replicas_of(key) {
+                assert_eq!(c.stored(node, key).unwrap().size, 100);
+            }
+        }
+    }
+
+    #[test]
+    fn a_stand_in_keeps_its_copy_outside_the_full_row() {
+        let mut c = repair_cluster(5, 3, RepairMode::Full, 43);
+        c.load_records((0..10u64).map(|k| (k, 100)));
+        let key = 4;
+        let owners = c.replicas_of(key);
+        let victim = owners[1];
+        c.crash_node(victim);
+        let stand_in = c.replicas_of(key).into_iter().find(|n| !owners.contains(n));
+        let stand_in = stand_in.expect("the ring hands the key to a stand-in");
+        c.submit_write_with(key, 100, ConsistencyLevel::All, c.now());
+        assert_eq!(drain(&mut c)[0].status, OpStatus::Ok);
+        let fresh = c.stored(owners[0], key).unwrap().version;
+        // The crashed node keeps its row entry, so the row is full and the
+        // stand-in's copy is an out-of-row one.
+        assert!(c.stored(victim, key).unwrap().version < fresh);
+        assert_eq!(c.stored(stand_in, key).unwrap().version, fresh);
+        assert!(c.shard_states[0].store.side_copies() > 0);
+        c.recover_node(victim);
+        drain(&mut c);
+        assert_eq!(c.check_drained(), Ok(()));
+        assert_eq!(
+            c.stored(victim, key).unwrap().version,
+            fresh,
+            "migrated back"
+        );
+        assert_eq!(c.stored(stand_in, key).unwrap().version, fresh, "kept");
     }
 
     #[test]

@@ -682,7 +682,7 @@ impl ShardCtx<'_> {
     }
 
     fn start_service(&mut self, now: SimTime, node: NodeId, task: ReplicaTask) {
-        // `on_replica_done` touches the key's store slot one service time
+        // `on_replica_done` touches the key's store row one service time
         // from now: start the miss here (`engine.rs`, "Memory latency").
         let (key, sampler) = match task {
             ReplicaTask::Write { payload } => (
@@ -691,7 +691,7 @@ impl ShardCtx<'_> {
             ),
             ReplicaTask::Read { key, .. } => (key, &self.shared.storage_read_sampler),
         };
-        self.s.stores[node.0 as usize].prefetch(key);
+        self.s.store.prefetch(key);
         // Gray failure: a slowed node serves every task `factor`× slower.
         // Applied post-sampling so the RNG stream is untouched — restoring
         // the node replays the exact healthy timeline (same contract as
@@ -722,7 +722,7 @@ impl ShardCtx<'_> {
             ReplicaTask::Write { payload } => {
                 // Final consumption of this task's payload reference.
                 let p = self.s.payloads.release(payload);
-                self.s.stores[idx].apply_write(p.key, p.version, p.size, now);
+                self.s.store.apply_write_on(node, p.key, p.version, p.size);
                 self.s.metrics.storage_write_ops += 1;
                 if p.repair {
                     return; // background repair: no coordinator ack
@@ -743,31 +743,30 @@ impl ShardCtx<'_> {
                 coordinator,
             } => {
                 let len = len as u32;
-                // Point reads probe one slot; range scans stream `len`
-                // adjacent slots of the dense store (each probed slot is one
+                // Point reads probe one row; range scans stream `len`
+                // adjacent rows of the dense store (each probed row is one
                 // metered storage read) and respond with the range's byte
                 // weight. Reconciliation keys off the anchor record.
                 let (version, size, records) = if len <= 1 {
-                    let value = self.s.stores[idx].read(key);
+                    let value = self.s.store.read_on(node, key);
                     self.s.metrics.storage_read_ops += 1;
                     value
                         .map(|v| (v.version, v.size, 1))
                         .unwrap_or((Version::NONE, 0, 0))
                 } else {
-                    let range = self.s.stores[idx].read_range(key, len);
+                    let range = self.s.store.read_range_on(node, key, len);
                     self.s.metrics.storage_read_ops += len as u64;
-                    // The byte meter is u32; a range would need a >4 GiB
-                    // response to saturate it, which the dense-key contract
-                    // (record sizes are u32, scan lengths bounded) rules
-                    // out — assert instead of silently clamping traffic.
-                    debug_assert!(
-                        range.bytes <= u32::MAX as u64,
-                        "range response of {} bytes overflows the u32 byte meter",
-                        range.bytes
-                    );
+                    // The byte meter is u32: a response past 4 GiB panics in
+                    // every build instead of silently clamping traffic.
+                    let bytes = u32::try_from(range.bytes).unwrap_or_else(|_| {
+                        panic!(
+                            "range response of {} bytes overflows the u32 byte meter",
+                            range.bytes
+                        )
+                    });
                     (
                         range.anchor.map(|v| v.version).unwrap_or(Version::NONE),
-                        u32::try_from(range.bytes).unwrap_or(u32::MAX),
+                        bytes,
                         range.records,
                     )
                 };
@@ -1044,6 +1043,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "range response of 6000000000 bytes overflows the u32 byte meter")]
+    fn a_scan_response_past_4_gib_panics_in_every_build() {
+        // Two 3 GB records: the data response of a scan over both does not
+        // fit the meter, which used to clamp it to 4 GiB in release builds.
+        let mut c = cluster(3, 3);
+        c.load_records((0..2u64).map(|k| (k, 3_000_000_000)));
+        c.submit_scan_with(0, 2, ConsistencyLevel::One, SimTime::ZERO);
+        drain(&mut c);
+    }
+
+    #[test]
     fn scans_observe_staleness_through_their_anchor() {
         // A scan anchored on a key whose freshest write has not propagated
         // to the contacted replica is classified stale, like a point read.
@@ -1124,8 +1134,8 @@ mod tests {
             "expected repair writes after the read ({writes_before} → {writes_after})"
         );
         // The repaired replica now holds the freshest version.
-        let fresh = c.store(c.replicas_of(1)[0]).peek(Key(1)).unwrap().version;
-        assert_eq!(c.store(victim).peek(Key(1)).unwrap().version, fresh);
+        let fresh = c.stored(c.replicas_of(1)[0], 1).unwrap().version;
+        assert_eq!(c.stored(victim, 1).unwrap().version, fresh);
     }
 
     #[test]
@@ -1267,7 +1277,7 @@ mod tests {
         c.submit_write_with(1, 100, ConsistencyLevel::One, SimTime::ZERO);
         drain(&mut c);
         c.set_node_up(victim);
-        let stale_version = c.store(victim).peek(Key(1)).unwrap().version;
+        let stale_version = c.stored(victim, 1).unwrap().version;
 
         let (_, writes_before) = c.storage_op_totals();
         c.submit_scan_with(1, 4, ConsistencyLevel::All, c.now());
@@ -1279,7 +1289,7 @@ mod tests {
             "a range scan must never issue repair writes"
         );
         assert_eq!(
-            c.store(victim).peek(Key(1)).unwrap().version,
+            c.stored(victim, 1).unwrap().version,
             stale_version,
             "the stale replica stays stale after the scan"
         );
@@ -1289,6 +1299,6 @@ mod tests {
         drain(&mut c);
         let (_, writes_repaired) = c.storage_op_totals();
         assert!(writes_repaired > writes_before);
-        assert!(c.store(victim).peek(Key(1)).unwrap().version > stale_version);
+        assert!(c.stored(victim, 1).unwrap().version > stale_version);
     }
 }

@@ -5,15 +5,15 @@
 //! Hinted handoff queues the writes a down replica missed and replays them,
 //! paced by a timer, when it returns. Anti-entropy walks node pairs
 //! on a sweep cycle, and a recovery migration pulls a rejoined node's
-//! ranges from every up peer; both compare the stores' per-page digests
+//! ranges from every up peer; both compare the two nodes' per-page digests
 //! (metered per page and direction) and diff each page whose digests
 //! differ. Under hash placement that is every compared page — two nodes
 //! replicate different subsets of a key page — so the diff itself has to
-//! be cheap: a diff `from → to` walks only the slots `to` replicates,
+//! be cheap: a diff `from → to` walks only the keys `to` replicates,
 //! through a ring-derived ownership index built lazily per page and
-//! dropped on every ring rebuild, reads both stores' page slices in place,
-//! and streams each record `from` holds strictly newer, in ascending key
-//! order, as a background repair write. Every repair byte is metered per
+//! dropped on every ring rebuild, reads both nodes' copies from each key's
+//! store row in place, and streams each record `from` holds strictly
+//! newer, in ascending key order, as a background repair write. Every repair byte is metered per
 //! link class and billed.
 //!
 //! **State.** [`RepairState`] — the per-destination hint queues and their
@@ -61,9 +61,9 @@ pub(super) struct Hint {
 }
 
 /// One key page of the repair plane's ring-derived ownership index: the
-/// ascending in-page slot offsets each node replicates under the current
+/// ascending in-page key offsets each node replicates under the current
 /// ring, in CSR form. A page diff `from → to` visits only `to`'s list —
-/// about `4096 × RF / nodes` slots under hash placement, all or none under
+/// about `4096 × RF / nodes` keys under hash placement, all or none under
 /// [`Partitioner::Ordered`](crate::ring::Partitioner::Ordered) — instead of scanning the page and asking the
 /// ring about every record. Both vectors are allocated once at their final
 /// size: growing per-node lists by `push` fragmented the heap enough to
@@ -72,13 +72,13 @@ pub(super) struct Hint {
 struct OwnedPage {
     /// Node `n`'s offsets are `slots[starts[n]..starts[n + 1]]`.
     starts: Vec<u32>,
-    /// In-page slot offsets, ascending within each node's range.
+    /// In-page key offsets, ascending within each node's range.
     slots: Vec<u16>,
 }
 
 impl OwnedPage {
     /// Index key page `page`: one pass over its placements to count each
-    /// node's slots, one to fill them in ascending order.
+    /// node's keys, one to fill them in ascending order.
     fn build(page: usize, ring: &Ring, nodes: usize, members: &mut Vec<NodeId>) -> Self {
         let base = (page as u64) << PAGE_BITS;
         let mut starts = vec![0u32; nodes + 1];
@@ -104,7 +104,7 @@ impl OwnedPage {
         OwnedPage { starts, slots }
     }
 
-    /// The ascending slot offsets `node` replicates.
+    /// The ascending key offsets `node` replicates.
     fn of(&self, node: NodeId) -> &[u16] {
         let n = node.0 as usize;
         &self.slots[self.starts[n] as usize..self.starts[n + 1] as usize]
@@ -130,7 +130,7 @@ pub(super) struct RepairState {
     /// after one fully idle round and is resumed by fault transitions.
     sweep_idle_rounds: u32,
     /// The ownership index, by key page: bounds an anti-entropy diff to the
-    /// slots the receiver replicates. A page is built from the ring on its
+    /// keys the receiver replicates. A page is built from the ring on its
     /// first diff; every page is dropped when the ring is rebuilt.
     owned: Vec<Option<OwnedPage>>,
     /// Scratch for the placement lookups that build [`RepairState::owned`].
@@ -368,9 +368,9 @@ impl Cluster {
     /// anything marks the current sweep round as not idle.
     fn sync_pages(&mut self, now: SimTime, from: NodeId, to: NodeId, both_ways: bool) {
         let pages = self
-            .store(from)
-            .summary_pages()
-            .max(self.store(to).summary_pages());
+            .store_of(from)
+            .summary_pages(from)
+            .max(self.store_of(to).summary_pages(to));
         let mut streamed = 0u64;
         for page in 0..pages {
             self.ctrl.metrics.repair_pages_compared += 1;
@@ -378,7 +378,9 @@ impl Cluster {
             if both_ways {
                 account_summary(&self.shared, &mut self.ctrl.metrics, to, from);
             }
-            if self.store(from).page_digest(page) != self.store(to).page_digest(page) {
+            if self.store_of(from).page_digest(from, page)
+                != self.store_of(to).page_digest(to, page)
+            {
                 streamed += self.stream_page_diff(now, from, to, page);
                 if both_ways {
                     streamed += self.stream_page_diff(now, to, from, page);
@@ -436,11 +438,11 @@ impl Cluster {
 
     /// The first record at or after position `cursor` of `to`'s ownership
     /// list for `page` that `from` holds strictly newer than `to`, with the
-    /// position to resume from. Membership gate: only slots `to` currently
+    /// position to resume from. Membership gate: only keys `to` currently
     /// replicates are visited, so divergent data never moves to a node that
-    /// happens to share the page but no longer owns the record. Both
-    /// stores' page slices are read in place; scheduling a stream mutates
-    /// neither, so resuming mid-list sees the same pages.
+    /// happens to share the page but no longer owns the record. Both copies
+    /// are read from the key's store row in place; scheduling a stream
+    /// mutates neither, so resuming mid-list sees the same copies.
     fn next_divergent(
         &self,
         from: NodeId,
@@ -448,20 +450,13 @@ impl Cluster {
         page: usize,
         cursor: usize,
     ) -> Option<(usize, Key, Version, u32)> {
-        let src = self.store(from).page_slots(page)?;
-        let dst = self.store(to).page_slots(page);
         let owned = self.ctrl.repair.owned[page]
             .as_ref()
             .expect("a page's ownership is indexed before it is diffed")
             .of(to);
-        let base = (page as u64) << PAGE_BITS;
-        (cursor..owned.len()).find_map(|i| {
-            let off = owned[i] as usize;
-            let held = dst.map_or(Version::NONE, |slots| slots[off].version);
-            let record = &src[off];
-            (record.version > held)
-                .then(|| (i + 1, Key(base + off as u64), record.version, record.size))
-        })
+        let (src, dst) = (self.store_of(from), self.store_of(to));
+        let (next, key, record) = src.next_newer(from, dst, to, page, owned, cursor)?;
+        Some((next, key, record.version, record.size))
     }
 
     /// The records a repair diff `from → to` of key page `page` streams, in
@@ -517,7 +512,7 @@ mod tests {
         c.load_records((0..10u64).map(|k| (k, 100)));
         let victim = c.replicas_of(3)[1];
         c.set_node_down(victim);
-        let before = c.store(victim).peek(Key(3)).unwrap().version;
+        let before = c.stored(victim, 3).unwrap().version;
         // ONE writes succeed on the up replicas; the coordinator queues a
         // hint for the down one.
         for i in 0..5u64 {
@@ -528,7 +523,7 @@ mod tests {
         assert_eq!(c.metrics().hints_queued, 5);
         assert_eq!(c.metrics().hints_replayed, 0);
         assert_eq!(
-            c.store(victim).peek(Key(3)).unwrap().version,
+            c.stored(victim, 3).unwrap().version,
             before,
             "a down node applies nothing"
         );
@@ -538,9 +533,9 @@ mod tests {
         assert_eq!(c.pending_hints(victim), 0);
         assert_eq!(c.metrics().hints_replayed, 5);
         assert_eq!(c.inflight_write_payloads(), 0, "repair payloads drain");
-        let fresh = c.store(c.replicas_of(3)[0]).peek(Key(3)).unwrap().version;
+        let fresh = c.stored(c.replicas_of(3)[0], 3).unwrap().version;
         assert_eq!(
-            c.store(victim).peek(Key(3)).unwrap().version,
+            c.stored(victim, 3).unwrap().version,
             fresh,
             "replayed hints bring the recovered node fully up to date"
         );
@@ -596,9 +591,9 @@ mod tests {
         // run_to_completion terminates because the sweep cycle parks after a
         // silent round — and by then the divergence must be gone.
         drain(&mut c);
-        let fresh = c.store(c.replicas_of(7)[0]).peek(Key(7)).unwrap().version;
+        let fresh = c.stored(c.replicas_of(7)[0], 7).unwrap().version;
         assert_eq!(
-            c.store(victim).peek(Key(7)).unwrap().version,
+            c.stored(victim, 7).unwrap().version,
             fresh,
             "sweeps stream the missed writes back"
         );
@@ -637,9 +632,9 @@ mod tests {
         c.recover_node(victim);
         drain(&mut c);
         for &k in &affected {
-            let fresh = c.store(c.replicas_of(k)[0]).peek(Key(k)).unwrap().version;
+            let fresh = c.stored(c.replicas_of(k)[0], k).unwrap().version;
             assert_eq!(
-                c.store(victim).peek(Key(k)).unwrap().version,
+                c.stored(victim, k).unwrap().version,
                 fresh,
                 "recovery migration must stream key {k} back to the rejoined node"
             );

@@ -10,15 +10,18 @@
 //!   ownership (ordered partitioner, coverage-faithful range scans) — with
 //!   `SimpleStrategy` / `NetworkTopologyStrategy` replica placement
 //!   ([`Ring`]),
-//! * one generic paged direct-index table ([`PagedTable`]) backing the
-//!   dense per-key state (replica stores, staleness oracle),
+//! * one generic paged direct-index table of fixed-width rows
+//!   ([`PagedTable`]) backing the dense per-key state: the staleness
+//!   oracle, and the replica stores, whose row per key holds one slot per
+//!   replica,
 //! * per-operation tunable consistency levels ONE / TWO / THREE / QUORUM /
 //!   LOCAL_QUORUM / EACH_QUORUM / ALL / EXACT(n) ([`ConsistencyLevel`]),
 //! * coordinator-based write and read paths with asynchronous propagation to
 //!   the replicas not required by the consistency level — the source of the
 //!   staleness window the paper's Figure 1 describes ([`Cluster`]),
-//! * last-write-wins versioned replica storage ([`ReplicaStore`]) with
-//!   incrementally maintained per-page version summaries,
+//! * last-write-wins versioned replica storage ([`ReplicaStore`]), sized
+//!   records × RF, with incrementally maintained per-node, per-page version
+//!   summaries,
 //! * optional read repair and node-failure injection,
 //! * an opt-in background repair plane ([`RepairConfig`]): hinted handoff,
 //!   anti-entropy sweeps over the page summaries, and recovery migration

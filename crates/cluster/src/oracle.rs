@@ -12,8 +12,8 @@
 //! ## Layout: a 24-byte slot per key, histories in a side arena
 //!
 //! Like [`ReplicaStore`](crate::ReplicaStore), the per-key state lives in
-//! the shared [`PagedTable`] over the dense record-id space instead of a
-//! hash map: `expected_version` / `record_ack` / `classify_read` run once
+//! the shared [`PagedTable`] over the dense record-id space, in rows one
+//! slot wide, instead of a hash map: `expected_version` / `record_ack` / `classify_read` run once
 //! per simulated operation, and with direct indexing each is a shift, a
 //! mask and a load. Over a data set larger than the cache that load is a
 //! cache and TLB miss (7.5 % of the benchmark's headline run sat on the
@@ -131,7 +131,7 @@ pub struct StalenessOracle {
 impl Default for StalenessOracle {
     fn default() -> Self {
         StalenessOracle {
-            table: PagedTable::new(KeySlot::default()),
+            table: PagedTable::new(KeySlot::default(), 1),
             histories: Vec::new(),
             keys: 0,
             stale_reads: 0,

@@ -57,9 +57,6 @@ pub struct StoredValue {
     pub size: u32,
 }
 
-// Every replica of every loaded record fills one of these; see `paged`.
-const _: () = assert!(std::mem::size_of::<StoredValue>() == 16);
-
 /// Outcome status of a completed client operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OpStatus {

@@ -140,11 +140,8 @@ fn reference_page_diff(
     let base = page as u64 * PAGE_KEYS;
     (base..base + PAGE_KEYS)
         .filter_map(|k| {
-            let record = c.store(from).peek(Key(k))?;
-            let held = c
-                .store(to)
-                .peek(Key(k))
-                .map_or(Version::NONE, |v| v.version);
+            let record = c.stored(from, k)?;
+            let held = c.stored(to, k).map_or(Version::NONE, |v| v.version);
             (record.version > held && c.replicas_of(k).contains(&to)).then_some((
                 Key(k),
                 record.version,
@@ -154,12 +151,21 @@ fn reference_page_diff(
         .collect()
 }
 
+/// Whether `node` holds a copy of any key of `page`.
+fn holds_page(c: &Cluster, node: NodeId, page: usize) -> bool {
+    let base = page as u64 * PAGE_KEYS;
+    (base..base + PAGE_KEYS).any(|k| c.stored(node, k).is_some())
+}
+
 /// Hold the indexed diff to the reference for every ordered node pair and
 /// page. Returns how many diffs streamed something, and how many of the
-/// compared `(to, page)` sides were never allocated while `from` held the
-/// page.
+/// compared `(to, page)` sides held nothing of a page `from` held.
 fn assert_diffs_match_reference(c: &mut Cluster, nodes: u32, pages: usize) -> (usize, usize) {
     let (mut streaming, mut unallocated_to) = (0, 0);
+    let held: Vec<Vec<bool>> = (0..nodes)
+        .map(|n| (0..pages).map(|p| holds_page(c, NodeId(n), p)).collect())
+        .collect();
+    let held = |node: NodeId, page: usize| held[node.0 as usize][page];
     for from in (0..nodes).map(NodeId) {
         for to in (0..nodes).map(NodeId).filter(|&to| to != from) {
             for page in 0..pages {
@@ -167,10 +173,7 @@ fn assert_diffs_match_reference(c: &mut Cluster, nodes: u32, pages: usize) -> (u
                 let got = c.repair_page_diff(from, to, page);
                 assert_eq!(got, expected, "diff {from:?} -> {to:?}, page {page}");
                 streaming += usize::from(!got.is_empty());
-                unallocated_to += usize::from(
-                    c.store(from).page_slots(page).is_some()
-                        && c.store(to).page_slots(page).is_none(),
-                );
+                unallocated_to += usize::from(held(from, page) && !held(to, page));
             }
         }
     }

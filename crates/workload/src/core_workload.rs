@@ -102,6 +102,15 @@ impl WorkloadConfig {
         self.field_count * self.field_length
     }
 
+    /// Bytes an update writes: the whole record or one field.
+    fn update_size(&self) -> u32 {
+        if self.write_all_fields {
+            self.record_size()
+        } else {
+            self.field_length
+        }
+    }
+
     /// Total size of the loaded data set in bytes.
     pub fn dataset_bytes(&self) -> u64 {
         self.record_count * self.record_size() as u64
@@ -122,6 +131,20 @@ impl WorkloadConfig {
         }
         if self.field_count == 0 || self.field_length == 0 {
             return Err("record fields must be non-empty".into());
+        }
+        // Value sizes are `u32` arithmetic, which wraps in release builds.
+        if self.field_count.checked_mul(self.field_length).is_none() {
+            return Err(format!(
+                "record size field_count {} × field_length {} does not fit in u32",
+                self.field_count, self.field_length
+            ));
+        }
+        let (record, update) = (self.record_size(), self.update_size());
+        if self.read_modify_write_proportion > 0.0 && record.checked_add(update).is_none() {
+            return Err(format!(
+                "a read-modify-write of record size {record} plus update size \
+                 {update} does not fit in u32"
+            ));
         }
         Ok(())
     }
@@ -302,22 +325,14 @@ impl CoreWorkload {
                 op,
                 key: self.next_existing_key(rng),
                 scan_length: 1,
-                value_size: self.update_size(),
+                value_size: self.config.update_size(),
             },
             OperationType::ReadModifyWrite => WorkloadOp {
                 op,
                 key: self.next_existing_key(rng),
                 scan_length: 1,
-                value_size: self.config.record_size() + self.update_size(),
+                value_size: self.config.record_size() + self.config.update_size(),
             },
-        }
-    }
-
-    fn update_size(&self) -> u32 {
-        if self.config.write_all_fields {
-            self.config.record_size()
-        } else {
-            self.config.field_length
         }
     }
 
@@ -497,6 +512,39 @@ mod tests {
         assert!(bad.validate().is_err());
 
         assert!(WorkloadConfig::default().validate().is_ok());
+    }
+
+    #[test]
+    fn a_record_size_past_u32_is_rejected() {
+        // 5 × 10^9 wraps to 705 032 704 in a release build's `u32`.
+        let wraps = WorkloadConfig {
+            field_count: 5,
+            field_length: 1_000_000_000,
+            ..WorkloadConfig::default()
+        };
+        let err = wraps.validate().unwrap_err();
+        assert!(
+            err.contains("field_count 5") && err.contains("field_length 1000000000"),
+            "{err}"
+        );
+        let fits = WorkloadConfig {
+            field_count: 4,
+            ..wraps
+        };
+        assert_eq!(fits.validate(), Ok(()));
+        assert_eq!(fits.record_size(), 4_000_000_000);
+        // A read-modify-write sends the record plus the update.
+        let rmw = WorkloadConfig {
+            read_proportion: 0.5,
+            update_proportion: 0.0,
+            read_modify_write_proportion: 0.5,
+            ..fits
+        };
+        let err = rmw.validate().unwrap_err();
+        assert!(
+            err.contains("4000000000 plus update size 1000000000"),
+            "{err}"
+        );
     }
 
     #[test]
