@@ -113,7 +113,7 @@ use super::{
     draw_coordinator, Cluster, ClusterOutput, ClusterShared, ControlState, Event, OpState,
     PendingOp, RetryCtx, ShardState, Submission,
 };
-use crate::types::{CompletedOp, Key, OpId, OpKind, Version};
+use crate::types::{CompletedOp, Key, OpId, Version};
 use concord_sim::events::{pack, unpack_time};
 use concord_sim::{EventQueue, NodeId, SimDuration, SimRng, SimTime, Topology};
 
@@ -454,13 +454,12 @@ impl ShardCtx<'_> {
 
     /// **Read classification** of a read `op` that gathered its responses:
     /// `expected` is what [`ShardCtx::read_expectation`] returned when the
-    /// attempt started, `at`. *One shard:* classified against
-    /// (and counted in) the central oracle inline, then published. *More
-    /// than one:* the classification needs the serialized ack history, so
-    /// the completion (classification, metric, client output) finishes at
-    /// the window close.
+    /// attempt started, `at`. *One shard:* classified against the central
+    /// oracle inline, then published. *More than one:* the classification
+    /// needs the serialized ack history, so the completion (classification,
+    /// metric, client output) finishes at the window close.
     pub(super) fn finish_read(&mut self, mut op: CompletedOp, expected: Version, at: SimTime) {
-        match self.ctrl.as_deref_mut() {
+        match self.ctrl.as_deref() {
             Some(ctrl) => {
                 let class = ctrl
                     .oracle
@@ -483,7 +482,6 @@ impl ShardCtx<'_> {
     /// [`ShardCtx::sample_propagation_on_ack`].
     pub(super) fn sample_propagation_on_apply(&mut self, d: SimDuration) {
         if self.ctrl.is_some() {
-            self.s.metrics.propagation.record(d);
             self.s.propagation.push(d);
         }
     }
@@ -494,7 +492,6 @@ impl ShardCtx<'_> {
     /// one:* taken.
     pub(super) fn sample_propagation_on_ack(&mut self, d: SimDuration) {
         if self.ctrl.is_none() {
-            self.s.metrics.propagation.record(d);
             self.s.propagation.push(d);
         }
     }
@@ -918,8 +915,7 @@ impl Cluster {
                         .classify_read_at(op.key, issue_at, op.returned_version);
                 op.stale = class.stale;
                 op.staleness_depth = class.depth;
-                s.metrics
-                    .record_completion(OpKind::Read, op.latency(), class.stale);
+                s.metrics.record_completion(&op);
                 self.outputs.push_back(ClusterOutput::Completed(op));
             }
         }
@@ -984,6 +980,7 @@ mod tests {
     use super::*;
     use crate::config::ClusterConfig;
     use crate::consistency::ConsistencyLevel;
+    use crate::types::OpKind;
 
     /// Satellite (PR 10): the lookahead fallback for shard cuts that no
     /// message ever crosses derives from the configured operation timeout,

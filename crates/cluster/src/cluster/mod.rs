@@ -63,7 +63,7 @@ use self::resilience::NodeHealth;
 use crate::config::ClusterConfig;
 use crate::consistency::ConsistencyLevel;
 use crate::metrics::{ClusterMetrics, TrafficBytes};
-use crate::oracle::{OracleStats, StalenessOracle};
+use crate::oracle::StalenessOracle;
 use crate::ring::{Partitioner, Ring, ORDERED_SLICE_BITS};
 use crate::slab::OpSlab;
 use crate::storage::ReplicaStore;
@@ -343,9 +343,6 @@ struct ClusterShared {
     nshards: u32,
     /// The injected faults currently in force (`faults.rs`).
     faults: FaultState,
-    read_level: ConsistencyLevel,
-    write_level: ConsistencyLevel,
-    selection: ReplicaSelection,
 }
 
 impl ClusterShared {
@@ -475,6 +472,10 @@ pub struct Cluster {
     /// (the per-lane FIFO asserts only per-lane order; the sorted-stream
     /// contract is global).
     bulk_tail: SimTime,
+    /// Client operations admitted so far (`Cluster::admit`; a retried
+    /// attempt is not a new admission). A drained run has completed every
+    /// one exactly once (`Cluster::check_drained`).
+    admitted: u64,
 }
 
 /// Account a message of `bytes` payload travelling `from → to` against the
@@ -610,9 +611,6 @@ impl Cluster {
                 node_shard,
                 nshards: shards as u32,
                 faults: FaultState::new(node_dc),
-                read_level: config.read_level,
-                write_level: config.write_level,
-                selection: config.read_selection,
                 config,
             },
             shard_states,
@@ -628,6 +626,7 @@ impl Cluster {
             sync: ShardMetrics::default(),
             last_boundary: SimTime::ZERO,
             bulk_tail: SimTime::ZERO,
+            admitted: 0,
         };
         cluster.refresh_lookahead();
         cluster
@@ -651,7 +650,8 @@ impl Cluster {
         self.lookahead
     }
 
-    /// The cluster's configuration.
+    /// The cluster's configuration, with the consistency levels and the
+    /// replica selection in force now.
     pub fn config(&self) -> &ClusterConfig {
         &self.shared.config
     }
@@ -685,37 +685,31 @@ impl Cluster {
 
     /// Current default read consistency level.
     pub fn read_level(&self) -> ConsistencyLevel {
-        self.shared.read_level
+        self.shared.config.read_level
     }
 
     /// Current default write consistency level.
     pub fn write_level(&self) -> ConsistencyLevel {
-        self.shared.write_level
+        self.shared.config.write_level
     }
 
     /// Change the default consistency levels (takes effect for operations
     /// that *arrive* after the change — exactly how Harmony retunes a live
     /// cluster).
     pub fn set_levels(&mut self, read: ConsistencyLevel, write: ConsistencyLevel) {
-        self.shared.read_level = read;
-        self.shared.write_level = write;
+        self.shared.config.read_level = read;
+        self.shared.config.write_level = write;
     }
 
     /// How read replicas are selected.
     pub fn set_replica_selection(&mut self, selection: ReplicaSelection) {
-        self.shared.selection = selection;
+        self.shared.config.read_selection = selection;
     }
 
-    /// Ground-truth staleness totals. One central oracle serves both
-    /// engines: the serial engine classifies a read inline, the parallel
-    /// engine at the close of the window that completed it — so the
-    /// counters always cover exactly the reads already published.
-    pub fn oracle(&self) -> OracleStats {
-        self.ctrl.oracle.stats()
-    }
-
-    /// Aggregate metrics of the run so far: the per-shard sinks merged in
-    /// shard order, then the control-plane sink. Latency samples live in the
+    /// Aggregate metrics of the run so far — every count the cluster keeps
+    /// except the bytes stored ([`Cluster::total_bytes_stored`]): the
+    /// per-shard sinks merged in shard order, then the control-plane sink.
+    /// Latency samples live in the
     /// shard sinks only; the control plane's sink holds integer counters,
     /// which add exactly, so with one shard the merged report is the one a
     /// single sink would have produced.
@@ -728,22 +722,13 @@ impl Cluster {
         merged
     }
 
-    /// Total payload bytes currently stored across all replicas.
+    /// Total payload bytes currently stored across all replicas (the one
+    /// quantity the replica stores count themselves).
     pub fn total_bytes_stored(&self) -> u64 {
-        self.stores().map(|s| s.bytes_stored()).sum()
-    }
-
-    /// Storage read/write operation counts over every node (for the cost
-    /// model).
-    pub fn storage_op_totals(&self) -> (u64, u64) {
-        let reads = self.stores().map(|s| s.read_ops()).sum();
-        let writes = self.stores().map(|s| s.write_ops()).sum();
-        (reads, writes)
-    }
-
-    /// Every shard's store, in shard order.
-    fn stores(&self) -> impl Iterator<Item = &ReplicaStore> {
-        self.shard_states.iter().map(|s| &s.store)
+        self.shard_states
+            .iter()
+            .map(|s| s.store.bytes_stored())
+            .sum()
     }
 
     /// The store holding `node`'s copies: its shard's.
@@ -751,10 +736,10 @@ impl Cluster {
         &self.shard_states[self.shared.shard_of(node)].store
     }
 
-    /// `node`'s copy of record `key`, if it holds one (read-only, no I/O
-    /// accounting; for tests and tools).
+    /// `node`'s copy of record `key`, if it holds one (not storage I/O; for
+    /// tests and tools).
     pub fn stored(&self, node: NodeId, key: u64) -> Option<StoredValue> {
-        self.store_of(node).peek_on(node, Key(key))
+        self.store_of(node).read_on(node, Key(key))
     }
 
     /// The replica nodes responsible for a key (primary first).
@@ -893,6 +878,7 @@ impl Cluster {
     fn admit(&mut self, op: &BatchOp) -> (&mut EventQueue<Event>, OpId) {
         let scan_len = op.scan_len.max(1);
         self.assert_scan_segmentable(scan_len);
+        self.admitted += 1;
         let (home, coordinator) = self.route_admission();
         let s = &mut self.shard_states[home];
         let op_id = s.ops.insert(OpState::Pending(PendingOp {
@@ -1003,9 +989,10 @@ impl Cluster {
     /// Check what must hold once a run has drained (`run_to_completion`
     /// returned with nothing left to pop): every op slab and payload slab
     /// is empty and every node idle, nothing staged is undelivered, no hint
-    /// replay is flagged over an empty queue, and the repair and hedge
+    /// replay is flagged over an empty queue, every admitted operation
+    /// completed exactly once (counting timeouts), and the repair and hedge
     /// traffic breakdowns are shares of the billable traffic on every link
-    /// class. Returns the first violation found — a leak — as a message.
+    /// class. Returns the first violation found as a message.
     pub fn check_drained(&self) -> Result<(), String> {
         for s in &self.shard_states {
             s.check_drained()?;
@@ -1013,6 +1000,10 @@ impl Cluster {
         }
         self.ctrl.repair.check_drained()?;
         let m = self.metrics();
+        if m.ops_completed() != self.admitted {
+            let (admitted, completed) = (self.admitted, m.ops_completed());
+            return Err(format!("{admitted} ops admitted, {completed} completed"));
+        }
         let classes = |t: TrafficBytes| [t.local, t.intra_dc, t.inter_dc, t.inter_region];
         for (name, part) in [("repair", m.repair_traffic), ("hedge", m.hedge_traffic)] {
             if classes(part)
@@ -1224,7 +1215,7 @@ mod tests {
             stale > 0,
             "eventual consistency under heavy writes must show stale reads"
         );
-        assert_eq!(c.oracle().stale_reads(), stale as u64);
+        assert_eq!(c.metrics().stale_reads, stale as u64);
         assert!(c.metrics().stale_read_rate() > 0.0);
     }
 
@@ -1300,6 +1291,21 @@ mod tests {
         let second = drain(&mut c);
         assert_eq!(first[0].replicas_involved, 1);
         assert_eq!(second[0].replicas_involved, 5);
+    }
+
+    #[test]
+    fn config_reports_the_settings_in_force() {
+        let mut c = cluster(5, 3);
+        c.set_levels(ConsistencyLevel::Quorum, ConsistencyLevel::All);
+        c.set_replica_selection(ReplicaSelection::Dynamic);
+        let cfg = c.config();
+        assert_eq!(cfg.read_level, c.read_level());
+        assert_eq!(cfg.write_level, c.write_level());
+        assert_eq!(
+            (cfg.read_level, cfg.write_level),
+            (ConsistencyLevel::Quorum, ConsistencyLevel::All)
+        );
+        assert_eq!(cfg.read_selection, ReplicaSelection::Dynamic);
     }
 
     #[test]
@@ -1522,6 +1528,11 @@ mod tests {
         assert!(busy.contains("2 ops and 1 write payloads"), "{busy}");
         assert_eq!(drain(&mut c).len(), 2);
         assert_eq!(c.check_drained(), Ok(()));
+        // Every admitted op completes exactly once.
+        c.admitted += 1;
+        let lost = c.check_drained().unwrap_err();
+        assert_eq!(lost, "3 ops admitted, 2 completed");
+        c.admitted -= 1;
         // A plane's breakdown meter may never exceed the billable traffic.
         c.ctrl.metrics.hedge_traffic.add(LinkClass::InterRegion, 1);
         let excess = c.check_drained().unwrap_err();

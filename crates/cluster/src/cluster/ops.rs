@@ -354,8 +354,7 @@ impl ShardState {
     /// Record a client-visible completion in this shard's meters and output
     /// stream.
     pub(super) fn publish(&mut self, op: CompletedOp) {
-        self.metrics
-            .record_completion(op.kind, op.latency(), op.stale);
+        self.metrics.record_completion(&op);
         self.outputs.push(ClusterOutput::Completed(op));
     }
 
@@ -448,7 +447,7 @@ impl ShardCtx<'_> {
         coordinator: NodeId,
         retry: RetryCtx,
     ) {
-        let level = sub.level.unwrap_or(self.shared.write_level);
+        let level = sub.level.unwrap_or(self.shared.config.write_level);
         let required_acks = self.shared.config.required_acks(level);
         let version = self.alloc_version(now, sub.key);
         let mut replicas = std::mem::take(&mut self.s.replica_scratch);
@@ -488,7 +487,6 @@ impl ShardCtx<'_> {
         self.s.payloads.discard_unreferenced(payload);
         self.s.replica_scratch = replicas;
 
-        self.s.metrics.write_acks_awaited += required_acks as u64;
         if let Some(state) = self.s.ops.get_mut(op_id) {
             *state = OpState::Write(WriteState {
                 sub,
@@ -530,7 +528,7 @@ impl ShardCtx<'_> {
         coordinator: NodeId,
         retry: RetryCtx,
     ) {
-        let level = sub.level.unwrap_or(self.shared.read_level);
+        let level = sub.level.unwrap_or(self.shared.config.read_level);
         let required = self.shared.config.required_acks(level);
         let expected_version = self.read_expectation(sub.key);
         // Ownership-boundary segmentation (ordered scans only; everything
@@ -635,7 +633,7 @@ impl ShardCtx<'_> {
     /// observed health ([`ShardCtx::rank_by_health`]), `Random` not at all.
     fn rank_read_replicas(&mut self, now: SimTime, coordinator: NodeId, candidates: &mut [NodeId]) {
         self.s.rng.shuffle(candidates);
-        match self.shared.selection {
+        match self.shared.config.read_selection {
             ReplicaSelection::Random => {}
             ReplicaSelection::Closest => {
                 let row = self.shared.mean_lat_row(coordinator);
@@ -1005,7 +1003,7 @@ mod tests {
     fn scans_read_the_whole_range_and_weigh_response_traffic() {
         let mut c = cluster(5, 3);
         c.load_records((0..100u64).map(|k| (k, 1_000)));
-        let (reads_before, _) = c.storage_op_totals();
+        let reads_before = c.metrics().storage_read_ops;
         let traffic_before = c.metrics().traffic.total();
         c.submit_scan_with(10, 20, ConsistencyLevel::One, SimTime::ZERO);
         let done = drain(&mut c);
@@ -1013,7 +1011,7 @@ mod tests {
         assert_eq!(done[0].kind, OpKind::Read);
         assert_eq!(done[0].status, OpStatus::Ok);
         assert!(!done[0].stale, "a quiescent scan reads fresh data");
-        let (reads_after, _) = c.storage_op_totals();
+        let reads_after = c.metrics().storage_read_ops;
         assert_eq!(
             reads_after - reads_before,
             20,
@@ -1034,11 +1032,11 @@ mod tests {
     fn scan_ranges_clamp_at_the_loaded_key_space() {
         let mut c = cluster(5, 3);
         c.load_records((0..50u64).map(|k| (k, 500)));
-        let (reads_before, _) = c.storage_op_totals();
+        let reads_before = c.metrics().storage_read_ops;
         // Anchor near the end: 10 of the 30 probed records exist.
         c.submit_scan_with(40, 30, ConsistencyLevel::One, SimTime::ZERO);
         drain(&mut c);
-        let (reads_after, _) = c.storage_op_totals();
+        let reads_after = c.metrics().storage_read_ops;
         assert_eq!(reads_after - reads_before, 30, "absent slots still probe");
     }
 
@@ -1072,7 +1070,7 @@ mod tests {
         let done = drain(&mut c);
         let stale = done.iter().filter(|o| o.stale).count();
         assert!(stale > 0, "weak scans under churn must observe staleness");
-        assert_eq!(c.oracle().stale_reads(), stale as u64);
+        assert_eq!(c.metrics().stale_reads, stale as u64);
     }
 
     #[test]
@@ -1086,7 +1084,7 @@ mod tests {
         for n in 0..4 {
             c.set_node_down(NodeId(n));
         }
-        let (reads_before, _) = c.storage_op_totals();
+        let reads_before = c.metrics().storage_read_ops;
         c.submit_scan_with(0, 10, ConsistencyLevel::One, SimTime::ZERO);
         c.schedule_tick(SimTime::from_millis(60), 1);
         let mut done = Vec::new();
@@ -1104,7 +1102,7 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].status, OpStatus::Ok, "the retry must succeed");
         assert!(c.metrics().retries >= 1);
-        let (reads_after, _) = c.storage_op_totals();
+        let reads_after = c.metrics().storage_read_ops;
         assert_eq!(
             reads_after - reads_before,
             10,
@@ -1125,10 +1123,10 @@ mod tests {
         c.submit_write_with(1, 100, ConsistencyLevel::One, SimTime::ZERO);
         drain(&mut c);
         c.set_node_up(victim);
-        let (_, writes_before) = c.storage_op_totals();
+        let writes_before = c.metrics().storage_write_ops;
         c.submit_read_with(1, ConsistencyLevel::All, c.now());
         drain(&mut c);
-        let (_, writes_after) = c.storage_op_totals();
+        let writes_after = c.metrics().storage_write_ops;
         assert!(
             writes_after > writes_before,
             "expected repair writes after the read ({writes_before} → {writes_after})"
@@ -1279,11 +1277,11 @@ mod tests {
         c.set_node_up(victim);
         let stale_version = c.stored(victim, 1).unwrap().version;
 
-        let (_, writes_before) = c.storage_op_totals();
+        let writes_before = c.metrics().storage_write_ops;
         c.submit_scan_with(1, 4, ConsistencyLevel::All, c.now());
         let done = drain(&mut c);
         assert_eq!(done[0].status, OpStatus::Ok);
-        let (_, writes_after) = c.storage_op_totals();
+        let writes_after = c.metrics().storage_write_ops;
         assert_eq!(
             writes_after, writes_before,
             "a range scan must never issue repair writes"
@@ -1297,7 +1295,7 @@ mod tests {
         // The point read at the same level does repair it.
         c.submit_read_with(1, ConsistencyLevel::All, c.now());
         drain(&mut c);
-        let (_, writes_repaired) = c.storage_op_totals();
+        let writes_repaired = c.metrics().storage_write_ops;
         assert!(writes_repaired > writes_before);
         assert!(c.stored(victim, 1).unwrap().version > stale_version);
     }

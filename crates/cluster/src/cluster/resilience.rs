@@ -131,7 +131,7 @@ impl ShardCtx<'_> {
         self.shared.ring.replicas_into(key, &mut replicas);
         let (shared, health) = (self.shared, &self.s.health);
         let row = shared.mean_lat_row(coordinator);
-        let rank = |n: &NodeId| match shared.selection {
+        let rank = |n: &NodeId| match shared.config.read_selection {
             ReplicaSelection::Dynamic => health[n.0 as usize].score(row[n.0 as usize]),
             _ => row[n.0 as usize],
         };
@@ -209,7 +209,7 @@ impl ShardCtx<'_> {
     /// the generation check updates the responder's latency EWMA and closes
     /// its breaker — a response is proof the node serves again.
     pub(super) fn observe_response(&mut self, now: SimTime, op_id: OpId, from: NodeId) {
-        if self.shared.selection != ReplicaSelection::Dynamic {
+        if self.shared.config.read_selection != ReplicaSelection::Dynamic {
             return;
         }
         let Some(OpState::Read(r)) = self.s.ops.get(op_id) else {
@@ -244,7 +244,7 @@ impl ShardCtx<'_> {
     /// accumulate to the threshold. Writes are excluded: a write timeout
     /// implicates the consistency level, not a single replica.
     pub(super) fn strike_contacted(&mut self, now: SimTime, op_id: OpId) {
-        if self.shared.selection != ReplicaSelection::Dynamic {
+        if self.shared.config.read_selection != ReplicaSelection::Dynamic {
             return;
         }
         let s = &mut *self.s;

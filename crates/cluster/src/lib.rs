@@ -21,16 +21,18 @@
 //!   staleness window the paper's Figure 1 describes ([`Cluster`]),
 //! * last-write-wins versioned replica storage ([`ReplicaStore`]), sized
 //!   records × RF, with incrementally maintained per-node, per-page version
-//!   summaries,
+//!   summaries; it counts only the bytes it stores,
 //! * optional read repair and node-failure injection,
 //! * an opt-in background repair plane ([`RepairConfig`]): hinted handoff,
 //!   anti-entropy sweeps over the page summaries, and recovery migration
 //!   that streams acquired/returned ranges instead of instantly serving
 //!   them,
-//! * a ground-truth staleness oracle ([`StalenessOracle`]) so measured stale
-//!   rates can be compared against Harmony's estimates,
-//! * full metering of latency, stale reads, network traffic per link class
-//!   and storage I/O for the cost model ([`ClusterMetrics`]).
+//! * a ground-truth staleness oracle ([`StalenessOracle`]) that classifies
+//!   each read, and counts nothing, so measured stale rates can be compared
+//!   against Harmony's estimates,
+//! * one meter sink, [`ClusterMetrics`], for everything the reports and the
+//!   cost model count: latency, stale reads and their depths, network
+//!   traffic per link class and storage I/O.
 //!
 //! ```
 //! use concord_cluster::{Cluster, ClusterConfig, ConsistencyLevel};
@@ -62,7 +64,7 @@ pub use cluster::{BatchOp, Cluster, ClusterOutput, ReplicaSelection};
 pub use config::{ClusterConfig, RepairConfig, RepairMode, ResilienceConfig};
 pub use consistency::ConsistencyLevel;
 pub use metrics::{ClusterMetrics, LatencyStats, TrafficBytes};
-pub use oracle::{OracleStats, StalenessOracle};
+pub use oracle::StalenessOracle;
 pub use paged::PagedTable;
 pub use ring::{Partitioner, ReplicationStrategy, Ring, ORDERED_SLICE_KEYS};
 pub use slab::OpSlab;

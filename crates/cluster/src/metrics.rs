@@ -1,11 +1,15 @@
 //! Cluster-wide metering.
 //!
-//! Everything the cost model (`concord-cost`) and the experiment reports need
-//! is metered here: operation counts and latencies, ground-truth stale reads,
-//! network bytes per link class (the paper's network-cost component), and
-//! storage I/O (the paper's storage-cost component).
+//! [`ClusterMetrics`] is the cluster's only meter sink: everything the cost
+//! model (`concord-cost`) and the experiment reports count is counted here
+//! and nowhere else — operation counts and latencies, ground-truth stale
+//! reads and their depths (from the oracle's classification on each
+//! [`CompletedOp`]), network bytes per link class (the paper's network-cost
+//! component), and storage I/O (the paper's storage-cost component). The one
+//! quantity it does not hold is the bytes stored, which only the replica
+//! store can compute.
 
-use crate::types::OpKind;
+use crate::types::{CompletedOp, OpKind};
 use concord_monitor::LatencyHistogram;
 use concord_sim::{LinkClass, SimDuration};
 use serde::{Deserialize, Serialize};
@@ -94,12 +98,19 @@ impl TrafficBytes {
         self.local + self.intra_dc + self.inter_dc + self.inter_region
     }
 
-    /// Add `other`'s per-class byte counts into `self`.
+    /// Add `other`'s per-class byte counts into `self`. Destructures
+    /// `other` exhaustively, so a new class cannot go unmerged.
     pub fn merge(&mut self, other: &TrafficBytes) {
-        self.local += other.local;
-        self.intra_dc += other.intra_dc;
-        self.inter_dc += other.inter_dc;
-        self.inter_region += other.inter_region;
+        let TrafficBytes {
+            local,
+            intra_dc,
+            inter_dc,
+            inter_region,
+        } = other;
+        self.local += local;
+        self.intra_dc += intra_dc;
+        self.inter_dc += inter_dc;
+        self.inter_region += inter_region;
     }
 }
 
@@ -112,14 +123,15 @@ pub struct ClusterMetrics {
     pub writes_completed: u64,
     /// Operations that timed out before meeting their consistency level.
     pub timeouts: u64,
-    /// Ground-truth stale reads (mirrors the oracle's counter).
+    /// Completed reads the staleness oracle classified stale.
     pub stale_reads: u64,
+    /// Sum over stale reads of how many acknowledged writes each lagged
+    /// behind (see [`ClusterMetrics::mean_staleness_depth`]).
+    pub staleness_depth_sum: u64,
     /// Read latencies.
     pub read_latency: LatencyStats,
     /// Write latencies.
     pub write_latency: LatencyStats,
-    /// Time for writes to reach *all* replicas.
-    pub propagation: LatencyStats,
     /// Network traffic per link class.
     pub traffic: TrafficBytes,
     /// Replica-level storage read operations.
@@ -130,8 +142,6 @@ pub struct ClusterMetrics {
     pub messages: u64,
     /// Sum over reads of the number of replicas contacted.
     pub read_replicas_contacted: u64,
-    /// Sum over writes of the number of replica acks awaited.
-    pub write_acks_awaited: u64,
     /// Timed-out attempts that were re-issued (`retry_on_timeout` budget).
     pub retries: u64,
     /// Messages dropped in transit by a datacenter partition.
@@ -178,19 +188,21 @@ impl ClusterMetrics {
         Self::default()
     }
 
-    /// Record a completed client operation.
-    pub fn record_completion(&mut self, kind: OpKind, latency: SimDuration, stale: bool) {
-        match kind {
+    /// Record a completed client operation: its kind and latency and, for a
+    /// read, the oracle's classification carried on it.
+    pub fn record_completion(&mut self, op: &CompletedOp) {
+        match op.kind {
             OpKind::Read => {
                 self.reads_completed += 1;
-                self.read_latency.record(latency);
-                if stale {
+                self.read_latency.record(op.latency());
+                if op.stale {
                     self.stale_reads += 1;
+                    self.staleness_depth_sum += op.staleness_depth as u64;
                 }
             }
             OpKind::Write => {
                 self.writes_completed += 1;
-                self.write_latency.record(latency);
+                self.write_latency.record(op.latency());
             }
         }
     }
@@ -200,12 +212,23 @@ impl ClusterMetrics {
         self.reads_completed + self.writes_completed
     }
 
-    /// Ground-truth stale-read rate.
+    /// Ground-truth stale-read rate: stale reads over *all* completed reads,
+    /// timed-out ones (which are never classified) included.
     pub fn stale_read_rate(&self) -> f64 {
         if self.reads_completed == 0 {
             0.0
         } else {
             self.stale_reads as f64 / self.reads_completed as f64
+        }
+    }
+
+    /// Mean number of acknowledged writes a stale read lagged behind,
+    /// averaged over stale reads (0 if there were none).
+    pub fn mean_staleness_depth(&self) -> f64 {
+        if self.stale_reads == 0 {
+            0.0
+        } else {
+            self.staleness_depth_sum as f64 / self.stale_reads as f64
         }
     }
 
@@ -233,34 +256,62 @@ impl ClusterMetrics {
     /// `ClusterMetrics` per shard plus one for the control plane and folds
     /// them in fixed order (shard 0..n, then control) whenever an aggregate
     /// view is requested, so the merged report is bit-stable at any
-    /// worker-thread count.
+    /// worker-thread count. Destructures `other` exhaustively, so a meter
+    /// added without being folded here fails to compile instead of reading
+    /// 0 on the sharded engine.
     pub fn merge(&mut self, other: &ClusterMetrics) {
-        self.reads_completed += other.reads_completed;
-        self.writes_completed += other.writes_completed;
-        self.timeouts += other.timeouts;
-        self.stale_reads += other.stale_reads;
-        self.read_latency.merge(&other.read_latency);
-        self.write_latency.merge(&other.write_latency);
-        self.propagation.merge(&other.propagation);
-        self.traffic.merge(&other.traffic);
-        self.storage_read_ops += other.storage_read_ops;
-        self.storage_write_ops += other.storage_write_ops;
-        self.messages += other.messages;
-        self.read_replicas_contacted += other.read_replicas_contacted;
-        self.write_acks_awaited += other.write_acks_awaited;
-        self.retries += other.retries;
-        self.messages_lost += other.messages_lost;
-        self.hints_queued += other.hints_queued;
-        self.hints_replayed += other.hints_replayed;
-        self.hints_dropped += other.hints_dropped;
-        self.repair_pages_compared += other.repair_pages_compared;
-        self.repair_records_streamed += other.repair_records_streamed;
-        self.repair_traffic.merge(&other.repair_traffic);
-        self.hedged_requests += other.hedged_requests;
-        self.hedge_wins += other.hedge_wins;
-        self.backoff_retries += other.backoff_retries;
-        self.breaker_opens += other.breaker_opens;
-        self.hedge_traffic.merge(&other.hedge_traffic);
+        let ClusterMetrics {
+            reads_completed,
+            writes_completed,
+            timeouts,
+            stale_reads,
+            staleness_depth_sum,
+            read_latency,
+            write_latency,
+            traffic,
+            storage_read_ops,
+            storage_write_ops,
+            messages,
+            read_replicas_contacted,
+            retries,
+            messages_lost,
+            hints_queued,
+            hints_replayed,
+            hints_dropped,
+            repair_pages_compared,
+            repair_records_streamed,
+            repair_traffic,
+            hedged_requests,
+            hedge_wins,
+            backoff_retries,
+            breaker_opens,
+            hedge_traffic,
+        } = other;
+        self.reads_completed += reads_completed;
+        self.writes_completed += writes_completed;
+        self.timeouts += timeouts;
+        self.stale_reads += stale_reads;
+        self.staleness_depth_sum += staleness_depth_sum;
+        self.read_latency.merge(read_latency);
+        self.write_latency.merge(write_latency);
+        self.traffic.merge(traffic);
+        self.storage_read_ops += storage_read_ops;
+        self.storage_write_ops += storage_write_ops;
+        self.messages += messages;
+        self.read_replicas_contacted += read_replicas_contacted;
+        self.retries += retries;
+        self.messages_lost += messages_lost;
+        self.hints_queued += hints_queued;
+        self.hints_replayed += hints_replayed;
+        self.hints_dropped += hints_dropped;
+        self.repair_pages_compared += repair_pages_compared;
+        self.repair_records_streamed += repair_records_streamed;
+        self.repair_traffic.merge(repair_traffic);
+        self.hedged_requests += hedged_requests;
+        self.hedge_wins += hedge_wins;
+        self.backoff_retries += backoff_retries;
+        self.breaker_opens += breaker_opens;
+        self.hedge_traffic.merge(hedge_traffic);
     }
 }
 
@@ -303,25 +354,49 @@ mod tests {
         assert_eq!(t.intra_dc, 100);
     }
 
+    /// A completed operation of `kind` that took `ms` and lagged `depth`
+    /// acknowledged writes behind (stale iff `depth > 0`).
+    fn op(kind: OpKind, ms: u64, depth: u32) -> CompletedOp {
+        use crate::types::{Key, OpId, OpStatus, Version};
+        use concord_sim::SimTime;
+        CompletedOp {
+            id: OpId(1),
+            kind,
+            key: Key(1),
+            issued_at: SimTime::ZERO,
+            completed_at: SimTime::from_millis(ms),
+            status: OpStatus::Ok,
+            replicas_involved: 1,
+            returned_version: Version(1),
+            stale: depth > 0,
+            staleness_depth: depth,
+            records_returned: 1,
+        }
+    }
+
     #[test]
     fn completion_recording_updates_counters() {
         let mut m = ClusterMetrics::new();
-        m.record_completion(OpKind::Read, SimDuration::from_millis(2), false);
-        m.record_completion(OpKind::Read, SimDuration::from_millis(4), true);
-        m.record_completion(OpKind::Write, SimDuration::from_millis(8), false);
-        assert_eq!(m.ops_completed(), 3);
-        assert_eq!(m.reads_completed, 2);
-        assert_eq!(m.stale_reads, 1);
+        m.record_completion(&op(OpKind::Read, 2, 0));
+        m.record_completion(&op(OpKind::Read, 4, 3));
+        m.record_completion(&op(OpKind::Read, 6, 0));
+        m.record_completion(&op(OpKind::Read, 8, 2));
+        m.record_completion(&op(OpKind::Write, 8, 0));
+        assert_eq!(m.ops_completed(), 5);
+        assert_eq!(m.reads_completed, 4);
+        assert_eq!((m.stale_reads, m.staleness_depth_sum), (2, 5));
         assert!((m.stale_read_rate() - 0.5).abs() < 1e-12);
-        assert!((m.read_latency.mean_ms() - 3.0).abs() < 1e-9);
+        assert_eq!(m.mean_staleness_depth(), 2.5, "averaged over stale reads");
+        assert!((m.read_latency.mean_ms() - 5.0).abs() < 1e-9);
         assert!((m.write_latency.mean_ms() - 8.0).abs() < 1e-9);
+        assert_eq!(ClusterMetrics::new().mean_staleness_depth(), 0.0);
     }
 
     #[test]
     fn throughput_uses_makespan() {
         let mut m = ClusterMetrics::new();
         for _ in 0..100 {
-            m.record_completion(OpKind::Read, SimDuration::from_millis(1), false);
+            m.record_completion(&op(OpKind::Read, 1, 0));
         }
         assert!((m.throughput(SimDuration::from_secs(10)) - 10.0).abs() < 1e-9);
         assert_eq!(m.throughput(SimDuration::ZERO), 0.0);

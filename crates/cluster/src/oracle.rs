@@ -9,6 +9,11 @@
 //! Harmony model use, so measured and estimated rates are directly
 //! comparable (as they are in the paper's Harmony evaluation).
 //!
+//! The oracle classifies and does not count: a read's classification goes
+//! onto its [`CompletedOp`](crate::CompletedOp), and
+//! [`ClusterMetrics`](crate::ClusterMetrics) counts stale reads and their
+//! depths from there.
+//!
 //! ## Layout: a 24-byte slot per key, histories in a side arena
 //!
 //! Like [`ReplicaStore`](crate::ReplicaStore), the per-key state lives in
@@ -122,10 +127,6 @@ pub struct StalenessOracle {
     histories: Vec<History>,
     /// Number of keys ever touched (slots with `acked_writes > 0`).
     keys: usize,
-    stale_reads: u64,
-    fresh_reads: u64,
-    /// Sum of staleness depths over stale reads (for the average).
-    stale_depth_sum: u64,
 }
 
 impl Default for StalenessOracle {
@@ -134,9 +135,6 @@ impl Default for StalenessOracle {
             table: PagedTable::new(KeySlot::default(), 1),
             histories: Vec::new(),
             keys: 0,
-            stale_reads: 0,
-            fresh_reads: 0,
-            stale_depth_sum: 0,
         }
     }
 }
@@ -166,7 +164,7 @@ impl StalenessOracle {
 
     /// Hint `key`'s slot into cache ahead of an `expected_version`,
     /// `record_ack` or `classify_read_at` a few events later (see the
-    /// module docs). Counts nothing and allocates nothing.
+    /// module docs). Allocates nothing.
     #[inline]
     pub(crate) fn prefetch(&self, key: Key) {
         self.table.prefetch(key.0);
@@ -297,10 +295,15 @@ impl StalenessOracle {
         }
     }
 
-    /// Classify a read without touching any counter: a pure function of the
-    /// version history. [`StalenessOracle::classify_read`] layers the
-    /// stale/fresh accounting on top.
-    pub fn probe(&self, key: Key, expected: Version, returned: Version) -> ReadClassification {
+    /// Classify a completed read: it was issued when `expected` was the
+    /// newest acknowledged version and returned `returned`. A pure function
+    /// of the version history.
+    pub fn classify_read(
+        &self,
+        key: Key,
+        expected: Version,
+        returned: Version,
+    ) -> ReadClassification {
         let stale = returned < expected;
         let depth = if !stale {
             0
@@ -322,24 +325,6 @@ impl StalenessOracle {
         ReadClassification { stale, depth }
     }
 
-    /// Classify a completed read: it was issued when `expected` was the
-    /// newest acknowledged version and returned `returned`.
-    pub fn classify_read(
-        &mut self,
-        key: Key,
-        expected: Version,
-        returned: Version,
-    ) -> ReadClassification {
-        let c = self.probe(key, expected, returned);
-        if c.stale {
-            self.stale_reads += 1;
-            self.stale_depth_sum += c.depth as u64;
-        } else {
-            self.fresh_reads += 1;
-        }
-        c
-    }
-
     /// Classify a read issued at `issued_at` that returned `returned`,
     /// resolving the freshness expectation retroactively via
     /// [`StalenessOracle::expected_version_at`]. The parallel engine's
@@ -347,7 +332,7 @@ impl StalenessOracle {
     /// decision a serial execution of the same event trace would make at
     /// issue time.
     pub fn classify_read_at(
-        &mut self,
+        &self,
         key: Key,
         issued_at: SimTime,
         returned: Version,
@@ -356,104 +341,7 @@ impl StalenessOracle {
         self.classify_read(key, expected, returned)
     }
 
-    /// Number of reads classified as stale.
-    pub fn stale_reads(&self) -> u64 {
-        self.stale_reads
-    }
-
-    /// Number of reads classified as fresh.
-    pub fn fresh_reads(&self) -> u64 {
-        self.fresh_reads
-    }
-
-    /// Fraction of reads that were stale (0 if no reads were classified).
-    pub fn stale_rate(&self) -> f64 {
-        let total = self.stale_reads + self.fresh_reads;
-        if total == 0 {
-            0.0
-        } else {
-            self.stale_reads as f64 / total as f64
-        }
-    }
-
-    /// Mean number of acknowledged writes a stale read lagged behind.
-    pub fn mean_staleness_depth(&self) -> f64 {
-        if self.stale_reads == 0 {
-            0.0
-        } else {
-            self.stale_depth_sum as f64 / self.stale_reads as f64
-        }
-    }
-
     /// Number of keys the oracle has seen.
-    pub fn key_count(&self) -> usize {
-        self.keys
-    }
-
-    /// Snapshot this oracle's aggregate counters. Both engines keep one
-    /// central oracle (the parallel engine mutates it only at window
-    /// closes), so this snapshot is the whole cross-shard view.
-    pub fn stats(&self) -> OracleStats {
-        OracleStats {
-            stale_reads: self.stale_reads,
-            fresh_reads: self.fresh_reads,
-            stale_depth_sum: self.stale_depth_sum,
-            keys: self.keys,
-        }
-    }
-}
-
-/// A point-in-time copy of the oracle's aggregate counters — the detached
-/// view the cluster exposes. Mirrors the query surface of
-/// [`StalenessOracle`] so call sites work unchanged against the snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OracleStats {
-    stale_reads: u64,
-    fresh_reads: u64,
-    stale_depth_sum: u64,
-    keys: usize,
-}
-
-impl OracleStats {
-    /// Fold another snapshot into this one (for aggregating across runs).
-    pub fn absorb(&mut self, other: &OracleStats) {
-        self.stale_reads += other.stale_reads;
-        self.fresh_reads += other.fresh_reads;
-        self.stale_depth_sum += other.stale_depth_sum;
-        self.keys += other.keys;
-    }
-
-    /// Number of reads classified as stale.
-    pub fn stale_reads(&self) -> u64 {
-        self.stale_reads
-    }
-
-    /// Number of reads classified as fresh.
-    pub fn fresh_reads(&self) -> u64 {
-        self.fresh_reads
-    }
-
-    /// Fraction of reads that were stale (0 if no reads were classified).
-    pub fn stale_rate(&self) -> f64 {
-        let total = self.stale_reads + self.fresh_reads;
-        if total == 0 {
-            0.0
-        } else {
-            self.stale_reads as f64 / total as f64
-        }
-    }
-
-    /// Mean number of acknowledged writes a stale read lagged behind.
-    pub fn mean_staleness_depth(&self) -> f64 {
-        if self.stale_reads == 0 {
-            0.0
-        } else {
-            self.stale_depth_sum as f64 / self.stale_reads as f64
-        }
-    }
-
-    /// Number of keys seen across all shards (homes are disjoint, so the
-    /// per-shard counts add exactly).
     pub fn key_count(&self) -> usize {
         self.keys
     }
@@ -472,7 +360,6 @@ mod tests {
         let c = o.classify_read(Key(1), expected, Version(5));
         assert!(!c.stale);
         assert_eq!(c.depth, 0);
-        assert_eq!(o.stale_rate(), 0.0);
     }
 
     #[test]
@@ -485,8 +372,6 @@ mod tests {
         let c = o.classify_read(Key(1), expected, Version(5));
         assert!(c.stale);
         assert_eq!(c.depth, 1, "one acknowledged write behind");
-        assert_eq!(o.stale_reads(), 1);
-        assert!(o.stale_rate() > 0.99);
     }
 
     #[test]
@@ -498,7 +383,6 @@ mod tests {
         let c = o.classify_read(Key(1), Version(5), Version(2));
         assert!(c.stale);
         assert_eq!(c.depth, 3);
-        assert_eq!(o.mean_staleness_depth(), 3.0);
     }
 
     #[test]
@@ -515,11 +399,10 @@ mod tests {
 
     #[test]
     fn unknown_keys_have_no_expectation() {
-        let mut o = StalenessOracle::new();
+        let o = StalenessOracle::new();
         assert_eq!(o.expected_version(Key(99)), Version::NONE);
         let c = o.classify_read(Key(99), Version::NONE, Version::NONE);
         assert!(!c.stale);
-        assert_eq!(o.fresh_reads(), 1);
     }
 
     #[test]
@@ -533,7 +416,6 @@ mod tests {
         }
         assert_eq!(o.key_count(), 1);
         assert_eq!(o.spilled_histories(), 0);
-        assert_eq!((o.stale_reads(), o.fresh_reads()), (0, 0));
         assert_eq!(o.table.allocated_pages(), 1);
         assert_eq!(o.expected_version(Key(1)), Version(1));
         assert_eq!(o.expected_version(Key(2)), Version::NONE);
@@ -576,18 +458,6 @@ mod tests {
         let c = o.classify_read(Key(1), Version(64), Version(2));
         assert!(c.stale);
         assert_eq!(c.depth, 62);
-    }
-
-    #[test]
-    fn rate_mixes_stale_and_fresh() {
-        let mut o = StalenessOracle::new();
-        o.record_ack(Key(1), Version(1), SimTime::ZERO);
-        o.record_ack(Key(1), Version(2), SimTime::ZERO);
-        for _ in 0..3 {
-            o.classify_read(Key(1), Version(2), Version(2));
-        }
-        o.classify_read(Key(1), Version(2), Version(1));
-        assert!((o.stale_rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]

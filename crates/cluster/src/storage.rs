@@ -2,9 +2,11 @@
 //!
 //! A [`ReplicaStore`] holds the copies of a group of holder nodes — in a
 //! cluster, every node of one event lane — as a versioned key-value table
-//! per holder, with last-write-wins reconciliation, plus the counters the
-//! cost model needs (bytes stored, storage I/O operations performed). The
-//! counters are whole-store totals; a cluster sums them over its stores.
+//! per holder, with last-write-wins reconciliation. It counts one quantity,
+//! the bytes stored, because only the store sees the size of the copy an
+//! overwrite replaces; storage I/O is counted by the cluster's
+//! [`ClusterMetrics`](crate::ClusterMetrics). The byte total covers the
+//! whole store; a cluster sums it over its stores.
 //!
 //! ## Layout: one row of RF slots per key, no hashing
 //!
@@ -181,11 +183,6 @@ pub struct ReplicaStore {
     /// `(holder, key)` copies stored.
     copies: usize,
     bytes_stored: u64,
-    write_ops: u64,
-    read_ops: u64,
-    /// Writes ignored because a newer version was already present
-    /// (late-arriving propagation after a concurrent overwrite).
-    superseded_writes: u64,
     /// Per-holder, per-page XOR digest over `mix(key, version)` of the
     /// holder's copies (see the module docs): `page_digests[holder][key >>
     /// PAGE_BITS]`, 0 for untouched pages.
@@ -242,9 +239,6 @@ impl ReplicaStore {
             side: HashMap::new(),
             copies: 0,
             bytes_stored: 0,
-            write_ops: 0,
-            read_ops: 0,
-            superseded_writes: 0,
             page_digests: Vec::new(),
             summaries_enabled: summaries,
         }
@@ -334,8 +328,8 @@ impl ReplicaStore {
     }
 
     /// Hint `key`'s row into cache ahead of the `read_on` or
-    /// `apply_write_on` one service time later (see the module docs). Not
-    /// storage I/O: no meter moves and nothing is allocated.
+    /// `apply_write_on` one service time later (see the module docs).
+    /// Nothing is allocated.
     #[inline]
     pub(crate) fn prefetch(&self, key: Key) {
         self.table.prefetch(key.0);
@@ -356,13 +350,11 @@ impl ReplicaStore {
         size: u32,
     ) -> bool {
         debug_assert!(version.exists(), "writes carry a real (non-zero) version");
-        self.write_ops += 1;
         let slot = self.slot_mut(holder, key);
         if slot.version >= version {
             // Occupied slots always beat the write here; a vacant slot
             // (version 0) can never reach this arm because real versions
             // are non-zero.
-            self.superseded_writes += 1;
             return false;
         }
         let old = slot.replace(holder, version, size);
@@ -385,25 +377,23 @@ impl ReplicaStore {
         self.account(holder, key, old, version, size);
     }
 
-    /// Read `holder`'s copy of a key (counts as one storage read).
+    /// `holder`'s copy of a key, if it holds one.
     #[inline]
-    pub fn read_on(&mut self, holder: NodeId, key: Key) -> Option<StoredValue> {
-        self.read_ops += 1;
-        self.peek_on(holder, key)
+    pub fn read_on(&self, holder: NodeId, key: Key) -> Option<StoredValue> {
+        self.find(holder, key, self.table.row(key.0)?)
     }
 
     /// Read `holder`'s copies of `len` consecutive records starting at
-    /// `start` (a YCSB-E range scan on that replica). Metered as `len`
-    /// storage reads — every row in the range is probed, the holder's copy
-    /// present or not — and the result reports the byte weight of the
-    /// present copies for response-traffic accounting. Never allocates:
-    /// ranges running past the written key space read as absent.
-    pub fn read_range_on(&mut self, holder: NodeId, start: Key, len: u32) -> RangeRead {
+    /// `start` (a YCSB-E range scan on that replica). Every row in the range
+    /// is probed, the holder's copy present or not, and the result reports
+    /// the byte weight of the present copies for response-traffic
+    /// accounting. Never allocates: ranges running past the written key
+    /// space read as absent.
+    pub fn read_range_on(&self, holder: NodeId, start: Key, len: u32) -> RangeRead {
         let len = len.max(1);
-        self.read_ops += len as u64;
         let width = self.table.width();
         let mut out = RangeRead {
-            anchor: self.peek_on(holder, start),
+            anchor: self.read_on(holder, start),
             records: 0,
             bytes: 0,
         };
@@ -432,19 +422,12 @@ impl ReplicaStore {
         out
     }
 
-    /// `holder`'s copy of a key, without accounting (repair diffs, the
-    /// cluster's test accessor, tests).
-    #[inline]
-    pub fn peek_on(&self, holder: NodeId, key: Key) -> Option<StoredValue> {
-        self.find(holder, key, self.table.row(key.0)?)
-    }
-
     /// The first key at or after position `cursor` of `offsets` (ascending
     /// in-page offsets into key page `page`) whose copy by `from` in this
     /// store is strictly newer than `to`'s in `dst`, with that copy and the
     /// position to resume from — an anti-entropy diff `from → to`, reading
-    /// both copies from the key's row without accounting. The source page
-    /// is looked up once, not per key.
+    /// both copies from the key's row. The source page is looked up once,
+    /// not per key.
     pub(crate) fn next_newer(
         &self,
         from: NodeId,
@@ -468,7 +451,7 @@ impl ReplicaStore {
             let off = offsets[i] as usize;
             let key = Key(base + off as u64);
             let record = self.find(from, key, &rows[off * width..(off + 1) * width])?;
-            let held = dst.peek_on(to, key).map_or(Version::NONE, |v| v.version);
+            let held = dst.read_on(to, key).map_or(Version::NONE, |v| v.version);
             (record.version > held).then_some((i + 1, key, record))
         })
     }
@@ -485,12 +468,12 @@ impl ReplicaStore {
     }
 
     /// [`ReplicaStore::read_on`] by a standalone store's one holder.
-    pub fn read(&mut self, key: Key) -> Option<StoredValue> {
+    pub fn read(&self, key: Key) -> Option<StoredValue> {
         self.read_on(SOLE_HOLDER, key)
     }
 
     /// [`ReplicaStore::read_range_on`] by a standalone store's one holder.
-    pub fn read_range(&mut self, start: Key, len: u32) -> RangeRead {
+    pub fn read_range(&self, start: Key, len: u32) -> RangeRead {
         self.read_range_on(SOLE_HOLDER, start, len)
     }
 
@@ -503,22 +486,6 @@ impl ReplicaStore {
     /// Total payload bytes of every copy in the store.
     pub fn bytes_stored(&self) -> u64 {
         self.bytes_stored
-    }
-
-    /// Number of storage write operations performed (including superseded).
-    pub fn write_ops(&self) -> u64 {
-        self.write_ops
-    }
-
-    /// Number of storage read operations performed (range reads count one
-    /// per record probed).
-    pub fn read_ops(&self) -> u64 {
-        self.read_ops
-    }
-
-    /// Number of writes that lost the last-write-wins race.
-    pub fn superseded_writes(&self) -> u64 {
-        self.superseded_writes
     }
 
     /// The version summary of `holder`'s copies on key page `page` (0 for
@@ -568,9 +535,7 @@ mod tests {
         assert!(s.apply_write(Key(1), Version(3), 100, SimTime::from_secs(2)));
         // An older (late) version must not overwrite a newer one.
         assert!(!s.apply_write(Key(1), Version(2), 100, SimTime::from_secs(3)));
-        assert_eq!(s.peek_on(H, Key(1)).unwrap().version, Version(3));
-        assert_eq!(s.superseded_writes(), 1);
-        assert_eq!(s.write_ops(), 3);
+        assert_eq!(s.read_on(H, Key(1)).unwrap().version, Version(3));
     }
 
     #[test]
@@ -586,14 +551,11 @@ mod tests {
     }
 
     #[test]
-    fn reads_are_counted_and_return_values() {
+    fn reads_return_the_held_value() {
         let mut s = ReplicaStore::new();
         s.preload(Key(7), Version(1), 10);
         assert_eq!(s.read(Key(7)).unwrap().version, Version(1));
         assert!(s.read(Key(8)).is_none());
-        assert_eq!(s.read_ops(), 2);
-        // preload does not count as a write op.
-        assert_eq!(s.write_ops(), 0);
     }
 
     #[test]
@@ -610,7 +572,7 @@ mod tests {
         s.preload(Key(1), Version(2), 300);
         assert_eq!(s.bytes_stored(), 300, "overwrite, not double-count");
         assert_eq!(s.key_count(), 1);
-        assert_eq!(s.peek_on(H, Key(1)).unwrap().version, Version(2));
+        assert_eq!(s.read_on(H, Key(1)).unwrap().version, Version(2));
     }
 
     #[test]
@@ -625,8 +587,8 @@ mod tests {
         assert_eq!(s.key_count(), 1);
         assert_eq!(s.table.allocated_pages(), 1);
         // Reading unwritten pages allocates nothing.
-        assert!(s.peek_on(H, Key(0)).is_none());
-        assert!(s.peek_on(H, Key(100 * PAGE_SLOTS as u64)).is_none());
+        assert!(s.read_on(H, Key(0)).is_none());
+        assert!(s.read_on(H, Key(100 * PAGE_SLOTS as u64)).is_none());
         assert_eq!(s.table.allocated_pages(), 1);
     }
 
@@ -651,7 +613,7 @@ mod tests {
         );
         assert!(s.apply_write_on(a, Key(5), Version(4), 40));
         assert_eq!(s.side.len(), 1, "a row holder never moves to the side map");
-        let version = |s: &ReplicaStore, h| s.peek_on(h, Key(5)).map(|v| v.version);
+        let version = |s: &ReplicaStore, h| s.read_on(h, Key(5)).map(|v| v.version);
         assert_eq!(version(&s, a), Some(Version(4)));
         assert_eq!(version(&s, b), Some(Version(5)));
         assert_eq!(version(&s, c), Some(Version(3)));
@@ -682,11 +644,8 @@ mod tests {
         for width in [1, 3] {
             let mut s = ReplicaStore::with_rows(width, true);
             s.apply_write_on(H, Key(1), Version(4), 10);
-            s.read_on(H, Key(1));
             let meters = |s: &ReplicaStore| {
                 (
-                    s.read_ops(),
-                    s.write_ops(),
                     s.key_count(),
                     s.bytes_stored(),
                     s.page_digest(H, 0),
@@ -705,12 +664,12 @@ mod tests {
                 s.prefetch(Key(key));
             }
             assert_eq!(meters(&s), before);
-            assert_eq!(s.peek_on(H, Key(1)).unwrap().version, Version(4));
+            assert_eq!(s.read_on(H, Key(1)).unwrap().version, Version(4));
         }
     }
 
     #[test]
-    fn range_reads_meter_every_probe_and_weigh_present_bytes() {
+    fn range_reads_weigh_present_bytes() {
         let mut s = ReplicaStore::new();
         for k in 10..20u64 {
             s.preload(Key(k), Version(k), 100);
@@ -720,13 +679,11 @@ mod tests {
         assert_eq!(r.records, 5);
         assert_eq!(r.bytes, 500);
         assert_eq!(r.anchor.unwrap().version, Version(12));
-        assert_eq!(s.read_ops(), 5, "every probed slot counts as one read");
-        // Scan running past the populated range: probes still metered,
-        // absent slots weigh nothing.
+        // Scan running past the populated range: absent slots weigh
+        // nothing.
         let r = s.read_range(Key(18), 10);
         assert_eq!(r.records, 2);
         assert_eq!(r.bytes, 200);
-        assert_eq!(s.read_ops(), 15);
         // Scan starting on an absent anchor.
         let r = s.read_range(Key(100), 3);
         assert_eq!(r.anchor, None);
@@ -819,13 +776,12 @@ mod tests {
         assert_eq!(s.table.page(1).unwrap()[3].version, Version(7));
         assert!(s.table.page(9).is_none(), "unallocated pages have no slots");
         assert_eq!(s.allocation(), (2, PAGE_SLOTS * 3));
-        assert_eq!(s.peek_on(NodeId(2), Key(3)).unwrap().version, Version(31));
-        assert_eq!((s.read_ops(), s.write_ops()), (0, 0), "not storage I/O");
+        assert_eq!(s.read_on(NodeId(2), Key(3)).unwrap().version, Version(31));
     }
 
     #[test]
     fn range_read_at_the_end_of_the_key_space_stops() {
-        let mut s = ReplicaStore::new();
+        let s = ReplicaStore::new();
         let r = s.read_range(Key(u64::MAX - 1), 10);
         assert_eq!(r.records, 0);
         // Zero-length scans behave like one probe of the anchor.
@@ -840,12 +796,11 @@ mod tests {
         for start in [u64::MAX, u64::MAX - 1, u64::MAX / 2, last.0 + 1] {
             let r = s.read_range_on(H, Key(start), 10);
             assert_eq!((r.anchor, r.records, r.bytes), (None, 0, 0), "at {start}");
-            assert_eq!(s.peek_on(H, Key(start)), None);
+            assert_eq!(s.read_on(H, Key(start)), None);
         }
         let r = s.read_range_on(H, Key(last.0 - 2), 10);
         assert_eq!((r.records, r.bytes), (1, 10), "the last row reads");
         assert_eq!(s.read_on(H, last).unwrap().version, Version(1));
-        assert_eq!(s.read_ops(), 5 * 10 + 1);
     }
 
     #[test]
@@ -853,11 +808,11 @@ mod tests {
         let mut s = ReplicaStore::with_rows(3, false);
         s.preload_on(NodeId(65_535), Key(1), Version(1), 10);
         assert_eq!(
-            s.peek_on(NodeId(65_535), Key(1)).unwrap().version,
+            s.read_on(NodeId(65_535), Key(1)).unwrap().version,
             Version(1)
         );
         assert_eq!(
-            s.peek_on(NodeId(65_536), Key(1)),
+            s.read_on(NodeId(65_536), Key(1)),
             None,
             "its tag is not 65 536's"
         );

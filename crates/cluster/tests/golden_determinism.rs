@@ -135,7 +135,7 @@ fn maybe_print(name: &str, d: &RunDigest, c: &Cluster) {
         println!(
             "{name}: {d:?} retries={} messages_lost={} events={} now_us={} messages={} \
              traffic_total={} traffic_inter_dc={} \
-             storage_r={} storage_w={} oracle_stale={} oracle_fresh={}",
+             storage_r={} storage_w={} stale_reads={} staleness_depth_sum={}",
             c.metrics().retries,
             c.metrics().messages_lost,
             c.events_processed(),
@@ -145,8 +145,8 @@ fn maybe_print(name: &str, d: &RunDigest, c: &Cluster) {
             c.metrics().traffic.inter_dc,
             c.metrics().storage_read_ops,
             c.metrics().storage_write_ops,
-            c.oracle().stale_reads(),
-            c.oracle().fresh_reads(),
+            c.metrics().stale_reads,
+            c.metrics().staleness_depth_sum,
         );
     }
 }
@@ -188,7 +188,7 @@ fn golden_geo_weak_consistency_run() {
             golden.8,
             "{shards} shards"
         );
-        assert_eq!(c.oracle().stale_reads(), d.stale);
+        assert_eq!(c.metrics().stale_reads, d.stale);
         if shards > 1 {
             let m = c.shard_metrics();
             assert!(m.windows > 0, "the run must cross lookahead windows");

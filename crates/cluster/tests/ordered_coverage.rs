@@ -50,7 +50,7 @@ fn ordered_scan_gathers_the_full_range_across_an_ownership_boundary() {
     // this scan must fan out to both segments' replicas and gather.
     let anchor = ORDERED_SLICE_KEYS - 6;
     let contacted_before = c.metrics().read_replicas_contacted;
-    let (reads_before, _) = c.storage_op_totals();
+    let reads_before = c.metrics().storage_read_ops;
     c.submit_scan_with(anchor, 20, ConsistencyLevel::One, SimTime::ZERO);
     let done = run_one(&mut c);
     assert_eq!(done.len(), 1);
@@ -64,7 +64,7 @@ fn ordered_scan_gathers_the_full_range_across_an_ownership_boundary() {
         2,
         "level ONE contacts one replica per ownership segment"
     );
-    let (reads_after, _) = c.storage_op_totals();
+    let reads_after = c.metrics().storage_read_ops;
     assert_eq!(
         reads_after - reads_before,
         20,

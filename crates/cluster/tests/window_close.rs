@@ -97,9 +97,9 @@ fn check_stale_flags(c: &mut Cluster) -> (u64, u64) {
         stale += op.stale as u64;
     }
     assert_eq!(
-        c.oracle().stale_reads(),
+        c.metrics().stale_reads,
         stale,
-        "the oracle counts exactly the reads it flagged"
+        "the meters count exactly the reads the oracle flagged"
     );
     (reads, stale)
 }

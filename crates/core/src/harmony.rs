@@ -73,7 +73,6 @@ pub struct HarmonyDecision {
 pub struct HarmonyPolicy {
     config: HarmonyConfig,
     solver: LevelSolver,
-    last_decision: Option<HarmonyDecision>,
     decisions: Vec<HarmonyDecision>,
 }
 
@@ -87,7 +86,6 @@ impl HarmonyPolicy {
         HarmonyPolicy {
             config,
             solver: LevelSolver::new(),
-            last_decision: None,
             decisions: Vec::new(),
         }
     }
@@ -104,7 +102,7 @@ impl HarmonyPolicy {
 
     /// The most recent decision (if any).
     pub fn last_decision(&self) -> Option<HarmonyDecision> {
-        self.last_decision
+        self.decisions.last().copied()
     }
 
     /// Every decision made so far (one per adaptation step).
@@ -142,7 +140,6 @@ impl ConsistencyPolicy for HarmonyPolicy {
                 estimated_stale_rate: 0.0,
                 estimated_stale_rate_at_one: 0.0,
             };
-            self.last_decision = Some(decision);
             self.decisions.push(decision);
             return LevelDecision {
                 read: ConsistencyLevel::from_replica_count(quorum, ctx.profile.replication_factor),
@@ -157,7 +154,6 @@ impl ConsistencyPolicy for HarmonyPolicy {
             estimated_stale_rate: solution.estimated_stale_rate,
             estimated_stale_rate_at_one: estimates.first().copied().unwrap_or(0.0),
         };
-        self.last_decision = Some(decision);
         self.decisions.push(decision);
 
         let read = if solution.read_level == 1 {

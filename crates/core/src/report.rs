@@ -73,13 +73,18 @@ pub struct RunReport {
     pub read_latency_ms: LatencySummary,
     /// Write-latency summary.
     pub write_latency_ms: LatencySummary,
-    /// Ground-truth stale reads (oracle).
+    /// Ground-truth stale reads (classified by the oracle).
     pub stale_reads: u64,
-    /// Ground-truth stale-read rate.
+    /// Ground-truth stale-read rate: stale reads over *all* completed
+    /// reads, timed-out ones included. A timed-out read is never classified,
+    /// so this is below the rate over classified reads whenever reads time
+    /// out.
     pub stale_read_rate: f64,
-    /// Mean number of acknowledged writes a stale read lagged behind.
+    /// Mean number of acknowledged writes a stale read lagged behind,
+    /// averaged over stale reads.
     pub mean_staleness_depth: f64,
-    /// Mean number of replicas contacted per read.
+    /// Mean number of replicas contacted per completed read, counting the
+    /// replicas that retries and hedges contacted too.
     pub mean_read_replicas: f64,
     /// Number of adaptation steps the policy performed.
     pub adaptation_steps: u64,

@@ -314,7 +314,7 @@ impl AdaptiveRuntime {
             write_latency_ms: LatencySummary::from_stats(&metrics.write_latency),
             stale_reads: metrics.stale_reads,
             stale_read_rate: metrics.stale_read_rate(),
-            mean_staleness_depth: cluster.oracle().mean_staleness_depth(),
+            mean_staleness_depth: metrics.mean_staleness_depth(),
             mean_read_replicas: metrics.mean_read_fanout(),
             adaptation_steps,
             hints_queued: metrics.hints_queued,

@@ -30,13 +30,13 @@ impl ResourceUsage {
     /// `runtime` is the makespan of the run (the simulated duration the VMs
     /// were provisioned for).
     pub fn from_cluster(cluster: &Cluster, runtime: SimDuration) -> Self {
-        let (io_reads, io_writes) = cluster.storage_op_totals();
+        let metrics = cluster.metrics();
         ResourceUsage {
             vm_count: cluster.config().topology.node_count() as u32,
             runtime,
             stored_bytes: cluster.total_bytes_stored(),
-            storage_io_ops: io_reads + io_writes,
-            traffic: cluster.metrics().traffic,
+            storage_io_ops: metrics.storage_read_ops + metrics.storage_write_ops,
+            traffic: metrics.traffic,
         }
     }
 
@@ -184,7 +184,11 @@ mod tests {
         let usage = ResourceUsage::from_cluster(&cluster, SimDuration::from_secs(60));
         assert_eq!(usage.vm_count, 4);
         assert!(usage.stored_bytes >= 10 * 1_000 * 3);
-        assert!(usage.storage_io_ops > 0);
+        assert_eq!(
+            usage.storage_io_ops,
+            20 * 3,
+            "one storage write per replica"
+        );
         assert!((usage.instance_hours() - 4.0 / 60.0).abs() < 1e-9);
         let bill = Bill::compute(&PricingModel::ec2_2013(), &usage);
         assert!(bill.total() > 0.0);

@@ -41,7 +41,7 @@ proptest! {
             }
         }
         cluster.run_to_completion(10_000_000);
-        prop_assert_eq!(cluster.oracle().stale_reads(), 0);
+        prop_assert_eq!(cluster.metrics().stale_reads, 0);
         prop_assert_eq!(cluster.metrics().timeouts, 0);
     }
 
@@ -66,7 +66,7 @@ proptest! {
             }
         }
         cluster.run_to_completion(10_000_000);
-        prop_assert_eq!(cluster.oracle().stale_reads(), 0);
+        prop_assert_eq!(cluster.metrics().stale_reads, 0);
     }
 
     /// The analytic stale-read estimate is a probability, decreases (weakly)
