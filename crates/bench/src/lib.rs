@@ -42,8 +42,11 @@
 //!
 //! Each topic has one owner, whose module docs describe it:
 //!
-//! * scenarios (arrival modes, the fault-script format) —
+//! * scenarios (arrival modes, timed fault scripts) —
 //!   `concord_core::scenario`, driven by `AdaptiveRuntime::run_scenario`;
+//! * faults (what each action does, the one rule it must satisfy, how it is
+//!   injected or scheduled; the fault-script format is its JSON) —
+//!   `concord_cluster::FaultAction` in `crates/cluster/src/cluster/faults.rs`;
 //! * the event queue and its lanes — `concord_sim::events`;
 //! * the cluster's protocol, per-key tables and placement —
 //!   `concord_cluster::cluster` (its file map in `crates/cluster/src/cluster/mod.rs`);

@@ -11,7 +11,7 @@
 //!
 //! **Events.** This module pops every event. Client and replica events go to
 //! the handlers of `ops.rs` and `resilience.rs` through [`ShardCtx::handle`];
-//! ticks and the repair plane's events run through
+//! ticks, scheduled faults and the repair plane's events run through
 //! [`Cluster::dispatch_ctrl`].
 //!
 //! **The fork.** Which engine runs is known here and nowhere else:
@@ -570,12 +570,11 @@ impl ShardCtx<'_> {
             } => self.on_read_response(now, op_id, from, version, size, records, segment),
             Event::OpTimeout { op_id } => self.on_timeout(now, op_id),
             Event::HedgeFire { op_id } => self.on_hedge_fire(now, op_id),
-            // Ticks normally ride the control lane; tolerate one here for
-            // totality (it joins the output stream like a completion).
-            Event::Tick { id } => self.s.outputs.push(ClusterOutput::Tick { id, at: now }),
-            Event::HintReplay { .. } | Event::AntiEntropy | Event::RepairSync { .. } => {
-                unreachable!("repair-plane events run on the control lane")
-            }
+            Event::Tick { .. }
+            | Event::Fault(_)
+            | Event::HintReplay { .. }
+            | Event::AntiEntropy
+            | Event::RepairSync { .. } => unreachable!("control events run on the control lane"),
         }
     }
 
@@ -747,6 +746,7 @@ impl Cluster {
     fn dispatch_ctrl(&mut self, now: SimTime, event: &Event) -> bool {
         match *event {
             Event::Tick { id } => self.outputs.push_back(ClusterOutput::Tick { id, at: now }),
+            Event::Fault(action) => self.apply_fault(action),
             Event::HintReplay { node } => self.on_hint_replay(now, node),
             Event::AntiEntropy => self.on_anti_entropy(now),
             Event::RepairSync { node } => self.on_repair_sync(now, node),
@@ -977,6 +977,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::super::fixtures::*;
+    use super::super::BatchOp;
     use super::*;
     use crate::config::ClusterConfig;
     use crate::consistency::ConsistencyLevel;
@@ -1081,7 +1082,7 @@ mod tests {
             // delivered at the first window close, miss on the generation
             // check and leave nothing behind.
             let events = c.events_processed();
-            c.submit_read_with(3, ConsistencyLevel::One, SimTime::ZERO);
+            c.submit(BatchOp::read(SimTime::ZERO, 3).with_level(ConsistencyLevel::One));
             assert_eq!(drain(&mut c).len(), 1);
             assert_eq!(c.events_processed() - events, 5 + foreign as u64);
             assert_eq!(c.inflight_ops(), 0);

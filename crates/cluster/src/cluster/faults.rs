@@ -1,25 +1,155 @@
-//! Fault state: which nodes are down or crashed, which datacenter pairs are
-//! partitioned, and the delay multipliers of degraded links and gray-failed
-//! nodes.
+//! Faults: the one type that describes them ([`FaultAction`]), its one
+//! validity rule ([`FaultAction::check`]), the one mutator
+//! ([`Cluster::inject`]), and the state they write — which nodes are down
+//! or crashed, which datacenter pairs are partitioned, and the delay
+//! multipliers of degraded links and gray-failed nodes.
 //!
 //! **State.** [`FaultState`] is part of the read-only [`ClusterShared`](super::ClusterShared)
 //! snapshot. The message path only asks it questions — is this node down
 //! ([`FaultState::is_down`]), does this link deliver
 //! ([`FaultState::link_up`]), how does a sampled delay scale
-//! ([`FaultState::scale_link`], [`FaultState::scale_node`]) — and only the
-//! sixteen public fault methods of [`Cluster`] below write it, between
-//! events, where `&mut Cluster` proves exclusivity. Both multipliers apply
-//! *after* sampling, so injecting or lifting a fault never moves an RNG
-//! draw.
+//! ([`FaultState::scale_link`], [`FaultState::scale_node`]) — and only
+//! [`Cluster::inject`] writes it, between events, where `&mut Cluster`
+//! proves exclusivity. Both multipliers apply *after* sampling, so
+//! injecting or lifting a fault never moves an RNG draw.
 //!
-//! **Events.** None: a fault transition is a call from the driver. What a
-//! transition schedules — sweeps, hint replays, recovery syncs — belongs to
-//! the repair plane (`repair.rs`), and a changed degradation factor
-//! re-derives the engine's lookahead (`engine.rs`).
+//! **Events.** `Event::Fault`: [`Cluster::schedule_fault`] puts an action on
+//! the control sink's lane, and the engine injects it when it pops the
+//! event, at a serial point (`Cluster::dispatch_ctrl`). What a transition
+//! schedules — sweeps, hint replays, recovery syncs — belongs to the repair
+//! plane (`repair.rs`), and a changed degradation factor re-derives the
+//! engine's lookahead (`engine.rs`).
 
-use super::{class_index, Cluster};
+use super::{class_index, Cluster, Event};
+use crate::config::ClusterConfig;
 use crate::ring::Ring;
-use concord_sim::{DcId, LinkClass, NodeId, SimDuration};
+use concord_sim::{DcId, LinkClass, NodeId, SimDuration, SimTime};
+use serde::{Deserialize, Serialize};
+
+/// The largest degrade or slow factor a fault may set: a million-fold
+/// slowdown already turns a millisecond into a quarter hour, and a larger
+/// one overflows simulated time on the first delay it scales.
+const MAX_FACTOR: f64 = 1e6;
+
+/// One fault transition. Node and datacenter ids are raw integers so fault
+/// scripts stay trivially serializable and topology-independent to write;
+/// [`FaultAction::check`] is what they must satisfy on a given platform.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub enum FaultAction {
+    /// Crash a node permanently: it goes down **and** its vnode tokens are
+    /// withdrawn from the ring, so its former ranges fall to the surviving
+    /// nodes (what removing a Cassandra node does to ownership). Operations
+    /// arriving after the crash target only surviving replicas; the
+    /// effective replication factor is clamped to the survivor count. With
+    /// anti-entropy, every survivor is synchronized for the ranges it just
+    /// acquired instead of serving them from whatever is on disk.
+    CrashNode(u32),
+    /// Recover a crashed node: it rejoins the ring at its original token
+    /// positions (tokens depend only on node and vnode ids) and comes back
+    /// up. Without the repair plane, the writes it missed are repaired
+    /// lazily by read repair; with it, queued hints replay and — under
+    /// anti-entropy — a recovery sync streams the returned ranges back in.
+    RecoverNode(u32),
+    /// Transient outage: the node no longer applies writes nor answers
+    /// reads, but keeps its ring tokens, so requests routed to it are lost.
+    /// With hinted handoff, coordinators queue hints for it; with
+    /// anti-entropy, the sweep cycle (re)starts.
+    NodeDown(u32),
+    /// End of a transient outage. Without the repair plane the node simply
+    /// missed the writes of its outage; with hinted handoff its queued
+    /// hints start replaying, and with anti-entropy the sweep cycle resumes
+    /// to catch anything the hints missed.
+    NodeUp(u32),
+    /// Partition two datacenters: every message between their nodes is lost
+    /// in transit (traffic is still accounted at the sender — the bytes left
+    /// the NIC). In-flight replica work is unaffected; only deliveries after
+    /// the partition starts are dropped.
+    PartitionDcs(u16, u16),
+    /// Heal a datacenter partition (nothing happens if the pair is not
+    /// partitioned). Replicas that missed writes are repaired lazily by read
+    /// repair and, with anti-entropy, by the sweep cycle, which resumes.
+    HealDcs(u16, u16),
+    /// Degrade a link class: every later delay sample on it is multiplied by
+    /// the factor (e.g. 8.0 for a WAN brown-out). Read-replica selection
+    /// keeps ranking by the healthy mean-latency table, like a snitch
+    /// working from stale scores.
+    DegradeLink(LinkClass, f64),
+    /// Restore a degraded link class to healthy latency.
+    RestoreLink(LinkClass),
+    /// Gray-fail a node: every later storage service time on it and every
+    /// response delay it emits is multiplied by the factor (10.0 models a
+    /// node limping an order of magnitude slow). The node stays up and
+    /// answers everything — just late, the failure mode crash detection
+    /// misses.
+    SlowNode(u32, f64),
+    /// Restore a gray-failed node to healthy speed.
+    RestoreNode(u32),
+    /// Correlated whole-datacenter outage: every node of the DC goes
+    /// transiently down at once (the ring keeps their tokens — a power or
+    /// connectivity event, not decommissioning).
+    DcDown(u16),
+    /// End of a whole-datacenter outage: every node of the DC that is not
+    /// crashed comes back up.
+    DcUp(u16),
+}
+
+impl FaultAction {
+    /// Whether this action can be applied to a cluster built from `config`:
+    /// node ids and datacenter ids must exist, a partition needs two
+    /// distinct datacenters, a degrade factor must be finite and positive
+    /// and a slow factor at least 1 (a smaller one would undercut the
+    /// sharded engine's lookahead bound), and neither factor may exceed a
+    /// million. The error says which rule the action breaks.
+    pub fn check(&self, config: &ClusterConfig) -> Result<(), String> {
+        use FaultAction::*;
+        let (nodes, dcs) = (config.topology.node_count(), config.topology.dc_count());
+        let node = |n: u32| (n as usize >= nodes).then(|| format!("no node {n} among {nodes}"));
+        let dc = |d: u16| (d as usize >= dcs).then(|| format!("no datacenter {d} among {dcs}"));
+        let bounded = |name: &str, f: f64| {
+            (f > MAX_FACTOR).then(|| format!("{name} factor {f} exceeds the bound {MAX_FACTOR:e}"))
+        };
+        let why = match *self {
+            CrashNode(n) | RecoverNode(n) | NodeDown(n) | NodeUp(n) | RestoreNode(n) => node(n),
+            SlowNode(n, f) => node(n)
+                .or_else(|| {
+                    let sound = f.is_finite() && f >= 1.0;
+                    (!sound).then(|| format!("slow factor {f} is not finite and at least 1"))
+                })
+                .or_else(|| bounded("slow", f)),
+            PartitionDcs(a, b) | HealDcs(a, b) => dc(a).or_else(|| dc(b)).or_else(|| {
+                (a == b).then(|| format!("datacenter {a} is not partitioned from itself"))
+            }),
+            DegradeLink(_, f) => {
+                let sound = f.is_finite() && f > 0.0;
+                (!sound)
+                    .then(|| format!("degrade factor {f} is not finite and positive"))
+                    .or_else(|| bounded("degrade", f))
+            }
+            RestoreLink(_) => None,
+            DcDown(d) | DcUp(d) => dc(d),
+        };
+        why.map_or(Ok(()), Err)
+    }
+
+    /// Short label for logs and tables.
+    pub fn label(&self) -> String {
+        use FaultAction::*;
+        match *self {
+            CrashNode(n) => format!("crash(node{n})"),
+            RecoverNode(n) => format!("recover(node{n})"),
+            NodeDown(n) => format!("down(node{n})"),
+            NodeUp(n) => format!("up(node{n})"),
+            PartitionDcs(a, b) => format!("partition(dc{a}|dc{b})"),
+            HealDcs(a, b) => format!("heal(dc{a}|dc{b})"),
+            DegradeLink(class, f) => format!("degrade({class},{f}x)"),
+            RestoreLink(class) => format!("restore({class})"),
+            SlowNode(n, f) => format!("slow(node{n},{f}x)"),
+            RestoreNode(n) => format!("restore(node{n})"),
+            DcDown(dc) => format!("dc-down(dc{dc})"),
+            DcUp(dc) => format!("dc-up(dc{dc})"),
+        }
+    }
+}
 
 /// The injected faults currently in force (see the module docs).
 #[derive(Default)]
@@ -70,7 +200,7 @@ impl FaultState {
     ///
     /// # Panics
     /// Panics, naming the node and the node count, when the cluster has no
-    /// such node: fault scripts are outside input.
+    /// such node.
     fn slot(&self, node: NodeId) -> usize {
         let (idx, n) = (node.0 as usize, self.down.len());
         assert!(
@@ -94,8 +224,8 @@ impl FaultState {
     /// The canonical key of an unordered datacenter pair in
     /// [`FaultState::partitioned_dcs`].
     #[inline]
-    fn dc_pair(a: DcId, b: DcId) -> (u16, u16) {
-        (a.0.min(b.0), a.0.max(b.0))
+    fn dc_pair(a: u16, b: u16) -> (u16, u16) {
+        (a.min(b), a.max(b))
     }
 
     /// Whether the link between two nodes is currently delivering messages.
@@ -104,8 +234,8 @@ impl FaultState {
         if self.partitioned_dcs.is_empty() {
             return true;
         }
-        let pair = Self::dc_pair(self.node_dc[from.0 as usize], self.node_dc[to.0 as usize]);
-        !self.partitioned_dcs.contains(&pair)
+        let (a, b) = (self.node_dc[from.0 as usize], self.node_dc[to.0 as usize]);
+        !self.partitioned_dcs.contains(&Self::dc_pair(a.0, b.0))
     }
 
     /// Scale a delay sampled on a link of `class` by the class's
@@ -144,17 +274,107 @@ impl FaultState {
 }
 
 impl Cluster {
-    /// Mark a node as down: it no longer applies writes nor answers reads.
-    /// With hinted handoff enabled, coordinators start queueing hints for
-    /// it; with anti-entropy enabled, the sweep cycle (re)starts so the
-    /// divergence accumulating while it is down gets reconciled.
+    /// Apply `action` to the cluster now (see [`FaultAction`] for what each
+    /// transition does; re-applying one already in force changes nothing).
+    /// Counted in [`ClusterMetrics::faults_injected`](crate::ClusterMetrics::faults_injected).
     ///
     /// # Panics
-    /// Like every fault method that takes a node, panics if the cluster has
-    /// no such node.
-    pub fn set_node_down(&mut self, node: NodeId) {
+    /// Panics with `fault <label>: <why>` when [`FaultAction::check`]
+    /// rejects `action` for this cluster.
+    pub fn inject(&mut self, action: FaultAction) {
+        self.assert_fault(&action);
+        self.apply_fault(action);
+    }
+
+    /// Inject `action` when the simulation reaches `at`: the fault rides the
+    /// control plane's lane like a tick, and the engine applies it at that
+    /// serial point without returning to the caller.
+    ///
+    /// # Panics
+    /// Panics like [`Cluster::inject`], before anything is scheduled.
+    pub fn schedule_fault(&mut self, at: SimTime, action: FaultAction) {
+        self.assert_fault(&action);
+        self.ctrl_sink().lane.schedule_at(at, Event::Fault(action));
+    }
+
+    fn assert_fault(&self, action: &FaultAction) {
+        if let Err(why) = action.check(&self.shared.config) {
+            panic!("fault {}: {why}", action.label());
+        }
+    }
+
+    /// Apply an action [`FaultAction::check`] accepted (`inject`, or a
+    /// scheduled fault coming due).
+    pub(super) fn apply_fault(&mut self, action: FaultAction) {
+        use FaultAction::*;
+        self.ctrl.metrics.faults_injected += 1;
+        match action {
+            NodeDown(n) => self.node_down(n as usize),
+            NodeUp(n) => self.node_up(n as usize),
+            CrashNode(n) if !self.shared.faults.crashed[n as usize] => {
+                self.shared.faults.crashed[n as usize] = true;
+                self.node_down(n as usize);
+                self.rebuild_ring();
+                // Recovery migration: the survivors just acquired the crashed
+                // node's ranges (hash tokens or ordered slices) but hold only
+                // what asynchronous propagation happened to deliver.
+                for peer in 0..self.shared.node_count {
+                    if !self.shared.faults.down[peer] {
+                        self.schedule_repair_sync(NodeId(peer as u32));
+                    }
+                }
+            }
+            RecoverNode(n) if self.shared.faults.crashed[n as usize] => {
+                self.shared.faults.crashed[n as usize] = false;
+                self.node_up(n as usize);
+                self.rebuild_ring();
+                self.schedule_repair_sync(NodeId(n));
+            }
+            CrashNode(_) | RecoverNode(_) => {}
+            PartitionDcs(a, b) => {
+                let pair = FaultState::dc_pair(a, b);
+                let partitioned = &mut self.shared.faults.partitioned_dcs;
+                if !partitioned.contains(&pair) {
+                    partitioned.push(pair);
+                    // Messages are about to be lost: keep (or put) the sweep
+                    // cycle running so same-side divergence is reconciled
+                    // meanwhile.
+                    self.resume_sweeps();
+                }
+            }
+            HealDcs(a, b) => {
+                let pair = FaultState::dc_pair(a, b);
+                let partitioned = &mut self.shared.faults.partitioned_dcs;
+                let had = partitioned.len();
+                partitioned.retain(|&p| p != pair);
+                if partitioned.len() != had {
+                    self.resume_sweeps();
+                }
+            }
+            DegradeLink(class, factor) => self.set_link_factor(class, factor),
+            RestoreLink(class) => self.set_link_factor(class, 1.0),
+            SlowNode(n, factor) => self.set_slow_factor(n as usize, factor),
+            RestoreNode(n) => self.set_slow_factor(n as usize, 1.0),
+            DcDown(dc) | DcUp(dc) => {
+                for i in 0..self.shared.node_count {
+                    let faults = &self.shared.faults;
+                    if faults.node_dc[i] != DcId(dc) {
+                        continue;
+                    }
+                    if matches!(action, DcDown(_)) {
+                        self.node_down(i);
+                    } else if !faults.crashed[i] {
+                        // A node crashed on its own stays crashed.
+                        self.node_up(i);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Mark node `idx` down (nothing if it already is).
+    fn node_down(&mut self, idx: usize) {
         let faults = &mut self.shared.faults;
-        let idx = faults.slot(node);
         if !faults.down[idx] {
             faults.down[idx] = true;
             faults.down_count += 1;
@@ -162,76 +382,18 @@ impl Cluster {
         }
     }
 
-    /// Bring a node back up. Without the repair plane it simply missed the
-    /// writes that happened while down (repaired lazily by read repair if
-    /// enabled); with hinted handoff its queued hints start replaying, and
-    /// with anti-entropy the sweep cycle resumes to catch anything the
-    /// hints missed.
-    pub fn set_node_up(&mut self, node: NodeId) {
+    /// Bring node `idx` back up (nothing if it is up).
+    fn node_up(&mut self, idx: usize) {
         let faults = &mut self.shared.faults;
-        let idx = faults.slot(node);
         if faults.down[idx] {
             faults.down[idx] = false;
             faults.down_count -= 1;
-            self.start_hint_replay(node);
+            self.start_hint_replay(NodeId(idx as u32));
             self.resume_sweeps();
         }
     }
 
-    /// Whether a node is currently down.
-    pub fn is_node_down(&self, node: NodeId) -> bool {
-        self.shared.faults.down[self.shared.faults.slot(node)]
-    }
-
-    /// Crash a node permanently: it goes down **and** its vnode tokens are
-    /// withdrawn from the ring, so its former ranges fall to the surviving
-    /// nodes (what removing a Cassandra node does to ownership). Operations
-    /// arriving after the crash target only surviving replicas; the
-    /// effective replication factor is clamped to the survivor count.
-    ///
-    /// Contrast with [`Cluster::set_node_down`], which models a transient
-    /// outage and leaves the ring untouched.
-    pub fn crash_node(&mut self, node: NodeId) {
-        let idx = self.shared.faults.slot(node);
-        if !self.shared.faults.crashed[idx] {
-            self.shared.faults.crashed[idx] = true;
-            self.set_node_down(node);
-            self.rebuild_ring();
-            // Recovery migration: the survivors just acquired the crashed
-            // node's ranges (hash tokens or ordered slices) but hold only
-            // what asynchronous propagation happened to deliver. Schedule a
-            // synchronization of every survivor instead of silently serving
-            // the acquired ranges from whatever is on disk.
-            for peer in 0..self.shared.node_count {
-                if !self.shared.faults.down[peer] {
-                    self.schedule_repair_sync(NodeId(peer as u32));
-                }
-            }
-        }
-    }
-
-    /// Recover a crashed node: it rejoins the ring at its original token
-    /// positions (tokens depend only on node and vnode ids) and starts
-    /// serving again. Without the repair plane, the writes it missed while
-    /// crashed are repaired lazily by read repair; with it, queued hints
-    /// replay immediately (via [`Cluster::set_node_up`]) and — under
-    /// anti-entropy — a recovery sync streams the returned ranges back in
-    /// from its peers before relying on sweeps for the long tail.
-    pub fn recover_node(&mut self, node: NodeId) {
-        let idx = self.shared.faults.slot(node);
-        if self.shared.faults.crashed[idx] {
-            self.shared.faults.crashed[idx] = false;
-            self.set_node_up(node);
-            self.rebuild_ring();
-            self.schedule_repair_sync(node);
-        }
-    }
-
-    /// Whether a node is currently crashed (out of the ring).
-    pub fn is_node_crashed(&self, node: NodeId) -> bool {
-        self.shared.faults.crashed[self.shared.faults.slot(node)]
-    }
-
+    /// Rebuild the ring over the nodes that are not crashed.
     fn rebuild_ring(&mut self) {
         let shared = &mut self.shared;
         let crashed = &shared.faults.crashed;
@@ -247,55 +409,7 @@ impl Cluster {
         self.forget_ownership();
     }
 
-    /// Partition two datacenters: every message between their nodes is lost
-    /// in transit (traffic is still accounted at the sender — the bytes left
-    /// the NIC). In-flight replica work is unaffected; only deliveries after
-    /// the partition starts are dropped. Idempotent.
-    pub fn partition_dcs(&mut self, a: DcId, b: DcId) {
-        let pair = FaultState::dc_pair(a, b);
-        let partitioned = &mut self.shared.faults.partitioned_dcs;
-        if pair.0 != pair.1 && !partitioned.contains(&pair) {
-            partitioned.push(pair);
-            // Messages are about to be lost: keep (or put) the sweep cycle
-            // running so same-side divergence is reconciled meanwhile.
-            self.resume_sweeps();
-        }
-    }
-
-    /// Heal a datacenter partition (no-op if the pair is not partitioned).
-    /// Replicas that missed writes during the partition are repaired lazily
-    /// by read repair — and, with anti-entropy enabled, by the sweep cycle,
-    /// which resumes here to reconcile the divergence the partition built up.
-    pub fn heal_dcs(&mut self, a: DcId, b: DcId) {
-        let pair = FaultState::dc_pair(a, b);
-        let partitioned = &mut self.shared.faults.partitioned_dcs;
-        let had = partitioned.len();
-        partitioned.retain(|&p| p != pair);
-        if partitioned.len() != had {
-            self.resume_sweeps();
-        }
-    }
-
-    /// Whether a message between two datacenters would currently be dropped.
-    pub fn dcs_partitioned(&self, a: DcId, b: DcId) -> bool {
-        let pair = FaultState::dc_pair(a, b);
-        self.shared.faults.partitioned_dcs.contains(&pair)
-    }
-
-    /// Degrade one link class: every subsequent delay sample on that class
-    /// is multiplied by `factor` (e.g. 8.0 for a brown-out, 1.0 to restore).
-    /// The sampler itself — and therefore the RNG draw sequence — is
-    /// untouched, so enabling degradation never perturbs unrelated
-    /// randomness. Note that read-replica selection keeps ranking by the
-    /// healthy mean-latency table, like a snitch working from stale scores.
-    ///
-    /// # Panics
-    /// Panics if `factor` is not finite and positive.
-    pub fn degrade_link(&mut self, class: LinkClass, factor: f64) {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "degradation factor must be finite and positive, got {factor}"
-        );
+    fn set_link_factor(&mut self, class: LinkClass, factor: f64) {
         let faults = &mut self.shared.faults;
         faults.link_degradation[class_index(class)] = factor;
         faults.degradation_active = faults.link_degradation.iter().any(|&f| f != 1.0);
@@ -305,77 +419,52 @@ impl Cluster {
         self.refresh_lookahead();
     }
 
-    /// Restore a degraded link class to its healthy latency.
-    pub fn restore_link(&mut self, class: LinkClass) {
-        self.degrade_link(class, 1.0);
-    }
-
-    /// Gray-fail a node: every subsequent storage service time on it and
-    /// every response delay it emits is multiplied by `factor` (10.0
-    /// models a node limping an order of magnitude slow; 1.0 restores).
-    /// Like [`Cluster::degrade_link`], the multiplier applies **after**
-    /// sampling, so the compiled samplers — and therefore the RNG draw
-    /// sequence — are untouched: gray-failing a node never perturbs
-    /// unrelated randomness. The node stays up: it answers everything,
-    /// just late — exactly the failure mode crash detection misses.
-    ///
-    /// # Panics
-    /// Panics if `factor` is not finite or is below 1.0 (slowdowns only
-    /// lengthen delays; a sub-1 factor would undercut the conservative
-    /// lookahead bound).
-    pub fn slow_node(&mut self, node: NodeId, factor: f64) {
-        assert!(
-            factor.is_finite() && factor >= 1.0,
-            "slow-node factor must be finite and at least 1.0, got {factor}"
-        );
+    fn set_slow_factor(&mut self, idx: usize, factor: f64) {
         let faults = &mut self.shared.faults;
-        let idx = faults.slot(node);
         faults.node_slow[idx] = factor;
         faults.slow_active = faults.node_slow.iter().any(|&f| f != 1.0);
     }
 
-    /// Restore a gray-failed node to its healthy speed.
-    pub fn restore_node(&mut self, node: NodeId) {
-        self.slow_node(node, 1.0);
+    /// Whether a node is currently down (transiently or crashed).
+    ///
+    /// # Panics
+    /// Like the other fault queries, panics if the cluster has no such
+    /// node.
+    pub fn is_node_down(&self, node: NodeId) -> bool {
+        self.shared.faults.down[self.shared.faults.slot(node)]
+    }
+
+    /// Whether a node is currently crashed (out of the ring).
+    pub fn is_node_crashed(&self, node: NodeId) -> bool {
+        self.shared.faults.crashed[self.shared.faults.slot(node)]
+    }
+
+    /// Whether a message between two datacenters would currently be dropped.
+    pub fn dcs_partitioned(&self, a: DcId, b: DcId) -> bool {
+        let pair = FaultState::dc_pair(a.0, b.0);
+        self.shared.faults.partitioned_dcs.contains(&pair)
     }
 
     /// Current gray-failure slowdown factor of a node (1.0 = healthy).
     pub fn node_slow_factor(&self, node: NodeId) -> f64 {
         self.shared.faults.node_slow[self.shared.faults.slot(node)]
     }
-
-    /// Correlated whole-datacenter outage: transiently take down every node
-    /// of `dc` (the ring keeps their tokens — this is a power/connectivity
-    /// event, not decommissioning). Idempotent per node; pair with
-    /// [`Cluster::dc_up`].
-    pub fn dc_down(&mut self, dc: DcId) {
-        for i in 0..self.shared.node_count {
-            if self.shared.faults.node_dc[i] == dc {
-                self.set_node_down(NodeId(i as u32));
-            }
-        }
-    }
-
-    /// End a whole-datacenter outage: bring every non-crashed node of `dc`
-    /// back up (nodes crashed individually stay crashed).
-    pub fn dc_up(&mut self, dc: DcId) {
-        for i in 0..self.shared.node_count {
-            if self.shared.faults.node_dc[i] == dc && !self.shared.faults.crashed[i] {
-                self.set_node_up(NodeId(i as u32));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::fixtures::*;
-    use super::super::ClusterOutput;
+    use super::super::BatchOp;
     use super::*;
-    use crate::config::ClusterConfig;
     use crate::consistency::ConsistencyLevel;
     use crate::types::OpStatus;
     use concord_sim::SimTime;
+    use FaultAction::*;
+
+    /// A write of 100 bytes to `key` at `level`, arriving at `at`.
+    fn write(key: u64, level: ConsistencyLevel, at: SimTime) -> BatchOp {
+        BatchOp::write(at, key, 100).with_level(level)
+    }
 
     #[test]
     fn down_replicas_cause_timeouts_for_all_level() {
@@ -384,9 +473,9 @@ mod tests {
         let mut c = Cluster::new(cfg, 5);
         c.load_records((0..10u64).map(|k| (k, 100)));
         // Take down one node; some keys will be unable to reach ALL.
-        c.set_node_down(NodeId(1));
+        c.inject(NodeDown(1));
         for i in 0..50u64 {
-            c.submit_write_with(i, 100, ConsistencyLevel::All, SimTime::from_millis(i));
+            c.submit(write(i, ConsistencyLevel::All, SimTime::from_millis(i)));
         }
         let done = drain(&mut c);
         let timeouts = done
@@ -401,9 +490,9 @@ mod tests {
         // Timed-out writes whose reachable replicas all acknowledged must
         // release their op-slab slots (long runs stay compact).
         assert_eq!(c.inflight_ops(), 0, "timed-out writes must not leak slots");
-        // Level ONE still succeeds.
-        c.set_node_up(NodeId(1));
+        c.inject(NodeUp(1));
         assert!(!c.is_node_down(NodeId(1)));
+        assert_eq!(c.metrics().faults_injected, 2);
     }
 
     #[test]
@@ -416,18 +505,11 @@ mod tests {
         c.load_records((0..10u64).map(|k| (k, 100)));
         let victim = c.replicas_of(3)[1];
         // Submit, then take the victim down before the replica messages
-        // arrive (LAN delivery is ~0.3 ms; the tick fires first).
-        c.submit_write_with(3, 100, ConsistencyLevel::All, SimTime::ZERO);
-        c.schedule_tick(SimTime::from_micros(50), 9);
-        loop {
-            match c.advance() {
-                Some(ClusterOutput::Tick { id: 9, .. }) => {
-                    c.set_node_down(victim);
-                }
-                Some(_) => {}
-                None => break,
-            }
-        }
+        // arrive (LAN delivery is ~0.3 ms; the fault fires first).
+        c.submit(write(3, ConsistencyLevel::All, SimTime::ZERO));
+        c.schedule_fault(SimTime::from_micros(50), NodeDown(victim.0));
+        drain(&mut c);
+        assert!(c.is_node_down(victim));
         assert_eq!(c.metrics().timeouts, 1, "the ALL write must time out");
         assert_eq!(
             c.inflight_ops(),
@@ -447,7 +529,7 @@ mod tests {
             .filter(|&k| before[k as usize].contains(&victim))
             .collect();
         assert!(!affected.is_empty());
-        c.crash_node(victim);
+        c.inject(CrashNode(1));
         assert!(c.is_node_crashed(victim));
         assert!(c.is_node_down(victim));
         for &k in &affected {
@@ -457,13 +539,13 @@ mod tests {
         }
         // Ops against affected keys at ALL now succeed on the survivors.
         for &k in affected.iter().take(5) {
-            c.submit_write_with(k, 100, ConsistencyLevel::All, c.now());
+            c.submit(write(k, ConsistencyLevel::All, c.now()));
         }
         let done = drain(&mut c);
         assert!(done.iter().all(|o| o.status == OpStatus::Ok));
         // Recovery restores the exact original placement (tokens are a pure
         // function of node and vnode ids).
-        c.recover_node(victim);
+        c.inject(RecoverNode(1));
         assert!(!c.is_node_crashed(victim));
         let after: Vec<Vec<NodeId>> = (0..50u64).map(|k| c.replicas_of(k)).collect();
         assert_eq!(before, after);
@@ -473,14 +555,14 @@ mod tests {
     fn crashing_below_rf_clamps_the_effective_replica_count() {
         let mut c = cluster(4, 3);
         c.load_records((0..10u64).map(|k| (k, 100)));
-        c.crash_node(NodeId(0));
-        c.crash_node(NodeId(1));
+        c.inject(CrashNode(0));
+        c.inject(CrashNode(1));
         for k in 0..10u64 {
             let reps = c.replicas_of(k);
             assert_eq!(reps.len(), 2, "only two survivors remain");
         }
-        c.recover_node(NodeId(0));
-        c.recover_node(NodeId(1));
+        c.inject(RecoverNode(0));
+        c.inject(RecoverNode(1));
         assert!((0..10u64).all(|k| c.replicas_of(k).len() == 3));
     }
 
@@ -492,13 +574,13 @@ mod tests {
         let mut c = Cluster::new(cfg, 9);
         c.load_records((0..20u64).map(|k| (k, 100)));
 
-        let (a, b) = (concord_sim::DcId(0), concord_sim::DcId(1));
-        c.partition_dcs(a, b);
+        let (a, b) = (DcId(0), DcId(1));
+        c.inject(PartitionDcs(0, 1));
         assert!(c.dcs_partitioned(a, b));
         // NetworkTopology placement spreads every key over both DCs, so ALL
         // writes cannot gather their acks across the partition.
         for i in 0..30u64 {
-            c.submit_write_with(i % 20, 100, ConsistencyLevel::All, c.now());
+            c.submit(write(i % 20, ConsistencyLevel::All, c.now()));
         }
         let done = drain(&mut c);
         let timeouts = done
@@ -510,11 +592,11 @@ mod tests {
         assert_eq!(c.inflight_ops(), 0, "partition must not leak op state");
         assert_eq!(c.inflight_write_payloads(), 0);
 
-        c.heal_dcs(a, b);
+        c.inject(HealDcs(1, 0));
         assert!(!c.dcs_partitioned(a, b));
         let lost_before = c.metrics().messages_lost;
         for i in 0..10u64 {
-            c.submit_write_with(i, 100, ConsistencyLevel::All, c.now());
+            c.submit(write(i, ConsistencyLevel::All, c.now()));
         }
         let done = drain(&mut c);
         assert!(done.iter().all(|o| o.status == OpStatus::Ok));
@@ -532,11 +614,11 @@ mod tests {
         cfg.op_timeout = SimDuration::from_millis(100);
         let mut c = Cluster::new(cfg, 15);
         c.load_records((0..20u64).map(|k| (k, 100)));
-        c.partition_dcs(concord_sim::DcId(0), concord_sim::DcId(1));
+        c.inject(PartitionDcs(0, 1));
         // Level ONE needs a single ack; some replica is always coordinator-side
         // often enough that most ops succeed.
         for i in 0..100u64 {
-            c.submit_write_with(i % 20, 100, ConsistencyLevel::One, c.now());
+            c.submit(write(i % 20, ConsistencyLevel::One, c.now()));
         }
         let done = drain(&mut c);
         let ok = done.iter().filter(|o| o.status == OpStatus::Ok).count();
@@ -560,10 +642,14 @@ mod tests {
             let mut c = Cluster::new(cfg, 19);
             c.load_records((0..10u64).map(|k| (k, 100)));
             if factor != 1.0 {
-                c.degrade_link(concord_sim::LinkClass::InterDc, factor);
+                c.inject(DegradeLink(LinkClass::InterDc, factor));
             }
             for i in 0..100u64 {
-                c.submit_write_with(i % 10, 100, ConsistencyLevel::All, SimTime::from_millis(i));
+                c.submit(write(
+                    i % 10,
+                    ConsistencyLevel::All,
+                    SimTime::from_millis(i),
+                ));
             }
             drain(&mut c);
             c.metrics().write_latency.mean_ms()
@@ -585,7 +671,7 @@ mod tests {
             let mut c = cluster(5, 3); // single DC: no inter-region traffic
             c.load_records((0..10u64).map(|k| (k, 100)));
             if degrade_unused {
-                c.degrade_link(concord_sim::LinkClass::InterRegion, 50.0);
+                c.inject(DegradeLink(LinkClass::InterRegion, 50.0));
             }
             for i in 0..200u64 {
                 c.submit_write_at(i % 10, 100, SimTime::from_millis(i));
@@ -603,10 +689,14 @@ mod tests {
             let mut c = cluster(5, 3);
             c.load_records((0..10u64).map(|k| (k, 100)));
             if factor != 1.0 {
-                c.slow_node(NodeId(1), factor);
+                c.inject(SlowNode(1, factor));
             }
             for i in 0..100u64 {
-                c.submit_write_with(i % 10, 100, ConsistencyLevel::All, SimTime::from_millis(i));
+                c.submit(write(
+                    i % 10,
+                    ConsistencyLevel::All,
+                    SimTime::from_millis(i),
+                ));
             }
             drain(&mut c);
             c.metrics().write_latency.mean_ms()
@@ -623,13 +713,13 @@ mod tests {
     fn slow_node_toggling_does_not_perturb_rng_draws() {
         // The slow factor applies post-sampling: slowing a node and
         // restoring it before any traffic leaves the run byte-identical —
-        // the RNG stream is untouched, exactly like `degrade_link`.
+        // the RNG stream is untouched, exactly like a degraded link.
         let run = |toggle: bool| {
             let mut c = cluster(5, 3);
             c.load_records((0..10u64).map(|k| (k, 100)));
             if toggle {
-                c.slow_node(NodeId(2), 25.0);
-                c.restore_node(NodeId(2));
+                c.inject(SlowNode(2, 25.0));
+                c.inject(RestoreNode(2));
                 assert_eq!(c.node_slow_factor(NodeId(2)), 1.0);
             }
             for i in 0..200u64 {
@@ -641,14 +731,33 @@ mod tests {
     }
 
     #[test]
+    fn the_largest_factors_run_to_completion() {
+        // A million-fold slow node or degraded link is the bound `check`
+        // allows; the run still drains, on either engine.
+        for action in [SlowNode(0, 1e6), DegradeLink(LinkClass::IntraDc, 1e6)] {
+            for shards in [1, 2] {
+                let mut cfg = ClusterConfig::lan_test(4, 3);
+                cfg.shards = shards;
+                let mut c = Cluster::new(cfg, 3);
+                c.load_records((0..10u64).map(|k| (k, 100)));
+                c.inject(action);
+                for i in 0..50u64 {
+                    c.submit_read_at(i % 10, SimTime::from_millis(i));
+                }
+                assert_eq!(drain(&mut c).len(), 50, "{action:?}, {shards} shards");
+                assert_eq!(c.check_drained(), Ok(()), "{action:?}, {shards} shards");
+            }
+        }
+    }
+
+    #[test]
     fn dc_down_takes_the_whole_dc_and_dc_up_restores_it() {
         let mut cfg = two_dc_config(6, 3);
         cfg.strategy = crate::ring::ReplicationStrategy::NetworkTopology;
         let mut c = Cluster::new(cfg, 23);
         c.load_records((0..10u64).map(|k| (k, 100)));
         // `Topology::spread` deals nodes round-robin: dc-b owns 1, 3, 5.
-        let dc_b = concord_sim::DcId(1);
-        c.dc_down(dc_b);
+        c.inject(DcDown(1));
         for n in [1, 3, 5] {
             assert!(c.is_node_down(NodeId(n)), "node {n} is in the downed DC");
         }
@@ -656,14 +765,14 @@ mod tests {
             assert!(!c.is_node_down(NodeId(n)));
         }
         // ALL-level writes cannot gather cross-DC acks while dc-b is out.
-        c.submit_write_with(3, 100, ConsistencyLevel::All, c.now());
+        c.submit(write(3, ConsistencyLevel::All, c.now()));
         let done = drain(&mut c);
         assert!(done.iter().any(|o| o.status == OpStatus::Timeout));
-        c.dc_up(dc_b);
+        c.inject(DcUp(1));
         for n in [1, 3, 5] {
-            assert!(!c.is_node_down(NodeId(n)), "dc_up must restore node {n}");
+            assert!(!c.is_node_down(NodeId(n)), "DcUp must restore node {n}");
         }
-        c.submit_write_with(3, 100, ConsistencyLevel::All, c.now());
+        c.submit(write(3, ConsistencyLevel::All, c.now()));
         let done = drain(&mut c);
         assert!(done.iter().all(|o| o.status == OpStatus::Ok));
         assert_eq!(c.inflight_ops(), 0);
@@ -674,10 +783,9 @@ mod tests {
         let cfg = two_dc_config(6, 3);
         let mut c = Cluster::new(cfg, 23);
         // Round-robin spread: dc-b owns nodes 1, 3, 5.
-        let dc_b = concord_sim::DcId(1);
-        c.crash_node(NodeId(3));
-        c.dc_down(dc_b);
-        c.dc_up(dc_b);
+        c.inject(CrashNode(3));
+        c.inject(DcDown(1));
+        c.inject(DcUp(1));
         assert!(!c.is_node_down(NodeId(1)));
         assert!(
             c.is_node_down(NodeId(3)),
@@ -686,30 +794,66 @@ mod tests {
         assert!(!c.is_node_down(NodeId(5)));
     }
 
+    /// The panic message of `f`, which must panic.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        *panic
+            .expect_err("the call must panic")
+            .downcast::<String>()
+            .expect("panics with a formatted message")
+    }
+
     #[test]
-    fn fault_methods_reject_a_node_the_cluster_does_not_have() {
-        // Fault scripts are outside input: a bad node id names itself and
-        // the node count instead of an index out of bounds.
-        type Fault = fn(&mut Cluster, NodeId);
-        let faults: [Fault; 9] = [
-            |c, n| c.set_node_down(n),
-            |c, n| c.set_node_up(n),
-            |c, n| c.crash_node(n),
-            |c, n| c.recover_node(n),
-            |c, n| c.slow_node(n, 2.0),
-            |c, n| c.restore_node(n),
-            |c, n| assert!(!c.is_node_down(n)),
-            |c, n| assert!(!c.is_node_crashed(n)),
-            |c, n| assert_eq!(c.node_slow_factor(n), 1.0),
+    fn check_and_inject_reject_one_invalid_action_per_rule() {
+        // One invalid action per rule on 5 nodes in one datacenter, with the
+        // reason `Scenario::validate` prints after `fault N, <label>: `.
+        let huge = 1e300;
+        let table = [
+            (CrashNode(5), "no node 5 among 5".to_string()),
+            (DcDown(1), "no datacenter 1 among 1".to_string()),
+            (
+                PartitionDcs(0, 0),
+                "datacenter 0 is not partitioned from itself".to_string(),
+            ),
+            (
+                DegradeLink(LinkClass::InterDc, 0.0),
+                "degrade factor 0 is not finite and positive".to_string(),
+            ),
+            (
+                DegradeLink(LinkClass::InterDc, f64::NAN),
+                "degrade factor NaN is not finite and positive".to_string(),
+            ),
+            (
+                DegradeLink(LinkClass::InterDc, huge),
+                format!("degrade factor {huge} exceeds the bound 1e6"),
+            ),
+            (
+                SlowNode(0, 0.5),
+                "slow factor 0.5 is not finite and at least 1".to_string(),
+            ),
+            (
+                SlowNode(0, huge),
+                format!("slow factor {huge} exceeds the bound 1e6"),
+            ),
         ];
-        for fault in faults {
-            let mut c = cluster(5, 3);
-            let attempt = std::panic::AssertUnwindSafe(|| fault(&mut c, NodeId(5)));
-            let message = *std::panic::catch_unwind(attempt)
-                .expect_err("node 5 of 5 must be rejected")
-                .downcast::<String>()
-                .expect("assert! with arguments panics with a String");
-            assert_eq!(message, "node 5 is out of range: the cluster has 5 nodes");
+        let config = ClusterConfig::lan_test(5, 3);
+        for (action, why) in table {
+            assert_eq!(action.check(&config), Err(why.clone()));
+            let mut c = Cluster::new(config.clone(), 42);
+            let message = panic_message(|| c.inject(action));
+            assert_eq!(message, format!("fault {}: {why}", action.label()));
+            let message = panic_message(|| c.schedule_fault(SimTime::ZERO, action));
+            assert_eq!(message, format!("fault {}: {why}", action.label()));
+            // Nothing was applied and nothing was scheduled.
+            assert_eq!(c.metrics().faults_injected, 0);
+            drain(&mut c);
+            assert_eq!(c.events_processed(), 0);
         }
+        // The queries name a node the cluster does not have, too.
+        let c = cluster(5, 3);
+        let message = panic_message(|| {
+            c.is_node_down(NodeId(5));
+        });
+        assert_eq!(message, "node 5 is out of range: the cluster has 5 nodes");
     }
 }

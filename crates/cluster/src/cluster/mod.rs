@@ -34,7 +34,7 @@
 //! | module | owns | handles |
 //! |---|---|---|
 //! | `ops.rs` | in-flight op state, the write-payload slab, node service queues | client arrival, replica arrival / service, write acks, read responses, timeouts |
-//! | `faults.rs` | `FaultState`: down / crashed nodes, partitions, link and node slow-downs | nothing — the sixteen fault methods are calls from the driver |
+//! | `faults.rs` | `FaultAction` and its one rule, `FaultState`: down / crashed nodes, partitions, link and node slow-downs | a scheduled fault (`Event::Fault`); `Cluster::inject` is the one mutator |
 //! | `repair.rs` | hint queues, the sweep cursor, the ownership index (off by default: zero events, zero draws) | hint replay, anti-entropy, recovery sync |
 //! | `resilience.rs` | per-replica health and circuit breakers | the hedge trigger; hooks in selection, responses and timeouts |
 //! | `engine.rs` | staged outboxes, version clocks, the lookahead | pops every event: the one-shard loop, lookahead windows and their close |
@@ -56,6 +56,7 @@ mod repair;
 mod resilience;
 
 use self::engine::{Staging, VersionClock};
+pub use self::faults::FaultAction;
 use self::faults::FaultState;
 use self::ops::{PayloadSlab, ReadState, ReplicaTask, WriteState};
 use self::repair::RepairState;
@@ -174,6 +175,9 @@ enum Event {
     Tick {
         id: u64,
     },
+    /// A fault scheduled with [`Cluster::schedule_fault`], injected when it
+    /// comes due.
+    Fault(FaultAction),
     /// Replay the next queued hint to a node that came back up (hinted
     /// handoff; paced by a timer).
     HintReplay {
@@ -253,7 +257,7 @@ impl BatchOp {
     }
 
     /// The same operation at an explicit consistency level.
-    fn with_level(mut self, level: ConsistencyLevel) -> Self {
+    pub fn with_level(mut self, level: ConsistencyLevel) -> Self {
         self.level = Some(level);
         self
     }
@@ -777,19 +781,12 @@ impl Cluster {
         self.home_scratch = replicas;
     }
 
-    /// Submit a read arriving at time `at` using the default read level.
-    pub fn submit_read_at(&mut self, key: u64, at: SimTime) -> OpId {
-        self.submit(BatchOp::read(at, key))
-    }
-
-    /// Submit a read with an explicit consistency level.
-    pub fn submit_read_with(&mut self, key: u64, level: ConsistencyLevel, at: SimTime) -> OpId {
-        self.submit(BatchOp::read(at, key).with_level(level))
-    }
-
-    /// Submit a range scan of `scan_len` consecutive records starting at
-    /// `key` (the YCSB-E operation), at the default read level. Every
-    /// contacted replica reads the whole range through its dense store —
+    /// Submit one client operation (see [`BatchOp`]: its arrival time, kind,
+    /// key, size, scan length and, optionally, an explicit consistency
+    /// level) and return the id its completion will carry.
+    ///
+    /// A range scan (`scan_len` > 1, the YCSB-E operation) makes every
+    /// contacted replica read the whole range through its dense store —
     /// `scan_len` storage reads each — and the data replica's response
     /// carries the payload bytes of the records it holds, so scans are
     /// metered faithfully in both storage I/O and network traffic.
@@ -803,40 +800,33 @@ impl Cluster {
     /// contiguous range ([`CompletedOp::records_returned`]).
     ///
     /// # Panics
-    /// Under the ordered partitioner, panics if the range would span more
-    /// than 2^16 ownership slices (`scan_len` > 65535 × 4096 — far past any
-    /// YCSB scan bound).
+    /// Panics if a scan spans more than 2^16 records under hash
+    /// partitioning, or more than 2^16 ownership slices (`scan_len` >
+    /// 65535 × 4096) under the ordered partitioner.
+    pub fn submit(&mut self, op: BatchOp) -> OpId {
+        // The arrival scheduled here reads the key's oracle slot.
+        self.ctrl.oracle.prefetch(Key(op.key));
+        let (lane, op_id) = self.admit(&op);
+        lane.schedule_at(op.at, Event::ClientArrive { op_id });
+        op_id
+    }
+
+    /// `submit(BatchOp::read(at, key))`, kept for callers that replay
+    /// workload operations one call per kind (the benchmark's floors).
+    pub fn submit_read_at(&mut self, key: u64, at: SimTime) -> OpId {
+        self.submit(BatchOp::read(at, key))
+    }
+
+    /// `submit(BatchOp::scan(at, key, scan_len))`, kept like
+    /// [`Cluster::submit_read_at`].
     pub fn submit_scan_at(&mut self, key: u64, scan_len: u32, at: SimTime) -> OpId {
         self.submit(BatchOp::scan(at, key, scan_len))
     }
 
-    /// Submit a range scan with an explicit consistency level (see
-    /// [`Cluster::submit_scan_at`]).
-    pub fn submit_scan_with(
-        &mut self,
-        key: u64,
-        scan_len: u32,
-        level: ConsistencyLevel,
-        at: SimTime,
-    ) -> OpId {
-        self.submit(BatchOp::scan(at, key, scan_len).with_level(level))
-    }
-
-    /// Submit a write of `size` bytes arriving at time `at` using the default
-    /// write level.
+    /// `submit(BatchOp::write(at, key, size))`, kept like
+    /// [`Cluster::submit_read_at`].
     pub fn submit_write_at(&mut self, key: u64, size: u32, at: SimTime) -> OpId {
         self.submit(BatchOp::write(at, key, size))
-    }
-
-    /// Submit a write with an explicit consistency level.
-    pub fn submit_write_with(
-        &mut self,
-        key: u64,
-        size: u32,
-        level: ConsistencyLevel,
-        at: SimTime,
-    ) -> OpId {
-        self.submit(BatchOp::write(at, key, size).with_level(level))
     }
 
     /// Reject scans the engine cannot represent: segment ids are 16-bit, so
@@ -844,7 +834,7 @@ impl Cluster {
     /// and a hash-partitioned scan travels as a *single* segment whose
     /// record count rides the task's 16-bit `len` field. Checked at
     /// submission (fail fast, partitioner-dependent contract documented on
-    /// [`Cluster::submit_scan_at`]) rather than panicking mid-simulation.
+    /// [`Cluster::submit`]) rather than panicking mid-simulation.
     #[inline]
     fn assert_scan_segmentable(&self, scan_len: u32) {
         const MAX_ORDERED_SCAN: u64 = (u16::MAX as u64) << ORDERED_SLICE_BITS;
@@ -862,14 +852,6 @@ impl Cluster {
                 u16::MAX
             );
         }
-    }
-
-    fn submit(&mut self, op: BatchOp) -> OpId {
-        // The arrival scheduled here reads the key's oracle slot.
-        self.ctrl.oracle.prefetch(Key(op.key));
-        let (lane, op_id) = self.admit(&op);
-        lane.schedule_at(op.at, Event::ClientArrive { op_id });
-        op_id
     }
 
     /// Admit one submission: check it, route it to its home shard (see
@@ -905,10 +887,10 @@ impl Cluster {
     /// *reactive* events (replica messages, acks), exactly like the timeout
     /// lane keeps per-op timeouts out of it.
     ///
-    /// Delivery is byte-identical to calling [`Cluster::submit_read_at`] /
-    /// [`Cluster::submit_write_at`] in the same order: both paths draw
-    /// sequence numbers from the same counter, so every event fires at the
-    /// same virtual instant in the same relative order.
+    /// Delivery is byte-identical to calling [`Cluster::submit`] on each
+    /// operation in the same order: both paths draw sequence numbers from
+    /// the same counter, so every event fires at the same virtual instant
+    /// in the same relative order.
     ///
     /// Returns the number of operations submitted.
     ///
@@ -1098,7 +1080,7 @@ mod tests {
         c.load_records((0..100u64).map(|k| (k, 1000)));
         assert_eq!(c.total_bytes_stored(), 100 * 1000 * 3);
         // A read for any record returns data even at level ONE.
-        c.submit_read_with(55, ConsistencyLevel::One, SimTime::ZERO);
+        c.submit(BatchOp::read(SimTime::ZERO, 55).with_level(ConsistencyLevel::One));
         let done = drain(&mut c);
         assert!(done[0].returned_version.exists());
         assert!(!done[0].stale);
@@ -1131,10 +1113,10 @@ mod tests {
         let key = 4;
         let owners = c.replicas_of(key);
         let victim = owners[1];
-        c.crash_node(victim);
+        c.inject(FaultAction::CrashNode(victim.0));
         let stand_in = c.replicas_of(key).into_iter().find(|n| !owners.contains(n));
         let stand_in = stand_in.expect("the ring hands the key to a stand-in");
-        c.submit_write_with(key, 100, ConsistencyLevel::All, c.now());
+        c.submit(BatchOp::write(c.now(), key, 100).with_level(ConsistencyLevel::All));
         assert_eq!(drain(&mut c)[0].status, OpStatus::Ok);
         let fresh = c.stored(owners[0], key).unwrap().version;
         // The crashed node keeps its row entry, so the row is full and the
@@ -1142,7 +1124,7 @@ mod tests {
         assert!(c.stored(victim, key).unwrap().version < fresh);
         assert_eq!(c.stored(stand_in, key).unwrap().version, fresh);
         assert!(c.shard_states[0].store.side_copies() > 0);
-        c.recover_node(victim);
+        c.inject(FaultAction::RecoverNode(victim.0));
         drain(&mut c);
         assert_eq!(c.check_drained(), Ok(()));
         assert_eq!(
@@ -1159,7 +1141,7 @@ mod tests {
         // allocating: it completes, absent, at every replica.
         let mut c = cluster(4, 3);
         c.load_records((0..100u64).map(|k| (k, 100)));
-        c.submit_read_with(u64::MAX, ConsistencyLevel::All, SimTime::ZERO);
+        c.submit(BatchOp::read(SimTime::ZERO, u64::MAX).with_level(ConsistencyLevel::All));
         let done = drain(&mut c);
         assert_eq!(done[0].status, OpStatus::Ok);
         assert!(!done[0].returned_version.exists());
@@ -1266,7 +1248,10 @@ mod tests {
         let mut c = Cluster::new(cfg, 3);
         c.load_records((0..10u64).map(|k| (k, 1000)));
         for i in 0..50u64 {
-            c.submit_write_with(i % 10, 1000, ConsistencyLevel::All, SimTime::from_millis(i));
+            c.submit(
+                BatchOp::write(SimTime::from_millis(i), i % 10, 1000)
+                    .with_level(ConsistencyLevel::All),
+            );
         }
         drain(&mut c);
         let t = c.metrics().traffic;
@@ -1363,14 +1348,15 @@ mod tests {
         c.load_records((0..20u64).map(|k| (k, 100)));
         for i in 0..500u64 {
             if i % 2 == 0 {
-                c.submit_write_with(
-                    i % 20,
-                    100,
-                    ConsistencyLevel::Quorum,
-                    SimTime::from_millis(i),
+                c.submit(
+                    BatchOp::write(SimTime::from_millis(i), i % 20, 100)
+                        .with_level(ConsistencyLevel::Quorum),
                 );
             } else {
-                c.submit_read_with(i % 20, ConsistencyLevel::Quorum, SimTime::from_millis(i));
+                c.submit(
+                    BatchOp::read(SimTime::from_millis(i), i % 20)
+                        .with_level(ConsistencyLevel::Quorum),
+                );
             }
         }
         let done = drain(&mut c);
@@ -1424,13 +1410,13 @@ mod tests {
     #[test]
     fn single_write_then_read_returns_fresh_value() {
         let mut c = cluster(5, 3);
-        c.submit_write_with(7, 100, ConsistencyLevel::All, SimTime::ZERO);
+        c.submit(BatchOp::write(SimTime::ZERO, 7, 100).with_level(ConsistencyLevel::All));
         let done = drain(&mut c);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].kind, OpKind::Write);
         assert_eq!(done[0].status, OpStatus::Ok);
 
-        c.submit_read_with(7, ConsistencyLevel::One, c.now());
+        c.submit(BatchOp::read(c.now(), 7).with_level(ConsistencyLevel::One));
         let done = drain(&mut c);
         assert_eq!(done.len(), 1);
         let read = done[0];
@@ -1478,7 +1464,10 @@ mod tests {
         let mut c = cluster(5, 3);
         c.load_records((0..5u64).map(|k| (k, 100)));
         for i in 0..20u64 {
-            c.submit_write_with(i % 5, 100, ConsistencyLevel::One, SimTime::from_millis(i));
+            c.submit(
+                BatchOp::write(SimTime::from_millis(i), i % 5, 100)
+                    .with_level(ConsistencyLevel::One),
+            );
         }
         drain(&mut c);
         let samples = c.drain_propagation_samples();
@@ -1492,8 +1481,8 @@ mod tests {
         let mut c = cluster(4, 3);
         c.load_records((0..5u64).map(|k| (k, 100)));
         c.schedule_tick(SimTime::from_millis(50), 1);
-        c.submit_read_with(1, ConsistencyLevel::One, SimTime::from_millis(10));
-        c.submit_read_with(2, ConsistencyLevel::One, SimTime::from_millis(100));
+        c.submit(BatchOp::read(SimTime::from_millis(10), 1).with_level(ConsistencyLevel::One));
+        c.submit(BatchOp::read(SimTime::from_millis(100), 2).with_level(ConsistencyLevel::One));
         let mut ticks = 0;
         let mut completions = 0;
         while let Some(out) = c.advance() {

@@ -693,7 +693,7 @@ impl ShardCtx<'_> {
         // Gray failure: a slowed node serves every task `factor`× slower.
         // Applied post-sampling so the RNG stream is untouched — restoring
         // the node replays the exact healthy timeline (same contract as
-        // `degrade_link`).
+        // `DegradeLink`).
         let service = sampler.sample(&mut self.s.rng);
         let service = self.shared.faults.scale_node(node, service);
         self.s
@@ -994,7 +994,7 @@ impl ShardCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::super::fixtures::*;
-    use super::super::Cluster;
+    use super::super::{BatchOp, Cluster, FaultAction};
     use super::*;
     use crate::config::ClusterConfig;
     use crate::consistency::ConsistencyLevel;
@@ -1005,7 +1005,7 @@ mod tests {
         c.load_records((0..100u64).map(|k| (k, 1_000)));
         let reads_before = c.metrics().storage_read_ops;
         let traffic_before = c.metrics().traffic.total();
-        c.submit_scan_with(10, 20, ConsistencyLevel::One, SimTime::ZERO);
+        c.submit(BatchOp::scan(SimTime::ZERO, 10, 20).with_level(ConsistencyLevel::One));
         let done = drain(&mut c);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].kind, OpKind::Read);
@@ -1034,7 +1034,7 @@ mod tests {
         c.load_records((0..50u64).map(|k| (k, 500)));
         let reads_before = c.metrics().storage_read_ops;
         // Anchor near the end: 10 of the 30 probed records exist.
-        c.submit_scan_with(40, 30, ConsistencyLevel::One, SimTime::ZERO);
+        c.submit(BatchOp::scan(SimTime::ZERO, 40, 30).with_level(ConsistencyLevel::One));
         drain(&mut c);
         let reads_after = c.metrics().storage_read_ops;
         assert_eq!(reads_after - reads_before, 30, "absent slots still probe");
@@ -1047,7 +1047,7 @@ mod tests {
         // fit the meter, which used to clamp it to 4 GiB in release builds.
         let mut c = cluster(3, 3);
         c.load_records((0..2u64).map(|k| (k, 3_000_000_000)));
-        c.submit_scan_with(0, 2, ConsistencyLevel::One, SimTime::ZERO);
+        c.submit(BatchOp::scan(SimTime::ZERO, 0, 2).with_level(ConsistencyLevel::One));
         drain(&mut c);
     }
 
@@ -1082,23 +1082,14 @@ mod tests {
         let mut c = Cluster::new(cfg, 9);
         c.load_records((0..50u64).map(|k| (k, 100)));
         for n in 0..4 {
-            c.set_node_down(NodeId(n));
+            c.inject(FaultAction::NodeDown(n));
         }
         let reads_before = c.metrics().storage_read_ops;
-        c.submit_scan_with(0, 10, ConsistencyLevel::One, SimTime::ZERO);
-        c.schedule_tick(SimTime::from_millis(60), 1);
-        let mut done = Vec::new();
-        while let Some(out) = c.advance() {
-            match out {
-                ClusterOutput::Tick { id: 1, .. } => {
-                    for n in 0..4 {
-                        c.set_node_up(NodeId(n));
-                    }
-                }
-                ClusterOutput::Completed(op) => done.push(op),
-                ClusterOutput::Tick { .. } => {}
-            }
+        c.submit(BatchOp::scan(SimTime::ZERO, 0, 10).with_level(ConsistencyLevel::One));
+        for n in 0..4 {
+            c.schedule_fault(SimTime::from_millis(60), FaultAction::NodeUp(n));
         }
+        let done = drain(&mut c);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].status, OpStatus::Ok, "the retry must succeed");
         assert!(c.metrics().retries >= 1);
@@ -1119,12 +1110,12 @@ mod tests {
         // Make one replica miss a write by taking it down, then bring it back
         // and read at ALL: the version mismatch triggers a repair write.
         let victim = c.replicas_of(1)[2];
-        c.set_node_down(victim);
-        c.submit_write_with(1, 100, ConsistencyLevel::One, SimTime::ZERO);
+        c.inject(FaultAction::NodeDown(victim.0));
+        c.submit(BatchOp::write(SimTime::ZERO, 1, 100).with_level(ConsistencyLevel::One));
         drain(&mut c);
-        c.set_node_up(victim);
+        c.inject(FaultAction::NodeUp(victim.0));
         let writes_before = c.metrics().storage_write_ops;
-        c.submit_read_with(1, ConsistencyLevel::All, c.now());
+        c.submit(BatchOp::read(c.now(), 1).with_level(ConsistencyLevel::All));
         drain(&mut c);
         let writes_after = c.metrics().storage_write_ops;
         assert!(
@@ -1155,14 +1146,14 @@ mod tests {
         cfg.op_timeout = SimDuration::from_millis(50);
         let mut c = Cluster::new(cfg, 23);
         c.load_records((0..20u64).map(|k| (k, 100)));
-        c.set_node_down(NodeId(2));
+        c.inject(FaultAction::NodeDown(2));
         let mut at = SimTime::ZERO;
         for i in 0..600u64 {
             at += SimDuration::from_micros(300);
             match i % 3 {
-                0 => c.submit_write_with(i % 20, 100, ConsistencyLevel::All, at),
+                0 => c.submit(BatchOp::write(at, i % 20, 100).with_level(ConsistencyLevel::All)),
                 1 => c.submit_write_at(i % 20, 100, at),
-                _ => c.submit_read_with(i % 20, ConsistencyLevel::Quorum, at),
+                _ => c.submit(BatchOp::read(at, i % 20).with_level(ConsistencyLevel::Quorum)),
             };
         }
         drain(&mut c);
@@ -1177,7 +1168,7 @@ mod tests {
         let mut c = cluster(3, 3);
         c.load_records((0..5u64).map(|k| (k, 100)));
         for n in 0..3 {
-            c.set_node_down(NodeId(n));
+            c.inject(FaultAction::NodeDown(n));
         }
         c.submit_write_at(1, 100, SimTime::ZERO);
         drain(&mut c);
@@ -1195,15 +1186,15 @@ mod tests {
         cfg.retry_on_timeout = 2;
         let mut c = Cluster::new(cfg, 5);
         c.load_records((0..10u64).map(|k| (k, 100)));
-        c.set_node_down(NodeId(1));
+        c.inject(FaultAction::NodeDown(1));
         let mut submitted_ids = Vec::new();
         for i in 0..30u64 {
-            submitted_ids.push(c.submit_write_with(
-                i % 10,
-                100,
-                ConsistencyLevel::All,
-                SimTime::from_millis(i),
-            ));
+            submitted_ids.push(
+                c.submit(
+                    BatchOp::write(SimTime::from_millis(i), i % 10, 100)
+                        .with_level(ConsistencyLevel::All),
+                ),
+            );
         }
         let done = drain(&mut c);
         assert_eq!(done.len(), 30, "every op completes exactly once");
@@ -1240,18 +1231,11 @@ mod tests {
         let mut c = Cluster::new(cfg, 7);
         c.load_records((0..10u64).map(|k| (k, 100)));
         let victim = c.replicas_of(3)[0];
-        c.set_node_down(victim);
-        c.submit_write_with(3, 100, ConsistencyLevel::All, SimTime::ZERO);
+        c.inject(FaultAction::NodeDown(victim.0));
+        c.submit(BatchOp::write(SimTime::ZERO, 3, 100).with_level(ConsistencyLevel::All));
         // Recover the node after the first timeout fires.
-        c.schedule_tick(SimTime::from_millis(60), 1);
-        let mut done = Vec::new();
-        while let Some(out) = c.advance() {
-            match out {
-                ClusterOutput::Tick { id: 1, .. } => c.set_node_up(victim),
-                ClusterOutput::Completed(op) => done.push(op),
-                ClusterOutput::Tick { .. } => {}
-            }
-        }
+        c.schedule_fault(SimTime::from_millis(60), FaultAction::NodeUp(victim.0));
+        let done = drain(&mut c);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].status, OpStatus::Ok, "the retry must succeed");
         assert!(c.metrics().retries >= 1);
@@ -1271,14 +1255,14 @@ mod tests {
         let mut c = Cluster::new(cfg, 17);
         c.load_records((0..10u64).map(|k| (k, 100)));
         let victim = c.replicas_of(1)[2];
-        c.set_node_down(victim);
-        c.submit_write_with(1, 100, ConsistencyLevel::One, SimTime::ZERO);
+        c.inject(FaultAction::NodeDown(victim.0));
+        c.submit(BatchOp::write(SimTime::ZERO, 1, 100).with_level(ConsistencyLevel::One));
         drain(&mut c);
-        c.set_node_up(victim);
+        c.inject(FaultAction::NodeUp(victim.0));
         let stale_version = c.stored(victim, 1).unwrap().version;
 
         let writes_before = c.metrics().storage_write_ops;
-        c.submit_scan_with(1, 4, ConsistencyLevel::All, c.now());
+        c.submit(BatchOp::scan(c.now(), 1, 4).with_level(ConsistencyLevel::All));
         let done = drain(&mut c);
         assert_eq!(done[0].status, OpStatus::Ok);
         let writes_after = c.metrics().storage_write_ops;
@@ -1293,7 +1277,7 @@ mod tests {
         );
 
         // The point read at the same level does repair it.
-        c.submit_read_with(1, ConsistencyLevel::All, c.now());
+        c.submit(BatchOp::read(c.now(), 1).with_level(ConsistencyLevel::All));
         drain(&mut c);
         let writes_repaired = c.metrics().storage_write_ops;
         assert!(writes_repaired > writes_before);

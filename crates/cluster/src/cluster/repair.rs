@@ -296,7 +296,7 @@ impl Cluster {
         let idx = node.0 as usize;
         if self.shared.faults.is_down(node) {
             // The node flapped down again mid-replay: park the chain; the
-            // next set_node_up restarts it with the remaining hints.
+            // next `NodeUp` restarts it with the remaining hints.
             self.ctrl.repair.hint_replay_active[idx] = false;
             return;
         }
@@ -501,6 +501,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::super::fixtures::*;
+    use super::super::{BatchOp, FaultAction};
     use super::*;
     use crate::config::RepairMode;
     use crate::consistency::ConsistencyLevel;
@@ -511,12 +512,14 @@ mod tests {
         let mut c = repair_cluster(5, 3, RepairMode::Hints, 29);
         c.load_records((0..10u64).map(|k| (k, 100)));
         let victim = c.replicas_of(3)[1];
-        c.set_node_down(victim);
+        c.inject(FaultAction::NodeDown(victim.0));
         let before = c.stored(victim, 3).unwrap().version;
         // ONE writes succeed on the up replicas; the coordinator queues a
         // hint for the down one.
         for i in 0..5u64 {
-            c.submit_write_with(3, 100, ConsistencyLevel::One, SimTime::from_millis(i));
+            c.submit(
+                BatchOp::write(SimTime::from_millis(i), 3, 100).with_level(ConsistencyLevel::One),
+            );
         }
         drain(&mut c);
         assert_eq!(c.pending_hints(victim), 5);
@@ -528,7 +531,7 @@ mod tests {
             "a down node applies nothing"
         );
 
-        c.set_node_up(victim);
+        c.inject(FaultAction::NodeUp(victim.0));
         drain(&mut c);
         assert_eq!(c.pending_hints(victim), 0);
         assert_eq!(c.metrics().hints_replayed, 5);
@@ -556,9 +559,11 @@ mod tests {
         let mut c = repair_cluster(5, 3, RepairMode::Hints, 31);
         c.load_records((0..10u64).map(|k| (k, 100)));
         let victim = c.replicas_of(3)[1];
-        c.set_node_down(victim);
+        c.inject(FaultAction::NodeDown(victim.0));
         for i in 0..capacity as u64 + 7 {
-            c.submit_write_with(3, 100, ConsistencyLevel::One, SimTime::from_millis(i));
+            c.submit(
+                BatchOp::write(SimTime::from_millis(i), 3, 100).with_level(ConsistencyLevel::One),
+            );
         }
         drain(&mut c);
         assert_eq!(c.pending_hints(victim), capacity, "the queue is bounded");
@@ -577,9 +582,11 @@ mod tests {
         let mut c = repair_cluster(5, 3, RepairMode::AntiEntropy, 37);
         c.load_records((0..20u64).map(|k| (k, 100)));
         let victim = c.replicas_of(7)[2];
-        c.set_node_down(victim);
+        c.inject(FaultAction::NodeDown(victim.0));
         for i in 0..8u64 {
-            c.submit_write_with(7, 100, ConsistencyLevel::One, SimTime::from_millis(i));
+            c.submit(
+                BatchOp::write(SimTime::from_millis(i), 7, 100).with_level(ConsistencyLevel::One),
+            );
         }
         drain(&mut c);
         assert_eq!(
@@ -587,7 +594,7 @@ mod tests {
             0,
             "mode=AntiEntropy queues no hints"
         );
-        c.set_node_up(victim);
+        c.inject(FaultAction::NodeUp(victim.0));
         // run_to_completion terminates because the sweep cycle parks after a
         // silent round — and by then the divergence must be gone.
         drain(&mut c);
@@ -604,7 +611,7 @@ mod tests {
 
         // A further drain on the converged cluster streams nothing new.
         let streamed = c.metrics().repair_records_streamed;
-        c.submit_read_with(7, ConsistencyLevel::One, c.now());
+        c.submit(BatchOp::read(c.now(), 7).with_level(ConsistencyLevel::One));
         drain(&mut c);
         assert_eq!(c.metrics().repair_records_streamed, streamed);
     }
@@ -618,18 +625,16 @@ mod tests {
             .filter(|&k| c.replicas_of(k).contains(&victim))
             .collect();
         assert!(!affected.is_empty());
-        c.crash_node(victim);
+        c.inject(FaultAction::CrashNode(victim.0));
         // Fresh writes land only on the survivors while the node is out.
         for (i, &k) in affected.iter().enumerate() {
-            c.submit_write_with(
-                k,
-                100,
-                ConsistencyLevel::All,
-                c.now() + SimDuration::from_millis(i as u64),
+            c.submit(
+                BatchOp::write(c.now() + SimDuration::from_millis(i as u64), k, 100)
+                    .with_level(ConsistencyLevel::All),
             );
         }
         drain(&mut c);
-        c.recover_node(victim);
+        c.inject(FaultAction::RecoverNode(victim.0));
         drain(&mut c);
         for &k in &affected {
             let fresh = c.stored(c.replicas_of(k)[0], k).unwrap().version;
@@ -684,12 +689,15 @@ mod tests {
         // code path: no hints, no sweeps, no repair traffic.
         let mut c = cluster(5, 3);
         c.load_records((0..10u64).map(|k| (k, 100)));
-        c.set_node_down(NodeId(1));
+        c.inject(FaultAction::NodeDown(1));
         for i in 0..20u64 {
-            c.submit_write_with(i % 10, 100, ConsistencyLevel::One, SimTime::from_millis(i));
+            c.submit(
+                BatchOp::write(SimTime::from_millis(i), i % 10, 100)
+                    .with_level(ConsistencyLevel::One),
+            );
         }
         drain(&mut c);
-        c.set_node_up(NodeId(1));
+        c.inject(FaultAction::NodeUp(1));
         drain(&mut c);
         let m = c.metrics();
         assert_eq!(m.hints_queued, 0);

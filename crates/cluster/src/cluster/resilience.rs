@@ -269,7 +269,7 @@ impl ShardCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::super::fixtures::*;
-    use super::super::{Cluster, ClusterOutput};
+    use super::super::{BatchOp, Cluster, FaultAction};
     use super::*;
     use crate::consistency::ConsistencyLevel;
     use crate::types::OpStatus;
@@ -290,7 +290,7 @@ mod tests {
             }
             let mut c = Cluster::new(cfg, 11);
             c.load_records((0..10u64).map(|k| (k, 100)));
-            c.slow_node(NodeId(0), 4.0);
+            c.inject(FaultAction::SlowNode(0, 4.0));
             for i in 0..100u64 {
                 c.submit_read_at(i % 10, SimTime::from_millis(i));
             }
@@ -355,17 +355,9 @@ mod tests {
             submitted.push(c.submit_read_at(i % 10, SimTime::from_micros(i * 20)));
         }
         // Take a replica down mid-flight, then bring it back.
-        c.schedule_tick(SimTime::from_micros(300), 1);
-        c.schedule_tick(SimTime::from_millis(5), 2);
-        let mut done = Vec::new();
-        while let Some(out) = c.advance() {
-            match out {
-                ClusterOutput::Tick { id: 1, .. } => c.set_node_down(NodeId(1)),
-                ClusterOutput::Tick { id: 2, .. } => c.set_node_up(NodeId(1)),
-                ClusterOutput::Completed(op) => done.push(op),
-                ClusterOutput::Tick { .. } => {}
-            }
-        }
+        c.schedule_fault(SimTime::from_micros(300), FaultAction::NodeDown(1));
+        c.schedule_fault(SimTime::from_millis(5), FaultAction::NodeUp(1));
+        let done = drain(&mut c);
         assert_eq!(done.len(), 100, "every read completes exactly once");
         let mut completed: Vec<OpId> = done.iter().map(|o| o.id).collect();
         completed.sort();
@@ -388,9 +380,12 @@ mod tests {
             cfg.resilience.backoff = backoff;
             let mut c = Cluster::new(cfg, 5);
             c.load_records((0..10u64).map(|k| (k, 100)));
-            c.set_node_down(NodeId(1));
+            c.inject(FaultAction::NodeDown(1));
             for i in 0..30u64 {
-                c.submit_write_with(i % 10, 100, ConsistencyLevel::All, SimTime::from_millis(i));
+                c.submit(
+                    BatchOp::write(SimTime::from_millis(i), i % 10, 100)
+                        .with_level(ConsistencyLevel::All),
+                );
             }
             let done = drain(&mut c);
             assert_eq!(done.len(), 30, "every op completes exactly once");
@@ -433,7 +428,7 @@ mod tests {
             let mut c = Cluster::new(cfg, 43);
             c.load_records((0..4u64).map(|k| (k, 100)));
             let victim = c.replicas_of(0)[0];
-            c.slow_node(victim, 50.0);
+            c.inject(FaultAction::SlowNode(victim.0, 50.0));
             for i in 0..400u64 {
                 c.submit_read_at(0, SimTime::from_millis(i));
             }
@@ -462,7 +457,7 @@ mod tests {
         let mut c = Cluster::new(cfg, 47);
         c.load_records((0..10u64).map(|k| (k, 100)));
         let victim = c.replicas_of(0)[0];
-        c.set_node_down(victim);
+        c.inject(FaultAction::NodeDown(victim.0));
         for i in 0..60u64 {
             c.submit_read_at(0, SimTime::from_millis(i * 30));
         }

@@ -22,7 +22,8 @@
 //! * last-write-wins versioned replica storage ([`ReplicaStore`]), sized
 //!   records × RF, with incrementally maintained per-node, per-page version
 //!   summaries; it counts only the bytes it stores,
-//! * optional read repair and node-failure injection,
+//! * optional read repair and fault injection ([`FaultAction`]: node
+//!   outages and crashes, partitions, degraded links, gray failures),
 //! * an opt-in background repair plane ([`RepairConfig`]): hinted handoff,
 //!   anti-entropy sweeps over the page summaries, and recovery migration
 //!   that streams acquired/returned ranges instead of instantly serving
@@ -35,13 +36,13 @@
 //!   traffic per link class and storage I/O.
 //!
 //! ```
-//! use concord_cluster::{Cluster, ClusterConfig, ConsistencyLevel};
+//! use concord_cluster::{BatchOp, Cluster, ClusterConfig, ConsistencyLevel};
 //! use concord_sim::SimTime;
 //!
 //! let mut cluster = Cluster::new(ClusterConfig::lan_test(5, 3), 42);
 //! cluster.load_records((0..100u64).map(|k| (k, 1_000)));
-//! cluster.submit_write_with(7, 1_000, ConsistencyLevel::Quorum, SimTime::ZERO);
-//! cluster.submit_read_with(7, ConsistencyLevel::One, SimTime::from_millis(5));
+//! cluster.submit(BatchOp::write(SimTime::ZERO, 7, 1_000).with_level(ConsistencyLevel::Quorum));
+//! cluster.submit(BatchOp::read(SimTime::from_millis(5), 7).with_level(ConsistencyLevel::One));
 //! let completed = cluster.run_to_completion(1_000_000);
 //! assert_eq!(completed.len(), 2);
 //! ```
@@ -60,7 +61,7 @@ pub mod slab;
 pub mod storage;
 pub mod types;
 
-pub use cluster::{BatchOp, Cluster, ClusterOutput, ReplicaSelection};
+pub use cluster::{BatchOp, Cluster, ClusterOutput, FaultAction, ReplicaSelection};
 pub use config::{ClusterConfig, RepairConfig, RepairMode, ResilienceConfig};
 pub use consistency::ConsistencyLevel;
 pub use metrics::{ClusterMetrics, LatencyStats, TrafficBytes};

@@ -180,6 +180,9 @@ pub struct ClusterMetrics {
     /// Also included in `traffic`, so the bill prices hedge bytes like any
     /// other transfer; this meter breaks the tail-tolerance share out.
     pub hedge_traffic: TrafficBytes,
+    /// Fault transitions applied (`Cluster::inject` and scheduled faults
+    /// that came due).
+    pub faults_injected: u64,
 }
 
 impl ClusterMetrics {
@@ -286,6 +289,7 @@ impl ClusterMetrics {
             backoff_retries,
             breaker_opens,
             hedge_traffic,
+            faults_injected,
         } = other;
         self.reads_completed += reads_completed;
         self.writes_completed += writes_completed;
@@ -312,6 +316,7 @@ impl ClusterMetrics {
         self.backoff_retries += backoff_retries;
         self.breaker_opens += breaker_opens;
         self.hedge_traffic.merge(hedge_traffic);
+        self.faults_injected += faults_injected;
     }
 }
 

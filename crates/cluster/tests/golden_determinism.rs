@@ -41,8 +41,8 @@
 //!   per-shard-count values themselves.
 
 use concord_cluster::{
-    Cluster, ClusterConfig, ConsistencyLevel, OpKind, OpStatus, Partitioner, ReplicaSelection,
-    ReplicationStrategy, ORDERED_SLICE_KEYS,
+    BatchOp, Cluster, ClusterConfig, ConsistencyLevel, FaultAction, OpKind, OpStatus, Partitioner,
+    ReplicaSelection, ReplicationStrategy, ORDERED_SLICE_KEYS,
 };
 use concord_sim::{NetworkModel, RegionId, SimDuration, SimTime, Topology};
 
@@ -229,12 +229,12 @@ fn golden_failure_timeout_run() {
     cfg.op_timeout = SimDuration::from_millis(50);
     let mut c = Cluster::new(cfg, 21);
     c.load_records((0..30u64).map(|k| (k, 100)));
-    c.set_node_down(concord_sim::NodeId(2));
+    c.inject(FaultAction::NodeDown(2));
     let mut at = SimTime::ZERO;
     for i in 0..600u64 {
         at += SimDuration::from_micros(400);
         if i % 3 == 0 {
-            c.submit_write_with(i % 30, 100, ConsistencyLevel::All, at);
+            c.submit(BatchOp::write(at, i % 30, 100).with_level(ConsistencyLevel::All));
         } else {
             c.submit_read_at(i % 30, at);
         }
@@ -251,8 +251,8 @@ fn golden_failure_timeout_run() {
 
 /// Crash/recover scenario: a node crashes mid-run (ring reconfigures onto
 /// the survivors), recovers later (original token positions restored), with
-/// timeout retries enabled. Events are driven through ticks so the fault
-/// times are exact and reproducible.
+/// timeout retries enabled. The faults are scheduled in the cluster, so
+/// their times are exact and reproducible.
 #[test]
 fn golden_crash_recover_run() {
     let mut cfg = ClusterConfig::lan_test(6, 3);
@@ -266,7 +266,7 @@ fn golden_crash_recover_run() {
     for i in 0..2_000u64 {
         at += SimDuration::from_micros(400);
         if i % 2 == 0 {
-            c.submit_write_with((i / 2) % 40, 150, ConsistencyLevel::All, at);
+            c.submit(BatchOp::write(at, (i / 2) % 40, 150).with_level(ConsistencyLevel::All));
         } else {
             c.submit_read_at((i / 2) % 40, at);
         }
@@ -274,44 +274,27 @@ fn golden_crash_recover_run() {
     // Crash at 100 ms, recover at 500 ms (the churn spans 800 ms); a
     // *transient* outage of node 0 (ring untouched, so ALL writes keep
     // targeting it and time out into retries) from 250 ms to 400 ms.
-    c.schedule_tick(SimTime::from_millis(100), 1);
-    c.schedule_tick(SimTime::from_millis(500), 2);
-    c.schedule_tick(SimTime::from_millis(250), 3);
-    c.schedule_tick(SimTime::from_millis(400), 4);
+    c.schedule_fault(SimTime::from_millis(100), FaultAction::CrashNode(2));
+    c.schedule_fault(SimTime::from_millis(500), FaultAction::RecoverNode(2));
+    c.schedule_fault(SimTime::from_millis(250), FaultAction::NodeDown(0));
+    c.schedule_fault(SimTime::from_millis(400), FaultAction::NodeUp(0));
     let mut d = RunDigest::default();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let fnv = |h: &mut u64, x: u64| {
         *h ^= x;
         *h = h.wrapping_mul(0x0000_0100_0000_01B3);
     };
-    while let Some(out) = c.advance() {
-        match out {
-            concord_cluster::ClusterOutput::Tick { id: 1, .. } => {
-                c.crash_node(concord_sim::NodeId(2))
-            }
-            concord_cluster::ClusterOutput::Tick { id: 2, .. } => {
-                c.recover_node(concord_sim::NodeId(2))
-            }
-            concord_cluster::ClusterOutput::Tick { id: 3, .. } => {
-                c.set_node_down(concord_sim::NodeId(0))
-            }
-            concord_cluster::ClusterOutput::Tick { id: 4, .. } => {
-                c.set_node_up(concord_sim::NodeId(0))
-            }
-            concord_cluster::ClusterOutput::Tick { .. } => {}
-            concord_cluster::ClusterOutput::Completed(op) => {
-                d.ops += 1;
-                if op.status == OpStatus::Timeout {
-                    d.timeouts += 1;
-                }
-                if op.stale {
-                    d.stale += 1;
-                }
-                d.latency_sum_us += op.latency().as_micros();
-                fnv(&mut h, op.completed_at.as_micros());
-                fnv(&mut h, op.returned_version.0);
-            }
+    for op in c.run_to_completion(u64::MAX) {
+        d.ops += 1;
+        if op.status == OpStatus::Timeout {
+            d.timeouts += 1;
         }
+        if op.stale {
+            d.stale += 1;
+        }
+        d.latency_sum_us += op.latency().as_micros();
+        fnv(&mut h, op.completed_at.as_micros());
+        fnv(&mut h, op.returned_version.0);
     }
     d.checksum = h;
     maybe_print("crash_recover", &d, &c);
@@ -347,49 +330,32 @@ fn golden_repair_run() {
     for i in 0..2_000u64 {
         at += SimDuration::from_micros(400);
         if i % 2 == 0 {
-            c.submit_write_with((i / 2) % 40, 150, ConsistencyLevel::All, at);
+            c.submit(BatchOp::write(at, (i / 2) % 40, 150).with_level(ConsistencyLevel::All));
         } else {
             c.submit_read_at((i / 2) % 40, at);
         }
     }
-    c.schedule_tick(SimTime::from_millis(100), 1);
-    c.schedule_tick(SimTime::from_millis(500), 2);
-    c.schedule_tick(SimTime::from_millis(250), 3);
-    c.schedule_tick(SimTime::from_millis(400), 4);
+    c.schedule_fault(SimTime::from_millis(100), FaultAction::CrashNode(2));
+    c.schedule_fault(SimTime::from_millis(500), FaultAction::RecoverNode(2));
+    c.schedule_fault(SimTime::from_millis(250), FaultAction::NodeDown(0));
+    c.schedule_fault(SimTime::from_millis(400), FaultAction::NodeUp(0));
     let mut d = RunDigest::default();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let fnv = |h: &mut u64, x: u64| {
         *h ^= x;
         *h = h.wrapping_mul(0x0000_0100_0000_01B3);
     };
-    while let Some(out) = c.advance() {
-        match out {
-            concord_cluster::ClusterOutput::Tick { id: 1, .. } => {
-                c.crash_node(concord_sim::NodeId(2))
-            }
-            concord_cluster::ClusterOutput::Tick { id: 2, .. } => {
-                c.recover_node(concord_sim::NodeId(2))
-            }
-            concord_cluster::ClusterOutput::Tick { id: 3, .. } => {
-                c.set_node_down(concord_sim::NodeId(0))
-            }
-            concord_cluster::ClusterOutput::Tick { id: 4, .. } => {
-                c.set_node_up(concord_sim::NodeId(0))
-            }
-            concord_cluster::ClusterOutput::Tick { .. } => {}
-            concord_cluster::ClusterOutput::Completed(op) => {
-                d.ops += 1;
-                if op.status == OpStatus::Timeout {
-                    d.timeouts += 1;
-                }
-                if op.stale {
-                    d.stale += 1;
-                }
-                d.latency_sum_us += op.latency().as_micros();
-                fnv(&mut h, op.completed_at.as_micros());
-                fnv(&mut h, op.returned_version.0);
-            }
+    for op in c.run_to_completion(u64::MAX) {
+        d.ops += 1;
+        if op.status == OpStatus::Timeout {
+            d.timeouts += 1;
         }
+        if op.stale {
+            d.stale += 1;
+        }
+        d.latency_sum_us += op.latency().as_micros();
+        fnv(&mut h, op.completed_at.as_micros());
+        fnv(&mut h, op.returned_version.0);
     }
     d.checksum = h;
     maybe_print("repair", &d, &c);
@@ -464,58 +430,38 @@ fn paged_repair_run(partitioner: Partitioner, golden: PagedRepairGolden) {
         // A stride coprime to the key space walks all three pages.
         let key = (i / 2) * 2_503 % KEY_SPACE;
         if i % 2 == 0 {
-            c.submit_write_with(key, 150, ConsistencyLevel::One, at);
+            c.submit(BatchOp::write(at, key, 150).with_level(ConsistencyLevel::One));
         } else {
-            c.submit_read_with(key, ConsistencyLevel::One, at);
+            c.submit(BatchOp::read(at, key).with_level(ConsistencyLevel::One));
         }
     }
     // The churn spans 1.6 s: crash at 100 ms, partition at 300 ms, recover
     // at 600 ms (still partitioned), heal at 900 ms; then a transient
     // outage of node 1 (ring untouched, so its writes queue as hints) from
     // 1.1 s to 1.3 s.
-    c.schedule_tick(SimTime::from_millis(100), 1);
-    c.schedule_tick(SimTime::from_millis(300), 2);
-    c.schedule_tick(SimTime::from_millis(600), 3);
-    c.schedule_tick(SimTime::from_millis(900), 4);
-    c.schedule_tick(SimTime::from_millis(1_100), 5);
-    c.schedule_tick(SimTime::from_millis(1_300), 6);
-    let (a, b) = (concord_sim::DcId(0), concord_sim::DcId(1));
+    c.schedule_fault(SimTime::from_millis(100), FaultAction::CrashNode(2));
+    c.schedule_fault(SimTime::from_millis(300), FaultAction::PartitionDcs(0, 1));
+    c.schedule_fault(SimTime::from_millis(600), FaultAction::RecoverNode(2));
+    c.schedule_fault(SimTime::from_millis(900), FaultAction::HealDcs(0, 1));
+    c.schedule_fault(SimTime::from_millis(1_100), FaultAction::NodeDown(1));
+    c.schedule_fault(SimTime::from_millis(1_300), FaultAction::NodeUp(1));
     let mut d = RunDigest::default();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let fnv = |h: &mut u64, x: u64| {
         *h ^= x;
         *h = h.wrapping_mul(0x0000_0100_0000_01B3);
     };
-    while let Some(out) = c.advance() {
-        match out {
-            concord_cluster::ClusterOutput::Tick { id: 1, .. } => {
-                c.crash_node(concord_sim::NodeId(2))
-            }
-            concord_cluster::ClusterOutput::Tick { id: 2, .. } => c.partition_dcs(a, b),
-            concord_cluster::ClusterOutput::Tick { id: 3, .. } => {
-                c.recover_node(concord_sim::NodeId(2))
-            }
-            concord_cluster::ClusterOutput::Tick { id: 4, .. } => c.heal_dcs(a, b),
-            concord_cluster::ClusterOutput::Tick { id: 5, .. } => {
-                c.set_node_down(concord_sim::NodeId(1))
-            }
-            concord_cluster::ClusterOutput::Tick { id: 6, .. } => {
-                c.set_node_up(concord_sim::NodeId(1))
-            }
-            concord_cluster::ClusterOutput::Tick { .. } => {}
-            concord_cluster::ClusterOutput::Completed(op) => {
-                d.ops += 1;
-                if op.status == OpStatus::Timeout {
-                    d.timeouts += 1;
-                }
-                if op.stale {
-                    d.stale += 1;
-                }
-                d.latency_sum_us += op.latency().as_micros();
-                fnv(&mut h, op.completed_at.as_micros());
-                fnv(&mut h, op.returned_version.0);
-            }
+    for op in c.run_to_completion(u64::MAX) {
+        d.ops += 1;
+        if op.status == OpStatus::Timeout {
+            d.timeouts += 1;
         }
+        if op.stale {
+            d.stale += 1;
+        }
+        d.latency_sum_us += op.latency().as_micros();
+        fnv(&mut h, op.completed_at.as_micros());
+        fnv(&mut h, op.returned_version.0);
     }
     d.checksum = h;
     let name = format!("paged_repair[{partitioner:?}]");
@@ -614,7 +560,7 @@ fn golden_resilience_run() {
             if i % 2 == 0 {
                 c.submit_write_at(k, 200, at);
             } else if (i / 2) % 3 == 2 {
-                c.submit_read_with(k, ConsistencyLevel::All, at);
+                c.submit(BatchOp::read(at, k).with_level(ConsistencyLevel::All));
             } else {
                 c.submit_read_at(k, at);
             }
@@ -622,46 +568,29 @@ fn golden_resilience_run() {
         // Node 1 serves 10x slow from 300 ms to 1.5 s (the churn spans 2 s);
         // node 4 goes down hard from 450 ms to 1.65 s so timed-out scans
         // retry after a backoff and trip its breaker.
-        c.schedule_tick(SimTime::from_millis(300), 1);
-        c.schedule_tick(SimTime::from_millis(1_500), 2);
-        c.schedule_tick(SimTime::from_millis(450), 3);
-        c.schedule_tick(SimTime::from_millis(1_650), 4);
+        c.schedule_fault(SimTime::from_millis(300), FaultAction::SlowNode(1, 10.0));
+        c.schedule_fault(SimTime::from_millis(1_500), FaultAction::RestoreNode(1));
+        c.schedule_fault(SimTime::from_millis(450), FaultAction::NodeDown(4));
+        c.schedule_fault(SimTime::from_millis(1_650), FaultAction::NodeUp(4));
         let mut d = RunDigest::default();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let fnv = |h: &mut u64, x: u64| {
             *h ^= x;
             *h = h.wrapping_mul(0x0000_0100_0000_01B3);
         };
-        while let Some(out) = c.advance() {
-            match out {
-                concord_cluster::ClusterOutput::Tick { id: 1, .. } => {
-                    c.slow_node(concord_sim::NodeId(1), 10.0)
-                }
-                concord_cluster::ClusterOutput::Tick { id: 2, .. } => {
-                    c.restore_node(concord_sim::NodeId(1))
-                }
-                concord_cluster::ClusterOutput::Tick { id: 3, .. } => {
-                    c.set_node_down(concord_sim::NodeId(4))
-                }
-                concord_cluster::ClusterOutput::Tick { id: 4, .. } => {
-                    c.set_node_up(concord_sim::NodeId(4))
-                }
-                concord_cluster::ClusterOutput::Tick { .. } => {}
-                concord_cluster::ClusterOutput::Completed(op) => {
-                    d.ops += 1;
-                    if op.status == OpStatus::Timeout {
-                        d.timeouts += 1;
-                    }
-                    if op.stale {
-                        d.stale += 1;
-                    }
-                    d.latency_sum_us += op.latency().as_micros();
-                    fnv(&mut h, op.completed_at.as_micros());
-                    fnv(&mut h, op.returned_version.0);
-                    fnv(&mut h, op.staleness_depth as u64);
-                    fnv(&mut h, op.replicas_involved as u64);
-                }
+        for op in c.run_to_completion(u64::MAX) {
+            d.ops += 1;
+            if op.status == OpStatus::Timeout {
+                d.timeouts += 1;
             }
+            if op.stale {
+                d.stale += 1;
+            }
+            d.latency_sum_us += op.latency().as_micros();
+            fnv(&mut h, op.completed_at.as_micros());
+            fnv(&mut h, op.returned_version.0);
+            fnv(&mut h, op.staleness_depth as u64);
+            fnv(&mut h, op.replicas_involved as u64);
         }
         d.checksum = h;
         maybe_print(&format!("resilience[shards={shards}]"), &d, &c);
@@ -721,33 +650,25 @@ fn golden_partition_heal_run() {
     c.set_levels(ConsistencyLevel::Quorum, ConsistencyLevel::Quorum);
     churn(&mut c, 3_000, 30, SimDuration::from_micros(400));
     // Partition at 200 ms, heal at 700 ms (the churn spans 1.2 s).
-    c.schedule_tick(SimTime::from_millis(200), 1);
-    c.schedule_tick(SimTime::from_millis(700), 2);
-    let (a, b) = (concord_sim::DcId(0), concord_sim::DcId(1));
+    c.schedule_fault(SimTime::from_millis(200), FaultAction::PartitionDcs(0, 1));
+    c.schedule_fault(SimTime::from_millis(700), FaultAction::HealDcs(0, 1));
     let mut d = RunDigest::default();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let fnv = |h: &mut u64, x: u64| {
         *h ^= x;
         *h = h.wrapping_mul(0x0000_0100_0000_01B3);
     };
-    while let Some(out) = c.advance() {
-        match out {
-            concord_cluster::ClusterOutput::Tick { id: 1, .. } => c.partition_dcs(a, b),
-            concord_cluster::ClusterOutput::Tick { id: 2, .. } => c.heal_dcs(a, b),
-            concord_cluster::ClusterOutput::Tick { .. } => {}
-            concord_cluster::ClusterOutput::Completed(op) => {
-                d.ops += 1;
-                if op.status == OpStatus::Timeout {
-                    d.timeouts += 1;
-                }
-                if op.stale {
-                    d.stale += 1;
-                }
-                d.latency_sum_us += op.latency().as_micros();
-                fnv(&mut h, op.completed_at.as_micros());
-                fnv(&mut h, op.returned_version.0);
-            }
+    for op in c.run_to_completion(u64::MAX) {
+        d.ops += 1;
+        if op.status == OpStatus::Timeout {
+            d.timeouts += 1;
         }
+        if op.stale {
+            d.stale += 1;
+        }
+        d.latency_sum_us += op.latency().as_micros();
+        fnv(&mut h, op.completed_at.as_micros());
+        fnv(&mut h, op.returned_version.0);
     }
     d.checksum = h;
     maybe_print("partition_heal", &d, &c);
@@ -757,7 +678,7 @@ fn golden_partition_heal_run() {
         c.metrics().messages_lost > 0,
         "the partition drops messages"
     );
-    assert!(!c.dcs_partitioned(a, b));
+    assert!(!c.dcs_partitioned(concord_sim::DcId(0), concord_sim::DcId(1)));
     assert_eq!(c.inflight_ops(), 0);
     assert_eq!(c.inflight_write_payloads(), 0);
     assert_eq!(c.check_drained(), Ok(()));

@@ -4,21 +4,24 @@
 //! classifies reads and the replica stores hold copies, but neither counts
 //! them. This property drives random mixed workloads — point reads, scans
 //! and writes at random consistency levels, on 8 nodes over 2 datacenters,
-//! under a short random fault script (a node down and back up, a datacenter
-//! partition and its heal) — on one or two shards, with read repair on or
-//! off and zero or one retry per timed-out operation. After draining, it
-//! recomputes reads, writes, timeouts, stale reads, the staleness-depth sum
-//! and both latency statistics from the published `CompletedOp`s alone and
-//! asserts they equal `Cluster::metrics()`; that the bill's storage I/O is
-//! the metered storage reads plus writes; and that `check_drained` holds
+//! under a short random fault script (each kind of `FaultAction` paired
+//! with the action that lifts it: down/up, crash/recover, partition/heal,
+//! degrade/restore, slow/restore, dc-down/dc-up) — on one or two shards,
+//! with read repair on or off, zero or one retry per timed-out operation,
+//! the repair plane off or full and the resilience layer off or on. After
+//! draining, it recomputes reads, writes, timeouts, stale reads, the
+//! staleness-depth sum and both latency statistics from the published
+//! `CompletedOp`s alone and asserts they equal `Cluster::metrics()`; that
+//! the bill's storage I/O is the metered storage reads plus writes; that
+//! every scheduled fault was injected; and that `check_drained` holds
 //! (every admitted operation completed exactly once).
 
 use concord_cluster::{
-    Cluster, ClusterConfig, ClusterOutput, CompletedOp, ConsistencyLevel, LatencyStats, OpKind,
-    OpStatus, ReplicationStrategy,
+    BatchOp, Cluster, ClusterConfig, CompletedOp, ConsistencyLevel, FaultAction, LatencyStats,
+    OpKind, OpStatus, RepairConfig, RepairMode, ReplicaSelection, ReplicationStrategy,
 };
 use concord_cost::ResourceUsage;
-use concord_sim::{DcId, NetworkModel, NodeId, RegionId, SimDuration, SimRng, SimTime, Topology};
+use concord_sim::{LinkClass, NetworkModel, RegionId, SimDuration, SimRng, SimTime, Topology};
 use proptest::prelude::*;
 
 const NODES: u32 = 8;
@@ -32,33 +35,56 @@ const LEVELS: [ConsistencyLevel; 5] = [
     ConsistencyLevel::All,
 ];
 
-/// One step of the fault script, applied when its tick fires.
+/// The planes a run turns on besides the data path.
 #[derive(Debug, Clone, Copy)]
-enum Fault {
-    Down(NodeId),
-    Up(NodeId),
-    Partition,
-    Heal,
+struct Planes {
+    read_repair: bool,
+    retries: u32,
+    repair: RepairMode,
+    /// Hedged reads after 2 ms, dynamic replica selection and backoff.
+    resilience: bool,
 }
 
-impl Fault {
-    fn apply(self, c: &mut Cluster) {
-        match self {
-            Fault::Down(n) => c.set_node_down(n),
-            Fault::Up(n) => c.set_node_up(n),
-            Fault::Partition => c.partition_dcs(DcId(0), DcId(1)),
-            Fault::Heal => c.heal_dcs(DcId(0), DcId(1)),
-        }
-    }
-}
-
-/// What one run published, with the cluster it left behind.
+/// What one run published, with the cluster it left behind and the number
+/// of faults it scheduled.
 struct Run {
     cluster: Cluster,
     published: Vec<CompletedOp>,
+    scheduled: u64,
 }
 
-fn run(seed: u64, shards: u32, read_repair: bool, retries: u32, script_seed: u64) -> Run {
+/// The fault script: each pair happens or not, at random instants inside
+/// the workload's span `[0, span)` µs, the lifting action after the fault.
+fn fault_script(script_seed: u64, span: u64) -> Vec<(SimTime, FaultAction)> {
+    use FaultAction::*;
+    let mut frng = SimRng::new(script_seed);
+    let node = |frng: &mut SimRng| frng.next_bounded(NODES as u64) as u32;
+    let (n1, n2, n3) = (node(&mut frng), node(&mut frng), node(&mut frng));
+    let class = [LinkClass::IntraDc, LinkClass::InterDc][frng.next_bounded(2) as usize];
+    let degrade = 1.0 + frng.next_bounded(8) as f64;
+    let slow = 1.0 + frng.next_bounded(20) as f64;
+    let dc = frng.next_bounded(2) as u16;
+    let pairs = [
+        (NodeDown(n1), NodeUp(n1)),
+        (CrashNode(n2), RecoverNode(n2)),
+        (PartitionDcs(0, 1), HealDcs(0, 1)),
+        (DegradeLink(class, degrade), RestoreLink(class)),
+        (SlowNode(n3, slow), RestoreNode(n3)),
+        (DcDown(dc), DcUp(dc)),
+    ];
+    let mut script = Vec::new();
+    for (fault, lift) in pairs {
+        if frng.next_bounded(4) > 0 {
+            let start = frng.next_bounded(span);
+            let end = start + 1 + frng.next_bounded(span);
+            script.push((SimTime::from_micros(start), fault));
+            script.push((SimTime::from_micros(end), lift));
+        }
+    }
+    script
+}
+
+fn run(seed: u64, shards: u32, planes: Planes, script_seed: u64) -> Run {
     let mut cfg = ClusterConfig::lan_test(NODES as usize, 3);
     cfg.topology = Topology::spread(
         NODES as usize,
@@ -67,8 +93,14 @@ fn run(seed: u64, shards: u32, read_repair: bool, retries: u32, script_seed: u64
     cfg.network = NetworkModel::grid5000_like();
     cfg.strategy = ReplicationStrategy::NetworkTopology;
     cfg.op_timeout = SimDuration::from_millis(40);
-    cfg.read_repair = read_repair;
-    cfg.retry_on_timeout = retries;
+    cfg.read_repair = planes.read_repair;
+    cfg.retry_on_timeout = planes.retries;
+    cfg.repair = RepairConfig::with_mode(planes.repair);
+    if planes.resilience {
+        cfg.resilience.hedge_delay = SimDuration::from_millis(2);
+        cfg.resilience.backoff = true;
+        cfg.read_selection = ReplicaSelection::Dynamic;
+    }
     cfg.shards = shards;
     let mut c = Cluster::new(cfg, seed);
     c.load_records((0..KEYS).map(|k| (k, 200)));
@@ -80,43 +112,22 @@ fn run(seed: u64, shards: u32, read_repair: bool, retries: u32, script_seed: u64
         at += SimDuration::from_micros(rng.next_bounded(400));
         let key = rng.next_bounded(KEYS);
         let level = LEVELS[rng.next_bounded(LEVELS.len() as u64) as usize];
-        match rng.next_bounded(10) {
-            0..=4 => c.submit_read_with(key, level, at),
-            5..=6 => c.submit_scan_with(key, 2 + rng.next_bounded(15) as u32, level, at),
-            _ => c.submit_write_with(key, 100 + rng.next_bounded(400) as u32, level, at),
+        let op = match rng.next_bounded(10) {
+            0..=4 => BatchOp::read(at, key),
+            5..=6 => BatchOp::scan(at, key, 2 + rng.next_bounded(15) as u32),
+            _ => BatchOp::write(at, key, 100 + rng.next_bounded(400) as u32),
         };
+        c.submit(op.with_level(level));
     }
 
-    // The fault script: each pair happens or not, at random instants
-    // inside the workload's span, the repair after the fault.
-    let span = at.as_micros().max(1);
-    let mut script = Vec::new();
-    let mut frng = SimRng::new(script_seed);
-    let mut pair = |first: Fault, second: Fault, frng: &mut SimRng| {
-        if frng.next_bounded(4) > 0 {
-            let start = frng.next_bounded(span);
-            let end = start + 1 + frng.next_bounded(span);
-            script.push((start, first));
-            script.push((end, second));
-        }
-    };
-    let victim = NodeId(frng.next_bounded(NODES as u64) as u32);
-    pair(Fault::Down(victim), Fault::Up(victim), &mut frng);
-    pair(Fault::Partition, Fault::Heal, &mut frng);
-    for (id, &(us, _)) in script.iter().enumerate() {
-        c.schedule_tick(SimTime::from_micros(us), id as u64);
-    }
-
-    let mut published = Vec::new();
-    while let Some(out) = c.advance() {
-        match out {
-            ClusterOutput::Completed(op) => published.push(op),
-            ClusterOutput::Tick { id, .. } => script[id as usize].1.apply(&mut c),
-        }
+    let script = fault_script(script_seed, at.as_micros().max(1));
+    for &(at, action) in &script {
+        c.schedule_fault(at, action);
     }
     Run {
+        published: c.run_to_completion(u64::MAX),
         cluster: c,
-        published,
+        scheduled: script.len() as u64,
     }
 }
 
@@ -125,6 +136,7 @@ fn check(run: &Run) {
     let c = &run.cluster;
     prop_assert_eq!(c.check_drained(), Ok(()));
     prop_assert_eq!(run.published.len() as u64, OPS, "each op publishes once");
+    prop_assert_eq!(c.metrics().faults_injected, run.scheduled);
 
     let mut expected = concord_cluster::ClusterMetrics::new();
     let mut read_latency = LatencyStats::new();
@@ -176,9 +188,13 @@ proptest! {
         shards in 1u32..3,
         read_repair in any::<bool>(),
         retries in 0u32..2,
+        full_repair in any::<bool>(),
+        resilience in any::<bool>(),
         script_seed in any::<u64>(),
     ) {
-        check(&run(seed, shards, read_repair, retries, script_seed));
+        let repair = if full_repair { RepairMode::Full } else { RepairMode::Off };
+        let planes = Planes { read_repair, retries, repair, resilience };
+        check(&run(seed, shards, planes, script_seed));
     }
 }
 
@@ -188,7 +204,13 @@ proptest! {
 fn the_runs_exercise_every_checked_meter() {
     let mut totals = concord_cluster::ClusterMetrics::new();
     for seed in 0..8 {
-        let r = run(seed, 1 + (seed % 2) as u32, seed % 3 == 0, 1, seed);
+        let planes = Planes {
+            read_repair: seed % 3 == 0,
+            retries: 1,
+            repair: [RepairMode::Off, RepairMode::Full][(seed / 2 % 2) as usize],
+            resilience: seed / 4 == 1,
+        };
+        let r = run(seed, 1 + (seed % 2) as u32, planes, seed);
         check(&r);
         totals.merge(&r.cluster.metrics());
     }
@@ -198,4 +220,7 @@ fn the_runs_exercise_every_checked_meter() {
     assert!(totals.retries > 0, "no retry");
     assert!(totals.storage_read_ops > 0 && totals.storage_write_ops > 0);
     assert!(totals.read_latency.count() > 0 && totals.write_latency.count() > 0);
+    assert!(totals.faults_injected > 0, "no fault");
+    assert!(totals.hints_queued > 0, "no hint");
+    assert!(totals.hedged_requests > 0, "no hedge");
 }

@@ -9,7 +9,7 @@
 //! pin both semantics via [`CompletedOp::records_returned`].
 
 use concord_cluster::{
-    Cluster, ClusterConfig, ClusterOutput, ConsistencyLevel, OpKind, OpStatus, Partitioner,
+    BatchOp, Cluster, ClusterConfig, ConsistencyLevel, FaultAction, OpKind, OpStatus, Partitioner,
     ORDERED_SLICE_KEYS,
 };
 use concord_sim::{SimDuration, SimTime};
@@ -31,7 +31,7 @@ fn run_one(c: &mut Cluster) -> Vec<concord_cluster::CompletedOp> {
 #[test]
 fn ordered_scan_returns_exactly_scan_len_contiguous_records() {
     let mut c = loaded_cluster(Partitioner::Ordered, 6, 3, 2 * ORDERED_SLICE_KEYS);
-    c.submit_scan_with(100, 25, ConsistencyLevel::One, SimTime::ZERO);
+    c.submit(BatchOp::scan(SimTime::ZERO, 100, 25).with_level(ConsistencyLevel::One));
     let done = run_one(&mut c);
     assert_eq!(done.len(), 1);
     assert_eq!(done[0].kind, OpKind::Read);
@@ -51,7 +51,7 @@ fn ordered_scan_gathers_the_full_range_across_an_ownership_boundary() {
     let anchor = ORDERED_SLICE_KEYS - 6;
     let contacted_before = c.metrics().read_replicas_contacted;
     let reads_before = c.metrics().storage_read_ops;
-    c.submit_scan_with(anchor, 20, ConsistencyLevel::One, SimTime::ZERO);
+    c.submit(BatchOp::scan(SimTime::ZERO, anchor, 20).with_level(ConsistencyLevel::One));
     let done = run_one(&mut c);
     assert_eq!(done.len(), 1);
     assert_eq!(done[0].status, OpStatus::Ok);
@@ -80,7 +80,7 @@ fn hash_scans_retain_subset_semantics() {
     // so the single data replica returns only the records it owns — PR 4's
     // cost-faithful but coverage-partial behaviour.
     let mut c = loaded_cluster(Partitioner::Hash, 6, 3, 2 * ORDERED_SLICE_KEYS);
-    c.submit_scan_with(100, 25, ConsistencyLevel::One, SimTime::ZERO);
+    c.submit(BatchOp::scan(SimTime::ZERO, 100, 25).with_level(ConsistencyLevel::One));
     let done = run_one(&mut c);
     assert_eq!(done.len(), 1);
     assert_eq!(done[0].status, OpStatus::Ok);
@@ -132,23 +132,14 @@ fn ordered_scans_retry_with_full_coverage() {
     let mut c = Cluster::new(cfg, 9);
     c.load_records((0..2 * ORDERED_SLICE_KEYS).map(|k| (k, 100)));
     for n in 0..6 {
-        c.set_node_down(concord_sim::NodeId(n));
+        c.inject(FaultAction::NodeDown(n));
     }
     let anchor = ORDERED_SLICE_KEYS - 4;
-    c.submit_scan_with(anchor, 12, ConsistencyLevel::One, SimTime::ZERO);
-    c.schedule_tick(SimTime::from_millis(60), 1);
-    let mut done = Vec::new();
-    while let Some(out) = c.advance() {
-        match out {
-            ClusterOutput::Tick { id: 1, .. } => {
-                for n in 0..6 {
-                    c.set_node_up(concord_sim::NodeId(n));
-                }
-            }
-            ClusterOutput::Completed(op) => done.push(op),
-            ClusterOutput::Tick { .. } => {}
-        }
+    c.submit(BatchOp::scan(SimTime::ZERO, anchor, 12).with_level(ConsistencyLevel::One));
+    for n in 0..6 {
+        c.schedule_fault(SimTime::from_millis(60), FaultAction::NodeUp(n));
     }
+    let done = c.run_to_completion(u64::MAX);
     assert_eq!(done.len(), 1);
     assert_eq!(done[0].status, OpStatus::Ok, "the retry must succeed");
     assert!(c.metrics().retries >= 1);

@@ -17,7 +17,7 @@
 
 use concord_cluster::paged::PAGE_SLOTS;
 use concord_cluster::{
-    Cluster, ClusterConfig, ClusterOutput, ConsistencyLevel, Key, OpKind, Partitioner,
+    BatchOp, Cluster, ClusterConfig, ConsistencyLevel, FaultAction, Key, OpKind, Partitioner,
     RepairConfig, RepairMode, ReplicaSelection, Version,
 };
 use concord_sim::{NodeId, SimDuration, SimRng, SimTime};
@@ -52,24 +52,19 @@ fn windowed_stale_rates(mode: RepairMode) -> (f64, f64) {
     for i in 0..12_000u64 {
         let at = SimTime::from_micros(i * 200);
         if i % 2 == 0 {
-            c.submit_write_with((i / 2) % KEYS, 150, ConsistencyLevel::One, at);
+            c.submit(BatchOp::write(at, (i / 2) % KEYS, 150).with_level(ConsistencyLevel::One));
         } else {
-            c.submit_read_with((i / 2 + KEYS / 2) % KEYS, ConsistencyLevel::One, at);
+            c.submit(
+                BatchOp::read(at, (i / 2 + KEYS / 2) % KEYS).with_level(ConsistencyLevel::One),
+            );
         }
     }
-    c.schedule_tick(SimTime::from_millis(CRASH_AT_MS), 1);
-    c.schedule_tick(SimTime::from_millis(RECOVER_AT_MS), 2);
-
-    let victim = NodeId(2);
-    let mut done = Vec::new();
-    while let Some(out) = c.advance() {
-        match out {
-            ClusterOutput::Tick { id: 1, .. } => c.crash_node(victim),
-            ClusterOutput::Tick { id: 2, .. } => c.recover_node(victim),
-            ClusterOutput::Tick { .. } => {}
-            ClusterOutput::Completed(op) => done.push(op),
-        }
-    }
+    c.schedule_fault(SimTime::from_millis(CRASH_AT_MS), FaultAction::CrashNode(2));
+    c.schedule_fault(
+        SimTime::from_millis(RECOVER_AT_MS),
+        FaultAction::RecoverNode(2),
+    );
+    let done = c.run_to_completion(u64::MAX);
     assert_eq!(c.check_drained(), Ok(()));
 
     let rate = |from: SimTime, to: SimTime| {
@@ -187,11 +182,13 @@ fn write_burst(c: &mut Cluster, rng: &mut SimRng, count: u64, key_space: u64, ta
     for i in 0..count {
         let at = start + SimDuration::from_micros(100 * (i + 1));
         let size = 50 + rng.next_bounded(400) as u32;
-        c.submit_write_with(rng.next_bounded(key_space), size, ConsistencyLevel::One, at);
+        c.submit(
+            BatchOp::write(at, rng.next_bounded(key_space), size).with_level(ConsistencyLevel::One),
+        );
     }
     if let Some(key) = tail {
         let at = start + SimDuration::from_micros(100 * (count + 1));
-        c.submit_write_with(key, 77, ConsistencyLevel::One, at);
+        c.submit(BatchOp::write(at, key, 77).with_level(ConsistencyLevel::One));
     }
     c.run_to_completion(u64::MAX);
     assert_eq!(c.check_drained(), Ok(()));
@@ -225,7 +222,7 @@ fn run_diff_differential(seed: u64) {
     // Fault the primaries of key 0, so that under either partitioner the
     // faulted nodes own part of what the bursts write.
     let crashed = c.replicas_of(0)[0];
-    c.crash_node(crashed);
+    c.inject(FaultAction::CrashNode(crashed.0));
     write_burst(&mut c, &mut rng, 300, key_space, None);
     let (streaming_crashed, unallocated_to) = assert_diffs_match_reference(&mut c, nodes, pages);
     if pages > 1 && rf < nodes {
@@ -236,10 +233,10 @@ fn run_diff_differential(seed: u64) {
     }
 
     let flapping = c.replicas_of(0)[0];
-    c.set_node_down(flapping);
+    c.inject(FaultAction::NodeDown(flapping.0));
     write_burst(&mut c, &mut rng, 300, key_space, None);
-    c.set_node_up(flapping);
-    c.recover_node(crashed);
+    c.inject(FaultAction::NodeUp(flapping.0));
+    c.inject(FaultAction::RecoverNode(crashed.0));
     write_burst(&mut c, &mut rng, 100, key_space, None);
     let (streaming_recovered, _) = assert_diffs_match_reference(&mut c, nodes, pages);
     assert!(
@@ -277,7 +274,7 @@ fn ownership_index_follows_ring_changes() {
 
     // Crashed: the victim owns nothing, so nothing may stream to it even
     // though every survivor now holds newer versions of its old keys.
-    c.crash_node(victim);
+    c.inject(FaultAction::CrashNode(victim.0));
     let mut rng = SimRng::new(7);
     write_burst(&mut c, &mut rng, 400, 500, None);
     assert_eq!(into_victim(&mut c), 0, "a crashed node replicates nothing");
@@ -285,7 +282,7 @@ fn ownership_index_follows_ring_changes() {
 
     // Recovered: the index built under the crashed ring is stale. The diff
     // must see the restored owners and stream what the victim missed.
-    c.recover_node(victim);
+    c.inject(FaultAction::RecoverNode(victim.0));
     assert!(
         into_victim(&mut c) > 0,
         "the recovered node owns its keys again"
@@ -294,7 +291,7 @@ fn ownership_index_follows_ring_changes() {
 
     // Fully crashed ring (effective RF 0): every list is empty, no panic.
     for n in 0..nodes {
-        c.crash_node(NodeId(n));
+        c.inject(FaultAction::CrashNode(n));
     }
     let (streaming, _) = assert_diffs_match_reference(&mut c, nodes, pages);
     assert_eq!(streaming, 0, "no node replicates anything on an empty ring");

@@ -21,10 +21,10 @@
 //! count (oversubscription must not change a byte either).
 
 use concord_cluster::{
-    Cluster, ClusterConfig, ClusterOutput, ConsistencyLevel, Partitioner, ReplicationStrategy,
-    ORDERED_SLICE_KEYS,
+    BatchOp, Cluster, ClusterConfig, ConsistencyLevel, FaultAction, Partitioner,
+    ReplicationStrategy, ORDERED_SLICE_KEYS,
 };
-use concord_sim::{DcId, NetworkModel, NodeId, RegionId, SimDuration, SimTime, Topology};
+use concord_sim::{NetworkModel, RegionId, SimDuration, SimTime, Topology};
 
 /// Full observable fingerprint of a drained run: an FNV-1a digest over every
 /// completed operation plus the public counters a driver could read.
@@ -55,9 +55,8 @@ struct Fingerprint {
     hedge_traffic: u64,
 }
 
-/// Drain the cluster, applying `on_tick` to every tick id, and fingerprint
-/// the completed-operation stream.
-fn drain(c: &mut Cluster, mut on_tick: impl FnMut(&mut Cluster, u64)) -> Fingerprint {
+/// Drain the cluster and fingerprint the completed-operation stream.
+fn drain(c: &mut Cluster) -> Fingerprint {
     let mut ops = 0u64;
     let mut timeouts = 0u64;
     let mut stale = 0u64;
@@ -67,24 +66,19 @@ fn drain(c: &mut Cluster, mut on_tick: impl FnMut(&mut Cluster, u64)) -> Fingerp
         *h ^= x;
         *h = h.wrapping_mul(0x0000_0100_0000_01B3);
     };
-    while let Some(out) = c.advance() {
-        match out {
-            ClusterOutput::Tick { id, .. } => on_tick(c, id),
-            ClusterOutput::Completed(op) => {
-                ops += 1;
-                if op.status == concord_cluster::OpStatus::Timeout {
-                    timeouts += 1;
-                }
-                if op.stale {
-                    stale += 1;
-                }
-                latency_sum_us += op.latency().as_micros();
-                fnv(&mut h, op.completed_at.as_micros());
-                fnv(&mut h, op.returned_version.0);
-                fnv(&mut h, op.staleness_depth as u64);
-                fnv(&mut h, op.records_returned as u64);
-            }
+    for op in c.run_to_completion(u64::MAX) {
+        ops += 1;
+        if op.status == concord_cluster::OpStatus::Timeout {
+            timeouts += 1;
         }
+        if op.stale {
+            stale += 1;
+        }
+        latency_sum_us += op.latency().as_micros();
+        fnv(&mut h, op.completed_at.as_micros());
+        fnv(&mut h, op.returned_version.0);
+        fnv(&mut h, op.staleness_depth as u64);
+        fnv(&mut h, op.records_returned as u64);
     }
     assert_eq!(c.check_drained(), Ok(()));
     let m = c.shard_metrics();
@@ -172,7 +166,7 @@ fn submit_churn(c: &mut Cluster, ops: u64, keys: u64, gap_us: u64) {
     for i in 0..ops {
         at += SimDuration::from_micros(gap_us);
         if i % 2 == 0 {
-            c.submit_write_with((i / 2) % keys, 180, ConsistencyLevel::All, at);
+            c.submit(BatchOp::write(at, (i / 2) % keys, 180).with_level(ConsistencyLevel::All));
         } else {
             c.submit_read_at((i / 2) % keys, at);
         }
@@ -180,9 +174,9 @@ fn submit_churn(c: &mut Cluster, ops: u64, keys: u64, gap_us: u64) {
 }
 
 /// A node crashes (ring reconfiguration + recovery migration) and later
-/// recovers, with the fault ticks landing *inside* lookahead windows —
-/// crash_node rebuilds the ring and broadcasts RepairSync arrivals while
-/// cross-shard mailboxes hold staged traffic.
+/// recovers, with the faults landing *inside* lookahead windows — the crash
+/// rebuilds the ring and broadcasts RepairSync arrivals while cross-shard
+/// mailboxes hold staged traffic.
 #[test]
 fn node_crash_mid_window_is_thread_invariant() {
     let fps = thread_matrix(|shards| {
@@ -191,13 +185,9 @@ fn node_crash_mid_window_is_thread_invariant() {
         submit_churn(&mut c, 1_600, 40, 400);
         // Fault times chosen off the grid5000 link-delay grid so the ticks
         // fire mid-window, not at a barrier the churn itself would create.
-        c.schedule_tick(SimTime::from_micros(100_137), 1);
-        c.schedule_tick(SimTime::from_micros(400_291), 2);
-        drain(&mut c, |c, id| match id {
-            1 => c.crash_node(NodeId(2)),
-            2 => c.recover_node(NodeId(2)),
-            _ => {}
-        })
+        c.schedule_fault(SimTime::from_micros(100_137), FaultAction::CrashNode(2));
+        c.schedule_fault(SimTime::from_micros(400_291), FaultAction::RecoverNode(2));
+        drain(&mut c)
     });
     for fp in &fps {
         assert_eq!(fp.ops, 1_600, "every op completes exactly once");
@@ -215,13 +205,12 @@ fn partition_severing_two_shards_is_thread_invariant() {
         c.load_records((0..30u64).map(|k| (k, 180)));
         c.set_levels(ConsistencyLevel::Quorum, ConsistencyLevel::Quorum);
         submit_churn(&mut c, 2_000, 30, 400);
-        c.schedule_tick(SimTime::from_micros(150_211), 1);
-        c.schedule_tick(SimTime::from_micros(550_433), 2);
-        drain(&mut c, |c, id| match id {
-            1 => c.partition_dcs(DcId(0), DcId(1)),
-            2 => c.heal_dcs(DcId(0), DcId(1)),
-            _ => {}
-        })
+        c.schedule_fault(
+            SimTime::from_micros(150_211),
+            FaultAction::PartitionDcs(0, 1),
+        );
+        c.schedule_fault(SimTime::from_micros(550_433), FaultAction::HealDcs(0, 1));
+        drain(&mut c)
     });
     for fp in &fps {
         assert_eq!(fp.ops, 2_000);
@@ -265,7 +254,7 @@ fn ordered_scan_straddling_a_shard_boundary_is_thread_invariant() {
                 c.submit_scan_at(hot, 8 + (i % 24) as u32, at);
             }
         }
-        drain(&mut c, |_, _| {})
+        drain(&mut c)
     });
     for fp in &fps {
         assert_eq!(fp.ops, 2_000);
@@ -309,23 +298,20 @@ fn gray_failure_resilience_layer_is_thread_invariant() {
             if i % 2 == 0 {
                 c.submit_write_at(k, 180, at);
             } else if (i / 2) % 3 == 2 {
-                c.submit_read_with(k, ConsistencyLevel::All, at);
+                c.submit(BatchOp::read(at, k).with_level(ConsistencyLevel::All));
             } else {
                 c.submit_read_at(k, at);
             }
         }
         // Fault times off the link-delay grid so the ticks fire mid-window.
-        c.schedule_tick(SimTime::from_micros(150_137), 1);
-        c.schedule_tick(SimTime::from_micros(750_291), 2);
-        c.schedule_tick(SimTime::from_micros(225_433), 3);
-        c.schedule_tick(SimTime::from_micros(825_571), 4);
-        let fp = drain(&mut c, |c, id| match id {
-            1 => c.slow_node(NodeId(1), 10.0),
-            2 => c.restore_node(NodeId(1)),
-            3 => c.set_node_down(NodeId(4)),
-            4 => c.set_node_up(NodeId(4)),
-            _ => {}
-        });
+        c.schedule_fault(
+            SimTime::from_micros(150_137),
+            FaultAction::SlowNode(1, 10.0),
+        );
+        c.schedule_fault(SimTime::from_micros(750_291), FaultAction::RestoreNode(1));
+        c.schedule_fault(SimTime::from_micros(225_433), FaultAction::NodeDown(4));
+        c.schedule_fault(SimTime::from_micros(825_571), FaultAction::NodeUp(4));
+        let fp = drain(&mut c);
         assert_eq!(c.inflight_ops(), 0, "hedged ops must not leak slab slots");
         fp
     });
@@ -347,7 +333,6 @@ fn gray_failure_resilience_layer_is_thread_invariant() {
 /// count, at every thread count.
 #[test]
 fn bulk_submitted_arrivals_match_per_op_submission_at_any_thread_count() {
-    use concord_cluster::BatchOp;
     let run = |shards: u32, batch: bool| {
         let mut c = two_site_cluster(67, shards, 3);
         c.load_records((0..25u64).map(|k| (k, 150)));
@@ -375,7 +360,7 @@ fn bulk_submitted_arrivals_match_per_op_submission_at_any_thread_count() {
                 }
             }
         }
-        drain(&mut c, |_, _| {})
+        drain(&mut c)
     };
     let batched = thread_matrix(|shards| run(shards, true));
     for (i, shards) in [1u32, 2, 4].into_iter().enumerate() {
@@ -437,7 +422,7 @@ fn sharded_run_reports_parallel_batches_under_a_thread_pool() {
         let mut c = two_site_cluster(51, 4, 3);
         c.load_records((0..40u64).map(|k| (k, 180)));
         submit_churn(&mut c, 1_200, 40, 400);
-        let fp = drain(&mut c, |_, _| {});
+        let fp = drain(&mut c);
         assert_eq!(fp.ops, 1_200);
         assert!(fp.windows > 0);
         assert!(

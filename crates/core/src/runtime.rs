@@ -7,8 +7,9 @@
 //! (each issues its next operation on completion) or an open loop (the whole
 //! sorted arrival schedule is bulk-loaded up front through
 //! `Cluster::submit_batch` and the event queue's O(1) bulk lane), and the
-//! scenario's fault script is interleaved with the policy's adaptation
-//! epochs as scheduled ticks. Every completed operation feeds the monitor;
+//! scenario's fault script is scheduled in the cluster, where it fires
+//! between the policy's adaptation ticks. Every completed operation feeds
+//! the monitor;
 //! at every adaptation interval the policy is consulted and the cluster's
 //! consistency levels are retuned — under faults, exactly like on a healthy
 //! cluster.
@@ -21,11 +22,6 @@ use concord_cost::{Bill, PricingModel, ResourceUsage};
 use concord_monitor::{AccessMonitor, MonitorConfig};
 use concord_sim::{SimDuration, SimRng, SimTime};
 use concord_workload::{CoreWorkload, OperationType, WorkloadOp};
-
-/// Tick ids at or above this base address entries of the scenario's fault
-/// script; below it they are adaptation ticks. (A run would need 2^32
-/// adaptation intervals to collide, i.e. centuries of simulated time.)
-const FAULT_TICK_BASE: u64 = 1 << 32;
 
 /// Configuration of an adaptive run.
 #[derive(Debug, Clone, Copy)]
@@ -82,24 +78,11 @@ impl AdaptiveRuntime {
         &self.config
     }
 
-    fn submit(cluster: &mut Cluster, op: &WorkloadOp, at: SimTime) {
-        match op.op {
-            OperationType::Read => {
-                cluster.submit_read_at(op.key, at);
-            }
-            OperationType::Scan => {
-                cluster.submit_scan_at(op.key, op.scan_length, at);
-            }
-            OperationType::Update | OperationType::Insert | OperationType::ReadModifyWrite => {
-                cluster.submit_write_at(op.key, op.value_size, at);
-            }
-        }
-    }
-
-    /// Map one workload operation to its open-loop batch entry. Scans issue
-    /// real range reads: every contacted replica reads `scan_length`
-    /// consecutive records through the dense store, metered in storage reads
-    /// and byte-weighted response traffic.
+    /// Map one workload operation to its cluster submission (open-loop
+    /// batch entry or closed-loop request). Scans issue real range reads:
+    /// every contacted replica reads `scan_length` consecutive records
+    /// through the dense store, metered in storage reads and byte-weighted
+    /// response traffic.
     fn batch_op(at: SimTime, op: &WorkloadOp) -> BatchOp {
         match op.op {
             OperationType::Read => BatchOp::read(at, op.key),
@@ -144,9 +127,10 @@ impl AdaptiveRuntime {
     ///   (the cluster resolves its default level when the operation reaches
     ///   its coordinator), so adaptation steps retune bulk-loaded
     ///   operations exactly like closed-loop ones.
-    /// * **Faults** — each script entry is scheduled as a tick at `start +
-    ///   at` and applied to the cluster when the simulation reaches it.
-    ///   Faults scripted past the workload's completion never fire.
+    /// * **Faults** — each script entry is scheduled in the cluster
+    ///   ([`Cluster::schedule_fault`]) at `start + at`, and the cluster
+    ///   injects it when the simulation reaches it. Faults scripted past the
+    ///   workload's completion never fire.
     ///
     /// The cluster should already be loaded with the workload's records
     /// (see [`Cluster::load_records`]). Fixed seed ⇒ identical report, for
@@ -195,7 +179,10 @@ impl AdaptiveRuntime {
                 let initial_clients = (clients as u64).min(total_ops);
                 for i in 0..initial_clients {
                     let op = workload.next_op(&mut self.rng);
-                    Self::submit(cluster, &op, start + SimDuration::from_micros(i * 13));
+                    cluster.submit(Self::batch_op(
+                        start + SimDuration::from_micros(i * 13),
+                        &op,
+                    ));
                     submitted += 1;
                 }
             }
@@ -209,12 +196,10 @@ impl AdaptiveRuntime {
             }
         }
 
-        // Schedule the fault script; the tick-id space above FAULT_TICK_BASE
-        // indexes into it.
-        for (i, fault) in scenario.faults.iter().enumerate() {
-            cluster.schedule_tick(start + fault.at, FAULT_TICK_BASE + i as u64);
+        // The fault script fires inside the cluster, between events.
+        for fault in &scenario.faults {
+            cluster.schedule_fault(start + fault.at, fault.action);
         }
-        let mut faults_injected = 0u64;
 
         let mut tick_id = 0u64;
         cluster.schedule_tick(start + self.config.adaptation_interval, tick_id);
@@ -243,14 +228,9 @@ impl AdaptiveRuntime {
                     if closed_clients.is_some() && submitted < total_ops && !workload.is_exhausted()
                     {
                         let next = workload.next_op(&mut self.rng);
-                        Self::submit(cluster, &next, op.completed_at + think_time);
+                        cluster.submit(Self::batch_op(op.completed_at + think_time, &next));
                         submitted += 1;
                     }
-                }
-                ClusterOutput::Tick { at: _, id } if id >= FAULT_TICK_BASE => {
-                    let fault = &scenario.faults[(id - FAULT_TICK_BASE) as usize];
-                    fault.action.apply(cluster);
-                    faults_injected += 1;
                 }
                 ClusterOutput::Tick { at, .. } => {
                     // Feed the monitor with the propagation measurements the
@@ -306,7 +286,7 @@ impl AdaptiveRuntime {
             writes: metrics.writes_completed,
             timeouts: metrics.timeouts,
             retries: metrics.retries,
-            faults_injected,
+            faults_injected: metrics.faults_injected,
             messages_lost: metrics.messages_lost,
             makespan,
             throughput_ops_per_sec: metrics.throughput(makespan),

@@ -14,15 +14,18 @@
 //! * a **fault script** — a list of [`FaultEvent`]s, each a time offset from
 //!   the run start plus a [`FaultAction`] (node crash/recover with ring
 //!   reconfiguration, transient down/up, DC partition/heal, link-class
-//!   degradation/restore), which the scenario driver
+//!   degradation/restore, gray failure, whole-DC outage), which the
+//!   scenario driver
 //!   ([`AdaptiveRuntime::run_scenario`](crate::AdaptiveRuntime::run_scenario))
-//!   interleaves with the policy's adaptation epochs.
+//!   schedules in the cluster next to the policy's adaptation epochs.
 //!
-//! Scenarios are plain serializable data (the *fault-script format* is the
-//! JSON serialization of this module's types), so `(arrival mode × topology
-//! × fault script × seed)` grids compose exactly like the policy × seed
-//! grids of the sweep engine, with the same determinism contract: a run is
-//! a pure function of the scenario and the seed.
+//! Scenarios are plain serializable data, so `(arrival mode × topology ×
+//! fault script × seed)` grids compose exactly like the policy × seed grids
+//! of the sweep engine, with the same determinism contract: a run is a pure
+//! function of the scenario and the seed. The *fault-script format* is the
+//! JSON serialization of these types, and each action's is that of
+//! `concord_cluster::FaultAction` (re-exported here), which also owns what
+//! every action does and the one rule it must satisfy.
 //!
 //! ```
 //! use concord_core::{FaultAction, FaultEvent, Scenario};
@@ -40,137 +43,11 @@
 //! assert_eq!(scenario, back);
 //! ```
 
-use concord_cluster::{Cluster, ClusterConfig};
-use concord_sim::{DcId, LinkClass, NodeId, SimDuration};
+use concord_cluster::ClusterConfig;
+pub use concord_cluster::FaultAction;
+use concord_sim::SimDuration;
 use concord_workload::ArrivalProcess;
 use serde::{Deserialize, Serialize};
-
-/// One fault-injection action, applied to the live cluster at its scripted
-/// time. Node and datacenter ids are raw integers so scripts stay trivially
-/// serializable and topology-independent to write.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum FaultAction {
-    /// Crash a node permanently: it goes down and its vnode tokens are
-    /// withdrawn from the ring, so surviving nodes take over its ranges
-    /// (`Cluster::crash_node`).
-    CrashNode(u32),
-    /// Recover a crashed node: it rejoins the ring at its original token
-    /// positions; missed writes are repaired lazily by read repair.
-    RecoverNode(u32),
-    /// Transient outage: the node stops serving but keeps its ring tokens
-    /// (`Cluster::set_node_down`) — requests routed to it are lost.
-    NodeDown(u32),
-    /// End of a transient outage.
-    NodeUp(u32),
-    /// Partition two datacenters: messages between their nodes are lost in
-    /// transit until healed.
-    PartitionDcs(u16, u16),
-    /// Heal a datacenter partition.
-    HealDcs(u16, u16),
-    /// Degrade a link class: every delay sample on it is multiplied by the
-    /// factor (e.g. 8.0 for a WAN brown-out).
-    DegradeLink(LinkClass, f64),
-    /// Restore a degraded link class to healthy latency.
-    RestoreLink(LinkClass),
-    /// Gray-fail a node: its storage service times and the responses it
-    /// emits are multiplied by the factor (`Cluster::slow_node`). The node
-    /// stays up and answers everything — just late, the failure mode crash
-    /// detection misses.
-    SlowNode(u32, f64),
-    /// Restore a gray-failed node to healthy speed.
-    RestoreNode(u32),
-    /// Correlated whole-datacenter outage: every node in the DC goes
-    /// transiently down at once (`Cluster::dc_down`).
-    DcDown(u16),
-    /// End of a whole-datacenter outage: every non-crashed node in the DC
-    /// comes back up.
-    DcUp(u16),
-}
-
-impl FaultAction {
-    /// Apply this action to the cluster.
-    pub fn apply(&self, cluster: &mut Cluster) {
-        match *self {
-            FaultAction::CrashNode(n) => cluster.crash_node(NodeId(n)),
-            FaultAction::RecoverNode(n) => cluster.recover_node(NodeId(n)),
-            FaultAction::NodeDown(n) => cluster.set_node_down(NodeId(n)),
-            FaultAction::NodeUp(n) => cluster.set_node_up(NodeId(n)),
-            FaultAction::PartitionDcs(a, b) => cluster.partition_dcs(DcId(a), DcId(b)),
-            FaultAction::HealDcs(a, b) => cluster.heal_dcs(DcId(a), DcId(b)),
-            FaultAction::DegradeLink(class, factor) => cluster.degrade_link(class, factor),
-            FaultAction::RestoreLink(class) => cluster.restore_link(class),
-            FaultAction::SlowNode(n, factor) => cluster.slow_node(NodeId(n), factor),
-            FaultAction::RestoreNode(n) => cluster.restore_node(NodeId(n)),
-            FaultAction::DcDown(dc) => cluster.dc_down(DcId(dc)),
-            FaultAction::DcUp(dc) => cluster.dc_up(DcId(dc)),
-        }
-    }
-
-    /// Whether this action can be applied to a platform of `nodes` nodes in
-    /// `dcs` datacenters: node ids and datacenter ids must exist, a
-    /// partition needs two distinct datacenters, a degrade factor must be
-    /// finite and positive and a slow factor finite and at least 1.
-    fn check(&self, nodes: usize, dcs: usize) -> Result<(), String> {
-        fn ensure(ok: bool, why: impl FnOnce() -> String) -> Result<(), String> {
-            ok.then_some(()).ok_or_else(why)
-        }
-        let node = |n: u32| {
-            ensure((n as usize) < nodes, || {
-                format!("no node {n} among {nodes}")
-            })
-        };
-        let dc = |d: u16| {
-            ensure((d as usize) < dcs, || {
-                format!("no datacenter {d} among {dcs}")
-            })
-        };
-        match *self {
-            FaultAction::CrashNode(n)
-            | FaultAction::RecoverNode(n)
-            | FaultAction::NodeDown(n)
-            | FaultAction::NodeUp(n)
-            | FaultAction::RestoreNode(n) => node(n),
-            FaultAction::SlowNode(n, f) => node(n).and_then(|()| {
-                let sound = f.is_finite() && f >= 1.0;
-                ensure(sound, || {
-                    format!("slow factor {f} is not finite and at least 1")
-                })
-            }),
-            FaultAction::PartitionDcs(a, b) | FaultAction::HealDcs(a, b) => {
-                let distinct = || format!("datacenter {a} is not partitioned from itself");
-                dc(a)
-                    .and_then(|()| dc(b))
-                    .and_then(|()| ensure(a != b, distinct))
-            }
-            FaultAction::DegradeLink(_, f) => {
-                let sound = f.is_finite() && f > 0.0;
-                ensure(sound, || {
-                    format!("degrade factor {f} is not finite and positive")
-                })
-            }
-            FaultAction::RestoreLink(_) => Ok(()),
-            FaultAction::DcDown(d) | FaultAction::DcUp(d) => dc(d),
-        }
-    }
-
-    /// Short label for logs and tables.
-    pub fn label(&self) -> String {
-        match *self {
-            FaultAction::CrashNode(n) => format!("crash(node{n})"),
-            FaultAction::RecoverNode(n) => format!("recover(node{n})"),
-            FaultAction::NodeDown(n) => format!("down(node{n})"),
-            FaultAction::NodeUp(n) => format!("up(node{n})"),
-            FaultAction::PartitionDcs(a, b) => format!("partition(dc{a}|dc{b})"),
-            FaultAction::HealDcs(a, b) => format!("heal(dc{a}|dc{b})"),
-            FaultAction::DegradeLink(class, f) => format!("degrade({class},{f}x)"),
-            FaultAction::RestoreLink(class) => format!("restore({class})"),
-            FaultAction::SlowNode(n, f) => format!("slow(node{n},{f}x)"),
-            FaultAction::RestoreNode(n) => format!("restore(node{n})"),
-            FaultAction::DcDown(dc) => format!("dc-down(dc{dc})"),
-            FaultAction::DcUp(dc) => format!("dc-up(dc{dc})"),
-        }
-    }
-}
 
 /// A scripted fault: an offset from the run start plus the action to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -248,21 +125,16 @@ impl Scenario {
         self
     }
 
-    /// Check the fault script against the platform it is about to run on.
-    /// Scripts are outside input (this type is `Deserialize`), and a bad
-    /// one would otherwise fail — or silently do nothing — only when its
-    /// offset comes up, possibly minutes into a run: every node id and
-    /// datacenter id must exist under `config`, a partition needs two
-    /// distinct datacenters, a degrade factor must be finite and positive
-    /// and a slow factor finite and at least 1. The error names the first
-    /// offending fault.
+    /// Check the fault script against the platform it is about to run on,
+    /// before anything runs: scripts are outside input (this type is
+    /// `Deserialize`), and every action must pass [`FaultAction::check`]
+    /// under `config`. The error names the first offending fault, as
+    /// `fault N, <label>: <why>`.
     pub fn validate(&self, config: &ClusterConfig) -> Result<(), String> {
-        let nodes = config.topology.node_count();
-        let dcs = config.topology.dc_count();
         self.faults.iter().enumerate().try_for_each(|(i, fault)| {
             let action = &fault.action;
             action
-                .check(nodes, dcs)
+                .check(config)
                 .map_err(|e| format!("fault {i}, {}: {e}", action.label()))
         })
     }
@@ -302,7 +174,8 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use concord_cluster::ClusterConfig;
+    use concord_cluster::Cluster;
+    use concord_sim::{LinkClass, NodeId};
 
     #[test]
     fn constructors_and_labels() {
@@ -334,27 +207,26 @@ mod tests {
     #[test]
     fn actions_apply_to_a_live_cluster() {
         let mut cluster = Cluster::new(ClusterConfig::lan_test(4, 3), 1);
-        FaultAction::CrashNode(2).apply(&mut cluster);
+        cluster.inject(FaultAction::CrashNode(2));
         assert!(cluster.is_node_crashed(NodeId(2)));
-        FaultAction::RecoverNode(2).apply(&mut cluster);
+        cluster.inject(FaultAction::RecoverNode(2));
         assert!(!cluster.is_node_crashed(NodeId(2)));
-        FaultAction::NodeDown(1).apply(&mut cluster);
+        cluster.inject(FaultAction::NodeDown(1));
         assert!(cluster.is_node_down(NodeId(1)));
-        FaultAction::NodeUp(1).apply(&mut cluster);
+        cluster.inject(FaultAction::NodeUp(1));
         assert!(!cluster.is_node_down(NodeId(1)));
-        FaultAction::PartitionDcs(0, 0).apply(&mut cluster); // same DC: no-op
-        assert!(!cluster.dcs_partitioned(DcId(0), DcId(0)));
-        FaultAction::DegradeLink(LinkClass::IntraDc, 4.0).apply(&mut cluster);
-        FaultAction::RestoreLink(LinkClass::IntraDc).apply(&mut cluster);
-        FaultAction::SlowNode(3, 10.0).apply(&mut cluster);
+        cluster.inject(FaultAction::DegradeLink(LinkClass::IntraDc, 4.0));
+        cluster.inject(FaultAction::RestoreLink(LinkClass::IntraDc));
+        cluster.inject(FaultAction::SlowNode(3, 10.0));
         assert_eq!(cluster.node_slow_factor(NodeId(3)), 10.0);
-        FaultAction::RestoreNode(3).apply(&mut cluster);
+        cluster.inject(FaultAction::RestoreNode(3));
         assert_eq!(cluster.node_slow_factor(NodeId(3)), 1.0);
         // Single-DC topology: the whole cluster is DC 0.
-        FaultAction::DcDown(0).apply(&mut cluster);
+        cluster.inject(FaultAction::DcDown(0));
         assert!(cluster.is_node_down(NodeId(0)));
-        FaultAction::DcUp(0).apply(&mut cluster);
+        cluster.inject(FaultAction::DcUp(0));
         assert!(!cluster.is_node_down(NodeId(0)));
+        assert_eq!(cluster.metrics().faults_injected, 10);
     }
 
     /// The validation error of a one-fault script on a 4-node, one-datacenter
@@ -400,6 +272,27 @@ mod tests {
         for f in [0.5, 0.0, f64::NAN] {
             let why = rejection(FaultAction::SlowNode(3, f));
             assert!(why.contains("slow factor"), "{f}: {why}");
+        }
+    }
+
+    #[test]
+    fn a_factor_past_a_million_is_rejected_before_the_run() {
+        // Both used to pass and then panic with `simulated time overflow`
+        // on the first delay they scaled.
+        for action in [
+            FaultAction::SlowNode(0, 1e300),
+            FaultAction::DegradeLink(LinkClass::InterDc, 1e300),
+        ] {
+            let why = rejection(action);
+            assert!(why.ends_with("exceeds the bound 1e6"), "{why}");
+            let mut cluster = Cluster::new(ClusterConfig::lan_test(4, 3), 1);
+            let inject = std::panic::AssertUnwindSafe(|| cluster.inject(action));
+            let panic = std::panic::catch_unwind(inject).expect_err("inject must panic");
+            let message = panic.downcast::<String>().expect("a formatted message");
+            assert!(
+                why.ends_with(message.trim_start_matches("fault ")),
+                "{message}"
+            );
         }
     }
 

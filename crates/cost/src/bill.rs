@@ -168,16 +168,14 @@ mod tests {
 
     #[test]
     fn usage_from_cluster_reads_meters() {
-        use concord_cluster::{ClusterConfig, ConsistencyLevel};
+        use concord_cluster::{BatchOp, ClusterConfig, ConsistencyLevel};
         use concord_sim::SimTime;
         let mut cluster = concord_cluster::Cluster::new(ClusterConfig::lan_test(4, 3), 1);
         cluster.load_records((0..10u64).map(|k| (k, 1_000)));
         for i in 0..20u64 {
-            cluster.submit_write_with(
-                i % 10,
-                1_000,
-                ConsistencyLevel::All,
-                SimTime::from_millis(i),
+            cluster.submit(
+                BatchOp::write(SimTime::from_millis(i), i % 10, 1_000)
+                    .with_level(ConsistencyLevel::All),
             );
         }
         cluster.run_to_completion(1_000_000);

@@ -73,7 +73,7 @@ impl SimRng {
     /// `shards=1` engine keeps consuming `new(seed)` unchanged (the stream
     /// the golden digests pin), while `shards>1` runs draw from
     /// `shard_stream(seed, 0..=shards)` — stream `shards` is the control
-    /// plane's (repair timers, fault ticks).
+    /// plane's (repair timers, coordinator draws at admission and retry).
     pub fn shard_stream(master_seed: u64, shard: u64) -> SimRng {
         let mut sm = master_seed;
         let base = splitmix64(&mut sm);

@@ -9,7 +9,7 @@
 //! ```
 
 use concord::prelude::*;
-use concord_cluster::{ClusterOutput, OpStatus};
+use concord_cluster::OpStatus;
 
 /// Drive `ops` alternating write/read operations against a fresh cluster at
 /// the given read level, taking one replica of the hot key down halfway
@@ -30,27 +30,19 @@ fn run_with_failure(read_level: ConsistencyLevel, ops: u64) -> (u64, u64, u64) {
             cluster.submit_read_at((i / 2) % 10, at);
         }
         if i == ops / 2 {
-            // Fail one replica of key 0 mid-run.
+            // Fail one replica of key 0 mid-run, at the halfway arrival.
             let victim = cluster.replicas_of(0)[1];
-            cluster.set_node_down(victim);
+            cluster.schedule_fault(at, FaultAction::NodeDown(victim.0));
         }
     }
 
-    let mut completed = 0u64;
-    let mut timeouts = 0u64;
-    let mut stale = 0u64;
-    while let Some(output) = cluster.advance() {
-        if let ClusterOutput::Completed(op) = output {
-            completed += 1;
-            if op.status == OpStatus::Timeout {
-                timeouts += 1;
-            }
-            if op.stale {
-                stale += 1;
-            }
-        }
-    }
-    (completed, timeouts, stale)
+    let done = cluster.run_to_completion(u64::MAX);
+    let timeouts = done
+        .iter()
+        .filter(|op| op.status == OpStatus::Timeout)
+        .count();
+    let stale = done.iter().filter(|op| op.stale).count();
+    (done.len() as u64, timeouts as u64, stale as u64)
 }
 
 fn main() {
