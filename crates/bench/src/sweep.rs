@@ -333,31 +333,29 @@ pub fn parse_arrival(spec: &str) -> Result<ArrivalProcess, String> {
     let (mode, value) = spec
         .split_once(':')
         .ok_or_else(|| "expected <mode>:<value>".to_string())?;
-    match mode {
+    let arrival = match mode {
         "closed" => {
             let clients: u32 = value
                 .parse()
                 .map_err(|_| format!("bad client count {value}"))?;
-            if clients == 0 {
-                return Err("closed loop needs at least one client".into());
-            }
-            Ok(ArrivalProcess::closed(clients))
+            ArrivalProcess::closed(clients)
         }
         "poisson" | "uniform" => {
             let rate: f64 = value.parse().map_err(|_| format!("bad rate {value}"))?;
-            if !(rate.is_finite() && rate > 0.0) {
-                return Err(format!("rate must be positive, got {value}"));
-            }
-            Ok(if mode == "poisson" {
+            if mode == "poisson" {
                 ArrivalProcess::OpenLoopPoisson { ops_per_sec: rate }
             } else {
                 ArrivalProcess::OpenLoopUniform { ops_per_sec: rate }
-            })
+            }
         }
-        other => Err(format!(
-            "unknown arrival mode {other} (closed|poisson|uniform)"
-        )),
-    }
+        other => {
+            return Err(format!(
+                "unknown arrival mode {other} (closed|poisson|uniform)"
+            ))
+        }
+    };
+    arrival.check()?;
+    Ok(arrival)
 }
 
 /// Run `experiment` at every `(policy, seed)` point through

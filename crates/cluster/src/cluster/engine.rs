@@ -3,8 +3,8 @@
 //!
 //! **State.** Per shard, the [`Staging`] area (outboxes and window counters)
 //! and the [`VersionClock`]; of [`Cluster`], the control plane's own lane and
-//! RNG stream, the lookahead bound with the link classes it derives from,
-//! the synchronization counters and the last window boundary. It also owns
+//! RNG stream, the lookahead bound (fixed when the cluster is built), the
+//! synchronization counters and the last window boundary. It also owns
 //! the two types through which every handler runs: [`ShardCtx`], a shard's
 //! view of the cluster during event execution, and [`CtrlSink`], the
 //! control plane as a serial-point action borrows it.
@@ -21,6 +21,14 @@
 //! once, and calls the methods of the two impl blocks headed *Where the
 //! engines differ* below, unconditionally. Each holds both arms, and its
 //! docs say what one shard does and what more than one do.
+//!
+//! Faults and timeout retries need the one-shard engine:
+//! [`FaultAction::check`](super::FaultAction::check) rejects every fault on
+//! more than one shard and `ClusterConfig::validate` rejects a retry budget
+//! there. What only a fault or a retry reaches — queueing a hint for a down
+//! replica ([`ShardCtx::queue_hint`]) and re-issuing a timed-out attempt
+//! ([`ShardCtx::reissue`]) — therefore has one arm, in the block headed
+//! *One shard only*, and asserts the rule that guarantees it.
 //!
 //! ## Parallel sharded execution
 //! With `shards > 1` the cluster runs as a conservative parallel DES: every
@@ -41,9 +49,8 @@
 //! Every window closes the same way, serially and in fixed shard order
 //! (0, 1, …): staged data-plane messages (events, write tasks) enter the
 //! destination lanes, the window's write acks are recorded in the oracle,
-//! its staged control-plane effects are applied (drawing any randomness
-//! from a dedicated control-plane RNG stream), its completed reads are
-//! classified and its outputs are published sorted by time. The run's
+//! its completed reads are classified and its outputs are published sorted
+//! by time. The run's
 //! output is therefore a pure function of `(seed, shard count)` at **any**
 //! worker-thread count. A driver sees completions at window boundaries: a
 //! closed loop can react to one only after the window that produced it has
@@ -110,12 +117,13 @@ use super::ops::{PayloadId, ReplicaTask, WritePayload};
 use super::repair::Hint;
 use super::resilience::backoff_delay;
 use super::{
-    draw_coordinator, Cluster, ClusterOutput, ClusterShared, ControlState, Event, OpState,
-    PendingOp, RetryCtx, ShardState, Submission,
+    class_index, draw_coordinator, Cluster, ClusterOutput, ClusterShared, ControlState, Event,
+    OpState, PendingOp, RetryCtx, ShardState, Submission,
 };
-use crate::types::{CompletedOp, Key, OpId, Version};
+use crate::config::ClusterConfig;
+use crate::types::{CompletedOp, Key, Version};
 use concord_sim::events::{pack, unpack_time};
-use concord_sim::{EventQueue, NodeId, SimDuration, SimRng, SimTime, Topology};
+use concord_sim::{EventQueue, LinkClass, NodeId, SimDuration, SimRng, SimTime, Topology};
 
 /// A cross-shard *data-plane* message staged during a window into the
 /// sender's per-destination outbox arena and delivered — in sender-shard
@@ -136,34 +144,6 @@ pub(super) enum OutMsg {
     },
 }
 
-/// A cross-shard *control-plane* effect staged during a window. Unlike
-/// [`OutMsg`] these need serialized access to [`ControlState`] (hint
-/// queues, the control RNG, coordinator re-draws); the close of the window
-/// that staged them applies them, in shard order then staging order.
-pub(super) enum CtrlStaged {
-    /// An ack owned by another shard can never arrive (dead replica /
-    /// partition-dropped task): decrement its targeted count at the close.
-    Abandon { op_id: OpId },
-    /// Queue a hinted-handoff mutation for `to` (hint queues are
-    /// control-plane state).
-    Hint { to: NodeId, hint: Hint },
-    /// Re-route an attempt whose coordinator is unreachable (timeout retry,
-    /// or the pre-routed coordinator went down before the arrival fired):
-    /// the close draws a fresh coordinator from the control stream, homes
-    /// the attempt on that shard and restarts it at the window boundary —
-    /// or, with `backoff` set, after an exponential backoff (jitter drawn
-    /// from the control stream) measured from the staging time `at`,
-    /// whichever is later.
-    Resubmit {
-        sub: Submission,
-        retry: RetryCtx,
-        /// When the attempt was staged (the backoff baseline).
-        at: SimTime,
-        /// Whether this re-issue waits out the configured retry backoff.
-        backoff: bool,
-    },
-}
-
 /// What a shard stages during a window for the close to deliver, and its
 /// counters for the window. Empty between windows — and always with one
 /// shard, where nothing is ever staged. Only this module reads or writes
@@ -181,9 +161,6 @@ pub(super) struct Staging {
     /// classification needs the oracle's serialized ack history, so the
     /// close classifies, counts and publishes them.
     outbox_dones: Vec<(CompletedOp, SimTime)>,
-    /// Control-plane effects recorded this window, applied at the close
-    /// (see [`CtrlStaged`]).
-    outbox_ctrl: Vec<CtrlStaged>,
     /// Cross-shard messages staged this window (counter feed for
     /// [`ShardMetrics::staged`](concord_sim::ShardMetrics::staged)); reset at the close.
     window_staged: u64,
@@ -210,8 +187,7 @@ impl Staging {
     pub(super) fn check_drained(&self, shard: u32) -> Result<(), String> {
         let empty = self.outbox_dest.iter().all(Vec::is_empty)
             && self.outbox_acks.is_empty()
-            && self.outbox_dones.is_empty()
-            && self.outbox_ctrl.is_empty();
+            && self.outbox_dones.is_empty();
         if empty {
             Ok(())
         } else {
@@ -335,15 +311,15 @@ impl Cluster {
     /// interleave with client traffic in `time‖seq` order. *More than one:*
     /// lookahead windows; control events run between windows and win
     /// instant ties.
-    pub(super) fn advance_inner(&mut self, deadline: Option<SimTime>) -> Option<ClusterOutput> {
+    pub(super) fn advance_inner(&mut self) -> Option<ClusterOutput> {
         loop {
             if let Some(out) = self.outputs.pop_front() {
                 return Some(out);
             }
             let stepped = if self.serial() {
-                self.step_serial(deadline)
+                self.step_serial()
             } else {
-                self.step_window(deadline)
+                self.step_window()
             };
             if !stepped {
                 return None;
@@ -495,48 +471,54 @@ impl ShardCtx<'_> {
             self.s.propagation.push(d);
         }
     }
+}
 
-    /// **Hint queueing** for the down replica `to`. Hint queues are
-    /// control-plane state. *One shard:* queued inline. *More than one:*
-    /// staged to the window close.
+// ----------------------------------------------------------------------
+// One shard only: what faults and retries reach
+// ----------------------------------------------------------------------
+
+impl ShardCtx<'_> {
+    /// Queue a hint for the down replica `to`, inline: hint queues are
+    /// control-plane state, which a handler reaches on the one-shard
+    /// engine alone.
+    ///
+    /// # Panics
+    /// Panics on more than one shard, where no replica is ever down.
     pub(super) fn queue_hint(&mut self, now: SimTime, to: NodeId, hint: Hint) {
-        match self.ctrl.as_deref_mut() {
-            Some(ctrl) => {
-                // The one shard's own lane and stream: `Cluster::ctrl_sink`.
-                let (lane, rng) = (&mut self.s.lane, &mut self.s.rng);
-                let shared = self.shared;
-                CtrlSink {
-                    shared,
-                    ctrl,
-                    lane,
-                    rng,
-                }
-                .enqueue_hint(now, to, hint)
-            }
-            None => self.stage_ctrl(CtrlStaged::Hint { to, hint }),
+        let ctrl = self.ctrl.as_deref_mut().expect(
+            "a down replica means a fault, and FaultAction::check keeps faults on one shard",
+        );
+        // The one shard's own lane and stream: `Cluster::ctrl_sink`.
+        let (lane, rng) = (&mut self.s.lane, &mut self.s.rng);
+        let shared = self.shared;
+        CtrlSink {
+            shared,
+            ctrl,
+            lane,
+            rng,
         }
+        .enqueue_hint(now, to, hint)
     }
 
-    /// **Timeout re-issue** of an attempt whose slot was just freed. *One
-    /// shard:* the attempt re-arrives here, and draws its fresh coordinator
-    /// when it does — now, or after an exponentially growing, jittered
-    /// backoff drawn from the one stream (one draw per backed-off retry,
-    /// zero when the feature is off). *More than one:* the fresh
-    /// coordinator may live on any shard, so the attempt re-routes through
-    /// the window close — coordinator and backoff drawn from the control
-    /// stream, re-homed on the coordinator's shard like a brand-new
-    /// submission.
+    /// Re-issue an attempt whose slot was just freed by its timeout: it
+    /// re-arrives here and draws its fresh coordinator when it does — now,
+    /// or after an exponentially growing, jittered backoff drawn from the
+    /// one stream (one draw per backed-off retry, zero when the feature is
+    /// off).
+    ///
+    /// # Panics
+    /// Panics on more than one shard, where the retry budget is zero.
     pub(super) fn reissue(&mut self, now: SimTime, sub: Submission, retry: RetryCtx) {
-        let backoff = self.shared.config.resilience.backoff;
-        if self.ctrl.is_none() {
-            return self.reroute(sub, retry, now, backoff);
-        }
+        assert!(
+            self.ctrl.is_some(),
+            "ClusterConfig::validate keeps timeout retries on one shard"
+        );
         let op_id = self.s.ops.insert(OpState::Pending(PendingOp {
             sub,
             coordinator: None,
             retry: Some(retry),
         }));
-        if backoff {
+        if self.shared.config.resilience.backoff {
             let delay = backoff_delay(&self.shared.config, retry.retries_left, &mut self.s.rng);
             self.s
                 .lane
@@ -581,10 +563,10 @@ impl ShardCtx<'_> {
     /// Clamp a staged delivery time into the next window and count the
     /// staging. A violation means a cross-shard effect would land inside
     /// the window that produced it — the lookahead bound was too optimistic
-    /// (degradation shrank a link mid-window, or a zero-infimum
-    /// distribution sampled below the bound). The effect is deferred to the
-    /// window boundary instead, deterministic at any thread count, and
-    /// counted so runs can audit how conservative the bound really was.
+    /// (a link whose delay infimum is zero sampled below the 1 µs minimal
+    /// window). The effect is deferred to the window boundary instead,
+    /// deterministic at any thread count, and counted so runs can audit how
+    /// conservative the bound really was.
     #[inline]
     fn stage_time(&mut self, at: SimTime) -> SimTime {
         self.s.staging.window_staged += 1;
@@ -604,16 +586,6 @@ impl ShardCtx<'_> {
         } else {
             let at = self.stage_time(at);
             self.s.staging.outbox_dest[dest].push(OutMsg::Event { at, ev });
-        }
-    }
-
-    /// Stop expecting an ack for `op_id` (dead replica or partition-dropped
-    /// message): inline when the op lives here, staged otherwise.
-    pub(super) fn abandon(&mut self, op_id: OpId) {
-        if self.shared.op_home(op_id) == self.s.shard as usize {
-            self.s.abandon_ack(op_id);
-        } else {
-            self.stage_ctrl(CtrlStaged::Abandon { op_id });
         }
     }
 
@@ -640,25 +612,6 @@ impl ShardCtx<'_> {
             });
         }
     }
-
-    /// Stage a control-plane effect for the window close.
-    fn stage_ctrl(&mut self, effect: CtrlStaged) {
-        self.s.staging.window_staged += 1;
-        self.s.staging.outbox_ctrl.push(effect);
-    }
-
-    /// Stage a fresh routing of an attempt for the window close (see
-    /// [`CtrlStaged::Resubmit`]): a timed-out attempt of the windowed engine
-    /// ([`ShardCtx::reissue`]), or one whose pre-routed coordinator went
-    /// down before the arrival fired — pre-routing happens only there.
-    pub(super) fn reroute(&mut self, sub: Submission, retry: RetryCtx, at: SimTime, backoff: bool) {
-        self.stage_ctrl(CtrlStaged::Resubmit {
-            sub,
-            retry,
-            at,
-            backoff,
-        });
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -682,45 +635,55 @@ impl Cluster {
         map
     }
 
-    /// (Re-)derive the conservative lookahead bound (takes effect at the
-    /// next window): the infimum of the link delay over the classes that
-    /// cross a shard cut, scaled by the current degradation factors (a
-    /// factor below 1 shrinks delays, so the window must shrink with it). A
-    /// zero infimum (e.g. an exponential cross-shard link) degrades to the
-    /// engine's minimal 1 µs window rather than disabling sharding. When
-    /// *no* class crosses — a single shard, where no message ever crosses a
-    /// boundary — any window works, and the bound falls back to the
-    /// configured operation timeout: the coarsest horizon the simulation
-    /// itself schedules at.
-    pub(super) fn refresh_lookahead(&mut self) {
-        let network = &self.shared.config.network;
+    /// The conservative lookahead bound, fixed for the cluster's life: the
+    /// infimum of the link delay over the classes that connect nodes of
+    /// different shards (`node_shard`, with `link_class` the row-major
+    /// class of every node pair). A zero infimum (e.g. an exponential
+    /// cross-shard link) degrades to the engine's minimal 1 µs window
+    /// rather than disabling sharding. When *no* class crosses — a single
+    /// shard, where no message ever crosses a boundary — any window works,
+    /// and the bound falls back to the configured operation timeout: the
+    /// coarsest horizon the simulation itself schedules at. No fault
+    /// scales it: faults need the one-shard engine.
+    pub(super) fn lookahead_bound(
+        config: &ClusterConfig,
+        node_shard: &[u16],
+        link_class: &[LinkClass],
+    ) -> SimDuration {
+        let n = node_shard.len();
+        let mut crosses = [false; 4];
+        for from in 0..n {
+            for to in 0..n {
+                if node_shard[from] != node_shard[to] {
+                    crosses[class_index(link_class[from * n + to])] = true;
+                }
+            }
+        }
+        let network = &config.network;
         let dists = [
             &network.local,
             &network.intra_dc,
             &network.inter_dc,
             &network.inter_region,
         ];
-        let degradation = self.shared.faults.link_degradation();
         let mut min_ms = f64::INFINITY;
         for c in 0..4 {
-            if self.cross_classes[c] {
-                min_ms = min_ms.min(dists[c].min_ms() * degradation[c]);
+            if crosses[c] {
+                min_ms = min_ms.min(dists[c].min_ms());
             }
         }
-        self.lookahead = if min_ms.is_finite() {
+        if min_ms.is_finite() {
             SimDuration::from_micros((min_ms * 1_000.0).floor() as u64)
         } else {
-            self.shared.config.op_timeout
-        };
+            config.op_timeout
+        }
     }
 
     /// Advance the one-shard engine by one event: one lane, one RNG stream,
     /// every handler inline and every event a serial point — no windows,
-    /// nothing staged. Returns `false` when nothing is left at or before
-    /// `deadline`.
-    fn step_serial(&mut self, deadline: Option<SimTime>) -> bool {
-        let lane = &mut self.shard_states[0].lane;
-        let Some((now, event)) = lane.pop_before(deadline.unwrap_or(SimTime::MAX)) else {
+    /// nothing staged. Returns `false` when nothing is left.
+    fn step_serial(&mut self) -> bool {
+        let Some((now, event)) = self.shard_states[0].lane.pop() else {
             return false;
         };
         self.clock = now;
@@ -758,8 +721,8 @@ impl Cluster {
     /// Advance the parallel engine by one step: either run one due control
     /// event at a barrier edge, or execute one lookahead window (parallel
     /// shard batches, then the serial close). Returns `false` when nothing
-    /// is left or the next event lies beyond `deadline`.
-    fn step_window(&mut self, deadline: Option<SimTime>) -> bool {
+    /// is left.
+    fn step_window(&mut self) -> bool {
         let shard_min = self
             .shard_states
             .iter()
@@ -770,9 +733,6 @@ impl Cluster {
             return false;
         };
         let floor = unpack_time(next_key);
-        if deadline.is_some_and(|d| floor > d) {
-            return false;
-        }
         // Control events run at barrier edges, serially, and win instant
         // ties against shard events: no shard event at the control event's
         // instant may execute first (its handlers could observe state the
@@ -798,9 +758,8 @@ impl Cluster {
         // lookahead past it — a message is sent at or after that event and
         // takes at least the bound to cross a shard cut, so no shard can
         // affect another inside the window. The window never reaches the
-        // next control event's instant and never crosses the caller's
-        // deadline; a zero bound (cross-shard link with a zero delay
-        // infimum) degrades to a minimal 1 µs window.
+        // next control event's instant; a zero bound (cross-shard link with
+        // a zero delay infimum) degrades to a minimal 1 µs window.
         if self.sync.windows > 0 && floor > self.last_boundary {
             // The global floor jumped past quiet simulated time instead of
             // marching barrier-by-barrier through it.
@@ -810,9 +769,6 @@ impl Cluster {
         let mut end_key = pack(floor + self.lookahead.max(min_window), 0);
         if let Some(c) = ctrl_min {
             end_key = end_key.min(pack(unpack_time(c), 0));
-        }
-        if let Some(d) = deadline {
-            end_key = end_key.min(pack(d + SimDuration::from_micros(1), 0));
         }
         let boundary = unpack_time(end_key);
         let shared = &self.shared;
@@ -838,8 +794,8 @@ impl Cluster {
     /// throughout: advance the clock and the synchronization counters,
     /// deliver every shard's data-plane outbox arenas into the destination
     /// lanes (the next window's bound is computed from those lanes'
-    /// floors), record the window's acks in the oracle, apply its staged
-    /// control-plane effects, classify its completed reads — against an ack
+    /// floors), record the window's acks in the oracle, classify its
+    /// completed reads — against an ack
     /// history that is complete up to the boundary, because every ack
     /// before a read's issue instant closed in this window or an earlier
     /// one — and publish its outputs sorted by time.
@@ -885,7 +841,6 @@ impl Cluster {
         self.last_boundary = boundary;
         // Every ack goes in before any read is classified: a read may have
         // been issued after an ack another shard produced in this window.
-        // Control-plane effects never consult the oracle.
         let published = self.outputs.len();
         for i in 0..nshards {
             let s = &mut self.shard_states[i];
@@ -897,12 +852,6 @@ impl Cluster {
             }
             self.outputs.extend(s.outputs.drain(..));
             self.propagation_samples.append(&mut s.propagation);
-            let mut staged = std::mem::take(&mut s.staging.outbox_ctrl);
-            for entry in staged.drain(..) {
-                self.apply_ctrl_staged(entry, boundary);
-            }
-            // Hand the (empty) allocation back for the next window.
-            self.shard_states[i].staging.outbox_ctrl = staged;
         }
         for s in &mut self.shard_states {
             for (op, _) in &s.staging.outbox_dones {
@@ -927,51 +876,6 @@ impl Cluster {
             ClusterOutput::Tick { at, .. } => *at,
         });
     }
-
-    /// Apply one staged control-plane effect at the close of the window
-    /// ending at `boundary` (see [`CtrlStaged`]).
-    fn apply_ctrl_staged(&mut self, staged: CtrlStaged, boundary: SimTime) {
-        match staged {
-            CtrlStaged::Abandon { op_id } => {
-                self.shard_states[self.shared.op_home(op_id)].abandon_ack(op_id);
-            }
-            CtrlStaged::Hint { to, hint } => {
-                let now = self.clock;
-                self.ctrl_sink().enqueue_hint(now, to, hint);
-            }
-            CtrlStaged::Resubmit {
-                sub,
-                retry,
-                at,
-                backoff,
-            } => {
-                // Fresh attempt routing at a serial point: draw a new
-                // coordinator among the currently-up nodes, home the
-                // attempt on its shard and restart it at the boundary (the
-                // next window's opening edge — a deliberate defer, not a
-                // lookahead violation). With backoff, the restart instead
-                // waits out the exponential delay measured from the staging
-                // time, floored at the boundary; the jitter draw comes from
-                // the control stream, the same stream the coordinator draw
-                // uses, so the close stays a pure function of (seed, shards).
-                let coordinator =
-                    draw_coordinator(&self.shared, &mut self.control_rng, &mut self.home_scratch);
-                let when = if backoff {
-                    let rng = &mut self.control_rng;
-                    (at + backoff_delay(&self.shared.config, retry.retries_left, rng)).max(boundary)
-                } else {
-                    boundary
-                };
-                let s = &mut self.shard_states[self.shared.shard_of(coordinator)];
-                let op_id = s.ops.insert(OpState::Pending(PendingOp {
-                    sub,
-                    coordinator: Some(coordinator),
-                    retry: Some(retry),
-                }));
-                s.lane.schedule_timeout(when, Event::ClientArrive { op_id });
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -979,7 +883,6 @@ mod tests {
     use super::super::fixtures::*;
     use super::super::BatchOp;
     use super::*;
-    use crate::config::ClusterConfig;
     use crate::consistency::ConsistencyLevel;
     use crate::types::OpKind;
 

@@ -17,8 +17,8 @@
 //! the control sink's lane, and the engine injects it when it pops the
 //! event, at a serial point (`Cluster::dispatch_ctrl`). What a transition
 //! schedules — sweeps, hint replays, recovery syncs — belongs to the repair
-//! plane (`repair.rs`), and a changed degradation factor re-derives the
-//! engine's lookahead (`engine.rs`).
+//! plane (`repair.rs`). Faults run on the one-shard engine only, so none of
+//! this ever meets a lookahead window.
 
 use super::{class_index, Cluster, Event};
 use crate::config::ClusterConfig;
@@ -34,6 +34,10 @@ const MAX_FACTOR: f64 = 1e6;
 /// One fault transition. Node and datacenter ids are raw integers so fault
 /// scripts stay trivially serializable and topology-independent to write;
 /// [`FaultAction::check`] is what they must satisfy on a given platform.
+///
+/// Faults need the one-shard engine: on a cluster whose
+/// [`ClusterConfig::effective_shards`] is above 1, `check` rejects every
+/// action.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum FaultAction {
     /// Crash a node permanently: it goes down **and** its vnode tokens are
@@ -95,13 +99,19 @@ pub enum FaultAction {
 
 impl FaultAction {
     /// Whether this action can be applied to a cluster built from `config`:
-    /// node ids and datacenter ids must exist, a partition needs two
-    /// distinct datacenters, a degrade factor must be finite and positive
-    /// and a slow factor at least 1 (a smaller one would undercut the
-    /// sharded engine's lookahead bound), and neither factor may exceed a
+    /// the cluster must run one shard, node ids and datacenter ids must
+    /// exist, a partition needs two distinct datacenters, a degrade factor
+    /// must be finite and positive and a slow factor at least 1 (a gray
+    /// failure never speeds a node up), and neither factor may exceed a
     /// million. The error says which rule the action breaks.
     pub fn check(&self, config: &ClusterConfig) -> Result<(), String> {
         use FaultAction::*;
+        let shards = config.effective_shards();
+        if shards > 1 {
+            return Err(format!(
+                "faults need the one-shard engine (this cluster runs {shards} shards)"
+            ));
+        }
         let (nodes, dcs) = (config.topology.node_count(), config.topology.dc_count());
         let node = |n: u32| (n as usize >= nodes).then(|| format!("no node {n} among {nodes}"));
         let dc = |d: u16| (d as usize >= dcs).then(|| format!("no datacenter {d} among {dcs}"));
@@ -175,8 +185,7 @@ pub(super) struct FaultState {
     /// Per-node gray-failure slowdown (1.0 = healthy): multiplies the
     /// node's storage service times and the delays of messages it sends,
     /// applied after sampling so the compiled samplers and their RNG draws
-    /// are untouched (same contract as `link_degradation`). Factors are
-    /// ≥ 1.0, so the lookahead bound (a delay infimum) stays valid.
+    /// are untouched (same contract as `link_degradation`).
     node_slow: Vec<f64>,
     /// True while any node is slowed (fast-path guard).
     slow_active: bool,
@@ -264,12 +273,6 @@ impl FaultState {
         } else {
             delay
         }
-    }
-
-    /// The per-link-class degradation factors (the lookahead bound scales
-    /// with them).
-    pub(super) fn link_degradation(&self) -> &[f64; 4] {
-        &self.link_degradation
     }
 }
 
@@ -413,10 +416,6 @@ impl Cluster {
         let faults = &mut self.shared.faults;
         faults.link_degradation[class_index(class)] = factor;
         faults.degradation_active = faults.link_degradation.iter().any(|&f| f != 1.0);
-        // A speed-up factor shrinks the smallest cross-shard delay: the
-        // lookahead window must shrink with it or staging decisions would be
-        // recorded against a stale bound.
-        self.refresh_lookahead();
     }
 
     fn set_slow_factor(&mut self, idx: usize, factor: f64) {
@@ -733,20 +732,16 @@ mod tests {
     #[test]
     fn the_largest_factors_run_to_completion() {
         // A million-fold slow node or degraded link is the bound `check`
-        // allows; the run still drains, on either engine.
+        // allows; the run still drains.
         for action in [SlowNode(0, 1e6), DegradeLink(LinkClass::IntraDc, 1e6)] {
-            for shards in [1, 2] {
-                let mut cfg = ClusterConfig::lan_test(4, 3);
-                cfg.shards = shards;
-                let mut c = Cluster::new(cfg, 3);
-                c.load_records((0..10u64).map(|k| (k, 100)));
-                c.inject(action);
-                for i in 0..50u64 {
-                    c.submit_read_at(i % 10, SimTime::from_millis(i));
-                }
-                assert_eq!(drain(&mut c).len(), 50, "{action:?}, {shards} shards");
-                assert_eq!(c.check_drained(), Ok(()), "{action:?}, {shards} shards");
+            let mut c = cluster(4, 3);
+            c.load_records((0..10u64).map(|k| (k, 100)));
+            c.inject(action);
+            for i in 0..50u64 {
+                c.submit_read_at(i % 10, SimTime::from_millis(i));
             }
+            assert_eq!(drain(&mut c).len(), 50, "{action:?}");
+            assert_eq!(c.check_drained(), Ok(()), "{action:?}");
         }
     }
 
@@ -855,5 +850,21 @@ mod tests {
             c.is_node_down(NodeId(5));
         });
         assert_eq!(message, "node 5 is out of range: the cluster has 5 nodes");
+    }
+
+    #[test]
+    fn every_fault_needs_the_one_shard_engine() {
+        // Even an action that is sound on one shard.
+        let mut config = ClusterConfig::lan_test(5, 3);
+        config.shards = 2;
+        let why = "faults need the one-shard engine (this cluster runs 2 shards)";
+        for action in [NodeDown(0), RestoreLink(LinkClass::InterDc)] {
+            assert_eq!(action.check(&config), Err(why.to_string()));
+        }
+        // A shard count the node count clamps to 1 is the one-shard engine.
+        config.topology = concord_sim::Topology::single_dc(1);
+        config.replication_factor = 1;
+        assert_eq!(config.effective_shards(), 1);
+        assert_eq!(NodeDown(0).check(&config), Ok(()));
     }
 }

@@ -37,7 +37,7 @@
 //! | `faults.rs` | `FaultAction` and its one rule, `FaultState`: down / crashed nodes, partitions, link and node slow-downs | a scheduled fault (`Event::Fault`); `Cluster::inject` is the one mutator |
 //! | `repair.rs` | hint queues, the sweep cursor, the ownership index (off by default: zero events, zero draws) | hint replay, anti-entropy, recovery sync |
 //! | `resilience.rs` | per-replica health and circuit breakers | the hedge trigger; hooks in selection, responses and timeouts |
-//! | `engine.rs` | staged outboxes, version clocks, the lookahead | pops every event: the one-shard loop, lookahead windows and their close |
+//! | `engine.rs` | data-plane outboxes, staged oracle acks and reads, version clocks, the lookahead (fixed at build) | pops every event: the one-shard loop, lookahead windows and their close |
 //!
 //! With `shards > 1` the cluster runs as a conservative parallel DES in
 //! lookahead windows, and one shard is the serial engine every golden
@@ -45,9 +45,12 @@
 //! known to `engine.rs` alone — the field and the method that tell are
 //! private to it — and everything the engines do differently is a method
 //! of the two impl blocks there headed *Where the engines differ*, whose
-//! docs say what one shard does and what more than one do. The module docs
-//! of `engine.rs` also describe the execution model, the two determinism
-//! universes and where the per-key cache prefetches sit.
+//! docs say what one shard does and what more than one do. Faults and
+//! timeout retries need the one shard ([`FaultAction::check`] and
+//! `ClusterConfig::validate` say so before anything runs), so what only
+//! they reach has one arm. The module docs of `engine.rs` also describe the
+//! execution model, the two determinism universes and where the per-key
+//! cache prefetches sit.
 
 mod engine;
 mod faults;
@@ -277,9 +280,8 @@ struct RetryCtx {
 #[derive(Debug, Clone, Copy)]
 struct PendingOp {
     sub: Submission,
-    /// The coordinator this attempt was routed to at admission or at a
-    /// resubmission; `None` with one shard, where it is drawn at
-    /// arrival (see [`Cluster::admit`]).
+    /// The coordinator this attempt was routed to at admission; `None` with
+    /// one shard, where it is drawn at arrival (see [`Cluster::admit`]).
     coordinator: Option<NodeId>,
     /// `None` for first attempts (issued at arrival, under their own id,
     /// with the configured budget).
@@ -288,9 +290,9 @@ struct PendingOp {
 
 /// Lifecycle state of one in-flight operation, stored in the owning shard's
 /// op slab: a submitted-but-not-arrived operation, then a write or read in
-/// progress. An op lives on the shard that drew its id (slab slots are
-/// strided by shard), so `op_id mod shards` recovers the owner from the id
-/// alone — that is how acks and responses route home.
+/// progress. An op lives on its coordinator's shard, which drew its id
+/// (slab slots are strided by shard, so ids are unique across shards);
+/// acks and responses route home through the coordinator they carry.
 #[derive(Debug)]
 enum OpState {
     Pending(PendingOp),
@@ -343,8 +345,6 @@ struct ClusterShared {
     /// the slower cross-DC links. Static for the cluster's life — crashes
     /// withdraw ring tokens but never move a node between shards.
     node_shard: Vec<u16>,
-    /// Shard count (`node_shard` image size), denominator of op-home routing.
-    nshards: u32,
     /// The injected faults currently in force (`faults.rs`).
     faults: FaultState,
 }
@@ -356,13 +356,6 @@ impl ClusterShared {
         self.node_shard[node.0 as usize] as usize
     }
 
-    /// The home shard of an operation, recovered from the id alone (slab
-    /// slots are strided by shard).
-    #[inline]
-    fn op_home(&self, op_id: OpId) -> usize {
-        (op_id.0 as u32 % self.nshards) as usize
-    }
-
     /// The link class `from → to` and the bytes a message with `bytes` of
     /// payload puts on it (the payload plus the per-message overhead).
     #[inline]
@@ -370,7 +363,7 @@ impl ClusterShared {
         let class = self.link_class[from.0 as usize * self.node_count + to.0 as usize];
         (
             class,
-            bytes as u64 + self.config.message_overhead_bytes as u64,
+            bytes as u64 + ClusterConfig::MESSAGE_OVERHEAD_BYTES as u64,
         )
     }
 
@@ -392,7 +385,7 @@ struct ShardState {
     rng: SimRng,
     /// In-flight operation state owned by this shard, addressed by
     /// generation-checked OpId. Slots are strided by shard (slot ≡ shard
-    /// mod nshards) so ownership is recoverable from the id.
+    /// mod shards), so no two shards hand out the same id.
     ops: OpSlab<OpState>,
     metrics: ClusterMetrics,
     /// Write-version allocation (`engine.rs`: the two engines' schemes).
@@ -445,26 +438,24 @@ pub struct Cluster {
     shard_states: Vec<ShardState>,
     ctrl: ControlState,
     /// The control plane's own event lane (ticks and repair events) and RNG
-    /// stream (index `nshards` of the master seed, so it never collides
-    /// with a shard stream). Idle with one shard, where the control plane
-    /// shares shard 0's (see `Cluster::ctrl_sink`).
+    /// stream (index `shards` of the master seed, so it never collides
+    /// with a shard stream; it draws the coordinators of admissions). Idle
+    /// with one shard, where the control plane shares shard 0's (see
+    /// `Cluster::ctrl_sink`).
     control_lane: EventQueue<Event>,
     control_rng: SimRng,
-    /// The conservative lookahead bound: the link-delay infimum over
-    /// `cross_classes` under the current degradation factors. A window runs
-    /// from the earliest shard event to that instant plus this bound.
+    /// The conservative lookahead bound: the link-delay infimum over the
+    /// link classes that cross a shard cut (`Cluster::lookahead_bound`). A
+    /// window runs from the earliest shard event to that instant plus this
+    /// bound.
     lookahead: SimDuration,
-    /// Which link classes (indexed by [`class_index`]) connect nodes of
-    /// different shards; `refresh_lookahead` recomputes the bound from them
-    /// when a degradation factor changes.
-    cross_classes: [bool; 4],
     /// Time of the last processed event (serial) / high-water mark over the
     /// shard lanes (parallel).
     clock: SimTime,
     outputs: VecDeque<ClusterOutput>,
     propagation_samples: Vec<SimDuration>,
-    /// Scratch for bulk-load placement lookups and up-node coordinator draws
-    /// at serial points (submission, resubmission).
+    /// Scratch for bulk-load placement lookups and the coordinator draws of
+    /// admissions (serial points).
     home_scratch: Vec<NodeId>,
     /// Synchronization counters of the sharded engine (all zero with one
     /// shard: the serial path never crosses a window barrier).
@@ -562,14 +553,7 @@ impl Cluster {
         let storage_write_sampler = config.storage_write_latency.compiled();
         let shards = config.effective_shards();
         let node_shard = Self::build_shard_map(&config.topology, shards);
-        let mut cross_classes = [false; 4];
-        for from in 0..n {
-            for to in 0..n {
-                if node_shard[from] != node_shard[to] {
-                    cross_classes[class_index(link_class[from * n + to])] = true;
-                }
-            }
-        }
+        let lookahead = Self::lookahead_bound(&config, &node_shard, &link_class);
         let effective_rf = ring.replication_factor() as usize;
         let node_dc = config.topology.nodes().map(|x| config.topology.dc_of(x));
         let node_dc = node_dc.collect();
@@ -603,7 +587,7 @@ impl Cluster {
             repair: RepairState::new(n),
             oracle: StalenessOracle::new(),
         };
-        let mut cluster = Cluster {
+        Cluster {
             shared: ClusterShared {
                 ring,
                 mean_lat,
@@ -613,7 +597,6 @@ impl Cluster {
                 storage_write_sampler,
                 node_count: n,
                 node_shard,
-                nshards: shards as u32,
                 faults: FaultState::new(node_dc),
                 config,
             },
@@ -621,8 +604,7 @@ impl Cluster {
             ctrl,
             control_lane: EventQueue::new(),
             control_rng: SimRng::shard_stream(seed, shards as u64),
-            lookahead: SimDuration::ZERO,
-            cross_classes,
+            lookahead,
             clock: SimTime::ZERO,
             outputs: VecDeque::new(),
             propagation_samples: Vec::new(),
@@ -631,9 +613,7 @@ impl Cluster {
             last_boundary: SimTime::ZERO,
             bulk_tail: SimTime::ZERO,
             admitted: 0,
-        };
-        cluster.refresh_lookahead();
-        cluster
+        }
     }
 
     /// Number of event-lane shards this cluster runs with.
@@ -648,7 +628,7 @@ impl Cluster {
         self.sync
     }
 
-    /// The current conservative lookahead bound: every window runs from the
+    /// The conservative lookahead bound: every window runs from the
     /// earliest shard event to that instant plus this bound.
     pub fn lookahead(&self) -> SimDuration {
         self.lookahead
@@ -928,28 +908,7 @@ impl Cluster {
     /// Process events until something reportable happens (an operation
     /// completes or a tick fires). Returns `None` when no events remain.
     pub fn advance(&mut self) -> Option<ClusterOutput> {
-        self.advance_inner(None)
-    }
-
-    /// Like [`Cluster::advance`], but only processes events firing at or
-    /// before `deadline`; returns `None` once the next pending event (if
-    /// any) lies beyond it. Lets open-loop drivers interleave windowed
-    /// [`Cluster::submit_batch`] loads with draining, without the clock
-    /// running ahead of the next window's arrivals.
-    pub fn advance_before(&mut self, deadline: SimTime) -> Option<ClusterOutput> {
-        self.advance_inner(Some(deadline))
-    }
-
-    /// Drain every event up to `deadline` (inclusive), returning the
-    /// completed operations. Ticks are discarded.
-    pub fn run_until(&mut self, deadline: SimTime) -> Vec<CompletedOp> {
-        let mut done = Vec::new();
-        while let Some(out) = self.advance_before(deadline) {
-            if let ClusterOutput::Completed(op) = out {
-                done.push(op);
-            }
-        }
-        done
+        self.advance_inner()
     }
 
     /// Drain the simulation completely (bounded by `max_events`), returning
@@ -1512,7 +1471,11 @@ mod tests {
             parked.contains("shard 0: 2 ops and 0 write payloads"),
             "{parked}"
         );
-        assert!(c.run_until(SimTime::from_micros(100)).is_empty());
+        c.schedule_tick(SimTime::from_micros(100), 0);
+        assert!(matches!(
+            c.advance(),
+            Some(ClusterOutput::Tick { id: 0, .. })
+        ));
         let busy = c.check_drained().unwrap_err();
         assert!(busy.contains("2 ops and 1 write payloads"), "{busy}");
         assert_eq!(drain(&mut c).len(), 2);

@@ -13,10 +13,12 @@
 //! [`Event::CoordinatorReadResponse`] and [`Event::OpTimeout`], each handled
 //! by one `ShardCtx` method below, written once for both engines: wherever
 //! the one-shard and the windowed engine differ — allocating a version,
-//! reaching the oracle or the hint queues, sampling propagation, re-issuing
-//! a timed-out attempt, sending across a shard cut — the handler calls a
-//! `ShardCtx` method of `engine.rs`, unconditionally. Fault state is asked
-//! through `ClusterShared::faults`; the resilience layer hooks in from
+//! reaching the oracle, sampling propagation, sending across a shard cut —
+//! the handler calls a `ShardCtx` method of `engine.rs`, unconditionally.
+//! What only a fault or a retry reaches — queueing a hint, abandoning an
+//! ack, re-issuing a timed-out attempt — runs on the one-shard engine
+//! alone, where every op lives on shard 0. Fault state is asked through
+//! `ClusterShared::faults`; the resilience layer hooks in from
 //! `resilience.rs`.
 
 use super::engine::ShardCtx;
@@ -25,6 +27,7 @@ use super::{
     account_message, draw_coordinator, ClusterOutput, Event, NodeRuntime, OpState,
     ReplicaSelection, RetryCtx, ShardState, Submission,
 };
+use crate::config::ClusterConfig;
 use crate::consistency::ConsistencyLevel;
 use crate::ring::{Partitioner, ORDERED_SLICE_BITS};
 use crate::types::{CompletedOp, Key, OpId, OpKind, OpStatus, Version};
@@ -340,8 +343,9 @@ impl ShardState {
 
     /// A write ack that can no longer arrive (its replica died or the
     /// partition ate the message): stop counting that replica as targeted,
-    /// and reclaim the slab slot if the write was only waiting for it. Runs
-    /// against the op's home shard.
+    /// and reclaim the slab slot if the write was only waiting for it. Only
+    /// a fault loses an ack, and faults need the one-shard engine, so the
+    /// op lives on this shard.
     pub(super) fn abandon_ack(&mut self, op_id: OpId) {
         if let Some(OpState::Write(w)) = self.ops.get_mut(op_id) {
             w.targeted = w.targeted.saturating_sub(1);
@@ -414,21 +418,11 @@ impl ShardCtx<'_> {
             retries_left: self.shared.config.retry_on_timeout,
             client_id: op_id,
         });
-        let coordinator = match p.coordinator {
-            Some(c) if self.shared.faults.is_down(c) => {
-                // The pre-routed coordinator went down between routing and
-                // arrival: re-route (fresh draw among the up nodes). No
-                // retry budget is consumed — the client never reached a
-                // coordinator — and no backoff applies (this is re-routing,
-                // not a timed-out attempt).
-                self.s.ops.remove(op_id);
-                self.reroute(p.sub, retry, now, false);
-                return;
-            }
-            Some(c) => c,
-            // Nothing was routed at admission; draw now.
-            None => draw_coordinator(self.shared, &mut self.s.rng, &mut self.s.up_scratch),
-        };
+        // More than one shard routes the coordinator at admission, and no
+        // node goes down there; one shard draws it now.
+        let coordinator = p.coordinator.unwrap_or_else(|| {
+            draw_coordinator(self.shared, &mut self.s.rng, &mut self.s.up_scratch)
+        });
         match p.sub.kind {
             OpKind::Write => self.start_write(now, op_id, p.sub, coordinator, retry),
             OpKind::Read => self.start_read(now, op_id, p.sub, coordinator, retry),
@@ -558,7 +552,7 @@ impl ShardCtx<'_> {
             self.rank_read_replicas(now, coordinator, &mut replicas);
             replicas.truncate(required as usize);
             for (i, &replica) in replicas.iter().enumerate() {
-                let bytes = self.shared.config.small_message_bytes;
+                let bytes = ClusterConfig::SMALL_MESSAGE_BYTES;
                 let Some(delay) = self.request(coordinator, replica, bytes) else {
                     continue;
                 };
@@ -653,7 +647,7 @@ impl ShardCtx<'_> {
             self.drop_dead_task(task);
             return;
         }
-        if self.s.nodes[idx].active < self.shared.config.node_concurrency {
+        if self.s.nodes[idx].active < ClusterConfig::NODE_CONCURRENCY {
             self.s.nodes[idx].active += 1;
             self.start_service(now, node, task);
         } else {
@@ -676,7 +670,7 @@ impl ShardCtx<'_> {
         if p.repair {
             return;
         }
-        self.abandon(p.op_id);
+        self.s.abandon_ack(p.op_id);
     }
 
     fn start_service(&mut self, now: SimTime, node: NodeId, task: ReplicaTask) {
@@ -729,7 +723,7 @@ impl ShardCtx<'_> {
                     op_id: p.op_id,
                     applied_at: now,
                 };
-                let bytes = self.shared.config.small_message_bytes;
+                let bytes = ClusterConfig::SMALL_MESSAGE_BYTES;
                 (p.op_id, p.coordinator, bytes, ack)
             }
             ReplicaTask::Read {
@@ -781,7 +775,7 @@ impl ShardCtx<'_> {
                 let bytes = if data {
                     size
                 } else {
-                    self.shared.config.small_message_bytes
+                    ClusterConfig::SMALL_MESSAGE_BYTES
                 };
                 (op_id, coordinator, bytes, response)
             }
@@ -796,7 +790,6 @@ impl ShardCtx<'_> {
         let is_ack = matches!(task, ReplicaTask::Write { .. });
         let coordinator = NodeId(coordinator as u32);
         let home = self.shared.shard_of(coordinator);
-        debug_assert_eq!(home, self.shared.op_home(op_id));
         if home as u32 == self.s.shard {
             let rf = self.shared.ring.replication_factor();
             let applied = match self.s.ops.get_mut(op_id) {
@@ -819,7 +812,7 @@ impl ShardCtx<'_> {
             // could never be reclaimed.
             self.s.metrics.messages_lost += 1;
             if is_ack {
-                self.abandon(op_id);
+                self.s.abandon_ack(op_id);
             }
             return;
         }
@@ -996,7 +989,6 @@ mod tests {
     use super::super::fixtures::*;
     use super::super::{BatchOp, Cluster, FaultAction};
     use super::*;
-    use crate::config::ClusterConfig;
     use crate::consistency::ConsistencyLevel;
 
     #[test]

@@ -89,9 +89,9 @@ impl NodeHealth {
 /// Exponential retry backoff with deterministic RNG-drawn jitter: the
 /// nominal delay doubles per retry consumed of the configured budget
 /// (`base`, `2·base`, `4·base`, …) up to the cap, then a full-jitter-style
-/// multiplier in `[0.5, 1.5)` is drawn from the given stream (the shard's on the one-shard engine, the
-/// control plane's at a resubmission). The draw happens on every
-/// backoff retry and only then — backoff off means zero extra draws.
+/// multiplier in `[0.5, 1.5)` is drawn from the one shard's stream (retries
+/// need the one-shard engine). The draw happens on every backoff retry and
+/// only then — backoff off means zero extra draws.
 pub(super) fn backoff_delay(
     config: &ClusterConfig,
     retries_left: u32,
@@ -152,7 +152,7 @@ impl ShardCtx<'_> {
             return; // every replica is contacted, down or unreachable
         };
         self.s.metrics.hedged_requests += 1;
-        let bytes = self.shared.config.small_message_bytes;
+        let bytes = ClusterConfig::SMALL_MESSAGE_BYTES;
         let (class, total) = self.shared.wire(coordinator, target, bytes);
         self.s.metrics.hedge_traffic.add(class, total);
         let delay = self.account_message(coordinator, target, bytes);

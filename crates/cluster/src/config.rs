@@ -179,10 +179,6 @@ pub struct ClusterConfig {
     pub storage_read_latency: DelayDistribution,
     /// Local storage service time for a write on a replica.
     pub storage_write_latency: DelayDistribution,
-    /// Number of storage operations a node can service concurrently;
-    /// additional requests queue FIFO (this is what creates saturation and
-    /// the throughput differences between consistency levels).
-    pub node_concurrency: u32,
     /// Coordinator-side timeout for gathering the required replica
     /// responses; must be positive.
     pub op_timeout: SimDuration,
@@ -213,14 +209,11 @@ pub struct ClusterConfig {
     /// runtime through [`Cluster::set_replica_selection`](crate::Cluster::set_replica_selection).
     #[serde(default)]
     pub read_selection: ReplicaSelection,
-    /// Protocol overhead added to every replica message, in bytes.
-    pub message_overhead_bytes: u32,
-    /// Size of a read request / ack message payload in bytes.
-    pub small_message_bytes: u32,
     /// How many times a timed-out operation is re-issued (fresh coordinator
     /// and fan-out, client-visible latency spanning every attempt) before it
     /// completes with [`OpStatus::Timeout`](crate::OpStatus::Timeout).
-    /// 0 (the default) keeps the historical fail-fast behaviour.
+    /// 0 (the default) keeps the historical fail-fast behaviour; anything
+    /// else needs the one-shard engine.
     pub retry_on_timeout: u32,
     /// Number of event-queue shards the engine partitions the cluster into
     /// (conservative-PDES sharding: nodes are grouped datacenter-contiguously
@@ -236,11 +229,25 @@ pub struct ClusterConfig {
     /// configs, an absent field deserializing to 0) means the sequential
     /// engine, byte-identical to the pre-sharding goldens; values above the
     /// node count are clamped to it.
+    ///
+    /// Faults and timeout retries need the one-shard engine: on more than
+    /// one effective shard, [`FaultAction::check`](crate::FaultAction::check)
+    /// rejects every fault and [`ClusterConfig::validate`] rejects a
+    /// non-zero `retry_on_timeout`.
     #[serde(default)]
     pub shards: u32,
 }
 
 impl ClusterConfig {
+    /// Number of storage operations a node serves concurrently; further
+    /// requests queue FIFO (this is what creates saturation and the
+    /// throughput differences between consistency levels).
+    pub(crate) const NODE_CONCURRENCY: u32 = 32;
+    /// Protocol overhead added to every replica message, in bytes.
+    pub(crate) const MESSAGE_OVERHEAD_BYTES: u32 = 60;
+    /// Size of a read request / ack message payload in bytes.
+    pub(crate) const SMALL_MESSAGE_BYTES: u32 = 40;
+
     /// A small single-datacenter cluster with LAN latencies — the default for
     /// unit tests.
     pub fn lan_test(nodes: usize, replication_factor: u32) -> Self {
@@ -261,14 +268,11 @@ impl ClusterConfig {
                 median_ms: 0.25,
                 sigma: 0.4,
             },
-            node_concurrency: 32,
             op_timeout: SimDuration::from_secs(10),
             read_repair: false,
             repair: RepairConfig::off(),
             resilience: ResilienceConfig::off(),
             read_selection: ReplicaSelection::Closest,
-            message_overhead_bytes: 60,
-            small_message_bytes: 40,
             retry_on_timeout: 0,
             shards: 1,
         }
@@ -305,9 +309,6 @@ impl ClusterConfig {
                 self.topology.node_count()
             ));
         }
-        if self.node_concurrency == 0 {
-            return Err("node concurrency must be at least 1".into());
-        }
         if self.vnodes == 0 {
             return Err("vnodes must be at least 1".into());
         }
@@ -338,6 +339,12 @@ impl ClusterConfig {
             // for the allocating shard.
             return Err(format!(
                 "{shards} event-lane shards exceed the engine's 256-shard limit"
+            ));
+        }
+        if self.retry_on_timeout > 0 && shards > 1 {
+            return Err(format!(
+                "retry_on_timeout {} needs the one-shard engine (this cluster runs {shards} shards)",
+                self.retry_on_timeout
             ));
         }
         Ok(())
@@ -374,9 +381,6 @@ mod tests {
         cfg = ClusterConfig::lan_test(3, 0);
         assert!(cfg.validate().is_err(), "rf 0");
         cfg = ClusterConfig::lan_test(3, 2);
-        cfg.node_concurrency = 0;
-        assert!(cfg.validate().is_err());
-        cfg = ClusterConfig::lan_test(3, 2);
         cfg.vnodes = 0;
         assert!(cfg.validate().is_err());
         cfg = ClusterConfig::lan_test(300, 3);
@@ -388,6 +392,23 @@ mod tests {
         cfg = ClusterConfig::lan_test(3, 2);
         cfg.shards = 1_000;
         assert!(cfg.validate().is_ok());
+        // Timeout retries need the one-shard engine.
+        cfg = ClusterConfig::lan_test(4, 3);
+        cfg.retry_on_timeout = 1;
+        assert!(cfg.validate().is_ok());
+        cfg.shards = 2;
+        assert!(cfg.validate().is_err(), "timeout retries on 2 shards");
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid cluster config: retry_on_timeout 1 needs the one-shard engine (this cluster runs 2 shards)"
+    )]
+    fn a_sharded_cluster_with_timeout_retries_is_never_built() {
+        let mut cfg = ClusterConfig::lan_test(4, 3);
+        cfg.retry_on_timeout = 1;
+        cfg.shards = 2;
+        crate::Cluster::new(cfg, 1);
     }
 
     #[test]
@@ -552,14 +573,25 @@ mod tests {
     #[test]
     fn configs_carrying_the_retired_fields_still_load() {
         // Configs serialized while `eager_folds` (barrier elision) and
-        // `exact_latency_percentiles` were options must keep deserializing:
-        // unknown fields are ignored.
+        // `exact_latency_percentiles` were options, or while each of the
+        // three constants below was the field of its lower-cased name (with
+        // the constant's value), must keep deserializing: unknown fields are
+        // ignored.
         let cfg = ClusterConfig::lan_test(4, 3);
         let json = serde_json::to_string(&cfg).unwrap();
-        let old = json.replace(
-            ",\"shards\":1",
-            ",\"exact_latency_percentiles\":true,\"shards\":1,\"eager_folds\":false",
-        );
+        let mut retired =
+            String::from(",\"exact_latency_percentiles\":true,\"shards\":1,\"eager_folds\":false");
+        for (name, value) in [
+            ("NODE_CONCURRENCY", ClusterConfig::NODE_CONCURRENCY),
+            (
+                "MESSAGE_OVERHEAD_BYTES",
+                ClusterConfig::MESSAGE_OVERHEAD_BYTES,
+            ),
+            ("SMALL_MESSAGE_BYTES", ClusterConfig::SMALL_MESSAGE_BYTES),
+        ] {
+            retired += &format!(",\"{}\":{value}", name.to_lowercase());
+        }
+        let old = json.replace(",\"shards\":1", &retired);
         assert_ne!(json, old, "the retired fields must have been inserted");
         let back: ClusterConfig = serde_json::from_str(&old).unwrap();
         assert_eq!(serde_json::to_string(&back).unwrap(), json);

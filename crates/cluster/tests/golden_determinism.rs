@@ -519,125 +519,118 @@ fn golden_paged_repair_ordered_run() {
 /// (2 ms), exponential retry backoff and health-aware dynamic replica
 /// selection, against one node serving 10× slow mid-run (a gray failure —
 /// it keeps answering, so nothing crashes) plus a transient hard outage of
-/// another node (timeouts → backoff retries → breaker strikes). Pinned at
-/// 1, 2 and 4 shards like the weak golden; the thread-count invariance of
-/// the same shape is asserted in `tests/sharded_determinism.rs`. (Captured
-/// at the introduction of the resilience layer; there is no pre-resilience
+/// another node (timeouts → backoff retries → breaker strikes). Pinned on
+/// one shard: faults and retries need the one-shard engine. (Captured at
+/// the introduction of the resilience layer; there is no pre-resilience
 /// digest. Resilience **off** stays pinned by every other golden in this
 /// file — the layer must add zero events and zero RNG draws when disabled.)
 #[test]
 fn golden_resilience_run() {
-    for (i, shards) in [1u32, 2, 4].into_iter().enumerate() {
-        let golden = GOLDEN_RESILIENCE[i];
-        let mut cfg = ClusterConfig::lan_test(6, 3);
-        cfg.topology = Topology::spread(
-            6,
-            &[("site-rennes", RegionId(0)), ("site-sophia", RegionId(0))],
-        );
-        cfg.network = NetworkModel::grid5000_like();
-        cfg.strategy = ReplicationStrategy::NetworkTopology;
-        cfg.read_repair = true;
-        cfg.op_timeout = SimDuration::from_millis(60);
-        cfg.retry_on_timeout = 2;
-        cfg.resilience.hedge_delay = SimDuration::from_millis(2);
-        cfg.resilience.backoff = true;
-        cfg.read_selection = ReplicaSelection::Dynamic;
-        cfg.shards = shards;
-        let mut c = Cluster::new(cfg, 47);
-        c.load_records((0..20u64).map(|k| (k, 200)));
-        c.set_levels(ConsistencyLevel::One, ConsistencyLevel::One);
-        // Alternating write → read churn, with every third read at CL ALL.
-        // ALL-reads must contact every replica (the breaker can demote a
-        // struggling node but not skip it, and with nothing left unused the
-        // hedge has no target), so the ones whose replica set holds the
-        // dead node are guaranteed onto the timeout → backoff → breaker
-        // path in every shard count's sampled universe — while hedges keep
-        // rescuing the ONE-reads stuck behind the gray or dead node.
-        let mut at = SimTime::ZERO;
-        for i in 0..4_000u64 {
-            at += SimDuration::from_micros(500);
-            let k = (i / 2) % 20;
-            if i % 2 == 0 {
-                c.submit_write_at(k, 200, at);
-            } else if (i / 2) % 3 == 2 {
-                c.submit(BatchOp::read(at, k).with_level(ConsistencyLevel::All));
-            } else {
-                c.submit_read_at(k, at);
-            }
+    let golden = GOLDEN_RESILIENCE;
+    let mut cfg = ClusterConfig::lan_test(6, 3);
+    cfg.topology = Topology::spread(
+        6,
+        &[("site-rennes", RegionId(0)), ("site-sophia", RegionId(0))],
+    );
+    cfg.network = NetworkModel::grid5000_like();
+    cfg.strategy = ReplicationStrategy::NetworkTopology;
+    cfg.read_repair = true;
+    cfg.op_timeout = SimDuration::from_millis(60);
+    cfg.retry_on_timeout = 2;
+    cfg.resilience.hedge_delay = SimDuration::from_millis(2);
+    cfg.resilience.backoff = true;
+    cfg.read_selection = ReplicaSelection::Dynamic;
+    let mut c = Cluster::new(cfg, 47);
+    c.load_records((0..20u64).map(|k| (k, 200)));
+    c.set_levels(ConsistencyLevel::One, ConsistencyLevel::One);
+    // Alternating write → read churn, with every third read at CL ALL.
+    // ALL-reads must contact every replica (the breaker can demote a
+    // struggling node but not skip it, and with nothing left unused the
+    // hedge has no target), so the ones whose replica set holds the
+    // dead node are guaranteed onto the timeout → backoff → breaker
+    // path — while hedges keep
+    // rescuing the ONE-reads stuck behind the gray or dead node.
+    let mut at = SimTime::ZERO;
+    for i in 0..4_000u64 {
+        at += SimDuration::from_micros(500);
+        let k = (i / 2) % 20;
+        if i % 2 == 0 {
+            c.submit_write_at(k, 200, at);
+        } else if (i / 2) % 3 == 2 {
+            c.submit(BatchOp::read(at, k).with_level(ConsistencyLevel::All));
+        } else {
+            c.submit_read_at(k, at);
         }
-        // Node 1 serves 10x slow from 300 ms to 1.5 s (the churn spans 2 s);
-        // node 4 goes down hard from 450 ms to 1.65 s so timed-out scans
-        // retry after a backoff and trip its breaker.
-        c.schedule_fault(SimTime::from_millis(300), FaultAction::SlowNode(1, 10.0));
-        c.schedule_fault(SimTime::from_millis(1_500), FaultAction::RestoreNode(1));
-        c.schedule_fault(SimTime::from_millis(450), FaultAction::NodeDown(4));
-        c.schedule_fault(SimTime::from_millis(1_650), FaultAction::NodeUp(4));
-        let mut d = RunDigest::default();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let fnv = |h: &mut u64, x: u64| {
-            *h ^= x;
-            *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
-        for op in c.run_to_completion(u64::MAX) {
-            d.ops += 1;
-            if op.status == OpStatus::Timeout {
-                d.timeouts += 1;
-            }
-            if op.stale {
-                d.stale += 1;
-            }
-            d.latency_sum_us += op.latency().as_micros();
-            fnv(&mut h, op.completed_at.as_micros());
-            fnv(&mut h, op.returned_version.0);
-            fnv(&mut h, op.staleness_depth as u64);
-            fnv(&mut h, op.replicas_involved as u64);
-        }
-        d.checksum = h;
-        maybe_print(&format!("resilience[shards={shards}]"), &d, &c);
-        if capture_mode() {
-            let m = c.metrics();
-            println!(
-                "resilience[shards={shards}]: hedged={} wins={} backoff={} \
-                 breaker_opens={} hedge_bytes={}",
-                m.hedged_requests,
-                m.hedge_wins,
-                m.backoff_retries,
-                m.breaker_opens,
-                m.hedge_traffic.total(),
-            );
-        }
-        if capture_mode() {
-            continue;
-        }
-
-        let m = c.metrics();
-        assert_eq!(d.ops, 4_000, "every op completes exactly once");
-        assert_eq!(c.inflight_ops(), 0, "hedged ops must not leak slab entries");
-        assert_eq!(c.inflight_write_payloads(), 0);
-        assert_eq!(c.check_drained(), Ok(()));
-        assert!(m.hedged_requests > 0, "the slow window must trigger hedges");
-        assert!(m.hedge_wins > 0 && m.hedge_wins <= m.hedged_requests);
-        assert!(m.backoff_retries > 0, "the outage must exercise backoff");
-        assert!(m.breaker_opens > 0, "timeouts must trip the breaker");
-        assert!(m.hedge_traffic.total() > 0);
-        assert!(m.hedge_traffic.total() <= m.traffic.total());
-        assert_eq!(d.timeouts, golden.0, "{shards} shards");
-        assert_eq!(d.latency_sum_us, golden.1, "{shards} shards");
-        assert_eq!(d.checksum, golden.2, "{shards} shards");
-        assert_eq!(c.events_processed(), golden.3, "{shards} shards");
-        assert_eq!(
-            (
-                m.hedged_requests,
-                m.hedge_wins,
-                m.backoff_retries,
-                m.breaker_opens
-            ),
-            golden.4,
-            "{shards} shards"
-        );
-        assert_eq!(m.hedge_traffic.total(), golden.5, "{shards} shards");
-        assert_eq!(m.traffic.total(), golden.6, "{shards} shards");
     }
+    // Node 1 serves 10x slow from 300 ms to 1.5 s (the churn spans 2 s);
+    // node 4 goes down hard from 450 ms to 1.65 s so timed-out scans
+    // retry after a backoff and trip its breaker.
+    c.schedule_fault(SimTime::from_millis(300), FaultAction::SlowNode(1, 10.0));
+    c.schedule_fault(SimTime::from_millis(1_500), FaultAction::RestoreNode(1));
+    c.schedule_fault(SimTime::from_millis(450), FaultAction::NodeDown(4));
+    c.schedule_fault(SimTime::from_millis(1_650), FaultAction::NodeUp(4));
+    let mut d = RunDigest::default();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let fnv = |h: &mut u64, x: u64| {
+        *h ^= x;
+        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    };
+    for op in c.run_to_completion(u64::MAX) {
+        d.ops += 1;
+        if op.status == OpStatus::Timeout {
+            d.timeouts += 1;
+        }
+        if op.stale {
+            d.stale += 1;
+        }
+        d.latency_sum_us += op.latency().as_micros();
+        fnv(&mut h, op.completed_at.as_micros());
+        fnv(&mut h, op.returned_version.0);
+        fnv(&mut h, op.staleness_depth as u64);
+        fnv(&mut h, op.replicas_involved as u64);
+    }
+    d.checksum = h;
+    maybe_print("resilience", &d, &c);
+    if capture_mode() {
+        let m = c.metrics();
+        println!(
+            "resilience: hedged={} wins={} backoff={} \
+             breaker_opens={} hedge_bytes={}",
+            m.hedged_requests,
+            m.hedge_wins,
+            m.backoff_retries,
+            m.breaker_opens,
+            m.hedge_traffic.total(),
+        );
+        return;
+    }
+
+    let m = c.metrics();
+    assert_eq!(d.ops, 4_000, "every op completes exactly once");
+    assert_eq!(c.inflight_ops(), 0, "hedged ops must not leak slab entries");
+    assert_eq!(c.inflight_write_payloads(), 0);
+    assert_eq!(c.check_drained(), Ok(()));
+    assert!(m.hedged_requests > 0, "the slow window must trigger hedges");
+    assert!(m.hedge_wins > 0 && m.hedge_wins <= m.hedged_requests);
+    assert!(m.backoff_retries > 0, "the outage must exercise backoff");
+    assert!(m.breaker_opens > 0, "timeouts must trip the breaker");
+    assert!(m.hedge_traffic.total() > 0);
+    assert!(m.hedge_traffic.total() <= m.traffic.total());
+    assert_eq!(d.timeouts, golden.0);
+    assert_eq!(d.latency_sum_us, golden.1);
+    assert_eq!(d.checksum, golden.2);
+    assert_eq!(c.events_processed(), golden.3);
+    assert_eq!(
+        (
+            m.hedged_requests,
+            m.hedge_wins,
+            m.backoff_retries,
+            m.breaker_opens
+        ),
+        golden.4
+    );
+    assert_eq!(m.hedge_traffic.total(), golden.5);
+    assert_eq!(m.traffic.total(), golden.6);
 }
 
 /// Partition/heal scenario: the two sites of a geo cluster partition and
@@ -949,39 +942,19 @@ const GOLDEN_PAGED_REPAIR_ORDERED: PagedRepairGolden = (
 );
 // Resilience-layer digest (captured at the introduction of the resilience
 // layer; re-capture with GOLDEN_PRINT=1 after intentional semantic
-// changes): per shard count [1, 2, 4], (timeouts, latency_sum_us, checksum,
-// events, (hedged_requests, hedge_wins, backoff_retries, breaker_opens),
+// changes), on one shard: (timeouts, latency_sum_us, checksum, events,
+// (hedged_requests, hedge_wins, backoff_retries, breaker_opens),
 // hedge_traffic_total, traffic_total).
 type ResilienceGolden = (u64, u64, u64, u64, (u64, u64, u64, u64), u64, u64);
-const GOLDEN_RESILIENCE: [ResilienceGolden; 3] = [
-    (
-        193,
-        61_440_586,
-        4613832723449410810,
-        42_488,
-        (127, 31, 465, 102),
-        12_700,
-        3_677_500,
-    ),
-    (
-        190,
-        67_258_781,
-        2276998821231081281,
-        43_027,
-        (137, 44, 467, 161),
-        13_700,
-        3_693_100,
-    ),
-    (
-        189,
-        60_936_675,
-        13268572294427135746,
-        42_904,
-        (134, 30, 460, 166),
-        13_400,
-        3_684_000,
-    ),
-];
+const GOLDEN_RESILIENCE: ResilienceGolden = (
+    193,
+    61_440_586,
+    4613832723449410810,
+    42_488,
+    (127, 31, 465, 102),
+    12_700,
+    3_677_500,
+);
 // (timeouts, messages_lost, latency_sum_us, checksum, events).
 const GOLDEN_PARTITION: (u64, u64, u64, u64, u64) =
     (649, 1_946, 6_516_290_287, 9876085233809652447, 38_442);

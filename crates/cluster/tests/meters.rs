@@ -8,7 +8,9 @@
 //! with the action that lifts it: down/up, crash/recover, partition/heal,
 //! degrade/restore, slow/restore, dc-down/dc-up) — on one or two shards,
 //! with read repair on or off, zero or one retry per timed-out operation,
-//! the repair plane off or full and the resilience layer off or on. After
+//! the repair plane off or full and the resilience layer off or on. Faults
+//! and retries need the one-shard engine, so a 2-shard draw runs with no
+//! fault script and no retry. After
 //! draining, it recomputes reads, writes, timeouts, stale reads, the
 //! staleness-depth sum and both latency statistics from the published
 //! `CompletedOp`s alone and asserts they equal `Cluster::metrics()`; that
@@ -85,6 +87,7 @@ fn fault_script(script_seed: u64, span: u64) -> Vec<(SimTime, FaultAction)> {
 }
 
 fn run(seed: u64, shards: u32, planes: Planes, script_seed: u64) -> Run {
+    let serial = shards == 1;
     let mut cfg = ClusterConfig::lan_test(NODES as usize, 3);
     cfg.topology = Topology::spread(
         NODES as usize,
@@ -94,7 +97,7 @@ fn run(seed: u64, shards: u32, planes: Planes, script_seed: u64) -> Run {
     cfg.strategy = ReplicationStrategy::NetworkTopology;
     cfg.op_timeout = SimDuration::from_millis(40);
     cfg.read_repair = planes.read_repair;
-    cfg.retry_on_timeout = planes.retries;
+    cfg.retry_on_timeout = if serial { planes.retries } else { 0 };
     cfg.repair = RepairConfig::with_mode(planes.repair);
     if planes.resilience {
         cfg.resilience.hedge_delay = SimDuration::from_millis(2);
@@ -120,7 +123,11 @@ fn run(seed: u64, shards: u32, planes: Planes, script_seed: u64) -> Run {
         c.submit(op.with_level(level));
     }
 
-    let script = fault_script(script_seed, at.as_micros().max(1));
+    let script = if serial {
+        fault_script(script_seed, at.as_micros().max(1))
+    } else {
+        Vec::new()
+    };
     for &(at, action) in &script {
         c.schedule_fault(at, action);
     }

@@ -7,12 +7,13 @@
 //! here), because shard batches only touch shard-owned state and everything
 //! cross-shard is applied serially in fixed shard order at window closes. The
 //! scenarios attack the engine where the window/mailbox machinery is under
-//! the most stress — a node crashing in the middle of a lookahead window, a
-//! datacenter partition severing the link between two shards, an
-//! ordered-partitioner scan straddling a shard boundary, bulk-submitted
-//! arrival streams — and each one also sanity-checks the physics across
-//! shard counts (same op totals; each shard count is otherwise its own
-//! deterministic universe, see the golden suite's module docs).
+//! the most stress — an ordered-partitioner scan straddling a shard
+//! boundary, bulk-submitted arrival streams, geo churn crossing the cut —
+//! and each one also sanity-checks the physics across shard counts (same
+//! op totals; each shard count is otherwise its own deterministic universe,
+//! see the golden suite's module docs). Faults and timeout retries need the
+//! one-shard engine, so every scenario here is healthy and retry-free; the
+//! one-shard fault runs are pinned by the golden suite.
 //!
 //! The thread counts are driven through the work-stealing pool's
 //! `ThreadPool::install` scope, the same mechanism `--threads` uses in the
@@ -21,8 +22,8 @@
 //! count (oversubscription must not change a byte either).
 
 use concord_cluster::{
-    BatchOp, Cluster, ClusterConfig, ConsistencyLevel, FaultAction, Partitioner,
-    ReplicationStrategy, ORDERED_SLICE_KEYS,
+    BatchOp, Cluster, ClusterConfig, ConsistencyLevel, Partitioner, ReplicationStrategy,
+    ORDERED_SLICE_KEYS,
 };
 use concord_sim::{NetworkModel, RegionId, SimDuration, SimTime, Topology};
 
@@ -45,9 +46,8 @@ struct Fingerprint {
     fast_forwards: u64,
     parallel_batches: u64,
     max_batch_len: u64,
-    // Resilience-layer counters: pinned to zero by every resilience-off
-    // scenario (the layer must be inert when disabled) and thread-invariant
-    // like everything else when it is on.
+    // Resilience-layer counters: every scenario here runs with the layer
+    // off, which pins them to zero (the layer must be inert when disabled).
     hedged_requests: u64,
     hedge_wins: u64,
     backoff_retries: u64,
@@ -173,54 +173,6 @@ fn submit_churn(c: &mut Cluster, ops: u64, keys: u64, gap_us: u64) {
     }
 }
 
-/// A node crashes (ring reconfiguration + recovery migration) and later
-/// recovers, with the faults landing *inside* lookahead windows — the crash
-/// rebuilds the ring and broadcasts RepairSync arrivals while cross-shard
-/// mailboxes hold staged traffic.
-#[test]
-fn node_crash_mid_window_is_thread_invariant() {
-    let fps = thread_matrix(|shards| {
-        let mut c = two_site_cluster(51, shards, 3);
-        c.load_records((0..40u64).map(|k| (k, 180)));
-        submit_churn(&mut c, 1_600, 40, 400);
-        // Fault times chosen off the grid5000 link-delay grid so the ticks
-        // fire mid-window, not at a barrier the churn itself would create.
-        c.schedule_fault(SimTime::from_micros(100_137), FaultAction::CrashNode(2));
-        c.schedule_fault(SimTime::from_micros(400_291), FaultAction::RecoverNode(2));
-        drain(&mut c)
-    });
-    for fp in &fps {
-        assert_eq!(fp.ops, 1_600, "every op completes exactly once");
-    }
-}
-
-/// The two datacenters — which are exactly the two shards at `shards = 2` —
-/// partition mid-run and heal later: every cross-shard message in between
-/// is lost in transit, so the mailbox plane carries only losses while the
-/// partition holds.
-#[test]
-fn partition_severing_two_shards_is_thread_invariant() {
-    let fps = thread_matrix(|shards| {
-        let mut c = two_site_cluster(57, shards, 5);
-        c.load_records((0..30u64).map(|k| (k, 180)));
-        c.set_levels(ConsistencyLevel::Quorum, ConsistencyLevel::Quorum);
-        submit_churn(&mut c, 2_000, 30, 400);
-        c.schedule_fault(
-            SimTime::from_micros(150_211),
-            FaultAction::PartitionDcs(0, 1),
-        );
-        c.schedule_fault(SimTime::from_micros(550_433), FaultAction::HealDcs(0, 1));
-        drain(&mut c)
-    });
-    for fp in &fps {
-        assert_eq!(fp.ops, 2_000);
-        assert!(
-            fp.messages_lost > 0,
-            "the partition must drop cross-site messages"
-        );
-    }
-}
-
 /// Ordered-partitioner range scans anchored just below an ownership-slice
 /// boundary, with the record space split so the two slices' owners live on
 /// different shards: the segment fan-out gathers one scan's responses from
@@ -258,73 +210,6 @@ fn ordered_scan_straddling_a_shard_boundary_is_thread_invariant() {
     });
     for fp in &fps {
         assert_eq!(fp.ops, 2_000);
-    }
-}
-
-/// The full resilience layer under a gray failure: one node serves 10×
-/// slow mid-run (hedged reads rescue the ONE-reads stuck behind it) while
-/// another goes down hard (ALL-reads that must contact it ride the
-/// timeout → backoff → breaker path — the jittered backoff delays are
-/// out-of-order timers, and the health EWMA/breaker state feeds every
-/// subsequent selection). All of it — hedge fires crossing shards, the
-/// backoff timers, breaker flips — must be byte-identical at any worker
-/// thread count, and the resilience counters themselves are part of the
-/// fingerprint.
-#[test]
-fn gray_failure_resilience_layer_is_thread_invariant() {
-    use concord_cluster::ReplicaSelection;
-    let fps = thread_matrix(|shards| {
-        let mut cfg = ClusterConfig::lan_test(6, 3);
-        cfg.topology = Topology::spread(
-            6,
-            &[("site-east", RegionId(0)), ("site-south", RegionId(0))],
-        );
-        cfg.network = NetworkModel::grid5000_like();
-        cfg.strategy = ReplicationStrategy::NetworkTopology;
-        cfg.read_repair = true;
-        cfg.op_timeout = SimDuration::from_millis(60);
-        cfg.retry_on_timeout = 2;
-        cfg.resilience.hedge_delay = SimDuration::from_millis(2);
-        cfg.resilience.backoff = true;
-        cfg.read_selection = ReplicaSelection::Dynamic;
-        cfg.shards = shards;
-        let mut c = Cluster::new(cfg, 71);
-        c.load_records((0..20u64).map(|k| (k, 180)));
-        c.set_levels(ConsistencyLevel::One, ConsistencyLevel::One);
-        let mut at = SimTime::ZERO;
-        for i in 0..2_000u64 {
-            at += SimDuration::from_micros(500);
-            let k = (i / 2) % 20;
-            if i % 2 == 0 {
-                c.submit_write_at(k, 180, at);
-            } else if (i / 2) % 3 == 2 {
-                c.submit(BatchOp::read(at, k).with_level(ConsistencyLevel::All));
-            } else {
-                c.submit_read_at(k, at);
-            }
-        }
-        // Fault times off the link-delay grid so the ticks fire mid-window.
-        c.schedule_fault(
-            SimTime::from_micros(150_137),
-            FaultAction::SlowNode(1, 10.0),
-        );
-        c.schedule_fault(SimTime::from_micros(750_291), FaultAction::RestoreNode(1));
-        c.schedule_fault(SimTime::from_micros(225_433), FaultAction::NodeDown(4));
-        c.schedule_fault(SimTime::from_micros(825_571), FaultAction::NodeUp(4));
-        let fp = drain(&mut c);
-        assert_eq!(c.inflight_ops(), 0, "hedged ops must not leak slab slots");
-        fp
-    });
-    for fp in &fps {
-        assert_eq!(fp.ops, 2_000, "every op completes exactly once");
-        assert!(
-            fp.hedged_requests > 0,
-            "the gray window must trigger hedges"
-        );
-        assert!(fp.hedge_wins > 0 && fp.hedge_wins <= fp.hedged_requests);
-        assert!(fp.backoff_retries > 0, "the outage must exercise backoff");
-        assert!(fp.breaker_opens > 0, "timeouts must trip the breaker");
-        assert!(fp.hedge_traffic > 0 && fp.hedge_traffic <= fp.traffic_total);
     }
 }
 

@@ -125,12 +125,15 @@ impl Scenario {
         self
     }
 
-    /// Check the fault script against the platform it is about to run on,
-    /// before anything runs: scripts are outside input (this type is
-    /// `Deserialize`), and every action must pass [`FaultAction::check`]
-    /// under `config`. The error names the first offending fault, as
-    /// `fault N, <label>: <why>`.
+    /// Check the scenario against the platform it is about to run on,
+    /// before anything runs: scenarios are outside input (this type is
+    /// `Deserialize`). The arrival process must pass
+    /// [`ArrivalProcess::check`] (the error reads `arrival: <why>`), and
+    /// every action of the fault script must pass [`FaultAction::check`]
+    /// under `config` (the error names the first offending fault, as
+    /// `fault N, <label>: <why>`).
     pub fn validate(&self, config: &ClusterConfig) -> Result<(), String> {
+        self.arrival.check().map_err(|e| format!("arrival: {e}"))?;
         self.faults.iter().enumerate().try_for_each(|(i, fault)| {
             let action = &fault.action;
             action
@@ -175,7 +178,7 @@ impl Scenario {
 mod tests {
     use super::*;
     use concord_cluster::Cluster;
-    use concord_sim::{LinkClass, NodeId};
+    use concord_sim::{LinkClass, NodeId, SimTime};
 
     #[test]
     fn constructors_and_labels() {
@@ -294,6 +297,75 @@ mod tests {
                 "{message}"
             );
         }
+    }
+
+    #[test]
+    fn a_fault_on_a_sharded_platform_is_rejected_before_the_run() {
+        // One reason from all three doors: the scenario, `inject` and
+        // `schedule_fault`.
+        let mut config = ClusterConfig::lan_test(4, 3);
+        config.shards = 2;
+        let action = FaultAction::NodeDown(1);
+        let why = Scenario::closed(1)
+            .with_faults(vec![FaultEvent::at_secs(1.0, action)])
+            .validate(&config)
+            .unwrap_err();
+        let reason = "faults need the one-shard engine (this cluster runs 2 shards)";
+        assert_eq!(why, format!("fault 0, down(node1): {reason}"));
+        let mut cluster = Cluster::new(config, 1);
+        for message in [
+            panic_message(|| cluster.inject(action)),
+            panic_message(|| cluster.schedule_fault(SimTime::ZERO, action)),
+        ] {
+            assert_eq!(message, format!("fault down(node1): {reason}"));
+        }
+    }
+
+    /// The panic message of `f`, which must panic.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        *panic
+            .expect_err("the call must panic")
+            .downcast::<String>()
+            .expect("a formatted message")
+    }
+
+    /// The validation error of `scenario` on a healthy 4-node platform.
+    fn arrival_rejection(scenario: Scenario) -> String {
+        scenario
+            .validate(&ClusterConfig::lan_test(4, 3))
+            .expect_err("the arrival process must be rejected")
+    }
+
+    #[test]
+    fn a_negative_or_non_finite_open_loop_rate_is_rejected() {
+        // Each used to put every arrival at the start instant.
+        for rate in [-5.0, f64::NAN, f64::INFINITY] {
+            let why = format!("arrival: rate {rate} ops/s is not finite and positive");
+            assert_eq!(arrival_rejection(Scenario::open_poisson(rate)), why);
+            assert_eq!(arrival_rejection(Scenario::open_uniform(rate)), why);
+        }
+    }
+
+    #[test]
+    fn an_open_loop_rate_of_zero_is_rejected() {
+        // It used to panic with `simulated time overflow` at the first
+        // arrival.
+        let why = "arrival: rate 0 ops/s is not finite and positive";
+        assert_eq!(arrival_rejection(Scenario::open_poisson(0.0)), why);
+        assert_eq!(arrival_rejection(Scenario::open_uniform(0.0)), why);
+    }
+
+    #[test]
+    fn a_closed_loop_without_clients_is_rejected() {
+        // It used to pass and trip the driver's own assert once the
+        // cluster was built.
+        assert_eq!(
+            arrival_rejection(Scenario::closed(0)),
+            "arrival: a closed loop needs at least one client"
+        );
+        let sound = Scenario::closed(1).validate(&ClusterConfig::lan_test(4, 3));
+        assert_eq!(sound, Ok(()));
     }
 
     #[test]

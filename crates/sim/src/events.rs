@@ -293,21 +293,12 @@ impl<E> EventQueue<E> {
         Some(self.pop_lane(key, lane))
     }
 
-    /// Pop the next event only if it fires at or before `deadline`. This is
-    /// the fused peek-then-pop used by the run loops: the peek is a single
-    /// O(1) key read, and the heap sift happens at most once.
-    pub fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        match self.min_lane() {
-            Some((key, lane)) if unpack_time(key) <= deadline => Some(self.pop_lane(key, lane)),
-            _ => None,
-        }
-    }
-
     /// Pop the next event only if its packed key is **strictly below**
     /// `end_key`. This is the batch primitive of the parallel sharded
     /// engine: a lookahead window `[W, W+L)` drains each shard's lane with
     /// `pop_before_key(pack(W+L, 0))`, so every event below the window edge
-    /// fires and everything at or beyond it waits for the barrier.
+    /// fires and everything at or beyond it waits for the barrier. The peek
+    /// is a single O(1) key read, and the heap sift happens at most once.
     pub fn pop_before_key(&mut self, end_key: u128) -> Option<(SimTime, E)> {
         match self.min_lane() {
             Some((key, lane)) if key < end_key => Some(self.pop_lane(key, lane)),
@@ -375,8 +366,9 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_secs(1), 1);
         q.schedule_at(SimTime::from_secs(5), 2);
-        assert_eq!(q.pop_before(SimTime::from_secs(2)).unwrap().1, 1);
-        assert!(q.pop_before(SimTime::from_secs(2)).is_none());
+        let end = pack(SimTime::from_secs(2), 0);
+        assert_eq!(q.pop_before_key(end).unwrap().1, 1);
+        assert!(q.pop_before_key(end).is_none());
         assert_eq!(q.len(), 1);
     }
 
@@ -407,8 +399,9 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule_timeout(SimTime::from_secs(1), 1);
         q.schedule_timeout(SimTime::from_secs(5), 2);
-        assert_eq!(q.pop_before(SimTime::from_secs(2)).unwrap().1, 1);
-        assert!(q.pop_before(SimTime::from_secs(2)).is_none());
+        let end = pack(SimTime::from_secs(2), 0);
+        assert_eq!(q.pop_before_key(end).unwrap().1, 1);
+        assert!(q.pop_before_key(end).is_none());
         assert_eq!(q.len(), 1);
     }
 
@@ -565,8 +558,9 @@ mod tests {
     fn bulk_lane_respects_deadlines() {
         let mut q = EventQueue::new();
         q.bulk_load_sorted([(SimTime::from_secs(1), 1), (SimTime::from_secs(5), 2)]);
-        assert_eq!(q.pop_before(SimTime::from_secs(2)).unwrap().1, 1);
-        assert!(q.pop_before(SimTime::from_secs(2)).is_none());
+        let end = pack(SimTime::from_secs(2), 0);
+        assert_eq!(q.pop_before_key(end).unwrap().1, 1);
+        assert!(q.pop_before_key(end).is_none());
         assert_eq!(q.len(), 1);
     }
 

@@ -34,9 +34,8 @@ pub struct ShardMetrics {
     /// Staged events whose timestamp fell *inside* the window being sealed
     /// (a lookahead violation): delivery was clamped to the window
     /// boundary. A nonzero count means the configured lookahead bound was
-    /// optimistic for the traffic actually observed (zero-infimum delay
-    /// distributions, or a degraded link invalidating the precomputed
-    /// bound).
+    /// optimistic for the traffic actually observed (a zero-infimum delay
+    /// distribution).
     pub violations: u64,
     /// Windows in which at least two shards had non-empty handler batches —
     /// windows where the parallel dispatch had actual concurrency to

@@ -35,6 +35,29 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
+    /// Whether this process can drive a run: an open loop's rate must be
+    /// finite and positive (a negative or NaN one puts every arrival at the
+    /// start instant, a zero one never arrives), and a closed loop needs at
+    /// least one client. The error says which rule it breaks.
+    pub fn check(&self) -> Result<(), String> {
+        match *self {
+            ArrivalProcess::ClosedLoop { clients: 0, .. } => {
+                Err("a closed loop needs at least one client".into())
+            }
+            ArrivalProcess::ClosedLoop { .. } => Ok(()),
+            ArrivalProcess::OpenLoopPoisson { ops_per_sec }
+            | ArrivalProcess::OpenLoopUniform { ops_per_sec } => {
+                if ops_per_sec.is_finite() && ops_per_sec > 0.0 {
+                    Ok(())
+                } else {
+                    Err(format!(
+                        "rate {ops_per_sec} ops/s is not finite and positive"
+                    ))
+                }
+            }
+        }
+    }
+
     /// A closed loop with zero think time — the YCSB default.
     pub fn closed(clients: u32) -> Self {
         ArrivalProcess::ClosedLoop {

@@ -54,11 +54,8 @@ fn base_config(topology: Topology, network: NetworkModel, rf: u32) -> ClusterCon
             median_ms: 0.25,
             sigma: 0.4,
         },
-        node_concurrency: 32,
         op_timeout: SimDuration::from_secs(10),
         read_repair: false,
-        message_overhead_bytes: 60,
-        small_message_bytes: 40,
         retry_on_timeout: 0,
         repair: RepairConfig::off(),
         resilience: ResilienceConfig::off(),
