@@ -414,12 +414,10 @@ mod tests {
     #[test]
     fn validation_names_the_bad_delay_field() {
         let mut cfg = ClusterConfig::lan_test(3, 2);
-        cfg.network.inter_dc = DelayDistribution::Uniform {
-            lo_ms: 5.0,
-            hi_ms: 1.0,
-        };
+        cfg.network.inter_dc = DelayDistribution::wan(-5.0, 1.0);
         let err = cfg.validate().unwrap_err();
         assert!(err.starts_with("network.inter_dc: "), "{err}");
+        assert!(err.ends_with("base_ms -5 is negative"), "{err}");
         let mut cfg = ClusterConfig::lan_test(3, 2);
         cfg.storage_write_latency = DelayDistribution::LogNormal {
             median_ms: f64::NAN,

@@ -27,34 +27,22 @@
 use crate::policy::{ClusterProfile, ConsistencyPolicy, LevelDecision, PolicyContext};
 use concord_cluster::ConsistencyLevel;
 use concord_cost::{consistency_cost_efficiency, most_efficient, EfficiencySample, PricingModel};
-use concord_staleness::{AnalyticEstimator, StaleReadEstimator, StalenessParams};
+use concord_staleness::{AnalyticEstimator, StaleReadEstimator};
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the Bismar controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Configuration of the Bismar controller: the prices it weighs.
+///
+/// The write level, the floor on the propagation time and the stale-rate cap
+/// are constants, not settings: the staleness model writes at ONE and floors
+/// `Tp` at 0.1 ms (`PolicyContext::staleness_params` owns both, for the
+/// reasons given there), and the cap is
+/// `BismarPolicy::STALE_RATE_CAP`. Configs written while the three were
+/// fields still load; the retired fields are ignored.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct BismarConfig {
-    /// Pricing model used for the relative cost computation.
+    /// Pricing model used for the relative cost computation (2013 EC2 by
+    /// default).
     pub pricing: PricingModel,
-    /// Write consistency level kept while the read level is tuned.
-    pub write_level: ConsistencyLevel,
-    /// Optional cap on the stale-read rate: levels whose estimated staleness
-    /// exceeds the cap are excluded even if their efficiency is the highest.
-    /// The paper observes that efficient levels keep staleness below ~20 %,
-    /// so the default cap is 0.20.
-    pub stale_rate_cap: f64,
-    /// Floor for the propagation-time estimate (cold-start protection), ms.
-    pub min_propagation_ms: f64,
-}
-
-impl Default for BismarConfig {
-    fn default() -> Self {
-        BismarConfig {
-            pricing: PricingModel::ec2_2013(),
-            write_level: ConsistencyLevel::One,
-            stale_rate_cap: 0.20,
-            min_propagation_ms: 0.1,
-        }
-    }
 }
 
 /// The per-level evaluation Bismar performs at one adaptation step.
@@ -89,6 +77,12 @@ pub struct BismarPolicy {
 }
 
 impl BismarPolicy {
+    /// Cap on the estimated stale-read rate: levels above it are excluded
+    /// even if their efficiency is the highest, unless no level qualifies.
+    /// The paper observes that the efficient levels keep staleness below
+    /// ~20 %.
+    pub(crate) const STALE_RATE_CAP: f64 = 0.20;
+
     /// Create a Bismar controller.
     pub fn new(config: BismarConfig) -> Self {
         BismarPolicy {
@@ -148,9 +142,7 @@ impl BismarPolicy {
         let read_latency_ms = Self::expected_latency_ms(profile, level);
         let write_latency_ms = Self::expected_latency_ms(
             profile,
-            self.config
-                .write_level
-                .required_acks(profile.replication_factor, profile.dc_count),
+            PolicyContext::WRITE_LEVEL.required_acks(profile.replication_factor, profile.dc_count),
         );
         let mean_latency_ms = read_share * read_latency_ms + write_share * write_latency_ms;
         // Cost of keeping the whole fleet up for one mean-latency interval,
@@ -182,13 +174,6 @@ impl BismarPolicy {
         instance_cost + network_cost + storage_cost
     }
 
-    /// The staleness-model parameters of reading `level` replicas (see
-    /// [`PolicyContext::staleness_params`]).
-    fn staleness_params(&self, ctx: &PolicyContext, level: u32) -> StalenessParams {
-        let config = &self.config;
-        ctx.staleness_params(level, config.write_level, config.min_propagation_ms)
-    }
-
     /// Evaluate every candidate level under the current conditions.
     pub fn evaluate_levels(&self, ctx: &PolicyContext) -> Vec<BismarEvaluation> {
         let rf = ctx.profile.replication_factor;
@@ -197,7 +182,7 @@ impl BismarPolicy {
             .map(|level| {
                 let stale = self
                     .estimator
-                    .estimate(&self.staleness_params(ctx, level))
+                    .estimate(&ctx.staleness_params(level))
                     .stale_read_probability;
                 let cost = self.expected_cost_per_op(ctx, level);
                 BismarEvaluation {
@@ -213,7 +198,7 @@ impl BismarPolicy {
 
 impl ConsistencyPolicy for BismarPolicy {
     fn name(&self) -> String {
-        format!("bismar(cap={:.0}%)", self.config.stale_rate_cap * 100.0)
+        format!("bismar(cap={:.0}%)", Self::STALE_RATE_CAP * 100.0)
     }
 
     fn decide(&mut self, ctx: &PolicyContext) -> LevelDecision {
@@ -222,7 +207,7 @@ impl ConsistencyPolicy for BismarPolicy {
         let eligible: Vec<&BismarEvaluation> = {
             let ok: Vec<&BismarEvaluation> = evaluations
                 .iter()
-                .filter(|e| e.estimated_stale_rate <= self.config.stale_rate_cap)
+                .filter(|e| e.estimated_stale_rate <= Self::STALE_RATE_CAP)
                 .collect();
             if ok.is_empty() {
                 evaluations.iter().collect()
@@ -244,7 +229,7 @@ impl ConsistencyPolicy for BismarPolicy {
                 read_replicas,
                 ctx.profile.replication_factor,
             ),
-            write: self.config.write_level,
+            write: PolicyContext::WRITE_LEVEL,
         }
     }
 }
@@ -280,19 +265,20 @@ mod tests {
 
     #[test]
     fn stale_rate_cap_excludes_very_stale_levels() {
-        let ctx = test_context(4_000.0, 1_500.0, 35.0);
-        let capped = BismarPolicy::new(BismarConfig {
-            stale_rate_cap: 0.05,
-            ..Default::default()
-        });
-        let evaluations = capped.evaluate_levels(&ctx);
-        // Sanity: level ONE is well above the cap under this load.
-        assert!(evaluations[0].estimated_stale_rate > 0.05);
-        let mut capped = capped;
-        capped.decide(&ctx);
-        let chosen = capped.last_decision().unwrap().read_replicas;
+        let cap = BismarPolicy::STALE_RATE_CAP;
+        let ctx = test_context(4_000.0, 2_000.0, 40.0);
+        let mut b = BismarPolicy::with_default_pricing();
+        let evaluations = b.evaluate_levels(&ctx);
+        // Sanity: uncapped, the most efficient level is well above the cap
+        // under this load (a local-DC read level, cheap but stale).
+        let samples: Vec<EfficiencySample> = evaluations.iter().map(|e| e.efficiency).collect();
+        let uncapped = &evaluations[most_efficient(&samples).unwrap()];
+        assert!(uncapped.estimated_stale_rate > cap, "{evaluations:?}");
+        b.decide(&ctx);
+        let chosen = b.last_decision().unwrap().read_replicas;
         let chosen_eval = &evaluations[(chosen - 1) as usize];
-        assert!(chosen_eval.estimated_stale_rate <= 0.05);
+        assert!(chosen_eval.estimated_stale_rate <= cap, "{evaluations:?}");
+        assert_eq!(b.name(), "bismar(cap=20%)");
     }
 
     #[test]
@@ -346,7 +332,6 @@ mod tests {
         b.decide(&test_context(1_000.0, 100.0, 10.0));
         assert_eq!(b.last_decision().unwrap().evaluations.len(), 5);
         assert!(b.name().contains("bismar"));
-        assert!(b.config().stale_rate_cap > 0.0);
     }
 
     #[test]

@@ -23,27 +23,24 @@ use concord_cluster::ConsistencyLevel;
 use concord_staleness::{LevelSolver, StalenessParams};
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the Harmony controller.
+/// Configuration of the Harmony controller: the application's tolerance.
+///
+/// The write level and the floor on the propagation time are constants of
+/// the staleness model, not settings (`PolicyContext::staleness_params` owns
+/// both): the paper's Cassandra runs write at ONE and tune only reads, and
+/// the 0.1 ms floor on `Tp` keeps a cold monitor (no propagation sample yet)
+/// from making Harmony overly optimistic. Configs written while the two were
+/// fields still load; the retired fields are ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HarmonyConfig {
     /// The application's tolerated stale-read rate (fraction of reads, e.g.
     /// 0.2 for the paper's "20%" Grid'5000 experiment).
     pub tolerated_stale_rate: f64,
-    /// The write consistency level Harmony keeps while tuning reads
-    /// (the paper's Cassandra experiments write at ONE and tune reads).
-    pub write_level: ConsistencyLevel,
-    /// Floor applied to the propagation-time estimate, in ms, so that a cold
-    /// monitor (no samples yet) does not make Harmony overly optimistic.
-    pub min_propagation_ms: f64,
 }
 
 impl Default for HarmonyConfig {
     fn default() -> Self {
-        HarmonyConfig {
-            tolerated_stale_rate: 0.05,
-            write_level: ConsistencyLevel::One,
-            min_propagation_ms: 0.1,
-        }
+        HarmonyConfig::with_tolerance(0.05)
     }
 }
 
@@ -52,7 +49,6 @@ impl HarmonyConfig {
     pub fn with_tolerance(tolerated_stale_rate: f64) -> Self {
         HarmonyConfig {
             tolerated_stale_rate,
-            ..Default::default()
         }
     }
 }
@@ -110,13 +106,12 @@ impl HarmonyPolicy {
         &self.decisions
     }
 
-    /// Build the staleness-model parameters from a monitor snapshot (the
-    /// builder the controllers share, on `PolicyContext`): one replica read,
-    /// this controller's write level, and the monitored propagation time
+    /// Build the staleness-model parameters of reading one replica from a
+    /// monitor snapshot (the builder the controllers share, on
+    /// `PolicyContext`): writes at ONE, and the monitored propagation time
     /// above its floor as the paper's single constant `Tp` (Figure 1).
     pub fn staleness_params(&self, ctx: &PolicyContext) -> StalenessParams {
-        let config = &self.config;
-        ctx.staleness_params(1, config.write_level, config.min_propagation_ms)
+        ctx.staleness_params(1)
     }
 }
 
@@ -143,7 +138,7 @@ impl ConsistencyPolicy for HarmonyPolicy {
             self.decisions.push(decision);
             return LevelDecision {
                 read: ConsistencyLevel::from_replica_count(quorum, ctx.profile.replication_factor),
-                write: self.config.write_level,
+                write: PolicyContext::WRITE_LEVEL,
             };
         }
         let params = self.staleness_params(ctx);
@@ -166,7 +161,7 @@ impl ConsistencyPolicy for HarmonyPolicy {
         };
         LevelDecision {
             read,
-            write: self.config.write_level,
+            write: PolicyContext::WRITE_LEVEL,
         }
     }
 }
@@ -275,10 +270,23 @@ mod tests {
             format!("{{{fields},{}", &json[1..])
         }
         let harmony = HarmonyConfig::with_tolerance(0.3);
-        let json = with_retired(&harmony, r#""deterministic_propagation":false"#);
+        let json = with_retired(
+            &harmony,
+            r#""deterministic_propagation":false,"write_level":"Quorum","min_propagation_ms":5.0"#,
+        );
         assert_eq!(
             serde_json::from_str::<HarmonyConfig>(&json).unwrap(),
             harmony
+        );
+
+        let bismar = crate::BismarConfig::default();
+        let json = with_retired(
+            &bismar,
+            r#""write_level":"One","stale_rate_cap":0.05,"min_propagation_ms":0.1"#,
+        );
+        assert_eq!(
+            serde_json::from_str::<crate::BismarConfig>(&json).unwrap(),
+            bismar
         );
 
         let workload = concord_workload::presets::ycsb_a();

@@ -43,15 +43,15 @@ impl ClusterProfile {
         let cfg = cluster.config();
         let rf = cfg.replication_factor;
         let dc_count = cfg.dc_count().max(1);
-        // Pick two representative nodes to estimate intra/inter-DC latency.
-        let topo = &cfg.topology;
-        let nodes: Vec<_> = topo.nodes().collect();
+        let node_count = cfg.topology.node_count();
+        // The link classes' mean delays: one datacenter has no inter-DC
+        // link, and one node talks only to itself.
         let mut intra = cfg.network.intra_dc.mean_ms();
         let mut inter = cfg.network.inter_dc.mean_ms();
         if dc_count == 1 {
             inter = intra;
         }
-        if nodes.len() < 2 {
+        if node_count < 2 {
             intra = cfg.network.local.mean_ms();
             inter = intra;
         }
@@ -61,7 +61,7 @@ impl ClusterProfile {
             replicas_in_local_dc: rf.div_ceil(dc_count),
             intra_dc_latency_ms: intra,
             inter_dc_latency_ms: inter,
-            node_count: topo.node_count() as u32,
+            node_count: node_count as u32,
             record_size_bytes,
             storage_service_ms: (cfg.storage_read_latency.mean_ms()
                 + cfg.storage_write_latency.mean_ms())
@@ -82,23 +82,34 @@ pub struct PolicyContext {
 }
 
 impl PolicyContext {
-    /// The staleness-model inputs Harmony and Bismar estimate from: the
-    /// snapshot's read and write rates, the replication factor, `read_level`
-    /// replicas read, the acks `write_level` waits for, and the monitored
-    /// propagation time as a constant delay — floored at
-    /// `min_propagation_ms`, and capping the first-write time.
-    pub(crate) fn staleness_params(
-        &self,
-        read_level: u32,
-        write_level: ConsistencyLevel,
-        min_propagation_ms: f64,
-    ) -> StalenessParams {
+    /// The write level the staleness model assumes, and the one Harmony and
+    /// Bismar keep while they tune reads: the paper's Cassandra runs write
+    /// at ONE and tune only the read level.
+    pub(crate) const WRITE_LEVEL: ConsistencyLevel = ConsistencyLevel::One;
+
+    /// Floor on the monitored propagation time `Tp`, in ms: a cold monitor
+    /// has no propagation sample yet, and a zero `Tp` would leave no
+    /// staleness window and make the estimate falsely optimistic.
+    pub(crate) const MIN_PROPAGATION_MS: f64 = 0.1;
+
+    /// The staleness-model inputs Harmony and Bismar estimate from — the
+    /// paper's Figure 1 quantities: the snapshot's read and write rates, the
+    /// replication factor, `read_level` replicas read, writes at
+    /// [`WRITE_LEVEL`](Self::WRITE_LEVEL), and the monitored propagation time
+    /// as one constant delay `Tp`, floored at
+    /// [`MIN_PROPAGATION_MS`](Self::MIN_PROPAGATION_MS) and capping the
+    /// first-write time `T`.
+    pub(crate) fn staleness_params(&self, read_level: u32) -> StalenessParams {
         let profile = &self.profile;
-        let prop_ms = self.snapshot.propagation_time_ms.max(min_propagation_ms);
+        let prop_ms = self
+            .snapshot
+            .propagation_time_ms
+            .max(Self::MIN_PROPAGATION_MS);
         StalenessParams {
             n_replicas: profile.replication_factor,
             read_level,
-            write_level: write_level.required_acks(profile.replication_factor, profile.dc_count),
+            write_level: Self::WRITE_LEVEL
+                .required_acks(profile.replication_factor, profile.dc_count),
             read_rate: self.snapshot.read_rate,
             write_rate: self.snapshot.write_rate,
             first_write_ms: self.snapshot.first_write_time_ms.max(0.0).min(prop_ms),

@@ -51,18 +51,6 @@ impl PricingModel {
         Self::ec2_2013()
     }
 
-    /// Scale every price by a factor (e.g. model reserved-instance discounts).
-    pub fn scaled(&self, factor: f64) -> Self {
-        PricingModel {
-            instance_hour_usd: self.instance_hour_usd * factor,
-            storage_gb_month_usd: self.storage_gb_month_usd * factor,
-            storage_io_million_usd: self.storage_io_million_usd * factor,
-            transfer_inter_dc_gb_usd: self.transfer_inter_dc_gb_usd * factor,
-            transfer_inter_region_gb_usd: self.transfer_inter_region_gb_usd * factor,
-            transfer_intra_dc_gb_usd: self.transfer_intra_dc_gb_usd * factor,
-        }
-    }
-
     /// Validate that no price is negative.
     pub fn validate(&self) -> Result<(), String> {
         let prices = [
@@ -107,13 +95,6 @@ mod tests {
             "intra-AZ transfer is free"
         );
         assert!(p.transfer_inter_region_gb_usd > p.transfer_inter_dc_gb_usd);
-    }
-
-    #[test]
-    fn scaling_applies_to_every_component() {
-        let p = PricingModel::ec2_2013().scaled(2.0);
-        assert!((p.instance_hour_usd - 0.52).abs() < 1e-9);
-        assert!((p.storage_gb_month_usd - 0.20).abs() < 1e-9);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   `(seed, shards)` at any worker-thread count;
 //! * [`SimRng`] — a fast, splittable, seedable PRNG so every experiment is
 //!   exactly reproducible;
-//! * [`DelayDistribution`] — serializable latency models (constant, uniform,
-//!   exponential, shifted-exponential WAN, normal, log-normal, empirical),
-//!   each sampled through the [`CompiledDelay`] it compiles to;
+//! * [`DelayDistribution`] — serializable latency models (constant,
+//!   exponential, shifted-exponential WAN, log-normal), each sampled through
+//!   the [`CompiledDelay`] it compiles to;
 //! * [`Topology`] / [`NetworkModel`] — node placement into datacenters and
 //!   regions plus per-link-class latency distributions (EC2-like and
 //!   Grid'5000-like presets).

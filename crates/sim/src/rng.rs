@@ -8,9 +8,9 @@
 //!
 //! `SimRng` implements [`rand::RngCore`] so it can be plugged into any
 //! distribution from `rand`/`rand_distr`. Delays are drawn through one
-//! sampler, [`CompiledDelay`](crate::CompiledDelay): uniform and exponential
-//! draws come from [`SimRng::next_f64`] / [`SimRng::exponential`] directly,
-//! normal and log-normal draws from `rand_distr` on top of this generator.
+//! sampler, [`CompiledDelay`](crate::CompiledDelay): exponential draws come
+//! from [`SimRng::exponential`] directly, log-normal draws from `rand_distr`
+//! on top of this generator.
 
 use rand::{Error, RngCore, SeedableRng};
 

@@ -255,17 +255,6 @@ impl NetworkModel {
     pub fn mean_ms(&self, topology: &Topology, from: NodeId, to: NodeId) -> f64 {
         self.for_class(topology.link_class(from, to)).mean_ms()
     }
-
-    /// Return a copy with every distribution scaled by `factor` (e.g. to
-    /// model a degraded network).
-    pub fn scaled(&self, factor: f64) -> Self {
-        NetworkModel {
-            local: self.local.scaled(factor),
-            intra_dc: self.intra_dc.scaled(factor),
-            inter_dc: self.inter_dc.scaled(factor),
-            inter_region: self.inter_region.scaled(factor),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -336,12 +325,6 @@ mod tests {
     fn grid5000_intersite_is_slower_than_lan() {
         let net = NetworkModel::grid5000_like();
         assert!(net.inter_dc.mean_ms() > net.intra_dc.mean_ms() * 10.0);
-    }
-
-    #[test]
-    fn scaling_network_model() {
-        let net = NetworkModel::lan().scaled(2.0);
-        assert!((net.intra_dc.mean_ms() - 0.8).abs() < 1e-9);
     }
 
     #[test]

@@ -66,10 +66,10 @@ pub trait StaleReadEstimator {
 
 /// The analytic estimator used by Harmony and Bismar at runtime.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct AnalyticEstimator {
-    /// Number of quadrature intervals for delays without a closed form.
-    pub quadrature_steps: usize,
-}
+pub struct AnalyticEstimator;
+
+/// Number of Simpson intervals for delays without a closed form.
+const QUADRATURE_STEPS: usize = 2_048;
 
 /// Probability that a uniformly random `r`-subset of `n` replicas avoids all
 /// `w` acknowledged replicas: `C(n−w, r) / C(n, r)`.
@@ -86,11 +86,9 @@ fn avoid_probability(n: u32, w: u32, r: u32) -> f64 {
 }
 
 impl AnalyticEstimator {
-    /// Create the estimator with default quadrature resolution.
+    /// Create the estimator.
     pub fn new() -> Self {
-        AnalyticEstimator {
-            quadrature_steps: 2_048,
-        }
+        AnalyticEstimator
     }
 
     /// Probability that a read arriving when the newest *acknowledged* write
@@ -131,8 +129,7 @@ impl AnalyticEstimator {
     /// a horizon long enough to capture all the probability mass.
     fn quadrature(&self, params: &StalenessParams, lambda_w_per_ms: f64, avoid: f64) -> f64 {
         let horizon = horizon_ms(params, lambda_w_per_ms);
-        let steps = self.quadrature_steps.max(16);
-        let h = horizon / steps as f64;
+        let h = horizon / QUADRATURE_STEPS as f64;
         let r = params.read_level as i32;
         let t0 = params.first_write_ms;
         let f = |e: f64| {
@@ -141,7 +138,7 @@ impl AnalyticEstimator {
                 * params.propagation.survival(t0 + e).powi(r)
         };
         let mut sum = f(0.0) + f(horizon);
-        for i in 1..steps {
+        for i in 1..QUADRATURE_STEPS {
             let e = i as f64 * h;
             sum += if i % 2 == 1 { 4.0 } else { 2.0 } * f(e);
         }

@@ -12,9 +12,10 @@
 //! [`StaleReadEstimator`] interface, and a solver inverts them:
 //!
 //! * [`AnalyticEstimator`] — closed forms for constant and exponential
-//!   delays, Simpson quadrature over the delay's survival function for every
-//!   other distribution. This is what Harmony and Bismar evaluate at runtime,
-//!   with a constant `Tp`.
+//!   delays, Simpson quadrature over the delay's survival function for the
+//!   shifted-exponential and log-normal ones. This is what Harmony and Bismar
+//!   evaluate at runtime, from the monitor's λr, λw and `T`, one constant
+//!   `Tp` and writes at ONE.
 //! * [`MonteCarloEstimator`] — a direct simulation of the Figure-1 situation,
 //!   drawing each replica's delay through the delay's compiled sampler; used
 //!   to validate the analytic model (and parallelized with rayon).

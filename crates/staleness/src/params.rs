@@ -20,7 +20,7 @@ use concord_sim::DelayDistribution;
 use serde::{Deserialize, Serialize};
 
 /// Full parameter set for a stale-read estimation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StalenessParams {
     /// Replication factor `N`.
     pub n_replicas: u32,
@@ -101,7 +101,7 @@ impl StalenessParams {
     pub fn with_read_level(&self, read_level: u32) -> Self {
         StalenessParams {
             read_level,
-            ..self.clone()
+            ..*self
         }
     }
 }
@@ -180,22 +180,9 @@ mod tests {
 
     #[test]
     fn general_survival_variants() {
-        let uniform = DelayDistribution::Uniform {
-            lo_ms: 10.0,
-            hi_ms: 20.0,
-        };
-        assert_eq!(uniform.survival(5.0), 1.0);
-        assert!((uniform.survival(15.0) - 0.5).abs() < 1e-12);
-        assert_eq!(uniform.survival(25.0), 0.0);
-
         let shifted = DelayDistribution::wan(50.0, 10.0);
         assert_eq!(shifted.survival(10.0), 1.0);
         assert!((shifted.survival(60.0) - (-1.0f64).exp()).abs() < 1e-12);
-
-        let empirical = DelayDistribution::Empirical {
-            samples_ms: vec![1.0, 2.0, 3.0, 4.0],
-        };
-        assert!((empirical.survival(2.5) - 0.5).abs() < 1e-12);
     }
 
     #[test]

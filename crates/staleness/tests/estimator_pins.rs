@@ -22,16 +22,11 @@ fn pins() -> Vec<(DelayDistribution, u32, u64, u64)> {
         sigma: 0.5,
     };
     vec![
-        (constant.clone(), 1, 0x3fe8838f048e18ad, 0x3fe8d8c2a454de7f),
+        (constant, 1, 0x3fe8838f048e18ad, 0x3fe8d8c2a454de7f),
         (constant, 2, 0x3fe262ab436a9282, 0x3fe26bce8533b107),
-        (
-            exponential.clone(),
-            1,
-            0x3fe1c59bbdeec638,
-            0x3fe19f7f8ca8198f,
-        ),
+        (exponential, 1, 0x3fe1c59bbdeec638, 0x3fe19f7f8ca8198f),
         (exponential, 2, 0x3fd4423f76861540, 0x3fd40b242070b8d0),
-        (lognormal.clone(), 1, 0x3fe023b538664dea, 0x3fe38fc504816f00),
+        (lognormal, 1, 0x3fe023b538664dea, 0x3fe38fc504816f00),
         (lognormal, 2, 0x3fd1786e8a80bbe9, 0x3fda8198f1d3ed52),
     ]
 }
@@ -42,7 +37,7 @@ fn estimates_are_bit_identical_to_the_pinned_constants() {
     let monte_carlo = MonteCarloEstimator::new(50_000, 42).with_chunks(2);
     for (propagation, read_level, analytic_bits, mc_bits) in pins() {
         let params = StalenessParams {
-            propagation: propagation.clone(),
+            propagation,
             ..StalenessParams::basic(5, read_level, 1, 2000.0, 80.0, 0.5, 0.0)
         };
         let a = analytic.estimate(&params).stale_read_probability;

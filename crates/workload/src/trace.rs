@@ -9,6 +9,7 @@
 //!   (e.g. a webshop alternating browse / checkout / flash-sale phases) used
 //!   to exercise the behavior modeling pipeline.
 
+use crate::arrival::ArrivalProcess;
 use crate::core_workload::{CoreWorkload, OperationType, WorkloadConfig};
 use concord_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
@@ -108,7 +109,10 @@ pub struct TracePhase {
     pub name: String,
     /// How long the phase lasts.
     pub duration: SimDuration,
-    /// Mean operation arrival rate during the phase (ops/second).
+    /// Mean operation arrival rate during the phase (ops/second): finite and
+    /// non-negative, and 0 makes an idle phase. Each gap is rounded to whole
+    /// microseconds, so far above 10⁶ ops/s most gaps round to 0: operations
+    /// pile up at one instant, and the phase may never reach its end.
     pub ops_per_sec: f64,
     /// The operation mix / key distribution of the phase.
     pub workload: WorkloadConfig,
@@ -156,11 +160,35 @@ impl SyntheticTraceBuilder {
         &self.phases
     }
 
-    /// Generate the trace, with Poisson arrivals inside each phase.
+    /// Generate the trace, with Poisson arrivals inside each phase (the
+    /// open-loop arrival rule, [`ArrivalProcess::OpenLoopPoisson`]).
+    ///
+    /// # Panics
+    /// Panics, naming the phase, if a rate other than 0 fails
+    /// [`ArrivalProcess::check`] (negative, NaN or infinite), before any
+    /// operation is drawn.
     pub fn build(&self, rng: &mut SimRng) -> Trace {
+        // Check every phase before generating any: a rate of 0 is an idle
+        // phase, any other must pass the open-loop arrival rule.
+        let arrivals: Vec<Option<ArrivalProcess>> = self
+            .phases
+            .iter()
+            .map(|phase| {
+                if phase.ops_per_sec == 0.0 {
+                    return None;
+                }
+                let arrival = ArrivalProcess::OpenLoopPoisson {
+                    ops_per_sec: phase.ops_per_sec,
+                };
+                if let Err(e) = arrival.check() {
+                    panic!("invalid trace phase {:?}: {e}", phase.name);
+                }
+                Some(arrival)
+            })
+            .collect();
         let mut trace = Trace::new();
         let mut now = SimTime::ZERO;
-        for phase in &self.phases {
+        for (phase, arrival) in self.phases.iter().zip(arrivals) {
             let end = now + phase.duration;
             // Each phase gets its own workload generator so record counts and
             // mixes can differ between phases.
@@ -169,13 +197,12 @@ impl SyntheticTraceBuilder {
                 operation_count: u64::MAX,
                 ..phase.workload.clone()
             });
-            if phase.ops_per_sec <= 0.0 {
+            let Some(arrival) = arrival else {
                 now = end;
                 continue;
-            }
+            };
             loop {
-                let gap = SimDuration::from_secs_f64(rng.exponential(phase.ops_per_sec));
-                let at = now + gap;
+                let at = now + arrival.next_interarrival(rng).expect("an open loop");
                 if at >= end {
                     break;
                 }
@@ -274,6 +301,54 @@ mod tests {
         let writes =
             |w: &[TraceOp]| w.iter().filter(|o| o.op.is_write()).count() as f64 / w.len() as f64;
         assert!(writes(windows[1]) > writes(windows[0]));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid trace phase \"refunds\": rate -5 ops/s is not finite and positive"
+    )]
+    fn a_negative_phase_rate_is_rejected() {
+        SyntheticTraceBuilder::new()
+            .add(
+                "refunds",
+                SimDuration::from_secs(1),
+                -5.0,
+                presets::ycsb_b(),
+            )
+            .build(&mut SimRng::new(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid trace phase \"browse\": rate NaN ops/s")]
+    fn a_nan_phase_rate_is_rejected() {
+        SyntheticTraceBuilder::new()
+            .add(
+                "browse",
+                SimDuration::from_secs(1),
+                f64::NAN,
+                presets::ycsb_b(),
+            )
+            .build(&mut SimRng::new(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid trace phase \"flash-sale\": rate inf ops/s")]
+    fn an_infinite_phase_rate_is_rejected() {
+        // The bad phase comes second: no phase is generated before the check.
+        SyntheticTraceBuilder::new()
+            .add(
+                "browse",
+                SimDuration::from_secs(1),
+                100.0,
+                presets::ycsb_b(),
+            )
+            .add(
+                "flash-sale",
+                SimDuration::from_secs(1),
+                f64::INFINITY,
+                presets::ycsb_a(),
+            )
+            .build(&mut SimRng::new(1));
     }
 
     #[test]

@@ -76,7 +76,6 @@ impl PolicySpec {
             }
             PolicySpec::Bismar => Box::new(BismarPolicy::new(BismarConfig {
                 pricing: platform.pricing,
-                ..Default::default()
             })),
         }
     }
