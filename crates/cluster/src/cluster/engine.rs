@@ -81,38 +81,41 @@
 //! and it stays byte-identical to them.
 //!
 //! ## Memory latency
-//! Per-key state is direct-indexed, so an access is one load — and over a
-//! data set far larger than the cache (750 000 keys × 3 replicas × 16 B of
-//! store rows on the benchmark's headline run, probed at scrambled keys)
-//! that load is a cache miss behind a TLB miss, ~150 ns where every other
-//! step of an event is a few. Two tables are touched per key. A key's
+//! Per-key state is direct-indexed, so an access is an index entry and a row
+//! (`paged.rs`) — and over a data set larger than the cache, probed at
+//! scrambled keys, each can be a cache miss where every other step of an
+//! event is a few nanoseconds. Two tables are touched per key. A key's
 //! **store row** (one slot per replica, so a replica's copy sits in the
 //! row's one or two cache lines) is read or written by `on_replica_done`;
 //! the **oracle slot** is read by `start_read` (the expectation, one
 //! shard), written by `on_write_ack` (one shard) and otherwise read and
-//! written at the window close. In each case the key is known at least one
-//! event earlier, so the rule is: *the handler that schedules the touching
-//! event prefetches the slot* — a cache hint, never an early load, which
-//! would stall that handler just the same — and the miss overlaps the
-//! events in between. Five sites:
+//! written at the window close. A loaded key that was never written has
+//! no row, and its index entry is all a reader needs. The key is known
+//! events before each access, so the rule is: *the handlers that schedule
+//! the touching event prefetch it, the index entry first and the row once
+//! the entry has arrived* — cache hints, never an early load of a line that
+//! may miss, which would stall that handler just the same — and the misses
+//! overlap the events in between. The sites:
 //!
-//! * `ShardCtx::start_service` hints the task's key's row in the serving
-//!   node's shard store — both lines when the row straddles one (a write's
-//!   key comes from its interned payload): the row is needed one service
-//!   time later, and tasks that waited in a node's queue start service
-//!   through the same function.
-//! * `Cluster::submit` hints the oracle slot for the `ClientArrive` it
-//!   schedules, and one-shard [`ShardCtx::alloc_version`] hints it for the
-//!   satisfying ack, at least three events after `start_write`.
-//! * [`Cluster::close_window`] makes one pass of hints over a shard's staged
-//!   acks before recording them and one over its completed reads before
-//!   classifying them, so the misses of one batch overlap each other.
+//! * `ShardCtx::start_write` and `ShardCtx::start_read` hint the key's
+//!   store index entry, a network delay before the replicas serve it (the
+//!   window close that delivers a task across a shard cut hints it in the
+//!   destination shard's store); `ShardCtx::start_service` then hints the
+//!   row in the serving node's shard store — both lines when the row
+//!   straddles one (a write's key comes from its interned payload): the
+//!   row is needed one service time later, and tasks that waited in a
+//!   node's queue start service through the same function.
+//! * `Cluster::submit` hints the oracle index entry for the `ClientArrive`
+//!   it schedules, and one-shard [`ShardCtx::alloc_version`] hints the slot
+//!   for the satisfying ack, at least three events after `start_write`.
+//! * [`Cluster::close_window`] makes two passes of hints over a shard's
+//!   staged acks — entries, then slots — before recording them, and two
+//!   over its completed reads before classifying them, so the misses of one
+//!   batch overlap each other.
 //!
 //! `submit_batch` has none: its arrivals lie a whole schedule ahead, and a
-//! line hinted that early is evicted before use. Neither does a cross-shard
-//! send: the message lands a window later, and start of service on the
-//! destination shard covers it. A hint changes no state the simulation can
-//! observe — no event, draw, meter or allocation.
+//! line hinted that early is evicted before use. A hint changes no state the
+//! simulation can observe — no event, draw, meter or allocation.
 use super::ops::{PayloadId, ReplicaTask, WritePayload};
 use super::repair::Hint;
 use super::resilience::backoff_delay;
@@ -394,7 +397,7 @@ impl ShardCtx<'_> {
     pub(super) fn alloc_version(&mut self, now: SimTime, key: Key) -> Version {
         match self.ctrl.as_deref() {
             Some(ctrl) => {
-                ctrl.oracle.prefetch(key);
+                ctrl.oracle.prefetch_slot(key);
                 self.s.versions.next_serial()
             }
             None => self.s.versions.at(now, self.s.shard),
@@ -826,12 +829,21 @@ impl Cluster {
             for dest in 0..nshards {
                 let mut msgs = std::mem::take(&mut self.shard_states[i].staging.outbox_dest[dest]);
                 for msg in msgs.drain(..) {
+                    let dest = &mut self.shard_states[dest];
                     match msg {
                         OutMsg::Event { at, ev } => {
-                            self.shard_states[dest].lane.schedule_at(at, ev);
+                            if let Event::ReplicaArrive {
+                                task: ReplicaTask::Read { key, .. },
+                                ..
+                            } = ev
+                            {
+                                dest.store.prefetch_entry(key);
+                            }
+                            dest.lane.schedule_at(at, ev);
                         }
                         OutMsg::WriteTask { at, node, payload } => {
-                            self.shard_states[dest].deliver_write(at, node, payload);
+                            dest.store.prefetch_entry(payload.key);
+                            dest.deliver_write(at, node, payload);
                         }
                     }
                 }
@@ -845,7 +857,10 @@ impl Cluster {
         for i in 0..nshards {
             let s = &mut self.shard_states[i];
             for &(key, ..) in &s.staging.outbox_acks {
-                self.ctrl.oracle.prefetch(key);
+                self.ctrl.oracle.prefetch_entry(key);
+            }
+            for &(key, ..) in &s.staging.outbox_acks {
+                self.ctrl.oracle.prefetch_slot(key);
             }
             for (key, version, at) in s.staging.outbox_acks.drain(..) {
                 self.ctrl.oracle.record_ack(key, version, at);
@@ -855,7 +870,10 @@ impl Cluster {
         }
         for s in &mut self.shard_states {
             for (op, _) in &s.staging.outbox_dones {
-                self.ctrl.oracle.prefetch(op.key);
+                self.ctrl.oracle.prefetch_entry(op.key);
+            }
+            for (op, _) in &s.staging.outbox_dones {
+                self.ctrl.oracle.prefetch_slot(op.key);
             }
             for (mut op, issue_at) in s.staging.outbox_dones.drain(..) {
                 let class =
@@ -950,6 +968,7 @@ mod tests {
                 len: 1,
                 segment: 0,
                 coordinator: 0,
+                load_owner: true,
             };
             for node in 0..4u32 {
                 let home = c.shared.shard_of(NodeId(node));

@@ -396,10 +396,12 @@ impl Cluster {
         }
     }
 
-    /// Rebuild the ring over the nodes that are not crashed.
+    /// Rebuild the ring over the nodes that are not crashed: with none, the
+    /// load ring's exact placement.
     fn rebuild_ring(&mut self) {
         let shared = &mut self.shared;
         let crashed = &shared.faults.crashed;
+        shared.on_load_ring = !crashed.contains(&true);
         shared.ring = Ring::excluding(
             &shared.config.topology,
             shared.config.replication_factor,

@@ -68,6 +68,7 @@ use crate::config::ClusterConfig;
 use crate::consistency::ConsistencyLevel;
 use crate::metrics::{ClusterMetrics, TrafficBytes};
 use crate::oracle::StalenessOracle;
+use crate::paged::LoadRun;
 use crate::ring::{Partitioner, Ring, ORDERED_SLICE_BITS};
 use crate::slab::OpSlab;
 use crate::storage::ReplicaStore;
@@ -77,6 +78,7 @@ use concord_sim::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// How a coordinator picks which replicas a read contacts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -325,6 +327,13 @@ const fn class_index(class: LinkClass) -> usize {
 struct ClusterShared {
     config: ClusterConfig,
     ring: Ring,
+    /// The ring every node is in: the one the bulk load placed its records
+    /// by (see [`Cluster::load_records`]), shared with the stores.
+    load_ring: Arc<Ring>,
+    /// Whether `ring` is `load_ring` — no crash is in force, so a current
+    /// replica of a key holds its implicit copy (the store's load-ring
+    /// rule). Set with every ring rebuild.
+    on_load_ring: bool,
     /// Precomputed mean one-way latency in ms for every (from, to) node
     /// pair, row-major: `mean_lat[from * n + to]`. Replica selection ranks
     /// candidates through this table instead of recomputing distribution
@@ -555,6 +564,7 @@ impl Cluster {
         let node_shard = Self::build_shard_map(&config.topology, shards);
         let lookahead = Self::lookahead_bound(&config, &node_shard, &link_class);
         let effective_rf = ring.replication_factor() as usize;
+        let load_ring = Arc::new(ring.clone());
         let node_dc = config.topology.nodes().map(|x| config.topology.dc_of(x));
         let node_dc = node_dc.collect();
         let shard_states = (0..shards)
@@ -568,8 +578,12 @@ impl Cluster {
                 // Page summaries cost two mixes per installed write; only
                 // maintain them when an anti-entropy sweep could ever
                 // compare them.
-                store: ReplicaStore::with_rows(
-                    effective_rf.max(1),
+                store: ReplicaStore::placed(
+                    Arc::clone(&load_ring),
+                    match shards {
+                        1 => Vec::new(),
+                        _ => node_shard.iter().map(|&s| s as usize == k).collect(),
+                    },
                     config.repair.mode.anti_entropy_enabled(),
                 ),
                 nodes: (0..n).map(|_| NodeRuntime::default()).collect(),
@@ -590,6 +604,8 @@ impl Cluster {
         Cluster {
             shared: ClusterShared {
                 ring,
+                load_ring,
+                on_load_ring: true,
                 mean_lat,
                 link_class,
                 link_samplers,
@@ -721,7 +737,7 @@ impl Cluster {
     }
 
     /// `node`'s copy of record `key`, if it holds one (not storage I/O; for
-    /// tests and tools).
+    /// tests and tools). A loaded key without a row asks the load ring.
     pub fn stored(&self, node: NodeId, key: u64) -> Option<StoredValue> {
         self.store_of(node).read_on(node, Key(key))
     }
@@ -743,21 +759,82 @@ impl Cluster {
 
     /// Bulk-load records before the measured run (no events, no I/O
     /// accounting): every replica of each key receives the key's baseline
-    /// version.
+    /// version, and the oracle takes it as acknowledged at time zero.
+    ///
+    /// The load is implicit: it records contiguous runs of keys
+    /// (`LoadRun`: first key, count, first version, version step, size),
+    /// advances the version clock past them, and writes no row — the stores
+    /// count the copies (by arithmetic on one shard without page
+    /// summaries) and the oracle the keys. Until its first write, a loaded
+    /// key is held at its load version by exactly its owners under the ring
+    /// every node is in (the *load ring*), and every reader of the stores
+    /// and the oracle answers from the runs (see the `storage` and `oracle`
+    /// module docs, which list them). A record takes the explicit path
+    /// instead, writing every replica's row and the oracle's slot as
+    /// before, when it cannot start or continue a run: a crash is in force
+    /// (the ring is not the load ring), its key lies below the end of the
+    /// last run (a repeated key — an authoritative overwrite whose oracle
+    /// entry counts a second ack at time zero — or one that comes back to a
+    /// gap), or the key already has a row.
+    ///
+    /// # Panics
+    /// Panics if a key's row would lie past the stores' 2^32-slot space
+    /// (the key-density contract).
     pub fn load_records(&mut self, records: impl Iterator<Item = (u64, u32)>) {
-        let mut replicas = std::mem::take(&mut self.home_scratch);
+        let mut open: Option<LoadRun> = None;
         for (key, size) in records {
-            let key = Key(key);
+            self.shard_states[0].store.assert_in_space(Key(key));
             let version = self.preload_version();
-            self.shared.ring.replicas_into(key, &mut replicas);
-            for &node in &replicas {
-                let dest = self.shared.shard_of(node);
-                self.shard_states[dest]
-                    .store
-                    .preload_on(node, key, version, size);
+            if let Some(run) = &mut open {
+                if self.loads_implicitly(key) && run.extend(key, version, size) {
+                    continue;
+                }
+                self.close_run(run);
+                open = None;
             }
-            self.ctrl.oracle.preload(key, version);
+            if self.loads_implicitly(key) && key >= self.ctrl.oracle.loaded_end() {
+                open = Some(LoadRun::new(key, version, size));
+            } else {
+                self.preload_explicitly(Key(key), version, size);
+            }
         }
+        if let Some(run) = &open {
+            self.close_run(run);
+        }
+    }
+
+    /// Whether `key` may be placed without a row: no crash is in force and
+    /// no store or oracle row exists for it.
+    fn loads_implicitly(&self, key: u64) -> bool {
+        let key = Key(key);
+        self.shared.on_load_ring
+            && !self.ctrl.oracle.is_materialized(key)
+            && !self
+                .shard_states
+                .iter()
+                .any(|s| s.store.is_materialized(key))
+    }
+
+    /// Hand a finished run to every store and the oracle.
+    fn close_run(&mut self, run: &LoadRun) {
+        for s in &mut self.shard_states {
+            s.store.load(*run);
+        }
+        self.ctrl.oracle.load(*run);
+    }
+
+    /// Load one record the way a preload spells it out: every current
+    /// replica's row, and the oracle's slot.
+    fn preload_explicitly(&mut self, key: Key, version: Version, size: u32) {
+        let mut replicas = std::mem::take(&mut self.home_scratch);
+        self.shared.ring.replicas_into(key, &mut replicas);
+        for &node in &replicas {
+            let dest = self.shared.shard_of(node);
+            self.shard_states[dest]
+                .store
+                .preload_on(node, key, version, size);
+        }
+        self.ctrl.oracle.preload(key, version);
         self.home_scratch = replicas;
     }
 
@@ -784,8 +861,8 @@ impl Cluster {
     /// partitioning, or more than 2^16 ownership slices (`scan_len` >
     /// 65535 × 4096) under the ordered partitioner.
     pub fn submit(&mut self, op: BatchOp) -> OpId {
-        // The arrival scheduled here reads the key's oracle slot.
-        self.ctrl.oracle.prefetch(Key(op.key));
+        // The arrival scheduled here reads the key's oracle entry.
+        self.ctrl.oracle.prefetch_entry(Key(op.key));
         let (lane, op_id) = self.admit(&op);
         lane.schedule_at(op.at, Event::ClientArrive { op_id });
         op_id
@@ -933,11 +1010,18 @@ impl Cluster {
     /// replay is flagged over an empty queue, every admitted operation
     /// completed exactly once (counting timeouts), and the repair and hedge
     /// traffic breakdowns are shares of the billable traffic on every link
-    /// class. Returns the first violation found as a message.
+    /// class. Builds with debug assertions also recount every store's
+    /// copies and bytes — the rows, the side map and the implicit copies
+    /// of the loaded keys without a row — against its counters. Returns the
+    /// first violation found as a message.
     pub fn check_drained(&self) -> Result<(), String> {
         for s in &self.shard_states {
             s.check_drained()?;
             s.staging.check_drained(s.shard)?;
+            #[cfg(debug_assertions)]
+            s.store
+                .check_counters()
+                .map_err(|e| format!("shard {}: {e}", s.shard))?;
         }
         self.ctrl.repair.check_drained()?;
         let m = self.metrics();
@@ -1030,8 +1114,19 @@ mod tests {
     use super::fixtures::*;
     use super::*;
     use crate::config::RepairMode;
-    use crate::paged::PAGE_SLOTS;
     use crate::types::OpStatus;
+
+    impl Cluster {
+        /// The bulk load as it was before loads became implicit: every
+        /// replica's row and the oracle's slot spelled out per record (the
+        /// reference of the implicit load's differential tests).
+        fn load_spelled_out(&mut self, records: impl Iterator<Item = (u64, u32)>) {
+            for (key, size) in records {
+                let version = self.preload_version();
+                self.preload_explicitly(Key(key), version, size);
+            }
+        }
+    }
 
     #[test]
     fn load_records_populates_all_replicas() {
@@ -1047,20 +1142,274 @@ mod tests {
 
     #[test]
     fn the_store_is_one_row_of_rf_slots_per_key() {
-        // The benchmark platform's shape: 21 nodes at RF 3. The loaded keys
-        // fill ceil(N / 4096) pages of 4096 rows × 3 slots — a table per
-        // node over every key would be 21 × as many pages of 4096 slots.
+        // The benchmark platform's shape: 21 nodes at RF 3. The load writes
+        // no row; a written key gets one row of 3 slots — a table per node
+        // over every key would hold 21 × as many.
         let mut c = cluster(21, 3);
         let records = 10_000u64;
         c.load_records((0..records).map(|k| (k, 100)));
-        let pages = records.div_ceil(PAGE_SLOTS as u64) as usize;
+        assert_eq!(c.shard_states[0].store.rows(), 0);
+        for key in [0, 4_095, 4_096, records - 1] {
+            c.submit(BatchOp::write(c.now(), key, 50).with_level(ConsistencyLevel::All));
+        }
+        drain(&mut c);
         let store = &c.shard_states[0].store;
-        assert_eq!(store.allocation(), (pages, PAGE_SLOTS * 3));
+        assert_eq!(store.rows(), 4, "one row per written key");
         assert_eq!(store.key_count() as u64, records * 3);
         assert_eq!(store.side_copies(), 0, "every replica has a row entry");
         for key in [0, 4_095, 4_096, records - 1] {
+            let row = store.row_of(Key(key)).expect("written keys have a row");
+            assert_eq!(row.len(), 3);
+            for (node, entry) in c.replicas_of(key).into_iter().zip(row) {
+                assert_eq!(entry.0, node, "entries in ring order");
+                assert_eq!(c.stored(node, key).unwrap().size, 50);
+            }
+        }
+        assert_eq!(c.stored(c.replicas_of(7)[2], 7).unwrap().size, 100);
+        assert_eq!(c.check_drained(), Ok(()));
+    }
+
+    #[test]
+    fn a_million_loaded_records_touch_no_row() {
+        let mut c = cluster(21, 3);
+        let records = 1_000_000u64;
+        c.load_records((0..records).map(|k| (k, 1_000)));
+        let store = &c.shard_states[0].store;
+        assert_eq!((store.rows(), c.ctrl.oracle.rows()), (0, 0));
+        assert_eq!(store.key_count() as u64, 3 * records);
+        assert_eq!(c.total_bytes_stored(), 3 * records * 1_000);
+        assert_eq!(c.ctrl.oracle.key_count() as u64, records);
+        let key = 654_321;
+        c.submit(BatchOp::write(SimTime::ZERO, key, 10).with_level(ConsistencyLevel::One));
+        drain(&mut c);
+        let store = &c.shard_states[0].store;
+        assert_eq!(store.rows(), 1, "one write materializes one row");
+        let row = store.row_of(Key(key)).unwrap();
+        let holders: Vec<_> = row.iter().map(|&(node, _)| node).collect();
+        assert_eq!(holders, c.replicas_of(key), "RF entries in ring order");
+        assert!(row.iter().all(|&(_, v)| v.exists()));
+        assert_eq!(c.ctrl.oracle.rows(), 1);
+        assert_eq!(c.total_bytes_stored(), 3 * records * 1_000 - 3 * 990);
+    }
+
+    #[test]
+    fn load_records_defines_its_edges() {
+        // Runs from key 3 (not 0), a size change, a gap, a repeated key and
+        // an insert past the runs: every case reads as a spelled-out load.
+        let records = [(3, 100), (4, 100), (5, 100), (6, 200), (7, 200), (10, 200)];
+        let records = records.into_iter().chain([(4, 300), (8, 50), (11, 200)]);
+        let mut c = cluster(5, 3);
+        c.load_records(records.clone());
+        let mut spelled = cluster(5, 3);
+        spelled.load_spelled_out(records);
+        let keys = 0..14;
+        let copies =
+            |c: &Cluster, key: u64| (0..5).map(|n| c.stored(NodeId(n), key)).collect::<Vec<_>>();
+        for key in keys.clone() {
+            assert_eq!(copies(&c, key), copies(&spelled, key), "key {key}");
+            let oracle = |c: &Cluster| c.ctrl.oracle.expected_version(Key(key));
+            assert_eq!(oracle(&c), oracle(&spelled), "key {key}");
+        }
+        // Key 4 was overwritten: its bytes replaced, and its oracle entry
+        // counts a second ack at time zero. Keys 8 (below the last run's
+        // end) and 4 took the explicit path: two rows; the rest none.
+        let owner = c.replicas_of(4)[0];
+        assert_eq!(c.stored(owner, 4).unwrap().size, 300);
+        assert_eq!(c.total_bytes_stored(), spelled.total_bytes_stored());
+        assert_eq!(c.total_bytes_stored(), 3 * (2 * 100 + 300 + 4 * 200 + 50));
+        let depth = |c: &Cluster| c.ctrl.oracle.classify_read(Key(4), Version(7), Version(2));
+        assert_eq!(depth(&c), depth(&spelled));
+        assert_eq!(depth(&c).depth, 1, "the overwrite is the key's second ack");
+        assert_eq!(
+            (c.shard_states[0].store.rows(), c.ctrl.oracle.rows()),
+            (2, 2)
+        );
+        assert_eq!(c.ctrl.oracle.key_count(), spelled.ctrl.oracle.key_count());
+        // A YCSB-D insert past the runs is an ordinary row.
+        c.submit(BatchOp::write(SimTime::ZERO, 20, 10).with_level(ConsistencyLevel::All));
+        drain(&mut c);
+        assert!(c
+            .replicas_of(20)
+            .into_iter()
+            .all(|n| c.stored(n, 20).unwrap().size == 10));
+        assert_eq!(c.shard_states[0].store.rows(), 3);
+        assert_eq!(c.check_drained(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "key-density contract")]
+    fn a_load_past_the_slot_space_panics_at_load() {
+        let mut c = cluster(4, 3);
+        c.load_records([(0, 10), (u64::MAX / 2, 10)].into_iter());
+    }
+
+    #[test]
+    fn every_preload_of_a_sharded_cluster_is_version_1() {
+        let mut cfg = two_dc_config(6, 3);
+        cfg.shards = 2;
+        let mut c = Cluster::new(cfg, 5);
+        assert_eq!(c.shards(), 2);
+        c.load_records((0..100u64).map(|k| (k, 100)));
+        for key in 0..100 {
             for node in c.replicas_of(key) {
-                assert_eq!(c.stored(node, key).unwrap().size, 100);
+                assert_eq!(c.stored(node, key).unwrap().version, Version(1));
+            }
+            assert_eq!(c.ctrl.oracle.expected_version(Key(key)), Version(1));
+        }
+        let rows: usize = c.shard_states.iter().map(|s| s.store.rows()).sum();
+        assert_eq!(rows, 0);
+        assert_eq!(c.total_bytes_stored(), 100 * 100 * 3);
+    }
+
+    #[test]
+    fn scans_over_untouched_rows_weigh_the_loaded_bytes() {
+        let mut cfg = ClusterConfig::lan_test(5, 3);
+        cfg.partitioner = Partitioner::Ordered;
+        let mut c = Cluster::new(cfg, 3);
+        c.load_records((0..10_000u64).map(|k| (k, 100)));
+        c.submit(BatchOp::scan(SimTime::ZERO, 4_000, 200).with_level(ConsistencyLevel::One));
+        let done = drain(&mut c);
+        assert_eq!(
+            done[0].records_returned, 200,
+            "the whole range, across a slice"
+        );
+        assert!(c.metrics().traffic.total() >= 200 * 100);
+        assert_eq!(
+            c.shard_states[0].store.rows(),
+            0,
+            "reads materialize nothing"
+        );
+    }
+
+    /// Everything a run publishes or leaves behind that the way its
+    /// records were loaded could move: the published ops, every node's copy
+    /// of every key, the bytes stored, the meters, every page digest and
+    /// the events processed.
+    fn fingerprint(c: &Cluster, done: &[CompletedOp], keys: u64) -> Vec<String> {
+        let mut seen: Vec<_> = done.iter().map(|op| format!("{op:?}")).collect();
+        seen.push(format!("{:?}", c.metrics()));
+        seen.push(format!("{} bytes", c.total_bytes_stored()));
+        seen.push(format!("{} events", c.events_processed()));
+        for node in c.shared.config.topology.nodes() {
+            let store = c.store_of(node);
+            for page in 0..store.summary_pages(node) {
+                seen.push(format!(
+                    "{node:?} page {page}: {:x}",
+                    store.page_digest(node, page)
+                ));
+            }
+            seen.extend((0..keys).map(|k| format!("{node:?} key {k}: {:?}", c.stored(node, k))));
+        }
+        seen
+    }
+
+    /// Load one record stream implicitly and spelled out into two clusters
+    /// of `cfg`, run the same random operations on both — and, on one
+    /// shard, the same random fault script, in which crashes and recoveries
+    /// overlap the anti-entropy sweeps and the recovery migrations — and
+    /// assert they publish and hold the same.
+    fn implicit_matches_spelled_out(cfg: ClusterConfig, seed: u64) {
+        use FaultAction::*;
+        let records = 3 * crate::paged::PAGE_SLOTS as u64 + 300;
+        let keys = records + 40;
+        // Two runs (a size change), a repeated key and a gap key.
+        let load = || {
+            let sizes = (0..records).map(|k| (k, if k < records / 2 { 100 } else { 150 }));
+            sizes.filter(|&(k, _)| k != 77).chain([(5, 300), (77, 50)])
+        };
+        let mut implicit = Cluster::new(cfg.clone(), seed);
+        implicit.load_records(load());
+        let mut spelled = Cluster::new(cfg.clone(), seed);
+        spelled.load_spelled_out(load());
+        let mut rng = SimRng::new(seed);
+        let span_us = 2_000_000;
+        let level = |rng: &mut SimRng| {
+            [
+                ConsistencyLevel::One,
+                ConsistencyLevel::Quorum,
+                ConsistencyLevel::All,
+            ][rng.index(3)]
+        };
+        let mut ops: Vec<BatchOp> = (0..2_500)
+            .map(|_| {
+                let (at, key) = (
+                    SimTime::from_micros(rng.next_bounded(span_us)),
+                    rng.next_bounded(keys),
+                );
+                let op = match rng.index(10) {
+                    0..=3 => BatchOp::write(at, key, 20 + rng.next_bounded(300) as u32),
+                    4..=8 => BatchOp::read(at, key),
+                    _ => BatchOp::scan(at, key, 2 + rng.next_bounded(40) as u32),
+                };
+                op.with_level(level(&mut rng))
+            })
+            .collect();
+        ops.sort_by_key(|op| op.at);
+        let nodes = cfg.topology.node_count() as u32;
+        let mut script = Vec::new();
+        if cfg.effective_shards() == 1 {
+            for _ in 0..8 {
+                let at = SimTime::from_micros(rng.next_bounded(span_us));
+                let n = rng.index(nodes as usize) as u32;
+                let action = match rng.index(8) {
+                    0..=2 => CrashNode(n),
+                    3 | 4 => RecoverNode(n),
+                    5 => NodeDown(n),
+                    6 => NodeUp(n),
+                    _ => PartitionDcs(0, 1),
+                };
+                script.push((at, action));
+            }
+            let end = SimTime::from_micros(span_us + 500_000);
+            script.push((end, HealDcs(0, 1)));
+            script.extend((0..nodes).flat_map(|n| [(end, RecoverNode(n)), (end, NodeUp(n))]));
+        }
+        let mut fingerprints = Vec::new();
+        for c in [&mut implicit, &mut spelled] {
+            c.submit_batch(ops.iter().copied());
+            for &(at, action) in &script {
+                c.schedule_fault(at, action);
+            }
+            let done = drain(c);
+            assert_eq!(c.check_drained(), Ok(()));
+            fingerprints.push(fingerprint(c, &done, keys));
+        }
+        let (a, b) = (&fingerprints[0], &fingerprints[1]);
+        let first = a.iter().zip(b).position(|(x, y)| x != y);
+        assert_eq!(first.map(|i| (&a[i], &b[i])), None, "{cfg:?}, seed {seed}");
+        assert_eq!(a.len(), b.len());
+        let rows: usize = implicit.shard_states.iter().map(|s| s.store.rows()).sum();
+        let spelled_rows: usize = spelled.shard_states.iter().map(|s| s.store.rows()).sum();
+        // Repair streams to stand-ins write rows too: under the ordered
+        // partitioner at RF 5 of 7 nodes a crash reaches every key.
+        assert!(rows <= spelled_rows, "{rows} rows against {spelled_rows}");
+    }
+
+    #[test]
+    fn the_implicit_load_matches_the_spelled_out_load_under_faults() {
+        for partitioner in [Partitioner::Hash, Partitioner::Ordered] {
+            for rf in [3, 5] {
+                for mode in [RepairMode::Off, RepairMode::Full] {
+                    for seed in [1, 2] {
+                        let mut cfg = two_dc_config(7, rf);
+                        cfg.partitioner = partitioner;
+                        cfg.repair = crate::config::RepairConfig::with_mode(mode);
+                        implicit_matches_spelled_out(cfg, seed);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_implicit_load_matches_the_spelled_out_load_on_two_shards() {
+        for partitioner in [Partitioner::Hash, Partitioner::Ordered] {
+            for mode in [RepairMode::Off, RepairMode::Full] {
+                let mut cfg = two_dc_config(8, 3);
+                cfg.shards = 2;
+                cfg.partitioner = partitioner;
+                cfg.repair = crate::config::RepairConfig::with_mode(mode);
+                implicit_matches_spelled_out(cfg, 3);
             }
         }
     }

@@ -70,6 +70,13 @@ pub(super) enum ReplicaTask {
         /// message on *its own* stream at service time instead of deferring
         /// the draw to the window close.
         coordinator: u16,
+        /// Whether the replica is a load-ring owner of every key the task
+        /// reads, so it holds their implicit copies without asking the
+        /// ring (the storage module's load-ring rule). Set at dispatch
+        /// while no crash is in force — the replica was then drawn from the
+        /// load ring's placement — for a point read or an ordered scan
+        /// segment, whose keys share one placement.
+        load_owner: bool,
     },
 }
 
@@ -444,6 +451,9 @@ impl ShardCtx<'_> {
         let level = sub.level.unwrap_or(self.shared.config.write_level);
         let required_acks = self.shared.config.required_acks(level);
         let version = self.alloc_version(now, sub.key);
+        // The replicas' service reads the key's store row through its index
+        // entry: start that miss here (`engine.rs`, "Memory latency").
+        self.s.store.prefetch_entry(sub.key);
         let mut replicas = std::mem::take(&mut self.s.replica_scratch);
         self.shared.ring.replicas_into(sub.key, &mut replicas);
         let mut targeted = 0u32;
@@ -525,6 +535,8 @@ impl ShardCtx<'_> {
         let level = sub.level.unwrap_or(self.shared.config.read_level);
         let required = self.shared.config.required_acks(level);
         let expected_version = self.read_expectation(sub.key);
+        // As in `start_write`: the store row's index entry, for the service.
+        self.s.store.prefetch_entry(sub.key);
         // Ownership-boundary segmentation (ordered scans only; everything
         // else is a single segment covering the whole range).
         let scan_len = sub.scan_len.max(1);
@@ -565,6 +577,7 @@ impl ShardCtx<'_> {
                         .expect("validate() caps scan segments at 2^16 records"),
                     segment,
                     coordinator: pack_node(coordinator),
+                    load_owner: self.shared.on_load_ring && (split || seg_len == 1),
                 };
                 self.send_read(now + delay, replica, task);
             }
@@ -683,7 +696,7 @@ impl ShardCtx<'_> {
             ),
             ReplicaTask::Read { key, .. } => (key, &self.shared.storage_read_sampler),
         };
-        self.s.store.prefetch(key);
+        self.s.store.prefetch_row(key);
         // Gray failure: a slowed node serves every task `factor`× slower.
         // Applied post-sampling so the RNG stream is untouched — restoring
         // the node replays the exact healthy timeline (same contract as
@@ -733,6 +746,7 @@ impl ShardCtx<'_> {
                 len,
                 segment,
                 coordinator,
+                load_owner,
             } => {
                 let len = len as u32;
                 // Point reads probe one row; range scans stream `len`
@@ -740,13 +754,13 @@ impl ShardCtx<'_> {
                 // metered storage read) and respond with the range's byte
                 // weight. Reconciliation keys off the anchor record.
                 let (version, size, records) = if len <= 1 {
-                    let value = self.s.store.read_on(node, key);
+                    let value = self.s.store.read_as(node, key, load_owner);
                     self.s.metrics.storage_read_ops += 1;
                     value
                         .map(|v| (v.version, v.size, 1))
                         .unwrap_or((Version::NONE, 0, 0))
                 } else {
-                    let range = self.s.store.read_range_on(node, key, len);
+                    let range = self.s.store.scan_as(node, key, len, load_owner);
                     self.s.metrics.storage_read_ops += len as u64;
                     // The byte meter is u32: a response past 4 GiB panics in
                     // every build instead of silently clamping traffic.

@@ -37,6 +37,7 @@ use crate::config::RepairConfig;
 use crate::metrics::ClusterMetrics;
 use crate::paged::{PAGE_BITS, PAGE_SLOTS};
 use crate::ring::Ring;
+use crate::storage::LoadPage;
 use crate::types::{Key, OpId, Version};
 use concord_sim::{NodeId, SimTime};
 use std::collections::VecDeque;
@@ -133,6 +134,9 @@ pub(super) struct RepairState {
     /// keys the receiver replicates. A page is built from the ring on its
     /// first diff; every page is dropped when the ring is rebuilt.
     owned: Vec<Option<OwnedPage>>,
+    /// The load ring's ownership, by key page, for diffs while a crash is
+    /// in force; never dropped.
+    load_owned: Vec<Option<LoadPage>>,
     /// Scratch for the placement lookups that build [`RepairState::owned`].
     member_scratch: Vec<NodeId>,
 }
@@ -420,7 +424,9 @@ impl Cluster {
         streamed
     }
 
-    /// Index `page`'s ownership if this ring epoch has not diffed it yet.
+    /// Index `page`'s ownership if this ring epoch has not diffed it yet —
+    /// and, while a crash is in force, its ownership under the load ring if
+    /// no diff has needed it yet.
     fn ensure_owned(&mut self, page: usize) {
         let repair = &mut self.ctrl.repair;
         if page >= repair.owned.len() {
@@ -434,6 +440,16 @@ impl Cluster {
                 &mut repair.member_scratch,
             ));
         }
+        if self.shared.on_load_ring {
+            return;
+        }
+        if page >= repair.load_owned.len() {
+            repair.load_owned.resize_with(page + 1, || None);
+        }
+        if repair.load_owned[page].is_none() {
+            let nodes = self.shared.node_count;
+            repair.load_owned[page] = Some(LoadPage::build(page, &self.shared.load_ring, nodes));
+        }
     }
 
     /// The first record at or after position `cursor` of `to`'s ownership
@@ -441,8 +457,10 @@ impl Cluster {
     /// position to resume from. Membership gate: only keys `to` currently
     /// replicates are visited, so divergent data never moves to a node that
     /// happens to share the page but no longer owns the record. Both copies
-    /// are read from the key's store row in place; scheduling a stream
-    /// mutates neither, so resuming mid-list sees the same copies.
+    /// are read from the key's store row in place — or, for a loaded key
+    /// without a row, from the load ring's ownership while a crash is in
+    /// force; without one such a key has nothing to stream. Scheduling a
+    /// stream mutates neither, so resuming mid-list sees the same copies.
     fn next_divergent(
         &self,
         from: NodeId,
@@ -450,13 +468,20 @@ impl Cluster {
         page: usize,
         cursor: usize,
     ) -> Option<(usize, Key, Version, u32)> {
-        let owned = self.ctrl.repair.owned[page]
+        let repair = &self.ctrl.repair;
+        let owned = repair.owned[page]
             .as_ref()
             .expect("a page's ownership is indexed before it is diffed")
             .of(to);
+        let load_page = (!self.shared.on_load_ring).then(|| {
+            repair.load_owned[page]
+                .as_ref()
+                .expect("a diff during a crash indexes the load ring's page first")
+        });
         let (src, dst) = (self.store_of(from), self.store_of(to));
-        let (next, key, record) = src.next_newer(from, dst, to, page, owned, cursor)?;
-        Some((next, key, record.version, record.size))
+        let (taken, key, record) =
+            src.next_newer(from, dst, to, page, &owned[cursor..], load_page)?;
+        Some((cursor + taken, key, record.version, record.size))
     }
 
     /// The records a repair diff `from → to` of key page `page` streams, in

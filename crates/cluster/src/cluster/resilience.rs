@@ -163,6 +163,7 @@ impl ShardCtx<'_> {
             len: 1,
             segment: 0,
             coordinator: pack_node(coordinator),
+            load_owner: self.shared.on_load_ring,
         };
         self.send_read(now + delay, target, task);
         if let Some(OpState::Read(r)) = self.s.ops.get_mut(op_id) {

@@ -10,17 +10,17 @@
 //!   ownership (ordered partitioner, coverage-faithful range scans) — with
 //!   `SimpleStrategy` / `NetworkTopologyStrategy` replica placement
 //!   ([`Ring`]),
-//! * one generic paged direct-index table of fixed-width rows
-//!   ([`PagedTable`]) backing the dense per-key state: the staleness
+//! * one generic row-sparse direct-index table of fixed-width rows
+//!   ([`RowTable`]) backing the dense per-key state: the staleness
 //!   oracle, and the replica stores, whose row per key holds one slot per
-//!   replica,
+//!   replica; a bulk-loaded record has no row until it is first written,
 //! * per-operation tunable consistency levels ONE / TWO / THREE / QUORUM /
 //!   LOCAL_QUORUM / EACH_QUORUM / ALL / EXACT(n) ([`ConsistencyLevel`]),
 //! * coordinator-based write and read paths with asynchronous propagation to
 //!   the replicas not required by the consistency level — the source of the
 //!   staleness window the paper's Figure 1 describes ([`Cluster`]),
 //! * last-write-wins versioned replica storage ([`ReplicaStore`]), sized
-//!   records × RF, with incrementally maintained per-node, per-page version
+//!   written keys × RF, with incrementally maintained per-node, per-page version
 //!   summaries; it counts only the bytes it stores,
 //! * optional read repair and fault injection ([`FaultAction`]: node
 //!   outages and crashes, partitions, degraded links, gray failures),
@@ -66,7 +66,7 @@ pub use config::{ClusterConfig, RepairConfig, RepairMode, ResilienceConfig};
 pub use consistency::ConsistencyLevel;
 pub use metrics::{ClusterMetrics, LatencyStats, TrafficBytes};
 pub use oracle::StalenessOracle;
-pub use paged::PagedTable;
+pub use paged::RowTable;
 pub use ring::{Partitioner, ReplicationStrategy, Ring, ORDERED_SLICE_KEYS};
 pub use slab::OpSlab;
 pub use storage::ReplicaStore;

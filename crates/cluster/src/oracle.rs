@@ -14,30 +14,39 @@
 //! [`ClusterMetrics`](crate::ClusterMetrics) counts stale reads and their
 //! depths from there.
 //!
-//! ## Layout: a 24-byte slot per key, histories in a side arena
+//! ## Layout: a 24-byte slot per acknowledged key, histories in a side arena
 //!
 //! Like [`ReplicaStore`](crate::ReplicaStore), the per-key state lives in
-//! the shared [`PagedTable`] over the dense record-id space, in rows one
-//! slot wide, instead of a hash map: `expected_version` / `record_ack` / `classify_read` run once
-//! per simulated operation, and with direct indexing each is a shift, a
-//! mask and a load. Over a data set larger than the cache that load is a
-//! cache and TLB miss (7.5 % of the benchmark's headline run sat on the
-//! slot and its history), so the cluster hints the slot through
-//! `StalenessOracle::prefetch` from the handler that schedules the event
-//! that will need it — see [`paged`](crate::paged). Vacancy is this table's
-//! own convention (`acked_writes == 0`), per the [`PagedTable`] contract.
+//! the shared [`RowTable`] over the dense record-id space, in rows one
+//! slot wide, instead of a hash map: `expected_version` / `record_ack` /
+//! `classify_read` run once per simulated operation, and with direct
+//! indexing each is an index lookup and a load. Over a data set larger than
+//! the cache those loads miss, so the cluster hints the index entry and the
+//! slot through `StalenessOracle::prefetch_entry` and
+//! `StalenessOracle::prefetch_slot` from the handlers that schedule the
+//! events that will need them — see [`paged`](crate::paged).
 //!
 //! A slot holds only what every operation reads: the latest acknowledged
 //! version, the ack count and an index. The bounded, binary-searched version
 //! history that staleness *depth* and retroactive queries are computed from
 //! lives in a side arena, and a key enters it on its first acknowledged
-//! write (or a second preload). Until then a preloaded key's history is its
-//! one baseline entry `(latest_acked, 1, SimTime::ZERO)`, which the slot
-//! already spells out — so bulk-loading millions of records allocates
-//! nothing per key, and only keys that are actually written pay for a
-//! history.
+//! write (or a second preload).
+//!
+//! **The implicit preload entry.** A record of a cluster's bulk load
+//! (`StalenessOracle::load`, from `Cluster::load_records`) gets no slot:
+//! the load's `LoadRun`s stand for it, and a key without a slot that a
+//! run holds reads as the slot `(load version, 1 ack, no history)` — its
+//! one baseline entry `(load version, 1, SimTime::ZERO)`, acknowledged at
+//! time zero. Every reader honours it: `expected_version`,
+//! `expected_version_at`, `classify_read` and `classify_read_at`.
+//! `record_ack` spells it out on the key's first ack — the slot, then the
+//! baseline as the history's first entry — exactly as a preloaded slot
+//! would have. So bulk-loading millions of records touches no memory per
+//! key, and only keys that are actually written pay for a slot and a
+//! history. The oracle needs no ring: which replicas hold a loaded record
+//! is the store's question, not the oracle's.
 
-use crate::paged::PagedTable;
+use crate::paged::{LoadRun, LoadRuns, RowTable};
 use crate::types::{Key, Version};
 use concord_sim::SimTime;
 use std::collections::VecDeque;
@@ -49,7 +58,7 @@ use std::num::NonZeroU32;
 const DEPTH_HISTORY: usize = 64;
 
 /// Per-key acknowledged-write bookkeeping. A slot with `acked_writes == 0`
-/// is vacant (the key was never preloaded nor acknowledged).
+/// is vacant: a fresh row, before its first ack fills it in.
 #[derive(Debug, Clone, Copy, Default)]
 struct KeySlot {
     /// Latest acknowledged version.
@@ -62,7 +71,7 @@ struct KeySlot {
     history: Option<NonZeroU32>,
 }
 
-// Bulk load fills a page of these per 4096 records; see `paged`.
+// Every acknowledged-to key has one of these.
 const _: () = assert!(std::mem::size_of::<KeySlot>() <= 24);
 
 /// The version history of one key that has been written (or re-preloaded).
@@ -119,20 +128,25 @@ impl History {
 /// The staleness oracle.
 #[derive(Debug, Clone)]
 pub struct StalenessOracle {
-    /// Per-key slots in the shared paged table (pages allocated on the
-    /// first preload/ack that touches them; lookups never allocate).
-    table: PagedTable<KeySlot>,
+    /// Per-key slots of the keys acknowledged or preloaded one by one, in
+    /// the shared row table (lookups never allocate).
+    table: RowTable<KeySlot>,
+    /// The bulk load's runs: a key among them without a slot has its
+    /// implicit preload entry (see the module docs).
+    loaded: LoadRuns,
     /// The history arena, addressed by [`KeySlot::history`]. Entries are
     /// never removed: a key that entered stays for the run.
     histories: Vec<History>,
-    /// Number of keys ever touched (slots with `acked_writes > 0`).
+    /// Number of keys ever touched: slots with `acked_writes > 0` and loaded
+    /// keys without a slot.
     keys: usize,
 }
 
 impl Default for StalenessOracle {
     fn default() -> Self {
         StalenessOracle {
-            table: PagedTable::new(KeySlot::default(), 1),
+            table: RowTable::new(KeySlot::default(), 1),
+            loaded: LoadRuns::default(),
             histories: Vec::new(),
             keys: 0,
         }
@@ -149,25 +163,58 @@ pub struct ReadClassification {
     pub depth: u32,
 }
 
+/// `key`'s slot in `table`, materialized — with `loaded`'s implicit
+/// preload entry spelled out, if it has one — when it had none.
+#[inline]
+fn slot_mut<'a>(table: &'a mut RowTable<KeySlot>, loaded: &LoadRuns, key: Key) -> &'a mut KeySlot {
+    if table.row(key.0).is_none() {
+        let slot = &mut table.materialize(key.0)[0];
+        if let Some(value) = loaded.get(key.0) {
+            *slot = KeySlot {
+                latest_acked: value.version,
+                acked_writes: 1,
+                history: None,
+            };
+        }
+        return slot;
+    }
+    &mut table.row_mut(key.0).expect("the key has a slot")[0]
+}
+
 impl StalenessOracle {
     /// An empty oracle.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The slot for `key`, if occupied (never allocates).
+    /// The slot for `key`, if occupied: its row, or its implicit preload
+    /// entry (never allocates).
     #[inline]
-    fn slot(&self, key: Key) -> Option<&KeySlot> {
-        let slot = self.table.get(key.0)?;
-        (slot.acked_writes > 0).then_some(slot)
+    fn slot(&self, key: Key) -> Option<KeySlot> {
+        match self.table.row(key.0) {
+            None => self.loaded.get(key.0).map(|value| KeySlot {
+                latest_acked: value.version,
+                acked_writes: 1,
+                history: None,
+            }),
+            Some(row) => Some(row[0]),
+        }
     }
 
-    /// Hint `key`'s slot into cache ahead of an `expected_version`,
-    /// `record_ack` or `classify_read_at` a few events later (see the
-    /// module docs). Allocates nothing.
+    /// Hint `key`'s index entry into cache ahead of an
+    /// `expected_version`, a `prefetch_slot` or a `record_ack` a few events
+    /// later (see [`RowTable::prefetch_entry`]). Allocates nothing.
     #[inline]
-    pub(crate) fn prefetch(&self, key: Key) {
-        self.table.prefetch(key.0);
+    pub(crate) fn prefetch_entry(&self, key: Key) {
+        self.table.prefetch_entry(key.0);
+    }
+
+    /// Hint `key`'s slot into cache ahead of a `record_ack` or
+    /// `classify_read_at` a few events later (see
+    /// [`RowTable::prefetch_row`]). Allocates nothing.
+    #[inline]
+    pub(crate) fn prefetch_slot(&self, key: Key) {
+        self.table.prefetch_row(key.0);
     }
 
     /// The arena history of an occupied slot; `None` for a key that has
@@ -177,23 +224,44 @@ impl StalenessOracle {
         slot.history.map(|i| &self.histories[i.get() as usize - 1])
     }
 
+    /// Take `run`'s records as preloaded (see the module docs): each gets
+    /// its implicit preload entry, and no slot.
+    ///
+    /// # Panics
+    /// Panics if the run does not start at or after the previous run's end.
+    pub(crate) fn load(&mut self, run: LoadRun) {
+        self.keys += run.count as usize;
+        self.loaded.push(run);
+    }
+
+    /// One past the last key the load runs hold: a new run starts at or
+    /// after it.
+    pub(crate) fn loaded_end(&self) -> u64 {
+        self.loaded.end()
+    }
+
+    /// Whether `key` has a slot (a load may place it implicitly only if
+    /// not).
+    pub(crate) fn is_materialized(&self, key: Key) -> bool {
+        self.table.row(key.0).is_some()
+    }
+
     /// Record that `version` of `key` was just preloaded (bulk load before
     /// the measured run): it becomes the acknowledged baseline, timestamped
     /// at time zero so every retroactive query sees it. The first preload
-    /// of a key touches only its slot; a later one counts like an ack at
-    /// time zero.
+    /// of a key touches only its slot; a later one — or one of a key a load
+    /// run holds — counts like an ack at time zero.
     pub fn preload(&mut self, key: Key, version: Version) {
-        let slot = self.table.get_mut(key.0);
-        if slot.acked_writes == 0 {
-            *slot = KeySlot {
-                latest_acked: version,
-                acked_writes: 1,
-                history: None,
-            };
-            self.keys += 1;
-        } else {
+        if self.slot(key).is_some() {
             self.record_ack(key, version, SimTime::ZERO);
+            return;
         }
+        *slot_mut(&mut self.table, &self.loaded, key) = KeySlot {
+            latest_acked: version,
+            acked_writes: 1,
+            history: None,
+        };
+        self.keys += 1;
     }
 
     /// Record that a write of `version` to `key` satisfied its consistency
@@ -204,11 +272,12 @@ impl StalenessOracle {
     /// the times may interleave across shards, which is why retroactive
     /// queries go by the stored time, not the record order).
     ///
-    /// Allocates the key's page on first touch, counts the key when it is
-    /// new, and enters it into the history arena (spelling out an implicit
-    /// preload entry) on first need.
+    /// Materializes the key's slot on first touch (spelling out its
+    /// implicit preload entry), counts the key when it is new, and enters it
+    /// into the history arena (spelling out the preload entry's baseline)
+    /// on first need.
     pub fn record_ack(&mut self, key: Key, version: Version, at: SimTime) {
-        let slot = self.table.get_mut(key.0);
+        let slot = slot_mut(&mut self.table, &self.loaded, key);
         let index = match slot.history {
             Some(i) => i.get() as usize - 1,
             None => {
@@ -264,7 +333,7 @@ impl StalenessOracle {
         let Some(slot) = self.slot(key) else {
             return Version::NONE;
         };
-        let Some(h) = self.history(slot) else {
+        let Some(h) = self.history(&slot) else {
             // The implicit preload entry, acknowledged at time zero.
             return if SimTime::ZERO < at {
                 slot.latest_acked
@@ -311,7 +380,7 @@ impl StalenessOracle {
             match self.slot(key) {
                 None => 1,
                 Some(slot) => {
-                    let index_of = |version| match self.history(slot) {
+                    let index_of = |version| match self.history(&slot) {
                         Some(h) => h.index_of(version),
                         // The implicit preload entry has ack index 1.
                         None => (version == slot.latest_acked).then_some(1),
@@ -341,9 +410,15 @@ impl StalenessOracle {
         self.classify_read(key, expected, returned)
     }
 
-    /// Number of keys the oracle has seen.
+    /// Number of keys the oracle has seen, loaded keys included.
     pub fn key_count(&self) -> usize {
         self.keys
+    }
+
+    /// Slots materialized (memory tests).
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> usize {
+        self.table.rows()
     }
 }
 
@@ -412,11 +487,12 @@ mod tests {
         // Preloaded, never seen on a live page, on an untouched page, out
         // of range.
         for key in [1, 2, 7 * PAGE_SLOTS as u64, u64::MAX] {
-            o.prefetch(Key(key));
+            o.prefetch_entry(Key(key));
+            o.prefetch_slot(Key(key));
         }
         assert_eq!(o.key_count(), 1);
         assert_eq!(o.spilled_histories(), 0);
-        assert_eq!(o.table.allocated_pages(), 1);
+        assert_eq!(o.rows(), 1);
         assert_eq!(o.expected_version(Key(1)), Version(1));
         assert_eq!(o.expected_version(Key(2)), Version::NONE);
     }
@@ -539,5 +615,68 @@ mod tests {
         assert_ne!(expected, Version::NONE, "truncation falls back, not NONE");
         let c = o.classify_read_at(Key(1), SimTime::from_micros(500), Version(1));
         assert!(c.stale);
+    }
+
+    /// Everything a reader can ask the oracle about `keys`: the expectation
+    /// now and at three instants, and the classification of every returned
+    /// version against every expected one.
+    fn observe(o: &StalenessOracle, keys: u64) -> Vec<String> {
+        let mut seen = vec![format!("{} keys", o.key_count())];
+        for key in (0..keys).map(Key) {
+            let expected = o.expected_version(key);
+            let at = [0, 1, 500].map(|us| o.expected_version_at(key, SimTime::from_micros(us)));
+            seen.push(format!("{key:?}: {expected:?} {at:?}"));
+            for returned in (0..12).map(Version) {
+                let class = o.classify_read(key, expected, returned);
+                let at = o.classify_read_at(key, SimTime::from_micros(300), returned);
+                seen.push(format!("{key:?} {returned:?}: {class:?} {at:?}"));
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn a_loaded_run_classifies_like_its_preloaded_slots() {
+        let mut implicit = StalenessOracle::new();
+        let mut spelled = StalenessOracle::new();
+        // Keys 1..6 at versions 1..5, and 8..10 at version 1 (the sharded
+        // engine's flat load); 0, 6 and 7 unloaded.
+        let mut counting = LoadRun::new(1, Version(1), 10);
+        for key in 2..6 {
+            assert!(counting.extend(key, Version(key), 10));
+        }
+        let mut flat = LoadRun::new(8, Version(1), 10);
+        assert!(flat.extend(9, Version(1), 10));
+        for run in [counting, flat] {
+            implicit.load(run);
+            for key in run.first..run.end() {
+                spelled.preload(Key(key), run.version(key));
+            }
+        }
+        assert_eq!((implicit.rows(), implicit.key_count()), (0, 7), "no slot");
+        assert_eq!(observe(&implicit, 11), observe(&spelled, 11));
+        // The first ack spells the baseline out ahead of itself; a preload
+        // of a loaded key is an ack at time zero; unloaded keys start empty.
+        for o in [&mut implicit, &mut spelled] {
+            o.record_ack(Key(3), Version(9), SimTime::from_micros(200));
+            o.record_ack(Key(9), Version(11), SimTime::from_micros(100));
+            o.preload(Key(4), Version(7));
+            o.preload(Key(6), Version(8));
+            o.record_ack(Key(7), Version(10), SimTime::from_micros(50));
+        }
+        assert_eq!(implicit.rows(), 5, "one slot per key acked or preloaded");
+        assert_eq!(implicit.spilled_histories(), spelled.spilled_histories());
+        assert_eq!(observe(&implicit, 11), observe(&spelled, 11));
+        let c = implicit.classify_read(Key(3), Version(9), Version(3));
+        assert_eq!((c.stale, c.depth), (true, 1), "the baseline is ack 1");
+        let h = implicit.history(&implicit.slot(Key(4)).unwrap()).unwrap();
+        assert_eq!(
+            h.version_order,
+            [
+                (Version(4), 1, SimTime::ZERO),
+                (Version(7), 2, SimTime::ZERO)
+            ],
+            "a re-preload is an ack at time zero after the baseline"
+        );
     }
 }

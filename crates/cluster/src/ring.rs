@@ -266,11 +266,19 @@ impl Ring {
     /// Fill `replicas` with the ordered replica nodes for `key` (primary
     /// first) without allocating: the hot-path variant of
     /// [`Ring::replicas`] — callers keep a scratch buffer alive across
-    /// operations. A row lookup in the placement table: hash keys start
-    /// their walk at the first token at or after their own (wrapping past
-    /// the last), ordered keys at `slice % nodes`.
+    /// operations.
     #[inline]
     pub fn replicas_into(&self, key: Key, replicas: &mut Vec<NodeId>) {
+        replicas.clear();
+        replicas.extend_from_slice(self.placement(key));
+    }
+
+    /// The ordered replica nodes for `key` (primary first), borrowed from
+    /// the placement table: a row lookup, where hash keys start their walk
+    /// at the first token at or after their own (wrapping past the last),
+    /// ordered keys at `slice % nodes`.
+    #[inline]
+    pub(crate) fn placement(&self, key: Key) -> &[NodeId] {
         let row = match self.partitioner {
             Partitioner::Hash => {
                 let token = self.token_of(key);
@@ -288,8 +296,7 @@ impl Ring {
         // A fully crashed (or node-less) cluster has RF 0 and an empty
         // table: every row is the empty slice.
         let rf = self.replication_factor as usize;
-        replicas.clear();
-        replicas.extend_from_slice(&self.placements[row * rf..(row + 1) * rf]);
+        &self.placements[row * rf..(row + 1) * rf]
     }
 
     /// Take the first `rf` distinct replicas from a node walk, applying the

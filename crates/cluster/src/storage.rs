@@ -8,37 +8,62 @@
 //! [`ClusterMetrics`](crate::ClusterMetrics). The byte total covers the
 //! whole store; a cluster sums it over its stores.
 //!
-//! ## Layout: one row of RF slots per key, no hashing
+//! ## Layout: loaded records without rows, one row of RF slots per written key
 //!
 //! Record keys are **dense `u64` record ids** — the workload generators
 //! allocate them contiguously from 0 and assert they stay below the
 //! configured record count (see `concord_workload::generators`). The store
 //! exploits that contract: instead of a hash map it keeps one row per key in
-//! a [`PagedTable`] (the shared paged direct-index substrate: rows of
-//! `width` slots, pages of 4096 rows allocated on first write). A cluster's
-//! rows are the replication factor wide, one slot per replica of the key,
-//! so the table takes `records × RF × 16 B` — the size of the data — and a
-//! key's replicas share one or two cache lines. A standalone store
+//! a [`RowTable`] (the shared row-sparse substrate: a 4-byte row number per
+//! key, and an arena of the rows that exist). A cluster's rows are the
+//! replication factor wide, one slot per replica of the key, so a key's
+//! replicas share one or two cache lines. A standalone store
 //! ([`ReplicaStore::new`]) has rows one slot wide and one holder.
+//!
+//! **A loaded record has no row until it is written.** A cluster's bulk load
+//! (`Cluster::load_records`) hands its stores `LoadRun`s, and a store
+//! built for a cluster keeps the ring the records were loaded on (every
+//! node's: a load while a crash is in force writes rows instead). A key
+//! without a row is held at its load version by exactly its owners under
+//! that *load ring* that this store hosts — its *implicit copies*. Loading
+//! counts them (copies and bytes by arithmetic; each holder's per-page
+//! digest, when summaries are on, from the load ring without touching a
+//! row). The first write of the key materializes its row as a load would
+//! have laid it out — the owners this store hosts, in ring order, at the
+//! load version — and then applies as any write does. Every reader honours
+//! implicit copies: [`ReplicaStore::read_on`], [`ReplicaStore::read_range_on`],
+//! the repair plane's diffs (`next_newer`) and, through the load-time
+//! contribution, [`ReplicaStore::page_digest`].
+//!
+//! **The load-ring rule.** While no crash is in force, the ring *is* the
+//! load ring — a recovery rebuilds the exact placement — so a node that is
+//! a current replica of a key holds its implicit copy, and the cluster's
+//! readers say so instead of asking the ring on every access: a read task
+//! carries it from its dispatch, and a repair diff over a key without a row
+//! has nothing to stream (its receiver, a current replica, holds the load
+//! version already). Only while a crash is in force, or for a caller that
+//! does not know (the public readers), is the load ring consulted.
 //!
 //! A slot is a 16-byte `{version, size, holder, spill mask}`: the two
 //! fields reads, reconciliation, range scans and repair diffs consume, the
 //! 16-bit id of the node whose copy it is, and a byte used on a row's last
 //! slot (below); the last two fill what is padding in a [`StoredValue`]. A
 //! holder's copy of a key is the row entry tagged with its id, and its
-//! first write to the key takes the row's first vacant entry — so `read` / `apply_write` / `preload` are a shift, a mask, a
-//! multiply, a load and a compare per entry: no hash, no probe sequence, no
-//! tombstones, no ring lookup. A tag, not the holder's position in the
-//! key's ring row, because a crash or a recovery rebuilds the ring and moves
-//! positions, while a tag stays with its copy. Vacancy is this store's own
-//! convention, per the table's contract: a slot is occupied iff its version
-//! is non-zero ([`Version::NONE`] never names a real write, which the write
-//! paths assert), so presence costs no extra bit. Rows never shrink, so the
+//! first write to the key takes the row's first vacant entry — so `read` /
+//! `apply_write` / `preload` are an index lookup, a load and a compare per
+//! entry: no hash, no probe sequence, no tombstones, no ring lookup. A tag,
+//! not the holder's position in the key's ring row, because a crash or a
+//! recovery rebuilds the ring and moves positions, while a tag stays with
+//! its copy. Vacancy is this store's own convention, per the table's
+//! contract: a slot is occupied iff its version is non-zero
+//! ([`Version::NONE`] never names a real write, which the write paths
+//! assert), so presence costs no extra bit. Rows never shrink, so the
 //! vacant entries of a row are its suffix.
 //!
-//! Under hash placement the row is probed at scrambled keys, a cache and
-//! TLB miss (~150 ns in situ), so the cluster hints it one event early
-//! through `ReplicaStore::prefetch` — see [`paged`](crate::paged).
+//! Under hash placement the index and the row are probed at scrambled keys,
+//! so the cluster hints them ahead, in two stages, through
+//! `ReplicaStore::prefetch_entry` and `ReplicaStore::prefetch_row` — see
+//! [`paged`](crate::paged).
 //!
 //! **Out-of-row holders.** A key can have more holders than its row has
 //! entries: when a replica crashes, a stand-in takes its place in the ring
@@ -51,21 +76,23 @@
 //! that never spilled pays no hash — and nothing iterates it, so its order
 //! never reaches output.
 //!
-//! Sequential record ids are adjacent rows in memory, which is what makes
+//! Sequential record ids are adjacent index entries, which is what makes
 //! the YCSB-E range-read path ([`ReplicaStore::read_range_on`]) a streaming
-//! pass over `scan_len` adjacent rows rather than `scan_len` independent
-//! hash lookups.
+//! pass over `scan_len` adjacent row numbers rather than `scan_len`
+//! independent hash lookups.
 //!
-//! Reads never allocate: probing a key whose page was never written returns
-//! "absent" without materializing the page, so a scan running past the
-//! loaded key space stays allocation-free. A key whose row would reach past
-//! the table's 2^32-slot space reads as absent, and writing it panics.
+//! Reads never allocate: probing a key without a row returns its implicit
+//! copy or "absent" without materializing anything, so a scan running past
+//! the loaded key space stays allocation-free. A key whose row would reach
+//! past the table's 2^32-slot space reads as absent, and writing or loading
+//! it panics.
 //!
 //! ## Per-page version summaries (anti-entropy digests)
 //!
 //! A store built with summaries also maintains one 64-bit digest per
 //! `(holder, key page)`: the XOR of a mixed hash of every `(key, version)`
-//! copy the holder has on that page of 4096 keys. The digest is updated
+//! copy the holder has on that page of 4096 keys, implicit copies included
+//! (their contribution is added when they are loaded). The digest is updated
 //! incrementally on every mutation — an overwrite XORs the old pair's
 //! contribution out and the new pair's in, O(1) per write, no rescans — so
 //! two holders have identical copies on a page iff (modulo 2^-64
@@ -81,10 +108,12 @@
 //! the work. Stores built without summaries skip the maintenance entirely —
 //! the write path pays nothing for a repair plane that is switched off.
 
-use crate::paged::{prefetch, PagedTable, PAGE_BITS, PAGE_MASK, PAGE_SLOTS};
+use crate::paged::{prefetch, LoadRun, LoadRuns, RowTable, PAGE_BITS, PAGE_MASK, PAGE_SLOTS};
+use crate::ring::Ring;
 use crate::types::{Key, StoredValue, Version};
 use concord_sim::{NodeId, SimTime};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One entry of a key's row: one holder's copy of the key.
 #[derive(Debug, Clone, Copy)]
@@ -101,7 +130,7 @@ struct Slot {
     spilled: u8,
 }
 
-// Every replica of every loaded record fills one of these; see `paged`.
+// Every replica of every written key fills one of these.
 const _: () = assert!(std::mem::size_of::<Slot>() == 16);
 
 /// A vacant slot: version 0 ([`Version::NONE`]) marks absence.
@@ -169,18 +198,89 @@ pub struct RangeRead {
     pub bytes: u64,
 }
 
-/// The copies a group of holder nodes keep: a [`PagedTable`] of per-key
-/// rows over dense record ids (see the module docs for the layout).
+/// Where a cluster's store finds the owners of its implicit copies (see the
+/// module docs).
+#[derive(Debug, Clone)]
+struct Placement {
+    /// The load ring: every node's.
+    ring: Arc<Ring>,
+    /// `hosted[n]`: whether node `n`'s copies live in this store. Empty
+    /// when the store hosts every node (one shard).
+    hosted: Vec<bool>,
+}
+
+impl Placement {
+    /// Whether `node`'s copies live in this store.
+    #[inline]
+    fn hosts(&self, node: NodeId) -> bool {
+        self.hosted.is_empty() || self.hosted.get(node.0 as usize).copied().unwrap_or(false)
+    }
+
+    /// The owners of `key` under the load ring that this store hosts, in
+    /// ring order.
+    #[inline]
+    fn owners(&self, key: Key) -> impl Iterator<Item = NodeId> + '_ {
+        let ring = self.ring.placement(key).iter().copied();
+        ring.filter(|&n| self.hosts(n))
+    }
+}
+
+/// Words of one node's bits in a [`LoadPage`].
+const LOAD_PAGE_WORDS: usize = PAGE_SLOTS / 64;
+
+/// One key page's owners under the load ring, a bit per node and in-page
+/// key offset: what a repair diff asks about the implicit copies of keys
+/// without a row while a crash is in force (without a crash the ring is the
+/// load ring and nothing needs asking; see the module docs). The repair
+/// plane builds one on a page's first such diff and keeps it: the load
+/// ring never changes.
+#[derive(Debug)]
+pub(crate) struct LoadPage {
+    /// Node `n`'s bits are `bits[n * LOAD_PAGE_WORDS..][..LOAD_PAGE_WORDS]`.
+    bits: Vec<u64>,
+}
+
+impl LoadPage {
+    /// Index key page `page` of a cluster of `nodes` nodes under
+    /// `load_ring`.
+    pub(crate) fn build(page: usize, load_ring: &Ring, nodes: usize) -> Self {
+        let base = (page as u64) << PAGE_BITS;
+        let mut bits = vec![0u64; nodes * LOAD_PAGE_WORDS];
+        for off in 0..PAGE_SLOTS {
+            for node in load_ring.placement(Key(base + off as u64)) {
+                bits[node.0 as usize * LOAD_PAGE_WORDS + off / 64] |= 1 << (off % 64);
+            }
+        }
+        LoadPage { bits }
+    }
+
+    /// Whether `node` owns the key at in-page offset `off` under the load
+    /// ring.
+    #[inline]
+    fn holds(&self, node: NodeId, off: usize) -> bool {
+        self.bits[node.0 as usize * LOAD_PAGE_WORDS + off / 64] >> (off % 64) & 1 == 1
+    }
+}
+
+/// The copies a group of holder nodes keep: a [`RowTable`] of per-key
+/// rows over dense record ids, and the load runs of the keys without one
+/// (see the module docs for the layout).
 #[derive(Debug, Clone)]
 pub struct ReplicaStore {
-    /// One row of `width` slots per key; a slot is occupied iff its version
-    /// is non-zero.
-    table: PagedTable<Slot>,
+    /// One row of `width` slots per written key; a slot is occupied iff its
+    /// version is non-zero.
+    table: RowTable<Slot>,
+    /// The loaded records: a key among them without a row is held by its
+    /// load owners at its load version.
+    loaded: LoadRuns,
+    /// The load ring and the nodes this store hosts: `None` for a
+    /// standalone store, which loads through `preload`.
+    placement: Option<Placement>,
     /// The copies of holders that found their key's row full without an
     /// entry of their own (see the module docs). Never iterated.
     side: HashMap<(NodeId, Key), Slot>,
-    /// Number of occupied slots, rows and side map together: the
-    /// `(holder, key)` copies stored.
+    /// Number of copies — occupied slots, side-map entries and implicit
+    /// copies: the `(holder, key)` copies stored.
     copies: usize,
     bytes_stored: u64,
     /// Per-holder, per-page XOR digest over `mix(key, version)` of the
@@ -210,6 +310,22 @@ fn mix_record(key: Key, version: Version) -> u64 {
     x
 }
 
+/// XOR `delta` into the digest of `holder`'s page of `key`, growing the
+/// holder's summary vector on first touch.
+#[inline]
+fn xor_page_digest(page_digests: &mut Vec<Vec<u64>>, holder: NodeId, key: Key, delta: u64) {
+    let holder = holder.0 as usize;
+    if holder >= page_digests.len() {
+        page_digests.resize_with(holder + 1, Vec::new);
+    }
+    let digests = &mut page_digests[holder];
+    let page = (key.0 >> PAGE_BITS) as usize;
+    if page >= digests.len() {
+        digests.resize(page + 1, 0);
+    }
+    digests[page] ^= delta;
+}
+
 impl Default for ReplicaStore {
     fn default() -> Self {
         Self::new()
@@ -235,7 +351,9 @@ impl ReplicaStore {
     /// `summaries`.
     pub fn with_rows(width: usize, summaries: bool) -> Self {
         ReplicaStore {
-            table: PagedTable::new(VACANT, width),
+            table: RowTable::new(VACANT, width),
+            loaded: LoadRuns::default(),
+            placement: None,
             side: HashMap::new(),
             copies: 0,
             bytes_stored: 0,
@@ -244,27 +362,72 @@ impl ReplicaStore {
         }
     }
 
-    /// XOR `delta` into the digest of `holder`'s page of `key`, growing the
-    /// holder's summary vector on first touch.
-    #[inline]
-    fn xor_page_digest(&mut self, holder: NodeId, key: Key, delta: u64) {
-        let holder = holder.0 as usize;
-        if holder >= self.page_digests.len() {
-            self.page_digests.resize_with(holder + 1, Vec::new);
+    /// An empty store of a cluster: rows as wide as `load_ring`'s
+    /// replication factor, holding the copies of the nodes `hosted` marks
+    /// (every node when it is empty), whose [`ReplicaStore::load`]ed
+    /// records are placed by `load_ring`.
+    pub(crate) fn placed(load_ring: Arc<Ring>, hosted: Vec<bool>, summaries: bool) -> Self {
+        let width = load_ring.replication_factor().max(1) as usize;
+        ReplicaStore {
+            placement: Some(Placement {
+                ring: load_ring,
+                hosted,
+            }),
+            ..Self::with_rows(width, summaries)
         }
-        let digests = &mut self.page_digests[holder];
-        let page = (key.0 >> PAGE_BITS) as usize;
-        if page >= digests.len() {
-            digests.resize(page + 1, 0);
+    }
+
+    /// Hold `run`'s records as implicit copies of their load owners this
+    /// store hosts (see the module docs): counted, and summarized when
+    /// summaries are on, without a row. Counting is arithmetic when the
+    /// store hosts every node and keeps no summaries; otherwise each key's
+    /// owners are looked up in the load ring.
+    ///
+    /// # Panics
+    /// Panics if the store is standalone, or if the run does not start at
+    /// or after the previous run's end.
+    pub(crate) fn load(&mut self, run: LoadRun) {
+        let placement = self
+            .placement
+            .as_ref()
+            .expect("only a cluster's store loads runs");
+        let size = run.size as u64;
+        if placement.hosted.is_empty() && !self.summaries_enabled {
+            let copies = run.count * self.table.width() as u64;
+            self.copies += copies as usize;
+            self.bytes_stored += copies * size;
+        } else {
+            for key in (run.first..run.end()).map(Key) {
+                let mix = mix_record(key, run.version(key.0));
+                for owner in placement.owners(key) {
+                    self.copies += 1;
+                    self.bytes_stored += size;
+                    if self.summaries_enabled {
+                        xor_page_digest(&mut self.page_digests, owner, key, mix);
+                    }
+                }
+            }
         }
-        digests[page] ^= delta;
+        self.loaded.push(run);
+    }
+
+    /// Whether `key` has a row (a load may place it implicitly only if
+    /// not).
+    pub(crate) fn is_materialized(&self, key: Key) -> bool {
+        self.table.row(key.0).is_some()
+    }
+
+    /// Assert that `key`'s row fits the table's slot space (a load checks
+    /// every key it places: see [`RowTable::assert_in_space`]).
+    pub(crate) fn assert_in_space(&self, key: Key) {
+        self.table.assert_in_space(key.0);
     }
 
     /// `holder`'s copy of `key` given the key's `row`: the entry tagged
     /// with `holder`, or — when the row is full without one and its spill
     /// mask has `holder`'s bit — its side-map entry.
     #[inline]
-    fn find(&self, holder: NodeId, key: Key, row: &[Slot]) -> Option<StoredValue> {
+    fn copy_in(&self, holder: NodeId, key: Key, row: &[Slot]) -> Option<StoredValue> {
         let tag = u16::try_from(holder.0).ok()?;
         // One compare per entry: a vacant slot's tag can equal `tag`, but
         // its version never exists.
@@ -280,7 +443,7 @@ impl ReplicaStore {
         self.side_copy(holder, key)
     }
 
-    /// `holder`'s side-map copy of `key`. Out of line, so that `find`
+    /// `holder`'s side-map copy of `key`. Out of line, so that `copy_in`
     /// inlines into the scan and diff loops.
     #[cold]
     #[inline(never)]
@@ -288,14 +451,60 @@ impl ReplicaStore {
         self.side.get(&(holder, key)).map(Slot::value)
     }
 
+    /// `holder`'s implicit copy of `key`, a key without a row: its load
+    /// version if it was loaded and `holder` is one of its load owners —
+    /// which `owner` asserts, or else the load ring is asked.
+    #[inline]
+    fn implicit(&self, holder: NodeId, key: Key, owner: bool) -> Option<StoredValue> {
+        let value = self.loaded.get(key.0)?;
+        (owner || self.load_owner(holder, key)).then_some(value)
+    }
+
+    /// Whether `holder` is one of `key`'s load owners this store hosts: a
+    /// lookup in the load ring.
+    fn load_owner(&self, holder: NodeId, key: Key) -> bool {
+        self.placement
+            .as_ref()
+            .is_some_and(|p| p.owners(key).any(|n| n == holder))
+    }
+
+    /// `holder`'s copy of `key`, where `owner` says whether `holder` is
+    /// known to be one of the key's load owners (a current replica while no
+    /// crash is in force: see the module docs) or the load ring must be
+    /// asked about an implicit copy.
+    #[inline]
+    pub(crate) fn read_as(&self, holder: NodeId, key: Key, owner: bool) -> Option<StoredValue> {
+        match self.table.row(key.0) {
+            None => self.implicit(holder, key, owner),
+            Some(row) => self.copy_in(holder, key, row),
+        }
+    }
+
+    /// Give `key` its row: its implicit copies spelled out — the load
+    /// owners this store hosts, in ring order, at the load version — if it
+    /// was loaded, vacant entries otherwise. The counters and digests count
+    /// implicit copies already, so they do not move.
+    fn materialize(&mut self, key: Key) {
+        let row = self.table.materialize(key.0);
+        if let (Some(value), Some(placement)) = (self.loaded.get(key.0), &self.placement) {
+            for (slot, owner) in row.iter_mut().zip(placement.owners(key)) {
+                slot.replace(owner, value.version, value.size);
+            }
+        }
+    }
+
     /// `holder`'s slot for `key`: its row entry, else the row's first vacant
     /// entry, else (the row is full) its side-map entry, marking it in the
-    /// row's spill mask. A vacant slot returned here is claimed by the
-    /// install that follows (see [`Slot::replace`]).
+    /// row's spill mask. A key without a row is materialized first. A
+    /// vacant slot returned here is claimed by the install that follows
+    /// (see [`Slot::replace`]).
     #[inline]
     fn slot_mut(&mut self, holder: NodeId, key: Key) -> &mut Slot {
         let tag = holder_tag(holder);
-        let row = self.table.row_mut(key.0);
+        if !self.is_materialized(key) {
+            self.materialize(key);
+        }
+        let row = self.table.row_mut(key.0).expect("the key has a row");
         match row
             .iter()
             .position(|s| !s.version.exists() || s.holder == tag)
@@ -323,21 +532,29 @@ impl ReplicaStore {
             if old.version.exists() {
                 digest_delta ^= mix_record(key, old.version);
             }
-            self.xor_page_digest(holder, key, digest_delta);
+            xor_page_digest(&mut self.page_digests, holder, key, digest_delta);
         }
     }
 
-    /// Hint `key`'s row into cache ahead of the `read_on` or
-    /// `apply_write_on` one service time later (see the module docs).
-    /// Nothing is allocated.
+    /// Hint `key`'s index entry into cache, ahead of a
+    /// [`ReplicaStore::prefetch_row`] (see [`RowTable::prefetch_entry`]).
     #[inline]
-    pub(crate) fn prefetch(&self, key: Key) {
-        self.table.prefetch(key.0);
+    pub(crate) fn prefetch_entry(&self, key: Key) {
+        self.table.prefetch_entry(key.0);
+    }
+
+    /// Hint `key`'s row into cache ahead of the `read_as` or
+    /// `apply_write_on` one service time later (see
+    /// [`RowTable::prefetch_row`]). Nothing is allocated.
+    #[inline]
+    pub(crate) fn prefetch_row(&self, key: Key) {
+        self.table.prefetch_row(key.0);
     }
 
     /// Apply a write to `holder`'s copy of `key`. Returns `true` if the
     /// value was installed, `false` if a newer version was already present
-    /// (last-write-wins).
+    /// (last-write-wins). The first write of a loaded key materializes its
+    /// row (see the module docs).
     ///
     /// # Panics
     /// Panics if `key`'s row lies past the table's 2^32-slot space (the
@@ -362,11 +579,12 @@ impl ReplicaStore {
         true
     }
 
-    /// Load `holder`'s copy of a record directly (bulk load path: no I/O
+    /// Load `holder`'s copy of a record directly into its row (no I/O
     /// accounting, used to pre-populate the data set before the measured
-    /// run). A re-preload of an existing copy is an authoritative
-    /// overwrite: the byte accounting replaces the old payload's size
-    /// instead of double-counting it.
+    /// run; a cluster's bulk load writes no row unless it must — see the
+    /// module docs). A re-preload of an existing copy, implicit or not, is
+    /// an authoritative overwrite: the byte accounting replaces the old
+    /// payload's size instead of double-counting it.
     ///
     /// # Panics
     /// As [`ReplicaStore::apply_write_on`].
@@ -377,40 +595,52 @@ impl ReplicaStore {
         self.account(holder, key, old, version, size);
     }
 
-    /// `holder`'s copy of a key, if it holds one.
+    /// `holder`'s copy of a key, if it holds one (an implicit copy if the
+    /// key has no row: the load ring is asked).
     #[inline]
     pub fn read_on(&self, holder: NodeId, key: Key) -> Option<StoredValue> {
-        self.find(holder, key, self.table.row(key.0)?)
+        self.read_as(holder, key, false)
     }
 
     /// Read `holder`'s copies of `len` consecutive records starting at
-    /// `start` (a YCSB-E range scan on that replica). Every row in the range
+    /// `start` (a YCSB-E range scan on that replica). Every key in the range
     /// is probed, the holder's copy present or not, and the result reports
-    /// the byte weight of the present copies for response-traffic
-    /// accounting. Never allocates: ranges running past the written key
-    /// space read as absent.
+    /// the byte weight of the present copies — implicit ones included — for
+    /// response-traffic accounting. Never allocates: ranges running past
+    /// the loaded and written key space read as absent.
     pub fn read_range_on(&self, holder: NodeId, start: Key, len: u32) -> RangeRead {
+        self.scan_as(holder, start, len, false)
+    }
+
+    /// [`ReplicaStore::read_range_on`], where `owner` says whether `holder`
+    /// is known to be a load owner of every key in the range (see
+    /// [`ReplicaStore::read_as`]).
+    pub(crate) fn scan_as(&self, holder: NodeId, start: Key, len: u32, owner: bool) -> RangeRead {
         let len = len.max(1);
-        let width = self.table.width();
         let mut out = RangeRead {
-            anchor: self.read_on(holder, start),
+            anchor: self.read_as(holder, start, owner),
             records: 0,
             bytes: 0,
         };
         let mut key = start.0;
         let mut remaining = len;
+        let mut runs = self.loaded.seek(key);
         while remaining > 0 {
-            let page_idx = (key >> PAGE_BITS) as usize;
             let first = (key & PAGE_MASK) as usize;
-            // Rows to take from this page before crossing its boundary.
+            // Keys to take from this page before crossing its boundary.
             let run = ((PAGE_SLOTS - first) as u32).min(remaining);
-            if let Some(page) = self.table.page(page_idx) {
-                let rows = page[first * width..(first + run as usize) * width].chunks_exact(width);
-                for (k, row) in (key..).zip(rows) {
-                    if let Some(v) = self.find(holder, Key(k), row) {
-                        out.records += 1;
-                        out.bytes += v.size as u64;
-                    }
+            let page = self.table.page((key >> PAGE_BITS) as usize);
+            let base = key - first as u64;
+            for off in first..first + run as usize {
+                let k = Key(base + off as u64);
+                let loaded = self.loaded.next_get(&mut runs, k.0);
+                let copy = match page.and_then(|rows| rows.row(off)) {
+                    None => loaded.filter(|_| owner || self.load_owner(holder, k)),
+                    Some(row) => self.copy_in(holder, k, row),
+                };
+                if let Some(v) = copy {
+                    out.records += 1;
+                    out.bytes += v.size as u64;
                 }
             }
             remaining -= run;
@@ -422,12 +652,15 @@ impl ReplicaStore {
         out
     }
 
-    /// The first key at or after position `cursor` of `offsets` (ascending
-    /// in-page offsets into key page `page`) whose copy by `from` in this
-    /// store is strictly newer than `to`'s in `dst`, with that copy and the
-    /// position to resume from — an anti-entropy diff `from → to`, reading
-    /// both copies from the key's row. The source page is looked up once,
-    /// not per key.
+    /// The first key of `offsets` (ascending in-page offsets into key page
+    /// `page`, keys `to` replicates under the current ring) whose copy by
+    /// `from` in this store is strictly newer than `to`'s in `dst`, with
+    /// that copy and the number of offsets consumed — an anti-entropy diff
+    /// `from → to`, reading both copies from the key's row. `load_page` is
+    /// the page's ownership under the load ring while a crash is in force;
+    /// `None` means the ring is the load ring, so `to` holds every implicit
+    /// copy it is asked about and a key without a row has nothing to
+    /// stream (see the module docs).
     pub(crate) fn next_newer(
         &self,
         from: NodeId,
@@ -435,23 +668,46 @@ impl ReplicaStore {
         to: NodeId,
         page: usize,
         offsets: &[u16],
-        cursor: usize,
+        load_page: Option<&LoadPage>,
     ) -> Option<(usize, Key, StoredValue)> {
-        // A side-map copy has a full row, so no page means no copy at all.
-        let rows = self.table.page(page)?;
-        let width = self.table.width();
+        let rows = self.table.page(page);
+        if rows.is_none() && load_page.is_none() {
+            return None;
+        }
         let base = (page as u64) << PAGE_BITS;
-        (cursor..offsets.len()).find_map(|i| {
-            // The offsets visit about RF / nodes of the rows, too sparse a
-            // walk for the hardware prefetcher: hint a row eight keys ahead
-            // (about a tenth off the diff's time on the fault workload).
-            if let Some(&ahead) = offsets.get(i + 8) {
-                prefetch(&rows[ahead as usize * width]);
+        (0..offsets.len()).find_map(|i| {
+            // The offsets visit about RF / nodes of the keys, too sparse a
+            // walk for the hardware prefetcher: hint a row number sixteen
+            // keys ahead, and the row it names eight keys ahead, once that
+            // number has arrived.
+            if let Some(rows) = rows {
+                if let Some(&far) = offsets.get(i + 16) {
+                    rows.prefetch_entry(far as usize);
+                }
+                if let Some(row) = offsets.get(i + 8).and_then(|&o| rows.row(o as usize)) {
+                    prefetch(&row[0]);
+                }
             }
             let off = offsets[i] as usize;
             let key = Key(base + off as u64);
-            let record = self.find(from, key, &rows[off * width..(off + 1) * width])?;
-            let held = dst.read_on(to, key).map_or(Version::NONE, |v| v.version);
+            let owns = |node| load_page.is_none_or(|p| p.holds(node, off));
+            let row = rows.and_then(|rows| rows.row(off));
+            let record = match row {
+                // Without a crash, `to` holds the load version already.
+                None if load_page.is_none() || !owns(from) => return None,
+                None => self.loaded.get(key.0)?,
+                Some(row) => self.copy_in(from, key, row)?,
+            };
+            // One shard: `dst` is this store, and the key's row is `row`.
+            let dst_row = match std::ptr::eq(self, dst) {
+                true => row,
+                false => dst.table.row(key.0),
+            };
+            let held = match dst_row {
+                None => dst.loaded.get(key.0).filter(|_| owns(to)),
+                Some(row) => dst.copy_in(to, key, row),
+            };
+            let held = held.map_or(Version::NONE, |v| v.version);
             (record.version > held).then_some((i + 1, key, record))
         })
     }
@@ -478,20 +734,22 @@ impl ReplicaStore {
     }
 
     /// Number of copies stored: distinct `(holder, key)` pairs (distinct
-    /// keys in a standalone store).
+    /// keys in a standalone store), implicit copies included.
     pub fn key_count(&self) -> usize {
         self.copies
     }
 
-    /// Total payload bytes of every copy in the store.
+    /// Total payload bytes of every copy in the store, implicit copies
+    /// included.
     pub fn bytes_stored(&self) -> u64 {
         self.bytes_stored
     }
 
     /// The version summary of `holder`'s copies on key page `page` (0 for
-    /// pages it never wrote, and always 0 unless the store maintains
-    /// summaries). Two holders whose digests match hold identical `(key,
-    /// version)` copies on that page, modulo 64-bit XOR-hash collisions.
+    /// pages it never held a copy on, and always 0 unless the store
+    /// maintains summaries). Two holders whose digests match hold identical
+    /// `(key, version)` copies on that page, modulo 64-bit XOR-hash
+    /// collisions.
     pub fn page_digest(&self, holder: NodeId, page: usize) -> u64 {
         let digests = self.page_digests.get(holder.0 as usize);
         digests.and_then(|d| d.get(page)).copied().unwrap_or(0)
@@ -503,11 +761,51 @@ impl ReplicaStore {
         self.page_digests.get(holder.0 as usize).map_or(0, Vec::len)
     }
 
-    /// Pages allocated and the slots each holds (memory tests).
+    /// Recount the copies and bytes — the occupied slots of the rows, the
+    /// side map and the implicit copies of every loaded key without a row —
+    /// and compare them with the counters the writes and loads keep (a
+    /// drained cluster's check in builds with debug assertions).
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn check_counters(&self) -> Result<(), String> {
+        let slots = self.table.slots().chain(self.side.values());
+        let held = slots.filter(|s| s.version.exists());
+        let (mut copies, mut bytes) = held.fold((0, 0), |(n, b), s| (n + 1, b + s.size as u64));
+        for run in self.loaded.runs() {
+            for key in (run.first..run.end()).filter(|&k| self.table.row(k).is_none()) {
+                let owners = self
+                    .placement
+                    .as_ref()
+                    .map_or(0, |p| p.owners(Key(key)).count());
+                copies += owners;
+                bytes += owners as u64 * run.size as u64;
+            }
+        }
+        if (copies, bytes) == (self.copies, self.bytes_stored) {
+            Ok(())
+        } else {
+            Err(format!(
+                "store counts {} copies of {} bytes, recounts {copies} of {bytes}",
+                self.copies, self.bytes_stored
+            ))
+        }
+    }
+
+    /// Rows materialized (memory tests).
     #[cfg(test)]
-    pub(crate) fn allocation(&self) -> (usize, usize) {
-        let page_len = PAGE_SLOTS * self.table.width();
-        (self.table.allocated_pages(), page_len)
+    pub(crate) fn rows(&self) -> usize {
+        self.table.rows()
+    }
+
+    /// The `(holder, version)` entries of `key`'s row, vacant ones
+    /// included, if it has a row (tests).
+    #[cfg(test)]
+    pub(crate) fn row_of(&self, key: Key) -> Option<Vec<(NodeId, Version)>> {
+        let row = self.table.row(key.0)?;
+        Some(
+            row.iter()
+                .map(|s| (NodeId(s.holder as u32), s.version))
+                .collect(),
+        )
     }
 
     /// Copies kept outside their key's row (tests).
@@ -585,11 +883,13 @@ mod tests {
             SimTime::ZERO,
         );
         assert_eq!(s.key_count(), 1);
-        assert_eq!(s.table.allocated_pages(), 1);
-        // Reading unwritten pages allocates nothing.
+        assert_eq!(s.rows(), 1);
+        assert!(s.table.page(5).is_some());
+        // Reading keys without a row allocates nothing.
         assert!(s.read_on(H, Key(0)).is_none());
         assert!(s.read_on(H, Key(100 * PAGE_SLOTS as u64)).is_none());
-        assert_eq!(s.table.allocated_pages(), 1);
+        assert_eq!(s.rows(), 1);
+        assert!(s.table.page(0).is_none() && s.table.page(100).is_none());
     }
 
     #[test]
@@ -650,7 +950,7 @@ mod tests {
                     s.bytes_stored(),
                     s.page_digest(H, 0),
                     s.summary_pages(H),
-                    s.table.allocated_pages(),
+                    s.rows(),
                 )
             };
             let before = meters(&s);
@@ -661,7 +961,8 @@ mod tests {
                 .into_iter()
                 .chain([u64::MAX / 2, u64::MAX])
             {
-                s.prefetch(Key(key));
+                s.prefetch_entry(Key(key));
+                s.prefetch_row(Key(key));
             }
             assert_eq!(meters(&s), before);
             assert_eq!(s.read_on(H, Key(1)).unwrap().version, Version(4));
@@ -764,19 +1065,25 @@ mod tests {
     #[test]
     fn a_page_holds_the_rows_of_4096_keys_and_peeks_are_not_io() {
         let mut s = ReplicaStore::with_rows(3, false);
+        s.preload_on(NodeId(2), Key(PAGE_SLOTS as u64 + 1), Version(7), 10);
         s.preload_on(NodeId(7), Key(3), Version(30), 100);
         s.preload_on(NodeId(2), Key(3), Version(31), 100);
-        s.preload_on(NodeId(2), Key(PAGE_SLOTS as u64 + 1), Version(7), 10);
+        // A page holds the row numbers of 4096 keys and their rows, in the
+        // order the keys were first written.
         let page0 = s.table.page(0).unwrap();
-        assert_eq!(page0.len(), PAGE_SLOTS * 3);
-        let row = &page0[9..12];
+        assert_eq!(page0.row(4).map(<[Slot]>::len), None);
+        let row = page0.row(3).unwrap();
         assert_eq!((row[0].holder, row[0].version), (7, Version(30)));
         assert_eq!((row[1].holder, row[1].version), (2, Version(31)));
         assert!(!row[2].version.exists(), "vacant slots read as version 0");
-        assert_eq!(s.table.page(1).unwrap()[3].version, Version(7));
-        assert!(s.table.page(9).is_none(), "unallocated pages have no slots");
-        assert_eq!(s.allocation(), (2, PAGE_SLOTS * 3));
+        assert_eq!(
+            s.table.page(1).unwrap().row(1).unwrap()[0].version,
+            Version(7)
+        );
+        assert!(s.table.page(9).is_none(), "unwritten pages have no rows");
+        assert_eq!((s.rows(), s.table.slots().count()), (2, 2 * 3));
         assert_eq!(s.read_on(NodeId(2), Key(3)).unwrap().version, Version(31));
+        assert_eq!(s.rows(), 2, "peeks materialize nothing");
     }
 
     #[test]
@@ -841,8 +1148,162 @@ mod tests {
                     s.preload_on(H, Key(key), Version(1), 1)
                 }));
                 assert!(preload.is_err(), "a preload of key {key} must panic");
-                assert_eq!(s.table.allocated_pages(), 0);
+                assert_eq!(s.rows(), 0);
             }
         }
+    }
+
+    /// A store of a cluster of `nodes` nodes at RF `rf` under `partitioner`
+    /// hosting the nodes `hosted` marks (every node when empty), and its
+    /// load ring.
+    fn placed(
+        nodes: usize,
+        rf: u32,
+        partitioner: crate::ring::Partitioner,
+        hosted: Vec<bool>,
+    ) -> (ReplicaStore, Arc<Ring>) {
+        let topology = concord_sim::Topology::single_dc(nodes);
+        let simple = crate::ring::ReplicationStrategy::Simple;
+        let ring = Arc::new(Ring::new(&topology, rf, simple, 16, partitioner));
+        (ReplicaStore::placed(ring.clone(), hosted, true), ring)
+    }
+
+    /// A run of `count` keys from `first`, versions counting up from
+    /// `first_version`.
+    fn run(first: u64, count: u64, first_version: u64, size: u32) -> LoadRun {
+        let mut run = LoadRun::new(first, Version(first_version), size);
+        for i in 1..count {
+            assert!(run.extend(first + i, Version(first_version + i), size));
+        }
+        run
+    }
+
+    /// Everything a reader can see of a store: every node's copy of every
+    /// key, a scan at every key, the counters and the digests.
+    fn observe(s: &ReplicaStore, nodes: u32, keys: u64) -> Vec<String> {
+        let mut seen = vec![format!(
+            "{} copies, {} bytes",
+            s.key_count(),
+            s.bytes_stored()
+        )];
+        for node in (0..nodes).map(NodeId) {
+            seen.push(format!("{node:?}: {} pages", s.summary_pages(node)));
+            for page in 0..s.summary_pages(node) {
+                seen.push(format!(
+                    "{node:?} page {page}: {:x}",
+                    s.page_digest(node, page)
+                ));
+            }
+            for key in (0..keys).map(Key) {
+                let scan = s.read_range_on(node, key, 7);
+                seen.push(format!(
+                    "{node:?} {key:?}: {:?} {scan:?}",
+                    s.read_on(node, key)
+                ));
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn a_loaded_run_reads_like_its_spelled_out_rows_through_writes() {
+        use crate::ring::Partitioner::{Hash, Ordered};
+        for partitioner in [Hash, Ordered] {
+            let (nodes, keys) = (5u32, 2 * PAGE_SLOTS as u64 + 40);
+            let (mut implicit, ring) = placed(nodes as usize, 3, partitioner, Vec::new());
+            let (mut spelled, _) = placed(nodes as usize, 3, partitioner, Vec::new());
+            // Keys 0..30 and from 50 on are loaded; 30..50 are not.
+            let runs = [run(0, 30, 1, 100), run(50, keys - 60, 31, 200)];
+            for run in runs {
+                implicit.load(run);
+                for key in (run.first..run.end()).map(Key) {
+                    for &owner in ring.placement(key) {
+                        spelled.preload_on(owner, key, run.version(key.0), run.size);
+                    }
+                }
+            }
+            assert_eq!(implicit.rows(), 0, "a load touches no row");
+            assert_eq!(implicit.key_count() as u64, 3 * (keys - 30));
+            assert_eq!(
+                observe(&implicit, nodes, keys),
+                observe(&spelled, nodes, keys)
+            );
+            // Writes by owners and by stand-ins, to loaded keys and not,
+            // newer and older than what they meet.
+            let mut rng = concord_sim::SimRng::new(5);
+            for i in 0..400u64 {
+                let (holder, key) = (NodeId(rng.index(5) as u32), Key(rng.next_bounded(keys)));
+                let version = Version(rng.next_bounded(10_000) + 1);
+                let size = rng.next_bounded(500) as u32;
+                let applied = implicit.apply_write_on(holder, key, version, size);
+                assert_eq!(
+                    applied,
+                    spelled.apply_write_on(holder, key, version, size),
+                    "{i}"
+                );
+            }
+            assert!(implicit.rows() > 0 && implicit.rows() < spelled.rows());
+            assert_eq!(
+                observe(&implicit, nodes, keys),
+                observe(&spelled, nodes, keys)
+            );
+            assert_eq!(implicit.check_counters(), Ok(()));
+            // A re-preload of a loaded key overwrites, as on a row.
+            let owner = ring.placement(Key(60))[2];
+            implicit.preload_on(owner, Key(60), Version(1), 9);
+            spelled.preload_on(owner, Key(60), Version(1), 9);
+            assert_eq!(
+                observe(&implicit, nodes, keys),
+                observe(&spelled, nodes, keys)
+            );
+            assert_eq!(implicit.check_counters(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn the_first_write_spells_out_the_hosted_load_owners_in_ring_order() {
+        let (nodes, rf) = (6, 3);
+        let odd: Vec<bool> = (0..nodes).map(|n| n % 2 == 1).collect();
+        let even = odd.iter().map(|&o| !o).collect();
+        let hash = crate::ring::Partitioner::Hash;
+        let (mut one, ring) = placed(nodes, rf, hash, Vec::new());
+        let (mut odds, _) = placed(nodes, rf, hash, odd.clone());
+        let (mut evens, _) = placed(nodes, rf, hash, even);
+        for s in [&mut one, &mut odds, &mut evens] {
+            s.load(run(0, 1000, 1, 100));
+        }
+        assert_eq!(one.key_count(), 3000);
+        assert_eq!(
+            odds.key_count() + evens.key_count(),
+            3000,
+            "the shards split it"
+        );
+        assert_eq!(odds.bytes_stored() + evens.bytes_stored(), 300_000);
+        // A key whose owners live in both stores.
+        let mixed = |k: &u64| {
+            let odd_owners = ring.placement(Key(*k)).iter().filter(|n| odd[n.0 as usize]);
+            (1..3).contains(&odd_owners.count())
+        };
+        let key = Key((0..1000).find(mixed).unwrap());
+        let owners = ring.placement(key).to_vec();
+        for s in [&mut one, &mut odds] {
+            let writer = *owners.iter().find(|n| odd[n.0 as usize]).unwrap();
+            assert!(s.apply_write_on(writer, key, Version(5000), 300));
+            assert_eq!(s.rows(), 1, "one write, one row");
+            let hosted: Vec<_> = owners
+                .iter()
+                .filter(|&&n| s.placement.as_ref().unwrap().hosts(n))
+                .collect();
+            let row = s.table.row(key.0).unwrap();
+            for (slot, &&owner) in row.iter().zip(&hosted) {
+                assert_eq!(slot.holder as u32, owner.0, "ring order");
+                let version = if owner == writer { 5000 } else { key.0 + 1 };
+                assert_eq!(slot.version, Version(version));
+            }
+            assert!(row[hosted.len()..].iter().all(|s| !s.version.exists()));
+            assert_eq!(s.check_counters(), Ok(()));
+        }
+        assert_eq!(one.key_count(), 3000);
+        assert_eq!(one.bytes_stored(), 300_000 + 200);
     }
 }

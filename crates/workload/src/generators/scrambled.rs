@@ -2,7 +2,7 @@
 //! key space by hashing the zipfian rank (YCSB's default request
 //! distribution for workloads A and B).
 
-use super::zipfian::ZipfianGenerator;
+use super::zipfian::{ZipfianGenerator, DEFAULT_ZIPFIAN_CONSTANT};
 use crate::hashing::fnv1a_64;
 use concord_sim::SimRng;
 
@@ -21,13 +21,24 @@ pub struct ScrambledZipfianGenerator {
 /// realistic record count).
 const INTERNAL_ITEM_COUNT: u64 = 100_000_000;
 
+/// The bits of ζ([`INTERNAL_ITEM_COUNT`], 0.99), the sum the inner
+/// generator would otherwise compute on every construction: 10^6 `powf`
+/// calls, the whole of a workload's set-up. A test recomputes it.
+const INTERNAL_ZETA_BITS: u64 = 0x4034_cd8c_da43_9e6d;
+
 impl ScrambledZipfianGenerator {
     /// Create a generator over `item_count` items with θ = 0.99.
     pub fn new(item_count: u64) -> Self {
         assert!(item_count > 0);
+        let inner = if item_count <= INTERNAL_ITEM_COUNT {
+            let zetan = f64::from_bits(INTERNAL_ZETA_BITS);
+            ZipfianGenerator::with_zeta(INTERNAL_ITEM_COUNT, DEFAULT_ZIPFIAN_CONSTANT, zetan)
+        } else {
+            ZipfianGenerator::new(item_count)
+        };
         ScrambledZipfianGenerator {
             items: item_count,
-            inner: ZipfianGenerator::new(INTERNAL_ITEM_COUNT.max(item_count)),
+            inner,
         }
     }
 
@@ -59,6 +70,20 @@ impl ScrambledZipfianGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_internal_zeta_is_the_computed_sum() {
+        let zetan = ZipfianGenerator::zeta(INTERNAL_ITEM_COUNT, DEFAULT_ZIPFIAN_CONSTANT);
+        assert_eq!(zetan.to_bits(), INTERNAL_ZETA_BITS, "ζ = {zetan}");
+    }
+
+    #[test]
+    fn item_counts_past_the_internal_space_compute_their_zeta() {
+        let big = ScrambledZipfianGenerator::new(INTERNAL_ITEM_COUNT + 1);
+        assert_eq!(big.inner.item_count(), INTERNAL_ITEM_COUNT + 1);
+        let small = ScrambledZipfianGenerator::new(10);
+        assert_eq!(small.inner.item_count(), INTERNAL_ITEM_COUNT);
+    }
 
     #[test]
     fn values_in_range() {

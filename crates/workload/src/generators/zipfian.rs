@@ -37,7 +37,12 @@ impl ZipfianGenerator {
             theta > 0.0 && theta < 1.0,
             "zipfian constant must be in (0,1), got {theta}"
         );
-        let zetan = Self::zeta(item_count, theta);
+        Self::with_zeta(item_count, theta, Self::zeta(item_count, theta))
+    }
+
+    /// [`ZipfianGenerator::with_constant`] given `zetan` = ζ(`item_count`,
+    /// θ), for callers that know the sum without summing it.
+    pub(super) fn with_zeta(item_count: u64, theta: f64, zetan: f64) -> Self {
         let zeta2theta = Self::zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / item_count as f64).powf(1.0 - theta)) / (1.0 - zeta2theta / zetan);
@@ -58,7 +63,7 @@ impl ZipfianGenerator {
     /// item space of 10⁸) the sum is split into an exact prefix and an
     /// integral approximation of the tail, `∫ x^{-θ} dx`, whose relative
     /// error is far below anything observable in sampled frequencies.
-    fn zeta(n: u64, theta: f64) -> f64 {
+    pub(super) fn zeta(n: u64, theta: f64) -> f64 {
         const EXACT_PREFIX: u64 = 1_000_000;
         let exact_n = n.min(EXACT_PREFIX);
         let mut sum = 0.0;
