@@ -410,8 +410,9 @@ impl Cluster {
             shared.config.partitioner,
             |n| crashed[n.0 as usize],
         );
-        // Ownership moved: the repair plane's index of the old ring is stale.
-        self.forget_ownership();
+        // Ownership moved: the repair plane's index of the old ring is
+        // stale, and so is every settled key.
+        self.ring_rebuilt();
     }
 
     fn set_link_factor(&mut self, class: LinkClass, factor: f64) {

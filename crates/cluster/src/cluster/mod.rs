@@ -781,26 +781,43 @@ impl Cluster {
     /// Panics if a key's row would lie past the stores' 2^32-slot space
     /// (the key-density contract).
     pub fn load_records(&mut self, records: impl Iterator<Item = (u64, u32)>) {
+        // Without a store or oracle row, every key may be placed implicitly
+        // if any may, until a record takes the explicit path.
+        let mut rowless =
+            self.ctrl.oracle.rows() == 0 && self.shard_states.iter().all(|s| s.store.rows() == 0);
         let mut open: Option<LoadRun> = None;
         for (key, size) in records {
-            self.shard_states[0].store.assert_in_space(Key(key));
             let version = self.preload_version();
+            let implicit = match rowless {
+                true => self.shared.on_load_ring,
+                false => self.loads_implicitly(key),
+            };
             if let Some(run) = &mut open {
-                if self.loads_implicitly(key) && run.extend(key, version, size) {
+                if implicit && run.extend(key, version, size) {
                     continue;
                 }
                 self.close_run(run);
                 open = None;
             }
-            if self.loads_implicitly(key) && key >= self.ctrl.oracle.loaded_end() {
+            // A run's keys ascend: checking its first and its last key
+            // checks them all.
+            self.assert_in_space(key);
+            if implicit && key >= self.ctrl.oracle.loaded_end() {
                 open = Some(LoadRun::new(key, version, size));
             } else {
                 self.preload_explicitly(Key(key), version, size);
+                rowless = false;
             }
         }
         if let Some(run) = &open {
             self.close_run(run);
         }
+    }
+
+    /// Assert that `key`'s store row fits the stores' slot space (see
+    /// `RowTable::assert_in_space`).
+    fn assert_in_space(&self, key: u64) {
+        self.shard_states[0].store.assert_in_space(Key(key));
     }
 
     /// Whether `key` may be placed without a row: no crash is in force and
@@ -817,6 +834,7 @@ impl Cluster {
 
     /// Hand a finished run to every store and the oracle.
     fn close_run(&mut self, run: &LoadRun) {
+        self.assert_in_space(run.end() - 1);
         for s in &mut self.shard_states {
             s.store.load(*run);
         }
@@ -1012,8 +1030,10 @@ impl Cluster {
     /// traffic breakdowns are shares of the billable traffic on every link
     /// class. Builds with debug assertions also recount every store's
     /// copies and bytes — the rows, the side map and the implicit copies
-    /// of the loaded keys without a row — against its counters. Returns the
-    /// first violation found as a message.
+    /// of the loaded keys without a row — against its counters, and check
+    /// every key its unsettled set holds settled against the current ring
+    /// (the repair plane's invariant, `repair.rs`). Returns the first
+    /// violation found as a message.
     pub fn check_drained(&self) -> Result<(), String> {
         for s in &self.shard_states {
             s.check_drained()?;
@@ -1021,6 +1041,7 @@ impl Cluster {
             #[cfg(debug_assertions)]
             s.store
                 .check_counters()
+                .and_then(|()| s.store.check_settled(&self.shared.ring))
                 .map_err(|e| format!("shard {}: {e}", s.shard))?;
         }
         self.ctrl.repair.check_drained()?;

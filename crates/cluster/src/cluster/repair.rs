@@ -9,18 +9,40 @@
 //! (metered per page and direction) and diff each page whose digests
 //! differ. Under hash placement that is every compared page — two nodes
 //! replicate different subsets of a key page — so the diff itself has to
-//! be cheap: a diff `from → to` walks only the keys `to` replicates,
-//! through a ring-derived ownership index built lazily per page and
-//! dropped on every ring rebuild, reads both nodes' copies from each key's
-//! store row in place, and streams each record `from` holds strictly
-//! newer, in ascending key order, as a background repair write. Every repair byte is metered per
-//! link class and billed.
+//! be cheap. A diff `from → to` streams each record `from` holds strictly
+//! newer than `to`, among the keys `to` replicates, in ascending key order,
+//! as a background repair write; every repair byte is metered per link
+//! class and billed.
+//!
+//! **Which keys a diff visits.** Those that `to` owns under the current
+//! ring — a ring-derived ownership bitset per page, built lazily and
+//! dropped on every ring rebuild — *and* that are in the store's
+//! unsettled set, a bit per key. The set keeps one invariant: *a clear bit
+//! means every current replica of the key holds a copy at least as new as
+//! every copy of the key*, row entries and side-map copies alike, so no
+//! diff streams it between any pair. Three rules keep it:
+//!
+//! 1. every install sets its key's bit (`ReplicaStore::account`, beside
+//!    the digest update);
+//! 2. a ring rebuild sets every bit (`Cluster::ring_rebuilt`): a settled
+//!    key's new replicas may lack its newest copy;
+//! 3. a diff clears the bit of a key it visited and did not stream only
+//!    after checking the invariant against the current ring (for a loaded
+//!    key without a row while a crash is in force: every current replica
+//!    is a load owner).
+//!
+//! So the stream, and every RNG draw it makes, is the walk over every key
+//! `to` owns, minus keys that stream nothing. Debug builds'
+//! `Cluster::check_drained` checks every clear bit against the invariant.
+//! Diffs run on the one-shard engine only (repair starts on fault
+//! transitions, and faults need one shard), whose one store holds both
+//! nodes' copies.
 //!
 //! **State.** [`RepairState`] — the per-destination hint queues and their
-//! replay flags, the sweep cursor with its parking counters, and the
+//! replay flags, the sweep cycle's cursor and parking counters, and the
 //! ownership index — lives in the control plane (`ControlState`) and is
-//! touched only at serial points. The plane's meters go to the control
-//! plane's sink.
+//! touched only at serial points; the unsettled set lives in the stores.
+//! The plane's meters go to the control plane's sink.
 //!
 //! **Events.** [`Event::HintReplay`], [`Event::AntiEntropy`] and
 //! [`Event::RepairSync`]. They ride whatever lane [`Cluster::ctrl_sink`]
@@ -35,10 +57,9 @@ use super::ops::{pack_node, WritePayload};
 use super::{account_message, Cluster, ClusterShared, Event};
 use crate::config::RepairConfig;
 use crate::metrics::ClusterMetrics;
-use crate::paged::{PAGE_BITS, PAGE_SLOTS};
 use crate::ring::Ring;
-use crate::storage::LoadPage;
-use crate::types::{Key, OpId, Version};
+use crate::storage::PageOwners;
+use crate::types::{Key, OpId, StoredValue, Version};
 use concord_sim::{NodeId, SimTime};
 use std::collections::VecDeque;
 
@@ -59,57 +80,6 @@ pub(super) struct Hint {
     pub(super) key: Key,
     pub(super) version: Version,
     pub(super) size: u32,
-}
-
-/// One key page of the repair plane's ring-derived ownership index: the
-/// ascending in-page key offsets each node replicates under the current
-/// ring, in CSR form. A page diff `from → to` visits only `to`'s list —
-/// about `4096 × RF / nodes` keys under hash placement, all or none under
-/// [`Partitioner::Ordered`](crate::ring::Partitioner::Ordered) — instead of scanning the page and asking the
-/// ring about every record. Both vectors are allocated once at their final
-/// size: growing per-node lists by `push` fragmented the heap enough to
-/// move the benchmark's peak RSS by 19 %.
-#[derive(Debug)]
-struct OwnedPage {
-    /// Node `n`'s offsets are `slots[starts[n]..starts[n + 1]]`.
-    starts: Vec<u32>,
-    /// In-page key offsets, ascending within each node's range.
-    slots: Vec<u16>,
-}
-
-impl OwnedPage {
-    /// Index key page `page`: one pass over its placements to count each
-    /// node's keys, one to fill them in ascending order.
-    fn build(page: usize, ring: &Ring, nodes: usize, members: &mut Vec<NodeId>) -> Self {
-        let base = (page as u64) << PAGE_BITS;
-        let mut starts = vec![0u32; nodes + 1];
-        for off in 0..PAGE_SLOTS as u64 {
-            ring.replicas_into(Key(base + off), members);
-            for node in members.iter() {
-                starts[node.0 as usize + 1] += 1;
-            }
-        }
-        for n in 0..nodes {
-            starts[n + 1] += starts[n];
-        }
-        let mut slots = vec![0u16; starts[nodes] as usize];
-        let mut fill = starts.clone();
-        for off in 0..PAGE_SLOTS as u64 {
-            ring.replicas_into(Key(base + off), members);
-            for node in members.iter() {
-                let at = &mut fill[node.0 as usize];
-                slots[*at as usize] = off as u16;
-                *at += 1;
-            }
-        }
-        OwnedPage { starts, slots }
-    }
-
-    /// The ascending key offsets `node` replicates.
-    fn of(&self, node: NodeId) -> &[u16] {
-        let n = node.0 as usize;
-        &self.slots[self.starts[n] as usize..self.starts[n + 1] as usize]
-    }
 }
 
 /// The repair plane's state (see the module docs).
@@ -133,12 +103,12 @@ pub(super) struct RepairState {
     /// The ownership index, by key page: bounds an anti-entropy diff to the
     /// keys the receiver replicates. A page is built from the ring on its
     /// first diff; every page is dropped when the ring is rebuilt.
-    owned: Vec<Option<OwnedPage>>,
+    owned: Vec<Option<PageOwners>>,
     /// The load ring's ownership, by key page, for diffs while a crash is
     /// in force; never dropped.
-    load_owned: Vec<Option<LoadPage>>,
-    /// Scratch for the placement lookups that build [`RepairState::owned`].
-    member_scratch: Vec<NodeId>,
+    load_owned: Vec<Option<PageOwners>>,
+    /// The records a page diff streams, collected before they are sent.
+    streams: Vec<(Key, StoredValue)>,
 }
 
 impl RepairState {
@@ -207,6 +177,20 @@ impl CtrlSink<'_> {
     }
 }
 
+/// Page `page` of an ownership index of `nodes` nodes, built from `ring`
+/// if it is not yet.
+fn indexed<'a>(
+    index: &'a mut Vec<Option<PageOwners>>,
+    page: usize,
+    ring: &Ring,
+    nodes: usize,
+) -> &'a PageOwners {
+    if page >= index.len() {
+        index.resize_with(page + 1, || None);
+    }
+    index[page].get_or_insert_with(|| PageOwners::build(page, ring, nodes))
+}
+
 /// The `idx`-th unordered node pair `(i, j)`, `i < j`, in row-major
 /// enumeration order.
 fn unrank_pair(mut idx: u64, n: u64) -> (u64, u64) {
@@ -227,9 +211,14 @@ impl Cluster {
         self.ctrl.repair.hints[node.0 as usize].len()
     }
 
-    /// The ring changed: drop the ownership index built from the old one.
-    pub(super) fn forget_ownership(&mut self) {
+    /// The ring changed: drop the ownership index built from the old one,
+    /// and put every key of every store in the unsettled set — a settled
+    /// key's new replicas may lack its newest copy.
+    pub(super) fn ring_rebuilt(&mut self) {
         self.ctrl.repair.owned.clear();
+        for s in &mut self.shard_states {
+            s.store.unsettle_all();
+        }
     }
 
     /// Schedule a recovery migration of `node` at the current instant (a
@@ -403,103 +392,73 @@ impl Cluster {
     /// re-comparing a converged page streams nothing, which is what lets
     /// the sweep cycle park.
     fn stream_page_diff(&mut self, now: SimTime, from: NodeId, to: NodeId, page: usize) -> u64 {
-        self.ensure_owned(page);
-        let mut cursor = 0;
-        let mut streamed = 0u64;
-        while let Some((next, key, version, size)) = self.next_divergent(from, to, page, cursor) {
-            cursor = next;
-            self.send_repair_write(
-                now,
-                to,
-                Hint {
-                    from,
-                    key,
-                    version,
-                    size,
-                },
-            );
-            streamed += 1;
+        let mut streams = std::mem::take(&mut self.ctrl.repair.streams);
+        self.diff_page_into(from, to, page, &mut streams);
+        for &(key, record) in &streams {
+            let hint = Hint {
+                from,
+                key,
+                version: record.version,
+                size: record.size,
+            };
+            self.send_repair_write(now, to, hint);
         }
+        let streamed = streams.len() as u64;
         self.ctrl.metrics.repair_records_streamed += streamed;
+        self.ctrl.repair.streams = streams;
         streamed
     }
 
-    /// Index `page`'s ownership if this ring epoch has not diffed it yet —
-    /// and, while a crash is in force, its ownership under the load ring if
-    /// no diff has needed it yet.
-    fn ensure_owned(&mut self, page: usize) {
-        let repair = &mut self.ctrl.repair;
-        if page >= repair.owned.len() {
-            repair.owned.resize_with(page + 1, || None);
-        }
-        if repair.owned[page].is_none() {
-            repair.owned[page] = Some(OwnedPage::build(
-                page,
-                &self.shared.ring,
-                self.shared.node_count,
-                &mut repair.member_scratch,
-            ));
-        }
-        if self.shared.on_load_ring {
-            return;
-        }
-        if page >= repair.load_owned.len() {
-            repair.load_owned.resize_with(page + 1, || None);
-        }
-        if repair.load_owned[page].is_none() {
-            let nodes = self.shared.node_count;
-            repair.load_owned[page] = Some(LoadPage::build(page, &self.shared.load_ring, nodes));
-        }
-    }
-
-    /// The first record at or after position `cursor` of `to`'s ownership
-    /// list for `page` that `from` holds strictly newer than `to`, with the
-    /// position to resume from. Membership gate: only keys `to` currently
-    /// replicates are visited, so divergent data never moves to a node that
-    /// happens to share the page but no longer owns the record. Both copies
-    /// are read from the key's store row in place — or, for a loaded key
-    /// without a row, from the load ring's ownership while a crash is in
-    /// force; without one such a key has nothing to stream. Scheduling a
-    /// stream mutates neither, so resuming mid-list sees the same copies.
-    fn next_divergent(
-        &self,
+    /// Replace `out` with the records a diff `from → to` of key page `page`
+    /// streams, in stream order, indexing the page's ownership first if
+    /// this ring has not diffed it yet — and, while a crash is in force,
+    /// its ownership under the load ring if no diff has needed it yet. The
+    /// diff drops the keys it finds settled from the unsettled set (see
+    /// the module docs).
+    ///
+    /// # Panics
+    /// Panics on a cluster of more than one shard: diffs run where faults
+    /// do, on the one-shard engine, whose one store holds both nodes'
+    /// copies.
+    fn diff_page_into(
+        &mut self,
         from: NodeId,
         to: NodeId,
         page: usize,
-        cursor: usize,
-    ) -> Option<(usize, Key, Version, u32)> {
-        let repair = &self.ctrl.repair;
-        let owned = repair.owned[page]
-            .as_ref()
-            .expect("a page's ownership is indexed before it is diffed")
-            .of(to);
-        let load_page = (!self.shared.on_load_ring).then(|| {
-            repair.load_owned[page]
-                .as_ref()
-                .expect("a diff during a crash indexes the load ring's page first")
-        });
-        let (src, dst) = (self.store_of(from), self.store_of(to));
-        let (taken, key, record) =
-            src.next_newer(from, dst, to, page, &owned[cursor..], load_page)?;
-        Some((cursor + taken, key, record.version, record.size))
+        out: &mut Vec<(Key, StoredValue)>,
+    ) {
+        let [shard] = &mut self.shard_states[..] else {
+            panic!("repair diffs run on the one-shard engine");
+        };
+        let (shared, repair) = (&self.shared, &mut self.ctrl.repair);
+        let nodes = shared.node_count;
+        let owned = indexed(&mut repair.owned, page, &shared.ring, nodes);
+        let load_owned = (!shared.on_load_ring)
+            .then(|| indexed(&mut repair.load_owned, page, &shared.load_ring, nodes));
+        out.clear();
+        shard
+            .store
+            .diff_page(from, to, page, owned, load_owned, out);
     }
 
     /// The records a repair diff `from → to` of key page `page` streams, in
-    /// stream order (tests and diagnostics).
+    /// stream order (tests and diagnostics). Like every diff, it drops the
+    /// keys it finds settled from the unsettled set.
+    ///
+    /// # Panics
+    /// As the diffs of the repair plane, on a cluster of more than one
+    /// shard.
     pub fn repair_page_diff(
         &mut self,
         from: NodeId,
         to: NodeId,
         page: usize,
     ) -> Vec<(Key, Version, u32)> {
-        self.ensure_owned(page);
-        let mut cursor = 0;
-        std::iter::from_fn(|| {
-            let (next, key, version, size) = self.next_divergent(from, to, page, cursor)?;
-            cursor = next;
-            Some((key, version, size))
-        })
-        .collect()
+        let mut out = Vec::new();
+        self.diff_page_into(from, to, page, &mut out);
+        out.into_iter()
+            .map(|(key, record)| (key, record.version, record.size))
+            .collect()
     }
 
     /// Recovery migration: synchronize `node` from every up peer — page
@@ -530,6 +489,7 @@ mod tests {
     use super::*;
     use crate::config::RepairMode;
     use crate::consistency::ConsistencyLevel;
+    use crate::paged::PAGE_SLOTS;
     use concord_sim::SimDuration;
 
     #[test]
@@ -676,23 +636,21 @@ mod tests {
     #[test]
     fn ownership_index_pages_are_exactly_sized_and_ascending() {
         let mut c = cluster(7, 3);
-        c.ensure_owned(1);
+        c.repair_page_diff(NodeId(0), NodeId(1), 1);
         assert!(
             c.ctrl.repair.owned[0].is_none(),
             "pages are indexed on first diff"
         );
         let page = c.ctrl.repair.owned[1].as_ref().unwrap();
-        // Exact allocation: growing these by `push` fragments the heap.
-        assert_eq!(page.slots.capacity(), page.slots.len());
-        assert_eq!(page.starts.capacity(), page.starts.len());
-        assert_eq!(page.slots.len(), PAGE_SLOTS * 3, "every slot has RF owners");
-        for n in 0..7 {
-            let owned = page.of(NodeId(n));
-            assert!(owned.windows(2).all(|w| w[0] < w[1]), "ascending offsets");
-            for &off in owned {
-                let key = PAGE_SLOTS as u64 + off as u64;
-                assert!(c.replicas_of(key).contains(&NodeId(n)));
-            }
+        for off in 0..PAGE_SLOTS {
+            let key = PAGE_SLOTS as u64 + off as u64;
+            let mut replicas = c.replicas_of(key);
+            replicas.sort();
+            let owners: Vec<_> = page.owners(off).collect();
+            assert_eq!(
+                owners, replicas,
+                "key {key}: exactly its RF replicas, ascending"
+            );
         }
     }
 

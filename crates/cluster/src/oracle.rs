@@ -415,8 +415,7 @@ impl StalenessOracle {
         self.keys
     }
 
-    /// Slots materialized (memory tests).
-    #[cfg(test)]
+    /// Slots materialized.
     pub(crate) fn rows(&self) -> usize {
         self.table.rows()
     }

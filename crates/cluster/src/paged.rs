@@ -124,13 +124,6 @@ impl<T> Clone for PageRows<'_, T> {
 impl<T> Copy for PageRows<'_, T> {}
 
 impl<'a, T> PageRows<'a, T> {
-    /// Hint the row number at in-page offset `off` towards the cache (see
-    /// [`RowTable::prefetch_entry`]).
-    #[inline]
-    pub(crate) fn prefetch_entry(self, off: usize) {
-        prefetch(&self.page.index[off]);
-    }
-
     /// The row at in-page offset `off` (below [`PAGE_SLOTS`]), if it has
     /// one.
     #[inline]

@@ -32,8 +32,8 @@
 //! have laid it out — the owners this store hosts, in ring order, at the
 //! load version — and then applies as any write does. Every reader honours
 //! implicit copies: [`ReplicaStore::read_on`], [`ReplicaStore::read_range_on`],
-//! the repair plane's diffs (`next_newer`) and, through the load-time
-//! contribution, [`ReplicaStore::page_digest`].
+//! the repair plane's diffs (`ReplicaStore::diff_page`) and, through the
+//! load-time contribution, [`ReplicaStore::page_digest`].
 //!
 //! **The load-ring rule.** While no crash is in force, the ring *is* the
 //! load ring — a recovery rebuilds the exact placement — so a node that is
@@ -87,7 +87,7 @@
 //! past the table's 2^32-slot space reads as absent, and writing or loading
 //! it panics.
 //!
-//! ## Per-page version summaries (anti-entropy digests)
+//! ## Per-page version summaries and the unsettled set (anti-entropy)
 //!
 //! A store built with summaries also maintains one 64-bit digest per
 //! `(holder, key page)`: the XOR of a mixed hash of every `(key, version)`
@@ -102,13 +102,25 @@
 //! equals the ownership-slice granule, so two owners of a slice hold the
 //! same page and converged pages are skipped; under hash placement two
 //! nodes replicate *different subsets* of every key page, so every compared
-//! page differs (145 620 of 145 620 on the benchmark's fault workload) and
-//! the digests prune nothing — there the cluster's ring-ownership index,
-//! which bounds a diff to the keys the receiver replicates, is what bounds
-//! the work. Stores built without summaries skip the maintenance entirely —
-//! the write path pays nothing for a repair plane that is switched off.
+//! page differs and the digests prune nothing.
+//!
+//! What bounds a diff's work is the **unsettled set**, a bit per key that
+//! the same stores keep. A clear bit means every current replica of the key
+//! holds a copy at least as new as every copy of it — row entries and
+//! side-map copies — so no diff streams it between any pair. An install
+//! sets its key's bit, a ring rebuild sets every bit
+//! (`ReplicaStore::unsettle_all`), and a diff clears the bit of a key it
+//! visited and did not stream once it has checked that against the current
+//! ring. A diff `from → to` (`ReplicaStore::diff_page`) visits the keys
+//! that are unsettled *and* that `to` owns under the current ring
+//! (`PageOwners`), a 64-key word of each at a time, in ascending key
+//! order: on the benchmark's fault workload, about one key visit in twelve
+//! of the walk over every key `to` owns that it replaced. Stores built
+//! without summaries skip the maintenance entirely — the write path pays
+//! nothing for a repair plane that is switched off — and read as
+//! all-unsettled, so a diff there visits every key `to` owns.
 
-use crate::paged::{prefetch, LoadRun, LoadRuns, RowTable, PAGE_BITS, PAGE_MASK, PAGE_SLOTS};
+use crate::paged::{LoadRun, LoadRuns, RowTable, PAGE_BITS, PAGE_MASK, PAGE_SLOTS};
 use crate::ring::Ring;
 use crate::types::{Key, StoredValue, Version};
 use concord_sim::{NodeId, SimTime};
@@ -225,40 +237,69 @@ impl Placement {
     }
 }
 
-/// Words of one node's bits in a [`LoadPage`].
-const LOAD_PAGE_WORDS: usize = PAGE_SLOTS / 64;
+/// Words of one node's bits in a [`PageOwners`], and of one page's bits in
+/// the unsettled set: a bit per key of the page.
+const PAGE_WORDS: usize = PAGE_SLOTS / 64;
 
-/// One key page's owners under the load ring, a bit per node and in-page
-/// key offset: what a repair diff asks about the implicit copies of keys
-/// without a row while a crash is in force (without a crash the ring is the
-/// load ring and nothing needs asking; see the module docs). The repair
-/// plane builds one on a page's first such diff and keeps it: the load
-/// ring never changes.
+/// One key page's owners under a ring, a bit per node and in-page key
+/// offset: the keys a repair diff `from → to` may stream to `to` (built from
+/// the current ring), and — while a crash is in force — the load owners of
+/// the keys without a row (built from the load ring; without a crash the
+/// ring is the load ring and nothing needs asking, see the module docs).
+/// The repair plane builds a page's on its first diff, keeps the current
+/// ring's until the ring is rebuilt and the load ring's for good.
 #[derive(Debug)]
-pub(crate) struct LoadPage {
-    /// Node `n`'s bits are `bits[n * LOAD_PAGE_WORDS..][..LOAD_PAGE_WORDS]`.
+pub(crate) struct PageOwners {
+    /// Node `n`'s bits are `bits[n * PAGE_WORDS..][..PAGE_WORDS]`.
     bits: Vec<u64>,
+    /// The owners of every key: the ring's replication factor.
+    replicas: usize,
 }
 
-impl LoadPage {
-    /// Index key page `page` of a cluster of `nodes` nodes under
-    /// `load_ring`.
-    pub(crate) fn build(page: usize, load_ring: &Ring, nodes: usize) -> Self {
+impl PageOwners {
+    /// Index key page `page` of a cluster of `nodes` nodes under `ring`.
+    pub(crate) fn build(page: usize, ring: &Ring, nodes: usize) -> Self {
         let base = (page as u64) << PAGE_BITS;
-        let mut bits = vec![0u64; nodes * LOAD_PAGE_WORDS];
+        let mut bits = vec![0u64; nodes * PAGE_WORDS];
         for off in 0..PAGE_SLOTS {
-            for node in load_ring.placement(Key(base + off as u64)) {
-                bits[node.0 as usize * LOAD_PAGE_WORDS + off / 64] |= 1 << (off % 64);
+            for node in ring.placement(Key(base + off as u64)) {
+                bits[node.0 as usize * PAGE_WORDS + off / 64] |= 1 << (off % 64);
             }
         }
-        LoadPage { bits }
+        PageOwners {
+            bits,
+            replicas: ring.replication_factor() as usize,
+        }
     }
 
-    /// Whether `node` owns the key at in-page offset `off` under the load
-    /// ring.
+    /// Word `w` of `node`'s bits: in-page offsets `64 w..64 w + 64`.
     #[inline]
-    fn holds(&self, node: NodeId, off: usize) -> bool {
-        self.bits[node.0 as usize * LOAD_PAGE_WORDS + off / 64] >> (off % 64) & 1 == 1
+    fn word(&self, node: NodeId, w: usize) -> u64 {
+        self.bits[node.0 as usize * PAGE_WORDS + w]
+    }
+
+    /// Whether `node` owns the key at in-page offset `off`.
+    #[inline]
+    pub(crate) fn holds(&self, node: NodeId, off: usize) -> bool {
+        self.word(node, off / 64) >> (off % 64) & 1 == 1
+    }
+
+    /// Every node of the cluster, in id order.
+    fn nodes(&self) -> impl Iterator<Item = NodeId> {
+        (0..(self.bits.len() / PAGE_WORDS) as u32).map(NodeId)
+    }
+
+    /// The owners of the key at in-page offset `off`, in id order.
+    #[cfg(test)]
+    pub(crate) fn owners(&self, off: usize) -> impl Iterator<Item = NodeId> + '_ {
+        self.nodes().filter(move |&n| self.holds(n, off))
+    }
+
+    /// Word `w` of the keys that have an owner here that `load` does not
+    /// have.
+    fn outside(&self, load: &PageOwners, w: usize) -> u64 {
+        self.nodes()
+            .fold(0, |keys, n| keys | self.word(n, w) & !load.word(n, w))
     }
 }
 
@@ -287,10 +328,16 @@ pub struct ReplicaStore {
     /// holder's copies (see the module docs): `page_digests[holder][key >>
     /// PAGE_BITS]`, 0 for untouched pages.
     page_digests: Vec<Vec<u64>>,
-    /// Whether the digests above are maintained. Off by default so the
-    /// write path pays no mixing cost when no repair plane will ever
-    /// compare summaries.
+    /// Whether the digests above and the unsettled set below are
+    /// maintained. Off by default so the write path pays no mixing cost
+    /// when no repair plane will ever compare summaries.
     summaries_enabled: bool,
+    /// The unsettled set, a bit per key (see the module docs): a clear bit
+    /// — or a key past its end — means every current replica holds a copy
+    /// at least as new as every copy of the key, so no repair diff streams
+    /// it. Empty unless summaries are maintained; a store without them
+    /// reads as all-unsettled.
+    unsettled: Vec<u64>,
 }
 
 /// Mix one `(key, version)` pair into a 64-bit contribution (splitmix64-style
@@ -359,6 +406,7 @@ impl ReplicaStore {
             bytes_stored: 0,
             page_digests: Vec::new(),
             summaries_enabled: summaries,
+            unsettled: Vec::new(),
         }
     }
 
@@ -533,6 +581,42 @@ impl ReplicaStore {
                 digest_delta ^= mix_record(key, old.version);
             }
             xor_page_digest(&mut self.page_digests, holder, key, digest_delta);
+            self.unsettle(key);
+        }
+    }
+
+    /// Set `key`'s bit of the unsettled set, growing the set on first touch.
+    #[inline]
+    fn unsettle(&mut self, key: Key) {
+        let word = (key.0 / 64) as usize;
+        if word >= self.unsettled.len() {
+            self.unsettled.resize(word + 1, 0);
+        }
+        self.unsettled[word] |= 1 << (key.0 % 64);
+    }
+
+    /// Set the unsettled bit of every key that has a copy — every loaded
+    /// key, and every key an install reached: the ring changed, so a
+    /// settled key's current replicas may now lack its newest copy.
+    pub(crate) fn unsettle_all(&mut self) {
+        if self.summaries_enabled {
+            let words = (self.loaded.end().div_ceil(64) as usize).max(self.unsettled.len());
+            self.unsettled.clear();
+            self.unsettled.resize(words, !0);
+        }
+    }
+
+    /// Word `w` of key page `page`'s unsettled bits: every bit for a store
+    /// without summaries.
+    #[inline]
+    fn unsettled_word(&self, page: usize, w: usize) -> u64 {
+        match self.summaries_enabled {
+            true => self
+                .unsettled
+                .get(page * PAGE_WORDS + w)
+                .copied()
+                .unwrap_or(0),
+            false => !0,
         }
     }
 
@@ -652,64 +736,93 @@ impl ReplicaStore {
         out
     }
 
-    /// The first key of `offsets` (ascending in-page offsets into key page
-    /// `page`, keys `to` replicates under the current ring) whose copy by
-    /// `from` in this store is strictly newer than `to`'s in `dst`, with
-    /// that copy and the number of offsets consumed — an anti-entropy diff
-    /// `from → to`, reading both copies from the key's row. `load_page` is
+    /// An anti-entropy diff `from → to` of key page `page`, in a store
+    /// holding both nodes' copies: push every record `from` holds strictly
+    /// newer than `to` onto `out`, in ascending key order, among the keys
+    /// that are unsettled and that `to` owns under the current ring
+    /// (`owners`) — a 64-key word of each set at a time. `load_owners` is
     /// the page's ownership under the load ring while a crash is in force;
     /// `None` means the ring is the load ring, so `to` holds every implicit
-    /// copy it is asked about and a key without a row has nothing to
-    /// stream (see the module docs).
-    pub(crate) fn next_newer(
-        &self,
+    /// copy it is asked about (see the module docs). A visited key that
+    /// streams nothing leaves the unsettled set if it is settled
+    /// ([`ReplicaStore::settled`]).
+    pub(crate) fn diff_page(
+        &mut self,
         from: NodeId,
-        dst: &ReplicaStore,
         to: NodeId,
         page: usize,
-        offsets: &[u16],
-        load_page: Option<&LoadPage>,
-    ) -> Option<(usize, Key, StoredValue)> {
+        owners: &PageOwners,
+        load_owners: Option<&PageOwners>,
+        out: &mut Vec<(Key, StoredValue)>,
+    ) {
         let rows = self.table.page(page);
-        if rows.is_none() && load_page.is_none() {
-            return None;
-        }
         let base = (page as u64) << PAGE_BITS;
-        (0..offsets.len()).find_map(|i| {
-            // The offsets visit about RF / nodes of the keys, too sparse a
-            // walk for the hardware prefetcher: hint a row number sixteen
-            // keys ahead, and the row it names eight keys ahead, once that
-            // number has arrived.
-            if let Some(rows) = rows {
-                if let Some(&far) = offsets.get(i + 16) {
-                    rows.prefetch_entry(far as usize);
-                }
-                if let Some(row) = offsets.get(i + 8).and_then(|&o| rows.row(o as usize)) {
-                    prefetch(&row[0]);
-                }
+        for w in 0..PAGE_WORDS {
+            let mut visit = self.unsettled_word(page, w) & owners.word(to, w);
+            if visit == 0 {
+                continue;
             }
-            let off = offsets[i] as usize;
-            let key = Key(base + off as u64);
-            let owns = |node| load_page.is_none_or(|p| p.holds(node, off));
-            let row = rows.and_then(|rows| rows.row(off));
-            let record = match row {
-                // Without a crash, `to` holds the load version already.
-                None if load_page.is_none() || !owns(from) => return None,
-                None => self.loaded.get(key.0)?,
-                Some(row) => self.copy_in(from, key, row)?,
-            };
-            // One shard: `dst` is this store, and the key's row is `row`.
-            let dst_row = match std::ptr::eq(self, dst) {
-                true => row,
-                false => dst.table.row(key.0),
-            };
-            let held = match dst_row {
-                None => dst.loaded.get(key.0).filter(|_| owns(to)),
-                Some(row) => dst.copy_in(to, key, row),
-            };
-            let held = held.map_or(Version::NONE, |v| v.version);
-            (record.version > held).then_some((i + 1, key, record))
-        })
+            // The keys that have an owner outside the load ring's.
+            let stand_ins = load_owners.map_or(0, |load| owners.outside(load, w));
+            let mut settled = 0u64;
+            while visit != 0 {
+                let bit = visit.trailing_zeros() as usize;
+                visit &= visit - 1;
+                let off = w * 64 + bit;
+                let key = Key(base + off as u64);
+                let (record, settles) = match (rows.and_then(|rows| rows.row(off)), load_owners) {
+                    (Some(row), _) => {
+                        let held = self.copy_in(to, key, row);
+                        let held = held.map_or(Version::NONE, |v| v.version);
+                        match self.copy_in(from, key, row) {
+                            Some(record) if record.version > held => (Some(record), false),
+                            _ => (
+                                None,
+                                self.summaries_enabled && self.settled(key, off, row, owners),
+                            ),
+                        }
+                    }
+                    // On the load ring every owner, `to` included, holds the
+                    // load version: the only copy there is.
+                    (None, None) => (None, true),
+                    (None, Some(load)) => match self.loaded.get(key.0) {
+                        Some(record) if load.holds(from, off) && !load.holds(to, off) => {
+                            (Some(record), false)
+                        }
+                        loaded => (None, loaded.is_none() || stand_ins >> bit & 1 == 0),
+                    },
+                };
+                if let Some(record) = record {
+                    out.push((key, record));
+                }
+                settled |= u64::from(settles) << bit;
+            }
+            if self.summaries_enabled {
+                self.unsettled[page * PAGE_WORDS + w] &= !settled;
+            }
+        }
+    }
+
+    /// Whether `key`, at in-page offset `off` and with its row `row`, is
+    /// settled: each of its owners under the current ring (`owners`) holds
+    /// a copy at least as new as every copy of the key — row entries and
+    /// side-map copies.
+    fn settled(&self, key: Key, off: usize, row: &[Slot], owners: &PageOwners) -> bool {
+        let spilled = row[row.len() - 1].spilled;
+        let copies = || {
+            let side = (spilled != 0).then(|| {
+                let holders = owners.nodes().filter(move |&h| spilled & spill_bit(h) != 0);
+                holders.filter_map(|h| Some((h, self.side_copy(h, key)?.version)))
+            });
+            let in_row = row.iter().filter(|s| s.version.exists());
+            in_row
+                .map(|s| (NodeId(s.holder as u32), s.version))
+                .chain(side.into_iter().flatten())
+        };
+        let newest = copies().map(|(_, v)| v).max().unwrap_or(Version::NONE);
+        // A holder has one copy, and a key exactly `replicas` owners.
+        let fresh = copies().filter(|&(n, v)| v >= newest && owners.holds(n, off));
+        fresh.count() == owners.replicas
     }
 
     /// [`ReplicaStore::apply_write_on`] by a standalone store's one holder.
@@ -790,8 +903,57 @@ impl ReplicaStore {
         }
     }
 
-    /// Rows materialized (memory tests).
-    #[cfg(test)]
+    /// Check every clear bit of the unsettled set against its invariant
+    /// under the current `ring`, reading this store's copies as every copy
+    /// there is (one shard; a store of several never clears a bit, see
+    /// `Cluster::check_drained`): a key with a row has no copy newer than
+    /// any of its current replicas' hosted here, and a loaded key without
+    /// one has only load owners among them. Always `Ok` without summaries.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn check_settled(&self, ring: &Ring) -> Result<(), String> {
+        if !self.summaries_enabled {
+            return Ok(());
+        }
+        let mut side_newest: HashMap<Key, Version> = HashMap::new();
+        for (&(_, key), slot) in &self.side {
+            let newest = side_newest.entry(key).or_insert(Version::NONE);
+            *newest = (*newest).max(slot.version);
+        }
+        let placement = self.placement.as_ref();
+        let hosted = |n: &&NodeId| placement.is_none_or(|p| p.hosts(**n));
+        let end = (self.unsettled.len() as u64 * 64).max(self.loaded.end());
+        let clear = (0..end).map(Key).filter(|k| {
+            let word = self.unsettled.get((k.0 / 64) as usize).copied();
+            word.unwrap_or(0) >> (k.0 % 64) & 1 == 0
+        });
+        for key in clear {
+            let mut replicas = ring.placement(key).iter().filter(hosted);
+            let settled = match self.table.row(key.0) {
+                None => {
+                    let loaded = self.loaded.get(key.0).is_some();
+                    !loaded || replicas.all(|&n| self.load_owner(n, key))
+                }
+                Some(row) => {
+                    let in_row = row.iter().map(|s| s.version).max();
+                    let side = side_newest.get(&key).copied();
+                    let newest = in_row.max(side).unwrap_or(Version::NONE);
+                    replicas.all(|&n| {
+                        self.copy_in(n, key, row)
+                            .is_some_and(|v| v.version >= newest)
+                    })
+                }
+            };
+            if !settled {
+                return Err(format!(
+                    "key {} reads settled, but a current replica lags",
+                    key.0
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Rows materialized.
     pub(crate) fn rows(&self) -> usize {
         self.table.rows()
     }
@@ -812,6 +974,13 @@ impl ReplicaStore {
     #[cfg(test)]
     pub(crate) fn side_copies(&self) -> usize {
         self.side.len()
+    }
+
+    /// Whether `key` is in the unsettled set (tests).
+    #[cfg(test)]
+    pub(crate) fn is_unsettled(&self, key: Key) -> bool {
+        let word = self.unsettled.get((key.0 / 64) as usize);
+        word.is_some_and(|w| w >> (key.0 % 64) & 1 == 1)
     }
 }
 
@@ -1305,5 +1474,149 @@ mod tests {
         }
         assert_eq!(one.key_count(), 3000);
         assert_eq!(one.bytes_stored(), 300_000 + 200);
+    }
+
+    /// What a diff `from → to` of key page 0 streams, `(key, version)`,
+    /// with `ring` the current ring of a 5-node cluster and `load` its load
+    /// ring while a crash is in force.
+    fn diff(
+        s: &mut ReplicaStore,
+        ring: &Ring,
+        load: Option<&Ring>,
+        from: NodeId,
+        to: NodeId,
+    ) -> Vec<(u64, Version)> {
+        let owners = PageOwners::build(0, ring, 5);
+        let load = load.map(|load| PageOwners::build(0, load, 5));
+        let mut out = Vec::new();
+        s.diff_page(from, to, 0, &owners, load.as_ref(), &mut out);
+        out.into_iter().map(|(k, v)| (k.0, v.version)).collect()
+    }
+
+    /// A loaded store of 5 nodes at RF 3 (keys 0..100, versions 1..=100),
+    /// its load ring, and the owners of `key` under it.
+    fn loaded_store(key: u64) -> (ReplicaStore, Arc<Ring>, Vec<NodeId>) {
+        let (mut s, ring) = placed(5, 3, crate::ring::Partitioner::Hash, Vec::new());
+        s.load(run(0, 100, 1, 100));
+        let owners = ring.placement(Key(key)).to_vec();
+        (s, ring, owners)
+    }
+
+    /// A node of the 5 that does not own `key`.
+    fn outsider(owners: &[NodeId]) -> NodeId {
+        (0..5).map(NodeId).find(|n| !owners.contains(n)).unwrap()
+    }
+
+    #[test]
+    fn an_install_unsettles_its_key_side_map_installs_too() {
+        let (mut s, ring, owners) = loaded_store(7);
+        assert!((0..100).all(|k| !s.is_unsettled(Key(k))), "a load settles");
+        for &owner in &owners {
+            s.apply_write_on(owner, Key(7), Version(500), 10);
+        }
+        assert!(s.is_unsettled(Key(7)));
+        assert_eq!(diff(&mut s, &ring, None, owners[0], owners[1]), []);
+        assert!(
+            !s.is_unsettled(Key(7)),
+            "converged, so the visit settles it"
+        );
+        // A non-owner finds the row full: its copy goes to the side map.
+        assert!(s.apply_write_on(outsider(&owners), Key(7), Version(600), 10));
+        assert_eq!(s.side_copies(), 1);
+        assert!(s.is_unsettled(Key(7)));
+        assert_eq!(s.check_settled(&ring), Ok(()));
+    }
+
+    #[test]
+    fn unsettle_all_covers_loaded_and_written_pages() {
+        let (mut s, ring, owners) = loaded_store(0);
+        let far = Key(3 * PAGE_SLOTS as u64 + 5);
+        s.apply_write_on(owners[0], far, Version(500), 10);
+        assert!(s.is_unsettled(far) && !s.is_unsettled(Key(0)));
+        s.unsettle_all();
+        assert!((0..100).map(Key).all(|k| s.is_unsettled(k)), "loaded keys");
+        assert!(s.is_unsettled(far), "written keys past the load");
+        assert_eq!(s.check_settled(&ring), Ok(()));
+        // A store without summaries keeps no set, and reads all-unsettled.
+        let mut bare = ReplicaStore::with_rows(3, false);
+        bare.apply_write_on(owners[0], Key(0), Version(1), 10);
+        bare.unsettle_all();
+        assert!(bare.unsettled.is_empty());
+        assert_eq!(bare.unsettled_word(9, 0), !0);
+    }
+
+    #[test]
+    fn a_lagging_replica_a_newer_side_copy_or_a_bare_stand_in_keeps_a_key_unsettled() {
+        // A lagging replica: only the first owner took the write.
+        let (mut s, ring, owners) = loaded_store(10);
+        s.apply_write_on(owners[0], Key(10), Version(500), 10);
+        assert_eq!(diff(&mut s, &ring, None, owners[1], owners[2]), []);
+        assert!(s.is_unsettled(Key(10)), "the other owners lag");
+        let stream = diff(&mut s, &ring, None, owners[0], owners[1]);
+        assert_eq!(stream, [(10, Version(500))]);
+
+        // A non-replica holds a newer copy, in the side map.
+        let (mut s, ring, owners) = loaded_store(20);
+        for &owner in &owners {
+            s.apply_write_on(owner, Key(20), Version(500), 10);
+        }
+        s.apply_write_on(outsider(&owners), Key(20), Version(600), 10);
+        assert_eq!(diff(&mut s, &ring, None, owners[0], owners[1]), []);
+        assert!(s.is_unsettled(Key(20)), "the owners lag the side copy");
+        let stream = diff(&mut s, &ring, None, outsider(&owners), owners[0]);
+        assert_eq!(stream, [(20, Version(600))]);
+
+        // A crash puts a stand-in among the owners of a key without a row.
+        let (mut s, load, owners) = loaded_store(30);
+        let topology = concord_sim::Topology::single_dc(5);
+        let simple = crate::ring::ReplicationStrategy::Simple;
+        let hash = crate::ring::Partitioner::Hash;
+        let crashed = Ring::excluding(&topology, 3, simple, 16, hash, |n| n == owners[0]);
+        s.unsettle_all();
+        let stand_in = *crashed
+            .placement(Key(30))
+            .iter()
+            .find(|n| !owners.contains(n))
+            .unwrap();
+        let (a, b) = (owners[1], owners[2]);
+        let stream = diff(&mut s, &crashed, Some(&load), a, b);
+        assert!(stream.iter().all(|&(k, _)| k != 30), "both hold it");
+        assert!(
+            s.is_unsettled(Key(30)),
+            "the stand-in lacks the implicit copy"
+        );
+        assert_eq!(s.check_settled(&crashed), Ok(()));
+        let stream = diff(&mut s, &crashed, Some(&load), a, stand_in);
+        assert!(stream.contains(&(30, Version(31))));
+        // A key whose owners all survive settles on its first visit.
+        let kept = (0..100).map(Key).find(|&k| {
+            let now = crashed.placement(k);
+            now.contains(&a) && now.iter().all(|n| load.placement(k).contains(n))
+        });
+        let kept = kept.unwrap();
+        let other = *crashed.placement(kept).iter().find(|&&n| n != a).unwrap();
+        let stream = diff(&mut s, &crashed, Some(&load), other, a);
+        assert!(stream.iter().all(|&(k, _)| k != kept.0));
+        assert!(!s.is_unsettled(kept));
+        assert_eq!(s.check_settled(&crashed), Ok(()));
+    }
+
+    #[test]
+    fn a_converged_row_clears() {
+        let (mut s, ring, owners) = loaded_store(40);
+        for (&owner, version) in owners.iter().zip([500, 500, 400]) {
+            s.apply_write_on(owner, Key(40), Version(version), 10);
+        }
+        assert_eq!(diff(&mut s, &ring, None, owners[0], owners[1]), []);
+        assert!(s.is_unsettled(Key(40)), "the third owner lags");
+        s.apply_write_on(owners[2], Key(40), Version(500), 10);
+        assert_eq!(diff(&mut s, &ring, None, owners[0], owners[1]), []);
+        assert!(
+            !s.is_unsettled(Key(40)),
+            "every owner holds the newest copy"
+        );
+        assert_eq!(s.check_settled(&ring), Ok(()));
+        // A cleared key is not visited: a diff sees nothing to stream.
+        assert_eq!(diff(&mut s, &ring, None, owners[2], owners[0]), []);
     }
 }

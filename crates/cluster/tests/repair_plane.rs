@@ -9,18 +9,22 @@
 //! the recovery migration streams the missed writes back in before the
 //! spike can form.
 //!
-//! The page diff walks a ring-derived ownership index instead of scanning
-//! every slot and asking the ring about every record. The scan-and-gate
-//! walk it replaced lives on here as [`reference_page_diff`]: a
-//! differential property test and the index-invalidation tests hold the
-//! indexed diff to exactly its `(key, version, size)` stream.
+//! The page diff visits only the keys the receiver owns under a
+//! ring-derived ownership index and that the store's unsettled set holds,
+//! instead of scanning every slot and asking the ring about every record.
+//! The scan-and-gate walk it replaced lives on here as
+//! [`reference_page_diff`]: two differential property tests — one with the
+//! repair plane off, where every key reads unsettled, and one with it on,
+//! stopping mid-run under overlapping faults, where the set is live — and
+//! the index-invalidation test hold the diff to exactly its `(key,
+//! version, size)` stream.
 
 use concord_cluster::paged::PAGE_SLOTS;
 use concord_cluster::{
-    BatchOp, Cluster, ClusterConfig, ConsistencyLevel, FaultAction, Key, OpKind, Partitioner,
-    RepairConfig, RepairMode, ReplicaSelection, Version,
+    BatchOp, Cluster, ClusterConfig, ClusterOutput, ConsistencyLevel, FaultAction, Key, OpKind,
+    Partitioner, RepairConfig, RepairMode, ReplicaSelection, Version,
 };
-use concord_sim::{NodeId, SimDuration, SimRng, SimTime};
+use concord_sim::{NodeId, RegionId, SimDuration, SimRng, SimTime, Topology};
 use proptest::prelude::*;
 
 const KEYS: u64 = 40;
@@ -123,33 +127,60 @@ fn full_repair_holds_post_recovery_staleness_at_the_baseline() {
 
 const PAGE_KEYS: u64 = PAGE_SLOTS as u64;
 
+/// What the reference diff reads of a cluster, taken once per comparison:
+/// every node's copy of every key of the compared pages, and every key's
+/// replicas under the current ring.
+struct Snapshot {
+    /// `copies[node][key]`.
+    copies: Vec<Vec<Option<(Version, u32)>>>,
+    replicas: Vec<Vec<NodeId>>,
+}
+
+impl Snapshot {
+    fn of(c: &Cluster, nodes: u32, pages: usize) -> Self {
+        let keys = 0..pages as u64 * PAGE_KEYS;
+        let copy = |n, k| c.stored(NodeId(n), k).map(|v| (v.version, v.size));
+        Snapshot {
+            copies: (0..nodes)
+                .map(|n| keys.clone().map(|k| copy(n, k)).collect())
+                .collect(),
+            replicas: keys.map(|k| c.replicas_of(k)).collect(),
+        }
+    }
+
+    /// Whether `node` holds a copy of any key of `page`.
+    fn holds_page(&self, node: NodeId, page: usize) -> bool {
+        let keys = page * PAGE_SLOTS..(page + 1) * PAGE_SLOTS;
+        self.copies[node.0 as usize][keys]
+            .iter()
+            .any(Option::is_some)
+    }
+}
+
 /// The scan-and-gate page diff the ownership index replaced, kept as the
 /// reference: scan every slot of `from`'s page, keep the records strictly
 /// newer than `to`'s copy, and ask the ring whether `to` replicates each.
 fn reference_page_diff(
-    c: &Cluster,
+    snapshot: &Snapshot,
     from: NodeId,
     to: NodeId,
     page: usize,
 ) -> Vec<(Key, Version, u32)> {
-    let base = page as u64 * PAGE_KEYS;
-    (base..base + PAGE_KEYS)
+    let (from, to_copies) = (
+        &snapshot.copies[from.0 as usize],
+        &snapshot.copies[to.0 as usize],
+    );
+    (page * PAGE_SLOTS..(page + 1) * PAGE_SLOTS)
         .filter_map(|k| {
-            let record = c.stored(from, k)?;
-            let held = c.stored(to, k).map_or(Version::NONE, |v| v.version);
-            (record.version > held && c.replicas_of(k).contains(&to)).then_some((
-                Key(k),
-                record.version,
-                record.size,
+            let (version, size) = from[k]?;
+            let held = to_copies[k].map_or(Version::NONE, |(v, _)| v);
+            (version > held && snapshot.replicas[k].contains(&to)).then_some((
+                Key(k as u64),
+                version,
+                size,
             ))
         })
         .collect()
-}
-
-/// Whether `node` holds a copy of any key of `page`.
-fn holds_page(c: &Cluster, node: NodeId, page: usize) -> bool {
-    let base = page as u64 * PAGE_KEYS;
-    (base..base + PAGE_KEYS).any(|k| c.stored(node, k).is_some())
 }
 
 /// Hold the indexed diff to the reference for every ordered node pair and
@@ -157,18 +188,16 @@ fn holds_page(c: &Cluster, node: NodeId, page: usize) -> bool {
 /// compared `(to, page)` sides held nothing of a page `from` held.
 fn assert_diffs_match_reference(c: &mut Cluster, nodes: u32, pages: usize) -> (usize, usize) {
     let (mut streaming, mut unallocated_to) = (0, 0);
-    let held: Vec<Vec<bool>> = (0..nodes)
-        .map(|n| (0..pages).map(|p| holds_page(c, NodeId(n), p)).collect())
-        .collect();
-    let held = |node: NodeId, page: usize| held[node.0 as usize][page];
+    let snapshot = Snapshot::of(c, nodes, pages);
     for from in (0..nodes).map(NodeId) {
         for to in (0..nodes).map(NodeId).filter(|&to| to != from) {
             for page in 0..pages {
-                let expected = reference_page_diff(c, from, to, page);
+                let expected = reference_page_diff(&snapshot, from, to, page);
                 let got = c.repair_page_diff(from, to, page);
                 assert_eq!(got, expected, "diff {from:?} -> {to:?}, page {page}");
                 streaming += usize::from(!got.is_empty());
-                unallocated_to += usize::from(held(from, page) && !held(to, page));
+                let held = |node| snapshot.holds_page(node, page);
+                unallocated_to += usize::from(held(from) && !held(to));
             }
         }
     }
@@ -250,6 +279,98 @@ proptest! {
     #[test]
     fn indexed_page_diff_matches_the_scan_and_gate_reference(seed in 0u64..u64::MAX) {
         run_diff_differential(seed);
+    }
+}
+
+/// Advance `c` to simulated time `at` (a stepped run's stop): schedule a
+/// tick there and process events until it fires.
+fn run_until(c: &mut Cluster, at: SimTime) {
+    c.schedule_tick(at, u64::MAX);
+    while let Some(output) = c.advance() {
+        if matches!(output, ClusterOutput::Tick { .. }) {
+            return;
+        }
+    }
+    panic!("the stop at {at:?} never came");
+}
+
+/// One case of the filtered diff's differential: with the repair plane on,
+/// a diff visits only the keys of the unsettled set, so this holds it to
+/// the reference while the set is live. A cluster over two datacenters,
+/// writing at ONE over a hot set and the rest of its pages, runs a fault
+/// script in which a crash/recover overlaps a down/up and a
+/// partition/heal (so stand-ins take side copies, hints queue, messages
+/// are lost and the sweeps and recovery migrations stream). The run stops
+/// at random instants, and at each stop every ordered pair's diff of every
+/// page must equal the reference; then it drains, and `check_drained`
+/// holds (in debug builds that checks every clear bit of the set too).
+fn run_filtered_differential(seed: u64) {
+    let mut rng = SimRng::new(seed);
+    let nodes = 4 + rng.next_bounded(4) as u32;
+    let rf = 2 + rng.next_bounded(2) as u32;
+    let pages = 1 + rng.next_bounded(2) as usize;
+    let mut cfg = ClusterConfig::lan_test(nodes as usize, rf);
+    cfg.topology = Topology::spread(
+        nodes as usize,
+        &[("dc-a", RegionId(0)), ("dc-b", RegionId(0))],
+    );
+    let mode = [RepairMode::AntiEntropy, RepairMode::Full][rng.next_bounded(2) as usize];
+    cfg.repair = RepairConfig::with_mode(mode);
+    if rng.next_bounded(2) == 0 {
+        cfg.partitioner = Partitioner::Ordered;
+    }
+    let mut c = Cluster::new(cfg, seed);
+    let key_space = pages as u64 * PAGE_KEYS;
+    c.load_records((0..1 + rng.next_bounded(key_space)).map(|k| (k, 150)));
+
+    // Writes at ONE, one every 0–3 ms over `span`: half on 32 hot keys.
+    let span = 600_000u64;
+    let hot = rng.next_bounded(key_space - 32);
+    let mut at = 0;
+    while at < span {
+        at += rng.next_bounded(3_000);
+        let key = match rng.next_bounded(2) {
+            0 => hot + rng.next_bounded(32),
+            _ => rng.next_bounded(key_space),
+        };
+        let size = 50 + rng.next_bounded(400) as u32;
+        let write = BatchOp::write(SimTime::from_micros(at), key, size);
+        c.submit(write.with_level(ConsistencyLevel::One));
+    }
+    // crash(a) < down(b) < partition < recover(a) < up(b), heal: the
+    // crash window overlaps the other two.
+    let a = rng.next_bounded(nodes as u64) as u32;
+    let b = (a + 1 + rng.next_bounded(nodes as u64 - 1) as u32) % nodes;
+    let mut instants: Vec<u64> = (0..6).map(|_| rng.next_bounded(span)).collect();
+    instants.sort_unstable();
+    let script = [
+        FaultAction::CrashNode(a),
+        FaultAction::NodeDown(b),
+        FaultAction::PartitionDcs(0, 1),
+        FaultAction::RecoverNode(a),
+        FaultAction::NodeUp(b),
+        FaultAction::HealDcs(0, 1),
+    ];
+    for (&at, action) in instants.iter().zip(script) {
+        c.schedule_fault(SimTime::from_micros(at), action);
+    }
+
+    let mut stops: Vec<u64> = (0..4).map(|_| rng.next_bounded(span)).collect();
+    stops.sort_unstable();
+    for stop in stops {
+        let stop = SimTime::from_micros(stop).max(c.now());
+        run_until(&mut c, stop);
+        assert_diffs_match_reference(&mut c, nodes, pages);
+    }
+    c.run_to_completion(u64::MAX);
+    assert_eq!(c.check_drained(), Ok(()));
+    assert_diffs_match_reference(&mut c, nodes, pages);
+}
+
+proptest! {
+    #[test]
+    fn filtered_page_diff_matches_the_reference_under_repair(seed in 0u64..u64::MAX) {
+        run_filtered_differential(seed);
     }
 }
 
