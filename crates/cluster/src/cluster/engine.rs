@@ -700,8 +700,11 @@ impl Cluster {
             };
             ctx.handle(now, event);
             // Completions enter the output queue the moment their event
-            // produced them.
-            self.outputs.extend(self.shard_states[0].outputs.drain(..));
+            // produced them (most events produce none).
+            let produced = &mut self.shard_states[0].outputs;
+            if !produced.is_empty() {
+                self.outputs.extend(produced.drain(..));
+            }
         }
         true
     }

@@ -504,8 +504,8 @@ impl ShardCtx<'_> {
                 max_applied_at: SimTime::ZERO,
             });
         }
-        // One pending timer per in-flight op would dominate the heap; the
-        // queue's sorted timeout lane keeps them out of it. The timer lives
+        // One pending timer per in-flight op would crowd the queue's
+        // ordered lanes; its sorted timeout lane holds them instead. The timer lives
         // on the op's home lane — where the state it fires against lives.
         self.s.lane.schedule_timeout(
             now + self.shared.config.op_timeout,

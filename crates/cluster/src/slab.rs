@@ -82,6 +82,13 @@ impl<T> OpSlab<T> {
         self.slots.len()
     }
 
+    /// Make room for `additional` more live states at once, so inserting
+    /// them reallocates nothing.
+    pub fn reserve(&mut self, additional: usize) {
+        self.slots
+            .reserve(additional.saturating_sub(self.free.len()));
+    }
+
     #[inline]
     fn encode(&self, generation: u32, index: u32) -> OpId {
         let slot = index * self.stride + self.offset;

@@ -8,13 +8,21 @@
 //! ## Lanes
 //!
 //! Every scheduled event gets a packed `time‖seq` key ([`pack`]) from the
-//! queue's one sequence counter and waits in one of three lanes:
+//! queue's one sequence counter and waits in one of four lanes:
 //!
-//! * **heap** (binary heap): [`EventQueue::schedule_at`],
+//! * **near** (a bucketed ring): [`EventQueue::schedule_at`],
 //!   [`EventQueue::schedule_in`], and an [`EventQueue::schedule_timeout`]
-//!   whose key precedes the timeout FIFO's tail. Holds the reactive events
-//!   (messages, acks, service completions) and the few out-of-order timers
-//!   (hedge, backoff and repair timers shorter than a pending timeout).
+//!   whose key precedes the timeout FIFO's tail, whenever the (clamped)
+//!   firing time lies within the **horizon**: its bucket number
+//!   (`time >> NEAR_SHIFT`, 32 µs buckets) is less than `NEAR_BUCKETS` =
+//!   2048 past the clock's, 65.5 ms ahead. Holds the reactive events
+//!   (messages, acks, service completions). A pop scans an occupancy
+//!   bitmap from the clock's bucket to the first occupied one, whose
+//!   key-sorted list starts with the lane's minimum.
+//! * **heap** (binary heap): the same calls, past the horizon. Holds the
+//!   far events: `ec2_like` inter-region messages, adaptation ticks,
+//!   scheduled faults, and hedge, backoff and repair timers shorter than a
+//!   pending timeout but beyond the horizon.
 //! * **timeout FIFO** (sorted `VecDeque`): every other
 //!   [`EventQueue::schedule_timeout`]. Holds the one-per-operation timeouts:
 //!   one constant `op_timeout` makes their keys arrive in non-decreasing
@@ -23,24 +31,51 @@
 //!   [`EventQueue::bulk_load_sorted`]. Holds pre-sorted open-loop arrival
 //!   streams loaded up front.
 //!
-//! A pop takes the smallest key over the three lane fronts. Keys are unique
+//! A pop takes the smallest key over the four lane fronts. Keys are unique
 //! and totally ordered across lanes, so which lane an event waits in can
-//! never change when it is delivered — the two FIFOs only spare the heap a
-//! sift for streams that are already sorted.
+//! never change when it is delivered: an event filed in the heap that the
+//! clock later brings within the horizon stays there and still fires
+//! exactly when its key is the smallest pending. The lanes only spare the
+//! heap its sifts — the FIFOs for streams that are already sorted, the
+//! near lane for the bulk of the traffic.
+//!
+//! The horizon and bucket width are constants, chosen from the delay shapes
+//! the platforms draw (`NetworkModel::ec2_like` / `grid5000_like`, the
+//! storage latencies of `ClusterConfig`). Within 65.5 ms fall the local
+//! 20 µs hop, the intra-datacenter and storage log-normals (medians
+//! 0.25–0.5 ms), `grid5000_like`'s WAN (12 ms + Exp(3 ms)) and `ec2_like`'s
+//! inter-datacenter log-normal (median 1.6 ms) — nearly every event a run
+//! schedules, with a wide margin for the distributions' tails. Beyond it
+//! stay `ec2_like`'s inter-region WAN (75 ms + Exp(8 ms)), the adaptation
+//! ticks (100 and 250 ms epochs), the 1 s and 10 s operation timeouts and
+//! fault scripts, which are few or take the timeout FIFO. 32 µs buckets
+//! hold about 1.5 events on the closed-loop points and 5–8 on the
+//! strong-consistency ones, so a sorted insert walks a short list.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
+/// log2 of a near-lane bucket's width in µs: buckets are 32 µs wide.
+const NEAR_SHIFT: u32 = 5;
+/// Buckets in the near lane's ring: 2048 × 32 µs = 65.536 ms ahead of the
+/// clock (the horizon; see the module docs for why these two constants).
+const NEAR_BUCKETS: usize = 2048;
+/// Words of the near lane's occupancy bitmap, one bit per bucket.
+const NEAR_WORDS: usize = NEAR_BUCKETS / 64;
+/// The end of a near-lane list (a bucket head or a node's `next`).
+const NIL: u32 = u32::MAX;
+
 /// A heap entry: the scheduling key plus the event payload, inline.
 ///
 /// The firing time and the insertion sequence number are packed into one
 /// `u128` key (`time << 64 | seq`), so the heap's sift comparisons are a
-/// single integer compare instead of a two-field lexicographic chain — this
-/// is the hottest comparison in the whole simulator. The payload lives
-/// inline in the entry: simulator events are small (32 bytes), so moving
-/// them during sifts costs less than a side slab's two extra random-access
-/// writes (slot alloc + take) and free-list traffic per event.
+/// single integer compare instead of a two-field lexicographic chain. The
+/// heap only holds events beyond the near lane's horizon (and so sifts
+/// through few of them), but every lane orders by the same key. The payload
+/// lives inline in the entry: simulator events are small (32 bytes), so
+/// moving them during sifts costs less than a side slab's two extra
+/// random-access writes (slot alloc + take) and free-list traffic per event.
 #[derive(Debug, Clone)]
 struct Scheduled<E> {
     key: u128,
@@ -48,12 +83,138 @@ struct Scheduled<E> {
 }
 
 /// Which lane of the [`EventQueue`] holds a pending event (see
-/// [`EventQueue::min_lane`]).
+/// [`EventQueue::min_lane`]); the near lane names the ring position of the
+/// bucket whose head is the lane's minimum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Lane {
+    Near(usize),
     Heap,
     TimeoutFifo,
     Bulk,
+}
+
+/// The near lane: a ring of [`NEAR_BUCKETS`] buckets of `2^NEAR_SHIFT` µs,
+/// each a key-sorted singly linked list of slab nodes, with one occupancy
+/// bit per bucket.
+///
+/// A node `i` is the triple `(keys[i], next[i], events[i])`, stored as
+/// three parallel columns: a sorted insert walks keys and links only, so
+/// the walk stays within 20 bytes a node instead of striding over the
+/// events too (a bucket holds 5–8 nodes on the strong-consistency points).
+/// In a hold loop with 13 events a bucket this took 60–74 ns an event
+/// against 78–100 for one slab of 64-byte nodes. Popped nodes go on a LIFO
+/// free list threaded through `next`, so the columns hold the lane's peak
+/// and never move a node.
+///
+/// Invariant: every pending event's bucket number (`time >> NEAR_SHIFT`)
+/// lies in `[c, c + NEAR_BUCKETS)`, where `c` is the clock's bucket number.
+/// [`EventQueue::push`] admits only such events, and the clock never passes
+/// a pending event, so the circular scan from `c`'s ring position meets the
+/// buckets in time order and its first head is the lane's minimum.
+#[derive(Debug, Clone)]
+struct NearLane<E> {
+    /// First node of each bucket's list, [`NIL`] when the bucket is empty.
+    heads: Box<[u32; NEAR_BUCKETS]>,
+    /// Bit `p` is set iff bucket position `p` holds a node.
+    occupied: [u64; NEAR_WORDS],
+    keys: Vec<u128>,
+    /// The next node of a bucket's list (or of the free list), or [`NIL`].
+    next: Vec<u32>,
+    /// `None` on free nodes.
+    events: Vec<Option<E>>,
+    /// Most recently freed node (LIFO, so a pop's node is the next push's).
+    free: u32,
+    len: usize,
+}
+
+impl<E> NearLane<E> {
+    fn new() -> Self {
+        NearLane {
+            heads: Box::new([NIL; NEAR_BUCKETS]),
+            occupied: [0; NEAR_WORDS],
+            keys: Vec::new(),
+            next: Vec::new(),
+            events: Vec::new(),
+            free: NIL,
+            len: 0,
+        }
+    }
+
+    /// Link `event` under `key` into its bucket, after every smaller key.
+    fn push(&mut self, key: u128, event: E) {
+        let idx = if self.free != NIL {
+            let idx = self.free;
+            self.free = self.next[idx as usize];
+            self.keys[idx as usize] = key;
+            self.events[idx as usize] = Some(event);
+            idx
+        } else {
+            assert!(
+                self.keys.len() < NIL as usize,
+                "near lane: more than u32::MAX - 1 pending events"
+            );
+            let idx = self.keys.len() as u32;
+            self.keys.push(key);
+            self.next.push(NIL);
+            self.events.push(Some(event));
+            idx
+        };
+        let pos = (key >> (64 + NEAR_SHIFT)) as usize & (NEAR_BUCKETS - 1);
+        let head = self.heads[pos];
+        if head == NIL || key < self.keys[head as usize] {
+            self.next[idx as usize] = head;
+            self.heads[pos] = idx;
+            self.occupied[pos / 64] |= 1 << (pos % 64);
+        } else {
+            let mut prev = head as usize;
+            loop {
+                let next = self.next[prev];
+                if next == NIL || key < self.keys[next as usize] {
+                    break;
+                }
+                prev = next as usize;
+            }
+            self.next[idx as usize] = self.next[prev];
+            self.next[prev] = idx;
+        }
+        self.len += 1;
+    }
+
+    /// The lane's smallest key and its bucket's ring position, scanning the
+    /// bitmap circularly from the clock's bucket number `clock_bucket`.
+    #[inline]
+    fn front(&self, clock_bucket: u64) -> Option<(u128, usize)> {
+        if self.len == 0 {
+            return None;
+        }
+        let start = clock_bucket as usize & (NEAR_BUCKETS - 1);
+        let mut w = start / 64;
+        let mut bits = self.occupied[w] & (!0 << (start % 64));
+        // The start word's low bits are the ring's far end: after a full
+        // turn the word comes round again, unmasked. `len > 0` ends the loop.
+        while bits == 0 {
+            w = (w + 1) % NEAR_WORDS;
+            bits = self.occupied[w];
+        }
+        let pos = w * 64 + bits.trailing_zeros() as usize;
+        Some((self.keys[self.heads[pos] as usize], pos))
+    }
+
+    /// Unlink the head of the bucket at ring position `pos`.
+    fn pop(&mut self, pos: usize) -> E {
+        let idx = self.heads[pos] as usize;
+        let event = self.events[idx]
+            .take()
+            .expect("near-lane head holds an event");
+        self.heads[pos] = self.next[idx];
+        self.next[idx] = self.free;
+        self.free = idx as u32;
+        if self.heads[pos] == NIL {
+            self.occupied[pos / 64] &= !(1 << (pos % 64));
+        }
+        self.len -= 1;
+        event
+    }
 }
 
 /// Pack a firing time and a sequence number into the queue's `u128` ordering
@@ -102,6 +263,9 @@ impl<E> Ord for Scheduled<E> {
 ///   convention for zero-latency local interactions).
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
+    /// Events within the horizon of the clock when they were scheduled.
+    near: NearLane<E>,
+    /// Events beyond that horizon.
     heap: BinaryHeap<Scheduled<E>>,
     /// Timeouts whose keys arrived in non-decreasing order (see the module
     /// docs' lane table); kept sorted by [`EventQueue::schedule_timeout`].
@@ -124,6 +288,7 @@ impl<E> EventQueue<E> {
     /// Create an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
+            near: NearLane::new(),
             heap: BinaryHeap::new(),
             timeout_fifo: VecDeque::new(),
             bulk: VecDeque::new(),
@@ -140,12 +305,15 @@ impl<E> EventQueue<E> {
 
     /// Number of events waiting in the queue.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.timeout_fifo.len() + self.bulk.len()
+        self.near.len + self.heap.len() + self.timeout_fifo.len() + self.bulk.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.timeout_fifo.is_empty() && self.bulk.is_empty()
+        self.near.len == 0
+            && self.heap.is_empty()
+            && self.timeout_fifo.is_empty()
+            && self.bulk.is_empty()
     }
 
     /// Total number of events popped so far.
@@ -162,11 +330,30 @@ impl<E> EventQueue<E> {
         pack(at.max(self.now), seq)
     }
 
+    /// The bucket number of the clock (see [`NearLane`]).
+    #[inline]
+    fn clock_bucket(&self) -> u64 {
+        self.now.as_micros() >> NEAR_SHIFT
+    }
+
+    /// File `event` under `key` (from [`EventQueue::next_key`], so never
+    /// before the clock) in the near lane when its bucket lies within the
+    /// horizon, in the heap otherwise.
+    #[inline]
+    fn push(&mut self, key: u128, event: E) {
+        let bucket = (key >> (64 + NEAR_SHIFT)) as u64;
+        if bucket - self.clock_bucket() < NEAR_BUCKETS as u64 {
+            self.near.push(key, event);
+        } else {
+            self.heap.push(Scheduled { key, event });
+        }
+    }
+
     /// Schedule `event` to fire at absolute time `at`. Times in the past are
     /// clamped to the current clock.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
         let key = self.next_key(at);
-        self.heap.push(Scheduled { key, event });
+        self.push(key, event);
     }
 
     /// Schedule `event` to fire `delay` after the current clock.
@@ -180,7 +367,8 @@ impl<E> EventQueue<E> {
     /// one constant timeout makes their keys arrive already sorted, so a
     /// timer whose key does not precede the timeout FIFO's tail appends
     /// there in O(1). One that does (a hedge, backoff or repair timer
-    /// shorter than a pending timeout) is an ordinary heap event.
+    /// shorter than a pending timeout) is scheduled as by
+    /// [`EventQueue::schedule_at`].
     pub fn schedule_timeout(&mut self, at: SimTime, event: E) {
         let key = self.next_key(at);
         if self
@@ -190,7 +378,7 @@ impl<E> EventQueue<E> {
         {
             self.timeout_fifo.push_back((key, event));
         } else {
-            self.heap.push(Scheduled { key, event });
+            self.push(key, event);
         }
     }
 
@@ -249,11 +437,19 @@ impl<E> EventQueue<E> {
     }
 
     /// The lane holding the next pending event and its packed key, if any
-    /// (argmin over the three lane fronts — one pass, so pops decide "which
+    /// (argmin over the four lane fronts — one pass, so pops decide "which
     /// lane" and "which key" in a single peek).
     #[inline]
     fn min_lane(&self) -> Option<(u128, Lane)> {
-        let mut best: Option<(u128, Lane)> = self.heap.peek().map(|s| (s.key, Lane::Heap));
+        let mut best: Option<(u128, Lane)> = self
+            .near
+            .front(self.clock_bucket())
+            .map(|(k, pos)| (k, Lane::Near(pos)));
+        if let Some(s) = self.heap.peek() {
+            if best.is_none_or(|(b, _)| s.key < b) {
+                best = Some((s.key, Lane::Heap));
+            }
+        }
         if let Some(&(k, _)) = self.timeout_fifo.front() {
             if best.is_none_or(|(b, _)| k < b) {
                 best = Some((k, Lane::TimeoutFifo));
@@ -271,6 +467,7 @@ impl<E> EventQueue<E> {
     /// clock. `(key, lane)` must come from [`EventQueue::min_lane`].
     fn pop_lane(&mut self, key: u128, lane: Lane) -> (SimTime, E) {
         let event = match lane {
+            Lane::Near(pos) => self.near.pop(pos),
             Lane::Heap => self.heap.pop().expect("heap top exists").event,
             Lane::TimeoutFifo => {
                 self.timeout_fifo
@@ -298,7 +495,8 @@ impl<E> EventQueue<E> {
     /// engine: a lookahead window `[W, W+L)` drains each shard's lane with
     /// `pop_before_key(pack(W+L, 0))`, so every event below the window edge
     /// fires and everything at or beyond it waits for the barrier. The peek
-    /// is a single O(1) key read, and the heap sift happens at most once.
+    /// reads the four lane fronts (the near lane's through its bitmap), and
+    /// at most one lane gives up its front.
     pub fn pop_before_key(&mut self, end_key: u128) -> Option<(SimTime, E)> {
         match self.min_lane() {
             Some((key, lane)) if key < end_key => Some(self.pop_lane(key, lane)),

@@ -6,8 +6,9 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a virtual clock with microsecond
 //!   resolution;
-//! * [`EventQueue`] — a deterministic calendar queue (a heap and two sorted
-//!   FIFO lanes under one monotonic sequence counter for FIFO tie-breaking);
+//! * [`EventQueue`] — a deterministic calendar queue (a bucketed near lane
+//!   for the next 65.5 ms, a heap past it and two sorted FIFO lanes, under
+//!   one monotonic sequence counter for FIFO tie-breaking);
 //! * [`ShardMetrics`] — synchronization counters of the conservative-PDES
 //!   sharded engine (`concord-cluster`): per-shard lanes advance in
 //!   lookahead windows bounded by the minimum cross-shard link delay,
