@@ -61,7 +61,7 @@ pub struct Harness {
     pub partitioner: Option<Partitioner>,
     /// Repair-plane override (`--repair off|hints|anti-entropy|full`):
     /// which background repair subsystems the cluster runs — hinted
-    /// handoff, anti-entropy sweeps over page summaries, or both (which
+    /// handoff, anti-entropy sweeps over key pages, or both (which
     /// also enables recovery migration after crash/recover faults).
     /// `None` keeps the platform's default (off).
     pub repair: Option<RepairMode>,

@@ -230,6 +230,13 @@ impl FaultState {
         self.down_count == 0
     }
 
+    /// Whether no node is down and no datacenter pair partitioned: the
+    /// state in which a drained anti-entropy plane has converged.
+    #[cfg(debug_assertions)]
+    pub(super) fn none_down_or_partitioned(&self) -> bool {
+        self.all_up() && self.partitioned_dcs.is_empty()
+    }
+
     /// The canonical key of an unordered datacenter pair in
     /// [`FaultState::partitioned_dcs`].
     #[inline]

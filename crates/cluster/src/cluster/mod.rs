@@ -188,13 +188,12 @@ enum Event {
     HintReplay {
         node: NodeId,
     },
-    /// One anti-entropy step: compare the per-page version summaries of the
-    /// next node pair in the sweep cycle and stream divergent pages.
+    /// One anti-entropy step: diff every key page of the next node pair in
+    /// the sweep cycle both ways and stream what differs.
     AntiEntropy,
-    /// Recovery migration: synchronize `node` from its up peers (page
-    /// summaries compared, divergent pages streamed in). Scheduled when a
-    /// node rejoins the ring or when survivors acquire a crashed node's
-    /// ranges.
+    /// Recovery migration: synchronize `node` from its up peers (every key
+    /// page compared and diffed in). Scheduled when a node rejoins the ring
+    /// or when survivors acquire a crashed node's ranges.
     RepairSync {
         node: NodeId,
     },
@@ -575,9 +574,9 @@ impl Cluster {
                 ops: OpSlab::with_stride(shards as u32, k as u32),
                 metrics: ClusterMetrics::new(),
                 versions: VersionClock::default(),
-                // Page summaries cost two mixes per installed write; only
-                // maintain them when an anti-entropy sweep could ever
-                // compare them.
+                // The unsettled set costs a bit set per installed write;
+                // only maintain it when an anti-entropy diff could ever
+                // read it.
                 store: ReplicaStore::placed(
                     Arc::clone(&load_ring),
                     match shards {
@@ -764,8 +763,8 @@ impl Cluster {
     /// The load is implicit: it records contiguous runs of keys
     /// (`LoadRun`: first key, count, first version, version step, size),
     /// advances the version clock past them, and writes no row — the stores
-    /// count the copies (by arithmetic on one shard without page
-    /// summaries) and the oracle the keys. Until its first write, a loaded
+    /// count the copies (by arithmetic on one shard) and the oracle the
+    /// keys. Until its first write, a loaded
     /// key is held at its load version by exactly its owners under the ring
     /// every node is in (the *load ring*), and every reader of the stores
     /// and the oracle answers from the runs (see the `storage` and `oracle`
@@ -1039,18 +1038,23 @@ impl Cluster {
     /// traffic breakdowns are shares of the billable traffic on every link
     /// class. Builds with debug assertions also recount every store's
     /// copies and bytes — the rows, the side map and the implicit copies
-    /// of the loaded keys without a row — against its counters, and check
+    /// of the loaded keys without a row — against its counters, check
     /// every key its unsettled set holds settled against the current ring
-    /// (the repair plane's invariant, `repair.rs`). Returns the first
-    /// violation found as a message.
+    /// (the repair plane's invariant, `repair.rs`), and — with anti-entropy
+    /// on, no node down and no datacenter pair partitioned — check that
+    /// every key has converged: every current replica holds its newest
+    /// copy. Returns the first violation found as a message.
     pub fn check_drained(&self) -> Result<(), String> {
+        #[cfg(debug_assertions)]
+        let converged = self.shared.config.repair.mode.anti_entropy_enabled()
+            && self.shared.faults.none_down_or_partitioned();
         for s in &self.shard_states {
             s.check_drained()?;
             s.staging.check_drained(s.shard)?;
             #[cfg(debug_assertions)]
             s.store
                 .check_counters()
-                .and_then(|()| s.store.check_settled(&self.shared.ring))
+                .and_then(|()| s.store.check_settled(&self.shared.ring, converged))
                 .map_err(|e| format!("shard {}: {e}", s.shard))?;
         }
         self.ctrl.repair.check_drained()?;
@@ -1313,21 +1317,17 @@ mod tests {
 
     /// Everything a run publishes or leaves behind that the way its
     /// records were loaded could move: the published ops, every node's copy
-    /// of every key, the bytes stored, the meters, every page digest and
-    /// the events processed.
+    /// of every key, the bytes stored, the meters, every store's key pages
+    /// and the events processed.
     fn fingerprint(c: &Cluster, done: &[CompletedOp], keys: u64) -> Vec<String> {
         let mut seen: Vec<_> = done.iter().map(|op| format!("{op:?}")).collect();
         seen.push(format!("{:?}", c.metrics()));
         seen.push(format!("{} bytes", c.total_bytes_stored()));
         seen.push(format!("{} events", c.events_processed()));
+        for s in &c.shard_states {
+            seen.push(format!("{} key pages", s.store.key_pages()));
+        }
         for node in c.shared.config.topology.nodes() {
-            let store = c.store_of(node);
-            for page in 0..store.summary_pages(node) {
-                seen.push(format!(
-                    "{node:?} page {page}: {:x}",
-                    store.page_digest(node, page)
-                ));
-            }
             seen.extend((0..keys).map(|k| format!("{node:?} key {k}: {:?}", c.stored(node, k))));
         }
         seen

@@ -5,14 +5,12 @@
 //! Hinted handoff queues the writes a down replica missed and replays them,
 //! paced by a timer, when it returns. Anti-entropy walks node pairs
 //! on a sweep cycle, and a recovery migration pulls a rejoined node's
-//! ranges from every up peer; both compare the two nodes' per-page digests
-//! (metered per page and direction) and diff each page whose digests
-//! differ. Under hash placement that is every compared page — two nodes
-//! replicate different subsets of a key page — so the diff itself has to
-//! be cheap. A diff `from → to` streams each record `from` holds strictly
-//! newer than `to`, among the keys `to` replicates, in ascending key order,
-//! as a background repair write; every repair byte is metered per link
-//! class and billed.
+//! ranges from every up peer; both compare the two nodes over every key
+//! page up to the last loaded or written key (one summary message per page
+//! and direction, metered) and diff each page. A diff `from → to` streams
+//! each record `from` holds strictly newer than `to`, among the keys `to`
+//! replicates, in ascending key order, as a background repair write; every
+//! repair byte is metered per link class and billed.
 //!
 //! **Which keys a diff visits.** Those that `to` owns under the current
 //! ring — a ring-derived ownership bitset per page, built lazily and
@@ -22,8 +20,7 @@
 //! every copy of the key*, row entries and side-map copies alike, so no
 //! diff streams it between any pair. Three rules keep it:
 //!
-//! 1. every install sets its key's bit (`ReplicaStore::account`, beside
-//!    the digest update);
+//! 1. every install sets its key's bit (`ReplicaStore::account`);
 //! 2. a ring rebuild sets every bit (`Cluster::ring_rebuilt`): a settled
 //!    key's new replicas may lack its newest copy;
 //! 3. a diff clears the bit of a key it visited and did not stream only
@@ -38,8 +35,15 @@
 //! transitions, and faults need one shard), whose one store holds both
 //! nodes' copies.
 //!
+//! **Parking.** The sweep cycle parks after `pairs` consecutive steps that
+//! streamed nothing — every node pair compared once since the last stream
+//! or resume, wherever in the pair enumeration that began — so a drained
+//! cluster with no fault in force has converged: every current replica of
+//! every key holds its newest copy (debug builds' `check_drained` asserts
+//! it).
+//!
 //! **State.** [`RepairState`] — the per-destination hint queues and their
-//! replay flags, the sweep cycle's cursor and parking counters, and the
+//! replay flags, the sweep cycle's cursor and parking counter, and the
 //! ownership index — lives in the control plane (`ControlState`) and is
 //! touched only at serial points; the unsettled set lives in the stores.
 //! The plane's meters go to the control plane's sink.
@@ -95,11 +99,10 @@ pub(super) struct RepairState {
     sweep_cursor: u64,
     /// Whether an `AntiEntropy` event is pending in the queue.
     sweep_active: bool,
-    /// Whether the current sweep round streamed any records.
-    sweep_streamed: bool,
-    /// Consecutive sweep rounds that streamed nothing; the cycle parks
-    /// after one fully idle round and is resumed by fault transitions.
-    sweep_idle_rounds: u32,
+    /// Sweep steps since the last one that streamed, the last recovery
+    /// sync that streamed or the last resume; the cycle parks when it
+    /// reaches the number of node pairs, and fault transitions resume it.
+    sweep_silent: u64,
     /// The ownership index, by key page: bounds an anti-entropy diff to the
     /// keys the receiver replicates. A page is built from the ring on its
     /// first diff; every page is dropped when the ring is rebuilt.
@@ -122,12 +125,16 @@ impl RepairState {
     }
 
     /// What a drained run leaves behind: no replay chain is flagged for a
-    /// node whose queue is empty (the flag would block the next one).
+    /// node whose queue is empty, and no anti-entropy chain is flagged
+    /// active (either flag would block the next chain).
     pub(super) fn check_drained(&self) -> Result<(), String> {
         let stuck = |n: &usize| self.hint_replay_active[*n] && self.hints[*n].is_empty();
-        match (0..self.hints.len()).find(stuck) {
-            Some(n) => Err(format!("node {n}: hint replay flagged over an empty queue")),
-            None => Ok(()),
+        if let Some(n) = (0..self.hints.len()).find(stuck) {
+            return Err(format!("node {n}: hint replay flagged over an empty queue"));
+        }
+        match self.sweep_active {
+            true => Err("anti-entropy flagged active over a drained queue".into()),
+            false => Ok(()),
         }
     }
 }
@@ -145,16 +152,17 @@ fn account_summary(shared: &ClusterShared, metrics: &mut ClusterMetrics, from: N
 
 impl CtrlSink<'_> {
     /// (Re)start the anti-entropy sweep cycle at simulated time `now`, its
-    /// `AntiEntropy` chain riding this sink's lane. The cycle parks itself
-    /// after a full round of node pairs that streamed nothing (so a drained
-    /// queue terminates `run_to_completion`); fault transitions and dropped
-    /// hints wake it up again. No-op unless the mode enables anti-entropy.
+    /// `AntiEntropy` chain riding this sink's lane, and count its silent
+    /// steps from here. The cycle parks itself once every node pair was
+    /// compared without streaming anything (so a drained queue terminates
+    /// `run_to_completion`); fault transitions and dropped hints wake it up
+    /// again. No-op unless the mode enables anti-entropy.
     fn resume_sweeps(&mut self, now: SimTime) {
         if !self.shared.config.repair.mode.anti_entropy_enabled() || self.shared.node_count < 2 {
             return;
         }
         let repair = &mut self.ctrl.repair;
-        repair.sweep_idle_rounds = 0;
+        repair.sweep_silent = 0;
         if !repair.sweep_active {
             repair.sweep_active = true;
             let at = now + RepairConfig::ANTI_ENTROPY_INTERVAL;
@@ -316,9 +324,9 @@ impl Cluster {
         self.ctrl_sink().resume_sweeps(now);
     }
 
-    /// One anti-entropy step: compare the next node pair's page summaries,
-    /// stream divergent pages both ways, and chain the next step unless a
-    /// full round went by without streaming anything.
+    /// One anti-entropy step: diff the next node pair both ways, and chain
+    /// the next step unless every pair has now been compared without
+    /// streaming anything (see the module docs).
     pub(super) fn on_anti_entropy(&mut self, now: SimTime) {
         // Only `CtrlSink::resume_sweeps` starts the chain, and only with
         // anti-entropy enabled on at least two nodes.
@@ -328,24 +336,14 @@ impl Cluster {
         self.ctrl.repair.sweep_cursor += 1;
         let (a, b) = (NodeId(a as u32), NodeId(b as u32));
         // Pairs with a down endpoint or a partitioned link are skipped (and
-        // count as idle); the fault transition that restores them resumes
-        // the cycle.
+        // count as silent); the fault transition that restores them
+        // resumes the cycle.
         let faults = &self.shared.faults;
-        if !faults.is_down(a) && !faults.is_down(b) && faults.link_up(a, b) {
-            self.sync_pages(now, a, b, true);
-        }
+        let up = !faults.is_down(a) && !faults.is_down(b) && faults.link_up(a, b);
+        let silent = !up || self.sync_pages(now, a, b, true) == 0;
         let repair = &mut self.ctrl.repair;
-        if repair.sweep_cursor.is_multiple_of(pairs) {
-            // Round boundary: either work happened (keep going) or the
-            // round was silent (count it toward parking).
-            if repair.sweep_streamed {
-                repair.sweep_idle_rounds = 0;
-            } else {
-                repair.sweep_idle_rounds += 1;
-            }
-            repair.sweep_streamed = false;
-        }
-        if repair.sweep_idle_rounds > 0 {
+        repair.sweep_silent = if silent { repair.sweep_silent + 1 } else { 0 };
+        if repair.sweep_silent == pairs {
             repair.sweep_active = false;
             return;
         }
@@ -355,34 +353,24 @@ impl Cluster {
         );
     }
 
-    /// Compare every page summary of `from` and `to` — metered as one
-    /// summary message `from → to` per page, and one back when `both_ways`
-    /// — and stream each divergent page `from → to` (and back). Streaming
-    /// anything marks the current sweep round as not idle.
-    fn sync_pages(&mut self, now: SimTime, from: NodeId, to: NodeId, both_ways: bool) {
-        let pages = self
-            .store_of(from)
-            .summary_pages(from)
-            .max(self.store_of(to).summary_pages(to));
-        let mut streamed = 0u64;
-        for page in 0..pages {
+    /// Compare `from` and `to` over every key page of the store — metered
+    /// as one summary message `from → to` per page, and one back when
+    /// `both_ways` — and stream each page's diff `from → to` (and back).
+    /// Returns the number of records streamed.
+    fn sync_pages(&mut self, now: SimTime, from: NodeId, to: NodeId, both_ways: bool) -> u64 {
+        let mut streamed = 0;
+        for page in 0..self.store_of(from).key_pages() {
             self.ctrl.metrics.repair_pages_compared += 1;
             account_summary(&self.shared, &mut self.ctrl.metrics, from, to);
             if both_ways {
                 account_summary(&self.shared, &mut self.ctrl.metrics, to, from);
             }
-            if self.store_of(from).page_digest(from, page)
-                != self.store_of(to).page_digest(to, page)
-            {
-                streamed += self.stream_page_diff(now, from, to, page);
-                if both_ways {
-                    streamed += self.stream_page_diff(now, to, from, page);
-                }
+            streamed += self.stream_page_diff(now, from, to, page);
+            if both_ways {
+                streamed += self.stream_page_diff(now, to, from, page);
             }
         }
-        if streamed > 0 {
-            self.ctrl.repair.sweep_streamed = true;
-        }
+        streamed
     }
 
     /// Stream the records of `from`'s page that are strictly newer than
@@ -461,12 +449,12 @@ impl Cluster {
             .collect()
     }
 
-    /// Recovery migration: synchronize `node` from every up peer — page
-    /// summaries compared (metered) and divergent pages streamed in. Runs
-    /// when a node rejoins the ring (pull the writes it missed) and on every
-    /// survivor after a crash (pull the acquired ranges). Residual
-    /// divergence — e.g. from peers that were themselves partitioned — is
-    /// left to the sweep cycle.
+    /// Recovery migration: synchronize `node` from every up peer — every
+    /// key page compared (metered) and diffed in. Runs when a node rejoins
+    /// the ring (pull the writes it missed) and on every survivor after a
+    /// crash (pull the acquired ranges). Residual divergence — e.g. from
+    /// peers that were themselves partitioned — is left to the sweep cycle,
+    /// whose silent steps count afresh from a sync that streamed.
     pub(super) fn on_repair_sync(&mut self, now: SimTime, node: NodeId) {
         // (Scheduled only with anti-entropy enabled.)
         if self.shared.faults.is_down(node) {
@@ -475,8 +463,12 @@ impl Cluster {
         for peer in 0..self.shared.node_count as u32 {
             let peer = NodeId(peer);
             let faults = &self.shared.faults;
-            if peer != node && !faults.is_down(peer) && faults.link_up(peer, node) {
-                self.sync_pages(now, peer, node, false);
+            if peer != node
+                && !faults.is_down(peer)
+                && faults.link_up(peer, node)
+                && self.sync_pages(now, peer, node, false) > 0
+            {
+                self.ctrl.repair.sweep_silent = 0;
             }
         }
     }
@@ -485,7 +477,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::super::fixtures::*;
-    use super::super::{BatchOp, FaultAction};
+    use super::super::{BatchOp, ClusterOutput, FaultAction};
     use super::*;
     use crate::config::RepairMode;
     use crate::consistency::ConsistencyLevel;
@@ -599,6 +591,57 @@ mod tests {
         c.submit(BatchOp::read(c.now(), 7).with_level(ConsistencyLevel::One));
         drain(&mut c);
         assert_eq!(c.metrics().repair_records_streamed, streamed);
+        // A parked cycle is no longer flagged active.
+        assert_eq!(c.check_drained(), Ok(()));
+        c.ctrl.repair.sweep_active = true;
+        let stuck = c.check_drained().unwrap_err();
+        assert_eq!(stuck, "anti-entropy flagged active over a drained queue");
+    }
+
+    #[test]
+    fn a_heal_in_mid_round_parks_only_after_every_pair_was_compared() {
+        // Four nodes over two datacenters (dc-b owns the odd ids): six
+        // pairs a round, (0,1), (0,2), (0,3), (1,2), (1,3), (2,3).
+        let mut cfg = two_dc_config(4, 2);
+        cfg.repair = RepairConfig::with_mode(RepairMode::AntiEntropy);
+        let mut c = Cluster::new(cfg, 43);
+        c.load_records((0..200u64).map(|k| (k, 100)));
+        // Writes to the keys of nodes 0 and 1 alone, across the partition:
+        // only the first pair can repair them.
+        let split: Vec<u64> = (0..200)
+            .filter(|&k| {
+                let mut replicas = c.replicas_of(k);
+                replicas.sort();
+                replicas == [NodeId(0), NodeId(1)]
+            })
+            .collect();
+        assert!(!split.is_empty());
+        c.inject(FaultAction::PartitionDcs(0, 1));
+        for (i, &k) in split.iter().enumerate() {
+            let at = SimTime::from_micros(10 + i as u64);
+            c.submit(BatchOp::write(at, k, 100).with_level(ConsistencyLevel::One));
+        }
+        // The sweep steps every 20 ms from 20 ms on: (0,1), (0,2) and (0,3)
+        // go by partitioned, and the heal comes before the fourth step.
+        c.schedule_tick(SimTime::from_millis(70), 0);
+        while !matches!(c.advance(), Some(ClusterOutput::Tick { .. })) {}
+        assert_eq!(c.ctrl.repair.sweep_cursor, 3, "the heal lands mid-round");
+        assert!(c.metrics().messages_lost > 0);
+        c.inject(FaultAction::HealDcs(0, 1));
+        drain(&mut c);
+        assert_eq!(c.check_drained(), Ok(()));
+        let nodes = || (0..4).map(NodeId);
+        for (from, to) in nodes().flat_map(|a| nodes().map(move |b| (a, b))) {
+            for page in 0..c.store_of(from).key_pages() {
+                if from != to {
+                    let diff = c.repair_page_diff(from, to, page);
+                    assert_eq!(diff, [], "{from:?} -> {to:?}, page {page}");
+                }
+            }
+        }
+        for &k in &split {
+            assert_eq!(c.stored(NodeId(0), k), c.stored(NodeId(1), k), "key {k}");
+        }
     }
 
     #[test]

@@ -19,8 +19,8 @@ pub enum RepairMode {
     /// Hinted handoff only: writes that target a down replica queue a
     /// bounded hint on the coordinator, replayed when the node comes back.
     Hints,
-    /// Anti-entropy only: periodic node-pair sweeps diff per-page version
-    /// summaries and stream divergent records; crash/recover additionally
+    /// Anti-entropy only: periodic node-pair sweeps diff every key page
+    /// and stream divergent records; crash/recover additionally
     /// trigger a full synchronization of the affected node.
     AntiEntropy,
     /// Both hinted handoff and anti-entropy; dropped hints fall through to

@@ -20,12 +20,12 @@
 //!   the replicas not required by the consistency level — the source of the
 //!   staleness window the paper's Figure 1 describes ([`Cluster`]),
 //! * last-write-wins versioned replica storage ([`ReplicaStore`]), sized
-//!   written keys × RF, with incrementally maintained per-node, per-page version
-//!   summaries; it counts only the bytes it stores,
+//!   written keys × RF, with an incrementally maintained set of the keys
+//!   whose replicas may still differ; it counts only the bytes it stores,
 //! * optional read repair and fault injection ([`FaultAction`]: node
 //!   outages and crashes, partitions, degraded links, gray failures),
 //! * an opt-in background repair plane ([`RepairConfig`]): hinted handoff,
-//!   anti-entropy sweeps over the page summaries, and recovery migration
+//!   anti-entropy sweeps over that unsettled set, and recovery migration
 //!   that streams acquired/returned ranges instead of instantly serving
 //!   them,
 //! * a ground-truth staleness oracle ([`StalenessOracle`]) that classifies

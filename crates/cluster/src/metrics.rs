@@ -153,8 +153,8 @@ pub struct ClusterMetrics {
     /// Hints dropped because the destination's hint queue was full (left
     /// for anti-entropy to catch).
     pub hints_dropped: u64,
-    /// Per-page version summaries compared by anti-entropy sweeps and
-    /// recovery migration.
+    /// Key pages compared by anti-entropy sweeps and recovery migration
+    /// (one summary message per page and direction).
     pub repair_pages_compared: u64,
     /// Records streamed between replicas to reconcile divergent pages
     /// (hint replays not included — those are counted in `hints_replayed`).

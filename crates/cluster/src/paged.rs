@@ -264,6 +264,11 @@ impl<T: Clone> RowTable<T> {
         self.rows
     }
 
+    /// Number of pages up to the last one a row was materialized on.
+    pub fn pages(&self) -> usize {
+        self.pages.len()
+    }
+
     /// Hint `index`'s row number towards the cache, the first of two
     /// stages ahead of an access (see the module docs). Never a load — a
     /// key without a page, or past the slot space, is a no-op — and never

@@ -26,14 +26,13 @@
 //! node's: a load while a crash is in force writes rows instead). A key
 //! without a row is held at its load version by exactly its owners under
 //! that *load ring* that this store hosts — its *implicit copies*. Loading
-//! counts them (copies and bytes by arithmetic; each holder's per-page
-//! digest, when summaries are on, from the load ring without touching a
-//! row). The first write of the key materializes its row as a load would
-//! have laid it out — the owners this store hosts, in ring order, at the
-//! load version — and then applies as any write does. Every reader honours
-//! implicit copies: [`ReplicaStore::read_on`], [`ReplicaStore::read_range_on`],
-//! the repair plane's diffs (`ReplicaStore::diff_page`) and, through the
-//! load-time contribution, [`ReplicaStore::page_digest`].
+//! counts them without touching a row (by arithmetic when the store hosts
+//! every node, from the load ring otherwise). The first write of the key
+//! materializes its row as a load would have laid it out — the owners this
+//! store hosts, in ring order, at the load version — and then applies as
+//! any write does. Every reader honours implicit copies:
+//! [`ReplicaStore::read_on`], [`ReplicaStore::read_range_on`] and the
+//! repair plane's diffs (`ReplicaStore::diff_page`).
 //!
 //! **The load-ring rule.** While no crash is in force, the ring *is* the
 //! load ring — a recovery rebuilds the exact placement — so a node that is
@@ -87,38 +86,25 @@
 //! past the table's 2^32-slot space reads as absent, and writing or loading
 //! it panics.
 //!
-//! ## Per-page version summaries and the unsettled set (anti-entropy)
+//! ## The unsettled set (anti-entropy)
 //!
-//! A store built with summaries also maintains one 64-bit digest per
-//! `(holder, key page)`: the XOR of a mixed hash of every `(key, version)`
-//! copy the holder has on that page of 4096 keys, implicit copies included
-//! (their contribution is added when they are loaded). The digest is updated
-//! incrementally on every mutation — an overwrite XORs the old pair's
-//! contribution out and the new pair's in, O(1) per write, no rescans — so
-//! two holders have identical copies on a page iff (modulo 2^-64
-//! collisions) their digests match. Anti-entropy sweeps compare these
-//! summaries before diffing a page. What that prunes depends on placement,
-//! and was measured: under `Partitioner::Ordered` the key page (4096 keys)
-//! equals the ownership-slice granule, so two owners of a slice hold the
-//! same page and converged pages are skipped; under hash placement two
-//! nodes replicate *different subsets* of every key page, so every compared
-//! page differs and the digests prune nothing.
-//!
-//! What bounds a diff's work is the **unsettled set**, a bit per key that
-//! the same stores keep. A clear bit means every current replica of the key
-//! holds a copy at least as new as every copy of it — row entries and
-//! side-map copies — so no diff streams it between any pair. An install
-//! sets its key's bit, a ring rebuild sets every bit
+//! A store built with summaries keeps the **unsettled set**, a bit per key:
+//! the one summary the repair plane compares. A clear bit means every
+//! current replica of the key holds a copy at least as new as every copy of
+//! it — row entries and side-map copies — so no diff streams it between any
+//! pair. An install sets its key's bit, a ring rebuild sets every bit
 //! (`ReplicaStore::unsettle_all`), and a diff clears the bit of a key it
 //! visited and did not stream once it has checked that against the current
 //! ring. A diff `from → to` (`ReplicaStore::diff_page`) visits the keys
 //! that are unsettled *and* that `to` owns under the current ring
 //! (`PageOwners`), a 64-key word of each at a time, in ascending key
 //! order: on the benchmark's fault workload, about one key visit in twelve
-//! of the walk over every key `to` owns that it replaced. Stores built
-//! without summaries skip the maintenance entirely — the write path pays
-//! nothing for a repair plane that is switched off — and read as
-//! all-unsettled, so a diff there visits every key `to` owns.
+//! of the walk over every key `to` owns that it replaced. A comparison
+//! walks every key page up to the last loaded or written key
+//! ([`ReplicaStore::key_pages`]). Stores built without summaries skip the
+//! maintenance entirely — the write path pays nothing for a repair plane
+//! that is switched off — and read as all-unsettled, so a diff there visits
+//! every key `to` owns.
 
 use crate::paged::{LoadRun, LoadRuns, RowTable, PAGE_BITS, PAGE_MASK, PAGE_SLOTS};
 use crate::ring::Ring;
@@ -324,13 +310,8 @@ pub struct ReplicaStore {
     /// copies: the `(holder, key)` copies stored.
     copies: usize,
     bytes_stored: u64,
-    /// Per-holder, per-page XOR digest over `mix(key, version)` of the
-    /// holder's copies (see the module docs): `page_digests[holder][key >>
-    /// PAGE_BITS]`, 0 for untouched pages.
-    page_digests: Vec<Vec<u64>>,
-    /// Whether the digests above and the unsettled set below are
-    /// maintained. Off by default so the write path pays no mixing cost
-    /// when no repair plane will ever compare summaries.
+    /// Whether the unsettled set below is maintained. Off by default so the
+    /// write path pays nothing when no repair plane will ever diff.
     summaries_enabled: bool,
     /// The unsettled set, a bit per key (see the module docs): a clear bit
     /// — or a key past its end — means every current replica holds a copy
@@ -338,39 +319,6 @@ pub struct ReplicaStore {
     /// it. Empty unless summaries are maintained; a store without them
     /// reads as all-unsettled.
     unsettled: Vec<u64>,
-}
-
-/// Mix one `(key, version)` pair into a 64-bit contribution (splitmix64-style
-/// finalizer over the combined pair). Order-independent under XOR: equal page
-/// contents produce equal digests regardless of write order.
-#[inline]
-fn mix_record(key: Key, version: Version) -> u64 {
-    let mut x = key
-        .0
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(version.0.wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x
-}
-
-/// XOR `delta` into the digest of `holder`'s page of `key`, growing the
-/// holder's summary vector on first touch.
-#[inline]
-fn xor_page_digest(page_digests: &mut Vec<Vec<u64>>, holder: NodeId, key: Key, delta: u64) {
-    let holder = holder.0 as usize;
-    if holder >= page_digests.len() {
-        page_digests.resize_with(holder + 1, Vec::new);
-    }
-    let digests = &mut page_digests[holder];
-    let page = (key.0 >> PAGE_BITS) as usize;
-    if page >= digests.len() {
-        digests.resize(page + 1, 0);
-    }
-    digests[page] ^= delta;
 }
 
 impl Default for ReplicaStore {
@@ -381,21 +329,20 @@ impl Default for ReplicaStore {
 
 impl ReplicaStore {
     /// An empty standalone store: one holder, rows one slot wide, no
-    /// per-page version summaries (writes skip digest maintenance).
+    /// unsettled set (writes skip its maintenance).
     pub fn new() -> Self {
         Self::with_rows(1, false)
     }
 
-    /// An empty standalone store that maintains per-page version summaries
-    /// for anti-entropy comparison (see the module docs). Costs two 64-bit
-    /// mixes per installed write.
+    /// An empty standalone store that maintains the unsettled set for
+    /// anti-entropy diffs (see the module docs). Costs one bit set per
+    /// installed write.
     pub fn with_summaries() -> Self {
         Self::with_rows(1, true)
     }
 
     /// An empty store whose rows hold `width` copies of each key — the
-    /// replication factor — maintaining per-page version summaries iff
-    /// `summaries`.
+    /// replication factor — maintaining the unsettled set iff `summaries`.
     pub fn with_rows(width: usize, summaries: bool) -> Self {
         ReplicaStore {
             table: RowTable::new(VACANT, width),
@@ -404,7 +351,6 @@ impl ReplicaStore {
             side: HashMap::new(),
             copies: 0,
             bytes_stored: 0,
-            page_digests: Vec::new(),
             summaries_enabled: summaries,
             unsettled: Vec::new(),
         }
@@ -426,9 +372,8 @@ impl ReplicaStore {
     }
 
     /// Hold `run`'s records as implicit copies of their load owners this
-    /// store hosts (see the module docs): counted, and summarized when
-    /// summaries are on, without a row. Counting is arithmetic when the
-    /// store hosts every node and keeps no summaries; otherwise each key's
+    /// store hosts (see the module docs): counted without a row. Counting
+    /// is arithmetic when the store hosts every node; otherwise each key's
     /// owners are looked up in the load ring.
     ///
     /// # Panics
@@ -439,23 +384,14 @@ impl ReplicaStore {
             .placement
             .as_ref()
             .expect("only a cluster's store loads runs");
-        let size = run.size as u64;
-        if placement.hosted.is_empty() && !self.summaries_enabled {
-            let copies = run.count * self.table.width() as u64;
-            self.copies += copies as usize;
-            self.bytes_stored += copies * size;
-        } else {
-            for key in (run.first..run.end()).map(Key) {
-                let mix = mix_record(key, run.version(key.0));
-                for owner in placement.owners(key) {
-                    self.copies += 1;
-                    self.bytes_stored += size;
-                    if self.summaries_enabled {
-                        xor_page_digest(&mut self.page_digests, owner, key, mix);
-                    }
-                }
-            }
-        }
+        let copies = match placement.hosted.is_empty() {
+            true => run.count * self.table.width() as u64,
+            false => (run.first..run.end())
+                .map(|key| placement.owners(Key(key)).count() as u64)
+                .sum(),
+        };
+        self.copies += copies as usize;
+        self.bytes_stored += copies * run.size as u64;
         self.loaded.push(run);
     }
 
@@ -530,8 +466,8 @@ impl ReplicaStore {
 
     /// Give `key` its row: its implicit copies spelled out — the load
     /// owners this store hosts, in ring order, at the load version — if it
-    /// was loaded, vacant entries otherwise. The counters and digests count
-    /// implicit copies already, so they do not move.
+    /// was loaded, vacant entries otherwise. The counters count implicit
+    /// copies already, so they do not move.
     fn materialize(&mut self, key: Key) {
         let row = self.table.materialize(key.0);
         if let (Some(value), Some(placement)) = (self.loaded.get(key.0), &self.placement) {
@@ -565,10 +501,10 @@ impl ReplicaStore {
         }
     }
 
-    /// Meter `holder`'s copy of `key` going from `old` to `(version,
-    /// size)`: bytes stored, copies and, if maintained, the page digest.
+    /// Meter a copy of `key` going from `old` to one of `size` bytes:
+    /// bytes stored, copies and, if maintained, the unsettled set.
     #[inline]
-    fn account(&mut self, holder: NodeId, key: Key, old: Slot, version: Version, size: u32) {
+    fn account(&mut self, key: Key, old: Slot, size: u32) {
         if old.version.exists() {
             self.bytes_stored = self.bytes_stored - old.size as u64 + size as u64;
         } else {
@@ -576,11 +512,6 @@ impl ReplicaStore {
             self.bytes_stored += size as u64;
         }
         if self.summaries_enabled {
-            let mut digest_delta = mix_record(key, version);
-            if old.version.exists() {
-                digest_delta ^= mix_record(key, old.version);
-            }
-            xor_page_digest(&mut self.page_digests, holder, key, digest_delta);
             self.unsettle(key);
         }
     }
@@ -659,7 +590,7 @@ impl ReplicaStore {
             return false;
         }
         let old = slot.replace(holder, version, size);
-        self.account(holder, key, old, version, size);
+        self.account(key, old, size);
         true
     }
 
@@ -676,7 +607,7 @@ impl ReplicaStore {
         debug_assert!(version.exists(), "preloads carry a real (non-zero) version");
         let slot = self.slot_mut(holder, key);
         let old = slot.replace(holder, version, size);
-        self.account(holder, key, old, version, size);
+        self.account(key, old, size);
     }
 
     /// `holder`'s copy of a key, if it holds one (an implicit copy if the
@@ -858,20 +789,11 @@ impl ReplicaStore {
         self.bytes_stored
     }
 
-    /// The version summary of `holder`'s copies on key page `page` (0 for
-    /// pages it never held a copy on, and always 0 unless the store
-    /// maintains summaries). Two holders whose digests match hold identical
-    /// `(key, version)` copies on that page, modulo 64-bit XOR-hash
-    /// collisions.
-    pub fn page_digest(&self, holder: NodeId, page: usize) -> u64 {
-        let digests = self.page_digests.get(holder.0 as usize);
-        digests.and_then(|d| d.get(page)).copied().unwrap_or(0)
-    }
-
-    /// Number of key pages covered by `holder`'s version summary (the
-    /// anti-entropy comparison walks `0..summary_pages()` of both holders).
-    pub fn summary_pages(&self, holder: NodeId) -> usize {
-        self.page_digests.get(holder.0 as usize).map_or(0, Vec::len)
+    /// Number of key pages up to the last loaded or written key: the pages
+    /// an anti-entropy comparison walks, whichever holders it compares.
+    pub fn key_pages(&self) -> usize {
+        let loaded = self.loaded.end().div_ceil(PAGE_SLOTS as u64) as usize;
+        loaded.max(self.table.pages())
     }
 
     /// Recount the copies and bytes — the occupied slots of the rows, the
@@ -903,17 +825,17 @@ impl ReplicaStore {
         }
     }
 
-    /// Check every clear bit of the unsettled set against its invariant
-    /// under the current `ring`, reading this store's copies as every copy
-    /// there is (one shard; a store of several never clears a bit, see
-    /// `Cluster::check_drained`): a key with a row has no copy newer than
-    /// any of its current replicas' hosted here, and a loaded key without
-    /// one has only load owners among them. Always `Ok` without summaries.
+    /// Check every clear bit of the unsettled set — or, with `every_key`,
+    /// every key up to the last loaded or written one: the convergence a
+    /// drained anti-entropy plane reaches with no fault in force — against
+    /// the set's invariant under the current `ring`, reading this store's
+    /// copies as every copy there is (one shard; a store of several never
+    /// clears a bit, see `Cluster::check_drained`): a key with a row has no
+    /// copy newer than any of its current replicas' hosted here, and a
+    /// loaded key without one has only load owners among them. A store
+    /// without summaries has no clear bit to check.
     #[cfg(any(test, debug_assertions))]
-    pub(crate) fn check_settled(&self, ring: &Ring) -> Result<(), String> {
-        if !self.summaries_enabled {
-            return Ok(());
-        }
+    pub(crate) fn check_settled(&self, ring: &Ring, every_key: bool) -> Result<(), String> {
         let mut side_newest: HashMap<Key, Version> = HashMap::new();
         for (&(_, key), slot) in &self.side {
             let newest = side_newest.entry(key).or_insert(Version::NONE);
@@ -921,12 +843,9 @@ impl ReplicaStore {
         }
         let placement = self.placement.as_ref();
         let hosted = |n: &&NodeId| placement.is_none_or(|p| p.hosts(**n));
-        let end = (self.unsettled.len() as u64 * 64).max(self.loaded.end());
-        let clear = (0..end).map(Key).filter(|k| {
-            let word = self.unsettled.get((k.0 / 64) as usize).copied();
-            word.unwrap_or(0) >> (k.0 % 64) & 1 == 0
-        });
-        for key in clear {
+        let end = self.key_pages() as u64 * PAGE_SLOTS as u64;
+        let checked = |k: &Key| every_key || self.summaries_enabled && !self.is_unsettled(*k);
+        for key in (0..end).map(Key).filter(checked) {
             let mut replicas = ring.placement(key).iter().filter(hosted);
             let settled = match self.table.row(key.0) {
                 None => {
@@ -944,10 +863,12 @@ impl ReplicaStore {
                 }
             };
             if !settled {
-                return Err(format!(
-                    "key {} reads settled, but a current replica lags",
-                    key.0
-                ));
+                let claim = if every_key {
+                    "must have converged"
+                } else {
+                    "reads settled"
+                };
+                return Err(format!("key {} {claim}, but a current replica lags", key.0));
             }
         }
         Ok(())
@@ -976,8 +897,9 @@ impl ReplicaStore {
         self.side.len()
     }
 
-    /// Whether `key` is in the unsettled set (tests).
-    #[cfg(test)]
+    /// Whether `key` is in the unsettled set (tests and the drained
+    /// cluster's check).
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn is_unsettled(&self, key: Key) -> bool {
         let word = self.unsettled.get((key.0 / 64) as usize);
         word.is_some_and(|w| w >> (key.0 % 64) & 1 == 1)
@@ -1094,7 +1016,7 @@ mod tests {
         );
         let row: Vec<_> = s.table.row(5).unwrap().iter().map(|v| v.holder).collect();
         assert_eq!(row, [4, 9], "entries in first-write order, tagged");
-        // Totals count every copy; digests are per holder.
+        // Totals count every copy.
         assert_eq!(s.key_count(), 3);
         assert_eq!(s.bytes_stored(), 40 + 10 + 30);
         assert_eq!(
@@ -1102,10 +1024,7 @@ mod tests {
             1,
             "scans see the side map"
         );
-        assert_eq!(s.page_digest(c, 0), mix_record(Key(5), Version(3)));
-        assert_eq!(s.page_digest(b, 0), mix_record(Key(5), Version(5)));
-        assert_eq!(s.summary_pages(a), 1);
-        assert_eq!(s.summary_pages(NodeId(7)), 0);
+        assert_eq!(s.key_pages(), 1);
     }
 
     #[test]
@@ -1117,8 +1036,8 @@ mod tests {
                 (
                     s.key_count(),
                     s.bytes_stored(),
-                    s.page_digest(H, 0),
-                    s.summary_pages(H),
+                    s.unsettled.clone(),
+                    s.key_pages(),
                     s.rows(),
                 )
             };
@@ -1181,42 +1100,20 @@ mod tests {
     }
 
     #[test]
-    fn page_digests_track_contents_not_history() {
-        let mut a = ReplicaStore::with_summaries();
-        let mut b = ReplicaStore::with_summaries();
-        assert_eq!(a.page_digest(H, 0), 0, "untouched pages read as zero");
-        assert_eq!(a.summary_pages(H), 0);
-        // Same final contents through different histories ⇒ same digest.
-        a.apply_write(Key(1), Version(1), 10, SimTime::ZERO);
-        a.apply_write(Key(1), Version(4), 10, SimTime::ZERO);
-        a.apply_write(Key(2), Version(2), 10, SimTime::ZERO);
-        b.preload(Key(2), Version(2), 10);
-        b.apply_write(Key(1), Version(4), 10, SimTime::ZERO);
-        assert_eq!(a.page_digest(H, 0), b.page_digest(H, 0));
-        // Diverging one key splits the digests; re-converging re-joins them.
-        a.apply_write(Key(2), Version(9), 10, SimTime::ZERO);
-        assert_ne!(a.page_digest(H, 0), b.page_digest(H, 0));
-        b.apply_write(Key(2), Version(9), 10, SimTime::ZERO);
-        assert_eq!(a.page_digest(H, 0), b.page_digest(H, 0));
-        // A superseded write changes nothing, digest included.
-        let before = a.page_digest(H, 0);
-        assert!(!a.apply_write(Key(2), Version(5), 10, SimTime::ZERO));
-        assert_eq!(a.page_digest(H, 0), before);
-        // Pages are independent.
-        a.preload(Key(PAGE_SLOTS as u64 + 7), Version(1), 10);
-        assert_eq!(a.summary_pages(H), 2);
-        assert_eq!(a.page_digest(H, 0), before);
-        assert_ne!(a.page_digest(H, 1), 0);
-        // So are holders sharing a store: equal copies, equal digests.
-        let mut rows = ReplicaStore::with_rows(3, true);
-        for holder in [NodeId(1), NodeId(6)] {
-            rows.preload_on(holder, Key(2), Version(9), 10);
-            rows.apply_write_on(holder, Key(1), Version(4), 10);
-        }
-        assert_eq!(rows.page_digest(NodeId(1), 0), b.page_digest(H, 0));
-        assert_eq!(rows.page_digest(NodeId(6), 0), b.page_digest(H, 0));
-        assert_eq!(rows.page_digest(NodeId(3), 0), 0);
-        assert_eq!(rows.summary_pages(NodeId(6)), 1);
+    fn key_pages_span_every_loaded_or_written_key() {
+        let mut s = ReplicaStore::with_summaries();
+        assert_eq!(s.key_pages(), 0, "an empty store has no pages");
+        s.apply_write(Key(1), Version(1), 10, SimTime::ZERO);
+        assert_eq!(s.key_pages(), 1);
+        // A write on page 3 spans the untouched pages below it.
+        s.preload(Key(3 * PAGE_SLOTS as u64 + 7), Version(2), 10);
+        assert_eq!(s.key_pages(), 4);
+        // A cluster's store spans its loaded keys without a row too.
+        let (mut placed, _) = placed(5, 3, crate::ring::Partitioner::Hash, Vec::new());
+        placed.load(run(0, PAGE_SLOTS as u64 + 1, 1, 100));
+        assert_eq!((placed.rows(), placed.key_pages()), (0, 2));
+        placed.apply_write_on(NodeId(0), Key(9 * PAGE_SLOTS as u64), Version(500), 10);
+        assert_eq!(placed.key_pages(), 10);
     }
 
     #[test]
@@ -1224,11 +1121,12 @@ mod tests {
         let mut s = ReplicaStore::new();
         s.apply_write(Key(1), Version(1), 10, SimTime::ZERO);
         s.preload(Key(2), Version(2), 10);
-        assert_eq!(s.summary_pages(H), 0, "no digest vector is ever grown");
-        assert_eq!(s.page_digest(H, 0), 0);
+        assert!(s.unsettled.is_empty(), "no unsettled set is ever grown");
+        assert_eq!(s.unsettled_word(0, 0), !0, "and reads all-unsettled");
         // Everything else behaves identically to a summarized store.
         assert_eq!(s.key_count(), 2);
         assert_eq!(s.bytes_stored(), 20);
+        assert_eq!(s.key_pages(), 1);
     }
 
     #[test]
@@ -1348,21 +1246,15 @@ mod tests {
     }
 
     /// Everything a reader can see of a store: every node's copy of every
-    /// key, a scan at every key, the counters and the digests.
+    /// key, a scan at every key, the counters and the key pages.
     fn observe(s: &ReplicaStore, nodes: u32, keys: u64) -> Vec<String> {
         let mut seen = vec![format!(
-            "{} copies, {} bytes",
+            "{} copies, {} bytes, {} pages",
             s.key_count(),
-            s.bytes_stored()
+            s.bytes_stored(),
+            s.key_pages()
         )];
         for node in (0..nodes).map(NodeId) {
-            seen.push(format!("{node:?}: {} pages", s.summary_pages(node)));
-            for page in 0..s.summary_pages(node) {
-                seen.push(format!(
-                    "{node:?} page {page}: {:x}",
-                    s.page_digest(node, page)
-                ));
-            }
             for key in (0..keys).map(Key) {
                 let scan = s.read_range_on(node, key, 7);
                 seen.push(format!(
@@ -1524,7 +1416,7 @@ mod tests {
         assert!(s.apply_write_on(outsider(&owners), Key(7), Version(600), 10));
         assert_eq!(s.side_copies(), 1);
         assert!(s.is_unsettled(Key(7)));
-        assert_eq!(s.check_settled(&ring), Ok(()));
+        assert_eq!(s.check_settled(&ring, false), Ok(()));
     }
 
     #[test]
@@ -1536,7 +1428,7 @@ mod tests {
         s.unsettle_all();
         assert!((0..100).map(Key).all(|k| s.is_unsettled(k)), "loaded keys");
         assert!(s.is_unsettled(far), "written keys past the load");
-        assert_eq!(s.check_settled(&ring), Ok(()));
+        assert_eq!(s.check_settled(&ring, false), Ok(()));
         // A store without summaries keeps no set, and reads all-unsettled.
         let mut bare = ReplicaStore::with_rows(3, false);
         bare.apply_write_on(owners[0], Key(0), Version(1), 10);
@@ -1585,7 +1477,7 @@ mod tests {
             s.is_unsettled(Key(30)),
             "the stand-in lacks the implicit copy"
         );
-        assert_eq!(s.check_settled(&crashed), Ok(()));
+        assert_eq!(s.check_settled(&crashed, false), Ok(()));
         let stream = diff(&mut s, &crashed, Some(&load), a, stand_in);
         assert!(stream.contains(&(30, Version(31))));
         // A key whose owners all survive settles on its first visit.
@@ -1598,7 +1490,7 @@ mod tests {
         let stream = diff(&mut s, &crashed, Some(&load), other, a);
         assert!(stream.iter().all(|&(k, _)| k != kept.0));
         assert!(!s.is_unsettled(kept));
-        assert_eq!(s.check_settled(&crashed), Ok(()));
+        assert_eq!(s.check_settled(&crashed, false), Ok(()));
     }
 
     #[test]
@@ -1609,13 +1501,18 @@ mod tests {
         }
         assert_eq!(diff(&mut s, &ring, None, owners[0], owners[1]), []);
         assert!(s.is_unsettled(Key(40)), "the third owner lags");
+        let lags = s.check_settled(&ring, true).unwrap_err();
+        assert_eq!(
+            lags,
+            "key 40 must have converged, but a current replica lags"
+        );
         s.apply_write_on(owners[2], Key(40), Version(500), 10);
         assert_eq!(diff(&mut s, &ring, None, owners[0], owners[1]), []);
         assert!(
             !s.is_unsettled(Key(40)),
             "every owner holds the newest copy"
         );
-        assert_eq!(s.check_settled(&ring), Ok(()));
+        assert_eq!(s.check_settled(&ring, true), Ok(()));
         // A cleared key is not visited: a diff sees nothing to stream.
         assert_eq!(diff(&mut s, &ring, None, owners[2], owners[0]), []);
     }

@@ -894,8 +894,10 @@ const GOLDEN_FAILURE: (u64, u64, u64, u64) = (107, 5_735_824, 507982625904357235
 // (timeouts, retries, latency_sum_us, checksum, events).
 const GOLDEN_CRASH: (u64, u64, u64, u64, u64) = (61, 147, 18_554_388, 18292732308431460120, 16_744);
 // Repair-plane digest (captured at the introduction of the repair plane;
-// re-capture with GOLDEN_PRINT=1 after intentional semantic changes):
-// (timeouts, stale, latency_sum_us, checksum, events,
+// re-capture with GOLDEN_PRINT=1 after intentional semantic changes). The
+// sweep's own fields — events, pages, repair bytes — were re-captured when
+// the cycle started parking after every node pair was silent, not at a
+// round boundary: (timeouts, stale, latency_sum_us, checksum, events,
 //  (hints_queued, hints_replayed, hints_dropped), repair_pages_compared,
 //  repair_records_streamed, repair_traffic_total).
 type HintCounters = (u64, u64, u64);
@@ -904,15 +906,18 @@ const GOLDEN_REPAIR: (u64, u64, u64, u64, u64, HintCounters, u64, u64, u64) = (
     0,
     18_510_376,
     7688465609908642402,
-    17_526,
+    17_516,
     (187, 187, 0),
-    64,
+    54,
     81,
-    65_756,
+    63_916,
 );
 // Multi-page repair digests (captured on the scan-and-gate page diff, before
 // the ring-ownership index; re-capture with GOLDEN_PRINT=1 after intentional
-// semantic changes): (timeouts, stale, latency_sum_us, checksum, events,
+// semantic changes). The sweep's own fields — events, pages, repair bytes —
+// were re-captured when comparisons came to walk one store-wide span of key
+// pages and the cycle to park only after every node pair was silent:
+// (timeouts, stale, latency_sum_us, checksum, events,
 // messages_lost, (hints_queued, hints_replayed, hints_dropped),
 // repair_pages_compared, repair_records_streamed, repair_traffic_total).
 type PagedRepairGolden = (u64, u64, u64, u64, u64, u64, HintCounters, u64, u64, u64);
@@ -921,24 +926,24 @@ const GOLDEN_PAGED_REPAIR_HASH: PagedRepairGolden = (
     294,
     6_130_463,
     2350061513002219932,
-    46_681,
+    46_655,
     1_139,
     (101, 101, 0),
-    489,
+    411,
     8_944,
-    1_977_006,
+    1_962_654,
 );
 const GOLDEN_PAGED_REPAIR_ORDERED: PagedRepairGolden = (
     18,
     292,
     12_094_362,
     4145618823330816514,
-    72_165,
+    72_139,
     1_112,
     (200, 200, 0),
-    409,
+    411,
     21_654,
-    4_655_672,
+    4_652_544,
 );
 // Resilience-layer digest (captured at the introduction of the resilience
 // layer; re-capture with GOLDEN_PRINT=1 after intentional semantic

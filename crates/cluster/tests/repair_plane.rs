@@ -302,8 +302,10 @@ fn run_until(c: &mut Cluster, at: SimTime) {
 /// partition/heal (so stand-ins take side copies, hints queue, messages
 /// are lost and the sweeps and recovery migrations stream). The run stops
 /// at random instants, and at each stop every ordered pair's diff of every
-/// page must equal the reference; then it drains, and `check_drained`
-/// holds (in debug builds that checks every clear bit of the set too).
+/// page must equal the reference; then it drains, `check_drained` holds
+/// (in debug builds that checks every clear bit of the set, and that every
+/// key has converged), and no diff streams anything: the sweep parked only
+/// once the replicas had converged.
 fn run_filtered_differential(seed: u64) {
     let mut rng = SimRng::new(seed);
     let nodes = 4 + rng.next_bounded(4) as u32;
@@ -364,7 +366,8 @@ fn run_filtered_differential(seed: u64) {
     }
     c.run_to_completion(u64::MAX);
     assert_eq!(c.check_drained(), Ok(()));
-    assert_diffs_match_reference(&mut c, nodes, pages);
+    let (streaming, _) = assert_diffs_match_reference(&mut c, nodes, pages);
+    assert_eq!(streaming, 0, "diffs still streaming after the drain");
 }
 
 proptest! {

@@ -98,7 +98,7 @@ pub struct RunReport {
     /// Hints dropped because a destination's queue was at capacity.
     #[serde(default)]
     pub hints_dropped: u64,
-    /// Page summaries compared by anti-entropy sweeps and recovery syncs.
+    /// Key pages compared by anti-entropy sweeps and recovery syncs.
     #[serde(default)]
     pub repair_pages_compared: u64,
     /// Records streamed between replicas by the repair plane.
