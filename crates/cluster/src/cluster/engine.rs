@@ -106,8 +106,10 @@
 //!   row is needed one service time later, and tasks that waited in a
 //!   node's queue start service through the same function.
 //! * `Cluster::submit` hints the oracle index entry for the `ClientArrive`
-//!   it schedules, and one-shard [`ShardCtx::alloc_version`] hints the slot
-//!   for the satisfying ack, at least three events after `start_write`.
+//!   it schedules — the event carries the submission, key included, and
+//!   the op takes its slab slot only when it fires — and one-shard
+//!   [`ShardCtx::alloc_version`] hints the slot for the satisfying ack, at
+//!   least three events after `start_write`.
 //! * [`Cluster::close_window`] makes two passes of hints over a shard's
 //!   staged acks — entries, then slots — before recording them, and two
 //!   over its completed reads before classifying them, so the misses of one
@@ -116,7 +118,7 @@
 //! `submit_batch` has none: its arrivals lie a whole schedule ahead, and a
 //! line hinted that early is evicted before use. A hint changes no state the
 //! simulation can observe — no event, draw, meter or allocation.
-use super::ops::{PayloadId, ReplicaTask, WritePayload};
+use super::ops::{pack_node, PayloadId, ReplicaTask, WritePayload};
 use super::repair::Hint;
 use super::resilience::backoff_delay;
 use super::{
@@ -330,23 +332,25 @@ impl Cluster {
         }
     }
 
-    /// **Submission routing**: the home shard of a new attempt and, if it is
-    /// drawn here, its coordinator. *One shard:* every op homes on shard 0
-    /// and its coordinator is drawn at arrival, from the one stream. *More
-    /// than one:* the coordinator is drawn now from the control stream —
+    /// **Submission routing**: the home shard of a new operation and its
+    /// coordinator, packed for the arrival to carry (see
+    /// [`ShardCtx::arrival_coordinator`]). *One shard:* every op homes on
+    /// shard 0 and its coordinator is drawn at arrival, from the one
+    /// stream; the packed node is 0 and unread. *More than one:* the
+    /// coordinator is drawn now from the control stream —
     /// admission is a serial point, so the draw order is a pure function of
     /// the driver's call sequence — and the attempt homes on the
     /// coordinator's shard: every message it exchanges then travels a real
     /// coordinator↔replica link, so a cross-shard delivery is exactly a
     /// delivery across the shard cut and can never undershoot the lookahead
     /// bound.
-    pub(super) fn route_admission(&mut self) -> (usize, Option<NodeId>) {
+    pub(super) fn route_admission(&mut self) -> (usize, u16) {
         if self.serial() {
-            return (0, None);
+            return (0, 0);
         }
         let coordinator =
             draw_coordinator(&self.shared, &mut self.control_rng, &mut self.home_scratch);
-        (self.shared.shard_of(coordinator), Some(coordinator))
+        (self.shared.shard_of(coordinator), pack_node(coordinator))
     }
 
     /// **The preload version** of one bulk-loaded record. *One shard:* the
@@ -388,6 +392,18 @@ impl Cluster {
 // ----------------------------------------------------------------------
 
 impl ShardCtx<'_> {
+    /// **The coordinator of a first attempt** arriving now, `routed` being
+    /// what [`Cluster::route_admission`] packed into its arrival. *One
+    /// shard:* drawn now from the one stream, over the nodes up now.
+    /// *More than one:* `routed`, drawn at admission (no node is ever down
+    /// there).
+    pub(super) fn arrival_coordinator(&mut self, routed: u16) -> NodeId {
+        match self.ctrl {
+            Some(_) => draw_coordinator(self.shared, &mut self.s.rng, &mut self.s.up_scratch),
+            None => NodeId(routed as u32),
+        }
+    }
+
     /// **Version allocation** for a write of `key` starting at `now`. *One
     /// shard:* the global counter `1, 2, 3, …`; the satisfying ack records
     /// into the key's oracle slot inline, so it is prefetched here. *More
@@ -503,11 +519,11 @@ impl ShardCtx<'_> {
         .enqueue_hint(now, to, hint)
     }
 
-    /// Re-issue an attempt whose slot was just freed by its timeout: it
-    /// re-arrives here and draws its fresh coordinator when it does — now,
-    /// or after an exponentially growing, jittered backoff drawn from the
-    /// one stream (one draw per backed-off retry, zero when the feature is
-    /// off).
+    /// Re-issue an attempt whose slot was just freed by its timeout, as a
+    /// pending op in a fresh slot: it re-arrives here and draws its fresh
+    /// coordinator when it does — now, or after an exponentially growing,
+    /// jittered backoff drawn from the one stream (one draw per backed-off
+    /// retry, zero when the feature is off).
     ///
     /// # Panics
     /// Panics on more than one shard, where the retry budget is zero.
@@ -516,18 +532,17 @@ impl ShardCtx<'_> {
             self.ctrl.is_some(),
             "ClusterConfig::validate keeps timeout retries on one shard"
         );
-        let op_id = self.s.ops.insert(OpState::Pending(PendingOp {
-            sub,
-            coordinator: None,
-            retry: Some(retry),
-        }));
+        let op_id = self
+            .s
+            .ops
+            .insert(OpState::Pending(PendingOp { sub, retry }));
         if self.shared.config.resilience.backoff {
             let delay = backoff_delay(&self.shared.config, retry.retries_left, &mut self.s.rng);
             self.s
                 .lane
-                .schedule_timeout(now + delay, Event::ClientArrive { op_id });
+                .schedule_timeout(now + delay, Event::RetryArrive { op_id });
         } else {
-            self.on_client_arrive(now, op_id);
+            self.on_retry_arrive(now, op_id);
         }
     }
 }
@@ -539,7 +554,12 @@ impl ShardCtx<'_> {
 impl ShardCtx<'_> {
     fn handle(&mut self, now: SimTime, event: Event) {
         match event {
-            Event::ClientArrive { op_id } => self.on_client_arrive(now, op_id),
+            Event::ClientArrive {
+                sub,
+                ticket,
+                coordinator,
+            } => self.on_client_arrive(now, sub, ticket, coordinator),
+            Event::RetryArrive { op_id } => self.on_retry_arrive(now, op_id),
             Event::ReplicaArrive { node, task } => self.on_replica_arrive(now, node, task),
             Event::ReplicaServiceDone { node, task } => self.on_replica_done(now, node, task),
             Event::CoordinatorWriteAck { op_id, applied_at } => {
@@ -905,7 +925,7 @@ mod tests {
     use super::super::BatchOp;
     use super::*;
     use crate::consistency::ConsistencyLevel;
-    use crate::types::OpKind;
+    use crate::types::{OpId, OpKind};
 
     /// Satellite (PR 10): the lookahead fallback for shard cuts that no
     /// message ever crosses derives from the configured operation timeout,
@@ -956,12 +976,14 @@ mod tests {
                 sub: Submission {
                     kind: OpKind::Read,
                     key: Key(3),
-                    size: 0,
-                    scan_len: 1,
+                    len: 1,
                     level: None,
                 },
-                coordinator: None,
-                retry: None,
+                retry: RetryCtx {
+                    issued_at: SimTime::ZERO,
+                    retries_left: 0,
+                    client_id: OpId(1),
+                },
             }));
             ops.remove(freed);
             let task = ReplicaTask::Read {

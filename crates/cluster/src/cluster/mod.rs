@@ -135,7 +135,21 @@ pub enum ClusterOutput {
 /// Internal DES events.
 #[derive(Debug, Clone)]
 enum Event {
+    /// A client operation reaching its coordinator. The event carries the
+    /// submission itself: the operation enters its home shard's op slab
+    /// only now, so an open-loop schedule waits in the bulk lane and the
+    /// slab holds the attempts in flight alone.
     ClientArrive {
+        sub: Submission,
+        /// The client ticket (`Cluster::admit`): the id `submit` returned.
+        ticket: u32,
+        /// The coordinator routed at admission, packed (see
+        /// [`ShardCtx::arrival_coordinator`](engine::ShardCtx::arrival_coordinator)).
+        coordinator: u16,
+    },
+    /// A timed-out attempt re-arriving after its backoff (one shard only):
+    /// its [`PendingOp`] waits in the slab under `op_id`.
+    RetryArrive {
         op_id: OpId,
     },
     ReplicaArrive {
@@ -199,14 +213,14 @@ enum Event {
     },
 }
 
-/// A client operation waiting to start (scheduled arrival).
+/// What a client submitted: everything an attempt of the operation needs.
 #[derive(Debug, Clone, Copy)]
 struct Submission {
     kind: OpKind,
     key: Key,
-    size: u32,
-    /// Consecutive records a read touches (1 = point read, >1 = range scan).
-    scan_len: u32,
+    /// Payload bytes of a write; consecutive records a read touches (1 = a
+    /// point read, more = a range scan).
+    len: u32,
     level: Option<ConsistencyLevel>,
 }
 
@@ -268,8 +282,9 @@ impl BatchOp {
 }
 
 /// Retry context carried across attempts: the client-visible submission
-/// time, the remaining retry budget and the id `submit_*` handed out (a
-/// retried attempt runs under a fresh slab id but reports under this one).
+/// time, the remaining retry budget and the client ticket `submit_*`
+/// handed out (every attempt runs under a slab id of its own but reports
+/// under this one).
 #[derive(Debug, Clone, Copy)]
 struct RetryCtx {
     issued_at: SimTime,
@@ -277,23 +292,23 @@ struct RetryCtx {
     client_id: OpId,
 }
 
-/// A client operation waiting to start on its home shard.
+/// An attempt that has a slab slot but has not started: a timed-out
+/// attempt waiting out its backoff ([`Event::RetryArrive`], one shard
+/// only), or an arriving one for the instant before its write or read
+/// state replaces it.
 #[derive(Debug, Clone, Copy)]
 struct PendingOp {
     sub: Submission,
-    /// The coordinator this attempt was routed to at admission; `None` with
-    /// one shard, where it is drawn at arrival (see [`Cluster::admit`]).
-    coordinator: Option<NodeId>,
-    /// `None` for first attempts (issued at arrival, under their own id,
-    /// with the configured budget).
-    retry: Option<RetryCtx>,
+    retry: RetryCtx,
 }
 
-/// Lifecycle state of one in-flight operation, stored in the owning shard's
-/// op slab: a submitted-but-not-arrived operation, then a write or read in
-/// progress. An op lives on its coordinator's shard, which drew its id
-/// (slab slots are strided by shard, so ids are unique across shards);
-/// acks and responses route home through the coordinator they carry.
+/// Lifecycle state of one attempt in flight, stored in the owning shard's
+/// op slab from its arrival to its completion: a pending attempt, then a
+/// write or read in progress. A submission that has not arrived has no
+/// slab state — its [`Event::ClientArrive`] carries it. An attempt lives on
+/// its coordinator's shard, which drew its slab id (slab slots are strided
+/// by shard, so ids are unique across shards); acks and responses route
+/// home through the coordinator they carry.
 #[derive(Debug)]
 enum OpState {
     Pending(PendingOp),
@@ -391,7 +406,7 @@ struct ShardState {
     shard: u32,
     lane: EventQueue<Event>,
     rng: SimRng,
-    /// In-flight operation state owned by this shard, addressed by
+    /// The state of the attempts in flight on this shard, addressed by
     /// generation-checked OpId. Slots are strided by shard (slot ≡ shard
     /// mod shards), so no two shards hand out the same id.
     ops: OpSlab<OpState>,
@@ -476,8 +491,9 @@ pub struct Cluster {
     /// contract is global).
     bulk_tail: SimTime,
     /// Client operations admitted so far (`Cluster::admit`; a retried
-    /// attempt is not a new admission). A drained run has completed every
-    /// one exactly once (`Cluster::check_drained`).
+    /// attempt is not a new admission), which is also the ticket of the
+    /// latest. A drained run has completed every one exactly once
+    /// (`Cluster::check_drained`).
     admitted: u64,
 }
 
@@ -670,8 +686,10 @@ impl Cluster {
             + self.control_lane.processed()
     }
 
-    /// Number of operations whose state is still held in the op slabs
-    /// (submitted-but-unfinished work, for leak diagnostics and tests).
+    /// Number of attempts whose state is held in the op slabs: arrived and
+    /// unfinished work, or a retry waiting out its backoff (leak
+    /// diagnostics and tests). A submission that has not arrived yet holds
+    /// none.
     pub fn inflight_ops(&self) -> usize {
         self.shard_states.iter().map(|s| s.ops.len()).sum()
     }
@@ -857,7 +875,9 @@ impl Cluster {
 
     /// Submit one client operation (see [`BatchOp`]: its arrival time, kind,
     /// key, size, scan length and, optionally, an explicit consistency
-    /// level) and return the id its completion will carry.
+    /// level) and return the id its completion will carry: the client
+    /// ticket, `1, 2, 3, …` in submission order. The operation waits as
+    /// its arrival event and takes op-slab state only when it arrives.
     ///
     /// A range scan (`scan_len` > 1, the YCSB-E operation) makes every
     /// contacted replica read the whole range through its dense store —
@@ -880,9 +900,9 @@ impl Cluster {
     pub fn submit(&mut self, op: BatchOp) -> OpId {
         // The arrival scheduled here reads the key's oracle entry.
         self.ctrl.oracle.prefetch_entry(Key(op.key));
-        let (lane, op_id) = self.admit(&op);
-        lane.schedule_at(op.at, Event::ClientArrive { op_id });
-        op_id
+        let (lane, id, arrival) = self.admit(&op);
+        lane.schedule_at(op.at, arrival);
+        id
     }
 
     /// `submit(BatchOp::read(at, key))`, kept for callers that replay
@@ -928,27 +948,37 @@ impl Cluster {
         }
     }
 
-    /// Admit one submission: check it, route it to its home shard (see
-    /// `Cluster::route_admission`) and park it there as a pending op; the
-    /// caller schedules the arrival on the returned home lane.
-    fn admit(&mut self, op: &BatchOp) -> (&mut EventQueue<Event>, OpId) {
+    /// Admit one submission: check it, give it the next client ticket and
+    /// route it to its home shard (see `Cluster::route_admission`). Returns
+    /// the home lane, the ticket as the client's id and the arrival event
+    /// that carries the submission, for the caller to schedule; nothing
+    /// enters an op slab before the arrival fires.
+    ///
+    /// # Panics
+    /// Panics past 2^32 − 1 admissions, where the ticket outgrows its
+    /// 32 bits.
+    fn admit(&mut self, op: &BatchOp) -> (&mut EventQueue<Event>, OpId, Event) {
         let scan_len = op.scan_len.max(1);
         self.assert_scan_segmentable(scan_len);
         self.admitted += 1;
+        let ticket = u32::try_from(self.admitted).expect("more than 2^32 - 1 client operations");
         let (home, coordinator) = self.route_admission();
-        let s = &mut self.shard_states[home];
-        let op_id = s.ops.insert(OpState::Pending(PendingOp {
-            sub: Submission {
-                kind: op.kind,
-                key: Key(op.key),
-                size: op.size,
-                scan_len,
-                level: op.level,
+        let sub = Submission {
+            kind: op.kind,
+            key: Key(op.key),
+            len: match op.kind {
+                OpKind::Write => op.size,
+                OpKind::Read => scan_len,
             },
+            level: op.level,
+        };
+        let arrival = Event::ClientArrive {
+            sub,
+            ticket,
             coordinator,
-            retry: None,
-        }));
-        (&mut s.lane, op_id)
+        };
+        let lane = &mut self.shard_states[home].lane;
+        (lane, OpId(ticket as u64), arrival)
     }
 
     /// Bulk-submit a pre-sorted open-loop arrival stream.
@@ -959,7 +989,10 @@ impl Cluster {
     /// operation, this routes every `ClientArrive` through the event queue's
     /// O(1) bulk FIFO lane — the near lane and the heap then only carry the
     /// simulation's *reactive* events (replica messages, acks), exactly like
-    /// the timeout lane keeps per-op timeouts out of them.
+    /// the timeout lane keeps per-op timeouts out of them. The schedule
+    /// waits there as arrival events (48 B each, the submission inside);
+    /// the op slabs hold only the operations that have arrived and not
+    /// finished. Each lane is sized once from the batch's `size_hint`.
     ///
     /// Delivery is byte-identical to calling [`Cluster::submit`] on each
     /// operation in the same order: both paths draw sequence numbers from
@@ -975,13 +1008,11 @@ impl Cluster {
     /// the cluster checks the whole stream before routing.
     pub fn submit_batch(&mut self, ops: impl IntoIterator<Item = BatchOp>) -> usize {
         let ops = ops.into_iter();
-        // The whole batch is admitted before its first event fires, so on
-        // one shard (where every op lands) the op slab is sized once.
-        // Doubling it, at ~120 B an op, in step with the bulk lane left the
-        // allocator heap fragmented and an open-loop run's peak RSS up to
-        // a quarter higher or lower with the heap's layout.
-        if let [shard] = &mut self.shard_states[..] {
-            shard.ops.reserve(ops.size_hint().0);
+        // Which lane an arrival takes is drawn per op on more than one
+        // shard, so each lane makes room for the whole batch: capacity
+        // never touched is never resident.
+        for shard in &mut self.shard_states {
+            shard.lane.reserve_bulk(ops.size_hint().0);
         }
         let mut submitted = 0usize;
         for op in ops {
@@ -993,8 +1024,8 @@ impl Cluster {
                 self.bulk_tail.as_micros()
             );
             self.bulk_tail = op.at;
-            let (lane, op_id) = self.admit(&op);
-            lane.bulk_push_sorted(op.at, Event::ClientArrive { op_id });
+            let (lane, _, arrival) = self.admit(&op);
+            lane.bulk_push_sorted(op.at, arrival);
             submitted += 1;
         }
         submitted
@@ -1668,6 +1699,34 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_holds_only_its_in_flight_operations() {
+        // An open-loop schedule waits in the bulk lane as its arrival
+        // events; an operation takes op-slab state only when it arrives, so
+        // the slab holds the few operations in flight, never the schedule.
+        let mut c = cluster(5, 3);
+        c.load_records((0..100u64).map(|k| (k, 100)));
+        let ops = (0..20_000u64).map(|i| {
+            let at = SimTime::from_millis(i);
+            match i % 2 {
+                0 => BatchOp::write(at, i % 100, 100),
+                _ => BatchOp::read(at, i % 100),
+            }
+        });
+        assert_eq!(c.submit_batch(ops), 20_000);
+        assert_eq!(c.inflight_ops(), 0, "nothing has arrived yet");
+        let (mut completed, mut most) = (0, 0);
+        while let Some(out) = c.advance() {
+            completed += matches!(out, ClusterOutput::Completed(_)) as usize;
+            most = most.max(c.inflight_ops());
+        }
+        assert_eq!(completed, 20_000);
+        // An op lasts about a LAN round trip plus a storage access, well
+        // under the 1 ms between arrivals (3 at most here).
+        assert!(most <= 8, "{most} ops held at once");
+        assert_eq!(c.check_drained(), Ok(()));
+    }
+
+    #[test]
     #[should_panic(expected = "sorted arrival stream")]
     fn submit_batch_rejects_unsorted_arrivals() {
         let mut c = cluster(4, 3);
@@ -1844,12 +1903,10 @@ mod tests {
         assert_eq!(c.check_drained(), Ok(()), "nothing was submitted yet");
         c.submit_write_at(3, 100, SimTime::ZERO);
         c.submit_read_at(3, SimTime::ZERO);
-        // Stop mid-flight: ops parked, then a fan-out on the wire.
-        let parked = c.check_drained().unwrap_err();
-        assert!(
-            parked.contains("shard 0: 2 ops and 0 write payloads"),
-            "{parked}"
-        );
+        // Stop before the arrivals (no slab state yet, but two ops owed),
+        // then mid-flight: both ops in the slab, a fan-out on the wire.
+        let owed = c.check_drained().unwrap_err();
+        assert_eq!(owed, "2 ops admitted, 0 completed");
         c.schedule_tick(SimTime::from_micros(100), 0);
         assert!(matches!(
             c.advance(),

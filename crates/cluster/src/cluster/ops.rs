@@ -1,20 +1,24 @@
 //! The read / write / scan protocol: what a coordinator and its replicas do
 //! with one client operation.
 //!
-//! **State.** Per shard, the in-flight operations ([`WriteState`] and
+//! **State.** Per shard, the attempts in flight ([`WriteState`] and
 //! [`ReadState`] in the shard's op slab, under the [`OpState`] they share
-//! with not-yet-arrived submissions), the interned write payloads
+//! with retries waiting out a backoff), the interned write payloads
 //! ([`PayloadSlab`]) and every node's service slots and task queue
 //! ([`NodeRuntime`]) — all inside the `ShardState` a
-//! handler holds exclusively.
+//! handler holds exclusively. A submitted operation that has not arrived
+//! has no state here: its [`Event::ClientArrive`] carries it, and it
+//! enters the slab when that event fires.
 //!
-//! **Events.** [`Event::ClientArrive`], [`Event::ReplicaArrive`],
-//! [`Event::ReplicaServiceDone`], [`Event::CoordinatorWriteAck`],
-//! [`Event::CoordinatorReadResponse`] and [`Event::OpTimeout`], each handled
-//! by one `ShardCtx` method below, written once for both engines: wherever
-//! the one-shard and the windowed engine differ — allocating a version,
-//! reaching the oracle, sampling propagation, sending across a shard cut —
-//! the handler calls a `ShardCtx` method of `engine.rs`, unconditionally.
+//! **Events.** [`Event::ClientArrive`], [`Event::RetryArrive`],
+//! [`Event::ReplicaArrive`], [`Event::ReplicaServiceDone`],
+//! [`Event::CoordinatorWriteAck`], [`Event::CoordinatorReadResponse`] and
+//! [`Event::OpTimeout`], each handled by one `ShardCtx` method below,
+//! written once for both engines: wherever the one-shard and the windowed
+//! engine differ — drawing a first attempt's coordinator, allocating a
+//! version, reaching the oracle, sampling propagation, sending across a
+//! shard cut — the handler calls a `ShardCtx` method of `engine.rs`,
+//! unconditionally.
 //! What only a fault or a retry reaches — queueing a hint, abandoning an
 //! ack, re-issuing a timed-out attempt — runs on the one-shard engine
 //! alone, where every op lives on shard 0. Fault state is asked through
@@ -24,7 +28,7 @@
 use super::engine::ShardCtx;
 use super::repair::Hint;
 use super::{
-    account_message, draw_coordinator, ClusterOutput, Event, NodeRuntime, OpState,
+    account_message, draw_coordinator, ClusterOutput, Event, NodeRuntime, OpState, PendingOp,
     ReplicaSelection, RetryCtx, ShardState, Submission,
 };
 use crate::config::ClusterConfig;
@@ -223,8 +227,7 @@ impl ReadState {
         Submission {
             kind: OpKind::Read,
             key: self.key,
-            size: 0,
-            scan_len: self.scan_len,
+            len: self.scan_len,
             level: self.level,
         }
     }
@@ -415,24 +418,50 @@ impl ShardCtx<'_> {
         self.send_event(dest, at, Event::ReplicaArrive { node, task });
     }
 
-    pub(super) fn on_client_arrive(&mut self, now: SimTime, op_id: OpId) {
-        let p = match self.s.ops.get(op_id) {
-            Some(&OpState::Pending(p)) => p,
-            _ => return,
-        };
-        let retry = p.retry.unwrap_or(RetryCtx {
+    /// A client operation arrives: it enters the op slab now, under a slab
+    /// id of its own, with the configured retry budget and its client
+    /// ticket as the id it reports under, and its first attempt starts.
+    pub(super) fn on_client_arrive(
+        &mut self,
+        now: SimTime,
+        sub: Submission,
+        ticket: u32,
+        coordinator: u16,
+    ) {
+        let retry = RetryCtx {
             issued_at: now,
             retries_left: self.shared.config.retry_on_timeout,
-            client_id: op_id,
-        });
-        // More than one shard routes the coordinator at admission, and no
-        // node goes down there; one shard draws it now.
-        let coordinator = p.coordinator.unwrap_or_else(|| {
-            draw_coordinator(self.shared, &mut self.s.rng, &mut self.s.up_scratch)
-        });
-        match p.sub.kind {
-            OpKind::Write => self.start_write(now, op_id, p.sub, coordinator, retry),
-            OpKind::Read => self.start_read(now, op_id, p.sub, coordinator, retry),
+            client_id: OpId(ticket as u64),
+        };
+        let op_id = self
+            .s
+            .ops
+            .insert(OpState::Pending(PendingOp { sub, retry }));
+        let coordinator = self.arrival_coordinator(coordinator);
+        self.start_attempt(now, op_id, sub, coordinator, retry);
+    }
+
+    /// A backed-off retry re-arrives (one shard only): its pending op
+    /// draws a fresh coordinator and starts.
+    pub(super) fn on_retry_arrive(&mut self, now: SimTime, op_id: OpId) {
+        let Some(&OpState::Pending(p)) = self.s.ops.get(op_id) else {
+            return;
+        };
+        let coordinator = draw_coordinator(self.shared, &mut self.s.rng, &mut self.s.up_scratch);
+        self.start_attempt(now, op_id, p.sub, coordinator, p.retry);
+    }
+
+    fn start_attempt(
+        &mut self,
+        now: SimTime,
+        op_id: OpId,
+        sub: Submission,
+        coordinator: NodeId,
+        retry: RetryCtx,
+    ) {
+        match sub.kind {
+            OpKind::Write => self.start_write(now, op_id, sub, coordinator, retry),
+            OpKind::Read => self.start_read(now, op_id, sub, coordinator, retry),
         }
     }
 
@@ -464,12 +493,12 @@ impl ShardCtx<'_> {
             op_id,
             key: sub.key,
             version,
-            size: sub.size,
+            size: sub.len,
             repair: false,
             coordinator: pack_node(coordinator),
         });
         for &replica in &replicas {
-            let Some(delay) = self.request(coordinator, replica, sub.size) else {
+            let Some(delay) = self.request(coordinator, replica, sub.len) else {
                 // The mutation is lost to this replica for now; for a down
                 // one, with hinted handoff, the coordinator queues a bounded
                 // hint to replay once the node is back up.
@@ -479,7 +508,7 @@ impl ShardCtx<'_> {
                         from: coordinator,
                         key: sub.key,
                         version,
-                        size: sub.size,
+                        size: sub.len,
                     };
                     self.queue_hint(now, replica, hint);
                 }
@@ -539,7 +568,7 @@ impl ShardCtx<'_> {
         self.s.store.prefetch_entry(sub.key);
         // Ownership-boundary segmentation (ordered scans only; everything
         // else is a single segment covering the whole range).
-        let scan_len = sub.scan_len.max(1);
+        let scan_len = sub.len.max(1);
         let split = self.shared.config.partitioner == Partitioner::Ordered && scan_len > 1;
         let end = sub.key.0.saturating_add(scan_len as u64);
 
@@ -596,7 +625,7 @@ impl ShardCtx<'_> {
         if let Some(state) = self.s.ops.get_mut(op_id) {
             *state = OpState::Read(ReadState {
                 key: sub.key,
-                scan_len: sub.scan_len,
+                scan_len: sub.len,
                 level: sub.level,
                 retry,
                 coordinator,

@@ -418,6 +418,32 @@ mod tests {
     }
 
     #[test]
+    fn a_backed_off_retry_reports_the_submitted_id() {
+        // A backed-off retry waits in the slab as a pending op under a slab
+        // id of its own, yet completes under the ticket `submit` returned.
+        let mut cfg = ClusterConfig::lan_test(4, 3);
+        cfg.op_timeout = SimDuration::from_millis(50);
+        cfg.retry_on_timeout = 2;
+        cfg.resilience.backoff = true;
+        let mut c = Cluster::new(cfg, 5);
+        c.load_records((0..10u64).map(|k| (k, 100)));
+        c.inject(FaultAction::NodeDown(1));
+        let mut submitted: Vec<OpId> = (0..10u64)
+            .map(|i| {
+                let op = BatchOp::write(SimTime::from_millis(i), i, 100);
+                c.submit(op.with_level(ConsistencyLevel::All))
+            })
+            .collect();
+        let done = drain(&mut c);
+        assert!(c.metrics().backoff_retries > 0);
+        let mut completed: Vec<OpId> = done.iter().map(|o| o.id).collect();
+        completed.sort();
+        submitted.sort();
+        assert_eq!(completed, submitted);
+        assert_eq!(c.check_drained(), Ok(()));
+    }
+
+    #[test]
     fn dynamic_selection_steers_reads_away_from_a_slow_replica() {
         // One replica 50x slow. Closest (static table; LAN peers are
         // equidistant, so the shuffle picks the slow node ~rf^-1 of the

@@ -1,11 +1,13 @@
 //! Generation-checked slab for in-flight operation state.
 //!
-//! The cluster simulator keeps per-operation state (pending submission, write
-//! progress, read progress) from submission until the consistency level is
-//! satisfied. The original implementation used three `HashMap<OpId, _>`
-//! tables, paying a SipHash per event; this slab replaces them with direct
-//! indexing: an [`OpId`] encodes `(generation << 32) | slot`, so every lookup
-//! is one bounds check, one generation compare and one array access.
+//! The cluster simulator keeps per-attempt state (a retry waiting out its
+//! backoff, write progress, read progress) from the attempt's arrival until
+//! its last event; a submission that has not arrived is an event, not a
+//! slab entry, so the slab holds the attempts in flight and nothing more.
+//! The original implementation used three `HashMap<OpId, _>` tables, paying
+//! a SipHash per event; this slab replaces them with direct indexing: an
+//! [`OpId`] encodes `(generation << 32) | slot`, so every lookup is one
+//! bounds check, one generation compare and one array access.
 //!
 //! Slots are recycled through a free list, which keeps long runs compact (the
 //! live slot count tracks the number of *outstanding* operations, not the
@@ -82,13 +84,6 @@ impl<T> OpSlab<T> {
         self.slots.len()
     }
 
-    /// Make room for `additional` more live states at once, so inserting
-    /// them reallocates nothing.
-    pub fn reserve(&mut self, additional: usize) {
-        self.slots
-            .reserve(additional.saturating_sub(self.free.len()));
-    }
-
     #[inline]
     fn encode(&self, generation: u32, index: u32) -> OpId {
         let slot = index * self.stride + self.offset;
@@ -126,12 +121,14 @@ impl<T> OpSlab<T> {
         // A foreign id (slot not congruent to this slab's offset) misses
         // here: `slot - offset` underflows or leaves a non-multiple, and
         // either way the divided index points at a slot whose generation
-        // cannot match — checked explicitly to keep the miss exact.
+        // cannot match — checked explicitly to keep the miss exact. Stride
+        // 1 (one shard, offset 0) has no foreign ids and needs no division.
         let rel = slot.wrapping_sub(self.offset);
-        if self.stride > 1 && rel % self.stride != 0 {
-            return None;
-        }
-        let index = rel / self.stride;
+        let index = match self.stride {
+            1 => rel,
+            stride if rel % stride == 0 => rel / stride,
+            _ => return None,
+        };
         match self.slots.get(index as usize) {
             Some(s) if s.generation == generation && s.state.is_some() => Some(index as usize),
             _ => None,

@@ -35,7 +35,9 @@ impl Version {
     }
 }
 
-/// Identifier assigned to every client operation submitted to the cluster.
+/// Identifier of an operation: the client ticket `Cluster::submit` hands
+/// out (`1, 2, 3, …` in submission order), and inside the cluster the
+/// generation-checked slab id of one attempt (`slab.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct OpId(pub u64);
 
@@ -70,9 +72,10 @@ pub enum OpStatus {
 /// A finished client operation, as reported back to the driving layer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CompletedOp {
-    /// The operation's id — always the id the `submit_*` call handed out,
-    /// even when `retry_on_timeout` re-issued the operation under fresh
-    /// internal attempts, so client-side correlation by id always holds.
+    /// The operation's client ticket — always the id the `submit_*` call
+    /// handed out, even when `retry_on_timeout` re-issued the operation
+    /// under fresh internal attempts, so client-side correlation by id
+    /// always holds.
     pub id: OpId,
     /// Read or write.
     pub kind: OpKind,

@@ -5,8 +5,9 @@
 //! with Harmony attached", the paper's evaluation setup. It now executes any
 //! [`Scenario`]: the arrival mode decides whether clients form a closed loop
 //! (each issues its next operation on completion) or an open loop (the whole
-//! sorted arrival schedule is bulk-loaded up front through
-//! `Cluster::submit_batch` and the event queue's O(1) bulk lane), and the
+//! sorted arrival schedule is submitted up front through
+//! `Cluster::submit_batch` and waits as arrival events in the event queue's
+//! O(1) bulk lane; an operation takes op state only when it arrives), and the
 //! scenario's fault script is scheduled in the cluster, where it fires
 //! between the policy's adaptation ticks. Every completed operation feeds
 //! the monitor;
@@ -120,10 +121,12 @@ impl AdaptiveRuntime {
     ///   (plus the arrival's think time). `config.clients` is ignored in
     ///   favour of the scenario.
     /// * **Open loop** — the workload's whole timed schedule
-    ///   (`CoreWorkload::timed_ops`) is bulk-loaded up front through
-    ///   `Cluster::submit_batch`; completions never gate arrivals, so the
-    ///   offered load stays fixed while faults and level changes move the
-    ///   completion rate. Consistency levels still apply at *arrival* time
+    ///   (`CoreWorkload::timed_ops`) is submitted up front through
+    ///   `Cluster::submit_batch`, where it waits as arrival events (48 B
+    ///   each) and the cluster holds op state for the operations in flight
+    ///   alone; completions never gate arrivals, so the offered load stays
+    ///   fixed while faults and level changes move the completion rate.
+    ///   Consistency levels still apply at *arrival* time
     ///   (the cluster resolves its default level when the operation reaches
     ///   its coordinator), so adaptation steps retune bulk-loaded
     ///   operations exactly like closed-loop ones.

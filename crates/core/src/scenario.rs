@@ -9,8 +9,9 @@
 //!
 //! * an **arrival mode** — a [`ArrivalProcess`]: closed-loop N clients
 //!   (think time optional), or an open-loop Poisson / uniform schedule that
-//!   is bulk-loaded through `Cluster::submit_batch` and the event queue's
-//!   O(1) bulk lane;
+//!   is submitted up front through `Cluster::submit_batch` and waits as
+//!   arrival events in the event queue's O(1) bulk lane, each operation
+//!   taking op state only when it arrives;
 //! * a **fault script** — a list of [`FaultEvent`]s, each a time offset from
 //!   the run start plus a [`FaultAction`] (node crash/recover with ring
 //!   reconfiguration, transient down/up, DC partition/heal, link-class

@@ -29,7 +29,7 @@
 //!   order.
 //! * **bulk** (sorted `VecDeque`): [`EventQueue::bulk_push_sorted`] and
 //!   [`EventQueue::bulk_load_sorted`]. Holds pre-sorted open-loop arrival
-//!   streams loaded up front.
+//!   streams loaded up front, sized once by [`EventQueue::reserve_bulk`].
 //!
 //! A pop takes the smallest key over the four lane fronts. Keys are unique
 //! and totally ordered across lanes, so which lane an event waits in can
@@ -414,6 +414,12 @@ impl<E> EventQueue<E> {
         self.bulk.push_back((key, event));
     }
 
+    /// Make room in the bulk lane for `additional` more events, so pushing
+    /// that many reallocates nothing.
+    pub fn reserve_bulk(&mut self, additional: usize) {
+        self.bulk.reserve(additional);
+    }
+
     /// Bulk-load a pre-sorted stream of `(time, event)` pairs through the
     /// bulk lane (see [`EventQueue::bulk_push_sorted`]).
     ///
@@ -421,8 +427,7 @@ impl<E> EventQueue<E> {
     /// Panics if the stream's firing times are not non-decreasing.
     pub fn bulk_load_sorted(&mut self, items: impl IntoIterator<Item = (SimTime, E)>) {
         let iter = items.into_iter();
-        let (lower, _) = iter.size_hint();
-        self.bulk.reserve(lower);
+        self.reserve_bulk(iter.size_hint().0);
         for (at, event) in iter {
             self.bulk_push_sorted(at, event);
         }
