@@ -353,17 +353,22 @@ impl Cluster {
         (self.shared.shard_of(coordinator), pack_node(coordinator))
     }
 
-    /// **The preload version** of one bulk-loaded record. *One shard:* the
-    /// global counter of [`ShardCtx::alloc_version`]. *More than one:* every
-    /// preload shares the floor `Version(1)` — last-writer-wins only
-    /// compares versions of the *same* key, each key is preloaded once, and
-    /// every runtime version is timestamp-packed (≥ 2^24), so the baseline
-    /// always loses to the first real write.
-    pub(super) fn preload_version(&mut self) -> Version {
+    /// **The load versions** of `count` bulk-loaded records, as the first
+    /// record's version and the step between adjacent keys. *One shard:*
+    /// the next `count` values of the global counter of
+    /// [`ShardCtx::alloc_version`], step 1; the counter then starts past
+    /// them. *More than one:* every record shares the floor `Version(1)`,
+    /// step 0 — last-writer-wins only compares versions of the *same* key,
+    /// each key is loaded once, and every runtime version is
+    /// timestamp-packed (≥ 2^24), so the baseline always loses to the first
+    /// real write.
+    pub(super) fn load_versions(&mut self, count: u64) -> (u64, u64) {
         if self.serial() {
-            self.shard_states[0].versions.next_serial()
+            let clock = &mut self.shard_states[0].versions;
+            clock.next += count;
+            (clock.next + 1 - count, 1)
         } else {
-            Version(1)
+            (1, 0)
         }
     }
 

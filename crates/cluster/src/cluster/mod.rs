@@ -448,7 +448,7 @@ struct ControlState {
     /// Hint queues, sweep cursor and ownership index (`repair.rs`).
     repair: RepairState,
     /// The ground-truth staleness oracle. One central instance, mutated
-    /// only at serial points: preloads before the run, acks and read
+    /// only at serial points: the load before the run, acks and read
     /// classifications inline on the one-shard engine and at window
     /// closes otherwise.
     oracle: StalenessOracle,
@@ -477,8 +477,7 @@ pub struct Cluster {
     clock: SimTime,
     outputs: VecDeque<ClusterOutput>,
     propagation_samples: Vec<SimDuration>,
-    /// Scratch for bulk-load placement lookups and the coordinator draws of
-    /// admissions (serial points).
+    /// Scratch for the coordinator draws of admissions (serial points).
     home_scratch: Vec<NodeId>,
     /// Synchronization counters of the sharded engine (all zero with one
     /// shard: the serial path never crosses a window barrier).
@@ -778,99 +777,70 @@ impl Cluster {
     /// accounting): every replica of each key receives the key's baseline
     /// version, and the oracle takes it as acknowledged at time zero.
     ///
-    /// The load is implicit: it records contiguous runs of keys
-    /// (`LoadRun`: first key, count, first version, version step, size),
-    /// advances the version clock past them, and writes no row — the stores
-    /// count the copies (by arithmetic on one shard) and the oracle the
-    /// keys. Until its first write, a loaded
-    /// key is held at its load version by exactly its owners under the ring
-    /// every node is in (the *load ring*), and every reader of the stores
-    /// and the oracle answers from the runs (see the `storage` and `oracle`
-    /// module docs, which list them). A record takes the explicit path
-    /// instead, writing every replica's row and the oracle's slot as
-    /// before, when it cannot start or continue a run: a crash is in force
-    /// (the ring is not the load ring), its key lies below the end of the
-    /// last run (a repeated key — an authoritative overwrite whose oracle
-    /// entry counts a second ack at time zero — or one that comes back to a
-    /// gap), or the key already has a row.
+    /// **The contract** is YCSB's load phase: one call, with the keys `k0,
+    /// k0 + 1, …` in that order, all of one size, on a cluster that holds
+    /// no record yet — no store row, no key the oracle has seen — and while
+    /// no crash is in force. An empty stream loads nothing.
+    ///
+    /// The load is implicit: it hands every store and the oracle one
+    /// `LoadRun` (first key, count, first version, version step, size),
+    /// and writes no row — the stores count the copies (by arithmetic on
+    /// one shard) and the oracle the keys. Key `k` is at version `1 + (k −
+    /// k0)·step` on a fresh cluster: step 1 on one shard, where the version
+    /// clock then starts past the run, and 0 on more shards. Until its
+    /// first write, a loaded key is held at its load version by exactly its
+    /// owners under the ring every node is in (the *load ring*), and every
+    /// reader of the stores and the oracle answers from the run (see the
+    /// `storage` and `oracle` module docs, which list them).
     ///
     /// # Panics
-    /// Panics if a key's row would lie past the stores' 2^32-slot space
-    /// (the key-density contract).
+    /// Panics with `bulk-load contract` on a record that breaks the
+    /// contract — a gap, a repeated or descending key, a size change — and
+    /// on a second load or a crash in force; and if a key's row would lie
+    /// past the stores' 2^32-slot space (the key-density contract).
     pub fn load_records(&mut self, records: impl Iterator<Item = (u64, u32)>) {
-        // Without a store or oracle row, every key may be placed implicitly
-        // if any may, until a record takes the explicit path.
-        let mut rowless =
-            self.ctrl.oracle.rows() == 0 && self.shard_states.iter().all(|s| s.store.rows() == 0);
-        let mut open: Option<LoadRun> = None;
-        for (key, size) in records {
-            let version = self.preload_version();
-            let implicit = match rowless {
-                true => self.shared.on_load_ring,
-                false => self.loads_implicitly(key),
-            };
-            if let Some(run) = &mut open {
-                if implicit && run.extend(key, version, size) {
-                    continue;
-                }
-                self.close_run(run);
-                open = None;
-            }
-            // A run's keys ascend: checking its first and its last key
-            // checks them all.
-            self.assert_in_space(key);
-            if implicit && key >= self.ctrl.oracle.loaded_end() {
-                open = Some(LoadRun::new(key, version, size));
-            } else {
-                self.preload_explicitly(Key(key), version, size);
-                rowless = false;
-            }
+        assert!(
+            self.shared.on_load_ring
+                && self.ctrl.oracle.key_count() == 0
+                && self.shard_states.iter().all(|s| s.store.rows() == 0),
+            "bulk-load contract: one load, into a cluster that holds no record \
+             yet, while no crash is in force"
+        );
+        let mut records = records.peekable();
+        let Some(&(first, size)) = records.peek() else {
+            return;
+        };
+        // The keys ascend one by one: checking the first and the last
+        // checks them all.
+        self.assert_in_space(first);
+        let mut count = 0;
+        for (key, bytes) in records {
+            assert!(
+                key == first + count && bytes == size,
+                "bulk-load contract: the keys {first}, {first} + 1, … of {size} B \
+                 each, but record {count} is key {key} of {bytes} B"
+            );
+            count += 1;
         }
-        if let Some(run) = &open {
-            self.close_run(run);
+        self.assert_in_space(first + count - 1);
+        let (first_version, step) = self.load_versions(count);
+        let run = LoadRun {
+            first,
+            count,
+            first_version,
+            step,
+            size,
+        };
+        for s in &mut self.shard_states {
+            s.store.load(run);
         }
+        self.ctrl.oracle.load(run);
     }
 
     /// Assert that `key`'s store row fits the stores' slot space (see
     /// `RowTable::assert_in_space`).
     fn assert_in_space(&self, key: u64) {
         self.shard_states[0].store.assert_in_space(Key(key));
-    }
-
-    /// Whether `key` may be placed without a row: no crash is in force and
-    /// no store or oracle row exists for it.
-    fn loads_implicitly(&self, key: u64) -> bool {
-        let key = Key(key);
-        self.shared.on_load_ring
-            && !self.ctrl.oracle.is_materialized(key)
-            && !self
-                .shard_states
-                .iter()
-                .any(|s| s.store.is_materialized(key))
-    }
-
-    /// Hand a finished run to every store and the oracle.
-    fn close_run(&mut self, run: &LoadRun) {
-        self.assert_in_space(run.end() - 1);
-        for s in &mut self.shard_states {
-            s.store.load(*run);
-        }
-        self.ctrl.oracle.load(*run);
-    }
-
-    /// Load one record the way a preload spells it out: every current
-    /// replica's row, and the oracle's slot.
-    fn preload_explicitly(&mut self, key: Key, version: Version, size: u32) {
-        let mut replicas = std::mem::take(&mut self.home_scratch);
-        self.shared.ring.replicas_into(key, &mut replicas);
-        for &node in &replicas {
-            let dest = self.shared.shard_of(node);
-            self.shard_states[dest]
-                .store
-                .preload_on(node, key, version, size);
-        }
-        self.ctrl.oracle.preload(key, version);
-        self.home_scratch = replicas;
     }
 
     /// Submit one client operation (see [`BatchOp`]: its arrival time, kind,
@@ -1045,18 +1015,20 @@ impl Cluster {
         self.advance_inner()
     }
 
-    /// Drain the simulation completely (bounded by `max_events`), returning
-    /// every completed operation. Ticks are discarded.
-    pub fn run_to_completion(&mut self, max_events: u64) -> Vec<CompletedOp> {
+    /// Drain the simulation completely, returning every completed
+    /// operation, or stop after `max_outputs` outputs of
+    /// [`Cluster::advance`] — completions and ticks, not events. Ticks are
+    /// discarded.
+    pub fn run_to_completion(&mut self, max_outputs: u64) -> Vec<CompletedOp> {
         let mut done = Vec::new();
-        let mut events = 0u64;
-        while events < max_events {
+        let mut outputs = 0u64;
+        while outputs < max_outputs {
             match self.advance() {
                 Some(ClusterOutput::Completed(op)) => done.push(op),
                 Some(ClusterOutput::Tick { .. }) => {}
                 None => break,
             }
-            events += 1;
+            outputs += 1;
         }
         done
     }
@@ -1187,8 +1159,14 @@ mod tests {
         /// reference of the implicit load's differential tests).
         fn load_spelled_out(&mut self, records: impl Iterator<Item = (u64, u32)>) {
             for (key, size) in records {
-                let version = self.preload_version();
-                self.preload_explicitly(Key(key), version, size);
+                let (key, version) = (Key(key), Version(self.load_versions(1).0));
+                for node in self.shared.ring.replicas(key) {
+                    let dest = self.shared.shard_of(node);
+                    self.shard_states[dest]
+                        .store
+                        .preload_on(node, key, version, size);
+                }
+                self.ctrl.oracle.preload(key, version);
             }
         }
     }
@@ -1258,54 +1236,50 @@ mod tests {
     }
 
     #[test]
-    fn load_records_defines_its_edges() {
-        // Runs from key 3 (not 0), a size change, a gap, a repeated key and
-        // an insert past the runs: every case reads as a spelled-out load.
-        let records = [(3, 100), (4, 100), (5, 100), (6, 200), (7, 200), (10, 200)];
-        let records = records.into_iter().chain([(4, 300), (8, 50), (11, 200)]);
-        let mut c = cluster(5, 3);
-        c.load_records(records.clone());
-        let mut spelled = cluster(5, 3);
-        spelled.load_spelled_out(records);
-        let keys = 0..14;
-        let copies =
-            |c: &Cluster, key: u64| (0..5).map(|n| c.stored(NodeId(n), key)).collect::<Vec<_>>();
-        for key in keys.clone() {
-            assert_eq!(copies(&c, key), copies(&spelled, key), "key {key}");
-            let oracle = |c: &Cluster| c.ctrl.oracle.expected_version(Key(key));
-            assert_eq!(oracle(&c), oracle(&spelled), "key {key}");
+    fn load_records_refuses_all_but_one_contiguous_run_of_one_size() {
+        use FaultAction::CrashNode;
+        fn run(keys: std::ops::Range<u64>) -> Vec<(u64, u32)> {
+            keys.map(|k| (k, 100)).collect()
         }
-        // Key 4 was overwritten: its bytes replaced, and its oracle entry
-        // counts a second ack at time zero. Keys 8 (below the last run's
-        // end) and 4 took the explicit path: two rows; the rest none.
-        let owner = c.replicas_of(4)[0];
-        assert_eq!(c.stored(owner, 4).unwrap().size, 300);
-        assert_eq!(c.total_bytes_stored(), spelled.total_bytes_stored());
-        assert_eq!(c.total_bytes_stored(), 3 * (2 * 100 + 300 + 4 * 200 + 50));
-        let depth = |c: &Cluster| c.ctrl.oracle.classify_read(Key(4), Version(7), Version(2));
-        assert_eq!(depth(&c), depth(&spelled));
-        assert_eq!(depth(&c).depth, 1, "the overwrite is the key's second ack");
-        assert_eq!(
-            (c.shard_states[0].store.rows(), c.ctrl.oracle.rows()),
-            (2, 2)
-        );
-        assert_eq!(c.ctrl.oracle.key_count(), spelled.ctrl.oracle.key_count());
-        // A YCSB-D insert past the runs is an ordinary row.
-        c.submit(BatchOp::write(SimTime::ZERO, 20, 10).with_level(ConsistencyLevel::All));
-        drain(&mut c);
-        assert!(c
-            .replicas_of(20)
-            .into_iter()
-            .all(|n| c.stored(n, 20).unwrap().size == 10));
-        assert_eq!(c.shard_states[0].store.rows(), 3);
-        assert_eq!(c.check_drained(), Ok(()));
+        /// What the case is, its records, and what runs before the load.
+        type Case = (&'static str, Vec<(u64, u32)>, fn(&mut Cluster));
+        let cases: [Case; 6] = [
+            ("a gap", [run(3..6), run(7..9)].concat(), |_| {}),
+            ("a repeated key", [run(0..5), run(4..5)].concat(), |_| {}),
+            ("a descending key", [run(5..9), run(2..3)].concat(), |_| {}),
+            ("a size change", vec![(0, 100), (1, 100), (2, 200)], |_| {}),
+            ("a second load", run(0..5), |c| {
+                c.load_records(run(5..9).into_iter())
+            }),
+            ("a crash in force", run(0..5), |c| c.inject(CrashNode(1))),
+        ];
+        for (case, records, before) in cases {
+            let load = std::panic::catch_unwind(move || {
+                let mut c = cluster(5, 3);
+                before(&mut c);
+                c.load_records(records.into_iter());
+            });
+            let payload = load.expect_err(case);
+            let message = match payload.downcast_ref::<String>() {
+                Some(message) => message,
+                None => payload.downcast_ref::<&str>().copied().unwrap_or(""),
+            };
+            assert!(message.contains("bulk-load contract"), "{case}: {message}");
+        }
+        let mut c = cluster(5, 3);
+        c.load_records(std::iter::empty());
+        assert_eq!((c.total_bytes_stored(), c.ctrl.oracle.key_count()), (0, 0));
+        c.load_records(run(3..6).into_iter());
+        assert_eq!(c.total_bytes_stored(), 3 * 3 * 100, "an empty load is none");
     }
 
     #[test]
     #[should_panic(expected = "key-density contract")]
     fn a_load_past_the_slot_space_panics_at_load() {
         let mut c = cluster(4, 3);
-        c.load_records([(0, 10), (u64::MAX / 2, 10)].into_iter());
+        // The last key whose row of 3 slots fits the 2^32-slot space.
+        let last = crate::paged::SLOT_SPACE / 3 - 1;
+        c.load_records((last - 1..=last + 1).map(|k| (k, 10)));
     }
 
     #[test]
@@ -1373,11 +1347,8 @@ mod tests {
         use FaultAction::*;
         let records = 3 * crate::paged::PAGE_SLOTS as u64 + 300;
         let keys = records + 40;
-        // Two runs (a size change), a repeated key and a gap key.
-        let load = || {
-            let sizes = (0..records).map(|k| (k, if k < records / 2 { 100 } else { 150 }));
-            sizes.filter(|&(k, _)| k != 77).chain([(5, 300), (77, 50)])
-        };
+        // The 40 keys past the load are written, never loaded.
+        let load = || (0..records).map(|k| (k, 100));
         let mut implicit = Cluster::new(cfg.clone(), seed);
         implicit.load_records(load());
         let mut spelled = Cluster::new(cfg.clone(), seed);

@@ -34,8 +34,8 @@
 //!
 //! **The implicit preload entry.** A record of a cluster's bulk load
 //! (`StalenessOracle::load`, from `Cluster::load_records`) gets no slot:
-//! the load's `LoadRun`s stand for it, and a key without a slot that a
-//! run holds reads as the slot `(load version, 1 ack, no history)` — its
+//! the load's one `LoadRun` stands for it, and a key without a slot that
+//! the run holds reads as the slot `(load version, 1 ack, no history)` — its
 //! one baseline entry `(load version, 1, SimTime::ZERO)`, acknowledged at
 //! time zero. Every reader honours it: `expected_version`,
 //! `expected_version_at`, `classify_read` and `classify_read_at`.
@@ -46,7 +46,7 @@
 //! history. The oracle needs no ring: which replicas hold a loaded record
 //! is the store's question, not the oracle's.
 
-use crate::paged::{LoadRun, LoadRuns, RowTable};
+use crate::paged::{LoadRun, RowTable};
 use crate::types::{Key, Version};
 use concord_sim::SimTime;
 use std::collections::VecDeque;
@@ -131,9 +131,9 @@ pub struct StalenessOracle {
     /// Per-key slots of the keys acknowledged or preloaded one by one, in
     /// the shared row table (lookups never allocate).
     table: RowTable<KeySlot>,
-    /// The bulk load's runs: a key among them without a slot has its
-    /// implicit preload entry (see the module docs).
-    loaded: LoadRuns,
+    /// The bulk load's run: a key of it without a slot has its implicit
+    /// preload entry (see the module docs). Empty until the cluster's load.
+    loaded: LoadRun,
     /// The history arena, addressed by [`KeySlot::history`]. Entries are
     /// never removed: a key that entered stays for the run.
     histories: Vec<History>,
@@ -146,7 +146,7 @@ impl Default for StalenessOracle {
     fn default() -> Self {
         StalenessOracle {
             table: RowTable::new(KeySlot::default(), 1),
-            loaded: LoadRuns::default(),
+            loaded: LoadRun::default(),
             histories: Vec::new(),
             keys: 0,
         }
@@ -166,7 +166,7 @@ pub struct ReadClassification {
 /// `key`'s slot in `table`, materialized — with `loaded`'s implicit
 /// preload entry spelled out, if it has one — when it had none.
 #[inline]
-fn slot_mut<'a>(table: &'a mut RowTable<KeySlot>, loaded: &LoadRuns, key: Key) -> &'a mut KeySlot {
+fn slot_mut<'a>(table: &'a mut RowTable<KeySlot>, loaded: &LoadRun, key: Key) -> &'a mut KeySlot {
     if table.row(key.0).is_none() {
         let slot = &mut table.materialize(key.0)[0];
         if let Some(value) = loaded.get(key.0) {
@@ -225,25 +225,11 @@ impl StalenessOracle {
     }
 
     /// Take `run`'s records as preloaded (see the module docs): each gets
-    /// its implicit preload entry, and no slot.
-    ///
-    /// # Panics
-    /// Panics if the run does not start at or after the previous run's end.
+    /// its implicit preload entry, and no slot. The cluster loads once,
+    /// into an oracle that has seen no key.
     pub(crate) fn load(&mut self, run: LoadRun) {
         self.keys += run.count as usize;
-        self.loaded.push(run);
-    }
-
-    /// One past the last key the load runs hold: a new run starts at or
-    /// after it.
-    pub(crate) fn loaded_end(&self) -> u64 {
-        self.loaded.end()
-    }
-
-    /// Whether `key` has a slot (a load may place it implicitly only if
-    /// not).
-    pub(crate) fn is_materialized(&self, key: Key) -> bool {
-        self.table.row(key.0).is_some()
+        self.loaded = run;
     }
 
     /// Record that `version` of `key` was just preloaded (bulk load before
@@ -415,7 +401,8 @@ impl StalenessOracle {
         self.keys
     }
 
-    /// Slots materialized.
+    /// Slots materialized (tests).
+    #[cfg(test)]
     pub(crate) fn rows(&self) -> usize {
         self.table.rows()
     }
@@ -636,46 +623,62 @@ mod tests {
 
     #[test]
     fn a_loaded_run_classifies_like_its_preloaded_slots() {
-        let mut implicit = StalenessOracle::new();
-        let mut spelled = StalenessOracle::new();
-        // Keys 1..6 at versions 1..5, and 8..10 at version 1 (the sharded
-        // engine's flat load); 0, 6 and 7 unloaded.
-        let mut counting = LoadRun::new(1, Version(1), 10);
-        for key in 2..6 {
-            assert!(counting.extend(key, Version(key), 10));
-        }
-        let mut flat = LoadRun::new(8, Version(1), 10);
-        assert!(flat.extend(9, Version(1), 10));
+        // Keys 1..6 at versions 1..5 (the one-shard engine's counting
+        // load), and keys 8..10 at version 1 (the sharded engine's flat
+        // one), each run in an oracle of its own; 0, 6, 7 and 10 unloaded.
+        let counting = LoadRun {
+            first: 1,
+            count: 5,
+            first_version: 1,
+            step: 1,
+            size: 10,
+        };
+        let flat = LoadRun {
+            first: 8,
+            count: 2,
+            step: 0,
+            ..counting
+        };
         for run in [counting, flat] {
+            let mut implicit = StalenessOracle::new();
+            let mut spelled = StalenessOracle::new();
             implicit.load(run);
             for key in run.first..run.end() {
-                spelled.preload(Key(key), run.version(key));
+                spelled.preload(Key(key), run.get(key).unwrap().version);
             }
+            let loaded = run.count as usize;
+            assert_eq!(
+                (implicit.rows(), implicit.key_count()),
+                (0, loaded),
+                "no slot"
+            );
+            assert_eq!(observe(&implicit, 11), observe(&spelled, 11));
+            // The first ack spells the baseline out ahead of itself; a
+            // preload of a loaded key is an ack at time zero; unloaded keys
+            // start empty.
+            let (acked, repreloaded) = (run.first + 1, run.first);
+            for o in [&mut implicit, &mut spelled] {
+                o.record_ack(Key(acked), Version(9), SimTime::from_micros(200));
+                o.preload(Key(repreloaded), Version(7));
+                o.preload(Key(6), Version(8));
+                o.record_ack(Key(7), Version(10), SimTime::from_micros(50));
+            }
+            assert_eq!(implicit.rows(), 4, "one slot per key acked or preloaded");
+            assert_eq!(implicit.spilled_histories(), spelled.spilled_histories());
+            assert_eq!(observe(&implicit, 11), observe(&spelled, 11));
+            let baseline = run.get(acked).unwrap().version;
+            let c = implicit.classify_read(Key(acked), Version(9), baseline);
+            assert_eq!((c.stale, c.depth), (true, 1), "the baseline is ack 1");
+            let slot = implicit.slot(Key(repreloaded)).unwrap();
+            let h = implicit.history(&slot).unwrap();
+            assert_eq!(
+                h.version_order,
+                [
+                    (run.get(repreloaded).unwrap().version, 1, SimTime::ZERO),
+                    (Version(7), 2, SimTime::ZERO)
+                ],
+                "a re-preload is an ack at time zero after the baseline"
+            );
         }
-        assert_eq!((implicit.rows(), implicit.key_count()), (0, 7), "no slot");
-        assert_eq!(observe(&implicit, 11), observe(&spelled, 11));
-        // The first ack spells the baseline out ahead of itself; a preload
-        // of a loaded key is an ack at time zero; unloaded keys start empty.
-        for o in [&mut implicit, &mut spelled] {
-            o.record_ack(Key(3), Version(9), SimTime::from_micros(200));
-            o.record_ack(Key(9), Version(11), SimTime::from_micros(100));
-            o.preload(Key(4), Version(7));
-            o.preload(Key(6), Version(8));
-            o.record_ack(Key(7), Version(10), SimTime::from_micros(50));
-        }
-        assert_eq!(implicit.rows(), 5, "one slot per key acked or preloaded");
-        assert_eq!(implicit.spilled_histories(), spelled.spilled_histories());
-        assert_eq!(observe(&implicit, 11), observe(&spelled, 11));
-        let c = implicit.classify_read(Key(3), Version(9), Version(3));
-        assert_eq!((c.stale, c.depth), (true, 1), "the baseline is ack 1");
-        let h = implicit.history(&implicit.slot(Key(4)).unwrap()).unwrap();
-        assert_eq!(
-            h.version_order,
-            [
-                (Version(4), 1, SimTime::ZERO),
-                (Version(7), 2, SimTime::ZERO)
-            ],
-            "a re-preload is an ack at time zero after the baseline"
-        );
     }
 }

@@ -17,17 +17,17 @@
 //! repair diff) stays inside the page's rows.
 //!
 //! **Most keys never get a row.** A cluster's bulk load
-//! (`Cluster::load_records`) records `LoadRun`s — contiguous keys, their
-//! versions and their size — instead of writing a row per record, and every
-//! reader of a key without a row answers from the runs: a loaded record is
-//! held at its load version by exactly its owners under the ring it was
-//! loaded on. A row is materialized on a key's first write, spelling the
-//! loaded copies out as the load would have. A workload writes a few
-//! percent of its records (3.9 % of `exp_harmony`'s at seed 2013), so the
-//! others cost 4 bytes of row number — nothing at all where no row of their
-//! page was ever materialized — instead of RF × 16 B of store row and a
-//! 24-byte oracle slot, and setting a cluster up touches no memory per
-//! record.
+//! (`Cluster::load_records`) records one `LoadRun` per table — its
+//! contiguous keys, their versions and their one size — instead of writing
+//! a row per record, and every reader of a key without a row answers from
+//! the run: a loaded record is held at its load version by exactly its
+//! owners under the ring it was loaded on. A row is materialized on a
+//! key's first write, spelling the loaded copies out as the load would
+//! have. A workload writes a few percent of its records (3.9 % of
+//! `exp_harmony`'s at seed 2013), so the others cost 4 bytes of row number
+//! — nothing at all where no row of their page was ever materialized —
+//! instead of RF × 16 B of store row and a 24-byte oracle slot, and setting
+//! a cluster up touches no memory per record.
 //!
 //! The materialized rows are compact in their page (a key is materialized
 //! when it is first written), and a row number is 4 bytes where a loaded
@@ -46,8 +46,8 @@
 
 use crate::types::{StoredValue, Version};
 
-/// Keys per page (2^12), and the key page of the store's per-page digests
-/// and the repair plane's page diffs: a page's row numbers take 16 KiB.
+/// Keys per page (2^12), and the key page of the repair plane's page
+/// diffs: a page's row numbers take 16 KiB.
 pub const PAGE_BITS: u32 = 12;
 /// Number of keys in one page.
 pub const PAGE_SLOTS: usize = 1 << PAGE_BITS;
@@ -300,10 +300,10 @@ impl<T: Clone> RowTable<T> {
     }
 }
 
-/// A run of records a bulk load placed without a row: keys `first..first +
+/// The records a bulk load placed without a row: keys `first..first +
 /// count`, key `first + i` at version `first_version + i · step`, every one
-/// `size` bytes (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// `size` bytes (see the module docs). The default run holds no key.
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LoadRun {
     /// The run's first key.
     pub(crate) first: u64,
@@ -320,113 +320,20 @@ pub(crate) struct LoadRun {
 }
 
 impl LoadRun {
-    /// A run of the one record `key`.
-    pub(crate) fn new(key: u64, version: Version, size: u32) -> Self {
-        LoadRun {
-            first: key,
-            count: 1,
-            first_version: version.0,
-            step: 0,
-            size,
-        }
-    }
-
     /// One past the run's last key.
     pub(crate) fn end(&self) -> u64 {
         self.first + self.count
     }
 
-    /// The version of `key`, one of the run's keys.
-    #[inline]
-    pub(crate) fn version(&self, key: u64) -> Version {
-        Version(self.first_version + (key - self.first) * self.step)
-    }
-
-    /// Append the record `(key, version, size)` if it continues the run —
-    /// the next key, the same size and, from the third key on, the same
-    /// version step — and say whether it did.
-    pub(crate) fn extend(&mut self, key: u64, version: Version, size: u32) -> bool {
-        let continues = key == self.end()
-            && size == self.size
-            && match self.count {
-                1 => version.0 >= self.first_version,
-                _ => version == self.version(key),
-            };
-        if continues {
-            if self.count == 1 {
-                self.step = version.0 - self.first_version;
-            }
-            self.count += 1;
-        }
-        continues
-    }
-}
-
-/// The load runs of one table, ascending and disjoint: what a key without a
-/// row reads (see the module docs).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LoadRuns {
-    runs: Vec<LoadRun>,
-}
-
-impl LoadRuns {
-    /// The loaded record of `key`, if a run holds it.
+    /// The loaded record of `key`, if the run holds it.
     #[inline]
     pub(crate) fn get(&self, key: u64) -> Option<StoredValue> {
-        let after = self.runs.partition_point(|r| r.first <= key);
-        let run = self.runs[..after].last()?;
-        (key < run.end()).then(|| StoredValue {
-            version: run.version(key),
-            size: run.size,
-        })
-    }
-
-    /// A cursor for [`LoadRuns::next_get`]: the run holding `key`, or the
-    /// first run after it.
-    pub(crate) fn seek(&self, key: u64) -> usize {
-        self.runs.partition_point(|r| r.end() <= key)
-    }
-
-    /// [`LoadRuns::get`] for keys visited in ascending order from a
-    /// [`LoadRuns::seek`] cursor, which it moves past the runs that end at
-    /// or before `key`: a scan resolves its runs once, not per key.
-    #[inline]
-    pub(crate) fn next_get(&self, cursor: &mut usize, key: u64) -> Option<StoredValue> {
-        while let Some(run) = self.runs.get(*cursor) {
-            if key < run.end() {
-                return (key >= run.first).then(|| StoredValue {
-                    version: run.version(key),
-                    size: run.size,
-                });
-            }
-            *cursor += 1;
-        }
-        None
-    }
-
-    /// One past the last loaded key (0 before any load): a new run starts
-    /// at or after it.
-    pub(crate) fn end(&self) -> u64 {
-        self.runs.last().map_or(0, LoadRun::end)
-    }
-
-    /// Append `run`.
-    ///
-    /// # Panics
-    /// Panics if the run is empty or starts before [`LoadRuns::end`].
-    pub(crate) fn push(&mut self, run: LoadRun) {
-        assert!(
-            run.count > 0 && run.first >= self.end(),
-            "load runs are non-empty and ascending ({run:?} after key {})",
-            self.end()
-        );
-        self.runs.push(run);
-    }
-
-    /// The runs, ascending (the counters' recount in debug builds).
-    #[cfg(any(test, debug_assertions))]
-    pub(crate) fn runs(&self) -> &[LoadRun] {
-        &self.runs
+        (self.first..self.end())
+            .contains(&key)
+            .then(|| StoredValue {
+                version: Version(self.first_version + (key - self.first) * self.step),
+                size: self.size,
+            })
     }
 }
 
@@ -584,64 +491,33 @@ mod tests {
     }
 
     #[test]
-    fn a_run_extends_by_the_next_key_at_its_step() {
-        let mut counting = LoadRun::new(10, Version(5), 100);
-        assert!(
-            !counting.extend(12, Version(6), 100),
-            "a gap starts a new run"
+    fn a_load_run_answers_its_keys_and_nothing_else() {
+        let at = |run: LoadRun| move |key| run.get(key).map(|v| (v.version.0, v.size));
+        let counting = LoadRun {
+            first: 3,
+            count: 3,
+            first_version: 5,
+            step: 1,
+            size: 10,
+        };
+        assert_eq!(counting.end(), 6);
+        assert_eq!(
+            [0, 2, 3, 5, 6, u64::MAX].map(at(counting)),
+            [None, None, Some((5, 10)), Some((7, 10)), None, None]
         );
-        assert!(
-            !counting.extend(11, Version(6), 99),
-            "so does a size change"
-        );
-        assert!(!counting.extend(11, Version(4), 100), "versions never fall");
-        assert!(counting.extend(11, Version(6), 100));
-        assert!(!counting.extend(12, Version(8), 100), "the step is fixed");
-        assert!(counting.extend(12, Version(7), 100));
-        assert_eq!((counting.end(), counting.step), (13, 1));
-        assert_eq!(counting.version(12), Version(7));
         // The sharded engine's loads all carry `Version(1)`.
-        let mut flat = LoadRun::new(0, Version(1), 8);
-        for key in 1..5 {
-            assert!(flat.extend(key, Version(1), 8));
-        }
-        assert!(!flat.extend(5, Version(2), 8));
-        assert_eq!((flat.count, flat.step, flat.version(4)), (5, 0, Version(1)));
-    }
-
-    #[test]
-    fn load_runs_answer_their_keys_and_nothing_else() {
-        let mut runs = LoadRuns::default();
-        assert_eq!((runs.get(0), runs.end()), (None, 0));
-        let mut a = LoadRun::new(3, Version(1), 10);
-        assert!(a.extend(4, Version(2), 10));
-        runs.push(a);
-        runs.push(LoadRun::new(9, Version(7), 20));
-        let at = |key| runs.get(key).map(|v| (v.version.0, v.size));
+        let flat = LoadRun {
+            step: 0,
+            first_version: 1,
+            ..counting
+        };
+        let one = Some((1, 10));
+        assert_eq!([3, 4, 5, 6].map(at(flat)), [one, one, one, None]);
+        let empty = LoadRun::default();
         assert_eq!(
-            [0, 3, 4, 5, 8, 9, 10].map(at),
-            [
-                None,
-                Some((1, 10)),
-                Some((2, 10)),
-                None,
-                None,
-                Some((7, 20)),
-                None
-            ]
+            [0, 1, u64::MAX].map(at(empty)),
+            [None; 3],
+            "the default run"
         );
-        assert_eq!((runs.end(), runs.runs().len()), (10, 2));
-        let mut cursor = runs.seek(4);
-        let scanned: Vec<_> = (4..12).map(|key| runs.next_get(&mut cursor, key)).collect();
-        assert_eq!(
-            scanned,
-            (4..12).map(|key| runs.get(key)).collect::<Vec<_>>()
-        );
-        assert_eq!(cursor, 2, "past the last run");
-        let overlap = std::panic::catch_unwind(move || {
-            let mut runs = runs;
-            runs.push(LoadRun::new(9, Version(8), 20));
-        });
-        assert!(overlap.is_err(), "runs stay ascending and disjoint");
     }
 }

@@ -21,9 +21,9 @@
 //! ([`ReplicaStore::new`]) has rows one slot wide and one holder.
 //!
 //! **A loaded record has no row until it is written.** A cluster's bulk load
-//! (`Cluster::load_records`) hands its stores `LoadRun`s, and a store
-//! built for a cluster keeps the ring the records were loaded on (every
-//! node's: a load while a crash is in force writes rows instead). A key
+//! (`Cluster::load_records`) hands each of its stores one `LoadRun`, and a
+//! store built for a cluster keeps the ring the records were loaded on
+//! (every node's: the load's contract rules out a crash in force). A key
 //! without a row is held at its load version by exactly its owners under
 //! that *load ring* that this store hosts — its *implicit copies*. Loading
 //! counts them without touching a row (by arithmetic when the store hosts
@@ -106,7 +106,7 @@
 //! that is switched off — and read as all-unsettled, so a diff there visits
 //! every key `to` owns.
 
-use crate::paged::{LoadRun, LoadRuns, RowTable, PAGE_BITS, PAGE_MASK, PAGE_SLOTS};
+use crate::paged::{LoadRun, RowTable, PAGE_BITS, PAGE_MASK, PAGE_SLOTS};
 use crate::ring::Ring;
 use crate::types::{Key, StoredValue, Version};
 use concord_sim::{NodeId, SimTime};
@@ -290,7 +290,7 @@ impl PageOwners {
 }
 
 /// The copies a group of holder nodes keep: a [`RowTable`] of per-key
-/// rows over dense record ids, and the load runs of the keys without one
+/// rows over dense record ids, and the load run of the keys without one
 /// (see the module docs for the layout).
 #[derive(Debug, Clone)]
 pub struct ReplicaStore {
@@ -298,8 +298,8 @@ pub struct ReplicaStore {
     /// version is non-zero.
     table: RowTable<Slot>,
     /// The loaded records: a key among them without a row is held by its
-    /// load owners at its load version.
-    loaded: LoadRuns,
+    /// load owners at its load version. Empty until the cluster's load.
+    loaded: LoadRun,
     /// The load ring and the nodes this store hosts: `None` for a
     /// standalone store, which loads through `preload`.
     placement: Option<Placement>,
@@ -346,7 +346,7 @@ impl ReplicaStore {
     pub fn with_rows(width: usize, summaries: bool) -> Self {
         ReplicaStore {
             table: RowTable::new(VACANT, width),
-            loaded: LoadRuns::default(),
+            loaded: LoadRun::default(),
             placement: None,
             side: HashMap::new(),
             copies: 0,
@@ -374,11 +374,11 @@ impl ReplicaStore {
     /// Hold `run`'s records as implicit copies of their load owners this
     /// store hosts (see the module docs): counted without a row. Counting
     /// is arithmetic when the store hosts every node; otherwise each key's
-    /// owners are looked up in the load ring.
+    /// owners are looked up in the load ring. The cluster loads once, into
+    /// stores without a row.
     ///
     /// # Panics
-    /// Panics if the store is standalone, or if the run does not start at
-    /// or after the previous run's end.
+    /// Panics if the store is standalone.
     pub(crate) fn load(&mut self, run: LoadRun) {
         let placement = self
             .placement
@@ -392,17 +392,11 @@ impl ReplicaStore {
         };
         self.copies += copies as usize;
         self.bytes_stored += copies * run.size as u64;
-        self.loaded.push(run);
-    }
-
-    /// Whether `key` has a row (a load may place it implicitly only if
-    /// not).
-    pub(crate) fn is_materialized(&self, key: Key) -> bool {
-        self.table.row(key.0).is_some()
+        self.loaded = run;
     }
 
     /// Assert that `key`'s row fits the table's slot space (a load checks
-    /// every key it places: see [`RowTable::assert_in_space`]).
+    /// its first and its last key: see [`RowTable::assert_in_space`]).
     pub(crate) fn assert_in_space(&self, key: Key) {
         self.table.assert_in_space(key.0);
     }
@@ -485,7 +479,7 @@ impl ReplicaStore {
     #[inline]
     fn slot_mut(&mut self, holder: NodeId, key: Key) -> &mut Slot {
         let tag = holder_tag(holder);
-        if !self.is_materialized(key) {
+        if self.table.row(key.0).is_none() {
             self.materialize(key);
         }
         let row = self.table.row_mut(key.0).expect("the key has a row");
@@ -595,8 +589,8 @@ impl ReplicaStore {
     }
 
     /// Load `holder`'s copy of a record directly into its row (no I/O
-    /// accounting, used to pre-populate the data set before the measured
-    /// run; a cluster's bulk load writes no row unless it must — see the
+    /// accounting, used to pre-populate a store record by record before
+    /// the measured run; a cluster's bulk load writes no row — see the
     /// module docs). A re-preload of an existing copy, implicit or not, is
     /// an authoritative overwrite: the byte accounting replaces the old
     /// payload's size instead of double-counting it.
@@ -639,7 +633,6 @@ impl ReplicaStore {
         };
         let mut key = start.0;
         let mut remaining = len;
-        let mut runs = self.loaded.seek(key);
         while remaining > 0 {
             let first = (key & PAGE_MASK) as usize;
             // Keys to take from this page before crossing its boundary.
@@ -648,9 +641,8 @@ impl ReplicaStore {
             let base = key - first as u64;
             for off in first..first + run as usize {
                 let k = Key(base + off as u64);
-                let loaded = self.loaded.next_get(&mut runs, k.0);
                 let copy = match page.and_then(|rows| rows.row(off)) {
-                    None => loaded.filter(|_| owner || self.load_owner(holder, k)),
+                    None => self.implicit(holder, k, owner),
                     Some(row) => self.copy_in(holder, k, row),
                 };
                 if let Some(v) = copy {
@@ -805,15 +797,14 @@ impl ReplicaStore {
         let slots = self.table.slots().chain(self.side.values());
         let held = slots.filter(|s| s.version.exists());
         let (mut copies, mut bytes) = held.fold((0, 0), |(n, b), s| (n + 1, b + s.size as u64));
-        for run in self.loaded.runs() {
-            for key in (run.first..run.end()).filter(|&k| self.table.row(k).is_none()) {
-                let owners = self
-                    .placement
-                    .as_ref()
-                    .map_or(0, |p| p.owners(Key(key)).count());
-                copies += owners;
-                bytes += owners as u64 * run.size as u64;
-            }
+        let run = &self.loaded;
+        for key in (run.first..run.end()).filter(|&k| self.table.row(k).is_none()) {
+            let owners = self
+                .placement
+                .as_ref()
+                .map_or(0, |p| p.owners(Key(key)).count());
+            copies += owners;
+            bytes += owners as u64 * run.size as u64;
         }
         if (copies, bytes) == (self.copies, self.bytes_stored) {
             Ok(())
@@ -1238,11 +1229,13 @@ mod tests {
     /// A run of `count` keys from `first`, versions counting up from
     /// `first_version`.
     fn run(first: u64, count: u64, first_version: u64, size: u32) -> LoadRun {
-        let mut run = LoadRun::new(first, Version(first_version), size);
-        for i in 1..count {
-            assert!(run.extend(first + i, Version(first_version + i), size));
+        LoadRun {
+            first,
+            count,
+            first_version,
+            step: 1,
+            size,
         }
-        run
     }
 
     /// Everything a reader can see of a store: every node's copy of every
@@ -1273,18 +1266,17 @@ mod tests {
             let (nodes, keys) = (5u32, 2 * PAGE_SLOTS as u64 + 40);
             let (mut implicit, ring) = placed(nodes as usize, 3, partitioner, Vec::new());
             let (mut spelled, _) = placed(nodes as usize, 3, partitioner, Vec::new());
-            // Keys 0..30 and from 50 on are loaded; 30..50 are not.
-            let runs = [run(0, 30, 1, 100), run(50, keys - 60, 31, 200)];
-            for run in runs {
-                implicit.load(run);
-                for key in (run.first..run.end()).map(Key) {
-                    for &owner in ring.placement(key) {
-                        spelled.preload_on(owner, key, run.version(key.0), run.size);
-                    }
+            // Keys 30..keys - 10 are loaded; those below and past are not.
+            let run = run(30, keys - 40, 1, 200);
+            implicit.load(run);
+            for key in (run.first..run.end()).map(Key) {
+                let value = run.get(key.0).unwrap();
+                for &owner in ring.placement(key) {
+                    spelled.preload_on(owner, key, value.version, value.size);
                 }
             }
             assert_eq!(implicit.rows(), 0, "a load touches no row");
-            assert_eq!(implicit.key_count() as u64, 3 * (keys - 30));
+            assert_eq!(implicit.key_count() as u64, 3 * (keys - 40));
             assert_eq!(
                 observe(&implicit, nodes, keys),
                 observe(&spelled, nodes, keys)
